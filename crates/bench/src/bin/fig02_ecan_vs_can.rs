@@ -8,7 +8,7 @@ use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point};
+use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_topology::NodeIdx;
 
 fn grown_can(n: usize, dims: usize, seed: u64) -> CanOverlay {
@@ -25,11 +25,12 @@ fn mean_hops(can: &CanOverlay, routes: usize, seed: u64) -> f64 {
     let live: Vec<OverlayNodeId> = can.live_nodes().collect();
     let mut total = 0usize;
     let mut counted = 0usize;
+    let mut scratch = RouteScratch::new();
     for _ in 0..routes {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(can.dims(), &mut rng);
-        if let Ok(r) = can.route(src, &target) {
-            total += r.hop_count();
+        if can.route_into(&mut scratch, src, &target).is_ok() {
+            total += scratch.hop_count();
             counted += 1;
         }
     }
@@ -41,11 +42,12 @@ fn mean_hops_express(ecan: &EcanOverlay, routes: usize, seed: u64) -> f64 {
     let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
     let mut total = 0usize;
     let mut counted = 0usize;
+    let mut scratch = RouteScratch::new();
     for _ in 0..routes {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(ecan.can().dims(), &mut rng);
-        if let Ok(r) = ecan.route_express(src, &target) {
-            total += r.hop_count();
+        if ecan.route_express_into(&mut scratch, src, &target).is_ok() {
+            total += scratch.hop_count();
             counted += 1;
         }
     }

@@ -13,19 +13,22 @@
 //! * membership changes use [`EcanOverlay::join_and_select`] and
 //!   [`EcanOverlay::depart_and_repair`] — no full-table rebuild anywhere.
 //!
-//! At mini scale the whole sweep runs twice — timing wheel vs the binary
-//! heap determinism oracle — and the run aborts unless the two event-log
-//! fingerprints are byte-identical (the replay-equivalence acceptance
-//! check; at paper scale the heap rerun would dominate the wall-clock, so
-//! only the wheel runs).
+//! At mini scale the run aborts unless the event-log fingerprint equals
+//! [`MINI_FINGERPRINT`] — the value the timing wheel and the binary-heap
+//! reference queue both produced for this schedule — so a change to event
+//! order, overlay maintenance or routing shows up as a mismatch.
 
 use tao_bench::{f3, print_table, Scale};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point};
+use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, Simulator, UniformLatency};
 use tao_topology::NodeIdx;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
+
+/// Event-log fingerprint of the mini-scale sweep (32,768 nodes, 400 churn
+/// ops, 120 routes, seed 0x0602).
+const MINI_FINGERPRINT: u64 = 0x7b3b_8bea_d9f1_6acf;
 
 /// One scheduled churn-phase operation, carried as a timer payload.
 #[derive(Debug, Clone)]
@@ -68,24 +71,15 @@ struct SweepOutcome {
 /// Grows the overlay, then drives `churn_ops` operations and `routes`
 /// probes through the simulator. Everything is derived from `seed`, so the
 /// returned fingerprint is a pure function of `(n, churn_ops, routes,
-/// seed)` — independent of which event queue runs the schedule.
-fn run_sweep(
-    n: usize,
-    churn_ops: usize,
-    routes: usize,
-    seed: u64,
-    heap_oracle: bool,
-) -> SweepOutcome {
+/// seed)`.
+fn run_sweep(n: usize, churn_ops: usize, routes: usize, seed: u64) -> SweepOutcome {
     let mut selector = SampledRandomSelector::new(seed ^ 0x5eed);
-    eprintln!("fig02_million_churn: building {n}-node eCAN (heap_oracle={heap_oracle})");
+    eprintln!("fig02_million_churn: building {n}-node eCAN");
     let mut ecan = EcanOverlay::build(grown_can(n, seed), &mut selector);
     eprintln!("fig02_million_churn: tables built, starting churn phase");
 
     let mut sim: Simulator<Op, _> =
         Simulator::new(UniformLatency::new(SimDuration::from_millis(2)));
-    if heap_oracle {
-        sim.use_heap_oracle();
-    }
     let driver = sim.add_node();
 
     // Schedule the churn phase up front at pseudo-random instants across a
@@ -115,6 +109,7 @@ fn run_sweep(
     let mut departs = 0usize;
     let mut express_total = 0usize;
     let mut express_count = 0usize;
+    let mut scratch = RouteScratch::new();
     while sim
         .step(|engine, _, msg| {
             let now = engine.now().as_micros();
@@ -150,12 +145,12 @@ fn run_sweep(
                     let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
                     let src = live[op_rng.gen_range(0..live.len())];
                     let target = Point::random(2, &mut op_rng);
-                    let route = ecan
-                        .route_express(src, &target)
+                    ecan.route_express_into(&mut scratch, src, &target)
                         .expect("routing succeeds on a consistent overlay");
-                    express_total += route.hop_count();
+                    let hop_count = scratch.hop_count();
+                    express_total += hop_count;
                     express_count += 1;
-                    fingerprint = fnv(fingerprint, now ^ (route.hop_count() as u64));
+                    fingerprint = fnv(fingerprint, now ^ (hop_count as u64));
                 }
             }
             events += 1;
@@ -181,18 +176,11 @@ fn main() {
     };
     let seed = 0x0602u64;
 
-    let wheel = run_sweep(n, churn_ops, routes, seed, false);
+    let sweep = run_sweep(n, churn_ops, routes, seed);
     if matches!(scale, Scale::Mini) {
-        // Replay-equivalence acceptance check: the heap oracle must drive
-        // the identical schedule to the identical fingerprint.
-        let heap = run_sweep(n, churn_ops, routes, seed, true);
         assert_eq!(
-            wheel.fingerprint, heap.fingerprint,
-            "timing wheel and heap oracle diverged"
-        );
-        eprintln!(
-            "fig02_million_churn: wheel/heap fingerprints match ({:#018x})",
-            wheel.fingerprint
+            sweep.fingerprint, MINI_FINGERPRINT,
+            "mini-scale event log diverged from the pinned fingerprint"
         );
     }
 
@@ -209,12 +197,12 @@ fn main() {
         ],
         &[vec![
             format!("{n}"),
-            format!("{}", wheel.events),
-            format!("{}", wheel.joins),
-            format!("{}", wheel.departs),
-            f3(wheel.express_hops),
-            format!("{}", wheel.final_nodes),
-            format!("{:#018x}", wheel.fingerprint),
+            format!("{}", sweep.events),
+            format!("{}", sweep.joins),
+            format!("{}", sweep.departs),
+            f3(sweep.express_hops),
+            format!("{}", sweep.final_nodes),
+            format!("{:#018x}", sweep.fingerprint),
         ]],
     );
 }

@@ -15,7 +15,7 @@ use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_core::{LoadAwareSelector, LoadModel, SelectionStrategy, TaoBuilder};
 use tao_overlay::ecan::EcanOverlay;
-use tao_overlay::{OverlayNodeId, Point};
+use tao_overlay::{OverlayNodeId, Point, RouteScratch};
 use tao_sim::SimDuration;
 use tao_topology::{LatencyAssignment, RttOracle};
 
@@ -37,25 +37,27 @@ fn run_round(
 ) -> (f64, usize) {
     let mut stretch_total = 0.0;
     let mut counted = 0usize;
+    let mut scratch = RouteScratch::new();
     for _ in 0..ROUTES_PER_ROUND {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, rng);
-        let Ok(route) = ecan.route_express(src, &target) else {
-            continue;
-        };
-        if route.hop_count() < 1 {
+        if ecan.route_express_into(&mut scratch, src, &target).is_err() {
             continue;
         }
-        for &hop in &route.hops[1..route.hops.len() - 1] {
+        let hops = scratch.hops();
+        if hops.len() < 2 {
+            continue;
+        }
+        for &hop in &hops[1..hops.len() - 1] {
             model.add_load(hop, 1.0);
         }
-        let dst = *route.hops.last().expect("non-empty route");
+        let dst = hops[hops.len() - 1];
         let direct = oracle.ground_truth(ecan.can().underlay(src), ecan.can().underlay(dst));
         if direct.is_zero() {
             continue;
         }
         let mut path = SimDuration::ZERO;
-        for w in route.hops.windows(2) {
+        for w in hops.windows(2) {
             path += oracle.ground_truth(ecan.can().underlay(w[0]), ecan.can().underlay(w[1]));
         }
         stretch_total += path / direct;

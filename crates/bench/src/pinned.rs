@@ -1,10 +1,10 @@
 //! Pinned before/after comparison files (`results/BENCH_*.json`).
 //!
 //! Earlier PRs pinned their medians from a single binary, so a plain
-//! format-and-write sufficed. `results/BENCH_09.json` is shared by three
-//! writers — the `perf_routing` bench (scratch vs allocating router),
-//! `sec6_replay` (serial vs parallel replay), and `fig_flashcrowd` (serial
-//! oracle vs conflict-DAG executor) — each re-pinning only its own entries.
+//! format-and-write sufficed. `results/BENCH_09.json` is shared by two
+//! writers — `sec6_replay` (serial vs parallel replay) and `fig_flashcrowd`
+//! (serial oracle vs conflict-DAG executor) — each re-pinning only its own
+//! entries.
 //! [`upsert_bench_09`] therefore *merges*: it parses whatever comparisons
 //! the file already holds, replaces the ones whose names match, keeps the
 //! rest, and rewrites the file with entries sorted by name so the output
@@ -20,11 +20,11 @@ use tao_util::bench::results_path;
 /// One pinned before/after comparison (the `speedup` field is derived).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PinnedComparison {
-    /// Comparison name, unique within the file (e.g. `can_route_scratch`).
+    /// Comparison name, unique within the file (e.g. `replay_parallel`).
     pub name: String,
-    /// Label of the "before" configuration (e.g. `route_alloc`).
+    /// Label of the "before" configuration (e.g. `serial_replay`).
     pub before: String,
-    /// Label of the "after" configuration (e.g. `route_into_scratch`).
+    /// Label of the "after" configuration (e.g. `parallel_replay`).
     pub after: String,
     /// Median ns of the before configuration.
     pub before_median_ns: f64,

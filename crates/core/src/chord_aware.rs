@@ -16,13 +16,14 @@ use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::chord::{
     ChordOverlay, ClosestFingerSelector, FingerSelector, RandomFingerSelector, RingId,
 };
+use tao_overlay::RouteScratch;
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::ring::{RingRecord, RingState};
 use tao_softstate::SoftStateConfig;
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{RttOracle, Topology};
 
-use crate::metrics::StretchSummary;
+use crate::metrics::{route_stretch, StretchSummary};
 use crate::params::{ExperimentParams, SelectionStrategy};
 
 /// A [`FingerSelector`] backed by the ring-keyed global soft-state: look up
@@ -242,30 +243,20 @@ impl ChordAware {
         let mut rng = StdRng::seed_from_u64(seed);
         let ids: Vec<RingId> = self.ring.node_ids().collect();
         let mut summary = StretchSummary::new();
+        let mut scratch = RouteScratch::new();
         for _ in 0..routes {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: RingId = rng.gen();
-            let Ok(route) = self.ring.route(start, key) else {
-                continue;
-            };
-            if route.hop_count() == 0 {
+            if self.ring.route_into(&mut scratch, start, key).is_err() {
                 continue;
             }
-            let home = *route.hops.last().expect("non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "non-empty")
-            let me = self.ring.underlay(start).expect("on ring"); // tao-lint: allow(no-unwrap-in-lib, reason = "on ring")
-            let dst = self.ring.underlay(home).expect("on ring"); // tao-lint: allow(no-unwrap-in-lib, reason = "on ring")
-            let direct = self.oracle.ground_truth(me, dst);
-            if direct.is_zero() {
-                continue;
+            let underlays = scratch
+                .ring_hops()
+                .iter()
+                .map(|&h| self.ring.underlay(h).expect("hops are ring members")); // tao-lint: allow(no-unwrap-in-lib, reason = "hops are ring members")
+            if let Some(stretch) = route_stretch(underlays, &self.oracle) {
+                summary.add(stretch);
             }
-            let mut path = SimDuration::ZERO;
-            for w in route.hops.windows(2) {
-                path += self.oracle.ground_truth(
-                    self.ring.underlay(w[0]).expect("on ring"), // tao-lint: allow(no-unwrap-in-lib, reason = "on ring")
-                    self.ring.underlay(w[1]).expect("on ring"), // tao-lint: allow(no-unwrap-in-lib, reason = "on ring")
-                );
-            }
-            summary.add(path / direct);
         }
         summary
     }

@@ -2,6 +2,32 @@
 
 use std::fmt;
 
+use tao_sim::SimDuration;
+use tao_topology::{NodeIdx, RttOracle};
+
+/// Routing stretch of one overlay route, given the underlay routers of its
+/// hops (source first): latency accumulated hop by hop over the shortest-
+/// path latency from the first router to the last.
+///
+/// `None` for a route of fewer than two hops and for co-located endpoints
+/// (zero direct latency), which have no defined stretch.
+pub(crate) fn route_stretch<I>(hops: I, oracle: &RttOracle) -> Option<f64>
+where
+    I: DoubleEndedIterator<Item = NodeIdx> + Clone,
+{
+    let mut ends = hops.clone();
+    let (src, dst) = (ends.next()?, ends.next_back()?);
+    let direct = oracle.ground_truth(src, dst);
+    if direct.is_zero() {
+        return None;
+    }
+    let mut path = SimDuration::ZERO;
+    for (a, b) in hops.clone().zip(hops.skip(1)) {
+        path += oracle.ground_truth(a, b);
+    }
+    Some(path / direct)
+}
+
 /// An online summary of a set of `f64` samples.
 ///
 /// # Example
@@ -138,6 +164,24 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn route_stretch_is_path_over_direct_and_none_when_undefined() {
+        use tao_topology::{EdgeClass, Graph, NodeKind};
+        // A triangle: 0–1 and 1–2 cost 3 ms each, the direct 0–2 link 2 ms.
+        let mut g = Graph::new();
+        let n: Vec<NodeIdx> = (0..3).map(|_| g.add_node(NodeKind::Stub { domain: 0 })).collect();
+        g.add_edge(n[0], n[1], SimDuration::from_millis(3), EdgeClass::IntraStub);
+        g.add_edge(n[1], n[2], SimDuration::from_millis(3), EdgeClass::IntraStub);
+        g.add_edge(n[0], n[2], SimDuration::from_millis(2), EdgeClass::IntraStub);
+        let oracle = RttOracle::new(g);
+        let stretch = |hops: &[NodeIdx]| route_stretch(hops.iter().copied(), &oracle);
+        assert_eq!(stretch(&[n[0], n[1], n[2]]), Some(3.0));
+        assert_eq!(stretch(&[n[0], n[2]]), Some(1.0));
+        assert_eq!(stretch(&[]), None);
+        assert_eq!(stretch(&[n[0]]), None, "a route that never left its source");
+        assert_eq!(stretch(&[n[0], n[1], n[0]]), None, "co-located endpoints");
+    }
 
     #[test]
     fn empty_summary_is_all_zero() {

@@ -17,13 +17,14 @@ use tao_overlay::pastry::{
     shared_prefix_len, ClosestEntrySelector, EntrySelector, PastryId, PastryOverlay,
     RandomEntrySelector, DIGITS,
 };
+use tao_overlay::RouteScratch;
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::prefix::{PrefixKey, PrefixRecord, PrefixState};
 use tao_softstate::SoftStateConfig;
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{RttOracle, Topology};
 
-use crate::metrics::StretchSummary;
+use crate::metrics::{route_stretch, StretchSummary};
 use crate::params::{ExperimentParams, SelectionStrategy};
 
 /// An [`EntrySelector`] backed by the per-prefix soft-state maps: derive
@@ -234,30 +235,20 @@ impl PastryAware {
         let mut rng = StdRng::seed_from_u64(seed);
         let ids: Vec<PastryId> = self.overlay.node_ids().collect();
         let mut summary = StretchSummary::new();
+        let mut scratch = RouteScratch::new();
         for _ in 0..routes {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: PastryId = rng.gen();
-            let Ok(route) = self.overlay.route(start, key) else {
-                continue;
-            };
-            if route.hop_count() == 0 {
+            if self.overlay.route_into(&mut scratch, start, key).is_err() {
                 continue;
             }
-            let root = *route.hops.last().expect("non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "non-empty")
-            let me = self.overlay.underlay(start).expect("present"); // tao-lint: allow(no-unwrap-in-lib, reason = "present")
-            let dst = self.overlay.underlay(root).expect("present"); // tao-lint: allow(no-unwrap-in-lib, reason = "present")
-            let direct = self.oracle.ground_truth(me, dst);
-            if direct.is_zero() {
-                continue;
+            let underlays = scratch
+                .ring_hops()
+                .iter()
+                .map(|&h| self.overlay.underlay(h).expect("hops are present")); // tao-lint: allow(no-unwrap-in-lib, reason = "hops are present")
+            if let Some(stretch) = route_stretch(underlays, &self.oracle) {
+                summary.add(stretch);
             }
-            let mut path = SimDuration::ZERO;
-            for w in route.hops.windows(2) {
-                path += self.oracle.ground_truth(
-                    self.overlay.underlay(w[0]).expect("present"), // tao-lint: allow(no-unwrap-in-lib, reason = "present")
-                    self.overlay.underlay(w[1]).expect("present"), // tao-lint: allow(no-unwrap-in-lib, reason = "present")
-                );
-            }
-            summary.add(path / direct);
         }
         summary
     }

@@ -7,7 +7,7 @@ use tao_util::rand::seq::SliceRandom;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_landmark::{LandmarkGrid, LandmarkVector, SpaceFillingCurve};
 use tao_overlay::ecan::{ClosestSelector, EcanOverlay, RandomSelector};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point};
+use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
 use tao_softstate::{GlobalState, NodeInfo, SoftStateConfig};
@@ -16,7 +16,7 @@ use tao_topology::{
     generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle, Topology, TransitStubParams,
 };
 
-use crate::metrics::StretchSummary;
+use crate::metrics::{route_stretch, StretchSummary};
 use crate::params::{ExperimentParams, SelectionStrategy};
 use crate::selector::GlobalStateSelector;
 
@@ -339,29 +339,17 @@ impl TopologyAwareOverlay {
         let mut rng = StdRng::seed_from_u64(seed);
         let live: Vec<OverlayNodeId> = self.ecan.can().live_nodes().collect();
         let mut summary = StretchSummary::new();
+        let mut scratch = RouteScratch::new();
         for _ in 0..routes {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(self.params.dims, &mut rng);
-            let Ok(route) = self.ecan.route_express(src, &target) else {
-                continue;
-            };
-            if route.hop_count() == 0 {
+            if self.ecan.route_express_into(&mut scratch, src, &target).is_err() {
                 continue;
             }
-            let dst = *route.hops.last().expect("routes are non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "routes are non-empty")
-            let direct = self
-                .oracle
-                .ground_truth(self.ecan.can().underlay(src), self.ecan.can().underlay(dst));
-            if direct.is_zero() {
-                continue;
+            let underlays = scratch.hops().iter().map(|&h| self.ecan.can().underlay(h));
+            if let Some(stretch) = route_stretch(underlays, &self.oracle) {
+                summary.add(stretch);
             }
-            let mut path = SimDuration::ZERO;
-            for w in route.hops.windows(2) {
-                path += self
-                    .oracle
-                    .ground_truth(self.ecan.can().underlay(w[0]), self.ecan.can().underlay(w[1]));
-            }
-            summary.add(path / direct);
         }
         summary
     }

@@ -25,7 +25,6 @@
 //! decision downstream — taker choice, greedy tie-breaks, table builds —
 //! is byte-identical to the previous layout.
 
-use tao_util::det::DetSet;
 use tao_util::footprint::Footprint;
 use std::error::Error;
 use std::fmt;
@@ -878,42 +877,11 @@ impl CanOverlay {
     /// [`OverlayError::DimensionMismatch`] for a bad target, and
     /// [`OverlayError::RoutingStuck`] if greedy progress stalls.
     pub fn route(&self, source: OverlayNodeId, target: &Point) -> Result<Route, OverlayError> {
-        if target.dims() != self.dims {
-            return Err(OverlayError::DimensionMismatch {
-                expected: self.dims,
-                got: target.dims(),
-            });
-        }
-        self.ensure_live(source)?;
-        let mut hops = vec![source];
-        let mut current = source;
-        // Greedy with a visited set: strictly-decreasing progress can fail
-        // at zone corners, so permit sideways moves but never revisit.
-        let mut visited: DetSet<OverlayNodeId> = DetSet::new();
-        visited.insert(source);
-        // Bound on *live* nodes, not arena slots: a route can only visit
-        // live nodes, so dead slots left behind by churn must not inflate
-        // how long a stuck route is allowed to wander.
-        let limit = 4 * self.live_count + 16;
-        while !self.node_owns_point(current.index(), target) {
-            if hops.len() > limit {
-                return Err(OverlayError::RoutingStuck { at: current });
-            }
-            let next = self.neighbors[current.index()]
-                .iter()
-                .copied()
-                .filter(|n| !visited.contains(n))
-                .min_by(|a, b| {
-                    let da = self.node_distance(a.index(), target);
-                    let db = self.node_distance(b.index(), target);
-                    da.total_cmp(&db).then(a.cmp(b))
-                })
-                .ok_or(OverlayError::RoutingStuck { at: current })?;
-            visited.insert(next);
-            hops.push(next);
-            current = next;
-        }
-        Ok(Route { hops })
+        let mut scratch = RouteScratch::new();
+        self.route_into(&mut scratch, source, target)?;
+        Ok(Route {
+            hops: scratch.take_hops(),
+        })
     }
 
     /// Node `i`'s sorted neighbor list, without the liveness check or the
@@ -922,11 +890,14 @@ impl CanOverlay {
         &self.neighbors[i]
     }
 
-    /// Allocation-free variant of [`CanOverlay::route`]: same checks, same
-    /// hop sequence, same errors, but the visited set and hop buffer live
-    /// in `scratch` and are reused across calls. On success the hop
-    /// sequence (source first) is in [`RouteScratch::hops`]; on error the
-    /// scratch is still reusable.
+    /// [`CanOverlay::route`] with the visited set and hop buffer living in
+    /// `scratch`, so a caller that routes more than once allocates nothing
+    /// after the first call. On success the hop sequence (source first) is
+    /// in [`RouteScratch::hops`]; on error the scratch is still reusable.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CanOverlay::route`].
     // tao-lint: hot
     // tao-lint: allow(panic-reachability, reason = "scratch stamps are sized by begin_can(id_bound()) before any mark; the greedy tail indexes bounds by live ids validated by ensure_live")
     pub fn route_into(
@@ -947,15 +918,15 @@ impl CanOverlay {
         self.route_append(scratch, source, target)
     }
 
-    /// Routes greedily from `start` (assumed live) toward the owner of
-    /// `target`, appending hops after `start` to `scratch.hops` under a
-    /// *fresh* visited generation — exactly the hop sequence the allocating
-    /// [`CanOverlay::route`] would produce after its own `vec![start]`.
+    /// The greedy routing loop: from `start` (assumed live, already the
+    /// last entry of `scratch.hops`) toward the owner of `target`, appending
+    /// every further hop under a *fresh* visited generation.
     ///
     /// Shared by [`CanOverlay::route_into`] and the eCAN stuck-fallback,
-    /// which splices this tail onto an express prefix (the oracle there
-    /// calls `can.route(...)` with a fresh `DetSet`, hence the fresh
-    /// generation here).
+    /// which splices this tail onto an express prefix. Default CAN routing
+    /// is loop-free only on a visited set of its own, so the tail starts a
+    /// new generation (it may revisit prefix nodes) and its hop limit
+    /// counts the tail alone.
     pub(crate) fn route_append(
         &self,
         scratch: &mut RouteScratch,
@@ -965,9 +936,12 @@ impl CanOverlay {
         scratch.refresh_visited(self.id_bound());
         scratch.mark(start.index());
         let mut current = start;
-        // Mirrors the length of the oracle's per-call `hops` Vec, which in
-        // the eCAN fallback restarts at 1 regardless of the prefix.
+        // Hops of this segment, `start` included: after an express prefix
+        // the count restarts at 1, whatever the prefix already holds.
         let mut seg_len = 1usize;
+        // Bound on *live* nodes, not arena slots: a route can only visit
+        // live nodes, so dead slots left behind by churn must not inflate
+        // how long a stuck route is allowed to wander.
         let limit = 4 * self.live_count + 16;
         // Extra zones exist iff some node has departed (every takeover
         // pushes exactly one primary into the taker's extras and nothing
@@ -984,11 +958,13 @@ impl CanOverlay {
             if seg_len > limit {
                 return Err(OverlayError::RoutingStuck { at: current });
             }
-            // Single pass over the SoA bounds: each candidate's distance is
-            // computed once, vs twice per comparison under `min_by`.
-            // Neighbor lists are sorted by id and only a *strictly* smaller
-            // distance (total_cmp) displaces the incumbent, which is the
-            // first-of-equal-minima / then-id-tie-break rule of the oracle.
+            // Greedy with a visited set: strictly-decreasing progress can
+            // fail at zone corners, so sideways moves are permitted but no
+            // node is revisited. The next hop is the unvisited neighbor
+            // with the smallest (distance by total_cmp, then id): neighbor
+            // lists are sorted by id and only a *strictly* smaller distance
+            // displaces the incumbent, so equal distances keep the lowest
+            // id. One pass over the SoA bounds, one distance per candidate.
             let mut best: Option<(f64, OverlayNodeId)> = None;
             for &n in &self.neighbors[current.index()] {
                 if scratch.is_marked(n.index()) {

@@ -200,8 +200,9 @@ impl ChordOverlay {
     }
 
     /// Removes a node from the ring; its keys fall to its successor by
-    /// construction of [`ChordOverlay::successor`]. Fingers referencing it
-    /// must be re-selected ([`ChordOverlay::build_fingers`] or per-node
+    /// construction of [`ChordOverlay::successor`]. Other nodes' fingers
+    /// referencing it go stale — routing skips them — until re-selected
+    /// ([`ChordOverlay::build_fingers`] or per-node
     /// [`ChordOverlay::rebuild_fingers_of`]).
     ///
     /// # Errors
@@ -302,41 +303,18 @@ impl ChordOverlay {
     ///
     /// Returns [`ChordError::UnknownNode`] if `start` is not on the ring or
     /// [`ChordError::EmptyRing`] on an empty ring.
-    // tao-lint: allow(panic-reachability, reason = "routing walks finger tables of live members only; every hop id is a ring member by construction")
+    // tao-lint: allow(panic-reachability, reason = "delegates to route_into, whose unreachable! hop bound is a defensive invariant")
     pub fn route(&self, start: RingId, key: RingId) -> Result<ChordRoute, ChordError> {
-        if !self.nodes.contains_key(&start) {
-            return Err(ChordError::UnknownNode(start));
-        }
-        let home = self.successor(key)?;
-        let mut hops = vec![start];
-        let mut current = start;
-        while current != home {
-            let remaining = Self::clockwise(current, key);
-            // Best finger that does not overshoot the key.
-            let next = self
-                .fingers(current)
-                .iter()
-                .map(|f| f.target)
-                .filter(|&t| Self::clockwise(current, t) <= remaining.max(1))
-                .max_by_key(|&t| Self::clockwise(current, t));
-            let next = match next {
-                Some(n) if n != current => n,
-                // No useful finger: fall to the immediate successor.
-                _ => self.successor(current.wrapping_add(1))?,
-            };
-            hops.push(next);
-            current = next;
-            if hops.len() > 2 * self.nodes.len() + 8 {
-                // Defensive: cannot loop on a consistent ring.
-                unreachable!("chord routing exceeded the hop bound");
-            }
-        }
-        Ok(ChordRoute { hops })
+        let mut scratch = crate::RouteScratch::new();
+        self.route_into(&mut scratch, start, key)?;
+        Ok(ChordRoute {
+            hops: scratch.take_ring_hops(),
+        })
     }
 
-    /// Allocation-free variant of [`ChordOverlay::route`]: same hop
-    /// sequence and errors, with the hop buffer reused from `scratch`. On
-    /// success the hop sequence (start first) is in
+    /// [`ChordOverlay::route`] with the hop buffer living in `scratch`, so
+    /// a caller that routes more than once allocates nothing after the
+    /// first call. On success the hop sequence (start first) is in
     /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
     /// error the scratch is still reusable.
     ///
@@ -344,7 +322,7 @@ impl ChordOverlay {
     ///
     /// Same conditions as [`ChordOverlay::route`].
     // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "routing walks finger tables of live members only; every hop id is a ring member by construction")
+    // tao-lint: allow(panic-reachability, reason = "every hop is a ring member (fingers are filtered by membership, the fallback is successor()) and moves clockwise toward the key, so the unreachable! hop bound is a defensive invariant")
     pub fn route_into(
         &self,
         scratch: &mut crate::RouteScratch,
@@ -360,14 +338,19 @@ impl ChordOverlay {
         let mut current = start;
         while current != home {
             let remaining = Self::clockwise(current, key);
+            // Best finger that does not overshoot the key. `leave` does not
+            // touch other nodes' fingers, so until they are rebuilt a
+            // target may have departed: only ring members are forwarded to.
             let next = self
                 .fingers(current)
                 .iter()
                 .map(|f| f.target)
                 .filter(|&t| Self::clockwise(current, t) <= remaining.max(1))
+                .filter(|t| self.nodes.contains_key(t))
                 .max_by_key(|&t| Self::clockwise(current, t));
             let next = match next {
                 Some(n) if n != current => n,
+                // No useful finger: fall to the immediate successor.
                 _ => self.successor(current.wrapping_add(1))?,
             };
             scratch.push_ring_hop(next);
@@ -479,6 +462,31 @@ mod tests {
             let key: RingId = rng.gen();
             let route = ring.route(start, key).unwrap();
             assert_eq!(*route.hops.last().unwrap(), ring.successor(key).unwrap());
+        }
+    }
+
+    #[test]
+    fn routes_skip_fingers_of_departed_nodes() {
+        // `leave` with no finger rebuild: survivors' tables still name the
+        // departed ids, and routing must never forward to one.
+        let mut ring = ring_of(256, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut ids: Vec<RingId> = ring.node_ids().collect();
+        for _ in 0..32 {
+            let victim = ids.swap_remove(rng.gen_range(0..ids.len()));
+            ring.leave(victim).unwrap();
+        }
+        let mut scratch = crate::RouteScratch::new();
+        for _ in 0..2_000 {
+            let start = ids[rng.gen_range(0..ids.len())];
+            let key: RingId = rng.gen();
+            ring.route_into(&mut scratch, start, key).unwrap();
+            let hops = scratch.ring_hops();
+            assert!(
+                hops.iter().all(|h| ring.underlay(*h).is_some()),
+                "route {hops:x?} passes through a departed node"
+            );
+            assert_eq!(*hops.last().unwrap(), ring.successor(key).unwrap());
         }
     }
 

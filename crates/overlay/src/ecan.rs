@@ -664,70 +664,23 @@ impl EcanOverlay {
         source: OverlayNodeId,
         target: &Point,
     ) -> Result<Route, OverlayError> {
-        if target.dims() != self.can.dims() {
-            return Err(OverlayError::DimensionMismatch {
-                expected: self.can.dims(),
-                got: target.dims(),
-            });
-        }
-        if !self.can.is_live(source) {
-            return Err(OverlayError::UnknownNode(source));
-        }
-        let mut hops = vec![source];
-        let mut current = source;
-        let mut visited = tao_util::det::DetSet::new();
-        visited.insert(source);
-        let limit = 4 * self.can.len() + 16;
-        while !self.can.owns_point(current, target)? {
-            if hops.len() > limit {
-                return Err(OverlayError::RoutingStuck { at: current });
-            }
-            let defaults = self.can.neighbors(current)?;
-            let express = self
-                .tables
-                .get(current.index())
-                .map(|t| t.entries.as_slice())
-                .unwrap_or(&[])
-                .iter()
-                .map(|e| OverlayNodeId(e.rep));
-            let next = defaults
-                .into_iter()
-                .chain(express)
-                .filter(|n| !visited.contains(n) && self.can.is_live(*n))
-                .min_by(|a, b| {
-                    let da = self
-                        .can
-                        .distance_to_point(*a, target)
-                        .expect("filtered to live nodes"); // tao-lint: allow(no-unwrap-in-lib, reason = "filtered to live nodes")
-                    let db = self
-                        .can
-                        .distance_to_point(*b, target)
-                        .expect("filtered to live nodes"); // tao-lint: allow(no-unwrap-in-lib, reason = "filtered to live nodes")
-                    da.total_cmp(&db).then(a.cmp(b))
-                });
-            let Some(next) = next else {
-                // Expressway jumps can strand greedy in a pocket where every
-                // neighbor was already tried. Default CAN routing from here
-                // is loop-free on its own visited set; splice it in.
-                let tail = self.can.route(current, target)?;
-                hops.extend(tail.hops.into_iter().skip(1));
-                return Ok(Route { hops });
-            };
-            visited.insert(next);
-            hops.push(next);
-            current = next;
-        }
-        Ok(Route { hops })
+        let mut scratch = crate::RouteScratch::new();
+        self.route_express_into(&mut scratch, source, target)?;
+        Ok(Route {
+            hops: scratch.take_hops(),
+        })
     }
 
-    /// Allocation-free variant of [`EcanOverlay::route_express`]: same
-    /// checks, same hop sequence, same errors, with the visited set and hop
-    /// buffer reused from `scratch` and candidate distances computed once
-    /// per hop in a single pass over the SoA bounds (the allocating path
-    /// also clones the default-neighbor list every hop). On success the hop
-    /// sequence (source first) is in
+    /// [`EcanOverlay::route_express`] with the visited set and hop buffer
+    /// living in `scratch`, so a caller that routes more than once
+    /// allocates nothing after the first call. On success the hop sequence
+    /// (source first) is in
     /// [`RouteScratch::hops`](crate::RouteScratch::hops); on error the
     /// scratch is still reusable.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CanOverlay::route`].
     // tao-lint: hot
     // tao-lint: allow(panic-reachability, reason = "scratch stamps are sized by begin_can(id_bound()) before any mark; distances index bounds by live ids and the stuck-fallback delegates to route_append's guarded edges")
     pub fn route_express_into(
@@ -762,12 +715,12 @@ impl EcanOverlay {
             if scratch.hops_len() > limit {
                 return Err(OverlayError::RoutingStuck { at: current });
             }
-            // The candidate chain (default neighbors, then express reps) is
-            // not id-sorted, so the incumbent is displaced on a strictly
-            // smaller (distance, id) pair — the total_cmp-then-id order the
-            // allocating path's `min_by` uses. Duplicate ids across the two
-            // segments compare Equal and keep the first, which is the same
-            // node either way.
+            // The next hop is the unvisited live candidate with the
+            // smallest (distance by total_cmp, then id). The candidate
+            // chain (default neighbors, then express reps) is not
+            // id-sorted, so the incumbent is displaced only by a strictly
+            // smaller pair. A node listed in both segments compares Equal
+            // to itself and keeps its first occurrence.
             let mut best: Option<(f64, OverlayNodeId)> = None;
             let defaults = self.can.neighbor_slice(current.index()).iter().copied();
             let express = self
@@ -795,9 +748,10 @@ impl EcanOverlay {
                 }
             }
             let Some((_, next)) = best else {
-                // Same stuck-fallback as the allocating path: default CAN
-                // routing from here on a fresh visited generation, tail
-                // spliced after the express prefix.
+                // Expressway jumps can strand greedy in a pocket where every
+                // neighbor was already tried. Default CAN routing from here
+                // is loop-free on a visited generation of its own; its tail
+                // is spliced after the express prefix.
                 return self.can.route_append(scratch, current, target);
             };
             scratch.mark(next.index());

@@ -394,11 +394,36 @@ impl PastryOverlay {
     /// Returns [`PastryError::UnknownNode`] for an absent start and
     /// [`PastryError::Empty`] on an empty overlay.
     pub fn route(&self, start: PastryId, key: PastryId) -> Result<PastryRoute, PastryError> {
+        let mut scratch = crate::RouteScratch::new();
+        self.route_into(&mut scratch, start, key)?;
+        Ok(PastryRoute {
+            hops: scratch.take_ring_hops(),
+        })
+    }
+
+    /// [`PastryOverlay::route`] with the hop buffer living in `scratch`, so
+    /// a caller that routes more than once allocates nothing after the
+    /// first call. On success the hop sequence (start first) is in
+    /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
+    /// error the scratch is still reusable.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PastryOverlay::route`].
+    // tao-lint: hot
+    // tao-lint: allow(panic-reachability, reason = "the unreachable! hop bound is a defensive invariant; the expect is guarded by the membership check on every hop")
+    pub fn route_into(
+        &self,
+        scratch: &mut crate::RouteScratch,
+        start: PastryId,
+        key: PastryId,
+    ) -> Result<(), PastryError> {
         if !self.nodes.contains_key(&start) {
             return Err(PastryError::UnknownNode(start));
         }
         let root = self.root_of(key)?;
-        let mut hops = vec![start];
+        scratch.begin_ring();
+        scratch.push_ring_hop(start);
         let mut current = start;
         while current != root {
             let p = shared_prefix_len(current, key);
@@ -429,79 +454,6 @@ impl PastryOverlay {
             let Some(next) = next else {
                 // No improvement available: current must be the root's
                 // neighborhood; step through the leaf set toward the root.
-                let step = self
-                    .leaves(current)
-                    .iter()
-                    .copied()
-                    .min_by_key(|&n| (ring_distance(n, key), n))
-                    .filter(|&n| ring_distance(n, key) < ring_distance(current, key));
-                match step {
-                    Some(n) => {
-                        hops.push(n);
-                        current = n;
-                        continue;
-                    }
-                    None => break, // numerically closest known node reached
-                }
-            };
-            hops.push(next);
-            current = next;
-            if hops.len() > 2 * self.nodes.len() + 8 {
-                unreachable!("pastry routing exceeded the hop bound");
-            }
-        }
-        Ok(PastryRoute { hops })
-    }
-
-    /// Allocation-free variant of [`PastryOverlay::route`]: same hop
-    /// sequence and errors, with the hop buffer reused from `scratch`. On
-    /// success the hop sequence (start first) is in
-    /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
-    /// error the scratch is still reusable.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PastryOverlay::route`].
-    // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "the unreachable! hop bound mirrors the allocating oracle's defensive invariant; the expect is guarded by the membership check on every hop")
-    pub fn route_into(
-        &self,
-        scratch: &mut crate::RouteScratch,
-        start: PastryId,
-        key: PastryId,
-    ) -> Result<(), PastryError> {
-        if !self.nodes.contains_key(&start) {
-            return Err(PastryError::UnknownNode(start));
-        }
-        let root = self.root_of(key)?;
-        scratch.begin_ring();
-        scratch.push_ring_hop(start);
-        let mut current = start;
-        while current != root {
-            let p = shared_prefix_len(current, key);
-            let wanted = digit(key, p.min(DIGITS - 1));
-            let next = self
-                .table_entry(current, p, wanted)
-                .filter(|&n| self.nodes.contains_key(&n))
-                .or_else(|| {
-                    let here = ring_distance(current, key);
-                    self.leaves(current)
-                        .iter()
-                        .copied()
-                        .chain(
-                            self.nodes
-                                .get(&current)
-                                .expect("current is present") // tao-lint: allow(no-unwrap-in-lib, reason = "current is present")
-                                .table
-                                .iter()
-                                .flatten()
-                                .copied(),
-                        )
-                        .filter(|&n| self.nodes.contains_key(&n))
-                        .filter(|&n| ring_distance(n, key) < here)
-                        .min_by_key(|&n| (ring_distance(n, key), n))
-                });
-            let Some(next) = next else {
                 let step = self
                     .leaves(current)
                     .iter()

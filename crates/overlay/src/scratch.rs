@@ -1,10 +1,10 @@
-//! Reusable routing scratch state — the allocation-free counterpart of the
-//! per-call `Vec`/`DetSet` state the allocating `route()` oracles build.
+//! Reusable routing scratch state: the visited set and hop buffers every
+//! overlay's routing loop works in.
 //!
 //! A replay sweep issues millions of routing calls against an overlay that
-//! is not changing between calls; paying a fresh visited-set (a BTree node
-//! per ~11 inserts) and a fresh hop buffer per call caps throughput long
-//! before the overlay does. [`RouteScratch`] amortizes both:
+//! is not changing between calls; paying a fresh visited set and a fresh
+//! hop buffer per call caps throughput long before the overlay does.
+//! [`RouteScratch`] amortizes both:
 //!
 //! * **visited checks** become an epoch-stamped `u32` generation array over
 //!   the node arena: a node is visited iff `stamp[i] == epoch`. Starting a
@@ -17,7 +17,9 @@
 //! One scratch can be shared freely across overlays and overlay types; each
 //! `route_into` call re-arms it for the arena it is given. Calls that
 //! return an error leave the scratch reusable — the next call re-arms it
-//! regardless of what the failed call left behind.
+//! regardless of what the failed call left behind. The one-shot `route()` /
+//! `route_express()` conveniences run the same loop on a fresh scratch and
+//! move its hop buffer into the returned route.
 
 use crate::can::OverlayNodeId;
 
@@ -81,7 +83,8 @@ impl RouteScratch {
 
     /// Starts a fresh visited generation *without* touching the hop buffer
     /// — used by the eCAN stuck-fallback, which splices a plain-CAN tail
-    /// (routed on its own visited set) onto the express prefix.
+    /// onto the express prefix. The tail may revisit prefix nodes: default
+    /// CAN routing is loop-free only on a visited set of its own.
     // tao-lint: hot
     pub(crate) fn refresh_visited(&mut self, bound: usize) {
         if self.stamps.len() < bound {
@@ -119,6 +122,17 @@ impl RouteScratch {
     // tao-lint: hot
     pub(crate) fn hops_len(&self) -> usize {
         self.hops.len()
+    }
+
+    /// Moves the CAN-family hop buffer out, leaving an empty one — how the
+    /// one-shot `route()` conveniences hand the hops to a [`crate::Route`].
+    pub(crate) fn take_hops(&mut self) -> Vec<OverlayNodeId> {
+        std::mem::take(&mut self.hops)
+    }
+
+    /// Moves the ring hop buffer out, leaving an empty one.
+    pub(crate) fn take_ring_hops(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.ring_hops)
     }
 
     /// Arms the scratch for a ring route: clears the ring hop buffer.

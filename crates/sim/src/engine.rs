@@ -7,7 +7,7 @@
 //! timers — mutation of the queue is mediated so handlers cannot observe
 //! half-updated simulator state.
 
-use crate::event::{EventQueue, HeapQueue, ScheduledEvent};
+use crate::event::EventQueue;
 use crate::fault::{FaultPlan, Verdict};
 use crate::stats::NetStats;
 use tao_util::time::{SimDuration, SimTime};
@@ -48,45 +48,6 @@ pub struct Timer<M> {
 enum Pending<M> {
     Deliver(Message<M>),
     Fire(Timer<M>),
-}
-
-/// The simulator's event queue: the timing wheel in production, the binary
-/// heap when [`Simulator::use_heap_oracle`] asks for the determinism oracle
-/// (equivalence tests and before/after benchmarks).
-#[derive(Debug)]
-enum Queue<M> {
-    Wheel(EventQueue<Pending<M>>),
-    Heap(HeapQueue<Pending<M>>),
-}
-
-impl<M> Queue<M> {
-    fn schedule(&mut self, at: SimTime, event: Pending<M>) -> u64 {
-        match self {
-            Queue::Wheel(q) => q.schedule(at, event),
-            Queue::Heap(q) => q.schedule(at, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<Pending<M>>> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            Queue::Wheel(q) => q.next_time(),
-            Queue::Heap(q) => q.next_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
-    }
 }
 
 /// Decides the one-way delivery latency between two nodes.
@@ -173,7 +134,7 @@ impl<M> Engine<M> {
 /// structure suits them and borrow it inside the handler.
 #[derive(Debug)]
 pub struct Simulator<M, L> {
-    queue: Queue<M>,
+    queue: EventQueue<Pending<M>>,
     latency: L,
     now: SimTime,
     nodes: usize,
@@ -182,7 +143,7 @@ pub struct Simulator<M, L> {
     faults: Option<FaultPlan>,
     /// `(time, seq)` of the last event popped; every subsequent pop must be
     /// strictly greater, which is the determinism contract latency ties are
-    /// resolved by (insertion order, never heap internals).
+    /// resolved by (insertion order, never queue internals).
     last_event: Option<(SimTime, u64)>,
     /// Recycled [`Engine`] buffers: handlers run millions of times per
     /// experiment, and re-allocating two `Vec`s per event dominated the
@@ -190,8 +151,7 @@ pub struct Simulator<M, L> {
     scratch_outgoing: Vec<(NodeId, NodeId, M)>,
     scratch_timers: Vec<(SimDuration, NodeId, M)>,
     /// When set, [`Simulator::run_churn_batch`] routes through the serial
-    /// oracle instead of the wavefront executor (mirrors the wheel/heap
-    /// oracle switch).
+    /// oracle instead of the wavefront executor.
     serial_oracle: bool,
 }
 
@@ -199,7 +159,7 @@ impl<M, L> Simulator<M, L> {
     /// Creates a simulator with no nodes at time [`SimTime::ORIGIN`].
     pub fn new(latency: L) -> Self {
         Simulator {
-            queue: Queue::Wheel(EventQueue::new()),
+            queue: EventQueue::new(),
             latency,
             now: SimTime::ORIGIN,
             nodes: 0,
@@ -213,28 +173,9 @@ impl<M, L> Simulator<M, L> {
         }
     }
 
-    /// Swaps the timing-wheel event queue for the original binary-heap
-    /// implementation — the determinism *oracle*. Runs driven by either
-    /// queue must produce byte-identical delivery logs; equivalence tests
-    /// and the before/after microbenchmarks flip this switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are already pending; choose the queue before
-    /// scheduling anything.
-    pub fn use_heap_oracle(&mut self) {
-        assert_eq!(
-            self.queue.len(),
-            0,
-            "use_heap_oracle must be called before any event is scheduled"
-        );
-        self.queue = Queue::Heap(HeapQueue::new());
-    }
-
     /// Routes subsequent [`Simulator::run_churn_batch`] calls through the
     /// serial oracle ([`crate::parallel::execute_serial`]) instead of the
-    /// conflict-DAG wavefront executor — the churn analogue of
-    /// [`Simulator::use_heap_oracle`]. The two paths must produce
+    /// conflict-DAG wavefront executor. The two paths must produce
     /// byte-identical overlay state, RNG streams, and soft-state entry
     /// streams; the equivalence-test battery and the `CHURN_FINGERPRINT`
     /// CI stage flip this switch to prove it.
@@ -335,7 +276,7 @@ impl<M, L> Simulator<M, L> {
     /// # Panics
     ///
     /// Panics if `owner` has not been registered.
-    // tao-lint: allow(panic-reachability, reason = "documented panic on an unregistered node; wheel scheduling panics only on a slot-index bug the heap-oracle equivalence tests would catch")
+    // tao-lint: allow(panic-reachability, reason = "documented panic on an unregistered node; wheel scheduling panics only on a slot-index bug the wheel-vs-heap property tests in event.rs would catch")
     pub fn set_timer(&mut self, owner: NodeId, delay: SimDuration, payload: M) {
         self.check_node(owner);
         self.queue
@@ -419,7 +360,7 @@ impl<M: Clone, L: LatencyModel> Simulator<M, L> {
     /// to the next event, so `Some` means a handler actually ran. Returns
     /// the handler's output, or `None` when the queue is empty.
     // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "stepping panics only if the event heap and clock disagree, an engine bug the invariant harness would catch")
+    // tao-lint: allow(panic-reachability, reason = "stepping panics only if the event queue and clock disagree, an engine bug the invariant harness would catch")
     pub fn step<R>(
         &mut self,
         on_message: impl FnMut(&mut Engine<M>, NodeId, Message<M>) -> R,
@@ -495,7 +436,7 @@ impl<M: Clone, L: LatencyModel> Simulator<M, L> {
     /// `next_time() > deadline` — so driving the simulator in fixed windows
     /// (`run_until(t1); run_until(t2); …`) processes every event exactly
     /// once with no gap or overlap at the window edges.
-    // tao-lint: allow(panic-reachability, reason = "delegates to step(); same heap/clock invariant")
+    // tao-lint: allow(panic-reachability, reason = "delegates to step(); same queue/clock invariant")
     pub fn run_until(
         &mut self,
         deadline: SimTime,

@@ -12,7 +12,7 @@
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_core::{LoadAwareSelector, LoadModel, SelectionStrategy, TaoBuilder};
-use tao_overlay::{OverlayNodeId, Point};
+use tao_overlay::{OverlayNodeId, Point, RouteScratch};
 use tao_topology::{LatencyAssignment, TransitStubParams};
 
 fn route_workload(
@@ -23,12 +23,14 @@ fn route_workload(
     seed: u64,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut scratch = RouteScratch::new();
     for _ in 0..routes {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
-        if let Ok(route) = ecan.route_express(src, &target) {
-            if route.hop_count() >= 2 {
-                for &hop in &route.hops[1..route.hops.len() - 1] {
+        if ecan.route_express_into(&mut scratch, src, &target).is_ok() {
+            let hops = scratch.hops();
+            if hops.len() >= 3 {
+                for &hop in &hops[1..hops.len() - 1] {
                     model.add_load(hop, 1.0);
                 }
             }

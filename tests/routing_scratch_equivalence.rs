@@ -1,7 +1,21 @@
-//! PR-9 property test: the zero-allocation `route_into` fast paths are
-//! byte-identical to the allocating `route()` oracles on all five
-//! overlays, with ONE `RouteScratch` reused across thousands of mixed
-//! calls — including error cases, which must leave the scratch reusable.
+//! Routing property tests over all five overlays.
+//!
+//! `route()` / `route_express()` run the overlay's one routing loop on a
+//! fresh `RouteScratch`, so the `*_matches_the_allocating_oracle` tests pin
+//! "ONE scratch reused across thousands of mixed calls ≡ a fresh scratch
+//! per call" — including error cases, which must leave the scratch
+//! reusable.
+//!
+//! Where the scratch loop is a different algorithm from the router it
+//! replaced (CAN and eCAN: generation-stamp visited set, single-pass
+//! minimum, primary-zone-only kernel on join-only arenas), that router is
+//! kept here as [`reference_route`] / [`reference_route_express`], written
+//! over public accessors only, and the `*_matches_the_reference_router`
+//! tests hold the production loop to it hop for hop and error for error.
+//! Chord and Pastry have no reference: their scratch loop is the original
+//! loop with the hop buffer moved.
+
+use tao_util::det::DetSet;
 
 use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
@@ -98,6 +112,148 @@ fn assert_can_family_equivalence(
                 panic!("{label}: outcome diverged on call {i}: oracle {expect:?}, fast {got:?}")
             }
         }
+    }
+}
+
+/// The CAN router the scratch loop replaced: `DetSet` visited set, next hop
+/// by `min_by` on `(distance, id)`, neighbor list cloned per hop, every
+/// distance over all of a node's zones.
+fn reference_route(
+    can: &CanOverlay,
+    source: OverlayNodeId,
+    target: &Point,
+) -> Result<Vec<OverlayNodeId>, OverlayError> {
+    if target.dims() != can.dims() {
+        return Err(OverlayError::DimensionMismatch {
+            expected: can.dims(),
+            got: target.dims(),
+        });
+    }
+    if !can.is_live(source) {
+        return Err(OverlayError::UnknownNode(source));
+    }
+    let mut hops = vec![source];
+    let mut current = source;
+    let mut visited: DetSet<OverlayNodeId> = DetSet::new();
+    visited.insert(source);
+    let limit = 4 * can.len() + 16;
+    while !can.owns_point(current, target)? {
+        if hops.len() > limit {
+            return Err(OverlayError::RoutingStuck { at: current });
+        }
+        let next = can
+            .neighbors(current)?
+            .into_iter()
+            .filter(|n| !visited.contains(n))
+            .min_by(|a, b| {
+                let da = can.distance_to_point(*a, target).expect("neighbors are live");
+                let db = can.distance_to_point(*b, target).expect("neighbors are live");
+                da.total_cmp(&db).then(a.cmp(b))
+            })
+            .ok_or(OverlayError::RoutingStuck { at: current })?;
+        visited.insert(next);
+        hops.push(next);
+        current = next;
+    }
+    Ok(hops)
+}
+
+/// The eCAN router the scratch loop replaced: as [`reference_route`] over
+/// default neighbors chained with the live expressway representatives;
+/// when every candidate was already tried, the rest of the route is a
+/// plain-CAN [`reference_route`] from the stuck node — on a visited set and
+/// a hop limit of its own — spliced after the express prefix.
+fn reference_route_express(
+    ecan: &EcanOverlay,
+    source: OverlayNodeId,
+    target: &Point,
+) -> Result<Vec<OverlayNodeId>, OverlayError> {
+    let can = ecan.can();
+    if target.dims() != can.dims() {
+        return Err(OverlayError::DimensionMismatch {
+            expected: can.dims(),
+            got: target.dims(),
+        });
+    }
+    if !can.is_live(source) {
+        return Err(OverlayError::UnknownNode(source));
+    }
+    let mut hops = vec![source];
+    let mut current = source;
+    let mut visited: DetSet<OverlayNodeId> = DetSet::new();
+    visited.insert(source);
+    let limit = 4 * can.len() + 16;
+    while !can.owns_point(current, target)? {
+        if hops.len() > limit {
+            return Err(OverlayError::RoutingStuck { at: current });
+        }
+        let express = ecan
+            .high_order_entries(current)
+            .into_iter()
+            .map(|e| e.representative);
+        let next = can
+            .neighbors(current)?
+            .into_iter()
+            .chain(express)
+            .filter(|n| !visited.contains(n) && can.is_live(*n))
+            .min_by(|a, b| {
+                let da = can.distance_to_point(*a, target).expect("filtered to live nodes");
+                let db = can.distance_to_point(*b, target).expect("filtered to live nodes");
+                da.total_cmp(&db).then(a.cmp(b))
+            });
+        let Some(next) = next else {
+            let tail = reference_route(can, current, target)?;
+            hops.extend(tail.into_iter().skip(1));
+            return Ok(hops);
+        };
+        visited.insert(next);
+        hops.push(next);
+        current = next;
+    }
+    Ok(hops)
+}
+
+#[test]
+fn can_router_matches_the_reference_router() {
+    // A join-only arena (primary-zone-only kernel) and a churned one
+    // (takeover zones in play).
+    for leaves in [0, 128] {
+        let (can, live, dead) = churned_can(512, leaves, 0x0901);
+        let calls = mixed_calls(&live, &dead, 2_500, 0x0902);
+        let mut scratch = RouteScratch::new();
+        assert_can_family_equivalence(
+            "can vs reference",
+            &calls,
+            &mut scratch,
+            |s, t| reference_route(&can, s, t),
+            |scr, s, t| can.route_into(scr, s, t),
+        );
+    }
+}
+
+#[test]
+fn ecan_router_matches_the_reference_router() {
+    // Join-only; churned before the tables are built; and departures after
+    // the build, which leave entries naming departed representatives for
+    // the liveness filter to skip.
+    for (leaves_before, leaves_after) in [(0, 0), (96, 0), (0, 96)] {
+        let (can, mut live, mut dead) = churned_can(512, leaves_before, 0x0903);
+        let mut ecan = EcanOverlay::build(can, &mut SampledRandomSelector::new(0x0904));
+        let mut rng = StdRng::seed_from_u64(0x090f);
+        for _ in 0..leaves_after {
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            ecan.depart(victim).expect("victim is live");
+            dead.push(victim);
+        }
+        let calls = mixed_calls(&live, &dead, 2_500, 0x0905);
+        let mut scratch = RouteScratch::new();
+        assert_can_family_equivalence(
+            "ecan vs reference",
+            &calls,
+            &mut scratch,
+            |s, t| reference_route_express(&ecan, s, t),
+            |scr, s, t| ecan.route_express_into(scr, s, t),
+        );
     }
 }
 
