@@ -40,7 +40,10 @@ fn bench_publish() {
     bench_with_setup(
         "map_publish_into_1k",
         || base.clone(),
-        |mut map| map.publish(info(99_999, &cfg), SimTime::ORIGIN, &cfg),
+        |mut map| {
+            map.publish(info(99_999, &cfg), SimTime::ORIGIN, &cfg);
+            map
+        },
     );
 }
 

@@ -1,6 +1,6 @@
-//! PR-4 pinned performance baseline: before/after pairs for the three
-//! optimisations this PR landed, each measured against its retained
-//! reference kernel.
+//! PR-4 pinned performance baseline: before/after pairs for the two
+//! optimisations of that PR that still keep a reference kernel, each
+//! measured against it.
 //!
 //! * Dijkstra landmark probes — recomputing the source vector per probe
 //!   (what a capacity-flushed cache cost before `warm()` pinning) vs a
@@ -8,26 +8,21 @@
 //!   kernels are also timed and land in `results/bench.jsonl`.
 //! * Zone membership — the `nodes_in` tree walk
 //!   ([`CanOverlay::nodes_in_scan`]) vs the incremental Morton index.
-//! * Selector candidate lookup — per-entry `owner()` classification
-//!   ([`GlobalState::lookup_in_hosted_scan`]) vs zone range probes.
-//! * Soft-state publish/expire — the full-iteration expiry sweep
-//!   ([`ZoneMap::expire_scan`]) vs the lazy expiry wheel.
+//!
+//! (The soft-state pairs — hosted lookup, expiry sweep — are gone with
+//! their public reference kernels; `benchmark/`'s `churn_mix` workload and
+//! its `softstate.*` trace rows are that layer's ledger, and PR 4's numbers
+//! stay in EXPERIMENTS.md.)
 //!
 //! Under `cargo bench … -- --bench` the before/after medians are also
 //! written to `results/BENCH_04.json`; under `cargo test` everything runs
 //! once as a smoke check and nothing is written.
 
-use tao_util::bench::{
-    bench_fn, bench_fn_captured, bench_with_setup, black_box, results_path, BenchResult,
-};
+use tao_util::bench::{bench_fn, bench_fn_captured, black_box, results_path, BenchResult};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
 
-use tao_landmark::{LandmarkGrid, LandmarkVector};
-use tao_overlay::ecan::{EcanOverlay, RandomSelector};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point, Zone};
-use tao_sim::{SimDuration, SimTime};
-use tao_softstate::{GlobalState, NodeInfo, SoftStateConfig, ZoneMap};
+use tao_overlay::{CanOverlay, Point, Zone};
 use tao_topology::{
     generate_transit_stub, shortest_paths, shortest_paths_scan, LatencyAssignment, NodeIdx,
     SpCache, TransitStubParams,
@@ -108,92 +103,6 @@ fn bench_nodes_in() -> Option<Comparison> {
     pair("nodes_in", before, after)
 }
 
-fn softstate_fixture(n: u32) -> (EcanOverlay, GlobalState, NodeInfo, Zone) {
-    let can = grown_can(n as usize, 2, 13);
-    let ecan = EcanOverlay::build(can, &mut RandomSelector::new(13));
-    let grid = LandmarkGrid::new(3, 5, SimDuration::from_millis(320)).expect("grid");
-    let config = SoftStateConfig::builder(grid).build();
-    let mut state = GlobalState::new(config);
-    let info_for = |id: u32, state: &GlobalState| {
-        let base = 5.0 + (id as f64 * 2.7) % 290.0;
-        let vector = LandmarkVector::from_millis(&[base, base + 6.0, base + 13.0]);
-        let number = state
-            .config()
-            .grid()
-            .landmark_number(&vector, state.config().curve());
-        NodeInfo {
-            node: OverlayNodeId(id),
-            underlay: NodeIdx(id),
-            vector,
-            number,
-            load: None,
-        }
-    };
-    for id in 0..n {
-        let info = info_for(id, &state);
-        state.publish(info, &ecan, SimTime::ORIGIN);
-    }
-    let query = info_for(n / 2, &state);
-    let region = state
-        .maps()
-        .map(|m| m.region().clone())
-        .max_by(|a, b| a.volume().partial_cmp(&b.volume()).expect("finite"))
-        .expect("published state has maps");
-    (ecan, state, query, region)
-}
-
-fn bench_selector_lookup() -> Option<Comparison> {
-    let (ecan, state, query, region) = softstate_fixture(8192);
-    let now = SimTime::ORIGIN;
-    let before = bench_fn_captured("hosted_lookup_owner_walk", || {
-        black_box(state.lookup_in_hosted_scan(&region, &query, 16, ecan.can(), now));
-    });
-    let after = bench_fn_captured("hosted_lookup_zone_probes", || {
-        black_box(state.lookup_in_hosted(&region, &query, 16, ecan.can(), now));
-    });
-    pair("selector_lookup", before, after)
-}
-
-fn bench_publish_expire() -> Option<Comparison> {
-    let (_, state, _, region) = softstate_fixture(2048);
-    let template = state.map(&region).expect("region has a map").clone();
-    // The maintenance loop's steady state: expiry ticks where nothing has
-    // lapsed yet. The wheel answers by peeking its earliest deadline; the
-    // scan re-examines every entry.
-    let tick = SimTime::ORIGIN + SimDuration::from_millis(1);
-    let mut scan_map = template.clone();
-    let before = bench_fn_captured("expire_full_scan", || {
-        black_box(scan_map.expire_scan(black_box(tick)));
-    });
-    let mut wheel_map = template.clone();
-    let after = bench_fn_captured("expire_wheel", || {
-        black_box(wheel_map.expire(black_box(tick)));
-    });
-    // Publish throughput rides along for coverage (not a before/after
-    // pair: publishing now also maintains the position index and wheel).
-    let config = *state.config();
-    let probe = {
-        let vector = LandmarkVector::from_millis(&[40.0, 50.0, 60.0]);
-        let number = config.grid().landmark_number(&vector, config.curve());
-        NodeInfo {
-            node: OverlayNodeId(1 << 20),
-            underlay: NodeIdx(1 << 20),
-            vector,
-            number,
-            load: None,
-        }
-    };
-    bench_with_setup(
-        "map_publish_into_2048",
-        || template.clone(),
-        |mut m: ZoneMap| {
-            m.publish(probe.clone(), tick, &config);
-            m
-        },
-    );
-    pair("publish_expire", before, after)
-}
-
 fn write_bench_04(comparisons: &[Comparison]) {
     let mut body = String::from("{\n  \"pr\": 4,\n  \"comparisons\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
@@ -223,8 +132,6 @@ fn main() {
     let comparisons: Vec<Comparison> = [
         bench_dijkstra(),
         bench_nodes_in(),
-        bench_selector_lookup(),
-        bench_publish_expire(),
     ]
     .into_iter()
     .flatten()

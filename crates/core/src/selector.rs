@@ -13,7 +13,7 @@ use tao_util::rand::{Rng, SeedableRng};
 use tao_overlay::ecan::NeighborSelector;
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_sim::SimTime;
-use tao_softstate::{GlobalState, NodeInfo};
+use tao_softstate::{GlobalState, LookupScratch, NodeInfo};
 use tao_topology::RttOracle;
 
 /// A [`NeighborSelector`] backed by the global soft-state maps.
@@ -37,6 +37,9 @@ pub struct GlobalStateSelector<'a> {
     rtt_budget: usize,
     now: SimTime,
     fallback_rng: StdRng,
+    /// Lookup buffers, kept for as long as the selector lives — the length
+    /// of one `reselect*` — so a selection allocates nothing once warmed.
+    scratch: LookupScratch,
     probes_spent: u64,
     fallbacks: u64,
 }
@@ -63,6 +66,7 @@ impl<'a> GlobalStateSelector<'a> {
             rtt_budget,
             now,
             fallback_rng: StdRng::seed_from_u64(seed),
+            scratch: LookupScratch::default(),
             probes_spent: 0,
             fallbacks: 0,
         }
@@ -92,30 +96,32 @@ impl NeighborSelector for GlobalStateSelector<'_> {
             .infos
             .get(&for_node)
             .expect("selecting node has published info"); // tao-lint: allow(no-unwrap-in-lib, reason = "selecting node has published info")
-        let found = self
-            .state
-            .lookup_in_hosted(target_box, query, self.rtt_budget, can, self.now);
-        // Keep only candidates that are actual live members of the box (the
+        let found = self.state.lookup_in_hosted_into(
+            &mut self.scratch,
+            target_box,
+            query,
+            self.rtt_budget,
+            can,
+            self.now,
+        );
+        // Probe only candidates that are actual live members of the box (the
         // map may hold entries for nodes that since departed or whose zones
         // grew past this box). `candidates` comes from `nodes_in`, which
         // sorts, so membership is a binary search.
-        let usable: Vec<&NodeInfo> = found
-            .iter()
+        let best = found
             .filter(|i| candidates.binary_search(&i.node).is_ok())
-            .collect();
-        if usable.is_empty() {
-            self.fallbacks += 1;
-            return candidates[self.fallback_rng.gen_range(0..candidates.len())];
-        }
-        let best = usable
-            .into_iter()
             .map(|i| {
                 self.probes_spent += 1;
                 (self.oracle.measure(me, i.underlay), i.node)
             })
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-            .expect("usable is non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "usable is non-empty")
-        best.1
+            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        match best {
+            Some((_, node)) => node,
+            None => {
+                self.fallbacks += 1;
+                candidates[self.fallback_rng.gen_range(0..candidates.len())]
+            }
+        }
     }
 }
 

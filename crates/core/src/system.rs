@@ -487,7 +487,6 @@ impl TopologyAwareOverlay {
                     self.now.as_micros() ^ 0x5e1,
                 );
                 self.ecan.reselect(&mut sel);
-                let _ = sel.probes_spent();
             }
         }
     }

@@ -76,6 +76,7 @@ impl From<CurveError> for GridError {
 pub struct LandmarkGrid {
     dims: usize,
     bits: u32,
+    number_bits: u32,
     ceiling: SimDuration,
 }
 
@@ -88,14 +89,19 @@ impl LandmarkGrid {
     /// [`HilbertCurve::new`]) or `ceiling` is zero.
     pub fn new(dims: usize, bits: u32, ceiling: SimDuration) -> Result<Self, GridError> {
         // Validate via the curve constructor so both curves are usable.
-        HilbertCurve::new(dims.max(1), bits)?;
+        let number_bits = HilbertCurve::new(dims.max(1), bits)?.index_bits();
         if dims == 0 {
             return Err(GridError::Curve(CurveError::ZeroDims));
         }
         if ceiling.is_zero() {
             return Err(GridError::ZeroCeiling);
         }
-        Ok(LandmarkGrid { dims, bits, ceiling })
+        Ok(LandmarkGrid {
+            dims,
+            bits,
+            number_bits,
+            ceiling,
+        })
     }
 
     /// Number of vector components the grid consumes.
@@ -110,7 +116,7 @@ impl LandmarkGrid {
 
     /// Total bits in a landmark number produced by this grid.
     pub fn number_bits(&self) -> u32 {
-        self.dims as u32 * self.bits
+        self.number_bits
     }
 
     /// The RTT ceiling.

@@ -67,6 +67,27 @@ impl Error for CurveError {}
 pub struct HilbertCurve {
     dims: usize,
     bits: u32,
+    index_bits: u32,
+}
+
+/// Validates curve parameters and returns the index width `dims * bits`,
+/// for both curves.
+pub(crate) fn index_bits(dims: usize, bits: u32) -> Result<u32, CurveError> {
+    if dims == 0 {
+        return Err(CurveError::ZeroDims);
+    }
+    if bits == 0 || bits > 32 {
+        return Err(CurveError::BadBits(bits));
+    }
+    let width = u32::try_from(dims).ok().and_then(|d| d.checked_mul(bits));
+    width
+        .filter(|&w| w <= 128)
+        .ok_or(CurveError::IndexOverflow { dims, bits })
+}
+
+/// The largest index of a curve `index_bits` wide: `2^index_bits - 1`.
+pub(crate) fn max_index(index_bits: u32) -> u128 {
+    u128::MAX >> (128 - index_bits)
 }
 
 impl HilbertCurve {
@@ -77,16 +98,12 @@ impl HilbertCurve {
     /// Returns [`CurveError`] if `dims == 0`, `bits ∉ 1..=32`, or
     /// `dims * bits > 128`.
     pub fn new(dims: usize, bits: u32) -> Result<Self, CurveError> {
-        if dims == 0 {
-            return Err(CurveError::ZeroDims);
-        }
-        if bits == 0 || bits > 32 {
-            return Err(CurveError::BadBits(bits));
-        }
-        if dims as u32 * bits > 128 {
-            return Err(CurveError::IndexOverflow { dims, bits });
-        }
-        Ok(HilbertCurve { dims, bits })
+        let index_bits = index_bits(dims, bits)?;
+        Ok(HilbertCurve {
+            dims,
+            bits,
+            index_bits,
+        })
     }
 
     /// Number of axes.
@@ -99,14 +116,14 @@ impl HilbertCurve {
         self.bits
     }
 
+    /// Width of an index in bits: `dims * bits`.
+    pub fn index_bits(&self) -> u32 {
+        self.index_bits
+    }
+
     /// The largest valid index: `2^(dims*bits) - 1`.
     pub fn max_index(&self) -> u128 {
-        let total = self.dims as u32 * self.bits;
-        if total == 128 {
-            u128::MAX
-        } else {
-            (1u128 << total) - 1
-        }
+        max_index(self.index_bits)
     }
 
     /// The largest valid coordinate on each axis: `2^bits - 1`.
@@ -145,17 +162,31 @@ impl HilbertCurve {
     ///
     /// Panics if `index` exceeds [`HilbertCurve::max_index`].
     pub fn point(&self, index: u128) -> Vec<u32> {
+        let mut x = vec![0u32; self.dims];
+        self.point_into(index, &mut x);
+        x
+    }
+
+    /// [`HilbertCurve::point`] written into `out` — no allocation, for
+    /// callers that decode positions on a request path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds [`HilbertCurve::max_index`] or
+    /// `out.len() != dims`.
+    pub fn point_into(&self, index: u128, out: &mut [u32]) {
         assert!(
             index <= self.max_index(),
             "index {index} exceeds max {}",
             self.max_index()
         );
+        assert_eq!(out.len(), self.dims, "point has wrong dimensionality");
         if self.dims == 1 {
-            return vec![index as u32];
+            out[0] = index as u32;
+            return;
         }
-        let mut x = self.deinterleave(index);
-        self.transpose_to_axes(&mut x);
-        x
+        self.deinterleave(index, out);
+        self.transpose_to_axes(out);
     }
 
     fn check_point(&self, point: &[u32]) {
@@ -209,10 +240,13 @@ impl HilbertCurve {
     fn transpose_to_axes(&self, x: &mut [u32]) {
         let n = self.dims;
         let cap = if self.bits == 32 { 0 } else { 2u32 << (self.bits - 1) };
-        // Gray decode by H ^ (H/2).
-        let mut t = x[n - 1] >> 1;
-        for i in (1..n).rev() {
-            x[i] ^= x[i - 1];
+        // Gray decode by H ^ (H/2): every element but the first takes its
+        // predecessor's *old* value, carried along so no `x[i - 1]` offset
+        // indexing is needed.
+        let mut t = x.last().map_or(0, |last| last >> 1);
+        let mut prev = x[0];
+        for v in x.iter_mut().skip(1) {
+            prev = std::mem::replace(v, *v ^ prev);
         }
         x[0] ^= t;
         // Undo excess work.
@@ -244,17 +278,15 @@ impl HilbertCurve {
     }
 
     /// Unpacks an index into transpose form.
-    fn deinterleave(&self, index: u128) -> Vec<u32> {
-        let mut x = vec![0u32; self.dims];
-        let total = self.dims as u32 * self.bits;
-        let mut pos = total;
+    fn deinterleave(&self, index: u128, x: &mut [u32]) {
+        x.fill(0);
+        let mut pos = self.index_bits;
         for bit in (0..self.bits).rev() {
             for v in x.iter_mut() {
                 pos -= 1;
                 *v |= (((index >> pos) & 1) as u32) << bit;
             }
         }
-        x
     }
 }
 

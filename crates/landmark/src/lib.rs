@@ -55,5 +55,5 @@ mod vector;
 pub mod zorder;
 
 pub use grid::{GridError, LandmarkGrid};
-pub use number::{region_position, LandmarkNumber, SpaceFillingCurve};
+pub use number::{region_position, region_position_into, LandmarkNumber, SpaceFillingCurve};
 pub use vector::LandmarkVector;

@@ -125,27 +125,51 @@ pub fn region_position(
     resolution_bits: u32,
     curve: SpaceFillingCurve,
 ) -> Vec<f64> {
+    let mut position = vec![0.0; region_dims];
+    region_position_into(number, number_bits, resolution_bits, curve, &mut position);
+    position
+}
+
+/// [`region_position`] written into `out`, whose length is the region's
+/// dimensionality — no allocation, for lookups that hash a query's number
+/// to its landing position on a request path.
+///
+/// # Panics
+///
+/// Same conditions as [`region_position`], with `out.len()` as
+/// `region_dims`.
+pub fn region_position_into(
+    number: LandmarkNumber,
+    number_bits: u32,
+    resolution_bits: u32,
+    curve: SpaceFillingCurve,
+    out: &mut [f64],
+) {
+    let region_dims = out.len();
     assert!(region_dims > 0, "region must have at least one dimension");
     let fraction = number.as_fraction(number_bits);
-    let cells_per_axis = 1u64 << resolution_bits;
+    // `dims * bits <= 128` with `bits >= 1` caps `dims` at 128, so the
+    // decoded cell fits on the stack.
+    let mut cell = [0u32; 128];
     match curve {
         SpaceFillingCurve::Hilbert => {
             let c = HilbertCurve::new(region_dims, resolution_bits)
                 .expect("invalid region curve parameters"); // tao-lint: allow(no-unwrap-in-lib, reason = "invalid region curve parameters")
-            let target = scaled_index(fraction, c.max_index());
-            normalise(&c.point(target), cells_per_axis)
+            let cell = &mut cell[..region_dims];
+            c.point_into(scaled_index(fraction, c.max_index()), cell);
+            normalise(cell, resolution_bits, out);
         }
         SpaceFillingCurve::ZOrder => {
             let c = MortonCurve::new(region_dims, resolution_bits)
                 .expect("invalid region curve parameters"); // tao-lint: allow(no-unwrap-in-lib, reason = "invalid region curve parameters")
-            let target = scaled_index(fraction, c.max_index());
-            normalise(&c.point(target), cells_per_axis)
+            let cell = &mut cell[..region_dims];
+            c.point_into(scaled_index(fraction, c.max_index()), cell);
+            normalise(cell, resolution_bits, out);
         }
         SpaceFillingCurve::FirstComponent => {
             // Spread along the first axis only; remaining axes centred.
-            let mut p = vec![0.5; region_dims];
-            p[0] = fraction;
-            p
+            out.fill(0.5);
+            out[0] = fraction;
         }
     }
 }
@@ -156,11 +180,12 @@ fn scaled_index(fraction: f64, max_index: u128) -> u128 {
     scaled.min(max_index)
 }
 
-fn normalise(cell: &[u32], cells_per_axis: u64) -> Vec<f64> {
+fn normalise(cell: &[u32], resolution_bits: u32, out: &mut [f64]) {
     // Cell centres, so positions never sit exactly on zone boundaries.
-    cell.iter()
-        .map(|&c| (c as f64 + 0.5) / cells_per_axis as f64)
-        .collect()
+    let cells_per_axis = (1u64 << resolution_bits) as f64;
+    for (o, &c) in out.iter_mut().zip(cell) {
+        *o = (c as f64 + 0.5) / cells_per_axis;
+    }
 }
 
 #[cfg(test)]

@@ -94,20 +94,94 @@ impl LandmarkVector {
     ///
     /// Panics if the vectors have different lengths.
     pub fn euclidean_ms(&self, other: &LandmarkVector) -> f64 {
+        self.with_millis(|millis| other.distance_from(millis))
+    }
+
+    /// Runs `f` on this vector's components as fractional milliseconds —
+    /// on the stack for any realistic landmark count.
+    fn with_millis<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
+        let mut stack = [0.0; 32];
+        let heap: Vec<f64>;
+        let millis = match stack.get_mut(..self.rtts.len()) {
+            Some(millis) => {
+                for (m, r) in millis.iter_mut().zip(&self.rtts) {
+                    *m = r.as_millis_f64();
+                }
+                &*millis
+            }
+            None => {
+                // tao-lint: allow(alloc-reachability, reason = "only vectors of more than 32 landmarks spill to the heap; the paper's systems use 15")
+                heap = self.rtts.iter().map(|r| r.as_millis_f64()).collect();
+                &heap
+            }
+        };
+        f(millis)
+    }
+
+    /// [`euclidean_ms`](Self::euclidean_ms) from a vector already converted
+    /// to fractional milliseconds.
+    fn distance_from(&self, millis: &[f64]) -> f64 {
         assert_eq!(
+            millis.len(),
             self.rtts.len(),
-            other.rtts.len(),
             "landmark vectors must have equal dimensionality"
         );
-        self.rtts
+        millis
             .iter()
-            .zip(&other.rtts)
+            .zip(&self.rtts)
             .map(|(a, b)| {
-                let d = a.as_millis_f64() - b.as_millis_f64();
+                let d = a - b.as_millis_f64();
                 d * d
             })
             .sum::<f64>()
             .sqrt()
+    }
+
+    /// Ranks `candidates` — each a `(vector, tie-break id, handle)` triple —
+    /// by [`euclidean_ms`](Self::euclidean_ms) distance from `self` and
+    /// leaves the `max` nearest in `ranked`, nearest first, as
+    /// `(distance, id, handle)`. `ranked` is cleared first; callers on a
+    /// request path keep it between calls so ranking allocates nothing.
+    ///
+    /// This is the one ranking rule behind every "closest in landmark
+    /// space" query. Each distance is computed once; ties break by id, then
+    /// by handle, so the order is total — pass each candidate's input
+    /// position as the handle and the result is exactly what a stable sort
+    /// by `(distance, id)` followed by `take(max)` returns, without sorting
+    /// the candidates that do not make the cut.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate's vector has a different length from `self`.
+    pub fn nearest<'v, K: Ord, H: Ord>(
+        &self,
+        candidates: impl IntoIterator<Item = (&'v LandmarkVector, K, H)>,
+        max: usize,
+        ranked: &mut Vec<(f64, K, H)>,
+    ) {
+        ranked.clear();
+        self.with_millis(|millis| {
+            let rank = |(vector, id, handle): (&LandmarkVector, K, H)| {
+                (vector.distance_from(millis), id, handle)
+            };
+            // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
+            ranked.extend(candidates.into_iter().map(rank));
+        });
+        // Distances are finite and never -0.0 (a square root of a sum of
+        // squares over at least one component), so `total_cmp` is the
+        // numeric order.
+        let by_rank = |a: &(f64, K, H), b: &(f64, K, H)| {
+            a.0.total_cmp(&b.0)
+                .then_with(|| a.1.cmp(&b.1))
+                .then_with(|| a.2.cmp(&b.2))
+        };
+        if max == 0 {
+            ranked.clear();
+        } else if ranked.len() > max {
+            ranked.select_nth_unstable_by(max - 1, by_rank);
+            ranked.truncate(max);
+        }
+        ranked.sort_unstable_by(by_rank);
     }
 
     /// Projects the vector onto a subset of components — the paper's
@@ -162,6 +236,42 @@ mod tests {
         let b = LandmarkVector::from_millis(&[4.0, 0.0]);
         assert!((a.euclidean_ms(&b) - 5.0).abs() < 1e-9);
         assert_eq!(a.euclidean_ms(&a), 0.0);
+    }
+
+    #[test]
+    fn nearest_is_the_stable_sort_by_distance_then_id_cut_at_max() {
+        use tao_util::check::for_all;
+        use tao_util::check_eq;
+        use tao_util::rand::Rng;
+
+        for_all("nearest_vs_stable_sort", 64, |rng| {
+            let dims = rng.gen_range(1usize..=40); // past the 32 kept on the stack
+            let draw = |rng: &mut tao_util::rand::rngs::StdRng| {
+                // Few distinct values: equal distances and equal ids happen.
+                let ms: Vec<f64> = (0..dims).map(|_| rng.gen_range(0..3) as f64).collect();
+                LandmarkVector::from_millis(&ms)
+            };
+            let query = draw(rng);
+            let pool: Vec<(LandmarkVector, u8)> =
+                (0..rng.gen_range(0..30)).map(|_| (draw(rng), rng.gen_range(0..4))).collect();
+            let mut sorted: Vec<usize> = (0..pool.len()).collect();
+            sorted.sort_by(|&a, &b| {
+                let da = query.euclidean_ms(&pool[a].0);
+                let db = query.euclidean_ms(&pool[b].0);
+                da.partial_cmp(&db).unwrap().then(pool[a].1.cmp(&pool[b].1))
+            });
+            let mut ranked = vec![(0.0, 0, 99)]; // stale content must not survive
+            for max in [0, 1, 3, pool.len(), usize::MAX] {
+                let candidates = pool.iter().enumerate().map(|(i, (v, id))| (v, *id, i));
+                query.nearest(candidates, max, &mut ranked);
+                let got: Vec<usize> = ranked.iter().map(|&(_, _, i)| i).collect();
+                let want: Vec<usize> = sorted.iter().copied().take(max).collect();
+                check_eq!(got, want, "max {max}");
+                for &(d, id, i) in &ranked {
+                    check_eq!((d, id), (query.euclidean_ms(&pool[i].0), pool[i].1));
+                }
+            }
+        });
     }
 
     #[test]

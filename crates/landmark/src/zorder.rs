@@ -4,6 +4,7 @@
 //! between quadrant boundaries, which the Hilbert curve avoids.
 
 pub use crate::hilbert::CurveError;
+use crate::hilbert::{index_bits, max_index};
 
 /// A Z-order (Morton) curve over `dims` axes with `bits` per axis.
 ///
@@ -22,6 +23,7 @@ pub use crate::hilbert::CurveError;
 pub struct MortonCurve {
     dims: usize,
     bits: u32,
+    index_bits: u32,
 }
 
 impl MortonCurve {
@@ -32,16 +34,12 @@ impl MortonCurve {
     /// Returns [`CurveError`] under the same conditions as
     /// [`HilbertCurve::new`](crate::hilbert::HilbertCurve::new).
     pub fn new(dims: usize, bits: u32) -> Result<Self, CurveError> {
-        if dims == 0 {
-            return Err(CurveError::ZeroDims);
-        }
-        if bits == 0 || bits > 32 {
-            return Err(CurveError::BadBits(bits));
-        }
-        if dims as u32 * bits > 128 {
-            return Err(CurveError::IndexOverflow { dims, bits });
-        }
-        Ok(MortonCurve { dims, bits })
+        let index_bits = index_bits(dims, bits)?;
+        Ok(MortonCurve {
+            dims,
+            bits,
+            index_bits,
+        })
     }
 
     /// Number of axes.
@@ -56,12 +54,7 @@ impl MortonCurve {
 
     /// The largest valid index.
     pub fn max_index(&self) -> u128 {
-        let total = self.dims as u32 * self.bits;
-        if total == 128 {
-            u128::MAX
-        } else {
-            (1u128 << total) - 1
-        }
+        max_index(self.index_bits)
     }
 
     /// The largest valid coordinate per axis.
@@ -100,21 +93,32 @@ impl MortonCurve {
     ///
     /// Panics if `index` exceeds [`MortonCurve::max_index`].
     pub fn point(&self, index: u128) -> Vec<u32> {
+        let mut point = vec![0u32; self.dims];
+        self.point_into(index, &mut point);
+        point
+    }
+
+    /// [`MortonCurve::point`] written into `out` — no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds [`MortonCurve::max_index`] or
+    /// `out.len() != dims`.
+    pub fn point_into(&self, index: u128, out: &mut [u32]) {
         assert!(
             index <= self.max_index(),
             "index {index} exceeds max {}",
             self.max_index()
         );
-        let mut point = vec![0u32; self.dims];
-        let total = self.dims as u32 * self.bits;
-        let mut pos = total;
+        assert_eq!(out.len(), self.dims, "point has wrong dimensionality");
+        out.fill(0);
+        let mut pos = self.index_bits;
         for bit in (0..self.bits).rev() {
-            for v in point.iter_mut() {
+            for v in out.iter_mut() {
                 pos -= 1;
                 *v |= (((index >> pos) & 1) as u32) << bit;
             }
         }
-        point
     }
 }
 

@@ -368,6 +368,25 @@ impl CanOverlay {
         Ok(out)
     }
 
+    /// The `(lo, hi)` bounds of every zone a live node owns, in the order of
+    /// [`CanOverlay::zones`], borrowed from the overlay's own storage —
+    /// nothing is materialized, so request paths can walk a host's zones
+    /// without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
+    // tao-lint: allow(panic-reachability, reason = "ensure_live bounds the index below the arena length, and the flat bounds and takeover-zone arrays are as long as the arena by construction")
+    pub fn zone_bounds(
+        &self,
+        id: OverlayNodeId,
+    ) -> Result<impl Iterator<Item = (&[f64], &[f64])> + '_, OverlayError> {
+        self.ensure_live(id)?;
+        let i = id.index();
+        Ok(std::iter::once((self.primary_lo(i), self.primary_hi(i)))
+            .chain(self.extra[i].iter().map(|z| (z.lo_slice(), z.hi_slice()))))
+    }
+
     /// `true` if any of `id`'s zones overlaps `query` (open overlap on
     /// every axis, matching [`Zone::intersects`]) — answered straight from
     /// the flat bounds, with no zone materialization.
@@ -422,8 +441,19 @@ impl CanOverlay {
     ///
     /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
     pub fn neighbors(&self, id: OverlayNodeId) -> Result<Vec<OverlayNodeId>, OverlayError> {
+        Ok(self.neighbor_ids(id)?.to_vec())
+    }
+
+    /// [`CanOverlay::neighbors`] borrowed from the overlay's own storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
+    // tao-lint: allow(panic-reachability, reason = "bounds-checked get with an error fallback; the only panic edge is the approximate name-match on index()")
+    pub fn neighbor_ids(&self, id: OverlayNodeId) -> Result<&[OverlayNodeId], OverlayError> {
         self.ensure_live(id)?;
-        Ok(self.neighbors[id.index()].clone())
+        let list = self.neighbors.get(id.index());
+        list.map(Vec::as_slice).ok_or(OverlayError::UnknownNode(id))
     }
 
     /// Conservative churn footprint of a join landing on `point`: the
@@ -489,12 +519,23 @@ impl CanOverlay {
     /// dimensionality.
     pub fn owner(&self, point: &Point) -> OverlayNodeId {
         assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        let mut at = self.root.expect("overlay is empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "overlay is empty")
+        self.owner_at(point.coords()).expect("overlay is empty") // tao-lint: allow(no-unwrap-in-lib, reason = "overlay is empty")
+    }
+
+    /// [`CanOverlay::owner`] of the point with coordinates `coords`, for
+    /// callers that compute a position into a reused buffer instead of
+    /// building a [`Point`]. `None` if the overlay is empty or `coords` has
+    /// the wrong dimensionality.
+    pub fn owner_at(&self, coords: &[f64]) -> Option<OverlayNodeId> {
+        if coords.len() != self.dims {
+            return None;
+        }
+        let mut at = self.root?;
         loop {
-            match self.arena[at as usize] {
-                ArenaNode::Leaf(id) => return id,
+            match self.arena.get(at as usize).copied()? {
+                ArenaNode::Leaf(id) => return Some(id),
                 ArenaNode::Split { axis, mid, lower, upper } => {
-                    at = if point.coord(axis as usize) < mid { lower } else { upper };
+                    at = if coords.get(axis as usize)? < &mid { lower } else { upper };
                 }
             }
         }

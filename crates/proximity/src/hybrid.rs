@@ -30,15 +30,21 @@ pub fn rank_by_landmark_distance<'a>(
     query_vector: &LandmarkVector,
     pool: &'a [Candidate],
 ) -> Vec<&'a Candidate> {
-    let mut ranked: Vec<&Candidate> = pool.iter().filter(|c| c.underlay != query).collect();
-    ranked.sort_by(|a, b| {
-        let da = query_vector.euclidean_ms(&a.vector);
-        let db = query_vector.euclidean_ms(&b.vector);
-        da.partial_cmp(&db)
-            .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-            .then(a.underlay.cmp(&b.underlay))
-    });
-    ranked
+    nearest_by_landmark_distance(query, query_vector, pool, usize::MAX)
+}
+
+/// The first `max` of [`rank_by_landmark_distance`], without ordering the
+/// rest of the pool.
+pub(crate) fn nearest_by_landmark_distance<'a>(
+    query: NodeIdx,
+    query_vector: &LandmarkVector,
+    pool: &'a [Candidate],
+    max: usize,
+) -> Vec<&'a Candidate> {
+    let others = pool.iter().enumerate().filter(|(_, c)| c.underlay != query);
+    let mut ranked = Vec::new();
+    query_vector.nearest(others.map(|(i, c)| (&c.vector, c.underlay, i)), max, &mut ranked);
+    ranked.iter().map(|&(_, _, i)| &pool[i]).collect()
 }
 
 /// Probes `ranked` candidates in the given order (any pre-selection: the
@@ -70,9 +76,9 @@ pub fn hybrid_search(
     budget: usize,
     oracle: &RttOracle,
 ) -> SearchTrace {
-    let ranked = rank_by_landmark_distance(query, query_vector, pool);
+    let ranked = nearest_by_landmark_distance(query, query_vector, pool, budget);
     let mut trace = SearchTrace::new();
-    for c in ranked.into_iter().take(budget) {
+    for c in ranked {
         trace.record(c.underlay, oracle.measure(query, c.underlay));
     }
     trace

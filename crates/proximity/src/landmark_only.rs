@@ -14,7 +14,7 @@
 use tao_landmark::LandmarkVector;
 use tao_topology::NodeIdx;
 
-use crate::hybrid::Candidate;
+use crate::hybrid::{nearest_by_landmark_distance, Candidate};
 
 /// The landmark-only choice: the candidate with the smallest full-vector
 /// distance, found without a single RTT probe. Returns `None` when the pool
@@ -27,15 +27,7 @@ pub fn landmark_only_choice<'a>(
     query_vector: &LandmarkVector,
     pool: &'a [Candidate],
 ) -> Option<&'a Candidate> {
-    pool.iter()
-        .filter(|c| c.underlay != query)
-        .min_by(|a, b| {
-            let da = query_vector.euclidean_ms(&a.vector);
-            let db = query_vector.euclidean_ms(&b.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.underlay.cmp(&b.underlay))
-        })
+    nearest_by_landmark_distance(query, query_vector, pool, 1).pop()
 }
 
 /// §5.4 landmark groups: rank `pool` by the **maximum** per-group

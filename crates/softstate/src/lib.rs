@@ -45,6 +45,7 @@
 mod config;
 mod entry;
 mod map;
+mod region;
 pub mod pubsub;
 mod maintenance;
 pub mod prefix;
@@ -54,5 +55,6 @@ mod store;
 pub use config::{SoftStateConfig, SoftStateConfigBuilder};
 pub use entry::{LoadStats, NodeInfo, SoftStateEntry};
 pub use maintenance::{refresh_round, MaintenancePolicy, MaintenanceReport, RefreshReport};
-pub use map::{ZoneKey, ZoneMap};
-pub use store::{ConvergenceReport, GlobalState};
+pub use map::ZoneMap;
+pub use region::RegionKey;
+pub use store::{ConvergenceReport, GlobalState, LookupScratch};

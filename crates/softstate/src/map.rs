@@ -7,35 +7,35 @@
 //! by hashing their landmark number through a space-filling curve — so
 //! information about physically close nodes lands on the same or adjacent
 //! hosts.
+//!
+//! Storage: a map's entries live in one slab, and three indexes name them
+//! by slot — by landmark number (the curve order), by node (one entry per
+//! node), and by the Morton code of the storage position (what a host's
+//! zone holds). Each entry owns exactly one stamp on the expiry wheel.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::ops::Bound;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use tao_util::det::DetMap;
 
-use tao_landmark::{region_position, LandmarkNumber, LandmarkVector};
+use tao_landmark::{region_position_into, LandmarkNumber, LandmarkVector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, Zone};
 use tao_util::time::SimTime;
 
 use crate::config::SoftStateConfig;
 use crate::entry::{NodeInfo, SoftStateEntry};
+use crate::region::{spread, RegionKey};
 
-/// Hashable identity of a dyadic zone (all CAN zones are dyadic, so the
-/// fixed-point encoding below is exact).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ZoneKey(Vec<(u64, u64)>);
-
-impl ZoneKey {
-    /// Creates the key for `zone`.
-    pub fn from_zone(zone: &Zone) -> Self {
-        const SCALE: f64 = (1u64 << 32) as f64;
-        ZoneKey(
-            (0..zone.dims())
-                .map(|a| ((zone.lo(a) * SCALE) as u64, (zone.hi(a) * SCALE) as u64))
-                .collect(),
-        )
-    }
+/// One slab slot: an entry, or vacant and on the free list.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Which of the wheel's stamps naming this slot is current: bumped
+    /// whenever the slot's stamp stops standing for it (the entry left, or
+    /// its expiry moved earlier and a new stamp took over).
+    generation: u32,
+    entry: Option<SoftStateEntry>,
 }
 
 /// The map of one region.
@@ -68,20 +68,26 @@ impl ZoneKey {
 pub struct ZoneMap {
     region: Zone,
     condensed: Zone,
-    /// Entries keyed by landmark number (then owner id for determinism).
-    entries: BTreeMap<(u128, OverlayNodeId), SoftStateEntry>,
-    /// Secondary index: each node's current landmark number, enforcing one
-    /// entry per node per map even when its coordinates change.
-    by_node: DetMap<OverlayNodeId, u128>,
-    /// Spatial index: entries keyed by the Morton code of their storage
-    /// position (then their `entries` key), so "entries hosted inside this
-    /// CAN zone" is a handful of contiguous range scans instead of an
-    /// owner lookup per entry — the hot path of the hosted lookup.
-    by_position: BTreeMap<(u128, u128, OverlayNodeId), ()>,
-    /// Expiry wheel: `(expires_at, entry key)` stamps in a lazy min-heap.
-    /// Refreshes push a new stamp and leave the old one to be skipped, so
-    /// `expire` pops only lapsed stamps instead of scanning every entry.
-    wheel: BinaryHeap<Reverse<(SimTime, u128, OverlayNodeId)>>,
+    /// The entries. Indexes name them by slot; a vacated slot goes on
+    /// `free` and is taken by the next new entry.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Slots by landmark number (then owner id for determinism): the curve
+    /// order [`ZoneMap::lookup`] walks and [`ZoneMap::entries`] yields.
+    by_number: BTreeMap<(u128, OverlayNodeId), u32>,
+    /// Slots by node, enforcing one entry per node per map even when its
+    /// coordinates change.
+    by_node: DetMap<OverlayNodeId, u32>,
+    /// Slots by the Morton code of their storage position, so "entries
+    /// hosted inside this CAN zone" is a handful of contiguous range walks
+    /// instead of an owner lookup per entry — the hot path of the hosted
+    /// lookup.
+    by_position: BTreeSet<(u128, u32)>,
+    /// Expiry wheel: one `(due, slot, generation)` stamp per entry, earliest
+    /// first. A refresh moves the entry's expiry and leaves the stamp; the
+    /// sweep re-arms a stamp that comes due before its entry does, so it
+    /// pops entries due, not refreshes made.
+    wheel: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
     /// Morton bits per axis for `by_position`.
     pos_bits: u32,
 }
@@ -94,9 +100,11 @@ impl ZoneMap {
         ZoneMap {
             region,
             condensed,
-            entries: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_number: BTreeMap::new(),
             by_node: DetMap::new(),
-            by_position: BTreeMap::new(),
+            by_position: BTreeSet::new(),
             wheel: BinaryHeap::new(),
             pos_bits,
         }
@@ -114,138 +122,173 @@ impl ZoneMap {
 
     /// Number of stored entries (including not-yet-expired stale ones).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_node.len()
     }
 
     /// `true` if the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_node.is_empty()
+    }
+
+    /// Stamps on the expiry wheel: one per entry, plus those of entries
+    /// removed since, which the sweep discards when they come due.
+    pub(crate) fn pending_stamps(&self) -> usize {
+        self.wheel.len()
     }
 
     /// The position within the region at which information keyed by
     /// `number` is stored — the paper's `p' = h(p, dp, dz, Z)`.
     pub fn position_for(&self, number: LandmarkNumber, config: &SoftStateConfig) -> Point {
-        let normalised = region_position(
-            number,
-            config.grid().number_bits(),
-            self.region.dims(),
-            config.position_resolution_bits(),
-            config.curve(),
-        );
-        // Scale the normalised position into the condensed box.
-        Point::clamped(
-            (0..self.condensed.dims())
-                .map(|a| self.condensed.lo(a) + normalised[a] * self.condensed.extent(a))
-                .collect(),
-        )
+        let mut coords = Vec::new();
+        self.position_into(number, config, &mut coords);
+        Point::clamped(coords)
     }
 
-    /// Publishes (or re-publishes) `info`, stamping a fresh TTL. Returns the
-    /// storage position.
-    pub fn publish(&mut self, info: NodeInfo, now: SimTime, config: &SoftStateConfig) -> Point {
+    /// The coordinates of [`ZoneMap::position_for`] written into `out`.
+    pub(crate) fn position_into(
+        &self,
+        number: LandmarkNumber,
+        config: &SoftStateConfig,
+        out: &mut Vec<f64>,
+    ) {
+        // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
+        out.resize(self.region.dims(), 0.0);
+        let grid_bits = config.grid().number_bits();
+        let resolution = config.position_resolution_bits();
+        region_position_into(number, grid_bits, resolution, config.curve(), out);
+        // Scale the normalised position into the condensed box.
+        for (a, x) in out.iter_mut().enumerate() {
+            *x = self.condensed.lo(a) + *x * self.condensed.extent(a);
+        }
+    }
+
+    fn get(&self, slot: u32) -> Option<&SoftStateEntry> {
+        self.slots.get(slot as usize)?.entry.as_ref()
+    }
+
+    /// The entry of `node`, live or stale.
+    pub fn entry_of(&self, node: OverlayNodeId) -> Option<&SoftStateEntry> {
+        self.get(*self.by_node.get(&node)?)
+    }
+
+    /// Publishes (or re-publishes) `info`, stamping a fresh TTL.
+    pub fn publish(&mut self, info: NodeInfo, now: SimTime, config: &SoftStateConfig) {
+        let expires_at = now + config.ttl();
+        // Same node under the same number: the position is a function of
+        // the number, so only the payload and the TTL change.
+        if self.entry_of(info.node).is_some_and(|e| e.info.number == info.number) {
+            self.restamp(info.node, expires_at, Some(info));
+            return;
+        }
         // A node's coordinates can change between publishes; drop the entry
         // under its previous landmark number first.
-        if let Some(&old) = self.by_node.get(&info.node) {
-            if old != info.number.value() {
-                self.drop_entry(old, info.node);
-            }
-        }
+        self.remove(info.node);
         let position = self.position_for(info.number, config);
         let key = (info.number.value(), info.node);
-        let expires_at = now + config.ttl();
-        self.by_node.insert(info.node, info.number.value());
-        self.by_position
-            .insert((self.position_code(&position), key.0, key.1), ());
-        self.wheel.push(Reverse((expires_at, key.0, key.1)));
-        self.entries.insert(
-            key,
-            SoftStateEntry {
-                info,
-                position: position.clone(),
-                expires_at,
-            },
-        );
-        position
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                generation: 0,
+                entry: None,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        self.by_number.insert(key, slot);
+        self.by_node.insert(info.node, slot);
+        self.by_position.insert((self.position_code(&position), slot));
+        let home = &mut self.slots[slot as usize];
+        self.wheel.push(Reverse((expires_at, slot, home.generation)));
+        home.entry = Some(SoftStateEntry {
+            info,
+            position,
+            expires_at,
+        });
     }
 
-    /// Removes `(number, node)` from `entries` and `by_position` (not
-    /// `by_node`; callers manage that).
-    fn drop_entry(&mut self, number: u128, node: OverlayNodeId) -> bool {
-        match self.entries.remove(&(number, node)) {
-            Some(e) => {
-                self.by_position
-                    .remove(&(self.position_code(&e.position), number, node));
-                true
-            }
-            None => false,
+    /// Moves the expiry of `node`'s entry to `expires_at`, replacing its
+    /// payload when `info` is given; returns whether the entry existed. The
+    /// stamp stays where it is — the sweep re-arms one that pops early —
+    /// unless the expiry moved *earlier* (a caller's clock ran backwards),
+    /// where waiting for the old stamp would keep the entry past its time:
+    /// a new one replaces it.
+    fn restamp(&mut self, node: OverlayNodeId, expires_at: SimTime, info: Option<NodeInfo>) -> bool {
+        let Some(&slot) = self.by_node.get(&node) else {
+            return false;
+        };
+        let Some(home) = self.slots.get_mut(slot as usize) else {
+            return false;
+        };
+        let Some(e) = home.entry.as_mut() else {
+            return false;
+        };
+        if let Some(info) = info {
+            e.info = info;
         }
+        if expires_at < e.expires_at {
+            home.generation = home.generation.wrapping_add(1);
+            self.wheel.push(Reverse((expires_at, slot, home.generation)));
+        }
+        e.expires_at = expires_at;
+        true
     }
 
     /// Removes the entry of `node`, returning whether one existed.
     pub fn remove(&mut self, node: OverlayNodeId) -> bool {
-        match self.by_node.remove(&node) {
-            Some(number) => self.drop_entry(number, node),
-            None => false,
-        }
+        let Some(slot) = self.by_node.remove(&node) else {
+            return false;
+        };
+        let home = &mut self.slots[slot as usize];
+        let Some(e) = home.entry.take() else {
+            return false;
+        };
+        home.generation = home.generation.wrapping_add(1);
+        self.free.push(slot);
+        self.by_number.remove(&(e.info.number.value(), node));
+        let code = self.position_code(&e.position);
+        self.by_position.remove(&(code, slot));
+        true
     }
 
     /// Drops entries that have lapsed by `now`; returns how many.
     ///
     /// Runs off the expiry wheel: only stamps at or before `now` are
     /// popped, so a sweep over a map where nothing has lapsed is O(1)
-    /// instead of a full scan. Stamps left behind by refreshes or removals
-    /// no longer match their entry's current TTL and are skipped.
+    /// instead of a full scan.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let mut dropped = 0;
-        while let Some(&Reverse((at, number, node))) = self.wheel.peek() {
-            if at > now {
-                break;
-            }
-            self.wheel.pop();
-            let lapsed = self
-                .entries
-                .get(&(number, node))
-                .is_some_and(|e| e.expires_at == at);
-            if lapsed {
-                self.drop_entry(number, node);
-                self.by_node.remove(&node);
-                dropped += 1;
-            }
-        }
-        dropped
+        self.expire_each(now, |_| {})
     }
 
-    /// Scan-based implementation of [`ZoneMap::expire`]: visits every
-    /// entry. Kept as the benchmark "before" kernel for the expiry wheel;
-    /// produces the same result.
-    pub fn expire_scan(&mut self, now: SimTime) -> usize {
-        let lapsed: Vec<(u128, OverlayNodeId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.is_live(now))
-            .map(|(&k, _)| k)
-            .collect();
-        for &(number, node) in &lapsed {
-            self.drop_entry(number, node);
-            self.by_node.remove(&node);
+    /// [`ZoneMap::expire`], naming each dropped node to `dropped`.
+    pub(crate) fn expire_each(
+        &mut self,
+        now: SimTime,
+        mut dropped: impl FnMut(OverlayNodeId),
+    ) -> usize {
+        let mut count = 0;
+        loop {
+            let Some(mut top) = self.wheel.peek_mut().filter(|top| top.0 .0 <= now) else {
+                return count;
+            };
+            let Reverse((_, slot, generation)) = *top;
+            let home = &self.slots[slot as usize];
+            match home.entry.as_ref().filter(|_| home.generation == generation) {
+                // Refreshed since the stamp was set: re-arm it in place.
+                Some(e) if e.is_live(now) => *top = Reverse((e.expires_at, slot, generation)),
+                Some(e) => {
+                    let node = e.info.node;
+                    PeekMut::pop(top);
+                    self.remove(node);
+                    dropped(node);
+                    count += 1;
+                }
+                // A stamp of another generation outlived what it stood for.
+                None => drop(PeekMut::pop(top)),
+            }
         }
-        lapsed.len()
     }
 
     /// Re-stamps the TTL of `node`'s entry; returns whether it existed.
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime, config: &SoftStateConfig) -> bool {
-        let Some(&number) = self.by_node.get(&node) else {
-            return false;
-        };
-        match self.entries.get_mut(&(number, node)) {
-            Some(e) => {
-                e.refresh(now, config.ttl());
-                let expires_at = e.expires_at;
-                self.wheel.push(Reverse((expires_at, number, node)));
-                true
-            }
-            None => false,
-        }
+        self.restamp(node, now + config.ttl(), None)
     }
 
     /// The Table-1 lookup: starting from the query's landmark number, scan
@@ -261,78 +304,87 @@ impl ZoneMap {
         now: SimTime,
     ) -> Vec<NodeInfo> {
         let pivot = (number.value(), OverlayNodeId(0));
-        let mut candidates: Vec<&SoftStateEntry> = Vec::new();
-        candidates.extend(
-            self.entries
-                .range(pivot..)
-                .take(overscan)
-                .map(|(_, e)| e)
-                .filter(|e| e.is_live(now)),
-        );
-        candidates.extend(
-            self.entries
-                .range(..pivot)
-                .rev()
-                .take(overscan)
-                .map(|(_, e)| e)
-                .filter(|e| e.is_live(now)),
-        );
-        candidates.sort_by(|a, b| {
-            let da = query.euclidean_ms(&a.info.vector);
-            let db = query.euclidean_ms(&b.info.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.info.node.cmp(&b.info.node))
+        let window = (self.by_number.range(pivot..).take(overscan))
+            .chain(self.by_number.range(..pivot).rev().take(overscan))
+            .map(|(_, &slot)| slot)
+            .filter(|&slot| self.get(slot).is_some_and(|e| e.is_live(now)));
+        self.nearest(query, window, max, &mut Vec::new()).cloned().collect()
+    }
+
+    /// The `max` entries among `slots` nearest to `query` by landmark-vector
+    /// distance, nearest first, ranked in the caller's buffer (see
+    /// [`LandmarkVector::nearest`]; nodes are unique within a map, so the
+    /// slot handle never breaks a tie).
+    pub(crate) fn nearest<'a>(
+        &'a self,
+        query: &LandmarkVector,
+        slots: impl IntoIterator<Item = u32>,
+        max: usize,
+        ranked: &'a mut Vec<(f64, OverlayNodeId, u32)>,
+    ) -> impl Iterator<Item = &'a NodeInfo> {
+        let candidates = slots.into_iter().filter_map(|slot| {
+            let e = self.get(slot)?;
+            Some((&e.info.vector, e.info.node, slot))
         });
-        candidates
-            .into_iter()
-            .take(max)
-            .map(|e| e.info.clone())
-            .collect()
+        query.nearest(candidates, max, ranked);
+        ranked.iter().filter_map(|&(_, _, slot)| Some(&self.get(slot)?.info))
     }
 
     /// Iterates over live entries.
     // tao-lint: allow(panic-reachability, reason = "entry liveness is pure TTL arithmetic; the panic edge is the approximate name-match against the overlay's is_live")
     pub fn live_entries(&self, now: SimTime) -> impl Iterator<Item = &SoftStateEntry> {
-        self.entries.values().filter(move |e| e.is_live(now))
+        self.entries().filter(move |e| e.is_live(now))
     }
 
     /// The live entries whose storage position lies inside `zone`.
     ///
-    /// For dyadic zones (every CAN zone) this is a few contiguous range
-    /// scans of the Morton position index; other shapes fall back to a
-    /// filtered full scan. Both paths agree with
+    /// For a box of the split tree (every CAN zone) this is one contiguous
+    /// walk of the Morton position index; other shapes fall back to a
+    /// filtered walk of the whole index. Both paths agree with
     /// `zone.contains(&entry.position)` exactly.
     pub fn live_entries_in(&self, zone: &Zone, now: SimTime) -> Vec<&SoftStateEntry> {
-        match self.morton_ranges(zone) {
-            Some(ranges) => {
-                let mut out = Vec::new();
-                for (start, end) in ranges {
-                    let lower = Bound::Included((start, 0u128, OverlayNodeId(0)));
-                    let upper = match end {
-                        Some(e) => Bound::Excluded((e, 0u128, OverlayNodeId(0))),
-                        None => Bound::Unbounded,
-                    };
-                    for (&(_, number, node), ()) in self.by_position.range((lower, upper)) {
-                        if let Some(e) = self.entries.get(&(number, node)) {
-                            if e.is_live(now) {
-                                out.push(e);
-                            }
-                        }
-                    }
-                }
-                out
+        let lo: Vec<f64> = (0..zone.dims()).map(|a| zone.lo(a)).collect();
+        let hi: Vec<f64> = (0..zone.dims()).map(|a| zone.hi(a)).collect();
+        let mut out = Vec::new();
+        self.for_each_live_in(&lo, &hi, now, |e, _| out.push(e));
+        out
+    }
+
+    /// Calls `found(entry, slot)` for each live entry stored inside the box
+    /// `[lo, hi)` — [`ZoneMap::live_entries_in`] over borrowed bounds.
+    pub(crate) fn for_each_live_in<'a>(
+        &'a self,
+        lo: &[f64],
+        hi: &[f64],
+        now: SimTime,
+        mut found: impl FnMut(&'a SoftStateEntry, u32),
+    ) {
+        let d = self.region.dims();
+        let key = (lo.len() == d && hi.len() == d)
+            .then(|| RegionKey::from_axes(d, |a| (lo[a], hi[a])))
+            .flatten();
+        let run = key.and_then(|key| self.code_run(key));
+        // Not a box of the tree (every CAN zone is one): walk everything
+        // and test each position.
+        let (first, end) = run.unwrap_or((0, None));
+        let inside = |p: &Point| {
+            let within = |a: usize| lo[a] <= p.coord(a) && p.coord(a) < hi[a];
+            lo.len() == p.dims() && hi.len() == p.dims() && (0..p.dims()).all(within)
+        };
+        let upper = end.map_or(Unbounded, |end| Excluded((end, 0)));
+        for &(_, slot) in self.by_position.range((Included((first, 0)), upper)) {
+            let live = self.get(slot).filter(|e| e.is_live(now));
+            if let Some(e) = live.filter(|e| run.is_some() || inside(&e.position)) {
+                found(e, slot);
             }
-            None => self
-                .live_entries(now)
-                .filter(|e| zone.contains(&e.position))
-                .collect(),
         }
     }
 
     /// The Morton code of a storage position: per-axis `floor(x * 2^bits)`
-    /// interleaved. Quantisation classifies positions against dyadic zone
-    /// bounds of level ≤ `pos_bits` exactly.
+    /// interleaved, axis 0 highest within each level — the order the split
+    /// tree halves axes in, so the codes inside a box of the tree are one
+    /// contiguous run ([`ZoneMap::code_run`]). Quantisation classifies
+    /// positions against dyadic bounds of level ≤ `pos_bits` exactly.
     fn position_code(&self, p: &Point) -> u128 {
         let d = self.region.dims();
         let scale = (1u64 << self.pos_bits) as f64;
@@ -340,97 +392,70 @@ impl ZoneMap {
         let mut code = 0u128;
         for a in 0..d {
             let q = ((p.coord(a) * scale) as u64).min(cells - 1);
-            code |= spread(q, d, self.pos_bits) << a;
+            code |= spread(q, d) << (d - 1 - a);
         }
         code
     }
 
-    /// Decomposes `zone` into aligned-cube Morton ranges, or `None` when
-    /// its bounds are not dyadic of level ≤ `pos_bits` (fall back to a
-    /// scan). `(start, None)` means "to the end of the keyspace".
-    fn morton_ranges(&self, zone: &Zone) -> Option<Vec<(u128, Option<u128>)>> {
-        let d = self.region.dims();
-        if zone.dims() != d {
-            return None;
-        }
-        let bits = self.pos_bits;
-        let mut levels = Vec::with_capacity(d);
-        let mut max_level = 0u32;
-        for a in 0..d {
-            let ext = zone.extent(a);
-            if !(ext > 0.0 && ext <= 1.0) {
-                return None;
-            }
-            let l = -ext.log2();
-            if l.fract() != 0.0 || l < 0.0 || l > bits as f64 {
-                return None;
-            }
-            // Dyadic intervals are aligned to their own width.
-            if (zone.lo(a) / ext).fract() != 0.0 {
-                return None;
-            }
-            let l = l as u32;
-            max_level = max_level.max(l);
-            levels.push(l);
-        }
-        // Cover the box with cubes of side 2^-max_level: the per-axis
-        // cartesian product of sub-offsets. CAN zones are balanced (axis
-        // levels within one of each other), so this is at most 2^(d-1)
-        // cubes; cap the blow-up for arbitrary callers.
-        let steps: Vec<u64> = levels.iter().map(|&l| 1u64 << (max_level - l)).collect();
-        let total: u64 = steps.iter().product();
-        if total > 1 << 10 {
-            return None;
-        }
-        let span_shift = (bits - max_level) as usize * d;
-        let mut ranges = Vec::with_capacity(total as usize);
-        for cube in 0..total {
-            let mut base = 0u128;
-            let mut rem = cube;
-            for a in 0..d {
-                let offset = rem % steps[a];
-                rem /= steps[a];
-                // zone.lo quantises exactly: level ≤ bits and aligned.
-                let q = (zone.lo(a) * (1u64 << bits) as f64) as u64
-                    + (offset << (bits - max_level));
-                base |= spread(q, d, bits) << a;
-            }
-            let end = if span_shift >= 128 {
-                None
-            } else {
-                (1u128 << span_shift).checked_add(base)
-            };
-            ranges.push((base, end));
-        }
-        Some(ranges)
+    /// The position codes inside the box `key` as `(first, one past the
+    /// last)` — the box's path in the tree is the codes' common prefix —
+    /// or `None` when the box is finer than the codes' resolution. An end
+    /// of `None` means "to the end of the keyspace".
+    fn code_run(&self, key: RegionKey) -> Option<(u128, Option<u128>)> {
+        let code_bits = self.pos_bits * u32::try_from(self.region.dims()).ok()?;
+        let below = code_bits.checked_sub(key.depth())?;
+        let first = key.path().checked_shl(below).unwrap_or(0);
+        Some((first, 1u128.checked_shl(below).and_then(|span| first.checked_add(span))))
     }
 
-    /// Iterates over all entries, live or stale.
+    /// Iterates over all entries, live or stale, in landmark-number order.
     pub fn entries(&self) -> impl Iterator<Item = &SoftStateEntry> {
-        self.entries.values()
+        self.by_number.values().filter_map(|&slot| self.get(slot))
     }
 
     /// Counts this map's entries per hosting overlay node (the owner of
     /// each entry's position in `can`).
     pub fn entries_per_host(&self, can: &CanOverlay) -> DetMap<OverlayNodeId, usize> {
         let mut hosts = DetMap::new();
-        for e in self.entries.values() {
+        for e in self.entries() {
             *hosts.entry(can.owner(&e.position)).or_insert(0) += 1;
         }
         hosts
     }
-}
 
-/// Spreads the low `bits` bits of `v` so bit `j` lands at position
-/// `j * dims` — one axis's lane of a Morton code.
-fn spread(v: u64, dims: usize, bits: u32) -> u128 {
-    let mut out = 0u128;
-    for j in 0..bits {
-        if (v >> j) & 1 == 1 {
-            out |= 1u128 << (j as usize * dims);
+    /// Asserts the storage invariants: the three indexes and the free list
+    /// account for every slot, each index names the slot of the entry that
+    /// carries its key, and each entry has exactly one current stamp on the
+    /// wheel, due no later than the entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the violation, if an invariant does not hold.
+    // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a violation is its contract")
+    pub fn check_invariants(&self) {
+        let live = self.slots.iter().filter(|s| s.entry.is_some()).count();
+        let sizes = [self.by_number.len(), self.by_node.len(), self.by_position.len()];
+        assert_eq!(sizes, [live; 3], "an index misses a slot or names a vacant one");
+        assert_eq!(self.free.len(), self.slots.len() - live, "free list size");
+        assert!(self.free.iter().all(|&s| self.get(s).is_none()), "a free slot is occupied");
+        for (&(number, node), &slot) in &self.by_number {
+            let e = self.get(slot).filter(|e| (e.info.number.value(), e.info.node) == (number, node));
+            let code = e.map(|e| (self.position_code(&e.position), slot));
+            assert!(e.is_some(), "by_number names the wrong slot for {node}");
+            assert_eq!(self.by_node.get(&node), Some(&slot), "by_node disagrees on {node}");
+            assert!(code.is_some_and(|c| self.by_position.contains(&c)), "by_position misses {node}");
         }
+        let mut stamps = vec![0usize; self.slots.len()];
+        for &Reverse((due, slot, generation)) in &self.wheel {
+            let home = &self.slots[slot as usize];
+            if let Some(e) = home.entry.as_ref().filter(|_| home.generation == generation) {
+                assert!(due <= e.expires_at, "a stamp is due after its entry expires");
+                stamps[slot as usize] += 1;
+            }
+        }
+        let expected: Vec<usize> = self.slots.iter().map(|s| s.entry.is_some() as usize).collect();
+        assert_eq!(stamps, expected, "current stamps per slot");
     }
-    out
 }
 
 /// The sub-box of `region` holding its map: per-axis extents scaled by
@@ -472,15 +497,6 @@ mod tests {
             number,
             load: None,
         }
-    }
-
-    #[test]
-    fn zone_keys_distinguish_zones_exactly() {
-        let whole = Zone::whole(2);
-        let (l, r) = whole.split(0);
-        assert_eq!(ZoneKey::from_zone(&l), ZoneKey::from_zone(&l.clone()));
-        assert_ne!(ZoneKey::from_zone(&l), ZoneKey::from_zone(&r));
-        assert_ne!(ZoneKey::from_zone(&l), ZoneKey::from_zone(&whole));
     }
 
     #[test]
@@ -644,6 +660,7 @@ mod tests {
             assert!(map.remove(OverlayNodeId(id)));
         }
         map.publish(info(30, [290.0, 280.0, 300.0], &cfg), later, &cfg);
+        map.check_invariants();
         // Probe both while everything is live and after the un-refreshed
         // entries lapse (index must not resurrect dead entries).
         let lapsed = SimTime::ORIGIN + cfg.ttl() + SimDuration::from_micros(1);
@@ -658,6 +675,41 @@ mod tests {
                 assert_eq!(indexed, scanned, "zone {zone:?} at {now:?}");
             }
         }
+    }
+
+    #[test]
+    fn live_entries_in_matches_the_contains_filter_in_three_dimensions() {
+        // Every box of the 3-d split tree down to depth 7 is one run of the
+        // position index; the run must hold exactly the contained entries.
+        let cfg = config();
+        let mut map = ZoneMap::new(Zone::whole(3), &cfg);
+        for i in 0..80u32 {
+            let base = 4.0 + i as f64 * 3.9;
+            map.publish(info(i, [base, base + 5.0, base + 1.0], &cfg), SimTime::ORIGIN, &cfg);
+        }
+        let mut level = vec![Zone::whole(3)];
+        for depth in 0..8 {
+            for zone in &level {
+                let indexed = key_set(map.live_entries_in(zone, SimTime::ORIGIN));
+                let scanned = key_set(map.entries().filter(|e| zone.contains(&e.position)).collect());
+                assert_eq!(indexed, scanned, "zone {zone:?}");
+            }
+            level = level.iter().flat_map(|z| <[Zone; 2]>::from(z.split(depth % 3))).collect();
+        }
+    }
+
+    /// Reference for [`ZoneMap::expire`]: visits every entry and drops the
+    /// ones no longer live, through the public API only.
+    fn expire_scan(map: &mut ZoneMap, now: SimTime) -> usize {
+        let lapsed: Vec<OverlayNodeId> = map
+            .entries()
+            .filter(|e| !e.is_live(now))
+            .map(|e| e.info.node)
+            .collect();
+        for &node in &lapsed {
+            assert!(map.remove(node));
+        }
+        lapsed.len()
     }
 
     #[test]
@@ -684,15 +736,32 @@ mod tests {
         for wave_ms in [4_500u64, 1_000_000] {
             let now = SimTime::ORIGIN + cfg.ttl() + SimDuration::from_millis(wave_ms);
             let dropped_wheel = wheel.expire(now);
-            let dropped_scan = scan.expire_scan(now);
+            let dropped_scan = expire_scan(&mut scan, now);
             assert_eq!(dropped_wheel, dropped_scan);
             assert_eq!(
                 key_set(wheel.live_entries(now).collect()),
                 key_set(scan.live_entries(now).collect()),
             );
             assert_eq!(wheel.len(), scan.len());
+            wheel.check_invariants();
         }
         assert!(wheel.is_empty(), "everything lapses eventually");
+    }
+
+    #[test]
+    fn a_refresh_that_moves_the_expiry_earlier_is_honoured() {
+        // A caller whose clock runs backwards shortens an entry's life; the
+        // sweep must not wait for the stamp set under the later expiry.
+        let cfg = config();
+        let mut map = ZoneMap::new(Zone::whole(2), &cfg);
+        let late = SimTime::ORIGIN + SimDuration::from_secs(100);
+        map.publish(info(1, [10.0, 40.0, 90.0], &cfg), late, &cfg);
+        assert!(map.refresh(OverlayNodeId(1), SimTime::ORIGIN, &cfg));
+        map.check_invariants();
+        let after_short_ttl = SimTime::ORIGIN + cfg.ttl();
+        assert_eq!(map.expire(after_short_ttl), 1);
+        assert!(map.is_empty());
+        map.check_invariants();
     }
 
     #[test]

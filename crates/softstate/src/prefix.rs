@@ -181,14 +181,12 @@ impl PrefixState {
                 .map(|(_, (r, _))| r),
         );
         candidates.retain(|r| r.id != query.id);
-        candidates.sort_by(|a, b| {
-            let da = query.vector.euclidean_ms(&a.vector);
-            let db = query.vector.euclidean_ms(&b.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.id.cmp(&b.id))
-        });
-        candidates.into_iter().take(max).cloned().collect()
+        let mut ranked = Vec::new();
+        let by_position = candidates.iter().enumerate();
+        query
+            .vector
+            .nearest(by_position.map(|(i, r)| (&r.vector, r.id, i)), max, &mut ranked);
+        ranked.iter().map(|&(_, _, i)| candidates[i].clone()).collect()
     }
 }
 

@@ -21,7 +21,7 @@ use tao_util::time::SimDuration;
 use tao_topology::{NodeIdx, RttOracle};
 
 use crate::entry::{LoadStats, NodeInfo};
-use crate::map::ZoneKey;
+use crate::region::RegionKey;
 
 /// Conditions a subscriber can register interest in.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +103,7 @@ struct Subscription {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PubSub {
-    subs: DetMap<ZoneKey, Vec<Subscription>>,
+    subs: DetMap<RegionKey, Vec<Subscription>>,
     next_id: u64,
 }
 
@@ -114,6 +114,10 @@ impl PubSub {
     }
 
     /// Registers `subscriber` for events in `region` matching `predicate`.
+    ///
+    /// Events are published per region of the split tree (every CAN zone
+    /// and high-order zone is one, see [`RegionKey`]); a subscription to
+    /// any other shape is handed an id but can match nothing.
     pub fn subscribe(
         &mut self,
         region: &Zone,
@@ -122,14 +126,13 @@ impl PubSub {
     ) -> SubscriptionId {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
-        self.subs
-            .entry(ZoneKey::from_zone(region))
-            .or_default()
-            .push(Subscription {
+        if let Some(key) = RegionKey::from_zone(region) {
+            self.subs.entry(key).or_default().push(Subscription {
                 id,
                 subscriber,
                 predicate,
             });
+        }
         id
     }
 
@@ -170,7 +173,7 @@ impl PubSub {
     /// Matches `event` against `region`'s subscriptions; returns the
     /// subscribers to notify (deduplicated, sorted).
     pub fn publish(&self, region: &Zone, event: &Event) -> Vec<OverlayNodeId> {
-        let Some(list) = self.subs.get(&ZoneKey::from_zone(region)) else {
+        let Some(list) = RegionKey::from_zone(region).and_then(|key| self.subs.get(&key)) else {
             return Vec::new();
         };
         let mut hit: Vec<OverlayNodeId> = list

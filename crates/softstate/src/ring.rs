@@ -140,15 +140,18 @@ impl RingState {
             };
             host = next;
         }
-        candidates.sort_by(|a, b| {
-            let da = query.vector.euclidean_ms(&a.vector);
-            let db = query.vector.euclidean_ms(&b.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.ring.cmp(&b.ring))
-        });
-        candidates.dedup_by_key(|r| r.ring);
-        candidates.into_iter().take(max).cloned().collect()
+        // Rank everything: a publisher's records are deduplicated after
+        // ranking, so the cut at `max` cannot be made before it.
+        let mut ranked = Vec::new();
+        let by_position = candidates.iter().enumerate();
+        query.vector.nearest(
+            by_position.map(|(i, r)| (&r.vector, r.ring, i)),
+            usize::MAX,
+            &mut ranked,
+        );
+        ranked.dedup_by_key(|&mut (_, ring, _)| ring);
+        let nearest = ranked.iter().take(max);
+        nearest.map(|&(_, _, i)| candidates[i].clone()).collect()
     }
 
     /// Records stored per host (the successor of each record's key) —

@@ -13,7 +13,8 @@ use tao_util::time::SimTime;
 
 use crate::config::SoftStateConfig;
 use crate::entry::NodeInfo;
-use crate::map::{ZoneKey, ZoneMap};
+use crate::map::ZoneMap;
+use crate::region::RegionKey;
 
 /// All per-region proximity maps of one overlay.
 ///
@@ -24,7 +25,19 @@ use crate::map::{ZoneKey, ZoneMap};
 #[derive(Debug, Clone)]
 pub struct GlobalState {
     config: SoftStateConfig,
-    maps: DetMap<ZoneKey, ZoneMap>,
+    maps: DetMap<RegionKey, ZoneMap>,
+    /// Per node, the keys of exactly the maps that list it: what `refresh`
+    /// and `remove` visit, instead of every map.
+    listed: DetMap<OverlayNodeId, Vec<RegionKey>>,
+}
+
+/// The buffers of a hosted lookup ([`GlobalState::lookup_in_hosted_into`]):
+/// a caller that keeps one across lookups pays for them once.
+#[derive(Debug, Clone, Default)]
+pub struct LookupScratch {
+    landing: Vec<f64>,
+    found: Vec<u32>,
+    ranked: Vec<(f64, OverlayNodeId, u32)>,
 }
 
 impl GlobalState {
@@ -33,6 +46,7 @@ impl GlobalState {
         GlobalState {
             config,
             maps: DetMap::new(),
+            listed: DetMap::new(),
         }
     }
 
@@ -51,24 +65,36 @@ impl GlobalState {
         self.maps.values().map(ZoneMap::len).sum()
     }
 
+    /// Expiry stamps pending across all maps: one per entry, plus those of
+    /// entries removed and not yet swept — however often entries refresh.
+    pub fn pending_stamps(&self) -> usize {
+        self.maps.values().map(ZoneMap::pending_stamps).sum()
+    }
+
     /// The map for `region`, if any node has published into it.
     pub fn map(&self, region: &Zone) -> Option<&ZoneMap> {
-        self.maps.get(&ZoneKey::from_zone(region))
+        self.maps.get(&RegionKey::from_zone(region)?)
     }
 
     /// Publishes `info` into the map of every high-order zone enclosing its
     /// node's CAN zone in `ecan`. Returns how many maps were written — the
     /// message cost of one publish round.
     pub fn publish(&mut self, info: NodeInfo, ecan: &EcanOverlay, now: SimTime) -> usize {
-        let regions = ecan.enclosing_high_order_zones(info.node);
-        let written = regions.len();
-        for region in regions {
-            let key = ZoneKey::from_zone(&region);
+        let mut written = 0;
+        for region in ecan.enclosing_high_order_zones(info.node) {
+            let Some(key) = RegionKey::from_zone(&region) else {
+                continue;
+            };
             let map = self
                 .maps
                 .entry(key)
                 .or_insert_with(|| ZoneMap::new(region, &self.config));
             map.publish(info.clone(), now, &self.config);
+            let keys = self.listed.entry(info.node).or_default();
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+            written += 1;
         }
         written
     }
@@ -76,25 +102,39 @@ impl GlobalState {
     /// Removes every entry of `node` (proactive departure, §5.2). Returns
     /// the number of maps touched.
     pub fn remove(&mut self, node: OverlayNodeId) -> usize {
-        self.maps
-            .values_mut()
-            .map(|m| m.remove(node) as usize)
-            .sum()
+        let keys = self.listed.remove(&node).unwrap_or_default();
+        keys.iter()
+            .filter(|key| self.maps.get_mut(key).is_some_and(|m| m.remove(node)))
+            .count()
     }
 
     /// Refreshes `node`'s TTLs in every map that lists it. Returns the
     /// number of maps touched.
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime) -> usize {
-        let config = self.config;
-        self.maps
-            .values_mut()
-            .map(|m| m.refresh(node, now, &config) as usize)
-            .sum()
+        let (maps, config) = (&mut self.maps, &self.config);
+        let Some(keys) = self.listed.get(&node) else {
+            return 0;
+        };
+        keys.iter()
+            .filter(|key| maps.get_mut(key).is_some_and(|m| m.refresh(node, now, config)))
+            .count()
     }
 
     /// Expires lapsed entries everywhere; returns how many were dropped.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        self.maps.values_mut().map(|m| m.expire(now)).sum()
+        let listed = &mut self.listed;
+        let mut dropped = 0;
+        for (key, map) in self.maps.iter_mut() {
+            dropped += map.expire_each(now, |node| {
+                if let Some(keys) = listed.get_mut(&node) {
+                    keys.retain(|k| k != key);
+                    if keys.is_empty() {
+                        listed.remove(&node);
+                    }
+                }
+            });
+        }
+        dropped
     }
 
     /// Looks up, in `region`'s map, up to `max` nodes whose landmark vectors
@@ -131,6 +171,10 @@ impl GlobalState {
     /// thin (rate → 1) leaves each host a small fragment and lookups see
     /// fewer candidates; condensing concentrates the map so the landing
     /// host answers with more of it.
+    ///
+    /// Allocates its buffers and the answer; a caller making many lookups
+    /// holds a [`LookupScratch`] and calls
+    /// [`GlobalState::lookup_in_hosted_into`].
     pub fn lookup_in_hosted(
         &self,
         region: &Zone,
@@ -139,105 +183,55 @@ impl GlobalState {
         can: &CanOverlay,
         now: SimTime,
     ) -> Vec<NodeInfo> {
-        let Some(map) = self.map(region) else {
-            return Vec::new();
-        };
-        let landing = map.position_for(query.number, &self.config);
-        let host = can.owner(&landing);
-        let mut hosts: Vec<OverlayNodeId> = vec![host];
-        let mut candidates: Vec<&crate::entry::SoftStateEntry> = Vec::new();
-        let mut widened = false;
-        loop {
-            candidates.clear();
-            // An entry is stored by a host exactly when its position falls
-            // in one of the host's zones, so each host contributes the live
-            // entries of its zones — a Morton range probe per zone instead
-            // of an owner() walk per entry.
-            for &h in &hosts {
-                let Ok(zones) = can.zones(h) else { continue };
-                for zone in &zones {
-                    candidates.extend(
-                        map.live_entries_in(zone, now)
-                            .into_iter()
-                            .filter(|e| e.info.node != query.node),
-                    );
-                }
-            }
-            if candidates.len() >= max || widened {
-                break;
-            }
-            // TTL widening: one ring of CAN neighbors around the host.
-            if let Ok(neighbors) = can.neighbors(host) {
-                for n in neighbors {
-                    if !hosts.contains(&n) {
-                        hosts.push(n);
-                    }
-                }
-            }
-            widened = true;
-        }
-        candidates.sort_by(|a, b| {
-            let da = query.vector.euclidean_ms(&a.info.vector);
-            let db = query.vector.euclidean_ms(&b.info.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.info.node.cmp(&b.info.node))
-        });
-        candidates
-            .into_iter()
-            .take(max)
-            .map(|e| e.info.clone())
+        self.lookup_in_hosted_into(&mut LookupScratch::default(), region, query, max, can, now)
+            .cloned()
             .collect()
     }
 
-    /// Reference implementation of [`lookup_in_hosted`]: classifies every
-    /// live map entry with an `owner()` tree walk instead of probing the
-    /// hosts' zones through the map's position index. Kept as the benchmark
-    /// "before" kernel and as the oracle the indexed path is tested against;
-    /// both return identical results.
-    ///
-    /// [`lookup_in_hosted`]: GlobalState::lookup_in_hosted
-    pub fn lookup_in_hosted_scan(
-        &self,
+    /// [`GlobalState::lookup_in_hosted`] through the caller's buffers: the
+    /// candidates come back borrowed, nearest first, and a warmed `scratch`
+    /// makes the lookup allocation-free.
+    // tao-lint: hot
+    // tao-lint: allow(panic-reachability, reason = "reads zone and position coordinates only for axes below their own dims(); slab slots come from the map's own indexes")
+    pub fn lookup_in_hosted_into<'a>(
+        &'a self,
+        scratch: &'a mut LookupScratch,
         region: &Zone,
         query: &NodeInfo,
         max: usize,
         can: &CanOverlay,
         now: SimTime,
-    ) -> Vec<NodeInfo> {
-        let Some(map) = self.map(region) else {
-            return Vec::new();
-        };
-        let landing = map.position_for(query.number, &self.config);
-        let host = can.owner(&landing);
-        let mut hosts: Vec<OverlayNodeId> = vec![host];
-        let mut candidates: Vec<&crate::entry::SoftStateEntry> = Vec::new();
-        let mut widened = false;
-        loop {
-            candidates.clear();
-            candidates.extend(map.live_entries(now).filter(|e| {
-                e.info.node != query.node && hosts.contains(&can.owner(&e.position))
-            }));
-            if candidates.len() >= max || widened {
-                break;
+    ) -> impl Iterator<Item = &'a NodeInfo> {
+        let hits = self.map(region).map(|map| {
+            map.position_into(query.number, &self.config, &mut scratch.landing);
+            let host = can.owner_at(&scratch.landing);
+            scratch.found.clear();
+            // TTL widening: the ring of CAN neighbors around the host is
+            // asked only if the host itself holds fewer than `max`.
+            let ring = host.and_then(|h| can.neighbor_ids(h).ok()).into_iter().flatten();
+            for (i, &h) in host.iter().chain(ring.filter(|&&n| Some(n) != host)).enumerate() {
+                if i == 1 && scratch.found.len() >= max {
+                    break;
+                }
+                // An entry is stored by a host exactly when its position
+                // falls in one of the host's zones, so each host
+                // contributes the live entries of its zones — one walk of
+                // the position index per zone, not an owner() walk per entry.
+                for (lo, hi) in can.zone_bounds(h).into_iter().flatten() {
+                    map.for_each_live_in(lo, hi, now, |e, slot| {
+                        if e.info.node != query.node {
+                            // tao-lint: allow(alloc-reachability, reason = "caller-held candidate buffer: grows to the largest candidate set seen, then is reused")
+                            scratch.found.push(slot);
+                        }
+                    });
+                }
             }
-            if let Ok(neighbors) = can.neighbors(host) {
-                hosts.extend(neighbors);
-            }
-            widened = true;
-        }
-        candidates.sort_by(|a, b| {
-            let da = query.vector.euclidean_ms(&a.info.vector);
-            let db = query.vector.euclidean_ms(&b.info.vector);
-            da.partial_cmp(&db)
-                .expect("distances are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "distances are finite")
-                .then(a.info.node.cmp(&b.info.node))
+            // Sized once per high-water mark instead of by doubling.
+            scratch.ranked.reserve(scratch.found.len());
+            let found = scratch.found.iter().copied();
+            map.nearest(&query.vector, found, max, &mut scratch.ranked)
         });
-        candidates
-            .into_iter()
-            .take(max)
-            .map(|e| e.info.clone())
-            .collect()
+        hits.into_iter().flatten()
     }
 
     /// Mean map entries among nodes that host at least one entry — the
@@ -297,7 +291,8 @@ impl GlobalState {
             for region in ecan.enclosing_high_order_zones(info.node) {
                 let present = self
                     .map(&region)
-                    .map_or(false, |m| m.live_entries(now).any(|e| e.info.node == info.node));
+                    .and_then(|m| m.entry_of(info.node))
+                    .is_some_and(|e| e.is_live(now));
                 if !present {
                     missing += 1;
                 }
@@ -310,6 +305,28 @@ impl GlobalState {
             .filter(|e| !live.contains(&e.info.node))
             .count();
         ConvergenceReport { missing, stale }
+    }
+
+    /// Asserts every map's storage invariants ([`ZoneMap::check_invariants`])
+    /// and that each node's region list names exactly the maps listing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the violation, if an invariant does not hold.
+    // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a violation is its contract")
+    pub fn check_invariants(&self) {
+        for (key, map) in self.maps.iter() {
+            map.check_invariants();
+            for e in map.entries() {
+                let keys = self.listed.get(&e.info.node);
+                assert!(keys.is_some_and(|k| k.contains(key)), "{} unlisted", e.info.node);
+            }
+        }
+        // Every entry is listed, so lists as long in total as the entries
+        // are many name nothing else and nothing twice.
+        let listings: usize = self.listed.values().map(Vec::len).sum();
+        assert_eq!(listings, self.total_entries(), "a region list names a map without its node");
+        assert!(self.listed.values().all(|k| !k.is_empty()), "an empty region list is kept");
     }
 }
 
@@ -452,6 +469,43 @@ mod tests {
         assert!(!report.is_converged());
     }
 
+    /// Reference for [`GlobalState::lookup_in_hosted`], over public
+    /// accessors only: classifies every live map entry with an `owner()`
+    /// tree walk instead of probing the hosts' zones through the map's
+    /// position index, and ranks with a full stable sort.
+    fn lookup_in_hosted_scan(
+        state: &GlobalState,
+        region: &Zone,
+        query: &NodeInfo,
+        max: usize,
+        can: &CanOverlay,
+        now: SimTime,
+    ) -> Vec<NodeInfo> {
+        let Some(map) = state.map(region) else {
+            return Vec::new();
+        };
+        let host = can.owner(&map.position_for(query.number, state.config()));
+        let mut hosts = vec![host];
+        let mut candidates: Vec<&NodeInfo> = Vec::new();
+        for widened in [false, true] {
+            candidates = map
+                .live_entries(now)
+                .filter(|e| e.info.node != query.node && hosts.contains(&can.owner(&e.position)))
+                .map(|e| &e.info)
+                .collect();
+            if candidates.len() >= max || widened {
+                break;
+            }
+            hosts.extend(can.neighbors(host).unwrap());
+        }
+        candidates.sort_by(|a, b| {
+            let da = query.vector.euclidean_ms(&a.vector);
+            let db = query.vector.euclidean_ms(&b.vector);
+            da.partial_cmp(&db).unwrap().then(a.node.cmp(&b.node))
+        });
+        candidates.into_iter().take(max).cloned().collect()
+    }
+
     #[test]
     fn hosted_lookup_matches_the_owner_walk_oracle() {
         let (ecan, mut state) = setup(96);
@@ -467,6 +521,7 @@ mod tests {
         for id in [8u32, 30] {
             state.remove(OverlayNodeId(id));
         }
+        state.check_invariants();
         // Probe every region map, several query vectors, both while all
         // entries are live and after the un-refreshed ones lapse.
         let lapsed = SimTime::ORIGIN + state.config().ttl() + SimDuration::from_micros(1);
@@ -478,7 +533,7 @@ mod tests {
                     for max in [1usize, 4, 16] {
                         let fast = state.lookup_in_hosted(region, &query, max, ecan.can(), now);
                         let slow =
-                            state.lookup_in_hosted_scan(region, &query, max, ecan.can(), now);
+                            lookup_in_hosted_scan(&state, region, &query, max, ecan.can(), now);
                         assert_eq!(fast, slow, "region {region:?} q={q} max={max}");
                     }
                 }

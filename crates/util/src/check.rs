@@ -1,9 +1,12 @@
 //! A minimal seeded property-test harness — the in-tree `proptest`
 //! replacement.
 //!
-//! Design: no strategy combinators, no shrinking. Each case gets a
+//! Design: no strategy combinators. Each case gets a
 //! [`StdRng`](crate::rand::rngs::StdRng) seeded deterministically from the
-//! case index; the property draws its own inputs from it. On failure the
+//! case index; the property draws its own inputs from it. The one input
+//! shape that shrinks is a generated *sequence* ([`for_all_sequences`]),
+//! because a failing 60-step operation history is unreadable and its
+//! failing core is usually three steps. On failure the
 //! harness reports the property name, case number, and **the offending
 //! seed**, so a failure reproduces with a one-line unit test:
 //!
@@ -130,6 +133,54 @@ where
     }
 }
 
+/// [`for_all`] for properties of a generated *sequence* (typically an
+/// operation history run against a model), with shrinking: when
+/// `property` panics on a generated sequence, elements are deleted —
+/// halves first, then ever smaller runs, down to single elements — for as
+/// long as the rest still fails, and the panic is re-raised from that
+/// minimal sequence after printing it.
+///
+/// `property` must take everything it does from the sequence itself (no
+/// draws of its own), so a subsequence is a meaningful input.
+///
+/// # Panics
+///
+/// Re-raises the property's panic on the shrunk sequence.
+pub fn for_all_sequences<T, G, P>(name: &str, cases: u32, generate: G, property: P)
+where
+    T: Clone + std::fmt::Debug,
+    G: Fn(&mut StdRng) -> Vec<T>,
+    P: Fn(&[T]),
+{
+    for_all(name, cases, |rng| {
+        let fails = |seq: &[T]| catch_unwind(AssertUnwindSafe(|| property(seq))).is_err();
+        let mut failing = generate(rng);
+        if !fails(&failing) {
+            return;
+        }
+        let mut run = failing.len().div_ceil(2);
+        while run >= 1 {
+            let mut at = 0;
+            while at < failing.len() {
+                let mut shorter = failing.clone();
+                shorter.drain(at..(at + run).min(failing.len()));
+                if fails(&shorter) {
+                    failing = shorter;
+                } else {
+                    at += run;
+                }
+            }
+            run /= 2;
+        }
+        eprintln!(
+            "property '{name}' still fails on this shrunk sequence of {} step(s):\n{failing:#?}",
+            failing.len()
+        );
+        property(&failing);
+        panic!("property '{name}': the shrunk sequence stopped failing (flaky property?)");
+    });
+}
+
 fn parse_seed(s: &str) -> u64 {
     let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
@@ -199,6 +250,50 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("string panic payload");
         assert!(msg.contains("check failed"), "got: {msg}");
+    }
+
+    #[test]
+    fn failing_sequences_shrink_to_their_failing_core() {
+        // Fails exactly when a 7 comes somewhere before a 13: whatever else
+        // the generated sequence holds, the re-raised failure must come from
+        // `[7, 13]`.
+        let last_failing = std::sync::Mutex::new(Vec::new());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_all_sequences(
+                "seven_before_thirteen",
+                8,
+                |rng| {
+                    let mut seq: Vec<u8> = (0..40).map(|_| rng.gen_range(0..30)).collect();
+                    seq.insert(rng.gen_range(0..20), 7);
+                    seq.push(13);
+                    seq
+                },
+                |seq| {
+                    let seven = seq.iter().position(|&x| x == 7);
+                    let bad = seven.is_some_and(|i| seq[i..].contains(&13));
+                    if bad {
+                        *last_failing.lock().unwrap() = seq.to_vec();
+                    }
+                    check!(!bad);
+                },
+            );
+        }));
+        assert!(caught.is_err(), "property must fail");
+        assert_eq!(*last_failing.lock().unwrap(), vec![7, 13]);
+    }
+
+    #[test]
+    fn passing_sequences_are_left_alone() {
+        let runs = std::sync::atomic::AtomicU32::new(0);
+        for_all_sequences(
+            "never_fails",
+            5,
+            |rng| (0..10).map(|_| rng.gen::<u8>()).collect::<Vec<_>>(),
+            |_| {
+                runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            },
+        );
+        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 5);
     }
 
     #[test]

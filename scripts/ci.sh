@@ -293,6 +293,30 @@ if [ -z "$c2_serial" ] || [ "$c2_serial" != "$c2_parallel" ] \
 fi
 echo "parallel churn determinism: OK ($cfp2)"
 
+# Soft-state store fingerprint: a fixed lookup / refresh / expire / remove /
+# churn script on a seeded N = 256 system, digested in order. The test
+# holds the digest to a constant taken before the store was rebuilt around
+# a slab (PR 14), so a change to candidate ranking, tie-breaking, hosting
+# classification or expiry fails here instead of silently moving figures;
+# two processes must print the same line.
+softstate_fingerprint() {
+    cargo test -q --offline -p tao-core --test softstate_store \
+        softstate_fingerprint_for_ci -- --nocapture 2>&1 | grep '^SOFTSTATE_FINGERPRINT'
+}
+sfp1=$(softstate_fingerprint)
+sfp2=$(softstate_fingerprint)
+if [ -z "$sfp1" ]; then
+    echo "FAIL: soft-state fingerprint test produced no fingerprint line." >&2
+    exit 1
+fi
+if [ "$sfp1" != "$sfp2" ]; then
+    echo "FAIL: soft-state fingerprint diverged across processes." >&2
+    echo "  run 1: $sfp1" >&2
+    echo "  run 2: $sfp2" >&2
+    exit 1
+fi
+echo "soft-state store determinism: OK ($sfp1)"
+
 # Smoke: the churn example runs its bonus simulation under a lossy plan,
 # and the parallel-churn example proves oracle/executor agreement on the
 # three batch scenarios.
@@ -316,7 +340,10 @@ if [ -f results/bench.jsonl ]; then
         exit 1
     fi
 fi
-# The pinned PR-4 before/after baseline must parse and keep its shape.
+# The pinned PR-4 before/after baseline (Dijkstra landmark probe, nodes_in;
+# the two soft-state pairs left with their public reference kernels in
+# PR 14 — that layer's ledger is benchmark/'s churn_mix) must parse and
+# keep its shape.
 python3 - <<'EOF'
 import json, sys
 with open("results/BENCH_04.json") as f:

@@ -1,6 +1,7 @@
 //! PR-10 runtime cross-check of the static `alloc-reachability` claim:
 //! after one warm-up pass has sized every scratch buffer, `route_into`
-//! on all five overlays performs ZERO heap allocations.
+//! on all five overlays — and the soft-state hosted lookup through its
+//! `LookupScratch` — perform ZERO heap allocations.
 //!
 //! The static pass (`tao-lint`'s `alloc-reachability`) proves the hot
 //! closure of every `// tao-lint: hot` entry point free of allocation
@@ -20,6 +21,10 @@ use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
+use tao_landmark::{LandmarkGrid, LandmarkVector};
+use tao_overlay::Zone;
+use tao_sim::{SimDuration, SimTime};
+use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
 use tao_topology::NodeIdx;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
@@ -139,6 +144,46 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         })
         .collect();
 
+    // The soft-state store of a built N = 256 system (24 of them departed
+    // after publishing, so hosts own takeover zones and maps hold entries
+    // of dead nodes), and every (node, expressway target box) it looks up.
+    let grid = LandmarkGrid::new(3, 5, SimDuration::from_millis(320)).expect("valid grid");
+    let mut state = GlobalState::new(SoftStateConfig::builder(grid).condense_rate(0.25).build());
+    let (store_base, _) = churned_can(256, 0, 0x0a08);
+    let mut store_ecan = EcanOverlay::build(store_base, &mut SampledRandomSelector::new(0x0a09));
+    let mut infos: Vec<NodeInfo> = Vec::new();
+    for id in store_ecan.can().live_nodes().collect::<Vec<_>>() {
+        let millis: Vec<f64> = (0..15).map(|_| rng.gen_range(1.0..300.0)).collect();
+        let vector = LandmarkVector::from_millis(&millis);
+        let number = state.config().grid().landmark_number(&vector, state.config().curve());
+        let info = NodeInfo { node: id, underlay: NodeIdx(id.0), vector, number, load: None };
+        state.publish(info.clone(), &store_ecan, SimTime::ORIGIN);
+        infos.push(info);
+    }
+    for victim in (0..24).map(|i| OverlayNodeId(i * 10 + 3)) {
+        store_ecan.depart(victim).expect("victim is live");
+    }
+    store_ecan.reselect(&mut SampledRandomSelector::new(0x0a0a));
+    let lookups: Vec<(&NodeInfo, Zone)> = infos
+        .iter()
+        .flat_map(|info| {
+            let entries = store_ecan.high_order_entries(info.node);
+            entries.into_iter().map(move |e| (info, e.target_box))
+        })
+        .collect();
+    assert!(lookups.len() > 1_000, "a 232-node eCAN has expressway tables");
+    let mut lookup_scratch = LookupScratch::default();
+    let hosted_lookups = |scratch: &mut LookupScratch| -> usize {
+        lookups
+            .iter()
+            .map(|(query, target_box)| {
+                state
+                    .lookup_in_hosted_into(scratch, target_box, query, 10, store_ecan.can(), SimTime::ORIGIN)
+                    .count()
+            })
+            .sum()
+    };
+
     let mut scratch = RouteScratch::new();
 
     // --- warm-up: size the stamp array and both hop buffers ------------
@@ -161,8 +206,11 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         pastry.route_into(&mut scratch, *s, *k).expect("warm-up routes");
     }
 
+    let candidates_found = hosted_lookups(&mut lookup_scratch);
+    assert!(candidates_found > lookups.len(), "lookups return candidates");
+
     // --- measurement: the same calls must not touch the allocator ------
-    let per_overlay: [(&str, u64); 5] = [
+    let per_overlay: [(&str, u64); 6] = [
         ("can", allocations(|| {
             for (s, t) in &can_calls {
                 can.route_into(&mut scratch, *s, t).expect("warmed routes");
@@ -189,14 +237,17 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
                 pastry.route_into(&mut scratch, *s, *k).expect("warmed routes");
             }
         })),
+        ("softstate hosted lookup", allocations(|| {
+            assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
+        })),
     ];
 
     for (overlay, count) in per_overlay {
         assert_eq!(
             count, 0,
-            "{overlay}: warmed-up route_into hit the heap {count} time(s) \
-             across {CALLS} calls — the zero-allocation contract the \
-             alloc-reachability lint pass ratchets is broken"
+            "{overlay}: a warmed-up pass hit the heap {count} time(s) — \
+             the zero-allocation contract the alloc-reachability lint \
+             pass ratchets is broken"
         );
     }
 }
