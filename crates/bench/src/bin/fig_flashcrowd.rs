@@ -1,167 +1,85 @@
-//! PR-7 flash-crowd sweep: grows a CAN overlay to a million nodes with
-//! flash-crowd join bursts, applying every batch twice — once through the
-//! serial oracle, once through the conflict-DAG wavefront executor — and
-//! reporting the per-batch medians of both paths.
+//! Flash-crowd sweep: grows a CAN overlay to a million nodes with
+//! flash-crowd join bursts applied in batch order, and reports the median
+//! per-batch time, the total, and the final [`ChurnState::fingerprint`].
 //!
-//! The two growths consume identical batches from identical plan seeds,
-//! so the final [`ChurnState::fingerprint`]s must be equal; the binary
-//! asserts that before re-pinning its `flashcrowd_batch` entry into
-//! `results/BENCH_09.json` (paper scale only — mini smoke runs must not
-//! clobber the pinned medians). `TAO_WORKERS` bounds the prepare-phase
-//! thread pool; `TAO_SCALE=mini` shrinks the target to 32,768 nodes for
-//! smoke runs.
+//! The growth is a function of [`SEED`] alone, so the fingerprint is held
+//! to a pinned constant at both scales. `TAO_SCALE=mini` shrinks the
+//! target to 32,768 nodes for smoke runs.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use tao_bench::pinned::{upsert_bench_09, PinnedComparison};
 use tao_bench::{f3, print_table, Scale};
-use tao_core::churn::{run_batch, BatchReport, ChurnState};
-use tao_sim::{FaultPlan, SimDuration, SimTime, Simulator, UniformLatency};
+use tao_core::churn::ChurnState;
+use tao_core::Summary;
+use tao_sim::{FaultPlan, SimDuration, SimTime};
 
 /// Overlay dimensionality for the sweep (the paper's CAN experiments
 /// run d = 2).
 const DIMS: usize = 2;
 /// Bootstrap nodes joined before the first timed batch.
 const BOOTSTRAP: u64 = 1_024;
-/// Master seed shared by both growths.
+/// Master seed of the growth.
 const SEED: u64 = 0xf1a5_c0de;
-
-/// One path's timings plus its final state digest.
-struct PathOutcome {
-    /// Per-batch wall-clock, nanoseconds, batch order.
-    batch_ns: Vec<f64>,
-    /// Final overlay/soft-state/log digest.
-    fingerprint: u64,
-    /// Live nodes at the end of the sweep.
-    live: usize,
-    /// Report of the last batch (shape statistics).
-    last_report: Option<BatchReport>,
-}
-
-/// Grows a fresh [`ChurnState`] through `batches`, timing each batch.
-fn grow(batches: &[Vec<tao_sim::parallel::ChurnOp>], serial: bool) -> PathOutcome {
-    let mut sim: Simulator<u32, UniformLatency> =
-        Simulator::new(UniformLatency::new(SimDuration::from_millis(5)));
-    if serial {
-        sim.use_serial_oracle();
-    }
-    let mut state = ChurnState::new(DIMS, SEED, BOOTSTRAP);
-    let mut batch_ns = Vec::with_capacity(batches.len());
-    let mut last_report = None;
-    for (i, batch) in batches.iter().enumerate() {
-        let t = Instant::now(); // tao-lint: allow(no-wall-clock, reason = "bench binary measures real elapsed time by design")
-        let report = run_batch(&mut sim, &mut state, batch);
-        batch_ns.push(t.elapsed().as_nanos() as f64);
-        last_report = Some(report);
-        if (i + 1) % 16 == 0 || i + 1 == batches.len() {
-            eprintln!(
-                "fig_flashcrowd: {} batch {}/{} ({} live)",
-                if serial { "serial" } else { "parallel" },
-                i + 1,
-                batches.len(),
-                state.live_len(),
-            );
-        }
-    }
-    PathOutcome {
-        batch_ns,
-        fingerprint: state.fingerprint(),
-        live: state.live_len(),
-        last_report,
-    }
-}
-
-/// Median of `xs` (destructively sorts a copy).
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    if v.is_empty() {
-        return 0.0;
-    }
-    if v.len() % 2 == 1 {
-        v[v.len() / 2]
-    } else {
-        (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
-    }
-}
+/// Final state digest at paper scale (10^6 nodes, batches of 8,192).
+const PAPER_FINGERPRINT: u64 = 0x09f8_55d3_d73c_639f;
+/// Final state digest at mini scale (32,768 nodes, batches of 2,048).
+const MINI_FINGERPRINT: u64 = 0x64c9_fde1_8c86_29a4;
 
 fn main() {
     let scale = Scale::from_env();
-    let (target, batch_size): (u64, usize) = match scale {
-        Scale::Paper => (1_000_000, 8_192),
-        Scale::Mini => (32_768, 2_048),
+    let (target, batch_size, pinned): (u64, usize, u64) = match scale {
+        Scale::Paper => (1_000_000, 8_192, PAPER_FINGERPRINT),
+        Scale::Mini => (32_768, 2_048, MINI_FINGERPRINT),
     };
-    let workers = tao_util::par::workers();
-    eprintln!(
-        "fig_flashcrowd: target {target} nodes, batches of {batch_size}, {workers} workers"
-    );
+    eprintln!("fig_flashcrowd: target {target} nodes, batches of {batch_size}");
 
-    // Pre-generate every batch so both growths see identical inputs. A
-    // fresh per-batch plan seed keeps the join-point streams distinct
-    // across batches (op seeds restart at 0 inside each batch).
-    let mut batches = Vec::new();
+    let mut state = ChurnState::new(DIMS, SEED, BOOTSTRAP);
+    let mut batch_ms = Summary::new();
+    let mut total = Duration::ZERO;
     let mut next_label = BOOTSTRAP;
     while next_label < target {
         let count = batch_size.min((target - next_label) as usize);
-        let plan = FaultPlan::new(SEED ^ next_label);
-        batches.push(plan.flash_crowd(
+        // A fresh per-batch plan seed keeps the join-point streams
+        // distinct across batches (op seeds restart at 0 inside each
+        // batch).
+        let batch = FaultPlan::new(SEED ^ next_label).flash_crowd(
             DIMS,
             count,
             next_label,
             SimTime::ORIGIN,
             SimDuration::from_secs(30),
-        ));
+        );
         next_label += count as u64;
+        let t = Instant::now(); // tao-lint: allow(no-wall-clock, reason = "bench binary measures real elapsed time by design")
+        state.apply_batch(&batch);
+        let took = t.elapsed();
+        total += took;
+        batch_ms.add(took.as_secs_f64() * 1e3);
+        if batch_ms.count() % 16 == 0 || next_label == target {
+            eprintln!(
+                "fig_flashcrowd: batch {} ({} live)",
+                batch_ms.count(),
+                state.live_len(),
+            );
+        }
     }
-
-    let serial = grow(&batches, true);
-    let parallel = grow(&batches, false);
+    let fingerprint = state.fingerprint();
     assert_eq!(
-        serial.fingerprint, parallel.fingerprint,
-        "serial and parallel flash-crowd growths diverged"
+        fingerprint, pinned,
+        "flash-crowd growth diverged from the pinned fingerprint"
     );
-    assert_eq!(serial.live, parallel.live);
 
-    let before_ns = median(&serial.batch_ns);
-    let after_ns = median(&parallel.batch_ns);
-    let shape = parallel
-        .last_report
-        .map(|r| {
-            format!(
-                "{} conflicts, {} antichains, widest {}",
-                r.conflicts, r.antichains, r.max_antichain
-            )
-        })
-        .unwrap_or_else(|| "no batches".to_string());
     print_table(
         &format!(
-            "Flash-crowd growth to {} nodes ({} batches of {batch_size}, {workers} workers; last batch: {shape})",
-            serial.live,
-            batches.len(),
+            "Flash-crowd growth to {} nodes ({} batches of {batch_size})",
+            state.live_len(),
+            batch_ms.count(),
         ),
-        &["path", "median ms/batch", "total s", "fingerprint"],
-        &[
-            vec![
-                "serial_oracle".into(),
-                f3(before_ns / 1e6),
-                f3(serial.batch_ns.iter().sum::<f64>() / 1e9),
-                format!("{:#018x}", serial.fingerprint),
-            ],
-            vec![
-                "parallel_dag".into(),
-                f3(after_ns / 1e6),
-                f3(parallel.batch_ns.iter().sum::<f64>() / 1e9),
-                format!("{:#018x}", parallel.fingerprint),
-            ],
-        ],
+        &["median ms/batch", "total s", "fingerprint"],
+        &[vec![
+            f3(batch_ms.percentile(0.5)),
+            f3(total.as_secs_f64()),
+            format!("{fingerprint:#018x}"),
+        ]],
     );
-    if scale == Scale::Paper {
-        upsert_bench_09(&[PinnedComparison {
-            name: "flashcrowd_batch".into(),
-            before: "serial_oracle".into(),
-            after: "parallel_dag".into(),
-            before_median_ns: before_ns,
-            after_median_ns: after_ns,
-        }]);
-    }
 }

@@ -5,28 +5,12 @@
 //! The sweep runs twice — once with one worker, once with `TAO_WORKERS`
 //! — over identical [`ReplaySpec`]s. Both runs must produce byte-identical
 //! reports (the binary asserts the fingerprints match before printing), so
-//! the parallel fan-out is provably an execution detail. At paper scale
-//! the per-round medians of both runs are re-pinned as the
-//! `replay_parallel` entry of `results/BENCH_09.json`; `TAO_SCALE=mini`
-//! shrinks the request count for smoke runs and writes nothing.
+//! the parallel fan-out is provably an execution detail; the routed
+//! request rates of both runs go to stderr. `TAO_SCALE=mini` shrinks the
+//! request count for smoke runs.
 
-use tao_bench::pinned::{upsert_bench_09, PinnedComparison};
 use tao_bench::replay::{sec6_replay_report, ReplaySpec};
 use tao_bench::Scale;
-
-/// Median of `xs` (destructively sorts a copy).
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    if v.is_empty() {
-        return 0.0;
-    }
-    if v.len() % 2 == 1 {
-        v[v.len() / 2]
-    } else {
-        (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
-    }
-}
 
 fn main() {
     let scale = Scale::from_env();
@@ -55,14 +39,4 @@ fn main() {
         parallel.routed as f64 / (parallel_total / 1e9).max(1e-9),
         workers,
     );
-
-    if scale == Scale::Paper {
-        upsert_bench_09(&[PinnedComparison {
-            name: "replay_parallel".into(),
-            before: "serial_replay".into(),
-            after: "parallel_replay".into(),
-            before_median_ns: median(&serial.round_ns),
-            after_median_ns: median(&parallel.round_ns),
-        }]);
-    }
 }

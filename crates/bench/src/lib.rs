@@ -15,7 +15,6 @@
 use tao_core::ExperimentParams;
 use tao_topology::TransitStubParams;
 
-pub mod pinned;
 pub mod replay;
 
 /// Experiment scale, selected via the `TAO_SCALE` environment variable.

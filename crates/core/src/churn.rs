@@ -1,48 +1,28 @@
-//! Batch churn driver: applies [`ChurnOp`] batches to a CAN overlay plus a
-//! global soft-state map through the dependency-DAG parallel executor
-//! ([`tao_sim::parallel`]), or through the serial oracle when
-//! [`Simulator::use_serial_oracle`] is set.
+//! Batch churn driver: applies [`ChurnOp`] batches, one op at a time in
+//! batch order, to a CAN overlay plus a global soft-state map — the
+//! paper's membership path (§4–§5.2): a join splits one zone and publishes
+//! one soft-state record, a departure hands its zones off and withdraws it.
 //!
-//! The split follows the executor's contract:
-//!
-//! * **prepare** (read-only, runs concurrently inside an antichain) looks up
-//!   the owner of a join point, or snapshots the liveness of a departing
-//!   label. Everything a prepare reads is covered by the op's conservative
-//!   [`Footprint`] (see [`CanOverlay::join_footprint`] /
-//!   [`CanOverlay::depart_footprint`]), so every operation that could change
-//!   the answer is ordered before it by the conflict DAG.
-//! * **commit** (serial, strict batch order) performs the actual
-//!   join/leave, publishes or removes the node's soft-state entry, and
-//!   consumes only its per-op RNG stream seeded from
-//!   [`op_seed`]`(master, index)` — byte-identical no matter how the
-//!   antichains were scheduled. A stale owner hint (possible only through
-//!   multi-hop takeover chains that the conservative footprints do not
-//!   chase) is revalidated and recomputed, never trusted, so committed
-//!   state cannot depend on prepare timing.
+//! Every op draws its randomness from a private stream seeded with
+//! [`op_seed`]`(master, index)`, so the committed state is a function of
+//! `(master seed, batch)` alone. DESIGN.md §11 records why batches are not
+//! scheduled across threads: applying an op is 80 % mutation, so the
+//! read-only share that could run concurrently caps the gain at 1.11× on
+//! two cores.
 //!
 //! [`ChurnState::fingerprint`] hashes the overlay structure, the soft-state
-//! map, and the committed-op stream into one `u64`; the equivalence-test
-//! battery (`tests/parallel_churn_equivalence.rs`) and the
-//! `CHURN_FINGERPRINT` stage of `scripts/ci.sh` compare it across worker
-//! counts and processes.
+//! map, and the committed-op stream into one `u64`; `tests/churn_batches.rs`
+//! and the `CHURN_FINGERPRINT` stage of `scripts/ci.sh` hold it to pinned
+//! constants within and across processes.
 
 use tao_landmark::{LandmarkGrid, LandmarkNumber, LandmarkVector, SpaceFillingCurve};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, Zone};
-use tao_sim::parallel::{op_seed, ChurnOp, ChurnOpKind};
-use tao_sim::{SimDuration, Simulator};
+use tao_sim::{op_seed, ChurnOp, ChurnOpKind, SimDuration, SimTime};
 use tao_softstate::{NodeInfo, SoftStateConfig, ZoneMap};
 use tao_topology::NodeIdx;
 use tao_util::det::DetMap;
-use tao_util::footprint::Footprint;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
-
-pub use tao_sim::parallel::{BatchOutcome, BatchReport};
-
-/// Footprint id-space tag for churn labels (generator-assigned `u64` node
-/// names), kept disjoint from overlay node ids so the two spaces cannot
-/// shadow each other's conflicts.
-const LABEL_TAG: u64 = 1 << 48;
 
 /// One committed churn operation, as recorded in the soft-state stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,23 +41,6 @@ pub struct ChurnRecord {
     pub number: u128,
 }
 
-/// Prepared read-only context handed from the prepare phase to commit.
-#[derive(Debug, Clone)]
-pub struct PreparedOp {
-    /// Owner of the join point at prepare time (`None` for departures, an
-    /// empty overlay, or a label that was already live). Commit
-    /// revalidates the hint and recomputes on staleness, so the committed
-    /// state never depends on prepare timing.
-    pub owner_hint: Option<OverlayNodeId>,
-    /// Overlay id of the departing label at prepare time.
-    pub victim: Option<OverlayNodeId>,
-    /// Landmark vector and number synthesized for a join, from the op's
-    /// private index-seeded RNG — a pure function of `(master seed, batch
-    /// index)`, so computing it concurrently cannot perturb any shared
-    /// stream.
-    pub landmark: Option<(LandmarkVector, LandmarkNumber)>,
-}
-
 /// CAN overlay + global soft-state map + committed-op stream: the shared
 /// state a churn batch mutates.
 #[derive(Debug)]
@@ -89,7 +52,6 @@ pub struct ChurnState {
     next_underlay: u32,
     master_seed: u64,
     log: Vec<ChurnRecord>,
-    stale_hints: u64,
 }
 
 impl ChurnState {
@@ -118,17 +80,14 @@ impl ChurnState {
             next_underlay: 0,
             master_seed,
             log: Vec::new(),
-            stale_hints: 0,
         };
         for label in 0..initial {
-            // Bootstrap joins reuse the committed-join path with a
-            // reserved high index so batch op seeds never collide.
+            // Bootstrap joins seed from a reserved high index, so batch
+            // op seeds never collide with theirs.
             let mut rng = StdRng::seed_from_u64(op_seed(master_seed, u64::MAX - label));
             let point = Point::random(dims, &mut rng);
-            let (vector, number) = state.synth_landmark(&mut rng);
-            state.commit_join(u32::MAX, label, &point, None, vector, number);
+            state.join(label, point, &mut rng);
         }
-        state.log.clear();
         state
     }
 
@@ -152,182 +111,70 @@ impl ChurnState {
         self.live.len()
     }
 
-    /// How many owner hints were stale at commit time (multi-hop takeover
-    /// chains); diagnostic only — deliberately *not* part of
-    /// [`ChurnState::fingerprint`], because serial prepares are always
-    /// fresh.
-    pub fn stale_hints(&self) -> u64 {
-        self.stale_hints
-    }
-
-    /// Conservative conflict footprints for `ops`, one per op, computed
-    /// against the current (pre-batch) state. Every footprint carries the
-    /// op's churn-label id, so all ops on one label serialize; joins add
-    /// the owner neighborhood of their landing point, departures the
-    /// neighborhood of the victim.
-    // tao-lint: allow(panic-reachability, reason = "reaches overlay accessor panics only through footprint queries validated against the live-label map")
-    pub fn footprints(&self, ops: &[ChurnOp]) -> Vec<Footprint> {
-        ops.iter().map(|op| self.op_footprint(op)).collect()
-    }
-
-    /// Conservative conflict footprint for one op (see
-    /// [`ChurnState::footprints`]); read-only, so batch footprints may be
-    /// computed concurrently.
-    // tao-lint: allow(panic-reachability, reason = "reaches overlay accessor panics only through footprint queries validated against the live-label map")
-    pub fn op_footprint(&self, op: &ChurnOp) -> Footprint {
-        let mut fp = Footprint::new();
-        fp.add_id(LABEL_TAG | op.node);
-        match op.kind {
-            ChurnOpKind::Join | ChurnOpKind::Recover => {
-                let point = Point::clamped(op.point.clone());
-                fp.merge(&self.can.join_footprint(&point));
-            }
-            ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                if let Some(&id) = self.live.get(&op.node) {
-                    if let Ok(dfp) = self.can.depart_footprint(id) {
-                        fp.merge(&dfp);
-                    }
-                }
-            }
-        }
-        fp
-    }
-
-    /// Read-only prepare for one op: resolves the join point's owner,
-    /// synthesizes the join's landmark vector and number from the op's
-    /// private index-seeded RNG, or snapshots the victim's liveness.
-    /// Reads only state covered by the op's footprint.
-    // tao-lint: allow(panic-reachability, reason = "owner() is guarded by the emptiness and live-label checks that are its panic preconditions")
-    pub fn prepare_op(&self, index: usize, op: &ChurnOp) -> PreparedOp {
-        match op.kind {
-            ChurnOpKind::Join | ChurnOpKind::Recover => {
-                let owner_hint = if self.can.len() == 0 || self.live.get(&op.node).is_some() {
-                    None
-                } else {
-                    let point = Point::clamped(op.point.clone());
-                    Some(self.can.owner(&point))
-                };
-                let mut rng = StdRng::seed_from_u64(op_seed(self.master_seed, index as u64));
-                PreparedOp {
-                    owner_hint,
-                    victim: None,
-                    landmark: Some(self.synth_landmark(&mut rng)),
-                }
-            }
-            ChurnOpKind::Depart | ChurnOpKind::Crash => PreparedOp {
-                owner_hint: None,
-                victim: self.live.get(&op.node).copied(),
-                landmark: None,
-            },
-        }
-    }
-
-    /// Serial-order commit of one prepared op. All mutation happens here,
-    /// in strict batch order; the only randomness is the op's private
-    /// index-seeded stream, already consumed by prepare.
-    // tao-lint: allow(panic-reachability, reason = "join/leave panics are unreachable for ops validated against the live-label map; the equivalence battery drives every path")
-    pub fn commit_op(&mut self, index: usize, op: &ChurnOp, prep: PreparedOp) -> ChurnRecord {
+    /// Applies one op: performs the join/leave, publishes or removes the
+    /// node's soft-state entry, and appends the outcome to the log. The
+    /// only randomness is the op's private stream seeded from
+    /// [`op_seed`]`(master, index)`.
+    // tao-lint: allow(panic-reachability, reason = "join/leave panics are unreachable for ops validated against the live-label map; tests/churn_batches.rs drives every path")
+    pub fn apply(&mut self, index: usize, op: &ChurnOp) -> ChurnRecord {
+        let noop = ChurnRecord {
+            index: index as u32,
+            kind: op.kind,
+            label: op.node,
+            overlay: u32::MAX,
+            number: 0,
+        };
         let record = match op.kind {
+            // A label that is already live joins nothing.
+            ChurnOpKind::Join | ChurnOpKind::Recover if self.live.get(&op.node).is_some() => noop,
             ChurnOpKind::Join | ChurnOpKind::Recover => {
-                if self.live.get(&op.node).is_some() {
-                    // Label already live: no-op, identically in both paths.
-                    ChurnRecord {
-                        index: index as u32,
-                        kind: op.kind,
-                        label: op.node,
-                        overlay: u32::MAX,
-                        number: 0,
-                    }
-                } else {
-                    let point = Point::clamped(op.point.clone());
-                    // Revalidate the prepared hint; a stale one (multi-hop
-                    // takeover chain) is dropped, never trusted.
-                    let owner = match prep.owner_hint {
-                        Some(hint) if self.can.owns_point(hint, &point).unwrap_or(false) => {
-                            Some(hint)
-                        }
-                        Some(_) => {
-                            self.stale_hints += 1;
-                            None
-                        }
-                        None => None,
-                    };
-                    let (vector, number) = match prep.landmark {
-                        Some(lm) => lm,
-                        None => {
-                            // Defensive fallback for callers that skipped
-                            // prepare; same stream, same result.
-                            let mut rng = StdRng::seed_from_u64(op_seed(
-                                self.master_seed,
-                                index as u64,
-                            ));
-                            self.synth_landmark(&mut rng)
-                        }
-                    };
-                    let mut rec =
-                        self.commit_join(index as u32, op.node, &point, owner, vector, number);
-                    rec.kind = op.kind;
-                    rec
-                }
-            }
-            ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                let overlay = match self.live.remove(&op.node) {
-                    Some(id) => {
-                        if prep.victim != Some(id) {
-                            self.stale_hints += 1;
-                        }
-                        if self.can.leave(id).is_ok() {
-                            self.map.remove(id);
-                            id.0
-                        } else {
-                            u32::MAX
-                        }
-                    }
-                    None => u32::MAX,
-                };
+                let mut rng = StdRng::seed_from_u64(op_seed(self.master_seed, index as u64));
+                let point = Point::clamped(op.point.clone());
+                let (id, number) = self.join(op.node, point, &mut rng);
                 ChurnRecord {
-                    index: index as u32,
-                    kind: op.kind,
-                    label: op.node,
-                    overlay,
-                    number: 0,
+                    overlay: id.0,
+                    number: number.value(),
+                    ..noop
                 }
             }
+            ChurnOpKind::Depart | ChurnOpKind::Crash => match self.live.remove(&op.node) {
+                Some(id) if self.can.leave(id).is_ok() => {
+                    self.map.remove(id);
+                    ChurnRecord { overlay: id.0, ..noop }
+                }
+                _ => noop,
+            },
         };
         self.log.push(record);
         record
     }
 
-    /// Synthesizes a landmark vector and its number from an op's private
-    /// RNG stream; pure in `(grid, curve, rng state)`.
-    fn synth_landmark(&self, rng: &mut StdRng) -> (LandmarkVector, LandmarkNumber) {
-        let ceiling = self.config.grid().ceiling().as_micros();
-        let rtts: Vec<SimDuration> = (0..self.config.grid().dims())
+    /// Applies `ops` in batch order, op `i` at index `i`.
+    // tao-lint: allow(panic-reachability, reason = "loop over ChurnState::apply; same argument")
+    pub fn apply_batch(&mut self, ops: &[ChurnOp]) {
+        for (index, op) in ops.iter().enumerate() {
+            self.apply(index, op);
+        }
+    }
+
+    /// Joins `label` at `point` and publishes its soft-state entry under
+    /// a landmark vector synthesized from `rng`.
+    fn join(
+        &mut self,
+        label: u64,
+        point: Point,
+        rng: &mut StdRng,
+    ) -> (OverlayNodeId, LandmarkNumber) {
+        let grid = self.config.grid();
+        let ceiling = grid.ceiling().as_micros();
+        let rtts: Vec<SimDuration> = (0..grid.dims())
             .map(|_| SimDuration::from_micros(rng.gen_range(0..=ceiling)))
             .collect();
         let vector = LandmarkVector::new(rtts);
-        let number = self.config.grid().landmark_number(&vector, self.config.curve());
-        (vector, number)
-    }
-
-    /// Joins `label` at `point` (splitting `owner` when the validated
-    /// hint is available, searching otherwise) and publishes its
-    /// soft-state entry.
-    fn commit_join(
-        &mut self,
-        index: u32,
-        label: u64,
-        point: &Point,
-        owner: Option<OverlayNodeId>,
-        vector: LandmarkVector,
-        number: LandmarkNumber,
-    ) -> ChurnRecord {
+        let number = grid.landmark_number(&vector, self.config.curve());
         let underlay = NodeIdx(self.next_underlay);
         self.next_underlay += 1;
-        let id = match owner {
-            Some(o) => self.can.join_with_owner(underlay, point.clone(), o),
-            None => self.can.join(underlay, point.clone()),
-        };
+        let id = self.can.join(underlay, point);
         self.live.insert(label, id);
         let info = NodeInfo {
             node: id,
@@ -336,21 +183,13 @@ impl ChurnState {
             number,
             load: None,
         };
-        self.map
-            .publish(info, tao_sim::SimTime::ORIGIN, &self.config);
-        ChurnRecord {
-            index,
-            kind: ChurnOpKind::Join,
-            label,
-            overlay: id.0,
-            number: number.value(),
-        }
+        self.map.publish(info, SimTime::ORIGIN, &self.config);
+        (id, number)
     }
 
     /// FNV-folds the overlay structure (live labels, zones, neighbor
     /// sets), the soft-state map (encoded entries, in key order), and the
-    /// committed-op stream into one digest. Byte-identical serial and
-    /// parallel executions produce equal fingerprints.
+    /// committed-op stream into one digest.
     // tao-lint: allow(panic-reachability, reason = "zones/neighbors errors degrade to empty defaults; zone accessors are indexed by axis < dims by construction")
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -388,37 +227,4 @@ impl ChurnState {
         }
         h
     }
-}
-
-/// Runs one churn batch through `sim`'s configured executor (parallel
-/// wavefronts, or the serial oracle under
-/// [`Simulator::use_serial_oracle`]), committing into `state` in strict
-/// batch order. Returns the executor's schedule report.
-// tao-lint: allow(panic-reachability, reason = "delegates to the executor whose panics are covered by the equivalence battery")
-pub fn run_batch<M, L>(
-    sim: &mut Simulator<M, L>,
-    state: &mut ChurnState,
-    ops: &[ChurnOp],
-) -> BatchReport {
-    // The serial oracle never reads the footprints, and at one effective
-    // worker the executor bypasses conflict analysis entirely — in both
-    // cases don't pay for them. The parallel path computes them
-    // concurrently (each is a read-only overlay query, a pure function of
-    // the pre-batch state).
-    let workers = tao_util::par::workers();
-    let footprints = if sim.serial_oracle_enabled() || workers == 1 {
-        Vec::new()
-    } else if ops.len() > 64 {
-        tao_util::par::par_map(ops.iter().collect(), workers, |op| state.op_footprint(op))
-    } else {
-        state.footprints(ops)
-    };
-    let outcome = sim.run_churn_batch(
-        state,
-        ops,
-        &footprints,
-        ChurnState::prepare_op,
-        ChurnState::commit_op,
-    );
-    outcome.report
 }

@@ -25,7 +25,6 @@
 //! decision downstream — taker choice, greedy tie-breaks, table builds —
 //! is byte-identical to the previous layout.
 
-use tao_util::footprint::Footprint;
 use std::error::Error;
 use std::fmt;
 
@@ -456,61 +455,6 @@ impl CanOverlay {
         list.map(Vec::as_slice).ok_or(OverlayError::UnknownNode(id))
     }
 
-    /// Conservative churn footprint of a join landing on `point`: the
-    /// zone boxes and ids of the point's current owner and of every
-    /// current neighbor of that owner.  A join splits the owner's zone
-    /// and rewrites the neighbor sets of exactly those nodes, so any
-    /// other churn operation whose footprint touches this one must be
-    /// ordered against the join ([`Footprint::conflicts`] treats
-    /// abutting boxes as overlapping, which covers CAN adjacency).
-    ///
-    /// Returns [`Footprint::global`] when the overlay is empty or the
-    /// point has the wrong dimensionality — bootstrap joins serialize
-    /// against everything instead of panicking.
-    // tao-lint: allow(panic-reachability, reason = "owner() is only called after the empty-overlay and dimensionality guards that are exactly its panic preconditions")
-    pub fn join_footprint(&self, point: &Point) -> Footprint {
-        if self.root.is_none() || point.dims() != self.dims {
-            return Footprint::global();
-        }
-        self.footprint_around(self.owner(point))
-    }
-
-    /// Conservative churn footprint of a departure (or crash) of `id`:
-    /// the zone boxes and ids of `id` and of every current neighbor.
-    /// A departure hands `id`'s zones to a neighboring taker and
-    /// rewrites the neighbor sets of exactly those nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
-    // tao-lint: allow(panic-reachability, reason = "bounds slices are indexed by a live node id validated by ensure_live")
-    pub fn depart_footprint(&self, id: OverlayNodeId) -> Result<Footprint, OverlayError> {
-        self.ensure_live(id)?;
-        Ok(self.footprint_around(id))
-    }
-
-    /// Folds `id`'s zones and ids plus those of all its neighbors into
-    /// one footprint (the common core of join/depart footprints).
-    fn footprint_around(&self, id: OverlayNodeId) -> Footprint {
-        let mut fp = Footprint::new();
-        self.fold_node_footprint(&mut fp, id);
-        let nbs = self.neighbors.get(id.index()).map(Vec::as_slice).unwrap_or(&[]);
-        for &nb in nbs {
-            self.fold_node_footprint(&mut fp, nb);
-        }
-        fp
-    }
-
-    /// Adds one node's id, primary zone box, and extra zone boxes to `fp`.
-    fn fold_node_footprint(&self, fp: &mut Footprint, id: OverlayNodeId) {
-        let i = id.index();
-        fp.add_id(i as u64);
-        fp.add_box(self.primary_lo(i), self.primary_hi(i));
-        for z in self.extra.get(i).into_iter().flatten() {
-            fp.add_box(z.lo_slice(), z.hi_slice());
-        }
-    }
-
     /// The owner of `point`.
     ///
     /// # Panics
@@ -671,67 +615,17 @@ impl CanOverlay {
     /// Panics if the point has the wrong dimensionality.
     pub fn join(&mut self, underlay: NodeIdx, point: Point) -> OverlayNodeId {
         assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        if let Some(id) = self.bootstrap_join(underlay) {
-            return id;
+        if self.root.is_none() {
+            // The first node owns the whole space.
+            let whole = Zone::whole(self.dims);
+            let new_id = self.push_node(underlay, &whole);
+            self.arena.push(ArenaNode::Leaf(new_id));
+            self.root = Some(0);
+            self.live_count = 1;
+            self.index.insert(&whole, new_id);
+            return new_id;
         }
         let owner = self.owner(&point);
-        self.split_join(underlay, &point, owner)
-    }
-
-    /// Like [`CanOverlay::join`], but takes a pre-resolved `owner` hint —
-    /// typically computed by a read-only prepare phase — and skips the
-    /// owner search when the hint still owns `point`. A stale hint (the
-    /// owner changed between lookup and join) falls back to a fresh
-    /// search, so the resulting overlay state is identical to
-    /// [`CanOverlay::join`] no matter how old the hint is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point has the wrong dimensionality.
-    // tao-lint: allow(panic-reachability, reason = "documented dimensionality panic; stale or dead hints degrade to the fresh owner search")
-    pub fn join_with_owner(
-        &mut self,
-        underlay: NodeIdx,
-        point: Point,
-        owner: OverlayNodeId,
-    ) -> OverlayNodeId {
-        assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        if let Some(id) = self.bootstrap_join(underlay) {
-            return id;
-        }
-        let owner = if self.owns_point(owner, &point).unwrap_or(false) {
-            owner
-        } else {
-            self.owner(&point)
-        };
-        self.split_join(underlay, &point, owner)
-    }
-
-    /// Handles the empty-overlay join (first node owns the whole space);
-    /// returns `None` when the overlay is already bootstrapped.
-    fn bootstrap_join(&mut self, underlay: NodeIdx) -> Option<OverlayNodeId> {
-        if self.root.is_some() {
-            return None;
-        }
-        let whole = Zone::whole(self.dims);
-        let new_id = self.push_node(underlay, &whole);
-        self.arena.push(ArenaNode::Leaf(new_id));
-        self.root = Some(0);
-        self.live_count = 1;
-        self.index.insert(&whole, new_id);
-        Some(new_id)
-    }
-
-    /// Splits `owner`'s zone at `point` and installs the new node: the
-    /// shared tail of [`CanOverlay::join`] and
-    /// [`CanOverlay::join_with_owner`], after owner resolution.
-    fn split_join(
-        &mut self,
-        underlay: NodeIdx,
-        point: &Point,
-        owner: OverlayNodeId,
-    ) -> OverlayNodeId {
-        let point = point.clone();
         // Split the specific zone that contains the join point (the owner
         // may hold extra zones taken over from departed neighbors): the
         // primary zone is checked first, matching the acquisition order.

@@ -44,7 +44,6 @@
 //! assert!(route.hop_count() <= 64);
 //! ```
 
-use tao_util::footprint::Footprint;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_topology::RttOracle;
@@ -544,34 +543,6 @@ impl EcanOverlay {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Conservative churn footprint of a join landing on `point` —
-    /// the underlying CAN footprint ([`CanOverlay::join_footprint`]).
-    /// A join only splits a zone and rewrites CAN adjacency; expressway
-    /// tables are built for the new node afterwards without mutating
-    /// anyone else's table, so no extra ids are needed.
-    // tao-lint: allow(panic-reachability, reason = "delegates to the CAN footprint query, whose panics are guarded by its own preconditions")
-    pub fn join_footprint(&self, point: &Point) -> Footprint {
-        self.can.join_footprint(point)
-    }
-
-    /// Conservative churn footprint of a departure of `id`: the CAN
-    /// footprint ([`CanOverlay::depart_footprint`]) plus the ids of
-    /// every dependent whose expressway table references `id` — the
-    /// repair pass of [`EcanOverlay::depart_and_repair`] rewrites
-    /// exactly those tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
-    // tao-lint: allow(panic-reachability, reason = "CAN footprint panics are guarded by ensure_live; dependents_of degrades to an empty list")
-    pub fn depart_footprint(&self, id: OverlayNodeId) -> Result<Footprint, OverlayError> {
-        let mut fp = self.can.depart_footprint(id)?;
-        for d in self.dependents_of(id) {
-            fp.add_id(d.index() as u64);
-        }
-        Ok(fp)
     }
 
     /// The high-order zones enclosing `id`'s CAN zone, order 2 upward

@@ -386,8 +386,8 @@ impl PastryOverlay {
 
     /// Prefix routing: at each hop, use the table entry matching one more
     /// digit of the key; fall back to the numerically closest known node
-    /// (leaf set ∪ table) that improves on the current distance; terminate
-    /// at the key's root.
+    /// (leaf set ∪ table) that keeps the shared prefix and improves on the
+    /// current distance; terminate at the key's root.
     ///
     /// # Errors
     ///
@@ -432,8 +432,13 @@ impl PastryOverlay {
                 .table_entry(current, p, wanted)
                 .filter(|&n| self.nodes.contains_key(&n))
                 .or_else(|| {
-                    // Rare case: no table entry — take any known node
-                    // strictly closer to the key numerically.
+                    // Rare case: no table entry — take a known node that
+                    // shares at least as long a prefix with the key and is
+                    // strictly closer to it numerically. A table hop
+                    // lengthens the prefix but may move away numerically,
+                    // so a closer node with a *shorter* prefix could hand
+                    // the message straight back; with both conditions
+                    // (prefix length, closeness) only ever grows.
                     let here = ring_distance(current, key);
                     self.leaves(current)
                         .iter()
@@ -448,7 +453,9 @@ impl PastryOverlay {
                                 .copied(),
                         )
                         .filter(|&n| self.nodes.contains_key(&n))
-                        .filter(|&n| ring_distance(n, key) < here)
+                        .filter(|&n| {
+                            shared_prefix_len(n, key) >= p && ring_distance(n, key) < here
+                        })
                         .min_by_key(|&n| (ring_distance(n, key), n))
                 });
             let Some(next) = next else {
@@ -588,6 +595,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A table hop may move numerically away from the key, so the rare-case
+    /// fallback must not trade prefix length for closeness: here `a` (prefix
+    /// `7F`, no `7FF` entry) knows `b` (prefix-less but numerically closer),
+    /// and `b`'s row-0 entry for digit 7 is `a`.
+    #[test]
+    fn rare_case_fallback_keeps_the_shared_prefix() {
+        struct Prefer([PastryId; 2]);
+        impl EntrySelector for Prefer {
+            fn select(&mut self, _: PastryId, candidates: &[PastryId], _: &PastryOverlay) -> PastryId {
+                let preferred = self.0.iter().find(|p| candidates.contains(p));
+                *preferred.unwrap_or(&candidates[0])
+            }
+        }
+        let key: PastryId = 0x7FFF_FFFF_FFFF_FFF0;
+        let a: PastryId = 0x7F00_0000_0000_0000;
+        let b: PastryId = 0x8010_0000_0000_0000;
+        let root: PastryId = 0x8000_0000_0000_0001;
+        let mut o = PastryOverlay::new(2);
+        // Two fillers on either side of `a` keep `root` out of its leaf set.
+        let fillers = [0x1000 << 48, 0x2000 << 48, a + 1, a + 2];
+        for (i, id) in [a, b, root].into_iter().chain(fillers).enumerate() {
+            o.join(NodeIdx(i as u32), id);
+        }
+        o.build_tables(&mut Prefer([a, b]));
+        assert_eq!(o.table_entry(a, 0, 8), Some(b));
+        assert_eq!(o.table_entry(b, 0, 7), Some(a));
+        assert!(!o.leaves(a).contains(&root));
+        assert_eq!(o.root_of(key).unwrap(), root);
+        let route = o.route(a, key).unwrap();
+        assert_eq!(route.hops, [a, a + 2, root]);
     }
 
     #[test]

@@ -150,9 +150,6 @@ pub struct Simulator<M, L> {
     /// step loop's allocator traffic at the 10^6-node scale.
     scratch_outgoing: Vec<(NodeId, NodeId, M)>,
     scratch_timers: Vec<(SimDuration, NodeId, M)>,
-    /// When set, [`Simulator::run_churn_batch`] routes through the serial
-    /// oracle instead of the wavefront executor.
-    serial_oracle: bool,
 }
 
 impl<M, L> Simulator<M, L> {
@@ -169,59 +166,6 @@ impl<M, L> Simulator<M, L> {
             last_event: None,
             scratch_outgoing: Vec::new(),
             scratch_timers: Vec::new(),
-            serial_oracle: false,
-        }
-    }
-
-    /// Routes subsequent [`Simulator::run_churn_batch`] calls through the
-    /// serial oracle ([`crate::parallel::execute_serial`]) instead of the
-    /// conflict-DAG wavefront executor. The two paths must produce
-    /// byte-identical overlay state, RNG streams, and soft-state entry
-    /// streams; the equivalence-test battery and the `CHURN_FINGERPRINT`
-    /// CI stage flip this switch to prove it.
-    pub fn use_serial_oracle(&mut self) {
-        self.serial_oracle = true;
-    }
-
-    /// True when [`Simulator::use_serial_oracle`] has been called.
-    pub fn serial_oracle_enabled(&self) -> bool {
-        self.serial_oracle
-    }
-
-    /// Applies a batch of churn operations against external state `S`
-    /// (typically an overlay arena), dispatching to the serial oracle or
-    /// the parallel wavefront executor depending on
-    /// [`Simulator::use_serial_oracle`].
-    ///
-    /// `footprints` must be parallel to `ops` (one conservative
-    /// [`tao_util::footprint::Footprint`] per operation, produced by the
-    /// overlay's read-side conflict queries). `prepare` is the read-only
-    /// half of each operation and may run concurrently on
-    /// `TAO_WORKERS` threads; `commit` performs all mutation and all
-    /// shared-RNG consumption, strictly in batch order — see the
-    /// [`crate::parallel`] module docs for the footprint contract that
-    /// makes the two paths byte-identical.
-    // tao-lint: allow(panic-reachability, reason = "delegates to the batch executor; panics only propagate from caller-supplied closures")
-    pub fn run_churn_batch<S, T, P, R, FP, FC>(
-        &mut self,
-        state: &mut S,
-        ops: &[T],
-        footprints: &[tao_util::footprint::Footprint],
-        prepare: FP,
-        commit: FC,
-    ) -> crate::parallel::BatchOutcome<R>
-    where
-        S: Sync,
-        T: Sync,
-        P: Send,
-        FP: Fn(&S, usize, &T) -> P + Sync,
-        FC: FnMut(&mut S, usize, &T, P) -> R,
-    {
-        if self.serial_oracle {
-            crate::parallel::execute_serial(state, ops, prepare, commit)
-        } else {
-            let workers = tao_util::par::workers();
-            crate::parallel::execute_batch(state, ops, footprints, workers, prepare, commit)
         }
     }
 

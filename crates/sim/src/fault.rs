@@ -43,11 +43,59 @@
 //! ```
 
 use crate::engine::NodeId;
-use crate::parallel::{op_seed, ChurnOp, ChurnOpKind};
 use tao_util::time::{SimDuration, SimTime};
 use tao_util::det::{DetMap, DetSet};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
+
+/// The kind of a pending membership operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChurnOpKind {
+    /// A node joins the overlay at a coordinate point.
+    Join,
+    /// A node leaves gracefully, handing its zone off.
+    Depart,
+    /// A node fails without handoff (soft-state expiry recovers it).
+    Crash,
+    /// A previously crashed node rejoins.
+    Recover,
+}
+
+/// One pending membership operation, as emitted by the [`FaultPlan`]
+/// batch scenario generators (flash crowd, stub-domain crash, diurnal
+/// wave).
+///
+/// The descriptor is overlay-agnostic: `node` names an underlay node
+/// (the consumer maps it to overlay identifiers), and `point` carries
+/// the join coordinate for [`ChurnOpKind::Join`] /
+/// [`ChurnOpKind::Recover`] (empty otherwise).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChurnOp {
+    /// What the operation does.
+    pub kind: ChurnOpKind,
+    /// Virtual time at which the operation fires.
+    pub at: SimTime,
+    /// Underlay node the operation concerns.
+    pub node: u64,
+    /// Join/recover coordinate (one entry per axis; empty for
+    /// depart/crash).
+    pub point: Vec<f64>,
+}
+
+/// Derives a per-operation RNG seed from the master seed and the
+/// operation's batch index (SplitMix64 finalizer, matching the
+/// workspace `StdRng` generator family).
+///
+/// The batch generators below and the consumers that apply a batch
+/// both seed per-op RNGs with this function, so an operation's random
+/// draws depend on `(master seed, index)` alone — never on how much of
+/// a shared stream earlier operations consumed.
+pub fn op_seed(master: u64, index: u64) -> u64 {
+    let mut z = master ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// One scheduled partition window: nodes in `island` cannot exchange
 /// messages with nodes outside it while `from <= now < until`.
@@ -255,10 +303,10 @@ impl FaultPlan {
     /// (`first_node`, `first_node + 1`, …) join at uniform random points,
     /// at firing times drawn per-op within `[start, start + spread]`.
     /// The batch is sorted by firing time (ties by node id), which is the
-    /// serial commit order the parallel executor must reproduce.
+    /// order it is applied in.
     ///
     /// Every random draw comes from a per-op RNG seeded with
-    /// [`crate::parallel::op_seed`]`(plan seed, op index)`, so generating
+    /// [`op_seed`]`(plan seed, op index)`, so generating
     /// a batch never perturbs the plan's drop/jitter/duplicate decision
     /// stream, and the same plan seed always yields the same batch.
     pub fn flash_crowd(
@@ -334,7 +382,7 @@ impl FaultPlan {
     /// …; each departure picks a uniformly random previously-introduced
     /// node (the consumer skips departures of nodes that never joined).
     ///
-    /// Per-op randomness derives from [`crate::parallel::op_seed`] exactly
+    /// Per-op randomness derives from [`op_seed`] exactly
     /// as in [`FaultPlan::flash_crowd`].
     pub fn diurnal_wave(
         &self,
@@ -423,6 +471,23 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn op_seed_is_deterministic_and_spreads() {
+        assert_eq!(op_seed(42, 0), op_seed(42, 0));
+        let a = op_seed(42, 0);
+        let b = op_seed(42, 1);
+        let c = op_seed(43, 0);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        // Distinct indices under one master produce distinct seeds on
+        // a realistic batch size.
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..10_000u64 {
+            seen.insert(op_seed(7, i));
+        }
+        assert_eq!(seen.len(), 10_000);
     }
 
     #[test]

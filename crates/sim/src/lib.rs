@@ -14,10 +14,9 @@
 //! * [`FaultPlan`] — seeded, bit-reproducible fault injection: message loss,
 //!   jitter/reordering, duplicates, partitions with heal times, and
 //!   crash-stop / crash-recover schedules — plus batch churn scenario
-//!   generators (flash crowd, stub-domain crash, diurnal wave),
-//! * [`parallel`] — the dependency-DAG churn executor: batches of
-//!   membership operations prepared in parallel on `TAO_WORKERS` threads
-//!   and committed in serial order, byte-identical to the serial oracle.
+//!   generators (flash crowd, stub-domain crash, diurnal wave) emitting
+//!   [`ChurnOp`] batches, which consumers apply in order with per-op RNGs
+//!   seeded by [`op_seed`].
 //!
 //! The paper's soft-state machinery (TTL decay, refresh timers,
 //! publish/subscribe notifications) is time-driven; running it on virtual
@@ -54,13 +53,11 @@
 mod engine;
 mod event;
 mod fault;
-pub mod parallel;
 mod stats;
 
 pub use engine::{Engine, LatencyModel, Message, NodeId, Simulator, UniformLatency};
 pub use event::{EventQueue, HeapQueue, ScheduledEvent};
-pub use fault::FaultPlan;
-pub use parallel::{ChurnOp, ChurnOpKind};
+pub use fault::{op_seed, ChurnOp, ChurnOpKind, FaultPlan};
 pub use stats::NetStats;
 // The time newtypes live in `tao_util::time` so that the layers below the
 // simulator (topology, landmark, overlay, proximity, softstate) can speak

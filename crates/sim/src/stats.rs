@@ -92,8 +92,8 @@ impl NetStats {
     /// Difference since an earlier snapshot. Counters subtract
     /// saturatingly: if `earlier` is not actually an earlier snapshot of
     /// this stats block (a caller bug), the affected deltas clamp to zero
-    /// instead of panicking — batch executors snapshot around every churn
-    /// wave, so a poisoned panic path here would tear down whole sweeps.
+    /// instead of panicking — sweeps snapshot around every phase, so a
+    /// panic path here would tear down a whole run.
     pub fn since(&self, earlier: NetStats) -> NetStats {
         let sub = |a: u64, b: u64| a.saturating_sub(b);
         NetStats {

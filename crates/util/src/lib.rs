@@ -13,7 +13,6 @@
 //! | [`bench`] | `criterion` | `bench_fn` median-of-N timing, JSON lines to `results/` |
 //! | [`bytes`] | `bytes` | big-endian `ByteWriter`/`ByteReader` |
 //! | [`det`] | `std::collections::Hash{Map,Set}` | `DetMap`/`DetSet` with deterministic iteration order |
-//! | [`footprint`] | — | conflict footprints shared by the overlay arena and the parallel churn executor |
 //! | [`par`] | `rayon` | order-preserving `par_map` over scoped threads, `TAO_WORKERS` knob |
 //! | [`time`] | `std::time` | virtual-time `SimTime`/`SimDuration` newtypes (re-exported by `tao-sim`) |
 //!
@@ -30,7 +29,6 @@ pub mod bench;
 pub mod bytes;
 pub mod check;
 pub mod det;
-pub mod footprint;
 pub mod par;
 pub mod rand;
 pub mod time;

@@ -54,7 +54,7 @@ where
     // inline and skip the scoped-thread machinery entirely. The result
     // is identical by construction — par_map is order-preserving — so
     // this is pure overhead removal for the single-core/single-item
-    // cases, which fine-grained wavefront executors hit constantly.
+    // cases.
     if workers == 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }

@@ -265,33 +265,27 @@ if [ "$fp1" != "$fp2" ]; then
 fi
 echo "fault determinism: OK ($fp1)"
 
-# Parallel churn determinism: the canonical three-scenario churn run
-# (flash crowd + stub-domain crash + diurnal wave) must produce one
-# digest from the serial oracle and the conflict-DAG executor alike, at
-# different TAO_WORKERS values, in separate processes.
+# Churn determinism: the canonical three-scenario churn run (flash crowd +
+# stub-domain crash + diurnal wave), applied in batch order, must print the
+# same digest line in two separate processes. (The test itself holds the
+# digest and the op count to pinned constants.)
 churn_fingerprint() {
-    TAO_WORKERS="$1" cargo test -q --offline -p tao-core \
-        --test parallel_churn_equivalence churn_fingerprint_for_ci \
-        -- --nocapture 2>&1 | grep '^CHURN_FINGERPRINT'
+    cargo test -q --offline -p tao-core --test churn_batches \
+        churn_fingerprint_for_ci -- --nocapture 2>&1 | grep '^CHURN_FINGERPRINT'
 }
-cfp2=$(churn_fingerprint 2)
-cfp8=$(churn_fingerprint 8)
-if [ -z "$cfp2" ] || [ -z "$cfp8" ]; then
+cfp1=$(churn_fingerprint)
+cfp2=$(churn_fingerprint)
+if [ -z "$cfp1" ]; then
     echo "FAIL: churn fingerprint test produced no fingerprint line." >&2
     exit 1
 fi
-c2_serial=$(printf '%s\n' "$cfp2" | sed -nE 's/.*serial=([0-9a-fx]+).*/\1/p')
-c2_parallel=$(printf '%s\n' "$cfp2" | sed -nE 's/.*parallel=([0-9a-fx]+).*/\1/p')
-c8_serial=$(printf '%s\n' "$cfp8" | sed -nE 's/.*serial=([0-9a-fx]+).*/\1/p')
-c8_parallel=$(printf '%s\n' "$cfp8" | sed -nE 's/.*parallel=([0-9a-fx]+).*/\1/p')
-if [ -z "$c2_serial" ] || [ "$c2_serial" != "$c2_parallel" ] \
-    || [ "$c2_serial" != "$c8_serial" ] || [ "$c8_serial" != "$c8_parallel" ]; then
-    echo "FAIL: churn digests diverged across executors or worker counts." >&2
-    echo "  TAO_WORKERS=2: $cfp2" >&2
-    echo "  TAO_WORKERS=8: $cfp8" >&2
+if [ "$cfp1" != "$cfp2" ]; then
+    echo "FAIL: churn fingerprint diverged across processes." >&2
+    echo "  run 1: $cfp1" >&2
+    echo "  run 2: $cfp2" >&2
     exit 1
 fi
-echo "parallel churn determinism: OK ($cfp2)"
+echo "churn determinism: OK ($cfp1)"
 
 # Soft-state store fingerprint: a fixed lookup / refresh / expire / remove /
 # churn script on a seeded N = 256 system, digested in order. The test
@@ -317,11 +311,8 @@ if [ "$sfp1" != "$sfp2" ]; then
 fi
 echo "soft-state store determinism: OK ($sfp1)"
 
-# Smoke: the churn example runs its bonus simulation under a lossy plan,
-# and the parallel-churn example proves oracle/executor agreement on the
-# three batch scenarios.
+# Smoke: the churn example runs its bonus simulation under a lossy plan.
 cargo run -q --release --offline --example churn_and_pubsub > /dev/null
-cargo run -q --release --offline --example parallel_churn > /dev/null
 echo "faults stage: OK"
 
 # ---- Perf smoke: bench suite one-shot + pinned baseline artifacts. ----------
@@ -371,29 +362,6 @@ assert queue, "BENCH_06.json records no event_queue comparison"
 best = max(c["speedup"] for c in queue)
 assert best >= 5.0, f"committed event-queue speedup regressed below 5x: {best}"
 print(f"BENCH_06.json: OK ({len(comparisons)} comparisons, best event-queue speedup {best}x)")
-EOF
-# The pinned PR-9 baselines — parallel replay, flash-crowd re-pin — must
-# parse and keep the shared schema. (BENCH_09.json is a merge target:
-# sec6_replay and fig_flashcrowd each re-pin only their own entries. The
-# routing ledger is benchmark/'s route_replay workload.)
-python3 - <<'EOF'
-import json
-with open("results/BENCH_09.json") as f:
-    doc = json.load(f)
-assert doc["pr"] == 9, f"BENCH_09.json carries wrong pr: {doc['pr']}"
-comparisons = doc["comparisons"]
-assert comparisons, "BENCH_09.json has no comparisons"
-for c in comparisons:
-    for key in ("name", "before", "after", "before_median_ns", "after_median_ns", "speedup"):
-        assert key in c, f"comparison missing {key!r}: {c}"
-names = [c["name"] for c in comparisons]
-assert names == sorted(names), f"BENCH_09.json comparisons not sorted: {names}"
-flash = [c for c in comparisons if c["name"] == "flashcrowd_batch"]
-assert flash, "BENCH_09.json records no flashcrowd_batch comparison"
-assert flash[0]["before"] == "serial_oracle" and flash[0]["after"] == "parallel_dag"
-replay = [c for c in comparisons if c["name"] == "replay_parallel"]
-assert replay, "BENCH_09.json records no replay_parallel comparison"
-print(f"BENCH_09.json: OK ({len(comparisons)} comparisons)")
 EOF
 echo "perf smoke: OK"
 

@@ -247,10 +247,8 @@ fn ecan_survives_interleaved_churn_with_reselection() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch churn scenarios through the dependency-DAG parallel executor:
-// structural invariants must hold not just at the end of a batch but after
-// every committed antichain (the observer fires on each committed prefix,
-// which covers every antichain boundary).
+// Batch churn scenarios applied in batch order: structural invariants must
+// hold not just at the end of a batch but after every single op.
 // ---------------------------------------------------------------------------
 
 /// The three `FaultPlan` batch scenario generators, concatenated: a flash
@@ -278,265 +276,166 @@ fn scenario_batches(seed: u64, dims: usize) -> Vec<Vec<tao_sim::ChurnOp>> {
 }
 
 #[test]
-fn can_invariants_hold_after_every_committed_antichain() {
+fn can_invariants_hold_after_every_batch_op() {
     use tao_core::churn::ChurnState;
-    use tao_sim::parallel::execute_batch_observed;
     let mut state = ChurnState::new(2, 0xbc_01, 32);
     for ops in scenario_batches(0xbc_01, 2) {
-        let fps = state.footprints(&ops);
-        execute_batch_observed(
-            &mut state,
-            &ops,
-            &fps,
-            4,
-            ChurnState::prepare_op,
-            ChurnState::commit_op,
-            |s: &ChurnState, _committed| s.can().check_invariants(),
-        );
+        for (i, op) in ops.iter().enumerate() {
+            state.apply(i, op);
+            state.can().check_invariants();
+        }
     }
     assert!(state.live_len() > 16, "scenarios must leave a live overlay");
 }
 
 #[test]
-fn tacan_invariants_hold_after_every_committed_antichain() {
-    use tao_sim::parallel::{execute_batch_observed, op_seed, ChurnOpKind, Footprint};
+fn tacan_invariants_hold_after_every_batch_op() {
+    use tao_sim::{op_seed, ChurnOpKind};
     use tao_util::det::DetMap;
     const LANDMARKS: usize = 4;
-    struct St {
-        tacan: TaCanOverlay,
-        live: DetMap<u64, tao_overlay::OverlayNodeId>,
-        next_underlay: u32,
-        seed: u64,
-    }
-    let mut st = St {
-        tacan: TaCanOverlay::new(2, LANDMARKS).expect("valid config"),
-        live: DetMap::new(),
-        next_underlay: 0,
-        seed: 0xbc_02,
-    };
-    let mut boot = StdRng::seed_from_u64(st.seed);
+    let seed = 0xbc_02;
+    let mut tacan = TaCanOverlay::new(2, LANDMARKS).expect("valid config");
+    let mut live = DetMap::new();
+    let mut next_underlay = 0u32;
+    let mut boot = StdRng::seed_from_u64(seed);
     for label in 0..32u64 {
         let ordering: Vec<usize> =
             (0..LANDMARKS).map(|i| (i + label as usize) % LANDMARKS).collect();
-        let id = st.tacan.join(NodeIdx(st.next_underlay), &ordering, &mut boot);
-        st.next_underlay += 1;
-        st.live.insert(label, id);
+        let id = tacan.join(NodeIdx(next_underlay), &ordering, &mut boot);
+        next_underlay += 1;
+        live.insert(label, id);
     }
-    for ops in scenario_batches(st.seed, 2) {
-        // TA-CAN joins draw their landing point from the per-op RNG inside
-        // commit, so their footprint is the conservative global one;
-        // departures use the victim's zone neighborhood.
-        let fps: Vec<Footprint> = ops
-            .iter()
-            .map(|op| match op.kind {
-                ChurnOpKind::Join | ChurnOpKind::Recover => Footprint::global(),
-                _ => {
-                    let mut fp = Footprint::new();
-                    fp.add_id((1 << 48) | op.node);
-                    if let Some(&id) = st.live.get(&op.node) {
-                        if let Ok(dfp) = st.tacan.can().depart_footprint(id) {
-                            fp.merge(&dfp);
-                        }
-                    }
-                    fp
-                }
-            })
-            .collect();
-        execute_batch_observed(
-            &mut st,
-            &ops,
-            &fps,
-            4,
-            |_s: &St, _i, _op: &tao_sim::ChurnOp| (),
-            |s: &mut St, i, op: &tao_sim::ChurnOp, _p| {
-                let mut rng = StdRng::seed_from_u64(op_seed(s.seed, i as u64));
-                match op.kind {
-                    ChurnOpKind::Join | ChurnOpKind::Recover => {
-                        if s.live.get(&op.node).is_none() {
-                            let ordering: Vec<usize> =
-                                (0..LANDMARKS).map(|k| (k + i) % LANDMARKS).collect();
-                            let id = s.tacan.join(NodeIdx(s.next_underlay), &ordering, &mut rng);
-                            s.next_underlay += 1;
-                            s.live.insert(op.node, id);
-                        }
-                    }
-                    ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                        if let Some(id) = s.live.remove(&op.node) {
-                            s.tacan.leave(id).expect("victim is live");
-                        }
+    for ops in scenario_batches(seed, 2) {
+        for (i, op) in ops.iter().enumerate() {
+            // TA-CAN joins draw their landing point from the per-op RNG.
+            let mut rng = StdRng::seed_from_u64(op_seed(seed, i as u64));
+            match op.kind {
+                ChurnOpKind::Join | ChurnOpKind::Recover => {
+                    if live.get(&op.node).is_none() {
+                        let ordering: Vec<usize> =
+                            (0..LANDMARKS).map(|k| (k + i) % LANDMARKS).collect();
+                        let id = tacan.join(NodeIdx(next_underlay), &ordering, &mut rng);
+                        next_underlay += 1;
+                        live.insert(op.node, id);
                     }
                 }
-            },
-            |s: &St, _committed| s.tacan.check_invariants(),
-        );
+                ChurnOpKind::Depart | ChurnOpKind::Crash => {
+                    if let Some(id) = live.remove(&op.node) {
+                        tacan.leave(id).expect("victim is live");
+                    }
+                }
+            }
+            tacan.check_invariants();
+        }
     }
-    assert!(st.live.len() > 16);
+    assert!(live.len() > 16);
 }
 
 #[test]
-fn ecan_invariants_hold_after_every_committed_antichain() {
-    use tao_sim::parallel::{execute_batch_observed, op_seed, ChurnOpKind, Footprint};
+fn ecan_invariants_hold_after_every_batch_op() {
+    use tao_sim::{op_seed, ChurnOpKind};
     use tao_util::det::DetMap;
-    struct St {
-        ecan: EcanOverlay,
-        live: DetMap<u64, tao_overlay::OverlayNodeId>,
-        next_underlay: u32,
-        seed: u64,
-    }
+    let seed = 0xbc_03;
     let mut can = CanOverlay::new(2).expect("2-d CAN");
-    let mut boot = StdRng::seed_from_u64(0xbc_03);
+    let mut boot = StdRng::seed_from_u64(seed);
     let mut live = DetMap::new();
     for label in 0..32u64 {
         live.insert(label, can.join(NodeIdx(label as u32), Point::random(2, &mut boot)));
     }
-    let mut st = St {
-        ecan: EcanOverlay::build(can, &mut RandomSelector::new(0xbc_03)),
-        live,
-        next_underlay: 32,
-        seed: 0xbc_03,
-    };
-    for ops in scenario_batches(st.seed, 2) {
-        let fps: Vec<Footprint> = ops
-            .iter()
-            .map(|op| {
-                let mut fp = Footprint::new();
-                fp.add_id((1 << 48) | op.node);
-                match op.kind {
-                    ChurnOpKind::Join | ChurnOpKind::Recover => {
-                        fp.merge(&st.ecan.join_footprint(&Point::clamped(op.point.clone())));
-                    }
-                    _ => {
-                        if let Some(&id) = st.live.get(&op.node) {
-                            if let Ok(dfp) = st.ecan.depart_footprint(id) {
-                                fp.merge(&dfp);
-                            }
-                        }
+    let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(seed));
+    let mut next_underlay = 32u32;
+    for ops in scenario_batches(seed, 2) {
+        for (i, op) in ops.iter().enumerate() {
+            // Joins split zones out from under other nodes' expressway
+            // representatives, so per-op soundness needs a full
+            // reselection (tests/churn_batches.rs covers the cheaper
+            // incremental repair path).
+            let mut changed = false;
+            match op.kind {
+                ChurnOpKind::Join | ChurnOpKind::Recover => {
+                    if live.get(&op.node).is_none() {
+                        let id = ecan.join_unselected(
+                            NodeIdx(next_underlay),
+                            Point::clamped(op.point.clone()),
+                        );
+                        next_underlay += 1;
+                        live.insert(op.node, id);
+                        changed = true;
                     }
                 }
-                fp
-            })
-            .collect();
-        execute_batch_observed(
-            &mut st,
-            &ops,
-            &fps,
-            4,
-            |_s: &St, _i, _op: &tao_sim::ChurnOp| (),
-            |s: &mut St, i, op: &tao_sim::ChurnOp, _p| {
-                // Joins split zones out from under other nodes'
-                // expressway representatives, so per-antichain soundness
-                // needs a full per-op reselection (the equivalence battery
-                // covers the cheaper incremental repair path).
-                let per_op = op_seed(s.seed, i as u64);
-                let mut changed = false;
-                match op.kind {
-                    ChurnOpKind::Join | ChurnOpKind::Recover => {
-                        if s.live.get(&op.node).is_none() {
-                            let id = s.ecan.join_unselected(
-                                NodeIdx(s.next_underlay),
-                                Point::clamped(op.point.clone()),
-                            );
-                            s.next_underlay += 1;
-                            s.live.insert(op.node, id);
-                            changed = true;
-                        }
-                    }
-                    ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                        if let Some(id) = s.live.remove(&op.node) {
-                            s.ecan.depart(id).expect("victim is live");
-                            changed = true;
-                        }
+                ChurnOpKind::Depart | ChurnOpKind::Crash => {
+                    if let Some(id) = live.remove(&op.node) {
+                        ecan.depart(id).expect("victim is live");
+                        changed = true;
                     }
                 }
-                if changed {
-                    s.ecan.reselect(&mut RandomSelector::new(per_op));
-                }
-            },
-            |s: &St, _committed| s.ecan.check_invariants(),
-        );
+            }
+            if changed {
+                ecan.reselect(&mut RandomSelector::new(op_seed(seed, i as u64)));
+            }
+            ecan.check_invariants();
+        }
     }
-    assert!(st.live.len() > 16);
+    assert!(live.len() > 16);
 }
 
 #[test]
-fn pastry_and_chord_invariants_hold_after_every_committed_antichain() {
-    use tao_sim::parallel::{execute_batch_observed, op_seed, ChurnOpKind, Footprint};
+fn pastry_and_chord_invariants_hold_after_every_batch_op() {
+    use tao_sim::{op_seed, ChurnOpKind};
     use tao_util::det::DetMap;
-    // Pastry and Chord have no zone geometry the conflict rule can
-    // exploit: every op gets a global footprint, so the DAG degenerates
-    // to the serial chain — the conservative fallback the executor must
-    // still drive correctly. Tables are rebuilt per commit so structural
-    // invariants are checkable after every committed prefix.
-    struct St {
-        pastry: PastryOverlay,
-        ring: ChordOverlay,
-        live: DetMap<u64, u64>,
-        next_underlay: u32,
-        seed: u64,
-    }
-    let mut st = St {
-        pastry: PastryOverlay::new(8),
-        ring: ChordOverlay::new(),
-        live: DetMap::new(),
-        next_underlay: 0,
-        seed: 0xbc_04,
-    };
-    let mut boot = StdRng::seed_from_u64(st.seed);
+    // Tables are rebuilt per op so structural invariants are checkable
+    // after every one.
+    let seed = 0xbc_04;
+    let mut pastry = PastryOverlay::new(8);
+    let mut ring = ChordOverlay::new();
+    let mut live: DetMap<u64, u64> = DetMap::new();
+    let mut next_underlay = 0u32;
+    let mut boot = StdRng::seed_from_u64(seed);
     for label in 0..32u64 {
         let key: u64 = boot.gen();
-        st.pastry.join(NodeIdx(st.next_underlay), key);
-        st.ring.join(NodeIdx(st.next_underlay), key);
-        st.next_underlay += 1;
-        st.live.insert(label, key);
+        pastry.join(NodeIdx(next_underlay), key);
+        ring.join(NodeIdx(next_underlay), key);
+        next_underlay += 1;
+        live.insert(label, key);
     }
-    st.pastry.build_tables(&mut RandomEntrySelector::new(st.seed));
-    st.ring.build_fingers(&mut RandomFingerSelector::new(st.seed));
-    for ops in scenario_batches(st.seed, 2) {
-        let fps: Vec<Footprint> = ops.iter().map(|_| Footprint::global()).collect();
-        execute_batch_observed(
-            &mut st,
-            &ops,
-            &fps,
-            4,
-            |_s: &St, _i, _op: &tao_sim::ChurnOp| (),
-            |s: &mut St, i, op: &tao_sim::ChurnOp, _p| {
-                let per_op = op_seed(s.seed, i as u64);
-                let mut changed = false;
-                match op.kind {
-                    ChurnOpKind::Join | ChurnOpKind::Recover => {
-                        if s.live.get(&op.node).is_none() {
-                            // Key derived from the churn label, not the
-                            // batch index: indexes restart at 0 for every
-                            // batch, and a repeated key would be a
-                            // double-join.
-                            let key: u64 = op_seed(s.seed, op.node);
-                            s.pastry.join(NodeIdx(s.next_underlay), key);
-                            s.ring.join(NodeIdx(s.next_underlay), key);
-                            s.next_underlay += 1;
-                            s.live.insert(op.node, key);
-                            changed = true;
-                        }
-                    }
-                    ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                        if let Some(key) = s.live.remove(&op.node) {
-                            s.pastry.leave(key).expect("victim is live");
-                            s.ring.leave(key).expect("victim is live");
-                            changed = true;
-                        }
+    pastry.build_tables(&mut RandomEntrySelector::new(seed));
+    ring.build_fingers(&mut RandomFingerSelector::new(seed));
+    for ops in scenario_batches(seed, 2) {
+        for (i, op) in ops.iter().enumerate() {
+            let per_op = op_seed(seed, i as u64);
+            let mut changed = false;
+            match op.kind {
+                ChurnOpKind::Join | ChurnOpKind::Recover => {
+                    if live.get(&op.node).is_none() {
+                        // Key derived from the churn label, not the
+                        // batch index: indexes restart at 0 for every
+                        // batch, and a repeated key would be a
+                        // double-join.
+                        let key: u64 = op_seed(seed, op.node);
+                        pastry.join(NodeIdx(next_underlay), key);
+                        ring.join(NodeIdx(next_underlay), key);
+                        next_underlay += 1;
+                        live.insert(op.node, key);
+                        changed = true;
                     }
                 }
-                if changed {
-                    s.pastry.build_tables(&mut RandomEntrySelector::new(per_op));
-                    s.ring.build_fingers(&mut RandomFingerSelector::new(per_op));
+                ChurnOpKind::Depart | ChurnOpKind::Crash => {
+                    if let Some(key) = live.remove(&op.node) {
+                        pastry.leave(key).expect("victim is live");
+                        ring.leave(key).expect("victim is live");
+                        changed = true;
+                    }
                 }
-            },
-            |s: &St, _committed| {
-                s.pastry.check_invariants();
-                s.ring.check_invariants();
-            },
-        );
+            }
+            if changed {
+                pastry.build_tables(&mut RandomEntrySelector::new(per_op));
+                ring.build_fingers(&mut RandomFingerSelector::new(per_op));
+            }
+            pastry.check_invariants();
+            ring.check_invariants();
+        }
     }
-    assert!(st.live.len() > 16);
+    assert!(live.len() > 16);
 }
 
 #[test]

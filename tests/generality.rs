@@ -103,3 +103,24 @@ fn all_three_families_are_deterministic_per_seed() {
     let p2 = PastryAware::build(&topo, p, 9).measure_routing_stretch(160, 1);
     assert_eq!(p1, p2);
 }
+
+/// The `generality` binary's first Pastry cell at `TAO_SCALE=mini` (its
+/// topology, build and route seeds): with optimal entries on this
+/// 256-node membership a table hop moves numerically away from one key,
+/// and unless the rare-case fallback keeps the shared prefix the two
+/// rules undo each other and the route never reaches the root.
+#[test]
+fn pastry_routes_terminate_on_the_mini_generality_membership() {
+    let topo = generate_transit_stub(
+        &TransitStubParams::tsk_large_mini(),
+        LatencyAssignment::manual(),
+        201,
+    );
+    let params = ExperimentParams {
+        overlay_nodes: 256,
+        selection: SelectionStrategy::Optimal,
+        ..Default::default()
+    };
+    let stretch = PastryAware::build(&topo, params, 202).measure_routing_stretch(512, 203);
+    assert!(stretch.count() > 256, "most routes must be measurable");
+}
