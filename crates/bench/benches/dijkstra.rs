@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the topology substrate: transit-stub generation,
-//! single-source Dijkstra, and cached RTT measurement on the mini presets.
+//! Micro-benchmarks of the topology substrate on the mini presets:
+//! transit-stub generation, single-source Dijkstra, the factored distance
+//! index's build (one per topology) and a distance read from it.
 
 use tao_topology::{
-    generate_transit_stub, shortest_paths, LatencyAssignment, NodeIdx, RttOracle, SpCache,
-    TransitStubParams,
+    generate_transit_stub, shortest_paths, LatencyAssignment, NodeIdx, RttOracle, TransitStubParams,
 };
 use tao_util::bench::{bench_fn, black_box};
 
@@ -26,12 +26,6 @@ fn bench_dijkstra() {
     bench_fn("dijkstra_mini_topology", || {
         black_box(shortest_paths(topo.graph(), black_box(NodeIdx(0))));
     });
-
-    let cache = SpCache::new();
-    cache.distances(topo.graph(), NodeIdx(0));
-    bench_fn("cached_distance_lookup", || {
-        black_box(cache.distance(topo.graph(), black_box(NodeIdx(0)), black_box(NodeIdx(900))));
-    });
 }
 
 fn bench_rtt_oracle() {
@@ -40,10 +34,17 @@ fn bench_rtt_oracle() {
         LatencyAssignment::manual(),
         9,
     );
+    // Clones share their graph's index; an identity re-weighting detaches
+    // this one, so every iteration builds afresh.
+    bench_fn("distance_index_build", || {
+        let mut graph = topo.graph().clone();
+        graph.reassign_latencies(|_, latency| latency);
+        black_box(RttOracle::new(graph));
+    });
     let oracle = RttOracle::new(topo.graph().clone());
-    oracle.warm(&[NodeIdx(5)]);
-    bench_fn("rtt_measure_warm", || {
-        black_box(oracle.measure(black_box(NodeIdx(777)), black_box(NodeIdx(5))));
+    assert!(oracle.is_factored());
+    bench_fn("ground_truth_factored", || {
+        black_box(oracle.ground_truth(black_box(NodeIdx(777)), black_box(NodeIdx(5))));
     });
 }
 

@@ -1,32 +1,27 @@
-//! PR-4 pinned performance baseline: before/after pairs for the two
-//! optimisations of that PR that still keep a reference kernel, each
-//! measured against it.
+//! PR-4 pinned performance baseline: the before/after pair of that PR's
+//! one optimisation that still keeps a reference kernel, measured against
+//! it.
 //!
-//! * Dijkstra landmark probes — recomputing the source vector per probe
-//!   (what a capacity-flushed cache cost before `warm()` pinning) vs a
-//!   pinned single-flight [`SpCache`] hit. The raw adjacency-vs-CSR
-//!   kernels are also timed and land in `results/bench.jsonl`.
 //! * Zone membership — the `nodes_in` tree walk
 //!   ([`CanOverlay::nodes_in_scan`]) vs the incremental Morton index.
 //!
-//! (The soft-state pairs — hosted lookup, expiry sweep — are gone with
-//! their public reference kernels; `benchmark/`'s `churn_mix` workload and
-//! its `softstate.*` trace rows are that layer's ledger, and PR 4's numbers
-//! stay in EXPERIMENTS.md.)
+//! (The soft-state pairs — hosted lookup, expiry sweep — and the Dijkstra
+//! landmark-probe pair are gone with their kernels: the pinned `SpCache`
+//! hit no longer exists, `shortest_paths_scan` is a test oracle, and
+//! `benchmark/`'s `churn_mix` / `fig_build` workloads with their
+//! `softstate.*` / `topology.read_hit_ns` trace rows are those layers'
+//! ledger. PR 4's numbers stay in EXPERIMENTS.md.)
 //!
 //! Under `cargo bench … -- --bench` the before/after medians are also
 //! written to `results/BENCH_04.json`; under `cargo test` everything runs
 //! once as a smoke check and nothing is written.
 
-use tao_util::bench::{bench_fn, bench_fn_captured, black_box, results_path, BenchResult};
+use tao_util::bench::{bench_fn_captured, black_box, results_path, BenchResult};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
 
 use tao_overlay::{CanOverlay, Point, Zone};
-use tao_topology::{
-    generate_transit_stub, shortest_paths, shortest_paths_scan, LatencyAssignment, NodeIdx,
-    SpCache, TransitStubParams,
-};
+use tao_topology::NodeIdx;
 
 /// One optimisation's before/after medians.
 struct Comparison {
@@ -54,39 +49,6 @@ fn pair(
         before: before?,
         after: after?,
     })
-}
-
-fn bench_dijkstra() -> Option<Comparison> {
-    let topo = generate_transit_stub(
-        &TransitStubParams::tsk_large_mini(),
-        LatencyAssignment::gt_itm(),
-        7,
-    );
-    let g = topo.graph();
-    // The raw kernels, for the trajectory log: nested adjacency lists vs
-    // the flat CSR stream (same asymptotics, better locality).
-    bench_fn("dijkstra_adjacency_scan", || {
-        black_box(shortest_paths_scan(g, black_box(NodeIdx(0))));
-    });
-    bench_fn("dijkstra_csr", || {
-        black_box(shortest_paths(g, black_box(NodeIdx(0))));
-    });
-    // The workload pair: a landmark probe before this PR re-ran Dijkstra
-    // whenever churn flushed the landmark's vector out of the capacity-
-    // bounded cache; `warm()` pins now survive flushes, so the probe is a
-    // cache hit.
-    let landmark = NodeIdx(5);
-    let probe = NodeIdx(777);
-    let before = bench_fn_captured("landmark_probe_recompute", || {
-        let v = shortest_paths_scan(g, black_box(landmark));
-        black_box(v[probe.index()]);
-    });
-    let cache = SpCache::new();
-    cache.warm(g, &[landmark]);
-    let after = bench_fn_captured("landmark_probe_pinned_cache", || {
-        black_box(cache.distance(g, black_box(landmark), black_box(probe)));
-    });
-    pair("dijkstra_landmark_probe", before, after)
 }
 
 fn bench_nodes_in() -> Option<Comparison> {
@@ -129,13 +91,7 @@ fn write_bench_04(comparisons: &[Comparison]) {
 }
 
 fn main() {
-    let comparisons: Vec<Comparison> = [
-        bench_dijkstra(),
-        bench_nodes_in(),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
+    let comparisons: Vec<Comparison> = bench_nodes_in().into_iter().collect();
     // Smoke mode (cargo test) captures nothing and must write nothing.
     if !comparisons.is_empty() {
         write_bench_04(&comparisons);

@@ -2,10 +2,9 @@
 //! `Mutex::lock`/`RwLock::read`/`RwLock::write`/`Condvar::wait` sites,
 //! plus the poisoning-escape and shared-capture rules.
 //!
-//! Lock identity is `(file-stem, receiver name)` — `self.in_flight`
-//! inside `shortest_path.rs` is the lock `shortest_path.in_flight`
-//! everywhere it appears — which keeps keys line-free and stable across
-//! edits. Guard lifetimes are approximated from the token stream:
+//! Lock identity is `(file-stem, receiver name)` — `work` inside
+//! `par.rs` is the lock `par.work` everywhere it appears — which keeps
+//! keys line-free and stable across edits. Guard lifetimes are approximated from the token stream:
 //!
 //! * a `let`-bound guard is held to the end of its enclosing block;
 //! * a guard born in an `if`/`while`/`match` condition is held through
@@ -67,7 +66,7 @@ enum Binding {
 /// One lock acquisition inside a function body.
 #[derive(Debug)]
 struct Acq {
-    /// Stable lock identity (`shortest_path.in_flight`).
+    /// Stable lock identity (`par.work`).
     lock: String,
     /// 1-based line of the acquiring method token.
     line: u32,

@@ -53,10 +53,9 @@ pub fn true_nearest(
     pool: impl IntoIterator<Item = NodeIdx>,
     oracle: &RttOracle,
 ) -> Option<(NodeIdx, SimDuration)> {
-    let distances = oracle.ground_truth_all(query);
     pool.into_iter()
         .filter(|&n| n != query)
-        .map(|n| (n, distances[n.index()]))
+        .map(|n| (n, oracle.ground_truth(query, n)))
         .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
 }
 

@@ -2,8 +2,11 @@
 //! with transit/stub labels on nodes and link classes on edges.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use tao_util::time::SimDuration;
+
+use crate::distance_index::DistanceIndex;
 
 /// Index of a router in a [`Graph`]. Dense, starting at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,6 +117,16 @@ impl Csr {
     }
 }
 
+/// What is computed from a graph on first use and dropped by every
+/// mutation. Clones share it: the figure cells that each clone one
+/// topology build its CSR view and distance index once between them.
+#[derive(Debug, Default)]
+struct Derived {
+    csr: OnceLock<Csr>,
+    /// `None` inside: the graph does not factor (see [`DistanceIndex`]).
+    index: OnceLock<Option<Arc<DistanceIndex>>>,
+}
+
 /// An undirected router graph with latency-weighted edges.
 ///
 /// # Example
@@ -134,8 +147,9 @@ pub struct Graph {
     kinds: Vec<NodeKind>,
     adj: Vec<Vec<Edge>>,
     edge_count: usize,
-    /// Lazily-built CSR mirror of `adj`; invalidated by every mutation.
-    csr: std::sync::OnceLock<Csr>,
+    /// Lazily-built CSR mirror of `adj` and distance index; replaced by
+    /// every mutation.
+    derived: Arc<Derived>,
 }
 
 impl Graph {
@@ -149,7 +163,7 @@ impl Graph {
         let idx = NodeIdx(self.kinds.len() as u32);
         self.kinds.push(kind);
         self.adj.push(Vec::new());
-        self.csr = std::sync::OnceLock::new();
+        self.derived = Arc::default();
         idx
     }
 
@@ -166,7 +180,7 @@ impl Graph {
         self.adj[a.index()].push(Edge { to: b, latency, class });
         self.adj[b.index()].push(Edge { to: a, latency, class });
         self.edge_count += 1;
-        self.csr = std::sync::OnceLock::new();
+        self.derived = Arc::default();
     }
 
     /// `true` if an edge between `a` and `b` already exists.
@@ -225,7 +239,13 @@ impl Graph {
 
     /// The CSR adjacency view, built on first use after any mutation.
     pub(crate) fn csr(&self) -> &Csr {
-        self.csr.get_or_init(|| Csr::build(&self.adj))
+        self.derived.csr.get_or_init(|| Csr::build(&self.adj))
+    }
+
+    /// The factored distance index, built on first use after any mutation;
+    /// `None` when the graph does not factor.
+    pub(crate) fn distance_index(&self) -> Option<&Arc<DistanceIndex>> {
+        self.derived.index.get_or_init(|| DistanceIndex::build(self).map(Arc::new)).as_ref()
     }
 
     /// `true` if every router can reach every other (BFS from node 0).
@@ -255,7 +275,7 @@ impl Graph {
     /// Used by [`LatencyAssignment`](crate::LatencyAssignment) to re-weight
     /// an already-built graph.
     pub fn reassign_latencies(&mut self, mut f: impl FnMut(EdgeClass, SimDuration) -> SimDuration) {
-        self.csr = std::sync::OnceLock::new();
+        self.derived = Arc::default();
         // Visit each undirected edge once (from the lower endpoint), then
         // mirror the new weight onto the reverse half-edge.
         for a in 0..self.adj.len() {

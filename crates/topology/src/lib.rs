@@ -11,10 +11,12 @@
 //!   domains, all domains are internally connected random graphs,
 //! * [`LatencyAssignment`] — the paper's two link-latency settings: random
 //!   ("GT-ITM default") and manual per-link-class constants,
-//! * [`shortest_paths`] / [`SpCache`] — Dijkstra with a per-source cache,
+//! * [`shortest_paths`] — single-source Dijkstra over the CSR adjacency,
 //! * [`RttOracle`] — RTT "measurements" (shortest-path latency) with a probe
 //!   counter, so experiments can report *number of RTT measurements* exactly
-//!   as the paper does,
+//!   as the paper does; an O(1) read of the factored distance index on
+//!   single-homed transit-stub graphs (all the generator emits), one
+//!   Dijkstra row per source touched on any other graph,
 //! * [`landmarks`] — landmark-node placement strategies.
 //!
 //! The two topologies the paper uses are provided as presets:
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod distance_index;
 mod graph;
 pub mod landmarks;
 mod latency;
@@ -52,7 +55,7 @@ mod transit_stub;
 pub use graph::{EdgeClass, Graph, NodeIdx, NodeKind};
 pub use latency::{LatencyAssignment, LatencyRanges, ManualLatencies};
 pub use rtt::RttOracle;
-pub use shortest_path::{shortest_paths, shortest_paths_scan, SpCache};
+pub use shortest_path::shortest_paths;
 pub use transit_stub::{
     generate_transit_stub, ParamsError, Topology, TransitStubParams, TransitStubParamsBuilder,
 };

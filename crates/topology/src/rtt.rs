@@ -13,12 +13,21 @@ use std::sync::Arc;
 
 use tao_util::time::SimDuration;
 
+use crate::distance_index::DistanceIndex;
 use crate::graph::{Graph, NodeIdx};
-use crate::shortest_path::SpCache;
+use crate::shortest_path::SourceRows;
+
+/// Where distances come from: the graph's factored index when its stub
+/// domains are single-homed, per-source Dijkstra rows for any other graph.
+#[derive(Debug, Clone)]
+enum Distances {
+    Factored(Arc<DistanceIndex>),
+    Rows(Arc<SourceRows>),
+}
 
 /// Measures RTTs over a router graph, counting every probe.
 ///
-/// Clones share the underlying counter and shortest-path cache, so an oracle
+/// Clones share the underlying counter and distance tables, so an oracle
 /// can be handed to several cooperating components while the experiment
 /// driver keeps a handle for reading the meter.
 ///
@@ -38,18 +47,29 @@ use crate::shortest_path::SpCache;
 #[derive(Debug, Clone)]
 pub struct RttOracle {
     graph: Arc<Graph>,
-    cache: Arc<SpCache>,
+    distances: Distances,
     probes: Arc<AtomicU64>,
 }
 
 impl RttOracle {
-    /// Creates an oracle over `graph` with a fresh cache and meter.
+    /// Creates an oracle over `graph` with a fresh meter, building the
+    /// graph's distance index unless a clone of it already has.
     pub fn new(graph: Graph) -> Self {
+        let distances = match graph.distance_index() {
+            Some(index) => Distances::Factored(Arc::clone(index)),
+            None => Distances::Rows(Arc::new(SourceRows::new(graph.node_count()))),
+        };
         RttOracle {
             graph: Arc::new(graph),
-            cache: Arc::new(SpCache::new()),
+            distances,
             probes: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// `true` when distances are read from the factored index (every stub
+    /// domain single-homed on a transit router), not from Dijkstra rows.
+    pub fn is_factored(&self) -> bool {
+        matches!(self.distances, Distances::Factored(_))
     }
 
     /// The underlying router graph.
@@ -63,7 +83,7 @@ impl RttOracle {
     /// algorithms only ever compare RTTs, so the factor of two is immaterial.
     pub fn measure(&self, a: NodeIdx, b: NodeIdx) -> SimDuration {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        self.cache.distance(&self.graph, a, b)
+        self.ground_truth(a, b)
     }
 
     /// The latency between `a` and `b` *without* charging the meter.
@@ -71,21 +91,33 @@ impl RttOracle {
     /// For computing ground-truth optima (the denominators of stretch), never
     /// for algorithm logic.
     pub fn ground_truth(&self, a: NodeIdx, b: NodeIdx) -> SimDuration {
-        self.cache.distance(&self.graph, a, b)
+        match &self.distances {
+            Distances::Factored(index) => index.distance(a, b),
+            Distances::Rows(rows) => rows.distance(&self.graph, a, b),
+        }
     }
 
-    /// Ground-truth distance vector from `source` (uncounted).
+    /// Ground-truth distance vector from `source` (uncounted). For callers
+    /// that consume the whole row; a few entries are cheaper pairwise.
     pub fn ground_truth_all(&self, source: NodeIdx) -> Arc<Vec<SimDuration>> {
-        self.cache.distances(&self.graph, source)
+        match &self.distances {
+            Distances::Factored(index) => {
+                let row = self.graph.nodes().map(|b| index.distance(source, b));
+                Arc::new(row.collect())
+            }
+            Distances::Rows(rows) => Arc::clone(rows.row(&self.graph, source)),
+        }
     }
 
-    /// Pre-computes (and pins in cache) the distance vectors of `sources`.
-    ///
-    /// Measuring many nodes against a fixed landmark set afterwards costs
-    /// one cache hit per probe instead of one Dijkstra per node. The pins
-    /// survive capacity flushes of the underlying [`SpCache`].
+    /// Pre-computes the rows of `sources` (a landmark set) on a graph
+    /// without the index; returns at once when [`RttOracle::is_factored`].
+    /// Kept for `benchmark/src/traced.rs`, goes with it (ROADMAP item 2).
     pub fn warm(&self, sources: &[NodeIdx]) {
-        self.cache.warm(&self.graph, sources);
+        if let Distances::Rows(rows) = &self.distances {
+            for &s in sources {
+                rows.row(&self.graph, s);
+            }
+        }
     }
 
     /// Total probes charged so far.
@@ -93,7 +125,7 @@ impl RttOracle {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Resets the probe meter to zero (the cache is kept).
+    /// Resets the probe meter to zero.
     pub fn reset_measurements(&self) {
         self.probes.store(0, Ordering::Relaxed);
     }

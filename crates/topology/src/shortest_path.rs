@@ -1,19 +1,46 @@
-//! Single-source shortest paths (Dijkstra) and a per-source cache.
-//!
-//! Every "RTT" in the simulation is a shortest-path latency over the router
-//! graph — exactly what GT-ITM-based studies do. Experiments repeatedly ask
-//! for distances from the same sources (landmarks, query nodes), so
-//! [`SpCache`] memoises whole distance vectors per source; it is `Sync`, so
-//! parameter sweeps can share one cache across threads.
+//! Single-source shortest paths (Dijkstra) and lazily computed per-source
+//! rows. Every "RTT" in the simulation is a shortest-path latency over the
+//! router graph, as in GT-ITM-based studies; generated graphs answer from
+//! [`crate::distance_index`], any other graph from [`SourceRows`].
 
-use std::collections::BinaryHeap;
 use std::cmp::Reverse;
-use tao_util::det::{DetMap, DetSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
+
 use tao_util::time::SimDuration;
 
-use crate::graph::{Graph, NodeIdx};
+use crate::graph::{Csr, Graph, NodeIdx};
+
+/// The Dijkstra kernel: distances from `source` into `dist`, over the
+/// edges of `csr` whose target passes `keep`. `dist` must arrive filled
+/// with [`SimDuration::MAX`]; `heap` arrives and leaves empty, so one
+/// allocation serves many runs.
+pub(crate) fn dijkstra_into(
+    csr: &Csr,
+    source: u32,
+    dist: &mut [SimDuration],
+    heap: &mut BinaryHeap<Reverse<(SimDuration, u32)>>,
+    keep: impl Fn(u32) -> bool,
+) {
+    // One contiguous edge stream per settled node. Staleness is detected by
+    // distance comparison alone, so there is no `done` bitmap to touch per
+    // edge.
+    dist[source as usize] = SimDuration::ZERO;
+    heap.push(Reverse((SimDuration::ZERO, source)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry: u was settled at a smaller distance
+        }
+        for e in csr.row(u as usize).iter().filter(|e| keep(e.to)) {
+            let nd = d + e.weight;
+            let slot = &mut dist[e.to as usize];
+            if nd < *slot {
+                *slot = nd;
+                heap.push(Reverse((nd, e.to)));
+            }
+        }
+    }
+}
 
 /// Computes shortest-path latencies from `source` to every router.
 ///
@@ -40,223 +67,43 @@ use crate::graph::{Graph, NodeIdx};
 pub fn shortest_paths(graph: &Graph, source: NodeIdx) -> Vec<SimDuration> {
     let n = graph.node_count();
     assert!(source.index() < n, "source {source} out of range");
-    // The inner loop runs over the graph's flat CSR adjacency: one
-    // contiguous edge stream per settled node instead of a per-node
-    // Vec<Edge>. Staleness is detected by distance comparison alone, so
-    // there is no `done` bitmap to touch per edge.
-    let csr = graph.csr();
     let mut dist = vec![SimDuration::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(SimDuration, NodeIdx)>> =
-        BinaryHeap::with_capacity(n.min(1 + graph.edge_count()));
-    dist[source.index()] = SimDuration::ZERO;
-    heap.push(Reverse((SimDuration::ZERO, source)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue; // stale entry: u was settled at a smaller distance
-        }
-        for e in csr.row(u.index()) {
-            let nd = d + e.weight;
-            let slot = &mut dist[e.to as usize];
-            if nd < *slot {
-                *slot = nd;
-                heap.push(Reverse((nd, NodeIdx(e.to))));
-            }
-        }
-    }
+    let mut heap = BinaryHeap::with_capacity(n.min(1 + graph.edge_count()));
+    dijkstra_into(graph.csr(), source.0, &mut dist, &mut heap, |_| true);
     dist
 }
 
-/// Reference Dijkstra over the nested adjacency lists
-/// ([`Graph::neighbors`]), kept as the benchmark "before" kernel for the
-/// CSR inner loop above. Produces identical output.
-pub fn shortest_paths_scan(graph: &Graph, source: NodeIdx) -> Vec<SimDuration> {
-    let n = graph.node_count();
-    assert!(source.index() < n, "source {source} out of range");
-    let mut dist = vec![SimDuration::MAX; n];
-    let mut done = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(SimDuration, NodeIdx)>> = BinaryHeap::new();
-    dist[source.index()] = SimDuration::ZERO;
-    heap.push(Reverse((SimDuration::ZERO, source)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if done[u.index()] {
-            continue;
-        }
-        done[u.index()] = true;
-        for (v, w, _) in graph.neighbors(u) {
-            if done[v.index()] {
-                continue;
-            }
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    dist
-}
-
-/// A thread-safe per-source cache of shortest-path vectors.
-///
-/// # Example
-///
-/// ```
-/// use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, SpCache,
-///                    TransitStubParams};
-///
-/// let topo = generate_transit_stub(
-///     &TransitStubParams::tsk_small_mini(), LatencyAssignment::manual(), 7);
-/// let cache = SpCache::new();
-/// let d1 = cache.distances(topo.graph(), NodeIdx(0));
-/// let d2 = cache.distances(topo.graph(), NodeIdx(0));
-/// assert!(std::sync::Arc::ptr_eq(&d1, &d2)); // second call is a cache hit
-/// ```
+/// Per-source distance rows for graphs the factored index does not cover:
+/// each row is one whole-graph Dijkstra, run by the first thread to touch
+/// it while any others wait on the row's [`OnceLock`].
 #[derive(Debug)]
-pub struct SpCache {
-    inner: RwLock<DetMap<NodeIdx, Arc<Vec<SimDuration>>>>,
-    /// Sources some thread is currently computing; misses on these wait on
-    /// `flight_done` instead of duplicating the Dijkstra (single-flight).
-    in_flight: Mutex<DetSet<NodeIdx>>,
-    flight_done: Condvar,
-    /// Sources pinned by [`SpCache::warm`]; they survive capacity flushes
-    /// so a full cache still answers landmark probes without recomputing.
-    pinned: RwLock<DetSet<NodeIdx>>,
-    /// Total Dijkstra runs this cache has performed (for tests/benches).
-    computations: AtomicU64,
-    capacity: usize,
-}
+pub(crate) struct SourceRows(Vec<OnceLock<Arc<Vec<SimDuration>>>>);
 
-impl Default for SpCache {
-    fn default() -> Self {
-        SpCache::new()
-    }
-}
-
-impl SpCache {
-    /// Creates an empty cache with the default capacity (8192 sources).
-    pub fn new() -> Self {
-        SpCache::with_capacity(8192)
+impl SourceRows {
+    /// Empty rows for a graph of `n` routers.
+    pub(crate) fn new(n: usize) -> Self {
+        SourceRows((0..n).map(|_| OnceLock::new()).collect())
     }
 
-    /// Creates an empty cache bounded to `capacity` source vectors. When the
-    /// bound is exceeded the cache is flushed wholesale (vectors are cheap
-    /// to recompute; an eviction policy is not worth its bookkeeping here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be at least 1");
-        SpCache {
-            inner: RwLock::new(DetMap::new()),
-            in_flight: Mutex::new(DetSet::new()),
-            flight_done: Condvar::new(),
-            pinned: RwLock::new(DetSet::new()),
-            computations: AtomicU64::new(0),
-            capacity,
-        }
+    /// The distance row of `source`, computed on first use.
+    pub(crate) fn row(&self, graph: &Graph, source: NodeIdx) -> &Arc<Vec<SimDuration>> {
+        self.0[source.index()].get_or_init(|| Arc::new(shortest_paths(graph, source)))
     }
 
-    /// Returns the distance vector from `source`, computing it on first use.
-    ///
-    /// Concurrent misses on the same source are single-flighted: one thread
-    /// runs the Dijkstra while the others wait for its insert, so a
-    /// parameter sweep hammering a shared cache performs each computation
-    /// exactly once.
-    pub fn distances(&self, graph: &Graph, source: NodeIdx) -> Arc<Vec<SimDuration>> {
-        loop {
-            if let Some(hit) = self.inner.read().expect("sp cache poisoned").get(&source) { // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                return Arc::clone(hit);
-            }
-            // Claim the computation, or wait for whoever holds the claim.
-            {
-                let mut fl = self.in_flight.lock().expect("sp cache poisoned"); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                if fl.contains(&source) {
-                    while fl.contains(&source) {
-                        fl = self.flight_done.wait(fl).expect("sp cache poisoned"); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                    }
-                    // The owner inserted before releasing its claim;
-                    // re-read (the vector could only vanish to a flush
-                    // triggered by some other source, in which case we
-                    // claim it ourselves next time around).
-                    continue;
-                }
-                // A previous owner may have finished between our cache miss
-                // and taking this lock; don't recompute what just landed.
-                if let Some(hit) = self.inner.read().expect("sp cache poisoned").get(&source) { // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                    return Arc::clone(hit);
-                }
-                fl.insert(source);
-            }
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            let computed = Arc::new(shortest_paths(graph, source));
-            let result = {
-                let mut w = self.inner.write().expect("sp cache poisoned"); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                if w.len() >= self.capacity {
-                    // Flush wholesale, but keep warm()-pinned vectors: the
-                    // landmark set must never pay a second Dijkstra.
-                    let pinned = self.pinned.read().expect("sp cache poisoned"); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                    if pinned.is_empty() {
-                        w.clear();
-                    } else {
-                        w.retain(|k, _| pinned.contains(k));
-                    }
-                }
-                Arc::clone(w.entry(source).or_insert(computed))
-            };
-            self.in_flight
-                .lock()
-                .expect("sp cache poisoned") // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-                .remove(&source);
-            self.flight_done.notify_all();
-            return result;
-        }
+    /// The latency from `a` to `b` (symmetric). Prefers whichever endpoint's
+    /// row exists, so measuring many nodes against a fixed landmark set
+    /// costs one Dijkstra per landmark, not one per node.
+    pub(crate) fn distance(&self, graph: &Graph, a: NodeIdx, b: NodeIdx) -> SimDuration {
+        let cached = |x: NodeIdx, y: NodeIdx| self.0[x.index()].get().map(|row| row[y.index()]);
+        cached(a, b)
+            .or_else(|| cached(b, a))
+            .unwrap_or_else(|| self.row(graph, a)[b.index()])
     }
 
-    /// Computes and *pins* the distance vectors of `sources`: pinned
-    /// vectors survive capacity flushes until [`SpCache::clear`].
-    pub fn warm(&self, graph: &Graph, sources: &[NodeIdx]) {
-        for &s in sources {
-            self.pinned.write().expect("sp cache poisoned").insert(s); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-            let _ = self.distances(graph, s);
-        }
-    }
-
-    /// Total Dijkstra computations performed (cache misses) so far.
-    pub fn computations(&self) -> u64 {
-        self.computations.load(Ordering::Relaxed)
-    }
-
-    /// The latency from `a` to `b` (symmetric). Prefers whichever endpoint
-    /// is already cached, so e.g. measuring many nodes against a fixed
-    /// landmark set costs one Dijkstra per landmark, not one per node.
-    pub fn distance(&self, graph: &Graph, a: NodeIdx, b: NodeIdx) -> SimDuration {
-        {
-            let r = self.inner.read().expect("sp cache poisoned"); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-            if let Some(v) = r.get(&a) {
-                return v[b.index()];
-            }
-            if let Some(v) = r.get(&b) {
-                return v[a.index()];
-            }
-        }
-        self.distances(graph, a)[b.index()]
-    }
-
-    /// Number of cached source vectors.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("sp cache poisoned").len() // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-    }
-
-    /// `true` if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().expect("sp cache poisoned").is_empty() // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-    }
-
-    /// Drops all cached vectors, pinned ones included.
-    pub fn clear(&self) {
-        self.inner.write().expect("sp cache poisoned").clear(); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
-        self.pinned.write().expect("sp cache poisoned").clear(); // tao-lint: allow(no-unwrap-in-lib, lock-poison, reason = "a panicked path computation poisons the cache; deterministic results cannot be guaranteed past that point, so escalating is correct")
+    /// Number of rows computed so far.
+    #[cfg(test)]
+    fn computed(&self) -> usize {
+        self.0.iter().filter(|r| r.get().is_some()).count()
     }
 }
 
@@ -327,18 +174,41 @@ mod tests {
     #[test]
     fn cache_hits_share_allocation_and_count() {
         let g = line_graph(&[1, 2]);
-        let cache = SpCache::new();
-        assert!(cache.is_empty());
-        let a = cache.distances(&g, NodeIdx(1));
-        let b = cache.distances(&g, NodeIdx(1));
+        let rows = SourceRows::new(g.node_count());
+        assert_eq!(rows.computed(), 0);
+        let a = Arc::clone(rows.row(&g, NodeIdx(1)));
+        let b = Arc::clone(rows.row(&g, NodeIdx(1)));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(rows.computed(), 1);
         assert_eq!(
-            cache.distance(&g, NodeIdx(1), NodeIdx(2)),
+            rows.distance(&g, NodeIdx(1), NodeIdx(2)),
             SimDuration::from_millis(2)
         );
-        cache.clear();
-        assert!(cache.is_empty());
+    }
+
+    /// Reference Dijkstra over the nested adjacency lists
+    /// ([`Graph::neighbors`]) with a `done` bitmap: the kernel the CSR loop
+    /// replaced, kept as its oracle.
+    fn shortest_paths_scan(graph: &Graph, source: NodeIdx) -> Vec<SimDuration> {
+        let n = graph.node_count();
+        let mut dist = vec![SimDuration::MAX; n];
+        let mut done = vec![false; n];
+        let mut heap: BinaryHeap<Reverse<(SimDuration, NodeIdx)>> = BinaryHeap::new();
+        dist[source.index()] = SimDuration::ZERO;
+        heap.push(Reverse((SimDuration::ZERO, source)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if std::mem::replace(&mut done[u.index()], true) {
+                continue;
+            }
+            for (v, w, _) in graph.neighbors(u) {
+                let nd = d + w;
+                if !done[v.index()] && nd < dist[v.index()] {
+                    dist[v.index()] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist
     }
 
     #[test]
@@ -356,99 +226,37 @@ mod tests {
 
     #[test]
     fn concurrent_misses_compute_each_source_once() {
-        // Regression: two threads missing the same source used to both run
-        // the Dijkstra, with the loser's insert discarded. The single-flight
-        // guard must hold the count at one computation per source.
+        // Eight threads first-touching the same rows: each row is computed
+        // by one of them while the rest wait, and all read the same answer.
         let p = TransitStubParams::tsk_small_mini();
         let t = generate_transit_stub(&p, LatencyAssignment::manual(), 11);
-        let cache = SpCache::new();
+        let rows = SourceRows::new(t.graph().node_count());
+        let expected = [3u32, 9, 42].map(|s| shortest_paths(t.graph(), NodeIdx(s)));
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     barrier.wait();
-                    for s in [3u32, 9, 42, 3, 9, 42] {
-                        let d = cache.distances(t.graph(), NodeIdx(s));
-                        assert_eq!(d[s as usize], SimDuration::ZERO);
+                    for (s, want) in [3u32, 9, 42, 3, 9, 42].iter().zip(expected.iter().cycle()) {
+                        assert_eq!(**rows.row(t.graph(), NodeIdx(*s)), *want);
                     }
                 });
             }
         });
-        assert_eq!(
-            cache.computations(),
-            3,
-            "8 threads x 3 sources must cost exactly 3 Dijkstras"
-        );
-    }
-
-    #[test]
-    fn pinned_landmarks_survive_capacity_flushes() {
-        // Regression: the wholesale overflow flush used to evict warm()-
-        // pinned landmark vectors, so a full cache re-ran one Dijkstra per
-        // landmark probe. Pins must survive every flush.
-        let g = line_graph(&[1, 2, 3, 4, 5, 6, 7]);
-        let cache = SpCache::with_capacity(3);
-        let landmarks = [NodeIdx(0), NodeIdx(1)];
-        cache.warm(&g, &landmarks);
-        assert_eq!(cache.computations(), 2);
-        // Overflow the cache repeatedly with other sources.
-        for s in 2..8u32 {
-            cache.distances(&g, NodeIdx(s));
-        }
-        let after_churn = cache.computations();
-        // Landmark probes must all be cache hits: no new computations.
-        for s in 2..8u32 {
-            for &l in &landmarks {
-                assert_eq!(
-                    cache.distance(&g, l, NodeIdx(s)),
-                    cache.distance(&g, NodeIdx(s), l)
-                );
-            }
-            let _ = cache.distances(&g, l_probe(&landmarks, s));
-        }
-        assert_eq!(
-            cache.computations(),
-            after_churn,
-            "a full cache must answer landmark probes with zero extra Dijkstras"
-        );
-        // clear() drops the pins too.
-        cache.clear();
-        cache.distances(&g, NodeIdx(0));
-        assert_eq!(cache.computations(), after_churn + 1);
-    }
-
-    fn l_probe(landmarks: &[NodeIdx], s: u32) -> NodeIdx {
-        landmarks[(s as usize) % landmarks.len()]
-    }
-
-    #[test]
-    fn capacity_bound_flushes_instead_of_growing() {
-        let g = line_graph(&[1, 2, 3]);
-        let cache = SpCache::with_capacity(2);
-        cache.distances(&g, NodeIdx(0));
-        cache.distances(&g, NodeIdx(1));
-        assert_eq!(cache.len(), 2);
-        cache.distances(&g, NodeIdx(2));
-        assert_eq!(cache.len(), 1, "overflow flushes, then inserts");
-        // Answers stay correct after a flush.
-        assert_eq!(
-            cache.distance(&g, NodeIdx(0), NodeIdx(3)),
-            SimDuration::from_millis(6)
-        );
+        assert_eq!(rows.computed(), 3, "8 threads x 3 sources: 3 Dijkstras");
     }
 
     #[test]
     fn distance_prefers_cached_endpoint() {
         let g = line_graph(&[5]);
-        let cache = SpCache::new();
-        cache.distances(&g, NodeIdx(1));
-        assert_eq!(cache.len(), 1);
-        // Querying (0, 1) uses node 1's cached vector; no new entry appears.
+        let rows = SourceRows::new(g.node_count());
+        rows.row(&g, NodeIdx(1));
+        // Querying (0, 1) uses node 1's row; no new row appears.
         assert_eq!(
-            cache.distance(&g, NodeIdx(0), NodeIdx(1)),
+            rows.distance(&g, NodeIdx(0), NodeIdx(1)),
             SimDuration::from_millis(5)
         );
-        assert_eq!(cache.len(), 1);
+        assert_eq!(rows.computed(), 1);
     }
 
     #[test]
@@ -457,13 +265,8 @@ mod tests {
         // assert it on a generated topology as a sanity check of Dijkstra.
         let p = TransitStubParams::tsk_small_mini();
         let t = generate_transit_stub(&p, LatencyAssignment::gt_itm(), 5);
-        let a = NodeIdx(0);
-        let b = NodeIdx(50);
-        let c = NodeIdx(100);
-        let cache = SpCache::new();
-        let ab = cache.distance(t.graph(), a, b);
-        let bc = cache.distance(t.graph(), b, c);
-        let ac = cache.distance(t.graph(), a, c);
-        assert!(ac <= ab + bc);
+        let from_a = shortest_paths(t.graph(), NodeIdx(0));
+        let from_b = shortest_paths(t.graph(), NodeIdx(50));
+        assert!(from_a[100] <= from_a[50] + from_b[100]);
     }
 }

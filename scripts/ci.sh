@@ -242,74 +242,41 @@ echo "determinism spot-check: OK"
 cargo test -q --offline -p tao-core --test fault_injection
 cargo test -q --offline -p tao-core --test softstate_convergence
 
-# Cross-process fault determinism: the canonical fault scenario (seeded
-# FaultPlan: loss + jitter + duplicates + partition + crashes) must produce
-# a byte-identical fingerprint — delivery log digest, final clock, NetStats
-# — in two separate processes. (The test itself holds digest, event count
-# and final clock to pinned constants.)
-fingerprint() {
-    cargo test -q --offline -p tao-core --test fault_injection \
-        fault_fingerprint_for_ci -- --nocapture 2>&1 | grep '^FAULT_FINGERPRINT'
+# Cross-process determinism of the three pinned in-test fingerprints: each
+# test prints one `<PREFIX> …` line, and two separate processes must print
+# the same one. (Each test also holds its digest to a pinned constant.)
+#   two_process_fingerprint TEST_FILE TEST_NAME LINE_PREFIX MISSING DIVERGED OK
+two_process_fingerprint() {
+    local fp1 fp2
+    fp1=$(cargo test -q --offline -p tao-core --test "$1" "$2" -- --nocapture 2>&1 | grep "^$3" || true)
+    fp2=$(cargo test -q --offline -p tao-core --test "$1" "$2" -- --nocapture 2>&1 | grep "^$3" || true)
+    if [ -z "$fp1" ]; then
+        echo "FAIL: $4 fingerprint test produced no fingerprint line." >&2
+        exit 1
+    fi
+    if [ "$fp1" != "$fp2" ]; then
+        echo "FAIL: $5 diverged across processes." >&2
+        echo "  run 1: $fp1" >&2
+        echo "  run 2: $fp2" >&2
+        exit 1
+    fi
+    echo "$6: OK ($fp1)"
 }
-fp1=$(fingerprint)
-fp2=$(fingerprint)
-if [ -z "$fp1" ]; then
-    echo "FAIL: fault fingerprint test produced no fingerprint line." >&2
-    exit 1
-fi
-if [ "$fp1" != "$fp2" ]; then
-    echo "FAIL: same seed + fault plan diverged across processes." >&2
-    echo "  run 1: $fp1" >&2
-    echo "  run 2: $fp2" >&2
-    exit 1
-fi
-echo "fault determinism: OK ($fp1)"
-
-# Churn determinism: the canonical three-scenario churn run (flash crowd +
-# stub-domain crash + diurnal wave), applied in batch order, must print the
-# same digest line in two separate processes. (The test itself holds the
-# digest and the op count to pinned constants.)
-churn_fingerprint() {
-    cargo test -q --offline -p tao-core --test churn_batches \
-        churn_fingerprint_for_ci -- --nocapture 2>&1 | grep '^CHURN_FINGERPRINT'
-}
-cfp1=$(churn_fingerprint)
-cfp2=$(churn_fingerprint)
-if [ -z "$cfp1" ]; then
-    echo "FAIL: churn fingerprint test produced no fingerprint line." >&2
-    exit 1
-fi
-if [ "$cfp1" != "$cfp2" ]; then
-    echo "FAIL: churn fingerprint diverged across processes." >&2
-    echo "  run 1: $cfp1" >&2
-    echo "  run 2: $cfp2" >&2
-    exit 1
-fi
-echo "churn determinism: OK ($cfp1)"
-
-# Soft-state store fingerprint: a fixed lookup / refresh / expire / remove /
-# churn script on a seeded N = 256 system, digested in order. The test
-# holds the digest to a constant taken before the store was rebuilt around
-# a slab (PR 14), so a change to candidate ranking, tie-breaking, hosting
-# classification or expiry fails here instead of silently moving figures;
-# two processes must print the same line.
-softstate_fingerprint() {
-    cargo test -q --offline -p tao-core --test softstate_store \
-        softstate_fingerprint_for_ci -- --nocapture 2>&1 | grep '^SOFTSTATE_FINGERPRINT'
-}
-sfp1=$(softstate_fingerprint)
-sfp2=$(softstate_fingerprint)
-if [ -z "$sfp1" ]; then
-    echo "FAIL: soft-state fingerprint test produced no fingerprint line." >&2
-    exit 1
-fi
-if [ "$sfp1" != "$sfp2" ]; then
-    echo "FAIL: soft-state fingerprint diverged across processes." >&2
-    echo "  run 1: $sfp1" >&2
-    echo "  run 2: $sfp2" >&2
-    exit 1
-fi
-echo "soft-state store determinism: OK ($sfp1)"
+# The canonical fault scenario (seeded FaultPlan: loss + jitter + duplicates
+# + partition + crashes): delivery log digest, final clock, NetStats.
+two_process_fingerprint fault_injection fault_fingerprint_for_ci FAULT_FINGERPRINT \
+    "fault" "same seed + fault plan" "fault determinism"
+# The canonical three-scenario churn run (flash crowd + stub-domain crash +
+# diurnal wave), applied in batch order: digest and op count.
+two_process_fingerprint churn_batches churn_fingerprint_for_ci CHURN_FINGERPRINT \
+    "churn" "churn fingerprint" "churn determinism"
+# A fixed lookup / refresh / expire / remove / churn script on a seeded
+# N = 256 system, digested in order. The constant was taken before the
+# store was rebuilt around a slab (PR 14), so a change to candidate
+# ranking, tie-breaking, hosting classification or expiry fails here
+# instead of silently moving figures.
+two_process_fingerprint softstate_store softstate_fingerprint_for_ci SOFTSTATE_FINGERPRINT \
+    "soft-state" "soft-state fingerprint" "soft-state store determinism"
 
 # Smoke: the churn example runs its bonus simulation under a lossy plan.
 cargo run -q --release --offline --example churn_and_pubsub > /dev/null
@@ -331,10 +298,11 @@ if [ -f results/bench.jsonl ]; then
         exit 1
     fi
 fi
-# The pinned PR-4 before/after baseline (Dijkstra landmark probe, nodes_in;
-# the two soft-state pairs left with their public reference kernels in
-# PR 14 — that layer's ledger is benchmark/'s churn_mix) must parse and
-# keep its shape.
+# The pinned PR-4 before/after baseline (nodes_in only: the two soft-state
+# pairs left with their public reference kernels in PR 14, and the Dijkstra
+# landmark-probe pair with `SpCache` in PR 16 — those layers' ledger rows
+# are benchmark/'s churn_mix, and `topology.read_hit_ns` + fig_build) must
+# parse and keep its shape.
 python3 - <<'EOF'
 import json, sys
 with open("results/BENCH_04.json") as f:

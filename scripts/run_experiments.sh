@@ -17,6 +17,10 @@ mkdir -p results
   echo "# Pre-PR4 sequential baseline (TAO_SCALE=paper, fig02 capped at 8,192 nodes):"
   echo "#   fig02 13s  fig03_06 3s  fig10_13 79s  fig14_15 179s  fig16 10s  sec1 0s"
   echo "#   sec52 6s  sec54 8s  sec6 2s  ablation_sfc 5s  ablation_lvi 7s  -- ~312s total"
+  echo "# Before PR 16 (RTT through the per-source Dijkstra cache; recorded pre-PR-12):"
+  echo "#   fig02 33s  fig03_06 5s  fig10_13 66s  fig14_15 85s  fig16 10s  sec1 0s"
+  echo "#   sec52 4s  sec54_gap 14s  sec6 8s  ablation_sfc 4s  ablation_lvi 5s"
+  echo "#   generality 11s  related 0s  join_cost 2s  sec54_opt 2s  -- 249s total"
 } > results/timings.txt
 total_start=$SECONDS
 for b in fig02_ecan_vs_can fig02_million_churn fig03_06_nearest_neighbor \
