@@ -10,7 +10,7 @@ use tao_util::det::DetMap;
 
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
-use tao_overlay::ecan::NeighborSelector;
+use tao_overlay::ecan::{BoxSelection, NeighborSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_sim::SimTime;
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo};
@@ -81,16 +81,18 @@ impl<'a> GlobalStateSelector<'a> {
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
     }
-}
 
-impl NeighborSelector for GlobalStateSelector<'_> {
-    fn select(
+    /// Steps 1–4 for one box: hosted lookup, RTT probes of the candidates
+    /// `is_member` accepts, minimum `(rtt, id)`. The map may still list
+    /// nodes that have since departed or no longer own space in this box,
+    /// so only members are probed; with none, nothing has been charged.
+    fn closest_probed(
         &mut self,
         for_node: OverlayNodeId,
         target_box: &Zone,
-        candidates: &[OverlayNodeId],
         can: &CanOverlay,
-    ) -> OverlayNodeId {
+        is_member: impl Fn(OverlayNodeId) -> bool,
+    ) -> Option<OverlayNodeId> {
         let me = can.underlay(for_node);
         let query = self
             .infos
@@ -104,23 +106,56 @@ impl NeighborSelector for GlobalStateSelector<'_> {
             can,
             self.now,
         );
-        // Probe only candidates that are actual live members of the box (the
-        // map may hold entries for nodes that since departed or whose zones
-        // grew past this box). `candidates` comes from `nodes_in`, which
-        // sorts, so membership is a binary search.
-        let best = found
-            .filter(|i| candidates.binary_search(&i.node).is_ok())
+        found
+            .filter(|i| is_member(i.node))
             .map(|i| {
                 self.probes_spent += 1;
                 (self.oracle.measure(me, i.underlay), i.node)
             })
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        match best {
-            Some((_, node)) => node,
+            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(_, node)| node)
+    }
+}
+
+impl NeighborSelector for GlobalStateSelector<'_> {
+    fn select(
+        &mut self,
+        for_node: OverlayNodeId,
+        target_box: &Zone,
+        candidates: &[OverlayNodeId],
+        can: &CanOverlay,
+    ) -> OverlayNodeId {
+        // The contract is "one of `candidates`", which arrive sorted by id
+        // (`nodes_in` order, the selecting node removed).
+        let listed = |n: OverlayNodeId| candidates.binary_search(&n).is_ok();
+        match self.closest_probed(for_node, target_box, can, listed) {
+            Some(node) => node,
             None => {
                 self.fallbacks += 1;
                 candidates[self.fallback_rng.gen_range(0..candidates.len())]
             }
+        }
+    }
+
+    /// Table 1 as the paper runs it: the box's map names the candidates,
+    /// and one is a member exactly when it is live and owns space in the
+    /// box — `nodes_in` membership, the lookup having dropped `for_node` —
+    /// so the box is never listed. With no usable candidate the answer is
+    /// `Enumerate`: [`NeighborSelector::select`] then finds the same
+    /// nothing and makes the seeded fallback draw over the listed members.
+    // Deliberately not marked as a tao-lint hot entry: this reaches
+    // `RttOracle::measure`, whose row fallback (graphs that do not factor)
+    // allocates a Dijkstra row per source.
+    fn select_in_box(
+        &mut self,
+        for_node: OverlayNodeId,
+        target_box: &Zone,
+        can: &CanOverlay,
+    ) -> BoxSelection {
+        let member = |n: OverlayNodeId| can.zone_intersects(n, target_box) == Ok(true);
+        match self.closest_probed(for_node, target_box, can, member) {
+            Some(node) => BoxSelection::Chosen(node),
+            None => BoxSelection::Enumerate,
         }
     }
 }
@@ -145,6 +180,20 @@ mod tests {
         infos: DetMap<OverlayNodeId, NodeInfo>,
     }
 
+    const LANDMARKS: [NodeIdx; 3] = [NodeIdx(5), NodeIdx(300), NodeIdx(700)];
+
+    /// What `id` on router `underlay` would publish.
+    fn measured_info(
+        id: OverlayNodeId,
+        underlay: NodeIdx,
+        oracle: &RttOracle,
+        config: &SoftStateConfig,
+    ) -> NodeInfo {
+        let vector = LandmarkVector::measure(underlay, &LANDMARKS, oracle);
+        let number = config.grid().landmark_number(&vector, config.curve());
+        NodeInfo { node: id, underlay, vector, number, load: None }
+    }
+
     fn fixture() -> Fixture {
         let topo = generate_transit_stub(
             &TransitStubParams::tsk_small_mini(),
@@ -152,8 +201,7 @@ mod tests {
             41,
         );
         let oracle = RttOracle::new(topo.graph().clone());
-        let landmarks = [NodeIdx(5), NodeIdx(300), NodeIdx(700)];
-        oracle.warm(&landmarks);
+        oracle.warm(&LANDMARKS);
         let mut can = CanOverlay::new(2).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let n_routers = topo.graph().node_count() as u32;
@@ -166,16 +214,7 @@ mod tests {
         let mut state = GlobalState::new(config);
         let mut infos = DetMap::new();
         for id in ecan.can().live_nodes() {
-            let underlay = ecan.can().underlay(id);
-            let vector = LandmarkVector::measure(underlay, &landmarks, &oracle);
-            let number = config.grid().landmark_number(&vector, config.curve());
-            let info = NodeInfo {
-                node: id,
-                underlay,
-                vector,
-                number,
-                load: None,
-            };
+            let info = measured_info(id, ecan.can().underlay(id), &oracle, &config);
             state.publish(info.clone(), &ecan, SimTime::ORIGIN);
             infos.insert(id, info);
         }
@@ -185,6 +224,130 @@ mod tests {
             state,
             infos,
         }
+    }
+
+    /// The fixture after churn nobody told the maps about: 40 nodes gone
+    /// (their entries linger, their takers own extra zones), 30 arrivals
+    /// that halved somebody's zone, every other one of them unpublished.
+    fn churned_fixture() -> Fixture {
+        let mut f = fixture();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..40 {
+            let live: Vec<OverlayNodeId> = f.ecan.can().live_nodes().collect();
+            let gone = live[rng.gen_range(0..live.len())];
+            f.ecan.depart(gone).unwrap();
+            f.infos.remove(&gone);
+        }
+        let config = *f.state.config();
+        for i in 0..30u32 {
+            let underlay = NodeIdx(11 + i * 29);
+            let id = f.ecan.join_unselected(underlay, Point::random(2, &mut rng));
+            let info = measured_info(id, underlay, &f.oracle, &config);
+            if i % 2 == 0 {
+                f.state.publish(info.clone(), &f.ecan, SimTime::ORIGIN);
+            }
+            f.infos.insert(id, info);
+        }
+        f
+    }
+
+    /// A [`GlobalStateSelector`] behind a wrapper that counts the lists it
+    /// is handed and, unless `whole_box`, hides `select_in_box` — the
+    /// reference path, on which every box is enumerated.
+    struct Wrapped<'a> {
+        inner: GlobalStateSelector<'a>,
+        whole_box: bool,
+        lists: u64,
+    }
+
+    impl NeighborSelector for Wrapped<'_> {
+        fn select(
+            &mut self,
+            for_node: OverlayNodeId,
+            target_box: &Zone,
+            candidates: &[OverlayNodeId],
+            can: &CanOverlay,
+        ) -> OverlayNodeId {
+            self.lists += 1;
+            self.inner.select(for_node, target_box, candidates, can)
+        }
+
+        fn select_in_box(
+            &mut self,
+            for_node: OverlayNodeId,
+            target_box: &Zone,
+            can: &CanOverlay,
+        ) -> BoxSelection {
+            if self.whole_box {
+                self.inner.select_in_box(for_node, target_box, can)
+            } else {
+                BoxSelection::Enumerate
+            }
+        }
+    }
+
+    /// What one full pass computed and what it cost.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        tables: Vec<Vec<tao_overlay::ecan::HighOrderEntry>>,
+        probes_spent: u64,
+        fallbacks: u64,
+        /// Measurements the oracle's meter was charged during the pass.
+        charged: u64,
+    }
+
+    impl Outcome {
+        fn selections(&self) -> u64 {
+            self.tables.iter().map(|t| t.len() as u64).sum()
+        }
+    }
+
+    /// One full pass over `f`'s overlay, and the lists it made.
+    fn pass(f: &Fixture, state: &GlobalState, budget: usize, whole_box: bool) -> (Outcome, u64) {
+        let mut ecan = f.ecan.clone();
+        let before = f.oracle.measurements();
+        let inner =
+            GlobalStateSelector::new(state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 9);
+        let mut sel = Wrapped { inner, whole_box, lists: 0 };
+        ecan.reselect(&mut sel);
+        ecan.check_invariants();
+        let outcome = Outcome {
+            tables: ecan.can().live_nodes().map(|id| ecan.high_order_entries(id)).collect(),
+            probes_spent: sel.inner.probes_spent(),
+            fallbacks: sel.inner.fallbacks(),
+            charged: f.oracle.measurements() - before,
+        };
+        (outcome, sel.lists)
+    }
+
+    #[test]
+    fn membership_path_equals_the_list_path_on_stale_maps() {
+        let f = churned_fixture();
+        let empty = GlobalState::new(*f.state.config());
+        for state in [&f.state, &empty] {
+            for budget in [1, 10, 40] {
+                let (got, lists) = pass(&f, state, budget, true);
+                let (want, ref_lists) = pass(&f, state, budget, false);
+                assert_eq!(got, want, "budget {budget}");
+                assert_eq!(got.probes_spent, got.charged, "every probe goes through the meter");
+                assert_eq!(ref_lists, want.selections(), "the reference lists every box");
+                assert!(lists <= ref_lists);
+            }
+        }
+    }
+
+    #[test]
+    fn a_box_is_listed_only_for_the_fallback_draw() {
+        let f = churned_fixture();
+        let (got, lists) = pass(&f, &f.state, 10, true);
+        assert_eq!(lists, got.fallbacks, "a list was made that no fallback draw needed");
+        assert!(got.fallbacks > 0, "stale maps must leave some box without a usable candidate");
+        assert!(got.fallbacks * 2 < got.selections(), "{} fallbacks", got.fallbacks);
+        // With nothing published every selection is a fallback over a list.
+        let empty = GlobalState::new(*f.state.config());
+        let (got, lists) = pass(&f, &empty, 10, true);
+        let selections = got.selections();
+        assert_eq!((lists, got.fallbacks, got.probes_spent), (selections, selections, 0));
     }
 
     #[test]

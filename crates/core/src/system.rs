@@ -6,7 +6,7 @@ use tao_util::rand::rngs::StdRng;
 use tao_util::rand::seq::SliceRandom;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_landmark::{LandmarkGrid, LandmarkVector, SpaceFillingCurve};
-use tao_overlay::ecan::{ClosestSelector, EcanOverlay, RandomSelector};
+use tao_overlay::ecan::{ClosestSelector, EcanOverlay, NeighborSelector, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
@@ -197,36 +197,15 @@ impl TaoBuilder {
             );
         }
 
-        // 4. Build the eCAN with the configured neighbor selection, after
-        //    publishing everyone's soft-state.
-        let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(self.seed));
+        // 4. Publish everyone's soft-state over the bare CAN, then make the
+        //    one table pass with the configured neighbor selection.
+        let ecan = EcanOverlay::unselected(can);
         let mut state = GlobalState::new(config);
         let now = SimTime::ORIGIN;
         for info in infos.values() {
             state.publish(info.clone(), &ecan, now);
         }
-        match self.params.selection {
-            SelectionStrategy::Random => {
-                // Already selected randomly at build.
-            }
-            SelectionStrategy::Optimal => {
-                let mut sel = ClosestSelector::new(oracle.clone());
-                ecan.reselect(&mut sel);
-            }
-            SelectionStrategy::GlobalState => {
-                let mut sel = GlobalStateSelector::new(
-                    &state,
-                    &oracle,
-                    &infos,
-                    self.params.rtt_budget,
-                    now,
-                    self.seed.wrapping_add(0x5e1),
-                );
-                ecan.reselect(&mut sel);
-            }
-        }
-
-        TopologyAwareOverlay {
+        let mut tao = TopologyAwareOverlay {
             topology,
             oracle,
             landmarks,
@@ -236,7 +215,11 @@ impl TaoBuilder {
             pubsub: PubSub::new(),
             infos,
             now,
-        }
+        };
+        tao.with_selector(self.seed, self.seed.wrapping_add(0x5e1), |ecan, sel| {
+            ecan.reselect(sel)
+        });
+        tao
     }
 }
 
@@ -431,64 +414,53 @@ impl TopologyAwareOverlay {
         Ok(())
     }
 
-    /// Re-runs neighbor selection for the given nodes only, with the
-    /// system\'s configured strategy.
-    // tao-lint: allow(panic-reachability, reason = "reselection panics only on corrupted expressway tables; the fault-injection harness exercises the recoverable paths")
-    pub fn reselect_nodes(&mut self, nodes: &[OverlayNodeId]) {
+    /// Runs `f` on the eCAN with the configured strategy's selector over
+    /// the current soft-state — the one place a [`SelectionStrategy`]
+    /// becomes a selector. `random_seed` feeds [`RandomSelector`],
+    /// `fallback_seed` the soft-state selector's fallback draw.
+    fn with_selector(
+        &mut self,
+        random_seed: u64,
+        fallback_seed: u64,
+        f: impl FnOnce(&mut EcanOverlay, &mut dyn NeighborSelector),
+    ) {
         match self.params.selection {
-            SelectionStrategy::Random => {
-                let mut sel = RandomSelector::new(self.now.as_micros());
-                for &id in nodes {
-                    self.ecan.reselect_node(id, &mut sel);
-                }
-            }
+            SelectionStrategy::Random => f(&mut self.ecan, &mut RandomSelector::new(random_seed)),
             SelectionStrategy::Optimal => {
-                let mut sel = ClosestSelector::new(self.oracle.clone());
-                for &id in nodes {
-                    self.ecan.reselect_node(id, &mut sel);
-                }
+                f(&mut self.ecan, &mut ClosestSelector::new(self.oracle.clone()))
             }
-            SelectionStrategy::GlobalState => {
-                let mut sel = GlobalStateSelector::new(
+            SelectionStrategy::GlobalState => f(
+                &mut self.ecan,
+                &mut GlobalStateSelector::new(
                     &self.state,
                     &self.oracle,
                     &self.infos,
                     self.params.rtt_budget,
                     self.now,
-                    self.now.as_micros() ^ 0x5e2,
-                );
-                for &id in nodes {
-                    self.ecan.reselect_node(id, &mut sel);
-                }
-            }
+                    fallback_seed,
+                ),
+            ),
         }
+    }
+
+    /// Re-runs neighbor selection for the given nodes only, with the
+    /// system\'s configured strategy.
+    // tao-lint: allow(panic-reachability, reason = "reselection panics only on corrupted expressway tables; the fault-injection harness exercises the recoverable paths")
+    pub fn reselect_nodes(&mut self, nodes: &[OverlayNodeId]) {
+        let now = self.now.as_micros();
+        self.with_selector(now, now ^ 0x5e2, |ecan, sel| {
+            for &id in nodes {
+                ecan.reselect_node(id, sel);
+            }
+        });
     }
 
     /// Re-runs neighbor selection with the system's configured strategy
     /// against the *current* soft-state (e.g. after churn or TTL decay).
     // tao-lint: allow(panic-reachability, reason = "finger-table rebuild panics only if a ring member vanished mid-rebuild, impossible under the single-threaded simulator")
     pub fn reselect(&mut self) {
-        match self.params.selection {
-            SelectionStrategy::Random => {
-                let mut sel = RandomSelector::new(self.now.as_micros());
-                self.ecan.reselect(&mut sel);
-            }
-            SelectionStrategy::Optimal => {
-                let mut sel = ClosestSelector::new(self.oracle.clone());
-                self.ecan.reselect(&mut sel);
-            }
-            SelectionStrategy::GlobalState => {
-                let mut sel = GlobalStateSelector::new(
-                    &self.state,
-                    &self.oracle,
-                    &self.infos,
-                    self.params.rtt_budget,
-                    self.now,
-                    self.now.as_micros() ^ 0x5e1,
-                );
-                self.ecan.reselect(&mut sel);
-            }
-        }
+        let now = self.now.as_micros();
+        self.with_selector(now, now ^ 0x5e1, |ecan, sel| ecan.reselect(sel));
     }
 
     /// Draws `count` distinct live overlay nodes.

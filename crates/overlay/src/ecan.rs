@@ -24,6 +24,23 @@
 //! departure maintenance incremental: only the newcomer, the split owner,
 //! and the actual dependents are touched — never the full table set.
 //!
+//! # Table construction
+//!
+//! The selector is asked for a representative of the whole box first
+//! ([`NeighborSelector::select_in_box`]). One that can name a member on
+//! its own — by sampling the zone tree, or by testing the few candidates
+//! the box's soft-state map returned for membership, O(1) each — answers
+//! [`BoxSelection::Chosen`] and the box is never listed. Only on
+//! [`BoxSelection::Enumerate`] (the selector compares or indexes *all*
+//! members, or its shortcut found nobody) are the members listed with
+//! [`CanOverlay::nodes_in`] and passed to [`NeighborSelector::select`].
+//! Neighbouring nodes share most of their boxes, so a whole-overlay pass
+//! ([`EcanOverlay::reselect`]) keeps each list it makes, keyed by the
+//! aligned cube, and lists a box at most once (a single node's boxes are
+//! all distinct, so the one-node paths keep none). The memo is a local of
+//! the pass, which holds `&mut self`, so the CAN cannot change under it:
+//! nothing to invalidate, nothing to configure.
+//!
 //! # Example
 //!
 //! ```
@@ -44,6 +61,7 @@
 //! assert!(route.hop_count() <= 64);
 //! ```
 
+use tao_util::det::DetMap;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_topology::RttOracle;
@@ -120,10 +138,14 @@ pub trait NeighborSelector {
     ) -> OverlayNodeId;
 
     /// Picks a representative for `target_box` without a pre-enumerated
-    /// candidate list. The default answers [`BoxSelection::Enumerate`],
-    /// which falls back to [`NeighborSelector::select`]; selectors that
-    /// can choose in O(depth) — e.g. by sampling the box — override this
-    /// so million-node table builds never enumerate half the overlay.
+    /// candidate list; asked first, for every box. The default answers
+    /// [`BoxSelection::Enumerate`] — the members are listed and passed to
+    /// [`NeighborSelector::select`] — which is right for a selector that
+    /// compares or indexes all of them. One that can name a member without
+    /// the list (sampling the zone tree in O(depth); testing candidates it
+    /// got elsewhere with [`CanOverlay::zone_intersects`]) overrides this,
+    /// so table builds never enumerate half the overlay to keep one id. It
+    /// may still answer `Enumerate` for a box where that finds nobody.
     // tao-lint: hot
     fn select_in_box(
         &mut self,
@@ -249,6 +271,9 @@ impl NeighborSelector for ClosestSelector {
     }
 }
 
+/// Member lists made during one table pass, by [`CanOverlay::cube_key`].
+type BoxMemo = DetMap<(u32, u128), Vec<OverlayNodeId>>;
+
 /// A CAN overlay plus per-node expressway routing tables.
 ///
 /// See the [module documentation](self) for the compact table layout and
@@ -268,13 +293,21 @@ impl EcanOverlay {
     /// Builds expressway tables for every live node of `can`, choosing
     /// representatives through `selector`.
     pub fn build(can: CanOverlay, selector: &mut dyn NeighborSelector) -> Self {
-        let mut ecan = EcanOverlay {
+        let mut ecan = EcanOverlay::unselected(can);
+        ecan.reselect(selector);
+        ecan
+    }
+
+    /// Wraps `can` with every expressway table empty — the whole-overlay
+    /// counterpart of [`EcanOverlay::join_unselected`], for a system that
+    /// publishes soft-state first and selects once
+    /// ([`EcanOverlay::reselect`]). Routing is plain CAN until then.
+    pub fn unselected(can: CanOverlay) -> Self {
+        EcanOverlay {
             can,
             tables: Vec::new(),
             dependents: Vec::new(),
-        };
-        ecan.reselect(selector);
-        ecan
+        }
     }
 
     /// The underlying CAN.
@@ -360,15 +393,16 @@ impl EcanOverlay {
         for d in &mut self.dependents {
             d.clear();
         }
+        let mut memo = BoxMemo::new();
         for id in live {
-            let table = self.build_table(id, selector);
+            let table = self.build_table(id, selector, Some(&mut memo));
             self.set_table(id, table);
         }
     }
 
     /// Recomputes the expressway table of a single node.
     pub fn reselect_node(&mut self, id: OverlayNodeId, selector: &mut dyn NeighborSelector) {
-        let table = self.build_table(id, selector);
+        let table = self.build_table(id, selector, None);
         self.set_table(id, table);
     }
 
@@ -420,11 +454,9 @@ impl EcanOverlay {
             Some(self.can.owner(&point))
         };
         let id = self.can.join(underlay, point);
-        let table = self.build_table(id, selector);
-        self.set_table(id, table);
+        self.reselect_node(id, selector);
         if let Some(owner) = prev_owner {
-            let table = self.build_table(owner, selector);
-            self.set_table(owner, table);
+            self.reselect_node(owner, selector);
             // The owner kept only half its zone; entries elsewhere that
             // advertised it inside the vacated half must be re-pointed.
             let deps = self.dependents_of(owner);
@@ -499,20 +531,7 @@ impl EcanOverlay {
                 continue;
             }
             changed = true;
-            let new_rep = match selector.select_in_box(d, &target_box, &self.can) {
-                BoxSelection::Chosen(r) if r != d && self.can.is_live(r) => Some(r),
-                BoxSelection::Skip => None,
-                _ => {
-                    let mut candidates = self.can.nodes_in(&target_box);
-                    candidates.retain(|&c| c != d);
-                    if candidates.is_empty() {
-                        None
-                    } else {
-                        Some(selector.select(d, &target_box, &candidates, &self.can))
-                    }
-                }
-            };
-            if let Some(r) = new_rep {
+            if let Some(r) = self.representative(d, &target_box, selector, None) {
                 repaired.push(CompactEntry { rep: r.0, ..e });
             }
         }
@@ -559,10 +578,49 @@ impl EcanOverlay {
             .collect()
     }
 
+    /// The representative of `target_box` for `id`, or `None` when the box
+    /// gets no entry: the selector's answer for the whole box, else its
+    /// pick from the member list — kept in the pass's `memo`, if there is
+    /// one, so a box is listed once per pass. The one place a list is
+    /// requested and `id` kept out of its own candidates.
+    fn representative(
+        &self,
+        id: OverlayNodeId,
+        target_box: &Zone,
+        selector: &mut dyn NeighborSelector,
+        memo: Option<&mut BoxMemo>,
+    ) -> Option<OverlayNodeId> {
+        match selector.select_in_box(id, target_box, &self.can) {
+            BoxSelection::Chosen(r) if r != id && self.can.is_live(r) => return Some(r),
+            BoxSelection::Skip => return None,
+            _ => {}
+        }
+        let (listed, without_id);
+        let keyed = memo.and_then(|m| Some((m, self.can.cube_key(target_box)?)));
+        let mut candidates: &[OverlayNodeId] = match keyed {
+            Some((m, key)) => m.entry(key).or_insert_with(|| self.can.nodes_in(target_box)),
+            None => {
+                listed = self.can.nodes_in(target_box);
+                &listed
+            }
+        };
+        // Only a taker of departed zones can own space in a box next to its
+        // own, so on a pristine overlay the list is used as it stands.
+        if candidates.binary_search(&id).is_ok() {
+            without_id = candidates.iter().copied().filter(|&c| c != id).collect::<Vec<_>>();
+            candidates = &without_id;
+        }
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(selector.select(id, target_box, candidates, &self.can))
+    }
+
     fn build_table(
         &self,
         id: OverlayNodeId,
         selector: &mut dyn NeighborSelector,
+        mut memo: Option<&mut BoxMemo>,
     ) -> NodeTable {
         let mut table = NodeTable::default();
         let Ok(zone) = self.can.zone(id) else {
@@ -591,18 +649,10 @@ impl EcanOverlay {
                     if seen_boxes.iter().any(|b| *b == target_box) {
                         continue;
                     }
-                    let representative = match selector.select_in_box(id, &target_box, &self.can)
-                    {
-                        BoxSelection::Chosen(r) if r != id && self.can.is_live(r) => r,
-                        BoxSelection::Skip => continue,
-                        _ => {
-                            let mut candidates = self.can.nodes_in(&target_box);
-                            candidates.retain(|&c| c != id);
-                            if candidates.is_empty() {
-                                continue;
-                            }
-                            selector.select(id, &target_box, &candidates, &self.can)
-                        }
+                    let Some(representative) =
+                        self.representative(id, &target_box, selector, memo.as_deref_mut())
+                    else {
+                        continue;
                     };
                     debug_assert!(order <= u8::MAX as u32, "order overflows compact entry");
                     seen_boxes.push(target_box);
@@ -979,6 +1029,33 @@ mod tests {
     }
 
     #[test]
+    fn unselected_overlay_is_sound_and_routes_like_the_can() {
+        let ecan = EcanOverlay::unselected(grown_can(96, 2, 53));
+        ecan.check_invariants();
+        let mut rng = StdRng::seed_from_u64(54);
+        let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
+        for &id in &live {
+            assert!(ecan.high_order_entries(id).is_empty(), "no table until reselect");
+            assert!(ecan.dependents_of(id).is_empty(), "nobody is a representative yet");
+        }
+        // With every table empty an express route is the greedy CAN route.
+        for _ in 0..50 {
+            let src = live[rng.gen_range(0..live.len())];
+            let target = Point::random(2, &mut rng);
+            let route = ecan.route_express(src, &target).unwrap();
+            assert_eq!(*route.hops.last().unwrap(), ecan.can().owner(&target));
+            assert_eq!(route.hops, ecan.can().route(src, &target).unwrap().hops);
+        }
+        // `build` is `unselected` followed by the one pass.
+        let mut selected = ecan.clone();
+        selected.reselect(&mut RandomSelector::new(55));
+        let built = EcanOverlay::build(ecan.into_can(), &mut RandomSelector::new(55));
+        for &id in &live {
+            assert_eq!(selected.high_order_entries(id), built.high_order_entries(id));
+        }
+    }
+
+    #[test]
     fn depart_drops_table_and_dependents_are_found() {
         let can = grown_can(128, 2, 29);
         let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(3));
@@ -1112,6 +1189,103 @@ mod tests {
                     }
                 }
             });
+        }
+
+        /// Forwards to `inner` after holding every list it is handed to
+        /// `nodes_in` (content and order, the selecting node removed).
+        struct ListChecked<'c, S> {
+            inner: S,
+            /// Lists that had the selecting node taken out of them.
+            self_excluded: &'c std::cell::Cell<u32>,
+        }
+
+        impl<S: NeighborSelector> NeighborSelector for ListChecked<'_, S> {
+            fn select(
+                &mut self,
+                for_node: OverlayNodeId,
+                target_box: &Zone,
+                candidates: &[OverlayNodeId],
+                can: &CanOverlay,
+            ) -> OverlayNodeId {
+                let members = can.nodes_in(target_box);
+                let want: Vec<OverlayNodeId> =
+                    members.iter().copied().filter(|&c| c != for_node).collect();
+                check_eq!(candidates, want.as_slice());
+                if want.len() < members.len() {
+                    self.self_excluded.set(self.self_excluded.get() + 1);
+                }
+                self.inner.select(for_node, target_box, candidates, can)
+            }
+        }
+
+        /// One `reselect` pass (lists shared across nodes) equals
+        /// node-by-node `reselect_node` (a fresh list per box) under an
+        /// identically seeded selector, table for table, and every list
+        /// either path hands a selector is exactly `nodes_in` without the
+        /// selecting node — on pristine overlays and on churned ones,
+        /// where takers own space in boxes next to their own.
+        #[test]
+        fn one_pass_equals_node_by_node_selection() {
+            use tao_topology::{generate_transit_stub, LatencyAssignment, TransitStubParams};
+            let topo = generate_transit_stub(
+                &TransitStubParams::tsk_small_mini(),
+                LatencyAssignment::manual(),
+                2,
+            );
+            let oracle = RttOracle::new(topo.graph().clone());
+            let routers = topo.graph().node_count() as u32;
+            let self_excluded = std::cell::Cell::new(0u32);
+            for_all("one_pass_equals_node_by_node_selection", 24, |rng| {
+                let n = rng.gen_range(8u32..160);
+                let dims = rng.gen_range(2usize..4);
+                let seed: u64 = rng.gen();
+                let mut can = CanOverlay::new(dims).expect("dims >= 1");
+                for i in 0..n {
+                    can.join(NodeIdx(i % routers), Point::random(dims, rng));
+                }
+                if rng.gen_bool(0.6) {
+                    for i in 0..n / 3 {
+                        let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+                        can.leave(live[rng.gen_range(0..live.len())]).expect("live victim");
+                        if i % 4 == 0 {
+                            can.join(NodeIdx((n + i) % routers), Point::random(dims, rng));
+                        }
+                    }
+                }
+                let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+                let compare = |pass_sel: &mut dyn NeighborSelector,
+                               node_sel: &mut dyn NeighborSelector| {
+                    let mut pass = EcanOverlay::unselected(can.clone());
+                    pass.reselect(pass_sel);
+                    let mut by_node = EcanOverlay::unselected(can.clone());
+                    for &id in &live {
+                        by_node.reselect_node(id, node_sel);
+                    }
+                    pass.check_invariants();
+                    for &id in &live {
+                        check_eq!(
+                            pass.high_order_entries(id),
+                            by_node.high_order_entries(id),
+                            "n={n} dims={dims} seed={seed:#x}"
+                        );
+                        check_eq!(pass.dependents_of(id), by_node.dependents_of(id));
+                    }
+                };
+                let random = || ListChecked {
+                    inner: RandomSelector::new(seed),
+                    self_excluded: &self_excluded,
+                };
+                compare(&mut random(), &mut random());
+                let closest = || ListChecked {
+                    inner: ClosestSelector::new(oracle.clone()),
+                    self_excluded: &self_excluded,
+                };
+                compare(&mut closest(), &mut closest());
+            });
+            assert!(
+                self_excluded.get() > 0,
+                "no generated overlay had a node inside one of its own target boxes"
+            );
         }
 
         /// Incremental maintenance and enumeration-free selection agree

@@ -103,8 +103,7 @@ impl ZoneIndex {
         if self.degraded {
             return None;
         }
-        let level = self.cube_level(query)?;
-        let base = self.corner_code(query)?;
+        let (level, base) = self.cube_key(query)?;
         let shift = (self.bits - level) as usize * self.dims;
         let members: Vec<OverlayNodeId> = if shift >= 128 {
             self.zones.values().copied().collect()
@@ -120,6 +119,14 @@ impl ZoneIndex {
         } else {
             Some(IndexHit::Members(members))
         }
+    }
+
+    /// `(level, Morton code of the lower corner)` of an aligned cube the
+    /// index can encode — what [`ZoneIndex::lookup`] turns into its range,
+    /// and a total key for the cube: two aligned cubes are the same box
+    /// exactly when their keys are equal.
+    pub(crate) fn cube_key(&self, query: &Zone) -> Option<(u32, u128)> {
+        Some((self.cube_level(query)?, self.corner_code(query)?))
     }
 
     /// `Some(L)` when `query` is a cube of side exactly `2^-L`, `L <=

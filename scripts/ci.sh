@@ -371,6 +371,23 @@ if [ "$rfp1" != "$rfp8" ]; then
 fi
 echo "replay determinism: OK ($rfp1)"
 
+# ---- Figure drift: three paper-scale figures, byte for byte. ----------------
+# "Every results/*.txt byte-identical" used to be checked by hand once per
+# PR; these three take ~3 s together since table passes stopped listing
+# every box per node (PR 17). fig02 drives the RandomSelector stream
+# through the pass's member-list memo at 1 K–32 K nodes, fig16 makes a
+# GlobalState build (membership-tested candidates, listed fallbacks) per
+# cell, sec1 is the TA-CAN baseline on the same CAN. One worker: the tables
+# are identical for any count, the committed ones were recorded with one.
+for fig in fig02_ecan_vs_can fig16_condense_rate sec1_tacan_imbalance; do
+    if ! TAO_SCALE=paper TAO_WORKERS=1 cargo run -q --release --offline \
+        -p tao-bench --bin "$fig" 2>/dev/null | cmp - "results/$fig.txt"; then
+        echo "FAIL: $fig at TAO_SCALE=paper no longer reproduces results/$fig.txt." >&2
+        exit 1
+    fi
+done
+echo "figure drift: OK (fig02, fig16, sec1 byte-identical to results/)"
+
 # ---- Waiver audit: wall-clock reads stay confined and justified. ------------
 # tao-lint already fails unwaived Instant::now sites; this audit additionally
 # requires every waiver to carry a non-empty reason = "..." justification.

@@ -21,6 +21,10 @@ mkdir -p results
   echo "#   fig02 33s  fig03_06 5s  fig10_13 66s  fig14_15 85s  fig16 10s  sec1 0s"
   echo "#   sec52 4s  sec54_gap 14s  sec6 8s  ablation_sfc 4s  ablation_lvi 5s"
   echo "#   generality 11s  related 0s  join_cost 2s  sec54_opt 2s  -- 249s total"
+  echo "# Before PR 17 (every box of every node listed; build_on built a random eCAN first):"
+  echo "#   fig02 29s  fig03_06 1s  fig10_13 5s  fig14_15 10s  fig16 1s  sec1 0s"
+  echo "#   sec52 1s  sec54_gap 6s  sec6 4s  ablation_sfc 1s  ablation_lvi 1s"
+  echo "#   generality 1s  related 0s  join_cost 0s  sec54_opt 2s  -- 62s total"
 } > results/timings.txt
 total_start=$SECONDS
 for b in fig02_ecan_vs_can fig02_million_churn fig03_06_nearest_neighbor \

@@ -3,8 +3,13 @@
 //! selection, and routing — asserting the paper's headline claims hold on
 //! this implementation.
 
-use tao_core::{SelectionStrategy, TaoBuilder};
-use tao_topology::{LatencyAssignment, TransitStubParams};
+use tao_core::{GlobalStateSelector, SelectionStrategy, TaoBuilder};
+use tao_landmark::LandmarkVector;
+use tao_overlay::ecan::{ClosestSelector, EcanOverlay, RandomSelector};
+use tao_sim::SimTime;
+use tao_softstate::{GlobalState, NodeInfo};
+use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams};
+use tao_util::det::DetMap;
 
 fn builder(latency: LatencyAssignment, seed: u64) -> TaoBuilder {
     let mut b = TaoBuilder::new();
@@ -111,4 +116,64 @@ fn different_topologies_behave_consistently() {
     let s = tao.measure_routing_stretch(400, 3);
     assert!(s.count() > 300);
     assert!(s.min() >= 1.0 - 1e-9);
+}
+
+#[test]
+fn build_on_equals_the_random_build_then_publish_then_reselect_sequence() {
+    // `build_on` publishes over a table-less eCAN and makes one pass. What
+    // it must equal is the sequence it used to run, spelled out over its
+    // own CAN and landmarks: a random eCAN build, everyone's publish, then
+    // a full re-selection with the configured strategy (none for Random).
+    let seed = 48;
+    let topology =
+        generate_transit_stub(&TransitStubParams::tsk_large_mini(), LatencyAssignment::manual(), seed);
+    for strategy in [
+        SelectionStrategy::Random,
+        SelectionStrategy::Optimal,
+        SelectionStrategy::GlobalState,
+    ] {
+        let mut b = builder(LatencyAssignment::manual(), seed);
+        b.selection(strategy);
+        let tao = b.build_on(topology.clone());
+
+        let oracle = RttOracle::new(topology.graph().clone());
+        let can = tao.ecan().can().clone();
+        let config = *tao.state().config();
+        let mut infos = DetMap::new();
+        for id in can.live_nodes() {
+            let underlay = can.underlay(id);
+            let vector = LandmarkVector::measure(underlay, tao.landmarks(), &oracle);
+            let number = config.grid().landmark_number(&vector, config.curve());
+            let info = NodeInfo { node: id, underlay, vector, number, load: None };
+            assert_eq!(Some(&info), tao.info(id));
+            infos.insert(id, info);
+        }
+        let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(seed));
+        let mut state = GlobalState::new(config);
+        for info in infos.values() {
+            state.publish(info.clone(), &ecan, SimTime::ORIGIN);
+        }
+        match strategy {
+            SelectionStrategy::Random => {}
+            SelectionStrategy::Optimal => ecan.reselect(&mut ClosestSelector::new(oracle.clone())),
+            SelectionStrategy::GlobalState => ecan.reselect(&mut GlobalStateSelector::new(
+                &state,
+                &oracle,
+                &infos,
+                tao.params().rtt_budget,
+                SimTime::ORIGIN,
+                seed.wrapping_add(0x5e1),
+            )),
+        }
+
+        for id in ecan.can().live_nodes() {
+            assert_eq!(
+                tao.ecan().high_order_entries(id),
+                ecan.high_order_entries(id),
+                "{strategy:?}: {id}'s table"
+            );
+        }
+        assert_eq!(tao.oracle().measurements(), oracle.measurements(), "{strategy:?}");
+        assert_eq!(tao.state().total_entries(), state.total_entries(), "{strategy:?}");
+    }
 }
