@@ -7,10 +7,8 @@
 //! global state well below random, near the ground-truth optimum.
 
 use tao_bench::{f3, print_table, Scale};
-use tao_core::chord_aware::ChordAware;
 use tao_core::experiment::{routes_for, topology_for};
-use tao_core::pastry_aware::PastryAware;
-use tao_core::SelectionStrategy;
+use tao_core::{ChordAware, PastryAware, SelectionStrategy};
 use tao_topology::LatencyAssignment;
 
 fn main() {

@@ -21,6 +21,9 @@
 //! 5. **Load awareness (§6)** — candidates can be scored by a blend of RTT
 //!    and published utilization ([`LoadAwareSelector`]).
 //!
+//! 6. **Generality (§7)** — the same pipeline on Chord and Pastry, written
+//!    once over the id-keyed overlays ([`KeyedAware`]).
+//!
 //! The entry point is [`TopologyAwareOverlay`], built via [`TaoBuilder`];
 //! [`experiment`] contains the harnesses that regenerate the paper's
 //! figures.
@@ -47,18 +50,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chord_aware;
+pub mod aware;
 pub mod churn;
 pub mod experiment;
-pub mod pastry_aware;
 mod load;
 mod metrics;
 mod params;
 mod selector;
 mod system;
 
-pub use chord_aware::{ChordAware, GlobalRingSelector};
-pub use pastry_aware::{GlobalPrefixSelector, PastryAware};
+pub use aware::{AwareOverlay, ChordAware, KeyedAware, PastryAware};
 pub use load::{LoadAwareSelector, LoadModel};
 pub use metrics::{StretchSummary, Summary};
 pub use params::{ExperimentParams, SelectionStrategy};

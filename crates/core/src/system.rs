@@ -169,14 +169,7 @@ impl TaoBuilder {
         }
 
         // 3. Landmark vectors and numbers (RTT probes, charged).
-        let grid_ceiling = landmark_space_ceiling(&oracle, &landmarks);
-        let grid = LandmarkGrid::new(
-            self.params.landmark_vector_index,
-            self.params.grid_bits,
-            grid_ceiling,
-        )
-        .expect("validated grid parameters"); // tao-lint: allow(no-unwrap-in-lib, reason = "validated grid parameters")
-        let config = SoftStateConfig::builder(grid)
+        let config = SoftStateConfig::builder(landmark_grid(&oracle, &landmarks, &self.params))
             .curve(self.curve)
             .condense_rate(self.params.condense_rate)
             .build();
@@ -223,16 +216,23 @@ impl TaoBuilder {
     }
 }
 
-/// An RTT ceiling for the landmark grid: twice the largest landmark-to-
-/// landmark distance (so in-range vectors rarely saturate).
-fn landmark_space_ceiling(oracle: &RttOracle, landmarks: &[NodeIdx]) -> SimDuration {
+/// The landmark-space grid every system quantises vectors on: the
+/// (validated) `params`' index and resolution under an RTT ceiling of twice
+/// the largest landmark-to-landmark distance, so in-range vectors rarely
+/// saturate.
+pub(crate) fn landmark_grid(
+    oracle: &RttOracle,
+    landmarks: &[NodeIdx],
+    params: &ExperimentParams,
+) -> LandmarkGrid {
     let mut max = SimDuration::from_millis(1);
     for (i, &a) in landmarks.iter().enumerate() {
         for &b in &landmarks[i + 1..] {
             max = max.max(oracle.ground_truth(a, b));
         }
     }
-    max * 2
+    LandmarkGrid::new(params.landmark_vector_index, params.grid_bits, max * 2)
+        .expect("validated grid parameters") // tao-lint: allow(no-unwrap-in-lib, reason = "validated grid parameters")
 }
 
 /// The assembled topology-aware overlay: the object experiments measure.
@@ -396,9 +396,9 @@ impl TopologyAwareOverlay {
     }
 
     /// Departs `node` from the overlay: the CAN hands its zone to a
-    /// neighbor, the node\'s expressway table is dropped, and every node
+    /// neighbor, the node's expressway table is dropped, and every node
     /// whose table referenced it re-selects. How the *soft-state* learns
-    /// about the departure is the experiment\'s choice (see
+    /// about the departure is the experiment's choice (see
     /// [`tao_softstate::MaintenancePolicy`]); this method leaves the maps
     /// untouched.
     ///
@@ -444,7 +444,7 @@ impl TopologyAwareOverlay {
     }
 
     /// Re-runs neighbor selection for the given nodes only, with the
-    /// system\'s configured strategy.
+    /// system's configured strategy.
     // tao-lint: allow(panic-reachability, reason = "reselection panics only on corrupted expressway tables; the fault-injection harness exercises the recoverable paths")
     pub fn reselect_nodes(&mut self, nodes: &[OverlayNodeId]) {
         let now = self.now.as_micros();
@@ -457,7 +457,7 @@ impl TopologyAwareOverlay {
 
     /// Re-runs neighbor selection with the system's configured strategy
     /// against the *current* soft-state (e.g. after churn or TTL decay).
-    // tao-lint: allow(panic-reachability, reason = "finger-table rebuild panics only if a ring member vanished mid-rebuild, impossible under the single-threaded simulator")
+    // tao-lint: allow(panic-reachability, reason = "an expressway table pass panics only if a live node has no published info or a target box has no member; build_on and join_node record an info for every node they add, depart drops it with the node, and the CAN's zones cover the space")
     pub fn reselect(&mut self) {
         let now = self.now.as_micros();
         self.with_selector(now, now ^ 0x5e1, |ecan, sel| ecan.reselect(sel));

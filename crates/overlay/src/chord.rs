@@ -14,14 +14,15 @@
 //! # Example
 //!
 //! ```
-//! use tao_overlay::chord::{ChordOverlay, RandomFingerSelector};
+//! use tao_overlay::chord::ChordOverlay;
+//! use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
 //! use tao_topology::NodeIdx;
 //!
 //! let mut ring = ChordOverlay::new();
 //! for i in 0..32u32 {
 //!     ring.join(NodeIdx(i), u64::from(i) * (u64::MAX / 32));
 //! }
-//! ring.build_fingers(&mut RandomFingerSelector::new(1));
+//! ring.reselect(&mut RandomPeerSelector::new(1));
 //! let start = ring.node_ids().next().unwrap();
 //! let route = ring.route(start, u64::MAX / 2).unwrap();
 //! assert!(route.hop_count() <= 6, "Chord routes in O(log N)");
@@ -30,9 +31,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
-use tao_topology::{NodeIdx, RttOracle};
+use tao_topology::NodeIdx;
+
+use crate::keyed::{KeyedOverlay, PeerSelector};
+use crate::RouteScratch;
 
 /// A position on the Chord identifier ring (`u64`, wrapping).
 pub type RingId = u64;
@@ -64,68 +66,6 @@ pub struct Finger {
     pub bit: u32,
     /// The chosen node inside the interval.
     pub target: RingId,
-}
-
-/// Chooses which member of a finger interval becomes the finger — Chord's
-/// *proximity neighbor selection* hook, mirroring
-/// [`NeighborSelector`](crate::ecan::NeighborSelector) for eCAN.
-pub trait FingerSelector {
-    /// Picks one of `candidates` (non-empty ring ids inside the interval)
-    /// as the finger of `owner`.
-    fn select(&mut self, owner: RingId, candidates: &[RingId], ring: &ChordOverlay) -> RingId;
-}
-
-/// Uniformly random interval member — the no-topology-awareness baseline.
-#[derive(Debug, Clone)]
-pub struct RandomFingerSelector {
-    rng: StdRng,
-}
-
-impl RandomFingerSelector {
-    /// Creates a selector with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        RandomFingerSelector {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl FingerSelector for RandomFingerSelector {
-    fn select(&mut self, _owner: RingId, candidates: &[RingId], _ring: &ChordOverlay) -> RingId {
-        candidates[self.rng.gen_range(0..candidates.len())]
-    }
-}
-
-/// The physically closest interval member via free ground truth — the
-/// optimal curve.
-#[derive(Debug, Clone)]
-pub struct ClosestFingerSelector {
-    oracle: RttOracle,
-}
-
-impl ClosestFingerSelector {
-    /// Creates the optimal selector over `oracle`'s topology.
-    pub fn new(oracle: RttOracle) -> Self {
-        ClosestFingerSelector { oracle }
-    }
-}
-
-impl FingerSelector for ClosestFingerSelector {
-    fn select(&mut self, owner: RingId, candidates: &[RingId], ring: &ChordOverlay) -> RingId {
-        let me = ring.underlay(owner).expect("owner is on the ring"); // tao-lint: allow(no-unwrap-in-lib, reason = "owner is on the ring")
-        *candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                let da = self
-                    .oracle
-                    .ground_truth(me, ring.underlay(a).expect("candidate on ring")); // tao-lint: allow(no-unwrap-in-lib, reason = "candidate on ring")
-                let db = self
-                    .oracle
-                    .ground_truth(me, ring.underlay(b).expect("candidate on ring")); // tao-lint: allow(no-unwrap-in-lib, reason = "candidate on ring")
-                da.cmp(&db).then(a.cmp(&b))
-            })
-            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -171,39 +111,11 @@ impl ChordOverlay {
         self.nodes.is_empty()
     }
 
-    /// Ring ids of all nodes, ascending.
-    pub fn node_ids(&self) -> impl Iterator<Item = RingId> + '_ {
-        self.nodes.keys().copied()
-    }
-
-    /// The underlay router of node `id`.
-    pub fn underlay(&self, id: RingId) -> Option<NodeIdx> {
-        self.nodes.get(&id).map(|s| s.underlay)
-    }
-
-    /// Adds a node with the given ring id. Fingers are not built until
-    /// [`ChordOverlay::build_fingers`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already taken (callers draw ids from a seeded
-    /// RNG; a collision on a 64-bit ring is a bug, not an input condition).
-    pub fn join(&mut self, underlay: NodeIdx, id: RingId) {
-        let prev = self.nodes.insert(
-            id,
-            NodeState {
-                underlay,
-                fingers: Vec::new(),
-            },
-        );
-        assert!(prev.is_none(), "ring id {id:#x} joined twice");
-    }
-
     /// Removes a node from the ring; its keys fall to its successor by
     /// construction of [`ChordOverlay::successor`]. Other nodes' fingers
     /// referencing it go stale — routing skips them — until re-selected
-    /// ([`ChordOverlay::build_fingers`] or per-node
-    /// [`ChordOverlay::rebuild_fingers_of`]).
+    /// ([`KeyedOverlay::reselect`] or per-node
+    /// [`KeyedOverlay::reselect_node`]).
     ///
     /// # Errors
     ///
@@ -246,42 +158,6 @@ impl ChordOverlay {
         }
     }
 
-    /// (Re)builds every node's finger table, choosing interval members
-    /// through `selector`.
-    // tao-lint: allow(panic-reachability, reason = "finger targets come from successor_of over the populated ring; ring lookups hit existing members by construction")
-    pub fn build_fingers(&mut self, selector: &mut dyn FingerSelector) {
-        let ids: Vec<RingId> = self.node_ids().collect();
-        for id in ids {
-            self.rebuild_fingers_of(id, selector);
-        }
-    }
-
-    /// Rebuilds one node's finger table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not on the ring.
-    // tao-lint: allow(panic-reachability, reason = "rebuilds fingers for a member that is present in the ring by the caller's contract; lookups hit existing members")
-    pub fn rebuild_fingers_of(&mut self, id: RingId, selector: &mut dyn FingerSelector) {
-        assert!(self.nodes.contains_key(&id), "node {id:#x} not on the ring");
-        let mut fingers = Vec::new();
-        for bit in 0..64u32 {
-            let lo = id.wrapping_add(1u64 << bit);
-            let hi = id.wrapping_add(if bit == 63 { 0 } else { 1u64 << (bit + 1) });
-            let mut candidates = self.members_in(lo, hi);
-            candidates.retain(|&c| c != id);
-            if candidates.is_empty() {
-                continue;
-            }
-            let target = selector.select(id, &candidates, self);
-            fingers.push(Finger { bit, target });
-        }
-        self.nodes
-            .get_mut(&id)
-            .expect("checked above") // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
-            .fingers = fingers;
-    }
-
     /// The finger table of `id` (empty until built).
     pub fn fingers(&self, id: RingId) -> &[Finger] {
         self.nodes
@@ -305,62 +181,11 @@ impl ChordOverlay {
     /// [`ChordError::EmptyRing`] on an empty ring.
     // tao-lint: allow(panic-reachability, reason = "delegates to route_into, whose unreachable! hop bound is a defensive invariant")
     pub fn route(&self, start: RingId, key: RingId) -> Result<ChordRoute, ChordError> {
-        let mut scratch = crate::RouteScratch::new();
+        let mut scratch = RouteScratch::new();
         self.route_into(&mut scratch, start, key)?;
         Ok(ChordRoute {
             hops: scratch.take_ring_hops(),
         })
-    }
-
-    /// [`ChordOverlay::route`] with the hop buffer living in `scratch`, so
-    /// a caller that routes more than once allocates nothing after the
-    /// first call. On success the hop sequence (start first) is in
-    /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
-    /// error the scratch is still reusable.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChordOverlay::route`].
-    // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "every hop is a ring member (fingers are filtered by membership, the fallback is successor()) and moves clockwise toward the key, so the unreachable! hop bound is a defensive invariant")
-    pub fn route_into(
-        &self,
-        scratch: &mut crate::RouteScratch,
-        start: RingId,
-        key: RingId,
-    ) -> Result<(), ChordError> {
-        if !self.nodes.contains_key(&start) {
-            return Err(ChordError::UnknownNode(start));
-        }
-        let home = self.successor(key)?;
-        scratch.begin_ring();
-        scratch.push_ring_hop(start);
-        let mut current = start;
-        while current != home {
-            let remaining = Self::clockwise(current, key);
-            // Best finger that does not overshoot the key. `leave` does not
-            // touch other nodes' fingers, so until they are rebuilt a
-            // target may have departed: only ring members are forwarded to.
-            let next = self
-                .fingers(current)
-                .iter()
-                .map(|f| f.target)
-                .filter(|&t| Self::clockwise(current, t) <= remaining.max(1))
-                .filter(|t| self.nodes.contains_key(t))
-                .max_by_key(|&t| Self::clockwise(current, t));
-            let next = match next {
-                Some(n) if n != current => n,
-                // No useful finger: fall to the immediate successor.
-                _ => self.successor(current.wrapping_add(1))?,
-            };
-            scratch.push_ring_hop(next);
-            current = next;
-            if scratch.ring_hops_len() > 2 * self.nodes.len() + 8 {
-                // Defensive: cannot loop on a consistent ring.
-                unreachable!("chord routing exceeded the hop bound");
-            }
-        }
-        Ok(())
     }
 
     /// Asserts the ring's structural invariants, panicking with a
@@ -373,8 +198,8 @@ impl ChordOverlay {
     ///   that is on the ring, is not the owner, and lies inside the
     ///   interval `[owner + 2^bit, owner + 2^(bit+1))` its slot covers.
     ///
-    /// Intended for churn tests: call after `build_fingers` /
-    /// `rebuild_fingers_of` has repaired tables.
+    /// Intended for churn tests: call after `reselect` / `reselect_node`
+    /// has repaired tables.
     // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a broken ring is the intended behavior")
     pub fn check_invariants(&self) {
         if self.is_empty() {
@@ -417,9 +242,109 @@ impl ChordOverlay {
     }
 }
 
+impl KeyedOverlay for ChordOverlay {
+    type Error = ChordError;
+
+    fn node_ids(&self) -> impl Iterator<Item = RingId> + '_ {
+        self.nodes.keys().copied()
+    }
+
+    fn underlay(&self, id: RingId) -> Option<NodeIdx> {
+        self.nodes.get(&id).map(|s| s.underlay)
+    }
+
+    fn join(&mut self, underlay: NodeIdx, id: RingId) {
+        let prev = self.nodes.insert(
+            id,
+            NodeState {
+                underlay,
+                fingers: Vec::new(),
+            },
+        );
+        assert!(prev.is_none(), "ring id {id:#x} joined twice");
+    }
+
+    /// Rebuilds one node's finger table: finger `i` is whichever member of
+    /// `[id + 2^i, id + 2^(i+1))` the selector picks; empty intervals get
+    /// no finger.
+    fn reselect_node(&mut self, id: RingId, selector: &mut dyn PeerSelector<Self>) {
+        assert!(self.nodes.contains_key(&id), "node {id:#x} not on the ring");
+        let mut fingers = Vec::new();
+        for bit in 0..64u32 {
+            let lo = id.wrapping_add(1u64 << bit);
+            let hi = id.wrapping_add(if bit == 63 { 0 } else { 1u64 << (bit + 1) });
+            let mut candidates = self.members_in(lo, hi);
+            candidates.retain(|&c| c != id);
+            if candidates.is_empty() {
+                continue;
+            }
+            let target = selector.select(id, &candidates, self);
+            fingers.push(Finger { bit, target });
+        }
+        self.nodes
+            .get_mut(&id)
+            .expect("checked above") // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
+            .fingers = fingers;
+    }
+
+    /// [`ChordOverlay::route`] with the hop buffer living in `scratch`, so
+    /// a caller that routes more than once allocates nothing after the
+    /// first call. On success the hop sequence (start first) is in
+    /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
+    /// error the scratch is still reusable.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ChordOverlay::route`].
+    // tao-lint: hot
+    fn route_into(
+        &self,
+        scratch: &mut RouteScratch,
+        start: RingId,
+        key: RingId,
+    ) -> Result<(), ChordError> {
+        if !self.nodes.contains_key(&start) {
+            return Err(ChordError::UnknownNode(start));
+        }
+        let home = self.successor(key)?;
+        scratch.begin_ring();
+        scratch.push_ring_hop(start);
+        let mut current = start;
+        while current != home {
+            let remaining = Self::clockwise(current, key);
+            // Best finger that does not overshoot the key. `leave` does not
+            // touch other nodes' fingers, so until they are rebuilt a
+            // target may have departed: only ring members are forwarded to.
+            let next = self
+                .fingers(current)
+                .iter()
+                .map(|f| f.target)
+                .filter(|&t| Self::clockwise(current, t) <= remaining.max(1))
+                .filter(|t| self.nodes.contains_key(t))
+                .max_by_key(|&t| Self::clockwise(current, t));
+            let next = match next {
+                Some(n) if n != current => n,
+                // No useful finger: fall to the immediate successor.
+                _ => self.successor(current.wrapping_add(1))?,
+            };
+            scratch.push_ring_hop(next);
+            current = next;
+            if scratch.ring_hops_len() > 2 * self.nodes.len() + 8 {
+                // Defensive: cannot loop on a consistent ring.
+                unreachable!("chord routing exceeded the hop bound");
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyed::{ClosestPeerSelector, RandomPeerSelector};
+    use tao_topology::RttOracle;
+    use tao_util::rand::rngs::StdRng;
+    use tao_util::rand::{Rng, SeedableRng};
 
     fn ring_of(n: u32, seed: u64) -> ChordOverlay {
         let mut ring = ChordOverlay::new();
@@ -427,7 +352,7 @@ mod tests {
         for i in 0..n {
             ring.join(NodeIdx(i), rng.gen());
         }
-        ring.build_fingers(&mut RandomFingerSelector::new(seed ^ 1));
+        ring.reselect(&mut RandomPeerSelector::new(seed ^ 1));
         ring
     }
 
@@ -476,7 +401,7 @@ mod tests {
             let victim = ids.swap_remove(rng.gen_range(0..ids.len()));
             ring.leave(victim).unwrap();
         }
-        let mut scratch = crate::RouteScratch::new();
+        let mut scratch = RouteScratch::new();
         for _ in 0..2_000 {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: RingId = rng.gen();
@@ -539,7 +464,7 @@ mod tests {
         for i in 0..128u32 {
             ring.join(NodeIdx(i * 7), rng.gen());
         }
-        ring.build_fingers(&mut ClosestFingerSelector::new(oracle.clone()));
+        ring.reselect(&mut ClosestPeerSelector::new(oracle.clone()));
         for id in ring.node_ids() {
             let me = ring.underlay(id).unwrap();
             for f in ring.fingers(id) {
@@ -567,7 +492,7 @@ mod tests {
         assert_ne!(heir, victim);
         assert!(ring.leave(victim).is_err());
         // Re-selection drops stale fingers.
-        ring.build_fingers(&mut RandomFingerSelector::new(12));
+        ring.reselect(&mut RandomPeerSelector::new(12));
         for id in ring.node_ids() {
             assert!(ring.fingers(id).iter().all(|f| f.target != victim));
         }

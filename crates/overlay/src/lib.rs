@@ -13,6 +13,9 @@
 //! * [`ecan`] — high-order zones, expressway routing tables with pluggable
 //!   neighbor *selection* (the hook the paper's proximity-neighbor
 //!   selection plugs into), and expressway routing,
+//! * [`chord`] / [`pastry`] — the id-keyed substrates of the paper's
+//!   generality claim; [`keyed`] names the surface they share and the one
+//!   selection hook their routing slots are filled through,
 //! * [`tacan`] — the Topologically-Aware CAN baseline (geographic layout by
 //!   landmark ordering), used to reproduce the paper's §1 claim about
 //!   space imbalance and neighbor blow-up.
@@ -43,6 +46,7 @@ mod can;
 pub mod chord;
 pub mod dv;
 pub mod ecan;
+pub mod keyed;
 pub mod pastry;
 mod point;
 mod scratch;

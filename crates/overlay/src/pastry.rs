@@ -13,7 +13,8 @@
 //! # Example
 //!
 //! ```
-//! use tao_overlay::pastry::{PastryOverlay, RandomEntrySelector};
+//! use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
+//! use tao_overlay::pastry::PastryOverlay;
 //! use tao_topology::NodeIdx;
 //! use tao_util::rand::{Rng, SeedableRng};
 //!
@@ -22,7 +23,7 @@
 //! for i in 0..64u32 {
 //!     pastry.join(NodeIdx(i), rng.gen());
 //! }
-//! pastry.build_tables(&mut RandomEntrySelector::new(1));
+//! pastry.reselect(&mut RandomPeerSelector::new(1));
 //! let start = pastry.node_ids().next().unwrap();
 //! let key: u64 = rng.gen();
 //! let route = pastry.route(start, key).unwrap();
@@ -32,9 +33,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
-use tao_topology::{NodeIdx, RttOracle};
+use tao_topology::NodeIdx;
+
+use crate::keyed::{KeyedOverlay, PeerSelector};
+use crate::RouteScratch;
 
 /// A Pastry node identifier: 64 bits read as 16 hexadecimal digits, most
 /// significant first.
@@ -85,78 +87,6 @@ impl fmt::Display for PastryError {
 }
 
 impl std::error::Error for PastryError {}
-
-/// Chooses which prefix-matching node fills a routing-table slot — Pastry's
-/// proximity-neighbor-selection hook.
-pub trait EntrySelector {
-    /// Picks one of `candidates` (non-empty, all satisfying the slot's
-    /// prefix constraint) as the entry for `owner`.
-    fn select(&mut self, owner: PastryId, candidates: &[PastryId], overlay: &PastryOverlay)
-        -> PastryId;
-}
-
-/// Uniformly random prefix-matching node — the baseline.
-#[derive(Debug, Clone)]
-pub struct RandomEntrySelector {
-    rng: StdRng,
-}
-
-impl RandomEntrySelector {
-    /// Creates a selector with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        RandomEntrySelector {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl EntrySelector for RandomEntrySelector {
-    fn select(
-        &mut self,
-        _owner: PastryId,
-        candidates: &[PastryId],
-        _overlay: &PastryOverlay,
-    ) -> PastryId {
-        candidates[self.rng.gen_range(0..candidates.len())]
-    }
-}
-
-/// The physically closest prefix-matching node via free ground truth — the
-/// optimal curve.
-#[derive(Debug, Clone)]
-pub struct ClosestEntrySelector {
-    oracle: RttOracle,
-}
-
-impl ClosestEntrySelector {
-    /// Creates the optimal selector over `oracle`'s topology.
-    pub fn new(oracle: RttOracle) -> Self {
-        ClosestEntrySelector { oracle }
-    }
-}
-
-impl EntrySelector for ClosestEntrySelector {
-    fn select(
-        &mut self,
-        owner: PastryId,
-        candidates: &[PastryId],
-        overlay: &PastryOverlay,
-    ) -> PastryId {
-        let me = overlay.underlay(owner).expect("owner is present"); // tao-lint: allow(no-unwrap-in-lib, reason = "owner is present")
-        *candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                let da = self
-                    .oracle
-                    .ground_truth(me, overlay.underlay(a).expect("candidate present")); // tao-lint: allow(no-unwrap-in-lib, reason = "candidate present")
-                let db = self
-                    .oracle
-                    .ground_truth(me, overlay.underlay(b).expect("candidate present")); // tao-lint: allow(no-unwrap-in-lib, reason = "candidate present")
-                da.cmp(&db).then(a.cmp(&b))
-            })
-            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
-    }
-}
 
 #[derive(Debug, Clone)]
 struct NodeState {
@@ -214,35 +144,6 @@ impl PastryOverlay {
         self.nodes.is_empty()
     }
 
-    /// All node ids, ascending.
-    pub fn node_ids(&self) -> impl Iterator<Item = PastryId> + '_ {
-        self.nodes.keys().copied()
-    }
-
-    /// The underlay router of `id`.
-    pub fn underlay(&self, id: PastryId) -> Option<NodeIdx> {
-        self.nodes.get(&id).map(|s| s.underlay)
-    }
-
-    /// Adds a node. Tables are not built until
-    /// [`PastryOverlay::build_tables`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate id (ids come from a seeded RNG; collisions on
-    /// 64 bits indicate a bug).
-    pub fn join(&mut self, underlay: NodeIdx, id: PastryId) {
-        let prev = self.nodes.insert(
-            id,
-            NodeState {
-                underlay,
-                table: vec![None; (DIGITS as usize) * 16],
-                leaves: Vec::new(),
-            },
-        );
-        assert!(prev.is_none(), "pastry id {id:#x} joined twice");
-    }
-
     /// Removes a node.
     ///
     /// # Errors
@@ -295,44 +196,6 @@ impl PastryOverlay {
         } else {
             self.nodes.range(lo..hi).map(|(&id, _)| id).collect()
         }
-    }
-
-    /// (Re)builds every node's routing table and leaf set, choosing each
-    /// slot's entry through `selector`.
-    pub fn build_tables(&mut self, selector: &mut dyn EntrySelector) {
-        let ids: Vec<PastryId> = self.node_ids().collect();
-        for id in ids {
-            self.rebuild_node(id, selector);
-        }
-    }
-
-    /// Rebuilds one node's table and leaf set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is absent.
-    pub fn rebuild_node(&mut self, id: PastryId, selector: &mut dyn EntrySelector) {
-        assert!(self.nodes.contains_key(&id), "node {id:#x} not present");
-        let mut table = vec![None; (DIGITS as usize) * 16];
-        for row in 0..DIGITS {
-            let own_digit = digit(id, row);
-            for d in 0..16u8 {
-                if d == own_digit {
-                    continue;
-                }
-                let mut candidates = self.members_of_slot(id, row, d);
-                candidates.retain(|&c| c != id);
-                if candidates.is_empty() {
-                    continue;
-                }
-                let entry = selector.select(id, &candidates, self);
-                table[(row as usize) * 16 + d as usize] = Some(entry);
-            }
-        }
-        let leaves = self.leaf_set_of(id);
-        let s = self.nodes.get_mut(&id).expect("checked above"); // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
-        s.table = table;
-        s.leaves = leaves;
     }
 
     fn leaf_set_of(&self, id: PastryId) -> Vec<PastryId> {
@@ -394,11 +257,106 @@ impl PastryOverlay {
     /// Returns [`PastryError::UnknownNode`] for an absent start and
     /// [`PastryError::Empty`] on an empty overlay.
     pub fn route(&self, start: PastryId, key: PastryId) -> Result<PastryRoute, PastryError> {
-        let mut scratch = crate::RouteScratch::new();
+        let mut scratch = RouteScratch::new();
         self.route_into(&mut scratch, start, key)?;
         Ok(PastryRoute {
             hops: scratch.take_ring_hops(),
         })
+    }
+
+    /// Asserts the overlay's structural invariants, panicking with a
+    /// description on the first violation:
+    ///
+    /// * **routing-table constraint** — every filled `(row, digit)` slot
+    ///   holds a present node (not the owner) that shares `row` digits with
+    ///   the owner and has `digit` at position `row` — the prefix symmetry
+    ///   the paper's selection hook relies on;
+    /// * **leaf-set freshness** — every node's leaf set equals the nearest
+    ///   ids on the current membership (recomputed from scratch), so stale
+    ///   leaves left by departures are caught.
+    ///
+    /// Intended for churn tests: call after `reselect` / `reselect_node`
+    /// has repaired state.
+    pub fn check_invariants(&self) {
+        for (&id, s) in &self.nodes {
+            for row in 0..DIGITS {
+                for d in 0..16u8 {
+                    let Some(e) = s.table[(row as usize) * 16 + d as usize] else {
+                        continue;
+                    };
+                    assert!(
+                        self.nodes.contains_key(&e),
+                        "table ({row},{d:#x}) of {id:#018x} holds departed {e:#018x}"
+                    );
+                    assert_ne!(e, id, "table ({row},{d:#x}) of {id:#018x} is a self-loop");
+                    assert!(
+                        shared_prefix_len(e, id) >= row,
+                        "table ({row},{d:#x}) of {id:#018x} breaks the prefix constraint"
+                    );
+                    assert_eq!(
+                        digit(e, row),
+                        d,
+                        "table ({row},{d:#x}) of {id:#018x} has the wrong next digit"
+                    );
+                }
+            }
+            let expected = self.leaf_set_of(id);
+            assert_eq!(
+                s.leaves, expected,
+                "leaf set of {id:#018x} is stale (expected the nearest ids)"
+            );
+        }
+    }
+}
+
+impl KeyedOverlay for PastryOverlay {
+    type Error = PastryError;
+
+    fn node_ids(&self) -> impl Iterator<Item = PastryId> + '_ {
+        self.nodes.keys().copied()
+    }
+
+    fn underlay(&self, id: PastryId) -> Option<NodeIdx> {
+        self.nodes.get(&id).map(|s| s.underlay)
+    }
+
+    fn join(&mut self, underlay: NodeIdx, id: PastryId) {
+        let prev = self.nodes.insert(
+            id,
+            NodeState {
+                underlay,
+                table: vec![None; (DIGITS as usize) * 16],
+                leaves: Vec::new(),
+            },
+        );
+        assert!(prev.is_none(), "pastry id {id:#x} joined twice");
+    }
+
+    /// Rebuilds one node's routing table and leaf set: slot `(row, d)` is
+    /// whichever member sharing `row` digits with `id` and continuing with
+    /// `d` the selector picks; slots nobody fits stay empty.
+    fn reselect_node(&mut self, id: PastryId, selector: &mut dyn PeerSelector<Self>) {
+        assert!(self.nodes.contains_key(&id), "node {id:#x} not present");
+        let mut table = vec![None; (DIGITS as usize) * 16];
+        for row in 0..DIGITS {
+            let own_digit = digit(id, row);
+            for d in 0..16u8 {
+                if d == own_digit {
+                    continue;
+                }
+                let mut candidates = self.members_of_slot(id, row, d);
+                candidates.retain(|&c| c != id);
+                if candidates.is_empty() {
+                    continue;
+                }
+                let entry = selector.select(id, &candidates, self);
+                table[(row as usize) * 16 + d as usize] = Some(entry);
+            }
+        }
+        let leaves = self.leaf_set_of(id);
+        let s = self.nodes.get_mut(&id).expect("checked above"); // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
+        s.table = table;
+        s.leaves = leaves;
     }
 
     /// [`PastryOverlay::route`] with the hop buffer living in `scratch`, so
@@ -411,10 +369,9 @@ impl PastryOverlay {
     ///
     /// Same conditions as [`PastryOverlay::route`].
     // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "the unreachable! hop bound is a defensive invariant; the expect is guarded by the membership check on every hop")
-    pub fn route_into(
+    fn route_into(
         &self,
-        scratch: &mut crate::RouteScratch,
+        scratch: &mut RouteScratch,
         start: PastryId,
         key: PastryId,
     ) -> Result<(), PastryError> {
@@ -484,50 +441,6 @@ impl PastryOverlay {
         }
         Ok(())
     }
-
-    /// Asserts the overlay's structural invariants, panicking with a
-    /// description on the first violation:
-    ///
-    /// * **routing-table constraint** — every filled `(row, digit)` slot
-    ///   holds a present node (not the owner) that shares `row` digits with
-    ///   the owner and has `digit` at position `row` — the prefix symmetry
-    ///   the paper's selection hook relies on;
-    /// * **leaf-set freshness** — every node's leaf set equals the nearest
-    ///   ids on the current membership (recomputed from scratch), so stale
-    ///   leaves left by departures are caught.
-    ///
-    /// Intended for churn tests: call after `build_tables` /
-    /// `rebuild_node` has repaired state.
-    pub fn check_invariants(&self) {
-        for (&id, s) in &self.nodes {
-            for row in 0..DIGITS {
-                for d in 0..16u8 {
-                    let Some(e) = s.table[(row as usize) * 16 + d as usize] else {
-                        continue;
-                    };
-                    assert!(
-                        self.nodes.contains_key(&e),
-                        "table ({row},{d:#x}) of {id:#018x} holds departed {e:#018x}"
-                    );
-                    assert_ne!(e, id, "table ({row},{d:#x}) of {id:#018x} is a self-loop");
-                    assert!(
-                        shared_prefix_len(e, id) >= row,
-                        "table ({row},{d:#x}) of {id:#018x} breaks the prefix constraint"
-                    );
-                    assert_eq!(
-                        digit(e, row),
-                        d,
-                        "table ({row},{d:#x}) of {id:#018x} has the wrong next digit"
-                    );
-                }
-            }
-            let expected = self.leaf_set_of(id);
-            assert_eq!(
-                s.leaves, expected,
-                "leaf set of {id:#018x} is stale (expected the nearest ids)"
-            );
-        }
-    }
 }
 
 /// Minimal wrapping distance between two ids on the 64-bit ring.
@@ -539,6 +452,9 @@ fn ring_distance(a: PastryId, b: PastryId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyed::RandomPeerSelector;
+    use tao_util::rand::rngs::StdRng;
+    use tao_util::rand::{Rng, SeedableRng};
 
     fn overlay_of(n: u32, seed: u64) -> PastryOverlay {
         let mut o = PastryOverlay::new(8);
@@ -546,7 +462,7 @@ mod tests {
         for i in 0..n {
             o.join(NodeIdx(i), rng.gen());
         }
-        o.build_tables(&mut RandomEntrySelector::new(seed ^ 1));
+        o.reselect(&mut RandomPeerSelector::new(seed ^ 1));
         o
     }
 
@@ -604,7 +520,7 @@ mod tests {
     #[test]
     fn rare_case_fallback_keeps_the_shared_prefix() {
         struct Prefer([PastryId; 2]);
-        impl EntrySelector for Prefer {
+        impl PeerSelector<PastryOverlay> for Prefer {
             fn select(&mut self, _: PastryId, candidates: &[PastryId], _: &PastryOverlay) -> PastryId {
                 let preferred = self.0.iter().find(|p| candidates.contains(p));
                 *preferred.unwrap_or(&candidates[0])
@@ -620,7 +536,7 @@ mod tests {
         for (i, id) in [a, b, root].into_iter().chain(fillers).enumerate() {
             o.join(NodeIdx(i as u32), id);
         }
-        o.build_tables(&mut Prefer([a, b]));
+        o.reselect(&mut Prefer([a, b]));
         assert_eq!(o.table_entry(a, 0, 8), Some(b));
         assert_eq!(o.table_entry(b, 0, 7), Some(a));
         assert!(!o.leaves(a).contains(&root));
@@ -687,7 +603,7 @@ mod tests {
         let victim = o.node_ids().nth(10).unwrap();
         o.leave(victim).unwrap();
         assert!(o.leave(victim).is_err());
-        o.build_tables(&mut RandomEntrySelector::new(14));
+        o.reselect(&mut RandomPeerSelector::new(14));
         let ids: Vec<PastryId> = o.node_ids().collect();
         let mut rng = StdRng::seed_from_u64(15);
         for _ in 0..50 {

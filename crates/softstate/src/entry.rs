@@ -2,6 +2,7 @@
 
 use tao_landmark::{LandmarkNumber, LandmarkVector};
 use tao_util::bytes::{ByteReader, ByteWriter};
+use tao_overlay::keyed::PeerId;
 use tao_overlay::{OverlayNodeId, Point};
 use tao_util::time::{SimDuration, SimTime};
 use tao_topology::NodeIdx;
@@ -44,6 +45,23 @@ pub struct NodeInfo {
     pub number: LandmarkNumber,
     /// Optional load statistics (§6).
     pub load: Option<LoadStats>,
+}
+
+/// What a node of an id-keyed overlay (Chord, Pastry) publishes: the
+/// [`NodeInfo`] of a node whose identity is a position in the identifier
+/// space. [`RingState`](crate::ring::RingState) and
+/// [`PrefixState`](crate::prefix::PrefixState) place the same record
+/// differently.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeerRecord {
+    /// The publishing node's id.
+    pub id: PeerId,
+    /// The underlay router it runs on.
+    pub underlay: NodeIdx,
+    /// Its full landmark vector.
+    pub vector: LandmarkVector,
+    /// Its landmark number.
+    pub number: LandmarkNumber,
 }
 
 /// One stored object: the paper's `<Z, n, p>` triple — node info `n`,

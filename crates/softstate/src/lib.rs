@@ -18,6 +18,9 @@
 //!   map of every enclosing high-order zone (≤ log N maps), look up the
 //!   closest members of a target zone, and report per-host entry counts
 //!   (figure 16's "map entries / node"),
+//! * [`ring`] / [`prefix`] — the appendix's mappings for Chord and Pastry:
+//!   the same [`PeerRecord`] placed at its landmark number's successor, or
+//!   in one map per nodeId prefix,
 //! * [`pubsub`] — subscriptions over the maps with predicate filtering and
 //!   distribution-tree dissemination,
 //! * [`MaintenancePolicy`] — reactive / periodic-poll / proactive-departure
@@ -53,7 +56,7 @@ pub mod ring;
 mod store;
 
 pub use config::{SoftStateConfig, SoftStateConfigBuilder};
-pub use entry::{LoadStats, NodeInfo, SoftStateEntry};
+pub use entry::{LoadStats, NodeInfo, PeerRecord, SoftStateEntry};
 pub use maintenance::{refresh_round, MaintenancePolicy, MaintenanceReport, RefreshReport};
 pub use map::ZoneMap;
 pub use region::RegionKey;

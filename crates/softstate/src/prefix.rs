@@ -10,12 +10,11 @@ use std::collections::BTreeMap;
 
 use tao_util::det::DetMap;
 
-use tao_landmark::{LandmarkNumber, LandmarkVector};
 use tao_overlay::pastry::{PastryId, DIGITS, DIGIT_BITS};
 use tao_util::time::SimTime;
-use tao_topology::NodeIdx;
 
 use crate::config::SoftStateConfig;
+use crate::entry::PeerRecord;
 
 /// Identifies one prefix region: the first `len` digits of `bits` (the
 /// remaining digits are zeroed).
@@ -50,22 +49,9 @@ impl PrefixKey {
     }
 }
 
-/// A Pastry node's published soft-state record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefixRecord {
-    /// The publishing node's id.
-    pub id: PastryId,
-    /// The underlay router it runs on.
-    pub underlay: NodeIdx,
-    /// Its full landmark vector.
-    pub vector: LandmarkVector,
-    /// Its landmark number.
-    pub number: LandmarkNumber,
-}
-
 /// One prefix map: records keyed by `(landmark number, publisher)` with
 /// their expiry times.
-type PrefixMap = BTreeMap<(u128, PastryId), (PrefixRecord, SimTime)>;
+type PrefixMap = BTreeMap<(u128, PastryId), (PeerRecord, SimTime)>;
 
 /// The per-prefix proximity maps of a Pastry overlay.
 #[derive(Debug, Clone)]
@@ -116,7 +102,7 @@ impl PrefixState {
 
     /// Publishes (or refreshes) `record` into every map along its prefix
     /// path. Returns how many maps were written.
-    pub fn publish(&mut self, record: PrefixRecord, now: SimTime) -> usize {
+    pub fn publish(&mut self, record: PeerRecord, now: SimTime) -> usize {
         let expiry = now + self.config.ttl();
         for len in 1..=self.max_len {
             let key = PrefixKey::of(record.id, len);
@@ -157,16 +143,16 @@ impl PrefixState {
     pub fn lookup(
         &self,
         region: PrefixKey,
-        query: &PrefixRecord,
+        query: &PeerRecord,
         max: usize,
         overscan: usize,
         now: SimTime,
-    ) -> Vec<PrefixRecord> {
+    ) -> Vec<PeerRecord> {
         let Some(map) = self.maps.get(&region) else {
             return Vec::new();
         };
         let pivot = (query.number.value(), 0u64);
-        let mut candidates: Vec<&PrefixRecord> = Vec::new();
+        let mut candidates: Vec<&PeerRecord> = Vec::new();
         candidates.extend(
             map.range(pivot..)
                 .take(overscan)
@@ -193,7 +179,8 @@ impl PrefixState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_landmark::LandmarkGrid;
+    use tao_landmark::{LandmarkGrid, LandmarkVector};
+    use tao_topology::NodeIdx;
     use tao_util::time::SimDuration;
 
     fn config() -> SoftStateConfig {
@@ -201,10 +188,10 @@ mod tests {
         SoftStateConfig::builder(grid).build()
     }
 
-    fn record(id: PastryId, millis: [f64; 3], cfg: &SoftStateConfig) -> PrefixRecord {
+    fn record(id: PastryId, millis: [f64; 3], cfg: &SoftStateConfig) -> PeerRecord {
         let vector = LandmarkVector::from_millis(&millis);
         let number = cfg.grid().landmark_number(&vector, cfg.curve());
-        PrefixRecord {
+        PeerRecord {
             id,
             underlay: NodeIdx(id as u32 & 0xFFFF),
             vector,

@@ -12,37 +12,25 @@ use std::collections::BTreeMap;
 
 use tao_util::det::DetMap;
 
-use tao_landmark::{LandmarkNumber, LandmarkVector};
+use tao_landmark::LandmarkNumber;
 use tao_overlay::chord::{ChordOverlay, RingId};
+use tao_overlay::keyed::KeyedOverlay;
 use tao_util::time::SimTime;
-use tao_topology::NodeIdx;
 
 use crate::config::SoftStateConfig;
-
-/// A Chord node's published soft-state record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingRecord {
-    /// The publishing node's ring id.
-    pub ring: RingId,
-    /// The underlay router it runs on.
-    pub underlay: NodeIdx,
-    /// Its full landmark vector.
-    pub vector: LandmarkVector,
-    /// Its landmark number.
-    pub number: LandmarkNumber,
-}
+use crate::entry::PeerRecord;
 
 /// The ring-wide soft-state store: records keyed by their landmark number's
 /// position on the identifier ring, hosted by that position's successor.
 ///
 /// # Example
 ///
-/// See the `generality_chord` benchmark binary and the ring tests.
+/// See the `generality` benchmark binary and the ring tests.
 #[derive(Debug, Clone)]
 pub struct RingState {
     config: SoftStateConfig,
     /// `(storage key, publisher)` → `(record, expiry)`.
-    entries: BTreeMap<(RingId, RingId), (RingRecord, SimTime)>,
+    entries: BTreeMap<(RingId, RingId), (PeerRecord, SimTime)>,
 }
 
 impl RingState {
@@ -67,8 +55,8 @@ impl RingState {
     }
 
     /// Publishes (or refreshes) a record under its landmark-number key.
-    pub fn publish(&mut self, record: RingRecord, now: SimTime) {
-        let key = (self.ring_key(record.number), record.ring);
+    pub fn publish(&mut self, record: PeerRecord, now: SimTime) {
+        let key = (self.ring_key(record.number), record.id);
         self.entries.insert(key, (record, now + self.config.ttl()));
     }
 
@@ -97,12 +85,6 @@ impl RingState {
         self.entries.is_empty()
     }
 
-    /// The host responsible for storage key `key` on `ring` (its
-    /// successor), or `None` on an empty ring.
-    pub fn host_of(&self, key: RingId, ring: &ChordOverlay) -> Option<RingId> {
-        ring.successor(key).ok()
-    }
-
     /// The distributed lookup, Chord edition: land on the host (successor
     /// of the query's ring key), collect the records *that host stores*,
     /// and widen along successors until `max` live candidates are found or
@@ -110,21 +92,21 @@ impl RingState {
     /// full landmark-vector distance; the querying node is excluded.
     pub fn lookup_hosted(
         &self,
-        query: &RingRecord,
+        query: &PeerRecord,
         max: usize,
         max_hosts: usize,
         ring: &ChordOverlay,
         now: SimTime,
-    ) -> Vec<RingRecord> {
+    ) -> Vec<PeerRecord> {
         let Ok(mut host) = ring.successor(self.ring_key(query.number)) else {
             return Vec::new();
         };
-        let mut candidates: Vec<&RingRecord> = Vec::new();
+        let mut candidates: Vec<&PeerRecord> = Vec::new();
         let mut consulted = 0usize;
         while consulted < max_hosts.max(1) {
             // Records hosted by `host`: keys in (predecessor, host].
             for (&(key, _), (record, expiry)) in &self.entries {
-                if now >= *expiry || record.ring == query.ring {
+                if now >= *expiry || record.id == query.id {
                     continue;
                 }
                 if ring.successor(key).ok() == Some(host) {
@@ -145,7 +127,7 @@ impl RingState {
         let mut ranked = Vec::new();
         let by_position = candidates.iter().enumerate();
         query.vector.nearest(
-            by_position.map(|(i, r)| (&r.vector, r.ring, i)),
+            by_position.map(|(i, r)| (&r.vector, r.id, i)),
             usize::MAX,
             &mut ranked,
         );
@@ -170,8 +152,9 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_landmark::LandmarkGrid;
-    use tao_overlay::chord::RandomFingerSelector;
+    use tao_landmark::{LandmarkGrid, LandmarkVector};
+    use tao_overlay::keyed::RandomPeerSelector;
+    use tao_topology::NodeIdx;
     use tao_util::time::SimDuration;
 
     fn config() -> SoftStateConfig {
@@ -179,11 +162,11 @@ mod tests {
         SoftStateConfig::builder(grid).build()
     }
 
-    fn record(ring: RingId, millis: [f64; 3], cfg: &SoftStateConfig) -> RingRecord {
+    fn record(ring: RingId, millis: [f64; 3], cfg: &SoftStateConfig) -> PeerRecord {
         let vector = LandmarkVector::from_millis(&millis);
         let number = cfg.grid().landmark_number(&vector, cfg.curve());
-        RingRecord {
-            ring,
+        PeerRecord {
+            id: ring,
             underlay: NodeIdx(ring as u32),
             vector,
             number,
@@ -195,7 +178,7 @@ mod tests {
         for i in 0..n {
             ring.join(NodeIdx(i as u32), i * (u64::MAX / n));
         }
-        ring.build_fingers(&mut RandomFingerSelector::new(1));
+        ring.reselect(&mut RandomPeerSelector::new(1));
         ring
     }
 
@@ -220,7 +203,7 @@ mod tests {
         let query = record(99, [12.0, 41.0, 88.0], &cfg);
         let found = s.lookup_hosted(&query, 1, 16, &ring, SimTime::ORIGIN);
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].ring, 1);
+        assert_eq!(found[0].id, 1);
     }
 
     #[test]

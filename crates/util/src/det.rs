@@ -8,14 +8,15 @@
 //! refresh schedule, or the fault-replay fingerprint silently breaks the
 //! cross-process determinism that `scripts/ci.sh` asserts and that every
 //! recorded experiment depends on. [`DetMap`] and [`DetSet`] are
-//! BTree-backed, so iteration order is the key order — fully determined
+//! `std`'s B-trees, so iteration order is the key order — fully determined
 //! by the *contents*, independent of insertion history and of the
 //! process that observes it.
 //!
-//! The API mirrors the subset of the std hash-collection surface this
-//! workspace actually uses (`insert` / `get` / `remove` / `iter` / `len`
-//! / `contains_key` / `entry` / …), so migrating a call site is a type
-//! change, not a rewrite. The `tao-lint` rule `det-collections` enforces
+//! They are aliases, not wrappers: the B-tree API covers the std
+//! hash-collection surface this workspace uses (`insert` / `get` /
+//! `remove` / `iter` / `len` / `contains_key` / `entry` / …), so migrating
+//! a call site is a type change, not a rewrite, and the names exist to say
+//! *why* a B-tree sits there. The `tao-lint` rule `det-collections` enforces
 //! the migration statically: non-test code must not name the std hash
 //! collections at all.
 //!
@@ -35,252 +36,18 @@
 //! assert_eq!(a.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
 //! ```
 
-use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::ops::Index;
-
 pub use std::collections::btree_map::Entry;
 
 /// A map with deterministic, insertion-independent iteration order
-/// (ascending key order). Drop-in for the `HashMap` subset the workspace
-/// uses; requires `K: Ord` instead of `K: Hash + Eq`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetMap<K, V> {
-    inner: BTreeMap<K, V>,
-}
-
-impl<K, V> Default for DetMap<K, V> {
-    fn default() -> Self {
-        DetMap {
-            inner: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Ord, V> DetMap<K, V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        DetMap::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` if the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.inner.clear()
-    }
-
-    /// Inserts `value` at `key`, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.inner.insert(key, value)
-    }
-
-    /// The value at `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.inner.get(key)
-    }
-
-    /// Mutable access to the value at `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.inner.get_mut(key)
-    }
-
-    /// Removes and returns the value at `key`, if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.inner.remove(key)
-    }
-
-    /// `true` if `key` has an entry.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
-    }
-
-    /// The entry API, for insert-or-update patterns
-    /// (`map.entry(k).or_insert(0)`).
-    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        self.inner.entry(key)
-    }
-
-    /// Iterates `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> btree_map::Iter<'_, K, V> {
-        self.inner.iter()
-    }
-
-    /// Iterates pairs with mutable values, in ascending key order.
-    pub fn iter_mut(&mut self) -> btree_map::IterMut<'_, K, V> {
-        self.inner.iter_mut()
-    }
-
-    /// Iterates keys in ascending order.
-    pub fn keys(&self) -> btree_map::Keys<'_, K, V> {
-        self.inner.keys()
-    }
-
-    /// Iterates values in ascending key order.
-    pub fn values(&self) -> btree_map::Values<'_, K, V> {
-        self.inner.values()
-    }
-
-    /// Iterates mutable values in ascending key order.
-    pub fn values_mut(&mut self) -> btree_map::ValuesMut<'_, K, V> {
-        self.inner.values_mut()
-    }
-
-    /// Keeps only the entries for which `f` returns `true`, visiting in
-    /// ascending key order.
-    pub fn retain<F>(&mut self, f: F)
-    where
-        F: FnMut(&K, &mut V) -> bool,
-    {
-        self.inner.retain(f)
-    }
-}
-
-impl<K: Ord, V> Index<&K> for DetMap<K, V> {
-    type Output = V;
-
-    fn index(&self, key: &K) -> &V {
-        self.inner.index(key)
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for DetMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        DetMap {
-            inner: BTreeMap::from_iter(iter),
-        }
-    }
-}
-
-impl<K: Ord, V> Extend<(K, V)> for DetMap<K, V> {
-    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        self.inner.extend(iter)
-    }
-}
-
-impl<K, V> IntoIterator for DetMap<K, V> {
-    type Item = (K, V);
-    type IntoIter = btree_map::IntoIter<K, V>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
-
-impl<'a, K, V> IntoIterator for &'a DetMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = btree_map::Iter<'a, K, V>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
-
-impl<'a, K, V> IntoIterator for &'a mut DetMap<K, V> {
-    type Item = (&'a K, &'a mut V);
-    type IntoIter = btree_map::IterMut<'a, K, V>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter_mut()
-    }
-}
+/// (ascending key order): `std`'s B-tree map under the name the
+/// `det-collections` rule points to. Requires `K: Ord` instead of
+/// `K: Hash + Eq`.
+pub type DetMap<K, V> = std::collections::BTreeMap<K, V>;
 
 /// A set with deterministic, insertion-independent iteration order
-/// (ascending order). Drop-in for the `HashSet` subset the workspace
-/// uses; requires `T: Ord` instead of `T: Hash + Eq`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetSet<T> {
-    inner: BTreeSet<T>,
-}
-
-impl<T> Default for DetSet<T> {
-    fn default() -> Self {
-        DetSet {
-            inner: BTreeSet::new(),
-        }
-    }
-}
-
-impl<T: Ord> DetSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        DetSet::default()
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` if the set holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.inner.clear()
-    }
-
-    /// Adds `value`; returns `true` if it was not already present.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.inner.insert(value)
-    }
-
-    /// Removes `value`; returns `true` if it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.inner.remove(value)
-    }
-
-    /// `true` if `value` is in the set.
-    pub fn contains(&self, value: &T) -> bool {
-        self.inner.contains(value)
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> btree_set::Iter<'_, T> {
-        self.inner.iter()
-    }
-}
-
-impl<T: Ord> FromIterator<T> for DetSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        DetSet {
-            inner: BTreeSet::from_iter(iter),
-        }
-    }
-}
-
-impl<T: Ord> Extend<T> for DetSet<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        self.inner.extend(iter)
-    }
-}
-
-impl<T> IntoIterator for DetSet<T> {
-    type Item = T;
-    type IntoIter = btree_set::IntoIter<T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a DetSet<T> {
-    type Item = &'a T;
-    type IntoIter = btree_set::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
+/// (ascending order): `std`'s B-tree set. Requires `T: Ord` instead of
+/// `T: Hash + Eq`.
+pub type DetSet<T> = std::collections::BTreeSet<T>;
 
 #[cfg(test)]
 mod tests {

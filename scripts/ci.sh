@@ -57,35 +57,55 @@ if [ "$lint_elapsed_ms" -ge 10000 ]; then
 fi
 echo "lint stage: OK (matches lint-baseline.json, ${lint_elapsed_ms}ms < 10s budget)"
 
-# Negative smoke: an injected layering violation (overlay reaching up into
-# the engine) must fail the baseline diff. The temp file is removed on every
-# exit path; the JSON goes to a scratch path so results/lint.json stays
-# the artifact of the honest run above.
-smoke=crates/overlay/src/ci_layering_smoke.rs
-trap 'rm -f "$smoke"' EXIT
-cat > "$smoke" <<'EOF'
+# Negative smokes: the gate must reject an injected violation of each
+# analysis family. The lint run never compiles the workspace, so injected
+# code only has to lex; its JSON goes to a scratch path so results/lint.json
+# stays the artifact of the honest run above.
+#   lint_smoke WHAT FILE [ANCHOR] <<'EOF' … EOF
+# Without ANCHOR, stdin becomes the new file FILE; with it, stdin is
+# inserted after the one line of FILE that equals ANCHOR. Either way FILE
+# is back as it was on every exit path.
+lint_smoke() {
+    local what=$1 file=$2 anchor=${3-} restore="rm -f $2" caught=1
+    if [ -n "$anchor" ]; then
+        cp "$file" "$file.ci_bak"
+        restore="mv -f $file.ci_bak $file"
+    fi
+    trap "$restore" EXIT
+    python3 -c '
+import sys
+path, anchor, text = sys.argv[1], sys.argv[2], sys.stdin.read()
+if anchor:
+    src = open(path).read()
+    assert src.count(anchor + "\n") == 1, f"lint smoke: anchor not found once in {path}"
+    text = src.replace(anchor + "\n", anchor + "\n" + text)
+open(path, "w").write(text)
+' "$file" "$anchor"
+    if cargo run --release --offline -p tao-lint -- --workspace \
+        --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
+        caught=0
+    fi
+    $restore
+    trap - EXIT
+    if [ "$caught" -eq 0 ]; then
+        echo "FAIL: injected $what was not caught by the lint stage." >&2
+        exit 1
+    fi
+    echo "lint negative smoke: OK (injected $what fails the gate)"
+}
+
+# crate-layering: overlay reaching up into the engine.
+lint_smoke "layering violation" crates/overlay/src/ci_layering_smoke.rs <<'EOF'
 use tao_sim::SimTime;
 pub fn smoke(t: SimTime) -> u64 {
     t.as_micros()
 }
 EOF
-if cargo run --release --offline -p tao-lint -- --workspace \
-    --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
-    rm -f "$smoke"
-    echo "FAIL: injected crate-layering violation was not caught by the lint stage." >&2
-    exit 1
-fi
-rm -f "$smoke"
-trap - EXIT
-echo "lint negative smoke: OK (injected layering violation fails the gate)"
 
-# Negative smoke: an injected lock-order inversion (two mutexes acquired in
-# opposite orders by two methods of the same type) must produce a
-# lock-order-cycle finding and fail the gate. Poison escapes are recovered
-# with into_inner so the cycle is the only new finding class.
-smoke=crates/topology/src/ci_lock_smoke.rs
-trap 'rm -f "$smoke"' EXIT
-cat > "$smoke" <<'EOF'
+# lock-order-cycle: two mutexes acquired in opposite orders by two methods
+# of the same type. Poison escapes are recovered with into_inner so the
+# cycle is the only new finding class.
+lint_smoke "lock-order inversion" crates/topology/src/ci_lock_smoke.rs <<'EOF'
 pub struct SmokePair {
     left: std::sync::Mutex<u64>,
     right: std::sync::Mutex<u64>,
@@ -103,21 +123,9 @@ impl SmokePair {
     }
 }
 EOF
-if cargo run --release --offline -p tao-lint -- --workspace \
-    --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
-    rm -f "$smoke"
-    echo "FAIL: injected lock-order inversion was not caught by the lint stage." >&2
-    exit 1
-fi
-rm -f "$smoke"
-trap - EXIT
-echo "lint negative smoke: OK (injected lock-order inversion fails the gate)"
 
-# Negative smoke: an unwaived env-read flowing into a fingerprint function
-# must produce a determinism-taint finding and fail the gate.
-smoke=crates/core/src/ci_taint_smoke.rs
-trap 'rm -f "$smoke"' EXIT
-cat > "$smoke" <<'EOF'
+# determinism-taint: an unwaived env read flowing into a fingerprint function.
+lint_smoke "env-read→fingerprint taint" crates/core/src/ci_taint_smoke.rs <<'EOF'
 pub fn smoke_fingerprint(state: &[u64]) -> u64 {
     let bias = std::env::var("TAO_SMOKE").map(|v| v.len() as u64).unwrap_or(0);
     let mut acc = bias;
@@ -127,75 +135,22 @@ pub fn smoke_fingerprint(state: &[u64]) -> u64 {
     acc
 }
 EOF
-if cargo run --release --offline -p tao-lint -- --workspace \
-    --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
-    rm -f "$smoke"
-    echo "FAIL: injected env-read→fingerprint taint was not caught by the lint stage." >&2
-    exit 1
-fi
-rm -f "$smoke"
-trap - EXIT
-echo "lint negative smoke: OK (injected determinism taint fails the gate)"
 
-# Negative smoke: a Vec::push injected into the CAN routing fast path must
-# produce an alloc-reachability finding — `route_append` sits inside the
-# hot closure of the `// tao-lint: hot` entry `route_into` — and fail the
-# gate. Unlike the file-creation smokes above, this one edits a real
-# source file, so it is backed up first and restored on every exit path
-# (the lint run never compiles the workspace, so the injected code only
-# has to lex).
-target=crates/overlay/src/can.rs
-cp "$target" "$target.ci_bak"
-trap 'mv -f "$target.ci_bak" "$target"' EXIT
-python3 - "$target" <<'EOF'
-import sys
-path = sys.argv[1]
-src = open(path).read()
-needle = "        scratch.mark(start.index());\n        let mut current = start;"
-inject = ("        scratch.mark(start.index());\n"
-          "        let mut ci_smoke_trace: Vec<u64> = Vec::new();\n"
-          "        ci_smoke_trace.push(0u64);\n"
-          "        let mut current = start;")
-assert src.count(needle) == 1, "alloc-smoke injection anchor not found in can.rs"
-open(path, "w").write(src.replace(needle, inject))
+# alloc-reachability: a Vec::push in the CAN routing fast path —
+# `route_append` sits inside the hot closure of the `// tao-lint: hot`
+# entry `route_into`.
+lint_smoke "hot-path Vec::push" crates/overlay/src/can.rs \
+    "        scratch.mark(start.index());" <<'EOF'
+        let mut ci_smoke_trace: Vec<u64> = Vec::new();
+        ci_smoke_trace.push(0u64);
 EOF
-if cargo run --release --offline -p tao-lint -- --workspace \
-    --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
-    mv -f "$target.ci_bak" "$target"
-    trap - EXIT
-    echo "FAIL: injected hot-path Vec::push was not caught by alloc-reachability." >&2
-    exit 1
-fi
-mv -f "$target.ci_bak" "$target"
-trap - EXIT
-echo "lint negative smoke: OK (injected hot-path allocation fails the gate)"
 
-# Negative smoke: an unguarded (wrapping) `+` injected into the timing
-# wheel's cursor math must produce an arith-safety time-arith finding —
-# `place` sits inside the hot closure of `pop` — and fail the gate.
-target=crates/sim/src/event.rs
-cp "$target" "$target.ci_bak"
-trap 'mv -f "$target.ci_bak" "$target"' EXIT
-python3 - "$target" <<'EOF'
-import sys
-path = sys.argv[1]
-src = open(path).read()
-needle = "        let delta = e.at - self.cursor;"
-inject = ("        let delta = e.at - self.cursor;\n"
-          "        let ci_smoke_tick = self.cursor + delta;")
-assert src.count(needle) == 1, "arith-smoke injection anchor not found in event.rs"
-open(path, "w").write(src.replace(needle, inject))
+# arith-safety (time-arith): an unguarded, wrapping `+` in the timing
+# wheel's cursor math — `place` sits inside the hot closure of `pop`.
+lint_smoke "wrapping cursor add" crates/sim/src/event.rs \
+    "        let delta = e.at - self.cursor;" <<'EOF'
+        let ci_smoke_tick = self.cursor + delta;
 EOF
-if cargo run --release --offline -p tao-lint -- --workspace \
-    --json /tmp/tao-lint-smoke.json --baseline lint-baseline.json >/dev/null 2>&1; then
-    mv -f "$target.ci_bak" "$target"
-    trap - EXIT
-    echo "FAIL: injected wrapping cursor add was not caught by arith-safety." >&2
-    exit 1
-fi
-mv -f "$target.ci_bak" "$target"
-trap - EXIT
-echo "lint negative smoke: OK (injected wrapping cursor math fails the gate)"
 
 # JSON-shape check: the report from the honest run must expose all rules in
 # its per-rule summary (a missing key means a pass silently stopped running)
@@ -371,22 +326,24 @@ if [ "$rfp1" != "$rfp8" ]; then
 fi
 echo "replay determinism: OK ($rfp1)"
 
-# ---- Figure drift: three paper-scale figures, byte for byte. ----------------
+# ---- Figure drift: four paper-scale figures, byte for byte. -----------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
-# PR; these three take ~3 s together since table passes stopped listing
+# PR; these four take ~5 s together since table passes stopped listing
 # every box per node (PR 17). fig02 drives the RandomSelector stream
 # through the pass's member-list memo at 1 K–32 K nodes, fig16 makes a
 # GlobalState build (membership-tested candidates, listed fallbacks) per
-# cell, sec1 is the TA-CAN baseline on the same CAN. One worker: the tables
-# are identical for any count, the committed ones were recorded with one.
-for fig in fig02_ecan_vs_can fig16_condense_rate sec1_tacan_imbalance; do
+# cell, sec1 is the TA-CAN baseline on the same CAN, generality is all
+# three strategies of the one id-keyed system on Chord and on Pastry. One
+# worker: the tables are identical for any count, the committed ones were
+# recorded with one.
+for fig in fig02_ecan_vs_can fig16_condense_rate sec1_tacan_imbalance generality; do
     if ! TAO_SCALE=paper TAO_WORKERS=1 cargo run -q --release --offline \
         -p tao-bench --bin "$fig" 2>/dev/null | cmp - "results/$fig.txt"; then
         echo "FAIL: $fig at TAO_SCALE=paper no longer reproduces results/$fig.txt." >&2
         exit 1
     fi
 done
-echo "figure drift: OK (fig02, fig16, sec1 byte-identical to results/)"
+echo "figure drift: OK (fig02, fig16, sec1, generality byte-identical to results/)"
 
 # ---- Waiver audit: wall-clock reads stay confined and justified. ------------
 # tao-lint already fails unwaived Instant::now sites; this audit additionally

@@ -4,9 +4,10 @@
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 use tao_core::{SelectionStrategy, TaoBuilder};
-use tao_overlay::chord::{ChordOverlay, RandomFingerSelector};
+use tao_overlay::chord::ChordOverlay;
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
-use tao_overlay::pastry::{PastryOverlay, RandomEntrySelector};
+use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
+use tao_overlay::pastry::PastryOverlay;
 use tao_overlay::{CanOverlay, Point, TaCanOverlay};
 use tao_sim::SimDuration;
 use tao_softstate::MaintenancePolicy;
@@ -91,7 +92,7 @@ fn pastry_survives_heavy_interleaved_churn() {
         pastry.join(NodeIdx(i), id);
         live.push(id);
     }
-    pastry.build_tables(&mut RandomEntrySelector::new(12));
+    pastry.reselect(&mut RandomPeerSelector::new(12));
     pastry.check_invariants();
     // 200 churn events; tables are rebuilt every 25 (leaf sets and routing
     // slots must be exact again after each rebuild, never below 16 nodes).
@@ -107,11 +108,11 @@ fn pastry_survives_heavy_interleaved_churn() {
             next_underlay += 1;
         }
         if step % 25 == 24 {
-            pastry.build_tables(&mut RandomEntrySelector::new(13 + step as u64));
+            pastry.reselect(&mut RandomPeerSelector::new(13 + step as u64));
             pastry.check_invariants();
         }
     }
-    pastry.build_tables(&mut RandomEntrySelector::new(99));
+    pastry.reselect(&mut RandomPeerSelector::new(99));
     pastry.check_invariants();
     // Routing from any live node lands on the key's numerical root.
     for _ in 0..100 {
@@ -135,7 +136,7 @@ fn chord_survives_heavy_interleaved_churn() {
         ring.join(NodeIdx(i), id);
         live.push(id);
     }
-    ring.build_fingers(&mut RandomFingerSelector::new(22));
+    ring.reselect(&mut RandomPeerSelector::new(22));
     ring.check_invariants();
     let mut next_underlay = 64u32;
     for step in 0..200 {
@@ -149,11 +150,11 @@ fn chord_survives_heavy_interleaved_churn() {
             next_underlay += 1;
         }
         if step % 25 == 24 {
-            ring.build_fingers(&mut RandomFingerSelector::new(23 + step as u64));
+            ring.reselect(&mut RandomPeerSelector::new(23 + step as u64));
             ring.check_invariants();
         }
     }
-    ring.build_fingers(&mut RandomFingerSelector::new(199));
+    ring.reselect(&mut RandomPeerSelector::new(199));
     ring.check_invariants();
     // Greedy finger routing terminates at each key's successor.
     for _ in 0..100 {
@@ -398,8 +399,8 @@ fn pastry_and_chord_invariants_hold_after_every_batch_op() {
         next_underlay += 1;
         live.insert(label, key);
     }
-    pastry.build_tables(&mut RandomEntrySelector::new(seed));
-    ring.build_fingers(&mut RandomFingerSelector::new(seed));
+    pastry.reselect(&mut RandomPeerSelector::new(seed));
+    ring.reselect(&mut RandomPeerSelector::new(seed));
     for ops in scenario_batches(seed, 2) {
         for (i, op) in ops.iter().enumerate() {
             let per_op = op_seed(seed, i as u64);
@@ -428,8 +429,8 @@ fn pastry_and_chord_invariants_hold_after_every_batch_op() {
                 }
             }
             if changed {
-                pastry.build_tables(&mut RandomEntrySelector::new(per_op));
-                ring.build_fingers(&mut RandomFingerSelector::new(per_op));
+                pastry.reselect(&mut RandomPeerSelector::new(per_op));
+                ring.reselect(&mut RandomPeerSelector::new(per_op));
             }
             pastry.check_invariants();
             ring.check_invariants();

@@ -2,9 +2,8 @@
 //! landmark → soft-state → probe pipeline must behave identically in kind
 //! on Chord and Pastry as it does on eCAN.
 
-use tao_core::chord_aware::ChordAware;
-use tao_core::pastry_aware::PastryAware;
-use tao_core::{ExperimentParams, SelectionStrategy};
+use tao_core::{ChordAware, ExperimentParams, PastryAware, SelectionStrategy};
+use tao_overlay::keyed::KeyedOverlay;
 use tao_topology::{generate_transit_stub, LatencyAssignment, Topology, TransitStubParams};
 
 fn params() -> ExperimentParams {
@@ -61,9 +60,9 @@ fn chord_soft_state_lands_on_successors() {
     let chord = ChordAware::build(&topo, params(), 3);
     // Every record's hosting node is the successor of its ring key, and
     // hosting burden sums to the record count.
-    let hosts = chord.state().records_per_host(chord.ring());
+    let hosts = chord.state().records_per_host(chord.overlay());
     assert_eq!(hosts.values().sum::<usize>(), chord.state().len());
-    assert_eq!(chord.state().len(), chord.ring().len());
+    assert_eq!(chord.state().len(), chord.overlay().len());
 }
 
 #[test]

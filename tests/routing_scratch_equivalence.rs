@@ -19,6 +19,7 @@ use tao_util::det::DetSet;
 
 use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
 use tao_topology::NodeIdx;

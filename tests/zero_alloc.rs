@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
 use tao_landmark::{LandmarkGrid, LandmarkVector};
