@@ -86,6 +86,10 @@ fn main() {
             tao.advance(SimDuration::from_secs(1));
         }
         tao.reselect();
+        // To stderr, so the table stays as committed: how much of the
+        // stretch column below is the policy's doing.
+        let pass = tao.last_pass();
+        eprintln!("sec52: `{name}`: {} of {} post-churn selections drew the fallback", pass.fallbacks, pass.selections);
         let stretch = tao.measure_routing_stretch(512, 17);
         rows.push(vec![
             name.to_string(),

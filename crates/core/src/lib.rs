@@ -63,5 +63,5 @@ pub use aware::{AwareOverlay, ChordAware, KeyedAware, PastryAware};
 pub use load::{LoadAwareSelector, LoadModel};
 pub use metrics::{StretchSummary, Summary};
 pub use params::{ExperimentParams, SelectionStrategy};
-pub use selector::GlobalStateSelector;
+pub use selector::{GlobalStateSelector, SelectorStats};
 pub use system::{TaoBuilder, TopologyAwareOverlay};

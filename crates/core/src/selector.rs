@@ -13,8 +13,26 @@ use tao_util::rand::{Rng, SeedableRng};
 use tao_overlay::ecan::{BoxSelection, NeighborSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_sim::SimTime;
-use tao_softstate::{GlobalState, LookupScratch, NodeInfo};
+use tao_softstate::{GlobalState, LookupScratch, NodeInfo, RegionKey};
 use tao_topology::RttOracle;
+
+/// What one selector did over its lifetime — one table pass, or the
+/// `reselect_node`s of one membership change. Deterministic counts; all
+/// but `fragment_walks` are simulated work, which no memory changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SelectorStats {
+    /// Representatives chosen: candidates probed, or the fallback drawn.
+    pub selections: u64,
+    /// Hosted lookups made.
+    pub lookups: u64,
+    /// `(region, host)` fragments walked; the other lookups found theirs
+    /// remembered — by this selector or in the scratch it was lent.
+    pub fragment_walks: u64,
+    /// RTT probes spent.
+    pub probes: u64,
+    /// Selections that found no usable candidate and drew at random.
+    pub fallbacks: u64,
+}
 
 /// A [`NeighborSelector`] backed by the global soft-state maps.
 ///
@@ -37,11 +55,16 @@ pub struct GlobalStateSelector<'a> {
     rtt_budget: usize,
     now: SimTime,
     fallback_rng: StdRng,
-    /// Lookup buffers, kept for as long as the selector lives — the length
-    /// of one `reselect*` — so a selection allocates nothing once warmed.
+    /// Lookup buffers and remembered host fragments: the selector's own,
+    /// or the system's, lent for the pass ([`Self::lend`]).
     scratch: LookupScratch,
-    probes_spent: u64,
-    fallbacks: u64,
+    /// `scratch.fragment_walks()` when the scratch arrived.
+    walks_before: u64,
+    /// The `(node, box, CAN membership)` `select_in_box` last answered
+    /// `Enumerate` for: `select` for the same would look up the same
+    /// nothing — state and `now` are fixed for the selector's life.
+    found_nobody: Option<(OverlayNodeId, RegionKey, usize, usize)>,
+    stats: SelectorStats,
 }
 
 impl<'a> GlobalStateSelector<'a> {
@@ -67,19 +90,44 @@ impl<'a> GlobalStateSelector<'a> {
             now,
             fallback_rng: StdRng::seed_from_u64(seed),
             scratch: LookupScratch::default(),
-            probes_spent: 0,
-            fallbacks: 0,
+            walks_before: 0,
+            found_nobody: None,
+            stats: SelectorStats::default(),
         }
+    }
+
+    /// Makes the lookups through `scratch` — a system's, which outlives
+    /// its passes — until [`Self::finish`] hands it back.
+    pub(crate) fn lend(mut self, scratch: LookupScratch) -> Self {
+        self.walks_before = scratch.fragment_walks();
+        self.scratch = scratch;
+        self
+    }
+
+    /// The counts and the scratch, at the end of the pass.
+    pub(crate) fn finish(self) -> (SelectorStats, LookupScratch) {
+        (self.stats(), self.scratch)
+    }
+
+    /// What this selector has done so far.
+    pub fn stats(&self) -> SelectorStats {
+        let fragment_walks = self.scratch.fragment_walks() - self.walks_before;
+        SelectorStats { fragment_walks, ..self.stats }
     }
 
     /// RTT probes this selector has spent so far.
     pub fn probes_spent(&self) -> u64 {
-        self.probes_spent
+        self.stats.probes
     }
 
     /// How many selections fell back to random for lack of candidates.
     pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
+        self.stats.fallbacks
+    }
+
+    /// Names `(for_node, target_box)` on this CAN, if the box has a key.
+    fn asked(for_node: OverlayNodeId, target_box: &Zone, can: &CanOverlay) -> Option<(OverlayNodeId, RegionKey, usize, usize)> {
+        Some((for_node, RegionKey::from_zone(target_box)?, can.id_bound(), can.len()))
     }
 
     /// Steps 1–4 for one box: hosted lookup, RTT probes of the candidates
@@ -98,6 +146,7 @@ impl<'a> GlobalStateSelector<'a> {
             .infos
             .get(&for_node)
             .expect("selecting node has published info"); // tao-lint: allow(no-unwrap-in-lib, reason = "selecting node has published info")
+        self.stats.lookups += 1;
         let found = self.state.lookup_in_hosted_into(
             &mut self.scratch,
             target_box,
@@ -109,7 +158,7 @@ impl<'a> GlobalStateSelector<'a> {
         found
             .filter(|i| is_member(i.node))
             .map(|i| {
-                self.probes_spent += 1;
+                self.stats.probes += 1;
                 (self.oracle.measure(me, i.underlay), i.node)
             })
             .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
@@ -128,13 +177,16 @@ impl NeighborSelector for GlobalStateSelector<'_> {
         // The contract is "one of `candidates`", which arrive sorted by id
         // (`nodes_in` order, the selecting node removed).
         let listed = |n: OverlayNodeId| candidates.binary_search(&n).is_ok();
-        match self.closest_probed(for_node, target_box, can, listed) {
-            Some(node) => node,
-            None => {
-                self.fallbacks += 1;
-                candidates[self.fallback_rng.gen_range(0..candidates.len())]
-            }
-        }
+        self.stats.selections += 1;
+        // The members listed are the members `select_in_box` tested for, so
+        // where it found nobody a second lookup finds nobody again.
+        let asked = self.found_nobody;
+        let known_empty = asked.is_some() && asked == Self::asked(for_node, target_box, can);
+        let chosen = if known_empty { None } else { self.closest_probed(for_node, target_box, can, listed) };
+        chosen.unwrap_or_else(|| {
+            self.stats.fallbacks += 1;
+            candidates[self.fallback_rng.gen_range(0..candidates.len())]
+        })
     }
 
     /// Table 1 as the paper runs it: the box's map names the candidates,
@@ -153,10 +205,12 @@ impl NeighborSelector for GlobalStateSelector<'_> {
         can: &CanOverlay,
     ) -> BoxSelection {
         let member = |n: OverlayNodeId| can.zone_intersects(n, target_box) == Ok(true);
-        match self.closest_probed(for_node, target_box, can, member) {
-            Some(node) => BoxSelection::Chosen(node),
-            None => BoxSelection::Enumerate,
+        let chosen = self.closest_probed(for_node, target_box, can, member);
+        self.stats.selections += u64::from(chosen.is_some());
+        if chosen.is_none() {
+            self.found_nobody = Self::asked(for_node, target_box, can);
         }
+        chosen.map_or(BoxSelection::Enumerate, BoxSelection::Chosen)
     }
 }
 
@@ -251,12 +305,14 @@ mod tests {
         f
     }
 
-    /// A [`GlobalStateSelector`] behind a wrapper that counts the lists it
-    /// is handed and, unless `whole_box`, hides `select_in_box` — the
-    /// reference path, on which every box is enumerated.
+    /// A [`GlobalStateSelector`] behind a wrapper that counts the boxes it
+    /// is asked about and the lists it is handed and, unless `whole_box`,
+    /// hides `select_in_box` — the reference path, on which every box is
+    /// enumerated.
     struct Wrapped<'a> {
         inner: GlobalStateSelector<'a>,
         whole_box: bool,
+        boxes: u64,
         lists: u64,
     }
 
@@ -278,6 +334,7 @@ mod tests {
             target_box: &Zone,
             can: &CanOverlay,
         ) -> BoxSelection {
+            self.boxes += 1;
             if self.whole_box {
                 self.inner.select_in_box(for_node, target_box, can)
             } else {
@@ -308,7 +365,7 @@ mod tests {
         let before = f.oracle.measurements();
         let inner =
             GlobalStateSelector::new(state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 9);
-        let mut sel = Wrapped { inner, whole_box, lists: 0 };
+        let mut sel = Wrapped { inner, whole_box, boxes: 0, lists: 0 };
         ecan.reselect(&mut sel);
         ecan.check_invariants();
         let outcome = Outcome {
@@ -317,7 +374,98 @@ mod tests {
             fallbacks: sel.inner.fallbacks(),
             charged: f.oracle.measurements() - before,
         };
+        let stats = sel.inner.stats();
+        assert_eq!(stats.selections, outcome.selections(), "one selection per entry");
+        // One lookup per box asked about — none again for the fallback draw
+        // — or, on the reference path, one per list.
+        assert_eq!(stats.lookups, if whole_box { sel.boxes } else { sel.lists });
+        assert!(stats.fragment_walks <= stats.lookups);
         (outcome, sel.lists)
+    }
+
+    #[test]
+    fn a_scratch_lent_from_selector_to_selector_never_shows() {
+        // One scratch outlives five selectors. Between selectors one thing
+        // changes at a time — the state, the CAN's size, the clock — and
+        // half-way through the last selector eight departures and eight
+        // joins leave the CAN as large as it was. Tables, counts and the
+        // meter must equal those of a selector lent an empty scratch before
+        // every node.
+        let mut f = churned_fixture();
+        let config = *f.state.config();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut now = SimTime::ORIGIN;
+        let mut lent = LookupScratch::default();
+        for round in 0..5u32 {
+            let live: Vec<OverlayNodeId> = f.ecan.can().live_nodes().collect();
+            let run = |arriving: Option<LookupScratch>| {
+                let forget = arriving.is_none();
+                let mut ecan = f.ecan.clone();
+                let before = f.oracle.measurements();
+                let mut sel = GlobalStateSelector::new(&f.state, &f.oracle, &f.infos, 10, now, 9)
+                    .lend(arriving.unwrap_or_default());
+                let half = live.len() / 2;
+                for (i, &id) in live.iter().enumerate() {
+                    if round == 4 && (half..half + 8).contains(&i) {
+                        ecan.depart(id).unwrap();
+                        let at = Point::new(vec![0.11 * i as f64 % 1.0, 0.2 * f64::from(round)]).unwrap();
+                        ecan.join_unselected(NodeIdx(3 + round), at);
+                        continue;
+                    }
+                    if forget {
+                        sel = sel.lend(LookupScratch::default());
+                    }
+                    ecan.reselect_node(id, &mut sel);
+                }
+                let (stats, scratch) = sel.finish();
+                let outcome = Outcome {
+                    tables: live.iter().map(|&id| ecan.high_order_entries(id)).collect(),
+                    probes_spent: stats.probes,
+                    fallbacks: stats.fallbacks,
+                    charged: f.oracle.measurements() - before,
+                };
+                (outcome, stats, scratch)
+            };
+            let (want, forgetful, _) = run(None);
+            let (got, stats, back) = run(Some(std::mem::take(&mut lent)));
+            lent = back;
+            assert_eq!(got, want, "round {round}");
+            assert_eq!((stats.selections, stats.lookups), (forgetful.selections, forgetful.lookups));
+            assert!(stats.fragment_walks * 2 < stats.lookups, "round {round}: {stats:?}");
+
+            let mut pick = |f: &Fixture| {
+                let live: Vec<OverlayNodeId> = f.ecan.can().live_nodes().collect();
+                live[rng.gen_range(0..live.len())]
+            };
+            match round {
+                // The state alone: withdrawals and changed vectors.
+                0 => {
+                    for k in 0..20 {
+                        f.state.remove(pick(&f));
+                        let moved = pick(&f);
+                        let info = measured_info(moved, NodeIdx(23 + 31 * k), &f.oracle, &config);
+                        f.state.publish(info.clone(), &f.ecan, now);
+                        f.infos.insert(moved, info);
+                    }
+                }
+                // The CAN alone: ten departures nobody told the maps about.
+                1 => {
+                    for _ in 0..10 {
+                        let gone = pick(&f);
+                        f.ecan.depart(gone).unwrap();
+                        f.infos.remove(&gone);
+                    }
+                }
+                // The state again, invisibly at this clock: half refresh...
+                2 => {
+                    for &id in live.iter().filter(|id| id.0 % 2 == 0) {
+                        f.state.refresh(id, now + config.ttl() / 2);
+                    }
+                }
+                // ...and the clock alone: the other half has lapsed.
+                _ => now = SimTime::ORIGIN + config.ttl(),
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use tao_overlay::ecan::{ClosestSelector, EcanOverlay, NeighborSelector, RandomSe
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
-use tao_softstate::{GlobalState, NodeInfo, SoftStateConfig};
+use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{
     generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle, Topology, TransitStubParams,
@@ -18,7 +18,7 @@ use tao_topology::{
 
 use crate::metrics::{route_stretch, StretchSummary};
 use crate::params::{ExperimentParams, SelectionStrategy};
-use crate::selector::GlobalStateSelector;
+use crate::selector::{GlobalStateSelector, SelectorStats};
 
 /// Builder for [`TopologyAwareOverlay`].
 ///
@@ -151,8 +151,9 @@ impl TaoBuilder {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x7a0));
         let oracle = RttOracle::new(topology.graph().clone());
 
-        // 1. Landmarks; warm their distance vectors so vector measurement is
-        //    one Dijkstra per landmark, not per node.
+        // 1. Landmarks. (`warm` is a no-op on a graph whose distances
+        //    factor — every transit-stub one; on a graph that falls back to
+        //    rows it computes the landmarks' rows ahead of the vectors.)
         let landmarks = select_landmarks(
             topology.graph(),
             self.params.landmarks,
@@ -208,6 +209,8 @@ impl TaoBuilder {
             pubsub: PubSub::new(),
             infos,
             now,
+            scratch: LookupScratch::default(),
+            last_pass: SelectorStats::default(),
         };
         tao.with_selector(self.seed, self.seed.wrapping_add(0x5e1), |ecan, sel| {
             ecan.reselect(sel)
@@ -247,6 +250,10 @@ pub struct TopologyAwareOverlay {
     pubsub: PubSub,
     infos: DetMap<OverlayNodeId, NodeInfo>,
     now: SimTime,
+    /// The soft-state selectors' lookup scratch, lent to each pass: what it
+    /// remembers stands while the state, the CAN and `now` do.
+    scratch: LookupScratch,
+    last_pass: SelectorStats,
 }
 
 impl TopologyAwareOverlay {
@@ -298,6 +305,12 @@ impl TopologyAwareOverlay {
     /// Published info of an overlay node.
     pub fn info(&self, id: OverlayNodeId) -> Option<&NodeInfo> {
         self.infos.get(&id)
+    }
+
+    /// What the soft-state selector of the latest pass did — the build's,
+    /// or the last `reselect*` since (zeros under the other strategies).
+    pub fn last_pass(&self) -> SelectorStats {
+        self.last_pass
     }
 
     /// Current virtual time of the system.
@@ -424,22 +437,25 @@ impl TopologyAwareOverlay {
         fallback_seed: u64,
         f: impl FnOnce(&mut EcanOverlay, &mut dyn NeighborSelector),
     ) {
+        self.last_pass = SelectorStats::default();
         match self.params.selection {
             SelectionStrategy::Random => f(&mut self.ecan, &mut RandomSelector::new(random_seed)),
             SelectionStrategy::Optimal => {
                 f(&mut self.ecan, &mut ClosestSelector::new(self.oracle.clone()))
             }
-            SelectionStrategy::GlobalState => f(
-                &mut self.ecan,
-                &mut GlobalStateSelector::new(
+            SelectionStrategy::GlobalState => {
+                let mut selector = GlobalStateSelector::new(
                     &self.state,
                     &self.oracle,
                     &self.infos,
                     self.params.rtt_budget,
                     self.now,
                     fallback_seed,
-                ),
-            ),
+                )
+                .lend(std::mem::take(&mut self.scratch));
+                f(&mut self.ecan, &mut selector);
+                (self.last_pass, self.scratch) = selector.finish();
+            }
         }
     }
 
@@ -637,6 +653,66 @@ mod tests {
                     .all(|e| e.representative != victim),
                 "{id} still references departed {victim}"
             );
+        }
+    }
+
+    #[test]
+    fn what_a_system_remembers_between_passes_never_shows() {
+        // Two identical systems run one script of passes with the state,
+        // the CAN and the clock changing in between; one of them forgets
+        // its lookup scratch before every step. Tables, counts and the
+        // oracle's meter must agree after each.
+        type Step = fn(&mut TopologyAwareOverlay);
+        let script: [Step; 10] = [
+            |tao| tao.reselect(),
+            // The state alone: a dozen withdrawals.
+            |tao| {
+                for id in tao.sample_overlay_nodes(12, 4) {
+                    tao.state_mut().remove(id);
+                }
+            },
+            |tao| tao.reselect(),
+            // The CAN alone: six departures the maps are not told about.
+            |tao| {
+                for id in tao.sample_overlay_nodes(6, 5) {
+                    tao.depart(id).unwrap();
+                }
+            },
+            |tao| tao.reselect(),
+            // Both, and two passes inside: a join.
+            |tao| drop(tao.join_node(NodeIdx(1))),
+            |tao| {
+                tao.advance(SimDuration::from_secs(40));
+                for id in tao.sample_overlay_nodes(60, 6) {
+                    let now = tao.now();
+                    tao.state_mut().refresh(id, now);
+                }
+                tao.reselect();
+            },
+            // The clock alone: what was not refreshed lapses.
+            |tao| tao.advance(SimDuration::from_secs(30)),
+            |tao| tao.reselect(),
+            |tao| tao.reselect(),
+        ];
+        let (mut warm, mut cold) = (small_builder().build(), small_builder().build());
+        for (i, step) in script.iter().enumerate() {
+            cold.scratch = LookupScratch::default();
+            step(&mut warm);
+            step(&mut cold);
+            let tables = |tao: &TopologyAwareOverlay| -> Vec<_> {
+                let live = tao.ecan().can().live_nodes();
+                live.map(|id| tao.ecan().high_order_entries(id)).collect()
+            };
+            assert_eq!(tables(&warm), tables(&cold), "step {i}");
+            let simulated = |s: SelectorStats| SelectorStats { fragment_walks: 0, ..s };
+            assert_eq!(simulated(warm.last_pass()), simulated(cold.last_pass()), "step {i}");
+            assert_eq!(warm.oracle().measurements(), cold.oracle().measurements(), "step {i}");
+            // The first step repeats the build's pass with nothing changed
+            // since: every fragment is found, where the cold system walks.
+            if i == 0 {
+                assert_eq!(warm.last_pass().fragment_walks, 0);
+                assert!(cold.last_pass().fragment_walks > 0 && cold.last_pass().fallbacks > 0);
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Landmark vectors: a node's RTTs to the landmark set.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tao_util::time::SimDuration;
 use tao_topology::{NodeIdx, RttOracle};
@@ -18,10 +19,24 @@ use tao_topology::{NodeIdx, RttOracle};
 /// // Landmark 1 is nearest, then 2, then 0.
 /// assert_eq!(v.ordering(), vec![1, 2, 0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The components are immutable and shared: a clone — one per map a node is
+/// published into — copies two pointers, not the vector.
+#[derive(Debug, Clone)]
 pub struct LandmarkVector {
-    rtts: Vec<SimDuration>,
+    rtts: Arc<[SimDuration]>,
+    /// `rtts[i].as_millis_f64()`, converted once at construction, so
+    /// ranking subtracts where it used to divide per candidate component.
+    millis: Arc<[f64]>,
 }
+
+impl PartialEq for LandmarkVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.rtts == other.rtts
+    }
+}
+
+impl Eq for LandmarkVector {}
 
 impl LandmarkVector {
     /// Creates a vector from raw RTTs.
@@ -30,8 +45,13 @@ impl LandmarkVector {
     ///
     /// Panics if `rtts` is empty.
     pub fn new(rtts: Vec<SimDuration>) -> Self {
+        Self::shared(rtts.into())
+    }
+
+    fn shared(rtts: Arc<[SimDuration]>) -> Self {
         assert!(!rtts.is_empty(), "a landmark vector needs at least one component");
-        LandmarkVector { rtts }
+        let millis = rtts.iter().map(|r| r.as_millis_f64()).collect();
+        LandmarkVector { rtts, millis }
     }
 
     /// Convenience constructor from fractional milliseconds.
@@ -40,7 +60,7 @@ impl LandmarkVector {
     ///
     /// Panics if `millis` is empty.
     pub fn from_millis(millis: &[f64]) -> Self {
-        LandmarkVector::new(millis.iter().map(|&m| SimDuration::from_millis_f64(m)).collect())
+        Self::shared(millis.iter().map(|&m| SimDuration::from_millis_f64(m)).collect())
     }
 
     /// Measures the vector for `node` against `landmarks`, charging one RTT
@@ -51,7 +71,7 @@ impl LandmarkVector {
     /// Panics if `landmarks` is empty.
     pub fn measure(node: NodeIdx, landmarks: &[NodeIdx], oracle: &RttOracle) -> Self {
         assert!(!landmarks.is_empty(), "need at least one landmark");
-        LandmarkVector::new(landmarks.iter().map(|&l| oracle.measure(node, l)).collect())
+        Self::shared(landmarks.iter().map(|&l| oracle.measure(node, l)).collect())
     }
 
     /// Number of components (landmarks).
@@ -94,43 +114,18 @@ impl LandmarkVector {
     ///
     /// Panics if the vectors have different lengths.
     pub fn euclidean_ms(&self, other: &LandmarkVector) -> f64 {
-        self.with_millis(|millis| other.distance_from(millis))
-    }
-
-    /// Runs `f` on this vector's components as fractional milliseconds —
-    /// on the stack for any realistic landmark count.
-    fn with_millis<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
-        let mut stack = [0.0; 32];
-        let heap: Vec<f64>;
-        let millis = match stack.get_mut(..self.rtts.len()) {
-            Some(millis) => {
-                for (m, r) in millis.iter_mut().zip(&self.rtts) {
-                    *m = r.as_millis_f64();
-                }
-                &*millis
-            }
-            None => {
-                // tao-lint: allow(alloc-reachability, reason = "only vectors of more than 32 landmarks spill to the heap; the paper's systems use 15")
-                heap = self.rtts.iter().map(|r| r.as_millis_f64()).collect();
-                &heap
-            }
-        };
-        f(millis)
-    }
-
-    /// [`euclidean_ms`](Self::euclidean_ms) from a vector already converted
-    /// to fractional milliseconds.
-    fn distance_from(&self, millis: &[f64]) -> f64 {
         assert_eq!(
-            millis.len(),
-            self.rtts.len(),
+            self.millis.len(),
+            other.millis.len(),
             "landmark vectors must have equal dimensionality"
         );
-        millis
+        // The per-component `as_millis_f64` formula on operands converted
+        // once: same values, same summation order, same bits.
+        self.millis
             .iter()
-            .zip(&self.rtts)
+            .zip(other.millis.iter())
             .map(|(a, b)| {
-                let d = a - b.as_millis_f64();
+                let d = a - b;
                 d * d
             })
             .sum::<f64>()
@@ -160,13 +155,9 @@ impl LandmarkVector {
         ranked: &mut Vec<(f64, K, H)>,
     ) {
         ranked.clear();
-        self.with_millis(|millis| {
-            let rank = |(vector, id, handle): (&LandmarkVector, K, H)| {
-                (vector.distance_from(millis), id, handle)
-            };
-            // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
-            ranked.extend(candidates.into_iter().map(rank));
-        });
+        let rank = |(vector, id, handle): (&LandmarkVector, K, H)| (self.euclidean_ms(vector), id, handle);
+        // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
+        ranked.extend(candidates.into_iter().map(rank));
         // Distances are finite and never -0.0 (a square root of a sum of
         // squares over at least one component), so `total_cmp` is the
         // numeric order.
@@ -193,7 +184,7 @@ impl LandmarkVector {
     /// Panics if `components` is empty or any index is out of range.
     pub fn project(&self, components: &[usize]) -> LandmarkVector {
         assert!(!components.is_empty(), "projection needs at least one component");
-        LandmarkVector::new(components.iter().map(|&c| self.rtts[c]).collect())
+        Self::shared(components.iter().map(|&c| self.rtts[c]).collect())
     }
 
     /// The first `k` components (a common landmark-vector-index choice).
@@ -203,7 +194,7 @@ impl LandmarkVector {
     /// Panics if `k` is zero or exceeds the vector length.
     pub fn prefix(&self, k: usize) -> LandmarkVector {
         assert!(k > 0 && k <= self.rtts.len(), "prefix length out of range");
-        LandmarkVector::new(self.rtts[..k].to_vec())
+        Self::shared(self.rtts[..k].into())
     }
 }
 
@@ -244,20 +235,39 @@ mod tests {
         use tao_util::check_eq;
         use tao_util::rand::Rng;
 
+        // The distance as it was computed before vectors carried their
+        // milliseconds: one `as_millis_f64` division per component, per pair.
+        let formula = |a: &LandmarkVector, b: &LandmarkVector| {
+            let squares = a.rtts().iter().zip(b.rtts()).map(|(x, y)| {
+                let d = x.as_millis_f64() - y.as_millis_f64();
+                d * d
+            });
+            squares.sum::<f64>().sqrt()
+        };
         for_all("nearest_vs_stable_sort", 64, |rng| {
-            let dims = rng.gen_range(1usize..=40); // past the 32 kept on the stack
+            let dims = rng.gen_range(1usize..=40);
             let draw = |rng: &mut tao_util::rand::rngs::StdRng| {
                 // Few distinct values: equal distances and equal ids happen.
-                let ms: Vec<f64> = (0..dims).map(|_| rng.gen_range(0..3) as f64).collect();
-                LandmarkVector::from_millis(&ms)
+                // Thirds of a millisecond: the division is inexact.
+                let rtts = (0..dims).map(|_| SimDuration::from_micros(rng.gen_range(0..3) * 333));
+                LandmarkVector::new(rtts.collect())
             };
             let query = draw(rng);
-            let pool: Vec<(LandmarkVector, u8)> =
-                (0..rng.gen_range(0..30)).map(|_| (draw(rng), rng.gen_range(0..4))).collect();
+            let mut pool: Vec<(LandmarkVector, u8)> = Vec::new();
+            for _ in 0..rng.gen_range(0..30) {
+                // A third of the pool shares its allocation with the query
+                // or an earlier member.
+                let vector = match rng.gen_range(0..3 * (pool.len() + 1)) {
+                    0 => query.clone(),
+                    i if i <= pool.len() => pool[i - 1].0.clone(),
+                    _ => draw(rng),
+                };
+                pool.push((vector, rng.gen_range(0..4)));
+            }
             let mut sorted: Vec<usize> = (0..pool.len()).collect();
             sorted.sort_by(|&a, &b| {
-                let da = query.euclidean_ms(&pool[a].0);
-                let db = query.euclidean_ms(&pool[b].0);
+                let da = formula(&query, &pool[a].0);
+                let db = formula(&query, &pool[b].0);
                 da.partial_cmp(&db).unwrap().then(pool[a].1.cmp(&pool[b].1))
             });
             let mut ranked = vec![(0.0, 0, 99)]; // stale content must not survive
@@ -268,7 +278,9 @@ mod tests {
                 let want: Vec<usize> = sorted.iter().copied().take(max).collect();
                 check_eq!(got, want, "max {max}");
                 for &(d, id, i) in &ranked {
-                    check_eq!((d, id), (query.euclidean_ms(&pool[i].0), pool[i].1));
+                    let want = formula(&query, &pool[i].0);
+                    check_eq!((d.to_bits(), id), (want.to_bits(), pool[i].1), "{d} vs {want}");
+                    check_eq!(query.euclidean_ms(&pool[i].0).to_bits(), want.to_bits());
                 }
             }
         });

@@ -39,7 +39,11 @@
 //! aligned cube, and lists a box at most once (a single node's boxes are
 //! all distinct, so the one-node paths keep none). The memo is a local of
 //! the pass, which holds `&mut self`, so the CAN cannot change under it:
-//! nothing to invalidate, nothing to configure.
+//! nothing to invalidate, nothing to configure. Besides member lists, a
+//! soft-state pass remembers — in the selector's lookup scratch, not here —
+//! the live map slots each `(region, host)` pair stores, which outlive the
+//! pass and are therefore stamped with what they were read from (state
+//! version, CAN membership, `now`) and dropped when any of it has moved.
 //!
 //! # Example
 //!

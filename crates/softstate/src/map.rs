@@ -140,24 +140,14 @@ impl ZoneMap {
     /// `number` is stored — the paper's `p' = h(p, dp, dz, Z)`.
     pub fn position_for(&self, number: LandmarkNumber, config: &SoftStateConfig) -> Point {
         let mut coords = Vec::new();
-        self.position_into(number, config, &mut coords);
+        unit_position_into(number, config, self.region.dims(), &mut coords);
+        self.scale_into_condensed(&mut coords);
         Point::clamped(coords)
     }
 
-    /// The coordinates of [`ZoneMap::position_for`] written into `out`.
-    pub(crate) fn position_into(
-        &self,
-        number: LandmarkNumber,
-        config: &SoftStateConfig,
-        out: &mut Vec<f64>,
-    ) {
-        // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
-        out.resize(self.region.dims(), 0.0);
-        let grid_bits = config.grid().number_bits();
-        let resolution = config.position_resolution_bits();
-        region_position_into(number, grid_bits, resolution, config.curve(), out);
-        // Scale the normalised position into the condensed box.
-        for (a, x) in out.iter_mut().enumerate() {
+    /// Scales a normalised position into the condensed box, in place.
+    pub(crate) fn scale_into_condensed(&self, position: &mut [f64]) {
+        for (a, x) in position.iter_mut().enumerate() {
             *x = self.condensed.lo(a) + *x * self.condensed.extent(a);
         }
     }
@@ -456,6 +446,17 @@ impl ZoneMap {
         let expected: Vec<usize> = self.slots.iter().map(|s| s.entry.is_some() as usize).collect();
         assert_eq!(stamps, expected, "current stamps per slot");
     }
+}
+
+/// The normalised position in `[0,1)^dims` at which information keyed by
+/// `number` is stored: the curve decode every region shares, each then
+/// applying its own [`ZoneMap::scale_into_condensed`].
+pub(crate) fn unit_position_into(number: LandmarkNumber, config: &SoftStateConfig, dims: usize, out: &mut Vec<f64>) {
+    // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
+    out.resize(dims, 0.0);
+    let grid_bits = config.grid().number_bits();
+    let resolution = config.position_resolution_bits();
+    region_position_into(number, grid_bits, resolution, config.curve(), out);
 }
 
 /// The sub-box of `region` holding its map: per-axis extents scaled by

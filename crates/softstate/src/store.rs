@@ -5,16 +5,25 @@
 //! in a maximum of log(N) such maps"). Lookups name a target region and run
 //! the Table-1 procedure against that region's map.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use tao_util::det::{DetMap, DetSet};
 
+use tao_landmark::LandmarkNumber;
 use tao_overlay::ecan::EcanOverlay;
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_util::time::SimTime;
 
 use crate::config::SoftStateConfig;
 use crate::entry::NodeInfo;
-use crate::map::ZoneMap;
+use crate::map::{unit_position_into, ZoneMap};
 use crate::region::RegionKey;
+
+/// The next [`GlobalState`] version. Process-wide, so no two states ever
+/// share one: a [`LookupScratch`] carried from one state to another (or to
+/// a clone since written) finds its stamp stale. Compared for equality
+/// only, and publishes no other data — hence `Relaxed`.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
 
 /// All per-region proximity maps of one overlay.
 ///
@@ -29,15 +38,49 @@ pub struct GlobalState {
     /// Per node, the keys of exactly the maps that list it: what `refresh`
     /// and `remove` visit, instead of every map.
     listed: DetMap<OverlayNodeId, Vec<RegionKey>>,
+    /// Renewed by every write: what a [`LookupScratch`] stamps its
+    /// remembered fragments with.
+    version: u64,
 }
 
 /// The buffers of a hosted lookup ([`GlobalState::lookup_in_hosted_into`]):
 /// a caller that keeps one across lookups pays for them once.
+///
+/// It also remembers, per `(region, host)`, the live slots the host (and,
+/// once a query needed them, its widening ring) stores, so queriers that
+/// land on the same host share one walk of the position index. What is
+/// remembered is valid for exactly as long as nothing it was read from has
+/// changed — the state's version, the CAN's membership `(id_bound, len)`
+/// over one CAN's history, and `now` — and is dropped on any mismatch, so
+/// no answer depends on what the scratch has seen.
 #[derive(Debug, Clone, Default)]
 pub struct LookupScratch {
+    stamp: Option<(u64, usize, usize, SimTime)>,
+    fragments: DetMap<(RegionKey, OverlayNodeId), Fragment>,
+    /// The fragments' `(slot, node)` pairs, end to end.
+    slots: Vec<(u32, OverlayNodeId)>,
+    walks: u64,
+    /// The number whose normalised curve position `unit` holds: decoded
+    /// once per querier, not once per box it asks about.
+    decoded: Option<LandmarkNumber>,
+    unit: Vec<f64>,
     landing: Vec<f64>,
-    found: Vec<u32>,
     ranked: Vec<(f64, OverlayNodeId, u32)>,
+}
+
+/// Where in [`LookupScratch::slots`] one host's live slots for one region
+/// lie, and — once walked — those of its CAN neighbors.
+#[derive(Debug, Clone, Copy)]
+struct Fragment {
+    host: (usize, usize),
+    ring: Option<(usize, usize)>,
+}
+
+impl LookupScratch {
+    /// How many host fragments have been walked through this scratch.
+    pub fn fragment_walks(&self) -> u64 {
+        self.walks
+    }
 }
 
 impl GlobalState {
@@ -47,6 +90,7 @@ impl GlobalState {
             config,
             maps: DetMap::new(),
             listed: DetMap::new(),
+            version: NEXT_VERSION.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -80,6 +124,7 @@ impl GlobalState {
     /// node's CAN zone in `ecan`. Returns how many maps were written — the
     /// message cost of one publish round.
     pub fn publish(&mut self, info: NodeInfo, ecan: &EcanOverlay, now: SimTime) -> usize {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
         let mut written = 0;
         for region in ecan.enclosing_high_order_zones(info.node) {
             let Some(key) = RegionKey::from_zone(&region) else {
@@ -102,6 +147,7 @@ impl GlobalState {
     /// Removes every entry of `node` (proactive departure, §5.2). Returns
     /// the number of maps touched.
     pub fn remove(&mut self, node: OverlayNodeId) -> usize {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
         let keys = self.listed.remove(&node).unwrap_or_default();
         keys.iter()
             .filter(|key| self.maps.get_mut(key).is_some_and(|m| m.remove(node)))
@@ -111,6 +157,7 @@ impl GlobalState {
     /// Refreshes `node`'s TTLs in every map that lists it. Returns the
     /// number of maps touched.
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime) -> usize {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
         let (maps, config) = (&mut self.maps, &self.config);
         let Some(keys) = self.listed.get(&node) else {
             return 0;
@@ -122,6 +169,7 @@ impl GlobalState {
 
     /// Expires lapsed entries everywhere; returns how many were dropped.
     pub fn expire(&mut self, now: SimTime) -> usize {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
         let listed = &mut self.listed;
         let mut dropped = 0;
         for (key, map) in self.maps.iter_mut() {
@@ -202,34 +250,50 @@ impl GlobalState {
         can: &CanOverlay,
         now: SimTime,
     ) -> impl Iterator<Item = &'a NodeInfo> {
-        let hits = self.map(region).map(|map| {
-            map.position_into(query.number, &self.config, &mut scratch.landing);
-            let host = can.owner_at(&scratch.landing);
-            scratch.found.clear();
-            // TTL widening: the ring of CAN neighbors around the host is
-            // asked only if the host itself holds fewer than `max`.
-            let ring = host.and_then(|h| can.neighbor_ids(h).ok()).into_iter().flatten();
-            for (i, &h) in host.iter().chain(ring.filter(|&&n| Some(n) != host)).enumerate() {
-                if i == 1 && scratch.found.len() >= max {
-                    break;
-                }
-                // An entry is stored by a host exactly when its position
-                // falls in one of the host's zones, so each host
-                // contributes the live entries of its zones — one walk of
-                // the position index per zone, not an owner() walk per entry.
-                for (lo, hi) in can.zone_bounds(h).into_iter().flatten() {
-                    map.for_each_live_in(lo, hi, now, |e, slot| {
-                        if e.info.node != query.node {
-                            // tao-lint: allow(alloc-reachability, reason = "caller-held candidate buffer: grows to the largest candidate set seen, then is reused")
-                            scratch.found.push(slot);
-                        }
-                    });
-                }
+        let keyed = RegionKey::from_zone(region).and_then(|key| Some((key, self.maps.get(&key)?)));
+        let hits = keyed.map(|(key, map)| {
+            let LookupScratch { stamp, fragments, slots, walks, decoded, unit, landing, ranked } = scratch;
+            let read_from = Some((self.version, can.id_bound(), can.len(), now));
+            if *stamp != read_from {
+                *stamp = read_from;
+                fragments.clear();
+                slots.clear();
+                *decoded = None;
             }
-            // Sized once per high-water mark instead of by doubling.
-            scratch.ranked.reserve(scratch.found.len());
-            let found = scratch.found.iter().copied();
-            map.nearest(&query.vector, found, max, &mut scratch.ranked)
+            let (dims, me) = (map.region().dims(), query.node);
+            if *decoded != Some(query.number) || unit.len() != dims {
+                *decoded = Some(query.number);
+                unit_position_into(query.number, &self.config, dims, unit);
+            }
+            landing.clear();
+            // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
+            landing.extend_from_slice(unit);
+            map.scale_into_condensed(landing);
+            let found = can.owner_at(landing).map(|host| {
+                // A key per (region, host) pair a stamp sees: a warmed pass
+                // finds every key present and inserts nothing.
+                let fragment = fragments.entry((key, host)).or_insert_with(|| {
+                    *walks += 1;
+                    let from = slots.len();
+                    walk(map, can, host, now, slots);
+                    Fragment { host: (from, slots.len()), ring: None }
+                });
+                // Never hand a node back itself as a candidate. TTL
+                // widening: the ring of CAN neighbors around the host is
+                // asked only if the host itself holds fewer than `max`.
+                let (from, to) = fragment.host;
+                let own = slots[from..to].iter().filter(|s| s.1 != me).count();
+                if own < max && fragment.ring.is_none() {
+                    let ring_from = slots.len();
+                    let ring = can.neighbor_ids(host).ok().into_iter().flatten();
+                    ring.filter(|&&n| n != host).for_each(|&n| walk(map, can, n, now, slots));
+                    fragment.ring = Some((ring_from, slots.len()));
+                }
+                let (ring_from, ring_to) = fragment.ring.filter(|_| own < max).unwrap_or((to, to));
+                let found = slots[from..to].iter().chain(&slots[ring_from..ring_to]);
+                found.filter(move |s| s.1 != me).map(|s| s.0)
+            });
+            map.nearest(&query.vector, found.into_iter().flatten(), max, ranked)
         });
         hits.into_iter().flatten()
     }
@@ -327,6 +391,17 @@ impl GlobalState {
         let listings: usize = self.listed.values().map(Vec::len).sum();
         assert_eq!(listings, self.total_entries(), "a region list names a map without its node");
         assert!(self.listed.values().all(|k| !k.is_empty()), "an empty region list is kept");
+    }
+}
+
+/// Appends to `slots` the `(slot, node)` of every live entry of `map` that
+/// `host` stores. An entry is stored by a host exactly when its position
+/// falls in one of the host's zones, so this is one walk of the position
+/// index per zone, not an `owner()` walk per entry.
+fn walk(map: &ZoneMap, can: &CanOverlay, host: OverlayNodeId, now: SimTime, slots: &mut Vec<(u32, OverlayNodeId)>) {
+    for (lo, hi) in can.zone_bounds(host).into_iter().flatten() {
+        // tao-lint: allow(alloc-reachability, reason = "caller-held fragment buffer: grows to the slots of the (region, host) pairs one stamp sees, then is reused")
+        map.for_each_live_in(lo, hi, now, |e, slot| slots.push((slot, e.info.node)));
     }
 }
 

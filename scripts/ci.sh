@@ -326,24 +326,28 @@ if [ "$rfp1" != "$rfp8" ]; then
 fi
 echo "replay determinism: OK ($rfp1)"
 
-# ---- Figure drift: four paper-scale figures, byte for byte. -----------------
+# ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
-# PR; these four take ~5 s together since table passes stopped listing
-# every box per node (PR 17). fig02 drives the RandomSelector stream
-# through the pass's member-list memo at 1 K–32 K nodes, fig16 makes a
-# GlobalState build (membership-tested candidates, listed fallbacks) per
-# cell, sec1 is the TA-CAN baseline on the same CAN, generality is all
+# PR, then here for four tables; all fifteen take ~20 s together, so the
+# gate runs the list scripts/run_experiments.sh regenerates them from.
+# fig02 drives the RandomSelector stream through the pass's member-list
+# memo at 1 K–32 K nodes; fig10_13 … ablation_lvi make a GlobalState build
+# (remembered host fragments, membership-tested candidates, listed
+# fallbacks) per cell under every budget, size, condense rate, curve and
+# vector index the paper sweeps; sec52 selects against maps that have all
+# expired; sec1 is the TA-CAN baseline on the same CAN; generality is all
 # three strategies of the one id-keyed system on Chord and on Pastry. One
 # worker: the tables are identical for any count, the committed ones were
 # recorded with one.
-for fig in fig02_ecan_vs_can fig16_condense_rate sec1_tacan_imbalance generality; do
+figures=$(grep -v '^#' scripts/figures.txt)
+for fig in $figures; do
     if ! TAO_SCALE=paper TAO_WORKERS=1 cargo run -q --release --offline \
         -p tao-bench --bin "$fig" 2>/dev/null | cmp - "results/$fig.txt"; then
         echo "FAIL: $fig at TAO_SCALE=paper no longer reproduces results/$fig.txt." >&2
         exit 1
     fi
 done
-echo "figure drift: OK (fig02, fig16, sec1, generality byte-identical to results/)"
+echo "figure drift: OK ($(echo $figures | wc -w) tables of scripts/figures.txt byte-identical to results/)"
 
 # ---- Waiver audit: wall-clock reads stay confined and justified. ------------
 # tao-lint already fails unwaived Instant::now sites; this audit additionally

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every figure/table of the paper into results/.
+# Regenerates every table of the paper (scripts/figures.txt) into results/.
 # Usage: scripts/run_experiments.sh [paper|mini]
 #
 # TAO_WORKERS controls how many threads the parallel sweeps use
@@ -25,14 +25,14 @@ mkdir -p results
   echo "#   fig02 29s  fig03_06 1s  fig10_13 5s  fig14_15 10s  fig16 1s  sec1 0s"
   echo "#   sec52 1s  sec54_gap 6s  sec6 4s  ablation_sfc 1s  ablation_lvi 1s"
   echo "#   generality 1s  related 0s  join_cost 0s  sec54_opt 2s  -- 62s total"
+  echo "# Before PR 21 (a hosted lookup walked its host's fragment per querier):"
+  echo "#   fig02 1s  fig03_06 1s  fig10_13 4s  fig14_15 4s  fig16 0s  sec1 1s"
+  echo "#   sec52 0s  sec54_gap 7s  sec6 3s  ablation_sfc 1s  ablation_lvi 0s"
+  echo "#   generality 1s  related 1s  join_cost 0s  sec54_opt 2s  -- 26s total"
 } > results/timings.txt
 total_start=$SECONDS
-for b in fig02_ecan_vs_can fig02_million_churn fig03_06_nearest_neighbor \
-         fig10_13_stretch_vs_rtts fig14_15_stretch_vs_nodes fig16_condense_rate \
-         sec1_tacan_imbalance sec52_pubsub_maintenance sec54_gap_breakdown \
-         sec6_load_aware ablation_sfc ablation_lvi generality \
-         related_coordinates join_cost sec54_optimizations fig_flashcrowd \
-         sec6_replay; do
+# The tables: scripts/figures.txt, shared with the drift gate of ci.sh.
+for b in $(grep -v '^#' scripts/figures.txt); do
   echo ">>> $b (TAO_SCALE=$TAO_SCALE TAO_WORKERS=$TAO_WORKERS)"
   start=$SECONDS
   ./target/release/"$b" 2> "results/$b.err" | tee "results/$b.txt"

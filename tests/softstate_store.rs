@@ -1,6 +1,12 @@
 //! The soft-state store against a flat model, a stamp-count regression, and
 //! the store's CI fingerprint.
 //!
+//! Hosted lookups are also made through one [`LookupScratch`] that lives as
+//! long as the history: what it remembers of earlier lookups (the live
+//! slots per `(region, host)`, the querier's decoded curve position) must
+//! never show in an answer, whatever was written, joined, left or aged in
+//! between.
+//!
 //! [`GlobalState`] keeps each map's entries in a slab behind three indexes,
 //! a per-node list of the maps that name a node, and one expiry stamp per
 //! entry. The model below keeps one `Vec` of `(region, entry)` rows and
@@ -11,7 +17,9 @@ use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, Zone};
 use tao_sim::{SimDuration, SimTime};
-use tao_softstate::{refresh_round, GlobalState, NodeInfo, SoftStateConfig, ZoneMap};
+use tao_softstate::{
+    refresh_round, GlobalState, LookupScratch, NodeInfo, SoftStateConfig, ZoneMap,
+};
 use tao_topology::NodeIdx;
 use tao_util::check::for_all_sequences;
 use tao_util::rand::rngs::StdRng;
@@ -214,6 +222,7 @@ fn run(ops: &[Op]) {
     let mut ecan = grown_ecan(24, 0x5707e);
     let mut state = GlobalState::new(config);
     let mut model = Model::default();
+    let mut scratch = LookupScratch::default();
     let mut now = SimTime::ORIGIN;
     // Every node the history has named so far, departed ones included: the
     // store must also cope with refreshes and removals of nodes that left.
@@ -249,8 +258,8 @@ fn run(ops: &[Op]) {
                     let _ = ecan.depart(node);
                 }
             }
-            Op::Lookup { node, region, max } => {
-                let node = pick(&known, node);
+            Op::Lookup { node: at, region, max } => {
+                let node = pick(&known, at);
                 let query = info_of(node, u64::from(node.0) << 8, &config);
                 let mut regions = model.regions();
                 regions.push(Zone::whole(DIMS)); // never published into
@@ -262,6 +271,26 @@ fn run(ops: &[Op]) {
         }
         check_eq!(state.total_entries(), model.rows.len(), "step {step}: {op:?}");
         state.check_invariants();
+        // After two steps in three, the same two queriers in every region
+        // through the history's one scratch: each host is revisited with
+        // one or two writes, joins, departures or clock advances in between
+        // (a join and a departure together leave the CAN as large as it
+        // was), by the node it holds an entry of and by another, and a
+        // fragment remembered under a small budget is widened by a large
+        // one and read unwidened again.
+        let max = LOOKUP_MAX[step % LOOKUP_MAX.len()];
+        let regions = if step % 3 == 2 { Vec::new() } else { model.regions() };
+        for region in regions {
+            for &node in &known[..2] {
+                let query = info_of(node, u64::from(node.0) << 8, &config);
+                let want = model.lookup_in_hosted(&region, &query, max, ecan.can(), now, &config);
+                let got: Vec<NodeInfo> = state
+                    .lookup_in_hosted_into(&mut scratch, &region, &query, max, ecan.can(), now)
+                    .cloned()
+                    .collect();
+                check_eq!(got, want, "step {step}: {node} in {region} max {max}, after {op:?}");
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! PR-10 runtime cross-check of the static `alloc-reachability` claim:
 //! after one warm-up pass has sized every scratch buffer, `route_into`
 //! on all five overlays — and the soft-state hosted lookup through its
-//! `LookupScratch` — perform ZERO heap allocations.
+//! `LookupScratch`, whose remembered `(region, host)` fragments a warmed
+//! pass revisits — perform ZERO heap allocations.
 //!
 //! The static pass (`tao-lint`'s `alloc-reachability`) proves the hot
 //! closure of every `// tao-lint: hot` entry point free of allocation
@@ -165,11 +166,19 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         store_ecan.depart(victim).expect("victim is live");
     }
     store_ecan.reselect(&mut SampledRandomSelector::new(0x0a0a));
-    let lookups: Vec<(&NodeInfo, Zone)> = infos
+    // Each node asks every box of its expressway table for 10 candidates,
+    // then its own smallest region — whose landing host stores the node's
+    // own entry, to be left out — for 1 (answered by the host alone, when
+    // it holds another), for 64 (widening the remembered fragment to the
+    // host's ring) and for 1 again.
+    let lookups: Vec<(&NodeInfo, Zone, usize)> = infos
         .iter()
         .flat_map(|info| {
             let entries = store_ecan.high_order_entries(info.node);
-            entries.into_iter().map(move |e| (info, e.target_box))
+            let own = store_ecan.enclosing_high_order_zones(info.node).into_iter().next();
+            let own = own.into_iter().flat_map(|zone| [1, 64, 1].map(|max| (zone.clone(), max)));
+            let boxes = entries.into_iter().map(|e| (e.target_box, 10));
+            boxes.chain(own).map(move |(zone, max)| (info, zone, max))
         })
         .collect();
     assert!(lookups.len() > 1_000, "a 232-node eCAN has expressway tables");
@@ -177,10 +186,10 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     let hosted_lookups = |scratch: &mut LookupScratch| -> usize {
         lookups
             .iter()
-            .map(|(query, target_box)| {
-                state
-                    .lookup_in_hosted_into(scratch, target_box, query, 10, store_ecan.can(), SimTime::ORIGIN)
-                    .count()
+            .map(|(query, zone, max)| {
+                let found =
+                    state.lookup_in_hosted_into(scratch, zone, query, *max, store_ecan.can(), SimTime::ORIGIN);
+                found.inspect(|candidate| assert_ne!(candidate.node, query.node)).count()
             })
             .sum()
     };
@@ -209,6 +218,8 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
 
     let candidates_found = hosted_lookups(&mut lookup_scratch);
     assert!(candidates_found > lookups.len(), "lookups return candidates");
+    let walked = lookup_scratch.fragment_walks();
+    assert!(walked * 4 < lookups.len() as u64, "{walked} walks: queriers share hosts");
 
     // --- measurement: the same calls must not touch the allocator ------
     let per_overlay: [(&str, u64); 6] = [
@@ -242,6 +253,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
             assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
         })),
     ];
+    assert_eq!(lookup_scratch.fragment_walks(), walked, "the warmed pass found every fragment");
 
     for (overlay, count) in per_overlay {
         assert_eq!(
