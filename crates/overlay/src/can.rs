@@ -471,13 +471,20 @@ impl CanOverlay {
     /// building a [`Point`]. `None` if the overlay is empty or `coords` has
     /// the wrong dimensionality.
     pub fn owner_at(&self, coords: &[f64]) -> Option<OverlayNodeId> {
+        self.leaf_at(coords).map(|(_, owner)| owner)
+    }
+
+    /// The one split-tree descent, O(depth): the arena index of the leaf
+    /// whose region contains `coords`, and the node it names. `None` if the
+    /// overlay is empty or `coords` has the wrong dimensionality.
+    fn leaf_at(&self, coords: &[f64]) -> Option<(u32, OverlayNodeId)> {
         if coords.len() != self.dims {
             return None;
         }
         let mut at = self.root?;
         loop {
             match self.arena.get(at as usize).copied()? {
-                ArenaNode::Leaf(id) => return Some(id),
+                ArenaNode::Leaf(id) => return Some((at, id)),
                 ArenaNode::Split { axis, mid, lower, upper } => {
                     at = if coords.get(axis as usize)? < &mid { lower } else { upper };
                 }
@@ -533,49 +540,32 @@ impl CanOverlay {
     }
 
     /// A uniformly-random-ish live member of `query` (weighted by zone
-    /// count, not volume), in O(depth) — usable where enumerating a huge
-    /// high-order zone would be wasteful. Returns `None` on an empty
-    /// overlay or when `query` intersects no zone (impossible for boxes of
-    /// positive volume, since zones tile the space).
+    /// count, not volume) — usable where enumerating a huge high-order zone
+    /// would be wasteful. One descent, O(depth) and heap-free: a region that
+    /// meets `query` has a lower child that does iff `query` starts below
+    /// the stored split coordinate and an upper child that does iff it ends
+    /// above it, and a coin is drawn only where both do. Returns `None` on
+    /// an empty overlay (boxes of positive volume always meet a zone, since
+    /// zones tile the space).
     ///
     /// # Panics
     ///
     /// Panics if dimensionalities differ.
-    // tao-lint: allow(panic-reachability, reason = "documented panic on dimensionality mismatch; callers pass boxes derived from this overlay's own zones")
+    // tao-lint: allow(panic-reachability, reason = "documented panic on dimensionality mismatch; callers pass boxes derived from this overlay's own zones, and children are arena indices by construction")
     pub fn sample_in(&self, query: &Zone, rng: &mut impl tao_util::rand::Rng) -> Option<OverlayNodeId> {
         assert_eq!(query.dims(), self.dims, "dimensionality mismatch");
-        let root = self.root?;
-        let whole = Zone::whole(self.dims);
-        self.sample_node(root, &whole, query, rng)
-    }
-
-    fn sample_node(
-        &self,
-        node: u32,
-        bounds: &Zone,
-        query: &Zone,
-        rng: &mut impl tao_util::rand::Rng,
-    ) -> Option<OverlayNodeId> {
-        if !bounds.intersects(query) {
-            return None;
-        }
-        match self.arena[node as usize] {
-            ArenaNode::Leaf(id) => Some(id),
-            ArenaNode::Split { axis, lower, upper, .. } => {
-                let (lz, uz) = bounds.split(axis as usize);
-                let lo_ok = lz.intersects(query);
-                let hi_ok = uz.intersects(query);
-                match (lo_ok, hi_ok) {
-                    (true, true) => {
-                        if rng.gen_bool(0.5) {
-                            self.sample_node(lower, &lz, query, rng)
-                        } else {
-                            self.sample_node(upper, &uz, query, rng)
-                        }
-                    }
-                    (true, false) => self.sample_node(lower, &lz, query, rng),
-                    (false, true) => self.sample_node(upper, &uz, query, rng),
-                    (false, false) => None,
+        let mut at = self.root?;
+        loop {
+            match self.arena[at as usize] {
+                ArenaNode::Leaf(id) => return Some(id),
+                ArenaNode::Split { axis, mid, lower, upper } => {
+                    let axis = axis as usize;
+                    at = match (query.lo(axis) < mid, mid < query.hi(axis)) {
+                        (true, true) if rng.gen_bool(0.5) => lower,
+                        (true, false) => lower,
+                        (_, true) => upper,
+                        (false, false) => return None,
+                    };
                 }
             }
         }
@@ -608,8 +598,18 @@ impl CanOverlay {
     ///
     /// Panics if the point has the wrong dimensionality.
     pub fn join(&mut self, underlay: NodeIdx, point: Point) -> OverlayNodeId {
+        self.join_split(underlay, point).0
+    }
+
+    /// [`CanOverlay::join`], also naming the node whose zone was split
+    /// (`None` for the first node) — found by the join's own descent.
+    pub(crate) fn join_split(
+        &mut self,
+        underlay: NodeIdx,
+        point: Point,
+    ) -> (OverlayNodeId, Option<OverlayNodeId>) {
         assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        if self.root.is_none() {
+        let Some((leaf_at, owner)) = self.leaf_at(point.coords()) else {
             // The first node owns the whole space.
             let whole = Zone::whole(self.dims);
             let new_id = self.push_node(underlay, &whole);
@@ -617,9 +617,8 @@ impl CanOverlay {
             self.root = Some(0);
             self.live_count = 1;
             self.index.insert(&whole, new_id);
-            return new_id;
-        }
-        let owner = self.owner(&point);
+            return (new_id, None);
+        };
         // Split the specific zone that contains the join point (the owner
         // may hold extra zones taken over from departed neighbors): the
         // primary zone is checked first, matching the acquisition order.
@@ -664,7 +663,6 @@ impl CanOverlay {
         self.arena.push(ArenaNode::Leaf(lower_id));
         let upper_leaf = self.arena.len() as u32;
         self.arena.push(ArenaNode::Leaf(upper_id));
-        let leaf_at = self.leaf_index_at(&point);
         self.arena[leaf_at as usize] = ArenaNode::Split {
             axis: axis as u32,
             mid,
@@ -708,25 +706,13 @@ impl CanOverlay {
                 }
             }
         }
-        new_id
-    }
-
-    /// Arena index of the leaf whose region contains `point` — O(depth).
-    fn leaf_index_at(&self, point: &Point) -> u32 {
-        let mut at = self.root.expect("tree is non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "tree is non-empty")
-        loop {
-            match self.arena[at as usize] {
-                ArenaNode::Leaf(_) => return at,
-                ArenaNode::Split { axis, mid, lower, upper } => {
-                    at = if point.coord(axis as usize) < mid { lower } else { upper };
-                }
-            }
-        }
+        (new_id, Some(owner))
     }
 
     /// Departs a node. Its zone is taken over by the smallest-volume CAN
     /// neighbor (the departing node's state is retired; the taker's zone set
-    /// is represented by re-rooting the leaf to the taker).
+    /// is represented by re-rooting the leaf to the taker). Costs
+    /// O(depth · zones held + neighbors), whatever the overlay's size.
     ///
     /// The taker may end up owning a non-box region; for simplicity and
     /// faithfulness to zone accounting, the taker's `zone` field keeps its
@@ -754,23 +740,18 @@ impl CanOverlay {
             })
             .expect("a live non-last node has at least one neighbor"); // tao-lint: allow(no-unwrap-in-lib, reason = "a live non-last node has at least one neighbor")
 
-        // Re-point the departing node's leaf (or leaves, if it had taken
-        // over zones itself) at the taker. The arena is flat, so this is a
-        // linear relabel pass rather than a pointer-tree recursion.
-        for n in &mut self.arena {
-            if let ArenaNode::Leaf(leaf) = n {
-                if *leaf == id {
-                    *leaf = taker;
-                }
-            }
-        }
-
         // The taker now owns all of the departing node's zones (primary
         // first, then its takeovers — the order the old zone list held).
+        // Zones and leaves are 1:1, so the centre of each zone leads to the
+        // leaf to re-point: O(depth) per zone held, the arena is not swept.
         let primary = self.primary_zone(i);
-        self.index.reassign(&primary, taker);
         let departed_extra = std::mem::take(&mut self.extra[i]);
-        for z in &departed_extra {
+        for z in std::iter::once(&primary).chain(&departed_extra) {
+            let (leaf, holder) = self
+                .leaf_at(z.center().coords())
+                .expect("a held zone has a leaf"); // tao-lint: allow(no-unwrap-in-lib, reason = "a held zone has a leaf")
+            debug_assert_eq!(holder, id, "the leaf under {z} names its holder");
+            self.arena[leaf as usize] = ArenaNode::Leaf(taker);
             self.index.reassign(z, taker);
         }
         let ti = taker.index();
@@ -921,7 +902,11 @@ impl CanOverlay {
     /// Verifies structural invariants; used by tests and debug assertions.
     ///
     /// Checks that live zones tile the space (volumes sum to 1), that
-    /// neighbor sets are symmetric and match geometric adjacency.
+    /// neighbor sets are symmetric, and that the split tree, the nodes' zone
+    /// lists and the Morton index describe one tiling: every split stores
+    /// its region's midpoint, every leaf names a live node that holds
+    /// exactly the leaf's region, there are as many leaves as held zones,
+    /// and the index maps each leaf's corner to the leaf's node.
     ///
     /// # Panics
     ///
@@ -952,6 +937,30 @@ impl CanOverlay {
                 );
             }
         }
+        let mut leaves = 0usize;
+        let mut open = vec![(self.root.expect("a non-empty overlay has a root"), Zone::whole(self.dims))]; // tao-lint: allow(no-unwrap-in-lib, reason = "a non-empty overlay has a root")
+        while let Some((at, region)) = open.pop() {
+            match self.arena[at as usize] {
+                ArenaNode::Leaf(id) => {
+                    leaves += 1;
+                    assert!(self.alive[id.index()], "leaf {region} names departed node {id}");
+                    assert!(
+                        self.primary_zone(id.index()) == region || self.extra[id.index()].contains(&region),
+                        "leaf {region} names {id}, which holds no such zone"
+                    );
+                    assert!(self.index.agrees(&region, id), "zone index disagrees that {id} holds {region}");
+                }
+                ArenaNode::Split { axis, mid, lower, upper } => {
+                    let (below, above) = region.split(axis as usize);
+                    assert_eq!(below.hi(axis as usize), mid, "split of {region} is off its midpoint");
+                    open.push((lower, below));
+                    open.push((upper, above));
+                }
+            }
+        }
+        let held: usize = self.live_nodes().map(|id| 1 + self.extra[id.index()].len()).sum();
+        assert_eq!(leaves, held, "leaves and held zones must be 1:1");
+        assert!(self.index.len().is_none_or(|n| n == leaves), "zone index holds a zone that is no leaf");
     }
 }
 
@@ -1251,6 +1260,109 @@ mod tests {
             seen.insert(can.sample_in(&left, &mut rng).expect("populated"));
         }
         assert!(seen.len() > 3, "sampling should reach many members, got {}", seen.len());
+    }
+
+    /// The walk `sample_in` used to be: materialize the region of every
+    /// node on the way down and test it against the query. Kept as the
+    /// oracle for the descent that decides from the stored split alone.
+    fn sample_node(
+        can: &CanOverlay,
+        node: u32,
+        bounds: &Zone,
+        query: &Zone,
+        rng: &mut impl Rng,
+    ) -> Option<OverlayNodeId> {
+        if !bounds.intersects(query) {
+            return None;
+        }
+        match can.arena[node as usize] {
+            ArenaNode::Leaf(id) => Some(id),
+            ArenaNode::Split { axis, lower, upper, .. } => {
+                let (lz, uz) = bounds.split(axis as usize);
+                match (lz.intersects(query), uz.intersects(query)) {
+                    (true, true) => {
+                        if rng.gen_bool(0.5) {
+                            sample_node(can, lower, &lz, query, rng)
+                        } else {
+                            sample_node(can, upper, &uz, query, rng)
+                        }
+                    }
+                    (true, false) => sample_node(can, lower, &lz, query, rng),
+                    (false, true) => sample_node(can, upper, &uz, query, rng),
+                    (false, false) => None,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_in_equals_the_recursive_walk_coin_for_coin() {
+        use tao_util::check::for_all;
+        use tao_util::{check, check_eq};
+        let takers_of_takers = std::cell::Cell::new(0u32);
+        for_all("sample_in_equals_the_recursive_walk_coin_for_coin", 48, |rng| {
+            let d = rng.gen_range(2usize..6);
+            let mut can = CanOverlay::new(d).unwrap();
+            for i in 0..rng.gen_range(1u32..160) {
+                can.join(NodeIdx(i), Point::random(d, rng));
+            }
+            if rng.gen_bool(0.6) {
+                // Departures outnumber joins, so takers depart in their
+                // turn and hand several zones on; joins land in them.
+                for i in 0..can.len() as u32 / 2 {
+                    let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+                    can.leave(live[rng.gen_range(0..live.len())]).unwrap();
+                    if i % 3 == 0 {
+                        can.join(NodeIdx(1_000 + i), Point::random(d, rng));
+                    }
+                }
+                can.check_invariants();
+            }
+            let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+            if live.iter().any(|&id| can.zones(id).unwrap().len() > 2) {
+                takers_of_takers.set(takers_of_takers.get() + 1);
+            }
+            let whole = Zone::whole(d);
+            for _ in 0..60 {
+                let query = match rng.gen_range(0..4) {
+                    // An aligned cube, the shape expressway tables ask for.
+                    0 => {
+                        let level = rng.gen_range(0u32..6);
+                        let side = 0.5f64.powi(level as i32);
+                        let lo: Vec<f64> =
+                            (0..d).map(|_| rng.gen_range(0..1u32 << level) as f64 * side).collect();
+                        let hi = lo.iter().map(|l| l + side).collect();
+                        Zone::from_bounds(lo, hi).unwrap()
+                    }
+                    // A clipped box with arbitrary, non-dyadic bounds.
+                    1 => {
+                        let lo: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..0.9)).collect();
+                        let hi = lo.iter().map(|l| rng.gen_range(l + 0.01..1.0)).collect();
+                        Zone::from_bounds(lo, hi).unwrap()
+                    }
+                    // A half-space: one face lies on a split plane.
+                    2 => {
+                        let (below, above) = whole.split(rng.gen_range(0..d));
+                        if rng.gen_bool(0.5) { below } else { above }
+                    }
+                    // A box strictly inside one zone, primary or taken over.
+                    _ => {
+                        let zones = can.zones(live[rng.gen_range(0..live.len())]).unwrap();
+                        let z = &zones[rng.gen_range(0..zones.len())];
+                        let lo = (0..d).map(|a| z.lo(a) + z.extent(a) / 4.0).collect();
+                        let hi = (0..d).map(|a| z.hi(a) - z.extent(a) / 4.0).collect();
+                        Zone::from_bounds(lo, hi).unwrap()
+                    }
+                };
+                let mut walked = StdRng::seed_from_u64(rng.gen());
+                let mut descended = walked.clone();
+                let want = sample_node(&can, can.root.unwrap(), &whole, &query, &mut walked);
+                check_eq!(can.sample_in(&query, &mut descended), want, "d={d} query={query}");
+                check_eq!(descended.gen::<u64>(), walked.gen::<u64>(), "stream position, query={query}");
+                check!(want.is_some_and(|id| can.zone_intersects(id, &query).unwrap()));
+            }
+        });
+        assert!(takers_of_takers.get() > 0, "no generated overlay had a node holding three zones");
     }
 
     #[test]

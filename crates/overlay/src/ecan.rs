@@ -24,6 +24,16 @@
 //! departure maintenance incremental: only the newcomer, the split owner,
 //! and the actual dependents are touched — never the full table set.
 //!
+//! What a membership change costs follows from that, and none of it grows
+//! with the overlay: the CAN's part is one O(depth) descent per join and
+//! one per zone the departing node held; a dependent's table is re-verified
+//! entry by entry against one box written in place, and an entry that has
+//! to change is patched where it stands, moving its own two reverse-index
+//! links; a sampled replacement ([`CanOverlay::sample_in`]) is one more
+//! descent and touches no heap. Whole-table replacement is the path of
+//! [`EcanOverlay::reselect`], [`EcanOverlay::reselect_node`] and
+//! [`EcanOverlay::depart`] only.
+//!
 //! # Table construction
 //!
 //! The selector is asked for a representative of the whole box first
@@ -338,26 +348,29 @@ impl EcanOverlay {
         self.grow_arrays();
         let old = std::mem::replace(&mut self.tables[id.index()], table);
         for e in &old.entries {
-            let deps = &mut self.dependents[e.rep as usize];
-            if let Some(pos) = deps.iter().position(|&d| d == id.0) {
-                deps.swap_remove(pos);
-            }
+            self.unlink(e.rep, id);
         }
-        let reps: Vec<u32> = self.tables[id.index()].entries.iter().map(|e| e.rep).collect();
-        for r in reps {
-            self.dependents[r as usize].push(id.0);
+        for e in &self.tables[id.index()].entries {
+            self.dependents[e.rep as usize].push(id.0);
         }
     }
 
-    /// Materializes the target box of a stored entry against the level the
-    /// owner's table was built at. The owner's zone may have been split
-    /// thinner since, but it can only have shrunk *in place*, so its centre
-    /// still falls in the same aligned cell and the box is unchanged.
-    fn entry_box(zone: &Zone, built_level: u32, e: &CompactEntry) -> Zone {
+    /// Drops one `rep → owner` link from the reverse index.
+    fn unlink(&mut self, rep: u32, owner: OverlayNodeId) {
+        let deps = &mut self.dependents[rep as usize];
+        if let Some(pos) = deps.iter().position(|&d| d == owner.0) {
+            deps.swap_remove(pos);
+        }
+    }
+
+    /// Overwrites `target` with the box of a stored entry, materialized
+    /// against the level the owner's table was built at. The owner's zone
+    /// may have been split thinner since, but it can only have shrunk *in
+    /// place*, so its centre still falls in the same aligned cell and the
+    /// box is unchanged. In place: a caller walking a table reuses one box.
+    fn entry_box(zone: &Zone, built_level: u32, e: &CompactEntry, target: &mut Zone) {
         let level = built_level + 1 - e.order as u32;
-        let side = 0.5f64.powi(level as i32);
-        let my_box = zone.enclosing_aligned_box(level);
-        shifted_box(&my_box, e.axis as usize, e.dir as f64 * side)
+        target.set_aligned_neighbor(zone, level, e.axis as usize, e.dir as f64);
     }
 
     /// The expressway entries of `id` (empty for shallow zones and
@@ -376,10 +389,14 @@ impl EcanOverlay {
         table
             .entries
             .iter()
-            .map(|e| HighOrderEntry {
-                order: e.order as u32,
-                target_box: Self::entry_box(&zone, table.built_level, e),
-                representative: OverlayNodeId(e.rep),
+            .map(|e| {
+                let mut target_box = zone.clone();
+                Self::entry_box(&zone, table.built_level, e, &mut target_box);
+                HighOrderEntry {
+                    order: e.order as u32,
+                    target_box,
+                    representative: OverlayNodeId(e.rep),
+                }
             })
             .collect()
     }
@@ -452,12 +469,7 @@ impl EcanOverlay {
         point: Point,
         selector: &mut dyn NeighborSelector,
     ) -> OverlayNodeId {
-        let prev_owner = if self.can.is_empty() {
-            None
-        } else {
-            Some(self.can.owner(&point))
-        };
-        let id = self.can.join(underlay, point);
+        let (id, prev_owner) = self.can.join_split(underlay, point);
         self.reselect_node(id, selector);
         if let Some(owner) = prev_owner {
             self.reselect_node(owner, selector);
@@ -508,45 +520,33 @@ impl EcanOverlay {
 
     /// Re-points or drops the entries of `d` whose representative is dead
     /// or no longer owns space inside the advertised box; sound entries
-    /// are left untouched (and their selector state unconsumed).
+    /// are left untouched (and their selector state unconsumed). An entry
+    /// that changes is patched where it stands and only its own two
+    /// reverse-index links move.
     fn repair_entries(&mut self, d: OverlayNodeId, selector: &mut dyn NeighborSelector) {
-        if !self.can.is_live(d) {
-            return;
-        }
         let Ok(zone) = self.can.zone(d) else {
             return;
         };
-        let (built_level, entries) = {
-            let t = &self.tables[d.index()];
-            (t.built_level, t.entries.clone())
-        };
-        let mut repaired = Vec::with_capacity(entries.len());
-        let mut changed = false;
-        for e in entries {
-            let rep = OverlayNodeId(e.rep);
-            let target_box = Self::entry_box(&zone, built_level, &e);
-            let sound = self.can.is_live(rep)
-                && self
-                    .can
-                    .zone_intersects(rep, &target_box)
-                    .unwrap_or(false);
-            if sound {
-                repaired.push(e);
+        let built_level = self.tables[d.index()].built_level;
+        let mut target_box = zone.clone();
+        let mut at = 0;
+        while let Some(&e) = self.tables[d.index()].entries.get(at) {
+            Self::entry_box(&zone, built_level, &e, &mut target_box);
+            if self.can.zone_intersects(OverlayNodeId(e.rep), &target_box).unwrap_or(false) {
+                at += 1;
                 continue;
             }
-            changed = true;
-            if let Some(r) = self.representative(d, &target_box, selector, None) {
-                repaired.push(CompactEntry { rep: r.0, ..e });
+            self.unlink(e.rep, d);
+            match self.representative(d, &target_box, selector, None) {
+                Some(r) => {
+                    self.tables[d.index()].entries[at].rep = r.0;
+                    self.dependents[r.index()].push(d.0);
+                    at += 1;
+                }
+                None => {
+                    self.tables[d.index()].entries.remove(at);
+                }
             }
-        }
-        if changed {
-            self.set_table(
-                d,
-                NodeTable {
-                    built_level,
-                    entries: repaired,
-                },
-            );
         }
     }
 
@@ -638,19 +638,17 @@ impl EcanOverlay {
         // the box at level 0 is the whole space and has no neighbors.
         let mut order = 2u32;
         let mut level = base_level.saturating_sub(1);
-        let mut seen_boxes: Vec<Zone> = Vec::new();
+        let mut target_box = zone.clone();
         while level >= 1 {
-            let my_box = zone.enclosing_aligned_box(level);
-            let side = 0.5f64.powi(level as i32);
-            seen_boxes.clear();
             for axis in 0..dims {
-                for dir in [-1.0f64, 1.0] {
-                    let target_box = shifted_box(&my_box, axis, dir * side);
-                    if target_box == my_box {
-                        continue; // wrapped onto itself (level-1 axis)
-                    }
-                    // Skip duplicates (± directions can wrap to the same box).
-                    if seen_boxes.iter().any(|b| *b == target_box) {
+                // The two shifts along one axis can wrap to the same box
+                // (level 1), which gets one entry; boxes of different axes
+                // differ, and no shift of less than the whole space wraps a
+                // box onto itself.
+                let mut entered_lo = None;
+                for dir in [-1i8, 1] {
+                    target_box.set_aligned_neighbor(&zone, level, axis, dir as f64);
+                    if entered_lo == Some(target_box.lo(axis)) {
                         continue;
                     }
                     let Some(representative) =
@@ -659,11 +657,11 @@ impl EcanOverlay {
                         continue;
                     };
                     debug_assert!(order <= u8::MAX as u32, "order overflows compact entry");
-                    seen_boxes.push(target_box);
+                    entered_lo = Some(target_box.lo(axis));
                     table.entries.push(CompactEntry {
                         order: order as u8,
                         axis: axis as u8,
-                        dir: if dir < 0.0 { -1 } else { 1 },
+                        dir,
                         rep: representative.0,
                     });
                 }
@@ -792,13 +790,30 @@ impl EcanOverlay {
     /// * the underlying CAN's invariants (zone tiling, neighbor symmetry);
     /// * every non-empty expressway table belongs to a live node;
     /// * every entry has order ≥ 2, a representative that is live, is not
-    ///   the owner, and still owns space inside the entry's target box.
+    ///   the owner, and still owns space inside the entry's target box;
+    /// * the reverse index is exactly the multiset of `(representative →
+    ///   owner)` pairs the tables hold.
     ///
     /// Intended for churn tests, called after re-selection has repaired
     /// tables (entries go stale by design between a departure/split and the
     /// next [`EcanOverlay::reselect`]).
     pub fn check_invariants(&self) {
         self.can.check_invariants();
+        // Every pair the tables hold is listed as often as it is held, and
+        // nothing else is: counted in place, so the check holds no copy of
+        // the index (it runs at 131k nodes when the benchmark closes).
+        let mut held = 0;
+        for (owner, table) in self.tables.iter().enumerate() {
+            for e in &table.entries {
+                let named = table.entries.iter().filter(|x| x.rep == e.rep).count();
+                let listed = &self.dependents[e.rep as usize];
+                let listed = listed.iter().filter(|&&o| o as usize == owner).count();
+                assert_eq!(listed, named, "reverse index of o{} lists o{owner} {listed}x", e.rep);
+            }
+            held += table.entries.len();
+        }
+        let listed: usize = self.dependents.iter().map(Vec::len).sum();
+        assert_eq!(listed, held, "the reverse index lists a link no table holds");
         for i in 0..self.tables.len() {
             if self.tables[i].entries.is_empty() {
                 continue;
@@ -843,26 +858,6 @@ fn aligned_level(zone: &Zone) -> u32 {
         .expect("zones have at least one axis") // tao-lint: allow(no-unwrap-in-lib, reason = "zones have at least one axis")
 }
 
-/// Shifts an aligned box by `delta` along `axis`, wrapping on the torus.
-fn shifted_box(b: &Zone, axis: usize, delta: f64) -> Zone {
-    let mut lo: Vec<f64> = (0..b.dims()).map(|a| b.lo(a)).collect();
-    let mut hi: Vec<f64> = (0..b.dims()).map(|a| b.hi(a)).collect();
-    let side = hi[axis] - lo[axis];
-    let mut new_lo = lo[axis] + delta;
-    // Wrap into [0, 1).
-    if new_lo < 0.0 {
-        new_lo += 1.0;
-    }
-    if new_lo >= 1.0 {
-        new_lo -= 1.0;
-    }
-    // Guard against accumulated error on exact dyadic arithmetic.
-    debug_assert!((0.0..1.0).contains(&new_lo));
-    lo[axis] = new_lo;
-    hi[axis] = new_lo + side;
-    Zone::from_bounds(lo, hi).expect("shifted aligned box is valid") // tao-lint: allow(no-unwrap-in-lib, reason = "shifted aligned box is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,12 +874,15 @@ mod tests {
 
     #[test]
     fn shifted_box_wraps_on_the_torus() {
-        let whole = Zone::whole(2);
-        let (left, right) = whole.split(0);
-        let shifted = shifted_box(&left, 0, 0.5);
-        assert_eq!(shifted, right);
-        let wrapped = shifted_box(&left, 0, -0.5);
-        assert_eq!(wrapped, right);
+        let (left, right) = Zone::whole(2).split(0);
+        let (left_low, right_low) = (left.split(1).0, right.split(1).0);
+        let mut shifted = Zone::whole(2);
+        shifted.set_aligned_neighbor(&left_low, 1, 0, 1.0);
+        assert_eq!(shifted, right_low);
+        shifted.set_aligned_neighbor(&left_low, 1, 0, -1.0);
+        assert_eq!(shifted, right_low, "-1/2 wraps to the same box");
+        shifted.set_aligned_neighbor(&right_low, 1, 0, 0.0);
+        assert_eq!(shifted, right_low.enclosing_aligned_box(1));
     }
 
     #[test]

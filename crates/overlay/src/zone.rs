@@ -38,7 +38,6 @@ impl Zone {
     pub fn whole(dims: usize) -> Self {
         assert!(dims > 0, "a zone needs at least one dimension");
         Zone {
-            // tao-lint: allow(alloc-reachability, reason = "zone materialization runs at join/table-build/sample time, not on the route_into fast paths; a sampled box pick pays one descent, never a per-hop allocation")
             lo: vec![0.0; dims],
             hi: vec![1.0; dims],
         }
@@ -142,7 +141,6 @@ impl Zone {
     pub fn split(&self, axis: usize) -> (Zone, Zone) {
         assert!(axis < self.dims(), "axis {axis} out of range");
         let mid = (self.lo[axis] + self.hi[axis]) / 2.0;
-        // tao-lint: allow(alloc-reachability, reason = "split materializes the two child zones at join/sample time, not on the route_into fast paths")
         let mut lower = self.clone();
         let mut upper = self.clone();
         lower.hi[axis] = mid;
@@ -243,15 +241,38 @@ impl Zone {
 
     /// The aligned high-order box of side `2^-level` that contains this
     /// zone's centre. Level 0 is the whole space.
-    // tao-lint: allow(panic-reachability, reason = "aligned box bounds are finite and ordered for any level; from_bounds cannot reject them")
+    // tao-lint: allow(panic-reachability, reason = "axis indices run 0..dims() of this one zone; the only panic is a level no f64 resolves")
     pub fn enclosing_aligned_box(&self, level: u32) -> Zone {
+        let mut aligned = self.clone();
+        aligned.set_aligned_neighbor(self, level, 0, 0.0);
+        aligned
+    }
+
+    /// Overwrites this box with `of.enclosing_aligned_box(level)` moved
+    /// `steps` box sides along `axis`, wrapping on the torus — in place, so
+    /// a caller that examines many expressway boxes reuses one.
+    pub(crate) fn set_aligned_neighbor(&mut self, of: &Zone, level: u32, axis: usize, steps: f64) {
+        debug_assert_eq!(self.dims(), of.dims(), "dimensionality mismatch");
         let side = 0.5f64.powi(level as i32);
-        let c = self.center();
-        let lo: Vec<f64> = (0..self.dims())
-            .map(|a| (c.coord(a) / side).floor() * side)
-            .collect();
-        let hi = lo.iter().map(|l| l + side).collect();
-        Zone::from_bounds(lo, hi).expect("aligned box bounds are valid") // tao-lint: allow(no-unwrap-in-lib, reason = "aligned box bounds are valid")
+        assert!(side > 0.0, "level {level} is finer than f64 resolves");
+        for a in 0..of.dims() {
+            // The centre as `Zone::center` computes it, clamp included.
+            let c = ((of.lo[a] + of.hi[a]) / 2.0).clamp(0.0, 1.0 - f64::EPSILON);
+            let mut lo = (c / side).floor() * side;
+            if a == axis {
+                // Wrap the shifted corner into [0, 1): dyadic sums are exact.
+                lo += steps * side;
+                if lo < 0.0 {
+                    lo += 1.0;
+                }
+                if lo >= 1.0 {
+                    lo -= 1.0;
+                }
+                debug_assert!((0.0..1.0).contains(&lo));
+            }
+            self.lo[a] = lo;
+            self.hi[a] = lo + side;
+        }
     }
 }
 

@@ -97,6 +97,17 @@ impl ZoneIndex {
         }
     }
 
+    /// `true` unless the index records someone other than `owner` (or
+    /// nobody) for `zone` — what `check_invariants` holds it to.
+    pub(crate) fn agrees(&self, zone: &Zone, owner: OverlayNodeId) -> bool {
+        self.degraded || self.corner_code(zone).and_then(|c| self.zones.get(&c)) == Some(&owner)
+    }
+
+    /// Number of zones recorded (`None` once degraded).
+    pub(crate) fn len(&self) -> Option<usize> {
+        (!self.degraded).then_some(self.zones.len())
+    }
+
     /// Serves `query` from the index, or `None` when the query is not an
     /// aligned cube the index can answer exactly.
     pub(crate) fn lookup(&self, query: &Zone) -> Option<IndexHit> {

@@ -326,6 +326,21 @@ if [ "$rfp1" != "$rfp8" ]; then
 fi
 echo "replay determinism: OK ($rfp1)"
 
+# ---- Incremental eCAN membership: the pinned mini-scale event log. ----------
+# fig02_million_churn at mini scale (32,768 nodes, 400 churn ops through
+# the simulator, ~0.5 s) aborts unless its event-log fingerprint is the one
+# pinned in the binary — the only pinned value over join_and_select /
+# depart_and_repair and the SampledRandomSelector stream, so a change to
+# the O(depth) relabel, the heap-free box pick or the in-place table repair
+# that moves one pick fails here.
+churn_fp=$(TAO_SCALE=mini cargo run -q --release --offline -p tao-bench \
+    --bin fig02_million_churn 2>/dev/null | grep -o '0x7b3b8bead9f16acf' || true)
+if [ -z "$churn_fp" ]; then
+    echo "FAIL: TAO_SCALE=mini fig02_million_churn did not reach its pinned fingerprint." >&2
+    exit 1
+fi
+echo "incremental membership: OK (mini fig02_million_churn at $churn_fp)"
+
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
 # PR, then here for four tables; all fifteen take ~20 s together, so the

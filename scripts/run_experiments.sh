@@ -29,6 +29,8 @@ mkdir -p results
   echo "#   fig02 1s  fig03_06 1s  fig10_13 4s  fig14_15 4s  fig16 0s  sec1 1s"
   echo "#   sec52 0s  sec54_gap 7s  sec6 3s  ablation_sfc 1s  ablation_lvi 0s"
   echo "#   generality 1s  related 1s  join_cost 0s  sec54_opt 2s  -- 26s total"
+  echo "# PR 22 (eCAN membership) is on none of these tables' paths; its companion,"
+  echo "#   fig02_million_churn, is timed in EXPERIMENTS.md (mini scale runs in ci.sh)."
 } > results/timings.txt
 total_start=$SECONDS
 # The tables: scripts/figures.txt, shared with the drift gate of ci.sh.

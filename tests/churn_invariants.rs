@@ -247,6 +247,96 @@ fn ecan_survives_interleaved_churn_with_reselection() {
     }
 }
 
+/// One step of a generated eCAN membership history.
+#[derive(Debug, Clone)]
+enum Handover {
+    Join(f64, f64),
+    Depart(u64),
+    /// Depart a drawn node that holds taken-over zones: its taker inherits
+    /// every one of them (a no-op while nobody holds any).
+    DepartTaker(u64),
+    /// Join at the centre of a drawn taken-over zone, splitting it under
+    /// its holder (a no-op while nobody holds any).
+    JoinTakenOver(u64),
+}
+
+#[test]
+fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
+    use std::cell::Cell;
+    use tao_overlay::ecan::SampledRandomSelector;
+    use tao_overlay::OverlayNodeId;
+    use tao_util::check::for_all_sequences;
+
+    let (takers_departed, taken_over_joins) = (Cell::new(0u32), Cell::new(0u32));
+    let generate = |rng: &mut StdRng| -> Vec<Handover> {
+        (0..48)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=2 => Handover::Join(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
+                3..=5 => Handover::Depart(rng.gen()),
+                6..=7 => Handover::DepartTaker(rng.gen()),
+                _ => Handover::JoinTakenOver(rng.gen()),
+            })
+            .collect()
+    };
+    let replay = |steps: &[Handover]| {
+        let mut can = CanOverlay::new(2).expect("2-d CAN");
+        let mut rng = StdRng::seed_from_u64(41);
+        for i in 0..24u32 {
+            can.join(NodeIdx(i), Point::random(2, &mut rng));
+        }
+        let mut selector = SampledRandomSelector::new(42);
+        let mut ecan = EcanOverlay::build(can, &mut selector);
+        let mut next_underlay = 24u32;
+        for step in steps {
+            let can = ecan.can();
+            let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+            let pick = |from: &[OverlayNodeId], draw: u64| from[draw as usize % from.len()];
+            let takers: Vec<OverlayNodeId> = live
+                .iter()
+                .copied()
+                .filter(|&id| can.zones(id).expect("live node").len() > 1)
+                .collect();
+            let (join_at, victim) = match *step {
+                Handover::Join(x, y) => (Some(Point::clamped(vec![x, y])), None),
+                Handover::Depart(draw) => (None, Some(pick(&live, draw))),
+                Handover::DepartTaker(draw) if !takers.is_empty() => {
+                    takers_departed.set(takers_departed.get() + 1);
+                    (None, Some(pick(&takers, draw)))
+                }
+                Handover::JoinTakenOver(draw) if !takers.is_empty() => {
+                    let zones = can.zones(pick(&takers, draw)).expect("live node");
+                    taken_over_joins.set(taken_over_joins.get() + 1);
+                    (Some(zones[1 + (draw >> 32) as usize % (zones.len() - 1)].center()), None)
+                }
+                _ => (None, None),
+            };
+            if let Some(point) = join_at {
+                ecan.join_and_select(NodeIdx(next_underlay), point, &mut selector);
+                next_underlay += 1;
+            }
+            if let Some(victim) = victim.filter(|_| live.len() > 4) {
+                ecan.depart_and_repair(victim, &mut selector).expect("victim is live");
+            }
+            // The eCAN's check runs the CAN's first: tree, zone lists and
+            // Morton index describe one tiling; tables and reverse index
+            // one set of links. Then the descent itself, zone by zone.
+            ecan.check_invariants();
+            for id in ecan.can().live_nodes() {
+                for zone in ecan.can().zones(id).expect("live node") {
+                    assert_eq!(ecan.can().owner(&zone.center()), id, "{zone} is held by {id}");
+                }
+            }
+        }
+    };
+    for_all_sequences("multi_zone_handover", 32, generate, replay);
+    assert!(
+        takers_departed.get() > 20 && taken_over_joins.get() > 20,
+        "histories must hand several zones on at once ({}) and join into taken-over zones ({})",
+        takers_departed.get(),
+        taken_over_joins.get()
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Batch churn scenarios applied in batch order: structural invariants must
 // hold not just at the end of a batch but after every single op.

@@ -2,7 +2,9 @@
 //! after one warm-up pass has sized every scratch buffer, `route_into`
 //! on all five overlays — and the soft-state hosted lookup through its
 //! `LookupScratch`, whose remembered `(region, host)` fragments a warmed
-//! pass revisits — perform ZERO heap allocations.
+//! pass revisits — perform ZERO heap allocations, and so does a sampled
+//! expressway pick (`SampledRandomSelector::select_in_box`, one split-tree
+//! descent), on a pristine overlay and on a churned one.
 //!
 //! The static pass (`tao-lint`'s `alloc-reachability`) proves the hot
 //! closure of every `// tao-lint: hot` entry point free of allocation
@@ -19,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tao_overlay::chord::{ChordOverlay, RingId};
-use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
@@ -106,6 +108,25 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     let (ecan_base, ecan_live) = churned_can(256, 24, 0x0a03);
     let ecan = EcanOverlay::build(ecan_base, &mut SampledRandomSelector::new(0x0a04));
     let ecan_calls = can_family_calls(&ecan_live, 0x0a05);
+
+    // Every (node, expressway target box) of the churned eCAN and of a
+    // pristine one, asked of the sampling selector as a table build asks.
+    let (pristine_base, _) = churned_can(256, 0, 0x0a0b);
+    let pristine = EcanOverlay::build(pristine_base, &mut SampledRandomSelector::new(0x0a0c));
+    let box_picks = |ecan: &EcanOverlay| -> Vec<(OverlayNodeId, Zone)> {
+        let ids = ecan.can().live_nodes();
+        ids.flat_map(|id| ecan.high_order_entries(id).into_iter().map(move |e| (id, e.target_box)))
+            .collect()
+    };
+    let picks = [(&ecan, box_picks(&ecan)), (&pristine, box_picks(&pristine))];
+    let mut sampler = SampledRandomSelector::new(0x0a0d);
+    let sampled_picks = |sampler: &mut SampledRandomSelector| -> usize {
+        picks
+            .iter()
+            .flat_map(|(ecan, boxes)| boxes.iter().map(move |(id, zone)| (ecan.can(), *id, zone)))
+            .filter(|(can, id, zone)| matches!(sampler.select_in_box(*id, zone, can), BoxSelection::Chosen(_)))
+            .count()
+    };
 
     let mut tacan = TaCanOverlay::new(DIMS, 4).expect("valid params");
     let mut rng = StdRng::seed_from_u64(0x0a06);
@@ -216,13 +237,17 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         pastry.route_into(&mut scratch, *s, *k).expect("warm-up routes");
     }
 
+    let boxes = picks[0].1.len() + picks[1].1.len();
+    assert!(boxes > 2_000, "two ~250-node eCANs have expressway tables");
+    assert!(sampled_picks(&mut sampler) * 10 > boxes * 9, "nearly every box yields a pick");
+
     let candidates_found = hosted_lookups(&mut lookup_scratch);
     assert!(candidates_found > lookups.len(), "lookups return candidates");
     let walked = lookup_scratch.fragment_walks();
     assert!(walked * 4 < lookups.len() as u64, "{walked} walks: queriers share hosts");
 
     // --- measurement: the same calls must not touch the allocator ------
-    let per_overlay: [(&str, u64); 6] = [
+    let per_overlay: [(&str, u64); 7] = [
         ("can", allocations(|| {
             for (s, t) in &can_calls {
                 can.route_into(&mut scratch, *s, t).expect("warmed routes");
@@ -248,6 +273,9 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
             for (s, k) in &pastry_calls {
                 pastry.route_into(&mut scratch, *s, *k).expect("warmed routes");
             }
+        })),
+        ("sampled expressway pick", allocations(|| {
+            assert!(sampled_picks(&mut sampler) * 10 > boxes * 9);
         })),
         ("softstate hosted lookup", allocations(|| {
             assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
