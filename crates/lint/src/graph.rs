@@ -137,7 +137,7 @@ pub struct FnNode {
     pub call_pos: Vec<usize>,
 }
 
-/// The workspace call graph plus panic-reachability results.
+/// The workspace call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// All function nodes, in deterministic (file, line) order.
@@ -146,10 +146,8 @@ pub struct CallGraph {
     /// Per node, per call ref (aligned with `FnNode::calls`): the
     /// resolved target nodes after the layering filter.
     call_targets: Vec<Vec<Vec<usize>>>,
-    /// For each node: the nearest panic site it can reach, as
-    /// `(hops, node index owning the site, site index)`; `None` if the
-    /// node cannot reach a panic site.
-    reach: Vec<Option<(u32, usize, usize)>>,
+    /// `edges` reversed: per node, its callers, in ascending caller order.
+    rev: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -165,7 +163,12 @@ impl CallGraph {
         }
         g.nodes.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
         g.resolve();
-        g.propagate();
+        g.rev = vec![Vec::new(); g.nodes.len()];
+        for (i, outs) in g.edges.iter().enumerate() {
+            for &j in outs {
+                g.rev[j].push(i);
+            }
+        }
         g
     }
 
@@ -269,79 +272,13 @@ impl CallGraph {
         }
     }
 
-    /// Computes, for every node, the nearest reachable panic site by BFS
-    /// from the panic-carrying nodes over reversed edges.
-    fn propagate(&mut self) {
-        let n = self.nodes.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, outs) in self.edges.iter().enumerate() {
-            for &j in outs {
-                rev[j].push(i);
-            }
-        }
-        self.reach = vec![None; n];
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        // Seed: nodes with a direct site (hops 0, their own first site).
-        for i in 0..n {
-            if !self.nodes[i].sites.is_empty() {
-                self.reach[i] = Some((0, i, 0));
-                queue.push_back(i);
-            }
-        }
-        while let Some(j) = queue.pop_front() {
-            let (hops, owner, site) = self.reach[j].expect("queued nodes are marked"); // tao-lint: allow(no-unwrap-in-lib, reason = "queued nodes are marked before push")
-            for &i in &rev[j] {
-                if self.reach[i].is_none() {
-                    self.reach[i] = Some((hops + 1, owner, site));
-                    queue.push_back(i);
-                }
-            }
-        }
-    }
-
-    /// The nearest panic site reachable from node `i`, if any, with a
-    /// deterministic witness call chain of `qual` names.
-    pub fn reachable_panic(&self, i: usize) -> Option<(Vec<String>, &FnNode, &PanicSite)> {
-        let (_, owner, _site) = self.reach[i]?;
-        // Rebuild the witness chain by walking forward edges, always
-        // stepping to a neighbor strictly closer to a panic site.
-        let mut chain = vec![self.nodes[i].qual.clone()];
-        let mut cur = i;
-        let mut guard = 0;
-        while cur != owner && self.nodes[cur].sites.is_empty() && guard < 64 {
-            let cur_d = self.reach[cur].map(|(d, _, _)| d).unwrap_or(u32::MAX);
-            let next = self.edges[cur]
-                .iter()
-                .copied()
-                .filter(|&j| self.reach[j].is_some_and(|(d, _, _)| d < cur_d))
-                .min_by_key(|&j| (self.reach[j].map(|(d, _, _)| d), j));
-            match next {
-                Some(j) => {
-                    chain.push(self.nodes[j].qual.clone());
-                    cur = j;
-                }
-                None => break,
-            }
-            guard += 1;
-        }
-        let owner_node = &self.nodes[cur];
-        let site = owner_node.sites.first()?;
-        Some((chain, owner_node, site))
-    }
-
     /// Generic reverse-BFS: for every node, the nearest seed node it can
     /// reach over forward edges, as `(hops, seed index)`. `seed[i]` marks
-    /// the target set; a seed node reaches itself in 0 hops. This is the
-    /// same propagation panic-reachability uses, reusable by the dataflow
-    /// passes (taint sinks reaching taint sources).
+    /// the target set; a seed node reaches itself in 0 hops. One
+    /// propagation serves panic-reachability (seed: nodes with a panic
+    /// site) and the dataflow passes (taint sinks reaching taint sources).
     pub fn reach_from(&self, seed: &[bool]) -> Vec<Option<(u32, usize)>> {
         let n = self.nodes.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, outs) in self.edges.iter().enumerate() {
-            for &j in outs {
-                rev[j].push(i);
-            }
-        }
         let mut reach: Vec<Option<(u32, usize)>> = vec![None; n];
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         for i in 0..n {
@@ -352,7 +289,7 @@ impl CallGraph {
         }
         while let Some(j) = queue.pop_front() {
             let (hops, owner) = reach[j].expect("queued nodes are marked"); // tao-lint: allow(no-unwrap-in-lib, reason = "queued nodes are marked before push")
-            for &i in &rev[j] {
+            for &i in &self.rev[j] {
                 if reach[i].is_none() {
                     reach[i] = Some((hops + 1, owner));
                     queue.push_back(i);
@@ -585,6 +522,16 @@ mod tests {
             .unwrap_or_else(|| panic!("no node {qual}"))
     }
 
+    /// Panic reachability the way `rules.rs` asks for it: seeded by the
+    /// nodes that hold a panic site.
+    fn reachable_panic(g: &CallGraph, i: usize) -> Option<(Vec<String>, &FnNode, &PanicSite)> {
+        let seed: Vec<bool> = g.nodes.iter().map(|n| !n.sites.is_empty()).collect();
+        let reach = g.reach_from(&seed);
+        reach[i]?;
+        let (chain, end) = g.witness_chain(i, &seed, &reach);
+        Some((chain, &g.nodes[end], g.nodes[end].sites.first()?))
+    }
+
     #[test]
     fn direct_and_transitive_panic_reachability() {
         let g = graph(&[(
@@ -597,11 +544,11 @@ mod tests {
              fn pure() -> u32 { 1 + 1 }\n",
         )]);
         let entry = node(&g, "entry");
-        let (chain, owner, site) = g.reachable_panic(entry).expect("entry reaches a panic");
+        let (chain, owner, site) = reachable_panic(&g, entry).expect("entry reaches a panic");
         assert_eq!(chain, vec!["entry", "helper", "leaf"]);
         assert_eq!(owner.qual, "leaf");
         assert_eq!(site.kind, PanicKind::Unwrap);
-        assert!(g.reachable_panic(node(&g, "safe")).is_none());
+        assert!(reachable_panic(&g, node(&g, "safe")).is_none());
     }
 
     #[test]
@@ -618,8 +565,7 @@ mod tests {
                 "pub fn lookup(m: &Map) -> u32 { m.probe(3) }\n",
             ),
         ]);
-        let (chain, _, site) = g
-            .reachable_panic(node(&g, "lookup"))
+        let (chain, _, site) = reachable_panic(&g, node(&g, "lookup"))
             .expect("lookup reaches Map::probe's indexing");
         assert_eq!(chain, vec!["lookup", "Map::probe"]);
         assert_eq!(site.kind, PanicKind::Index);
@@ -639,8 +585,7 @@ mod tests {
                  fn helper(i: usize) -> u32 { SLOTS[i] }\n\
              }\n",
         )]);
-        let (chain, _, site) = g
-            .reachable_panic(node(&g, "Map::entry"))
+        let (chain, _, site) = reachable_panic(&g, node(&g, "Map::entry"))
             .expect("Self::helper edge must carry the panic path");
         assert_eq!(chain, vec!["Map::entry", "Map::helper"]);
         assert_eq!(site.kind, PanicKind::Index);
@@ -663,8 +608,7 @@ mod tests {
                 "pub fn lookup(m: &Map) -> u32 { <Map as Probe>::probe(m, 3) }\n",
             ),
         ]);
-        let (chain, _, site) = g
-            .reachable_panic(node(&g, "lookup"))
+        let (chain, _, site) = reachable_panic(&g, node(&g, "lookup"))
             .expect("UFCS edge must carry the panic path");
         assert_eq!(chain, vec!["lookup", "Map::probe"]);
         assert_eq!(site.kind, PanicKind::Index);
@@ -678,7 +622,7 @@ mod tests {
             "pub fn step() { unreachable!() }\n\
              #[cfg(test)]\nmod tests {\n    fn t() { panic!() }\n}\n",
         )]);
-        assert!(g.reachable_panic(node(&g, "step")).is_some());
+        assert!(reachable_panic(&g, node(&g, "step")).is_some());
         assert!(!g.nodes.iter().any(|n| n.qual.contains("tests")));
     }
 }

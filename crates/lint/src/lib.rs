@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! cargo run --release --offline -p tao-lint -- --workspace \
-//!     --json results/lint.json --baseline lint-baseline.json
+//!     --json target/tao-lint.json --baseline lint-baseline.json
 //! ```
 
 pub mod alloc;

@@ -1,6 +1,6 @@
 //! Stable JSON findings report and the committed baseline.
 //!
-//! `tao-lint --json results/lint.json` serializes every finding with a
+//! `tao-lint --json target/tao-lint.json` serializes every finding with a
 //! *stable key* — line-number-free for the structural rules, so the
 //! baseline does not churn when unrelated edits shift code — and
 //! `--baseline lint-baseline.json` diffs the current run against the

@@ -818,12 +818,19 @@ fn enclosing_fn(items: &[Item], lo: usize) -> Option<String> {
 /// crates that can transitively reach a panic site must carry a pragma at
 /// its own definition line.
 fn panic_reachability_findings(graph: &CallGraph) -> Vec<Finding> {
+    let seed: Vec<bool> = graph.nodes.iter().map(|n| !n.sites.is_empty()).collect();
+    let reach = graph.reach_from(&seed);
     let mut out = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
-        if node.vis != Visibility::Pub || !PANIC_ENTRY_CRATES.contains(&node.krate.as_str()) {
+        if node.vis != Visibility::Pub
+            || !PANIC_ENTRY_CRATES.contains(&node.krate.as_str())
+            || reach[i].is_none()
+        {
             continue;
         }
-        let Some((chain, owner, site)) = graph.reachable_panic(i) else {
+        let (chain, end) = graph.witness_chain(i, &seed, &reach);
+        let owner = &graph.nodes[end];
+        let Some(site) = owner.sites.first() else {
             continue;
         };
         let stem = node

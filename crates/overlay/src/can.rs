@@ -497,7 +497,8 @@ impl CanOverlay {
     /// Aligned-cube queries (the only kind the eCAN expressway tables
     /// issue) are answered from the incremental Morton zone index — one
     /// contiguous range scan instead of a split-tree walk. Other query
-    /// shapes fall back to [`CanOverlay::nodes_in_scan`].
+    /// shapes fall back to the split-tree walk, chosen from the query's
+    /// shape alone.
     ///
     /// # Panics
     ///
@@ -519,9 +520,9 @@ impl CanOverlay {
     }
 
     /// Tree-walk implementation of [`CanOverlay::nodes_in`]: visits every
-    /// split node whose region intersects `query`. Kept as the fallback
-    /// for non-cube queries and as the benchmark "before" kernel.
-    pub fn nodes_in_scan(&self, query: &Zone) -> Vec<OverlayNodeId> {
+    /// split node whose region intersects `query`. The live path for
+    /// non-cube queries.
+    fn nodes_in_scan(&self, query: &Zone) -> Vec<OverlayNodeId> {
         assert_eq!(query.dims(), self.dims, "dimensionality mismatch");
         let mut out = Vec::new();
         if let Some(root) = self.root {
@@ -1295,6 +1296,62 @@ mod tests {
         }
     }
 
+    /// A generated overlay of `d` dimensions: 1–159 joins and, six times in
+    /// ten, churn in which departures outnumber joins, so takers depart in
+    /// their turn and hand several zones on and joins land in them.
+    fn generated_overlay(d: usize, rng: &mut StdRng) -> CanOverlay {
+        let mut can = CanOverlay::new(d).unwrap();
+        for i in 0..rng.gen_range(1u32..160) {
+            can.join(NodeIdx(i), Point::random(d, rng));
+        }
+        if rng.gen_bool(0.6) {
+            for i in 0..can.len() as u32 / 2 {
+                let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+                can.leave(live[rng.gen_range(0..live.len())]).unwrap();
+                if i % 3 == 0 {
+                    can.join(NodeIdx(1_000 + i), Point::random(d, rng));
+                }
+            }
+            can.check_invariants();
+        }
+        can
+    }
+
+    /// One of the four query shapes the box kernels must agree on.
+    fn generated_query(can: &CanOverlay, live: &[OverlayNodeId], rng: &mut StdRng) -> Zone {
+        let d = can.dims();
+        match rng.gen_range(0..4) {
+            // An aligned cube, the shape expressway tables ask for.
+            0 => {
+                let level = rng.gen_range(0u32..6);
+                let side = 0.5f64.powi(level as i32);
+                let lo: Vec<f64> =
+                    (0..d).map(|_| rng.gen_range(0..1u32 << level) as f64 * side).collect();
+                let hi = lo.iter().map(|l| l + side).collect();
+                Zone::from_bounds(lo, hi).unwrap()
+            }
+            // A clipped box with arbitrary, non-dyadic bounds.
+            1 => {
+                let lo: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..0.9)).collect();
+                let hi = lo.iter().map(|l| rng.gen_range(l + 0.01..1.0)).collect();
+                Zone::from_bounds(lo, hi).unwrap()
+            }
+            // A half-space: one face lies on a split plane.
+            2 => {
+                let (below, above) = Zone::whole(d).split(rng.gen_range(0..d));
+                if rng.gen_bool(0.5) { below } else { above }
+            }
+            // A box strictly inside one zone, primary or taken over.
+            _ => {
+                let zones = can.zones(live[rng.gen_range(0..live.len())]).unwrap();
+                let z = &zones[rng.gen_range(0..zones.len())];
+                let lo = (0..d).map(|a| z.lo(a) + z.extent(a) / 4.0).collect();
+                let hi = (0..d).map(|a| z.hi(a) - z.extent(a) / 4.0).collect();
+                Zone::from_bounds(lo, hi).unwrap()
+            }
+        }
+    }
+
     #[test]
     fn sample_in_equals_the_recursive_walk_coin_for_coin() {
         use tao_util::check::for_all;
@@ -1302,58 +1359,14 @@ mod tests {
         let takers_of_takers = std::cell::Cell::new(0u32);
         for_all("sample_in_equals_the_recursive_walk_coin_for_coin", 48, |rng| {
             let d = rng.gen_range(2usize..6);
-            let mut can = CanOverlay::new(d).unwrap();
-            for i in 0..rng.gen_range(1u32..160) {
-                can.join(NodeIdx(i), Point::random(d, rng));
-            }
-            if rng.gen_bool(0.6) {
-                // Departures outnumber joins, so takers depart in their
-                // turn and hand several zones on; joins land in them.
-                for i in 0..can.len() as u32 / 2 {
-                    let live: Vec<OverlayNodeId> = can.live_nodes().collect();
-                    can.leave(live[rng.gen_range(0..live.len())]).unwrap();
-                    if i % 3 == 0 {
-                        can.join(NodeIdx(1_000 + i), Point::random(d, rng));
-                    }
-                }
-                can.check_invariants();
-            }
+            let can = generated_overlay(d, rng);
             let live: Vec<OverlayNodeId> = can.live_nodes().collect();
             if live.iter().any(|&id| can.zones(id).unwrap().len() > 2) {
                 takers_of_takers.set(takers_of_takers.get() + 1);
             }
             let whole = Zone::whole(d);
             for _ in 0..60 {
-                let query = match rng.gen_range(0..4) {
-                    // An aligned cube, the shape expressway tables ask for.
-                    0 => {
-                        let level = rng.gen_range(0u32..6);
-                        let side = 0.5f64.powi(level as i32);
-                        let lo: Vec<f64> =
-                            (0..d).map(|_| rng.gen_range(0..1u32 << level) as f64 * side).collect();
-                        let hi = lo.iter().map(|l| l + side).collect();
-                        Zone::from_bounds(lo, hi).unwrap()
-                    }
-                    // A clipped box with arbitrary, non-dyadic bounds.
-                    1 => {
-                        let lo: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..0.9)).collect();
-                        let hi = lo.iter().map(|l| rng.gen_range(l + 0.01..1.0)).collect();
-                        Zone::from_bounds(lo, hi).unwrap()
-                    }
-                    // A half-space: one face lies on a split plane.
-                    2 => {
-                        let (below, above) = whole.split(rng.gen_range(0..d));
-                        if rng.gen_bool(0.5) { below } else { above }
-                    }
-                    // A box strictly inside one zone, primary or taken over.
-                    _ => {
-                        let zones = can.zones(live[rng.gen_range(0..live.len())]).unwrap();
-                        let z = &zones[rng.gen_range(0..zones.len())];
-                        let lo = (0..d).map(|a| z.lo(a) + z.extent(a) / 4.0).collect();
-                        let hi = (0..d).map(|a| z.hi(a) - z.extent(a) / 4.0).collect();
-                        Zone::from_bounds(lo, hi).unwrap()
-                    }
-                };
+                let query = generated_query(&can, &live, rng);
                 let mut walked = StdRng::seed_from_u64(rng.gen());
                 let mut descended = walked.clone();
                 let want = sample_node(&can, can.root.unwrap(), &whole, &query, &mut walked);
@@ -1363,6 +1376,37 @@ mod tests {
             }
         });
         assert!(takers_of_takers.get() > 0, "no generated overlay had a node holding three zones");
+    }
+
+    #[test]
+    fn nodes_in_equals_the_brute_force_member_set() {
+        // Soundness *and* completeness, through the public door only: the
+        // cube index, the enclosed-cube shortcut and the tree-walk fallback
+        // (clipped boxes, half-spaces, boxes inside one zone) must each
+        // return exactly the live nodes holding a zone that meets the query.
+        use tao_util::check::for_all;
+        use tao_util::check_eq;
+        let takers = std::cell::Cell::new(0u32);
+        for_all("nodes_in_equals_the_brute_force_member_set", 48, |rng| {
+            let can = generated_overlay(rng.gen_range(2usize..5), rng);
+            let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+            if live.iter().any(|&id| can.zones(id).unwrap().len() > 1) {
+                takers.set(takers.get() + 1);
+            }
+            for _ in 0..60 {
+                let query = generated_query(&can, &live, rng);
+                let want: Vec<OverlayNodeId> = live
+                    .iter()
+                    .copied()
+                    .filter(|&id| can.zone_intersects(id, &query) == Ok(true))
+                    .collect();
+                // A taker is listed once per zone it holds in the box.
+                let mut got = can.nodes_in(&query);
+                got.dedup();
+                check_eq!(got, want, "d={} query={query}", can.dims());
+            }
+        });
+        assert!(takers.get() > 0, "no generated overlay had a taker");
     }
 
     #[test]

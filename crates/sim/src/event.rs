@@ -10,11 +10,12 @@
 //! hierarchical timing wheel over microsecond ticks (the classic
 //! Varghese–Lauck scheme). Schedule and pop are O(1) amortized instead of
 //! the heap's O(log n), which is what makes million-node simulations with
-//! tens of millions of in-flight events tractable. [`HeapQueue`] is the
-//! original heap kept as the *oracle*: the property tests below drive both
-//! with identical random schedules (same-tick bursts, far-future overflow
-//! events, cancellations) and require identical pop sequences, so replay
-//! fingerprints stay byte-identical across the swap.
+//! tens of millions of in-flight events tractable. The original heap
+//! (`HeapQueue`) lives in this file's test code as the *oracle*: the
+//! property tests below drive both with identical random schedules
+//! (same-tick bursts, far-future overflow events, cancellations) and
+//! require identical pop sequences, so replay fingerprints stay
+//! byte-identical across the swap.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -524,150 +525,9 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed queue, kept as the determinism oracle
-/// for [`EventQueue`] (the property tests drive both with identical random
-/// schedules and require identical pop sequences) and as the "before"
-/// kernel in the event-queue microbenchmark.
-///
-/// Same API and semantics as [`EventQueue`]; O(log n) schedule/pop.
-#[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<WheelEntry<E>>>,
-    next_seq: u64,
-    live: usize,
-    cancelled: DetSet<u64>,
-    last_consumed: Option<(u64, u64)>,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            live: 0,
-            cancelled: DetSet::new(),
-            last_consumed: None,
-        }
-    }
-
-    /// Schedules `event` to fire at instant `at`; returns its sequence number.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live += 1;
-        // tao-lint: allow(alloc-reachability, reason = "the binary-heap oracle queue allocates per entry by design; it exists as the wheel's correctness baseline, not the steady-state engine")
-        self.heap.push(Reverse(WheelEntry {
-            at: at.as_micros(),
-            seq,
-            event,
-        }));
-        seq
-    }
-
-    /// Cancels a pending event; same contract as [`EventQueue::cancel`].
-    pub fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
-        if seq >= self.next_seq {
-            return false;
-        }
-        if self
-            .last_consumed
-            .map_or(false, |last| (at.as_micros(), seq) <= last)
-        {
-            return false;
-        }
-        if self.cancelled.contains(&seq) {
-            return false;
-        }
-        // Refuse entries no longer physically in the heap (already drained
-        // as tombstones), mirroring the wheel's presence check — O(n), but
-        // the heap is the test oracle, not the production queue.
-        if !self.heap.iter().any(|Reverse(e)| e.seq == seq) {
-            return false;
-        }
-        self.cancelled.insert(seq);
-        self.live -= 1;
-        true
-    }
-
-    /// Removes and returns the earliest event, or `None` if the queue is empty.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            let Reverse(e) = self.heap.pop()?;
-            if self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            self.last_consumed = Some((e.at, e.seq));
-            self.live -= 1;
-            return Some(ScheduledEvent {
-                at: SimTime::from_micros(e.at),
-                seq: e.seq,
-                event: e.event,
-            });
-        }
-    }
-
-    /// The instant of the earliest pending event, discarding cancelled
-    /// entries from the heap top as they are encountered.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            let Reverse(e) = self.heap.peek()?;
-            if self.cancelled.contains(&e.seq) {
-                let seq = e.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(SimTime::from_micros(e.at));
-        }
-    }
-
-    /// The instant of the earliest pending event, without mutating the
-    /// queue. O(n) when cancelled entries are pending.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let cancelled = &self.cancelled;
-        self.heap
-            .iter()
-            .map(|Reverse(e)| e)
-            .filter(|e| !cancelled.contains(&e.seq))
-            .map(|e| (e.at, e.seq))
-            .min()
-            .map(|(at, _)| SimTime::from_micros(at))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of cancelled-but-not-yet-drained tombstones. Unlike
-    /// [`EventQueue::tombstones`], the heap oracle keeps a tombstone until
-    /// the cursor physically reaches the entry — the simple behavior the
-    /// wheel's compaction is measured against.
-    pub fn tombstones(&self) -> usize {
-        self.cancelled.len()
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::properties::HeapQueue;
     use super::*;
 
     #[test]
@@ -928,6 +788,132 @@ mod properties {
     use tao_util::check::for_all;
     use tao_util::rand::Rng;
     use tao_util::{check, check_eq};
+
+    /// The original `BinaryHeap`-backed queue, kept as the determinism oracle
+    /// for [`EventQueue`]: the property test below drives both with identical
+    /// random schedules and requires identical pop sequences.
+    ///
+    /// Same semantics as [`EventQueue`] for the methods the tests drive;
+    /// O(log n) schedule/pop.
+    pub(super) struct HeapQueue<E> {
+        heap: BinaryHeap<Reverse<WheelEntry<E>>>,
+        next_seq: u64,
+        live: usize,
+        cancelled: DetSet<u64>,
+        last_consumed: Option<(u64, u64)>,
+    }
+
+    impl<E> HeapQueue<E> {
+        /// Creates an empty queue.
+        pub(super) fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                live: 0,
+                cancelled: DetSet::new(),
+                last_consumed: None,
+            }
+        }
+
+        /// Schedules `event` to fire at instant `at`; returns its sequence number.
+        pub(super) fn schedule(&mut self, at: SimTime, event: E) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.live += 1;
+            self.heap.push(Reverse(WheelEntry {
+                at: at.as_micros(),
+                seq,
+                event,
+            }));
+            seq
+        }
+
+        /// Cancels a pending event; same contract as [`EventQueue::cancel`].
+        pub(super) fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
+            if seq >= self.next_seq {
+                return false;
+            }
+            if self
+                .last_consumed
+                .map_or(false, |last| (at.as_micros(), seq) <= last)
+            {
+                return false;
+            }
+            if self.cancelled.contains(&seq) {
+                return false;
+            }
+            // Refuse entries no longer physically in the heap (already drained
+            // as tombstones), mirroring the wheel's presence check — O(n), but
+            // the heap is the test oracle, not the production queue.
+            if !self.heap.iter().any(|Reverse(e)| e.seq == seq) {
+                return false;
+            }
+            self.cancelled.insert(seq);
+            self.live -= 1;
+            true
+        }
+
+        /// Removes and returns the earliest event, or `None` if the queue is empty.
+        pub(super) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            loop {
+                if self.live == 0 {
+                    return None;
+                }
+                let Reverse(e) = self.heap.pop()?;
+                if self.cancelled.remove(&e.seq) {
+                    continue;
+                }
+                self.last_consumed = Some((e.at, e.seq));
+                self.live -= 1;
+                return Some(ScheduledEvent {
+                    at: SimTime::from_micros(e.at),
+                    seq: e.seq,
+                    event: e.event,
+                });
+            }
+        }
+
+        /// The instant of the earliest pending event, discarding cancelled
+        /// entries from the heap top as they are encountered.
+        pub(super) fn next_time(&mut self) -> Option<SimTime> {
+            loop {
+                if self.live == 0 {
+                    return None;
+                }
+                let Reverse(e) = self.heap.peek()?;
+                if self.cancelled.contains(&e.seq) {
+                    let seq = e.seq;
+                    self.heap.pop();
+                    self.cancelled.remove(&seq);
+                    continue;
+                }
+                return Some(SimTime::from_micros(e.at));
+            }
+        }
+
+        /// The instant of the earliest pending event, without mutating the
+        /// queue. O(n) when cancelled entries are pending.
+        pub(super) fn peek_time(&self) -> Option<SimTime> {
+            let cancelled = &self.cancelled;
+            self.heap
+                .iter()
+                .map(|Reverse(e)| e)
+                .filter(|e| !cancelled.contains(&e.seq))
+                .map(|e| (e.at, e.seq))
+                .min()
+                .map(|(at, _)| SimTime::from_micros(at))
+        }
+
+        /// Number of pending events.
+        pub(super) fn len(&self) -> usize {
+            self.live
+        }
+
+        /// `true` if no events are pending.
+        pub(super) fn is_empty(&self) -> bool {
+            self.live == 0
+        }
+    }
 
     /// The wheel and the heap oracle, driven by identical random command
     /// streams (schedules across every level and the overflow horizon,

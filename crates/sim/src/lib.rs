@@ -56,7 +56,7 @@ mod fault;
 mod stats;
 
 pub use engine::{Engine, LatencyModel, Message, NodeId, Simulator, UniformLatency};
-pub use event::{EventQueue, HeapQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{op_seed, ChurnOp, ChurnOpKind, FaultPlan};
 pub use stats::NetStats;
 // The time newtypes live in `tao_util::time` so that the layers below the
