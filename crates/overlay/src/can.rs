@@ -32,7 +32,7 @@ use tao_topology::NodeIdx;
 
 use crate::point::Point;
 use crate::scratch::RouteScratch;
-use crate::zone::Zone;
+use crate::zone::{gap_sum, Zone};
 use crate::zone_index::{IndexHit, ZoneIndex};
 
 /// Identifies a node in an overlay. Dense per overlay; ids of departed
@@ -267,42 +267,34 @@ impl CanOverlay {
 
     /// `true` if node `i` owns `p` through any of its zones (primary
     /// first, then takeovers — the order the zones were acquired).
-    pub(crate) fn node_owns_point(&self, i: usize, p: &Point) -> bool {
-        if bounds_contain(self.primary_lo(i), self.primary_hi(i), p) {
-            return true;
-        }
-        self.extra[i].iter().any(|z| z.contains(p))
+    /// `pristine` (see [`CanOverlay::is_pristine`]) skips the takeovers.
+    pub(crate) fn node_owns_point(&self, i: usize, p: &Point, pristine: bool) -> bool {
+        bounds_contain(self.primary_lo(i), self.primary_hi(i), p)
+            || (!pristine && self.extra[i].iter().any(|z| z.contains(p)))
     }
 
     /// `true` while no node has ever departed. Every takeover pushes the
     /// departed primary into the taker's extra-zone list and nothing ever
     /// removes one, so this is exactly "no extra zones exist anywhere" —
-    /// the scratch routing fast paths use it to skip the per-node extra
-    /// lists (a random memory touch per candidate) and read only the flat
-    /// SoA bounds.
+    /// the routing loops read it once per route and then skip the per-node
+    /// extra lists (a random memory touch per candidate), reading only the
+    /// flat SoA bounds.
     pub(crate) fn is_pristine(&self) -> bool {
         self.live_count == self.underlay.len()
     }
 
-    /// Distance from node `i`'s *primary* zone to `p` — identical to
-    /// [`CanOverlay::node_distance`] when [`CanOverlay::is_pristine`].
-    pub(crate) fn primary_distance(&self, i: usize, p: &Point) -> f64 {
-        bounds_distance(self.primary_lo(i), self.primary_hi(i), p)
-    }
-
-    /// `true` if node `i`'s *primary* zone contains `p` — identical to
-    /// [`CanOverlay::node_owns_point`] when [`CanOverlay::is_pristine`].
-    pub(crate) fn primary_owns_point(&self, i: usize, p: &Point) -> bool {
-        bounds_contain(self.primary_lo(i), self.primary_hi(i), p)
-    }
-
-    /// Minimum torus distance from any of node `i`'s zones to `p`.
-    pub(crate) fn node_distance(&self, i: usize, p: &Point) -> f64 {
-        let mut d = bounds_distance(self.primary_lo(i), self.primary_hi(i), p);
-        for z in &self.extra[i] {
-            d = d.min(z.distance_to_point(p));
+    /// Least [`gap_sum`] from any of node `i`'s zones to the coordinates
+    /// `p`. `sqrt` is monotone and correctly rounded, so the root of the
+    /// least sum is the least distance, bit for bit. `pristine` (see
+    /// [`CanOverlay::is_pristine`]) skips the extra-zone list.
+    fn node_gap_sum(&self, i: usize, p: &[f64], pristine: bool) -> f64 {
+        let mut s = gap_sum(self.primary_lo(i), self.primary_hi(i), p);
+        if !pristine {
+            for z in &self.extra[i] {
+                s = s.min(gap_sum(z.lo_slice(), z.hi_slice(), p));
+            }
         }
-        d
+        s
     }
 
     /// Total volume of node `i`'s zones, summed primary-first (the same
@@ -420,7 +412,7 @@ impl CanOverlay {
     /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
     pub fn owns_point(&self, id: OverlayNodeId, point: &Point) -> Result<bool, OverlayError> {
         self.ensure_live(id)?;
-        Ok(self.node_owns_point(id.index(), point))
+        Ok(self.node_owns_point(id.index(), point, false))
     }
 
     /// Minimum torus distance from any of `id`'s zones to `point` (0 when
@@ -431,7 +423,8 @@ impl CanOverlay {
     /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
     pub fn distance_to_point(&self, id: OverlayNodeId, point: &Point) -> Result<f64, OverlayError> {
         self.ensure_live(id)?;
-        Ok(self.node_distance(id.index(), point))
+        assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
+        Ok(self.node_gap_sum(id.index(), point.coords(), false).sqrt())
     }
 
     /// The CAN neighbors of a live node, ascending by id.
@@ -854,50 +847,66 @@ impl CanOverlay {
         // live nodes, so dead slots left behind by churn must not inflate
         // how long a stuck route is allowed to wander.
         let limit = 4 * self.live_count + 16;
-        // Extra zones exist iff some node has departed (every takeover
-        // pushes exactly one primary into the taker's extras and nothing
-        // ever removes one), so a pristine overlay can skip the per-node
-        // extra-zone lists — an entire random memory touch per candidate —
-        // and read only the flat SoA bounds. The primary-only arithmetic
-        // is `node_distance`'s own first step, so the values are identical.
         let pristine = self.is_pristine();
-        while !(if pristine {
-            self.primary_owns_point(current.index(), target)
-        } else {
-            self.node_owns_point(current.index(), target)
-        }) {
+        let p = target.coords();
+        while !self.node_owns_point(current.index(), target, pristine) {
             if seg_len > limit {
                 return Err(OverlayError::RoutingStuck { at: current });
             }
             // Greedy with a visited set: strictly-decreasing progress can
             // fail at zone corners, so sideways moves are permitted but no
-            // node is revisited. The next hop is the unvisited neighbor
-            // with the smallest (distance by total_cmp, then id): neighbor
-            // lists are sorted by id and only a *strictly* smaller distance
-            // displaces the incumbent, so equal distances keep the lowest
-            // id. One pass over the SoA bounds, one distance per candidate.
-            let mut best: Option<(f64, OverlayNodeId)> = None;
-            for &n in &self.neighbors[current.index()] {
-                if scratch.is_marked(n.index()) {
-                    continue;
-                }
-                let d = if pristine {
-                    self.primary_distance(n.index(), target)
-                } else {
-                    self.node_distance(n.index(), target)
-                };
-                if !matches!(&best, Some((bd, _)) if bd.total_cmp(&d) != std::cmp::Ordering::Greater)
-                {
-                    best = Some((d, n));
-                }
-            }
-            let (_, next) = best.ok_or(OverlayError::RoutingStuck { at: current })?;
+            // node is revisited.
+            let neighbors = self.neighbors[current.index()].iter().copied();
+            let next = self
+                .next_hop(scratch, neighbors, p, pristine)
+                .ok_or(OverlayError::RoutingStuck { at: current })?;
             scratch.mark(next.index());
             scratch.push_hop(next);
             seg_len += 1;
             current = next;
         }
         Ok(())
+    }
+
+    /// The hop kernel of every CAN-family router: of `candidates`, the
+    /// unvisited live node with the least (distance from its zones to the
+    /// coordinates `p` by `total_cmp`, then id) — `None` if every candidate
+    /// is visited or dead. A node listed twice compares equal to itself
+    /// and keeps its first occurrence.
+    ///
+    /// Two passes, so that no candidate waits on a square root or on a
+    /// compare against the best so far. The first writes each survivor's
+    /// [`gap_sum`] into the scratch and tracks the least. The second takes
+    /// the root only of sums within `1e-9` (relative) of the least, and
+    /// ranks those exactly. Nothing beyond the cut can win or tie: a root
+    /// halves a relative gap, so such a sum's root exceeds the least root
+    /// by 5e-10, seven orders above the 2^-53 either rounding moves it. A
+    /// least sum of zero cuts at zero, where only other zeros tie.
+    ///
+    /// Callers pass `pristine` = [`CanOverlay::is_pristine`], read once per
+    /// route, which skips the per-node extra-zone lists.
+    pub(crate) fn next_hop(
+        &self,
+        scratch: &mut RouteScratch,
+        candidates: impl Iterator<Item = OverlayNodeId>,
+        p: &[f64],
+        pristine: bool,
+    ) -> Option<OverlayNodeId> {
+        scratch.ranked.clear();
+        let mut least = f64::INFINITY;
+        candidates.for_each(|n| {
+            if scratch.is_marked(n.index()) || !self.alive[n.index()] {
+                return;
+            }
+            let sum = self.node_gap_sum(n.index(), p, pristine);
+            least = least.min(sum);
+            // tao-lint: allow(alloc-reachability, reason = "caller-held candidate buffer in RouteScratch: grows to the longest candidate chain seen, then is reused; tests/zero_alloc.rs asserts a warmed route never allocates")
+            scratch.ranked.push((sum, n));
+        });
+        let cut = least * (1.0 + 1e-9);
+        let near = scratch.ranked.iter().filter(|&&(sum, _)| sum <= cut);
+        let ranked = near.map(|&(sum, n)| (sum.sqrt(), n));
+        ranked.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))).map(|(_, n)| n)
     }
 
     /// Verifies structural invariants; used by tests and debug assertions.
@@ -988,29 +997,6 @@ fn bounds_contain(lo: &[f64], hi: &[f64], p: &Point) -> bool {
 /// `Zone::volume` over raw bound slices (identical arithmetic).
 fn bounds_volume(lo: &[f64], hi: &[f64]) -> f64 {
     (0..lo.len()).map(|a| hi[a] - lo[a]).product()
-}
-
-/// `Zone::distance_to_point` over raw bound slices — the greedy routing
-/// metric, kept arithmetic-for-arithmetic identical so routes (and the
-/// replay fingerprints built on them) match the zone-list layout exactly.
-fn bounds_distance(lo: &[f64], hi: &[f64], p: &Point) -> f64 {
-    assert_eq!(p.dims(), lo.len(), "dimensionality mismatch");
-    let mut sum = 0.0;
-    for a in 0..lo.len() {
-        let c = p.coord(a);
-        if lo[a] <= c && c < hi[a] {
-            continue;
-        }
-        // Direct gaps on either side, and wrapped gaps around the torus.
-        let below = (lo[a] - c).max(0.0);
-        let above = (c - hi[a]).max(0.0);
-        let direct = below.max(above);
-        let wrap_low = 1.0 - c + lo[a]; // going up past 1.0 to reach lo
-        let wrap_high = 1.0 - hi[a] + c; // zone's top wrapping to reach c
-        let d = direct.min(wrap_low).min(wrap_high);
-        sum += d * d;
-    }
-    sum.sqrt()
 }
 
 /// `Zone::intersects` over raw bound slices: positive-length overlap on
@@ -1376,6 +1362,158 @@ mod tests {
             }
         });
         assert!(takers_of_takers.get() > 0, "no generated overlay had a node holding three zones");
+    }
+
+    #[test]
+    fn next_hop_equals_the_brute_force_argmin() {
+        // The hop kernel against the definition it implements: the least
+        // (distance, id) over live, unvisited candidates, every distance by
+        // the branchy formula over every zone. Candidate chains hold dead
+        // ids, ids listed in both segments, and are sometimes visited whole;
+        // targets sit on zone bounds (zero and equal distances under several
+        // ids) and around the bisector of two candidates, where gap sums
+        // come ulps apart and roots collide.
+        use crate::zone::branchy_distance;
+        use tao_util::check::for_all;
+        use tao_util::check_eq;
+        let count = |cell: &std::cell::Cell<u32>| cell.set(cell.get() + 1);
+        let [ulp_apart, root_ties, equal_sums, stuck] = [(); 4].map(|()| std::cell::Cell::new(0u32));
+        for_all("next_hop_equals_the_brute_force_argmin", 400, |rng| {
+            let d = rng.gen_range(1usize..5);
+            let can = generated_overlay(d, rng);
+            let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+            let top = 1.0 - f64::EPSILON / 2.0;
+            let distance = |id: OverlayNodeId, p: &[f64]| {
+                let zones = can.zones(id).unwrap();
+                let each = zones.iter().map(|z| branchy_distance(z.lo_slice(), z.hi_slice(), p));
+                each.fold(f64::INFINITY, f64::min)
+            };
+            for _ in 0..20 {
+                let any = |rng: &mut StdRng| OverlayNodeId(rng.gen_range(0..can.id_bound() as u32));
+                let (a, b) = (live[rng.gen_range(0..live.len())], live[rng.gen_range(0..live.len())]);
+                let sums = |p: &[f64]| (can.node_gap_sum(a.index(), p, false), can.node_gap_sum(b.index(), p, false));
+
+                let mut p = Point::random(d, rng).coords().to_vec();
+                let mut targets = Vec::new();
+                match rng.gen_range(0..3) {
+                    0 => targets.push(p),
+                    // Bounds of live zones, axis by axis.
+                    1 => {
+                        for (axis, c) in p.iter_mut().enumerate() {
+                            let z = can.zone(if rng.gen_bool(0.5) { a } else { b }).unwrap();
+                            match rng.gen_range(0..3) {
+                                0 => *c = z.lo(axis),
+                                1 => *c = z.hi(axis).min(top),
+                                _ => {}
+                            }
+                        }
+                        targets.push(p);
+                    }
+                    // Slide one coordinate to where `a` and `b` are equally
+                    // far, and take every value within a few steps of it.
+                    _ => {
+                        let axis = rng.gen_range(0..d);
+                        let mut nearer_a = |c: f64| {
+                            p[axis] = c;
+                            let (sum_a, sum_b) = sums(&p);
+                            sum_a < sum_b
+                        };
+                        let (mut lo, mut hi) = (0.0, top);
+                        let at_lo = nearer_a(lo);
+                        while at_lo != nearer_a(hi) && lo.next_up() < hi {
+                            let mid = lo + (hi - lo) / 2.0;
+                            if nearer_a(mid) == at_lo {
+                                lo = mid;
+                            } else {
+                                hi = mid;
+                            }
+                        }
+                        let mut c = (0..8).fold(lo, |c, _| c.next_down().max(0.0));
+                        for _ in 0..17 {
+                            p[axis] = c;
+                            targets.push(p.clone());
+                            c = c.next_up().min(top);
+                        }
+                    }
+                }
+
+                // Around a bisector the two are the whole contest, in either
+                // order; elsewhere anyone is, and any share already visited.
+                let bisected = targets.len() > 1;
+                let mut defaults: Vec<OverlayNodeId> = (0..rng.gen_range(0..6)).map(|_| any(rng)).collect();
+                let mut express: Vec<OverlayNodeId> = (0..rng.gen_range(0..10)).map(|_| any(rng)).collect();
+                express.extend(defaults.iter().copied().filter(|_| rng.gen_bool(0.2)));
+                if bisected {
+                    defaults = vec![a];
+                    express = vec![b, a];
+                }
+                let chain = || defaults.iter().chain(&express).copied();
+                let mut scratch = RouteScratch::new();
+                scratch.begin_can(can.id_bound());
+                let visited = if bisected { 0.0 } else { [0.0, 0.3, 1.0][rng.gen_range(0..3)] };
+                for n in chain() {
+                    if rng.gen_bool(visited) {
+                        scratch.mark(n.index());
+                    }
+                }
+                for p in &targets {
+                    let (sum_a, sum_b) = sums(p);
+                    if a != b && sum_a == sum_b {
+                        count(&equal_sums);
+                    } else if sum_a.to_bits().abs_diff(sum_b.to_bits()) == 1 {
+                        count(&ulp_apart);
+                    }
+                    if sum_a != sum_b && sum_a.sqrt() == sum_b.sqrt() {
+                        count(&root_ties);
+                    }
+                    let candidates = chain().filter(|&n| can.is_live(n) && !scratch.is_marked(n.index()));
+                    let want = candidates.min_by(|&x, &y| distance(x, p).total_cmp(&distance(y, p)).then(x.cmp(&y)));
+                    if want.is_none() {
+                        count(&stuck);
+                    }
+                    let got = can.next_hop(&mut scratch, chain(), p, can.is_pristine());
+                    check_eq!(got, want, "d={d} target={p:?} defaults={defaults:?} express={express:?}");
+                }
+            }
+        });
+        let seen = [&ulp_apart, &root_ties, &equal_sums, &stuck].map(std::cell::Cell::get);
+        assert!(seen.iter().all(|&n| n > 0), "[one ulp apart, tied roots, equal sums, no candidate] = {seen:?}");
+    }
+
+    #[test]
+    fn a_hop_with_every_candidate_visited_is_stuck_for_can_and_a_spliced_tail_for_ecan() {
+        // No consistent arena has been found to strand either router
+        // (DESIGN.md §12), so this one is broken on purpose: `via`, the
+        // first hop of a route of two hops or more, forgets every neighbor
+        // but the node the route came from.
+        let intact = grown_overlay(12, 5);
+        let live: Vec<OverlayNodeId> = intact.live_nodes().collect();
+        let routes = live.iter().flat_map(|&s| live.iter().map(move |&o| (s, o)));
+        let (source, via, owner, target) = routes
+            .filter_map(|(s, o)| {
+                let target = intact.primary_zone(o.index()).center();
+                let hops = intact.route(s, &target).unwrap().hops;
+                (hops.len() > 2).then(|| (s, hops[1], o, target))
+            })
+            .next()
+            .expect("twelve nodes have a route of two hops");
+        let mut can = intact.clone();
+        can.neighbors[via.index()] = vec![source];
+
+        assert_eq!(can.route(source, &target), Err(OverlayError::RoutingStuck { at: via }));
+        // The scratch of a failed call is reusable as it stands.
+        let mut scratch = RouteScratch::new();
+        assert!(can.route_into(&mut scratch, source, &target).is_err());
+        intact.route_into(&mut scratch, source, &target).unwrap();
+        assert_eq!(scratch.hops().last(), Some(&owner));
+
+        // eCAN strands at `via` too, then routes plain CAN from there on a
+        // visited set of its own: back through `source`, around `via`.
+        let ecan = crate::ecan::EcanOverlay::unselected(can);
+        ecan.route_express_into(&mut scratch, source, &target).unwrap();
+        assert_eq!(scratch.hops()[..3], [source, via, source]);
+        assert_eq!(scratch.hops().last(), Some(&owner));
+        assert!(!scratch.hops()[3..].contains(&via));
     }
 
     #[test]

@@ -726,25 +726,14 @@ impl EcanOverlay {
         scratch.mark(source.index());
         let mut current = source;
         let limit = 4 * self.can.len() + 16;
-        // See `CanOverlay::is_pristine`: join-only overlays have no extra
-        // zones, so the primary-only kernels are exact and skip a random
-        // memory touch per candidate.
         let pristine = self.can.is_pristine();
-        while !(if pristine {
-            self.can.primary_owns_point(current.index(), target)
-        } else {
-            self.can.node_owns_point(current.index(), target)
-        }) {
+        let p = target.coords();
+        while !self.can.node_owns_point(current.index(), target, pristine) {
             if scratch.hops_len() > limit {
                 return Err(OverlayError::RoutingStuck { at: current });
             }
-            // The next hop is the unvisited live candidate with the
-            // smallest (distance by total_cmp, then id). The candidate
-            // chain (default neighbors, then express reps) is not
-            // id-sorted, so the incumbent is displaced only by a strictly
-            // smaller pair. A node listed in both segments compares Equal
-            // to itself and keeps its first occurrence.
-            let mut best: Option<(f64, OverlayNodeId)> = None;
+            // One chain of candidates: default neighbors, then expressway
+            // representatives, which may be departed or name a neighbor.
             let defaults = self.can.neighbor_slice(current.index()).iter().copied();
             let express = self
                 .tables
@@ -753,24 +742,7 @@ impl EcanOverlay {
                 .unwrap_or(&[])
                 .iter()
                 .map(|e| OverlayNodeId(e.rep));
-            for n in defaults.chain(express) {
-                if scratch.is_marked(n.index()) || !self.can.is_live(n) {
-                    continue;
-                }
-                let d = if pristine {
-                    self.can.primary_distance(n.index(), target)
-                } else {
-                    self.can.node_distance(n.index(), target)
-                };
-                let better = match &best {
-                    Some((bd, bn)) => d.total_cmp(bd).then(n.cmp(bn)).is_lt(),
-                    None => true,
-                };
-                if better {
-                    best = Some((d, n));
-                }
-            }
-            let Some((_, next)) = best else {
+            let Some(next) = self.can.next_hop(scratch, defaults.chain(express), p, pristine) else {
                 // Expressway jumps can strand greedy in a pocket where every
                 // neighbor was already tried. Default CAN routing from here
                 // is loop-free on a visited generation of its own; its tail

@@ -13,6 +13,9 @@
 //! * **hop buffers** are retained `Vec`s (one of dense [`OverlayNodeId`]s
 //!   for the CAN family, one of raw `u64` ring ids for Chord/Pastry) that
 //!   are cleared, not dropped, between calls.
+//! * **the hop kernel's candidate buffer** (`CanOverlay::next_hop`: one
+//!   `(squared distance, id)` per candidate of the hop in progress) is
+//!   retained the same way.
 //!
 //! One scratch can be shared freely across overlays and overlay types; each
 //! `route_into` call re-arms it for the arena it is given. Calls that
@@ -40,6 +43,9 @@ pub struct RouteScratch {
     hops: Vec<OverlayNodeId>,
     /// Hop buffer for the ring overlays (Chord/Pastry), source first.
     ring_hops: Vec<u64>,
+    /// `(gap sum, id)` of every candidate of the CAN-family hop in
+    /// progress; [`crate::CanOverlay::next_hop`] alone reads and writes it.
+    pub(crate) ranked: Vec<(f64, OverlayNodeId)>,
 }
 
 impl RouteScratch {

@@ -203,25 +203,13 @@ impl Zone {
     ///
     /// The greedy CAN routing metric: it decreases monotonically along a
     /// correct route and hits zero at the owner's zone.
-    // tao-lint: allow(panic-reachability, reason = "axis indices run 0..dims(); the dimensionality match is asserted up front")
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensionalities differ.
     pub fn distance_to_point(&self, p: &Point) -> f64 {
         assert_eq!(p.dims(), self.dims(), "dimensionality mismatch");
-        let mut sum = 0.0;
-        for a in 0..self.dims() {
-            let c = p.coord(a);
-            if self.lo[a] <= c && c < self.hi[a] {
-                continue;
-            }
-            // Direct gaps on either side, and wrapped gaps around the torus.
-            let below = (self.lo[a] - c).max(0.0);
-            let above = (c - self.hi[a]).max(0.0);
-            let direct = below.max(above);
-            let wrap_low = 1.0 - c + self.lo[a]; // going up past 1.0 to reach lo
-            let wrap_high = 1.0 - self.hi[a] + c; // zone's top wrapping to reach c
-            let d = direct.min(wrap_low).min(wrap_high);
-            sum += d * d;
-        }
-        sum.sqrt()
+        gap_sum(&self.lo, &self.hi, p.coords()).sqrt()
     }
 
     /// The zone clipped to `other`, if they intersect.
@@ -276,6 +264,26 @@ impl Zone {
     }
 }
 
+/// The squared minimum torus distance from the box `[lo, hi)` to the point
+/// with coordinates `p`: the one definition of the routing metric, whose
+/// square root callers take as late as they can. No branch: on an axis
+/// whose interval holds the coordinate the direct gap clamps to zero, the
+/// wrapped ones are not below it, and the `+0.0` the axis adds leaves the
+/// bits of a non-negative sum as they were.
+pub(crate) fn gap_sum(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
+    debug_assert!(lo.len() == hi.len() && lo.len() == p.len(), "dimensionality mismatch");
+    let mut sum = 0.0;
+    for ((&lo, &hi), &c) in lo.iter().zip(hi).zip(p) {
+        // Direct gaps on either side, and wrapped gaps around the torus.
+        let direct = (lo - c).max(c - hi).max(0.0);
+        let wrap_low = 1.0 - c + lo; // going up past 1.0 to reach lo
+        let wrap_high = 1.0 - hi + c; // zone's top wrapping to reach c
+        let d = direct.min(wrap_low).min(wrap_high);
+        sum += d * d;
+    }
+    sum
+}
+
 impl fmt::Display for Zone {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -287,6 +295,29 @@ impl fmt::Display for Zone {
         }
         write!(f, "]")
     }
+}
+
+/// The routing metric as it was written before [`gap_sum`]: one branch per
+/// axis on "is the coordinate inside?", one square root per call. Test
+/// oracle for the kernels that replaced it.
+#[cfg(test)]
+pub(crate) fn branchy_distance(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
+    assert!(lo.len() == hi.len() && lo.len() == p.len(), "dimensionality mismatch");
+    let mut sum = 0.0;
+    for a in 0..lo.len() {
+        let c = p[a];
+        if lo[a] <= c && c < hi[a] {
+            continue;
+        }
+        let below = (lo[a] - c).max(0.0);
+        let above = (c - hi[a]).max(0.0);
+        let direct = below.max(above);
+        let wrap_low = 1.0 - c + lo[a];
+        let wrap_high = 1.0 - hi[a] + c;
+        let d = direct.min(wrap_low).min(wrap_high);
+        sum += d * d;
+    }
+    sum.sqrt()
 }
 
 #[cfg(test)]
@@ -358,6 +389,59 @@ mod tests {
         let p = Point::new(vec![0.95]).unwrap();
         // Direct gap to hi=0.5 is 0.45; wrapped gap to lo=0.0 is 0.05.
         assert!((left.distance_to_point(&p) - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gap_sum_root_equals_the_branchy_formula_bit_for_bit() {
+        use tao_util::check::for_all;
+        use tao_util::{check, check_eq};
+        for_all("gap_sum_root_equals_the_branchy_formula_bit_for_bit", 4_000, |rng| {
+            let dims = rng.gen_range(1..=4usize);
+            // A zone as the overlay makes them (dyadic, by random splits,
+            // so bounds land on 0 and 1) or with arbitrary bounds.
+            let zone = if rng.gen_bool(0.7) {
+                let mut z = Zone::whole(dims);
+                for _ in 0..rng.gen_range(0..=20) {
+                    let (lower, upper) = z.split(rng.gen_range(0..dims));
+                    z = if rng.gen_bool(0.5) { lower } else { upper };
+                }
+                z
+            } else {
+                let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                for _ in 0..dims {
+                    let (a, b): (f64, f64) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+                    let (a, b) = if a < b { (a, b) } else { (b, a) };
+                    lo.push(a);
+                    hi.push(if a == b { 1.0 } else { b });
+                }
+                Zone::from_bounds(lo, hi).expect("ordered bounds in [0, 1]")
+            };
+            // Coordinates drawn at large, exactly on a bound, one step to
+            // either side of it, and on both sides of the torus seam.
+            let top = 1.0 - f64::EPSILON / 2.0;
+            let coords: Vec<f64> = (0..dims)
+                .map(|a| {
+                    let c: f64 = match rng.gen_range(0..10u32) {
+                        0 => zone.lo(a),
+                        1 => zone.hi(a),
+                        2 => zone.lo(a).next_down(),
+                        3 => zone.lo(a).next_up(),
+                        4 => zone.hi(a).next_down(),
+                        5 => zone.hi(a).next_up(),
+                        6 => 0.0,
+                        7 => top,
+                        _ => rng.gen_range(0.0..1.0),
+                    };
+                    c.clamp(0.0, top)
+                })
+                .collect();
+            let want = branchy_distance(zone.lo_slice(), zone.hi_slice(), &coords);
+            let sum = gap_sum(zone.lo_slice(), zone.hi_slice(), &coords);
+            check_eq!(sum.sqrt().to_bits(), want.to_bits(), "{zone} to {coords:?}");
+            let p = Point::new(coords).expect("coordinates in [0, 1)");
+            check_eq!(zone.distance_to_point(&p).to_bits(), want.to_bits(), "{zone} to {p}");
+            check!(want == 0.0 || !zone.contains(&p), "{zone} holds {p}, {want} away");
+        });
     }
 
     #[test]

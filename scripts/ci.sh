@@ -199,7 +199,7 @@ echo "determinism spot-check: OK"
 cargo test -q --offline -p tao-core --test fault_injection
 cargo test -q --offline -p tao-core --test softstate_convergence
 
-# Cross-process determinism of the three pinned in-test fingerprints: each
+# Cross-process determinism of the four pinned in-test fingerprints: each
 # test prints one `<PREFIX> …` line, and two separate processes must print
 # the same one. (Each test also holds its digest to a pinned constant.)
 #   two_process_fingerprint TEST_FILE TEST_NAME LINE_PREFIX MISSING DIVERGED OK
@@ -234,6 +234,14 @@ two_process_fingerprint churn_batches churn_fingerprint_for_ci CHURN_FINGERPRINT
 # instead of silently moving figures.
 two_process_fingerprint softstate_store softstate_fingerprint_for_ci SOFTSTATE_FINGERPRINT \
     "soft-state" "soft-state fingerprint" "soft-state store determinism"
+# Every hop of fixed-seed routes on CAN, TA-CAN and eCAN — join-only,
+# churned-and-repaired and churned-unrepaired arenas, d = 2 and 3. The
+# constant was taken before the hop kernel (PR 24) replaced the two
+# per-candidate sqrt loops, so a change to the torus gap, the candidate
+# filter or the (distance, id) tie-break fails here before it moves a
+# figure's stretch column.
+two_process_fingerprint route_fingerprint route_fingerprint_for_ci ROUTE_FINGERPRINT \
+    "route" "route fingerprint" "routing determinism"
 
 # Smoke: the churn example runs its bonus simulation under a lossy plan.
 cargo run -q --release --offline --example churn_and_pubsub > /dev/null

@@ -1,10 +1,13 @@
 //! PR-10 runtime cross-check of the static `alloc-reachability` claim:
-//! after one warm-up pass has sized every scratch buffer, `route_into`
-//! on all five overlays — and the soft-state hosted lookup through its
-//! `LookupScratch`, whose remembered `(region, host)` fragments a warmed
-//! pass revisits — perform ZERO heap allocations, and so does a sampled
-//! expressway pick (`SampledRandomSelector::select_in_box`, one split-tree
-//! descent), on a pristine overlay and on a churned one.
+//! after one warm-up pass has sized every scratch buffer (the hop kernel's
+//! candidate buffer included), `route_into` on all five overlays — the
+//! CAN family on a join-only arena and on a churned one, since the kernel
+//! reads takeover zones only on the latter — and the soft-state hosted
+//! lookup through its `LookupScratch`, whose remembered `(region, host)`
+//! fragments a warmed pass revisits — perform ZERO heap allocations, and
+//! so does a sampled expressway pick
+//! (`SampledRandomSelector::select_in_box`, one split-tree descent), on a
+//! pristine overlay and on a churned one.
 //!
 //! The static pass (`tao-lint`'s `alloc-reachability`) proves the hot
 //! closure of every `// tao-lint: hot` entry point free of allocation
@@ -24,7 +27,7 @@ use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
+use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
 use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::Zone;
 use tao_sim::{SimDuration, SimTime};
@@ -104,6 +107,8 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     // --- setup (allocations unrestricted) ------------------------------
     let (can, can_live) = churned_can(256, 32, 0x0a01);
     let can_calls = can_family_calls(&can_live, 0x0a02);
+    let (whole_can, whole_can_live) = churned_can(256, 0, 0x0a0e);
+    let whole_can_calls = can_family_calls(&whole_can_live, 0x0a0f);
 
     let (ecan_base, ecan_live) = churned_can(256, 24, 0x0a03);
     let ecan = EcanOverlay::build(ecan_base, &mut SampledRandomSelector::new(0x0a04));
@@ -111,8 +116,9 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
 
     // Every (node, expressway target box) of the churned eCAN and of a
     // pristine one, asked of the sampling selector as a table build asks.
-    let (pristine_base, _) = churned_can(256, 0, 0x0a0b);
+    let (pristine_base, pristine_live) = churned_can(256, 0, 0x0a0b);
     let pristine = EcanOverlay::build(pristine_base, &mut SampledRandomSelector::new(0x0a0c));
+    let pristine_calls = can_family_calls(&pristine_live, 0x0a10);
     let box_picks = |ecan: &EcanOverlay| -> Vec<(OverlayNodeId, Zone)> {
         let ids = ecan.can().live_nodes();
         ids.flat_map(|id| ecan.high_order_entries(id).into_iter().map(move |e| (id, e.target_box)))
@@ -139,6 +145,13 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         tacan_ids.push(tacan.join(NodeIdx(i), &ordering, &mut rng));
     }
     let tacan_calls = can_family_calls(&tacan_ids, 0x0a07);
+    let mut churned_tacan = tacan.clone();
+    let mut victims = StdRng::seed_from_u64(0x0a12);
+    for _ in 0..24 {
+        let victim = tacan_ids.swap_remove(victims.gen_range(0..tacan_ids.len()));
+        churned_tacan.leave(victim).expect("victim is live");
+    }
+    let churned_tacan_calls = can_family_calls(&tacan_ids, 0x0a11);
 
     let mut chord = ChordOverlay::new();
     let mut ring_members: Vec<RingId> = Vec::new();
@@ -220,15 +233,24 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     // --- warm-up: size the stamp array and both hop buffers ------------
     // Every measured call runs once so the scratch has seen the largest
     // arena bound and the longest hop sequence it will be asked to hold.
-    for (s, t) in &can_calls {
-        can.route_into(&mut scratch, *s, t).expect("warm-up routes");
-    }
-    for (s, t) in &ecan_calls {
-        ecan.route_express_into(&mut scratch, *s, t)
-            .expect("warm-up routes");
-    }
-    for (s, t) in &tacan_calls {
-        tacan.route_into(&mut scratch, *s, t).expect("warm-up routes");
+    type RouteInto<'a> = &'a dyn Fn(&mut RouteScratch, OverlayNodeId, &Point) -> Result<(), OverlayError>;
+    type Arena<'a> = (&'a str, RouteInto<'a>, &'a [(OverlayNodeId, Point)]);
+    let can_family: [Arena; 6] = [
+        ("can, churned", &|scr, s, t| can.route_into(scr, s, t), &can_calls),
+        ("can, join-only", &|scr, s, t| whole_can.route_into(scr, s, t), &whole_can_calls),
+        ("ecan, churned", &|scr, s, t| ecan.route_express_into(scr, s, t), &ecan_calls),
+        ("ecan, join-only", &|scr, s, t| pristine.route_express_into(scr, s, t), &pristine_calls),
+        ("tacan, join-only", &|scr, s, t| tacan.route_into(scr, s, t), &tacan_calls),
+        ("tacan, churned", &|scr, s, t| churned_tacan.route_into(scr, s, t), &churned_tacan_calls),
+    ];
+    let route_can_family = |scratch: &mut RouteScratch, arena: usize| {
+        let (_, route_into, calls) = can_family[arena];
+        for (s, t) in calls {
+            route_into(scratch, *s, t).expect("routes between live nodes are delivered");
+        }
+    };
+    for arena in 0..can_family.len() {
+        route_can_family(&mut scratch, arena);
     }
     for (s, k) in &chord_calls {
         chord.route_into(&mut scratch, *s, *k).expect("warm-up routes");
@@ -247,23 +269,10 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     assert!(walked * 4 < lookups.len() as u64, "{walked} walks: queriers share hosts");
 
     // --- measurement: the same calls must not touch the allocator ------
-    let per_overlay: [(&str, u64); 7] = [
-        ("can", allocations(|| {
-            for (s, t) in &can_calls {
-                can.route_into(&mut scratch, *s, t).expect("warmed routes");
-            }
-        })),
-        ("ecan", allocations(|| {
-            for (s, t) in &ecan_calls {
-                ecan.route_express_into(&mut scratch, *s, t)
-                    .expect("warmed routes");
-            }
-        })),
-        ("tacan", allocations(|| {
-            for (s, t) in &tacan_calls {
-                tacan.route_into(&mut scratch, *s, t).expect("warmed routes");
-            }
-        })),
+    let mut per_overlay: Vec<(&str, u64)> = (0..can_family.len())
+        .map(|arena| (can_family[arena].0, allocations(|| route_can_family(&mut scratch, arena))))
+        .collect();
+    per_overlay.extend([
         ("chord", allocations(|| {
             for (s, k) in &chord_calls {
                 chord.route_into(&mut scratch, *s, *k).expect("warmed routes");
@@ -280,7 +289,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         ("softstate hosted lookup", allocations(|| {
             assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
         })),
-    ];
+    ]);
     assert_eq!(lookup_scratch.fragment_walks(), walked, "the warmed pass found every fragment");
 
     for (overlay, count) in per_overlay {
