@@ -94,7 +94,11 @@ fn main() -> ExitCode {
                 }
             };
             files += 1;
-            let display = path.strip_prefix("./").unwrap_or(path).display().to_string();
+            let display = path
+                .strip_prefix("./")
+                .unwrap_or(path)
+                .display()
+                .to_string();
             let report = lint_source(&display, &source, classify(path));
             findings.extend(report.findings);
             waived.extend(
@@ -123,7 +127,12 @@ fn main() -> ExitCode {
     for rule in ALL_RULES {
         let f = per_rule_f.get(&rule.name()).copied().unwrap_or(0);
         let w = per_rule_w.get(&rule.name()).copied().unwrap_or(0);
-        println!("  {:<20} {:>3} finding(s) {:>3} waiver(s)", rule.name(), f, w);
+        println!(
+            "  {:<20} {:>3} finding(s) {:>3} waiver(s)",
+            rule.name(),
+            f,
+            w
+        );
     }
 
     if let Some(out) = &json_out {
@@ -152,7 +161,10 @@ fn main() -> ExitCode {
         let text = match std::fs::read_to_string(baseline_path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("tao-lint: cannot read baseline {}: {e}", baseline_path.display());
+                eprintln!(
+                    "tao-lint: cannot read baseline {}: {e}",
+                    baseline_path.display()
+                );
                 return ExitCode::FAILURE;
             }
         };

@@ -118,7 +118,9 @@ fn glued_path_separator_and_numbers_keep_offsets() {
     let src = "use a::b;\nlet x = 0xFF_u32 + 1.5e3;";
     let tokens = lex(src);
     assert_spans(src, &tokens);
-    assert!(tokens.iter().any(|t| t.kind == TokenKind::Punct && t.text == "::"));
+    assert!(tokens
+        .iter()
+        .any(|t| t.kind == TokenKind::Punct && t.text == "::"));
     let numbers: Vec<&str> = tokens
         .iter()
         .filter(|t| t.kind == TokenKind::Number)
