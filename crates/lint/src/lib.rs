@@ -8,25 +8,25 @@
 //! crate lexes every Rust file in the workspace with a small hand-rolled
 //! lexer ([`lexer`]) — so findings never fire inside string literals,
 //! char literals, doc comments, or `#[cfg(test)]` regions — and enforces
-//! the project invariants as named rules ([`rules`]).
+//! the project invariants as eleven named rules ([`rules`]).
 //!
-//! Since v2 the pass is *structural*, not just lexical: [`items`]
-//! recovers the item/module tree of every file from the token stream,
-//! [`graph`] links the items into an approximate cross-crate call graph,
-//! and four graph-level rules ride on top — panic-reachability,
-//! crate-layering, seed-discipline, and unused-waiver. v3 added the
-//! dataflow passes ([`taint`], [`locks`]); v4 adds the hot-path passes
-//! ([`alloc`], [`arith`]), which prove the zero-allocation and
-//! overflow-safety disciplines of the routing/wheel kernels from
-//! `// tao-lint: hot` entry markers. Findings serialize to a stable JSON
-//! report ([`report`]) that CI diffs against the committed
-//! `lint-baseline.json`; the baseline may only shrink.
+//! Four rules read tokens. The rest are structural: [`items`] recovers
+//! the item/module tree of every file from the token stream, [`graph`]
+//! links the items into an approximate cross-crate call graph, and one
+//! breadth-first search over it serves panic-reachability,
+//! determinism-taint ([`taint`]) and the hot closure of the
+//! `// tao-lint: hot` entry markers, inside which [`alloc`] and
+//! [`arith`] prove the zero-allocation and overflow-safety disciplines
+//! of the routing/wheel kernels. Crate-layering, seed-discipline and
+//! unused-waiver complete the set. Findings serialize to a stable JSON
+//! report ([`report`]); CI diffs their line-free keys against the
+//! committed `lint-baseline.txt`, which may only shrink.
 //!
 //! Run it over the whole workspace with:
 //!
 //! ```text
 //! cargo run --release --offline -p tao-lint -- --workspace \
-//!     --json target/tao-lint.json --baseline lint-baseline.json
+//!     --json target/tao-lint.json --baseline lint-baseline.txt
 //! ```
 
 pub mod alloc;
@@ -34,7 +34,6 @@ pub mod arith;
 pub mod graph;
 pub mod items;
 pub mod lexer;
-pub mod locks;
 pub mod report;
 pub mod rules;
 pub mod taint;

@@ -41,16 +41,6 @@ const FIXTURES: &[(&str, &str, FileKind)] = &[
         FileKind::Lib,
     ),
     (
-        "registry_violation.rs",
-        include_str!("lint_fixtures/registry_violation.rs"),
-        FileKind::TestHarness,
-    ),
-    (
-        "registry_clean.rs",
-        include_str!("lint_fixtures/registry_clean.rs"),
-        FileKind::Lib,
-    ),
-    (
         "pragma_cases.rs",
         include_str!("lint_fixtures/pragma_cases.rs"),
         FileKind::Lib,

@@ -1,146 +1,96 @@
 //! Golden test for the structural rules: each rule must fire on its
 //! violation fixture with the exact expected positions and messages, and
-//! stay quiet on its clean fixture. Fixtures are linted as a synthetic
-//! mini-workspace (the paths and crate names below don't exist on disk —
-//! `lint_workspace` only sees what we hand it), so the golden is stable
-//! regardless of the real workspace's state.
+//! stay quiet on its clean fixture.
 
-use tao_lint::rules::{lint_workspace, FileKind, Rule, SourceFile};
+mod workspace_harness;
 
-/// `(path, crate, kind, source)` for every structural fixture.
-const FIXTURES: &[(&str, &str, FileKind, &str)] = &[
-    (
-        "crates/overlay/src/layering_violation.rs",
-        "tao-overlay",
-        FileKind::Lib,
-        include_str!("lint_fixtures/layering_violation.rs"),
-    ),
-    (
-        "crates/overlay/src/layering_clean.rs",
-        "tao-overlay",
-        FileKind::Lib,
-        include_str!("lint_fixtures/layering_clean.rs"),
-    ),
-    (
-        "crates/core/src/seed_violation.rs",
-        "tao-core",
-        FileKind::Lib,
-        include_str!("lint_fixtures/seed_violation.rs"),
-    ),
-    (
-        "crates/core/src/seed_clean.rs",
-        "tao-core",
-        FileKind::Lib,
-        include_str!("lint_fixtures/seed_clean.rs"),
-    ),
-    (
-        "crates/overlay/src/panic_reach_violation.rs",
-        "tao-overlay",
-        FileKind::Lib,
-        include_str!("lint_fixtures/panic_reach_violation.rs"),
-    ),
-    (
-        "crates/overlay/src/panic_reach_clean.rs",
-        "tao-overlay",
-        FileKind::Lib,
-        include_str!("lint_fixtures/panic_reach_clean.rs"),
-    ),
-    (
-        "crates/landmark/src/unused_waiver_violation.rs",
-        "tao-landmark",
-        FileKind::Lib,
-        include_str!("lint_fixtures/unused_waiver_violation.rs"),
-    ),
-    (
-        "crates/landmark/src/unused_waiver_clean.rs",
-        "tao-landmark",
-        FileKind::Lib,
-        include_str!("lint_fixtures/unused_waiver_clean.rs"),
-    ),
-];
+use tao_lint::rules::{FileKind, Rule};
+use workspace_harness::Suite;
 
-const GOLDEN: &str = include_str!("lint_fixtures/expected_structural.txt");
-
-fn sources() -> Vec<SourceFile> {
-    FIXTURES
-        .iter()
-        .map(|(path, krate, kind, source)| SourceFile {
-            path: path.to_string(),
-            krate: krate.to_string(),
-            kind: *kind,
-            source: source.to_string(),
-        })
-        .collect()
-}
-
-#[test]
-fn structural_findings_match_golden_file() {
-    let report = lint_workspace(&sources());
-    let mut actual = String::new();
-    for finding in &report.findings {
-        actual.push_str(&finding.render());
-        actual.push('\n');
-    }
-    assert_eq!(
-        actual.trim_end(),
-        GOLDEN.trim_end(),
-        "\n--- actual findings ---\n{actual}\n--- update lint_fixtures/expected_structural.txt if this change is intended ---"
-    );
-}
-
-#[test]
-fn clean_fixtures_stay_quiet() {
-    let report = lint_workspace(&sources());
-    for f in &report.findings {
-        assert!(
-            !f.path.ends_with("_clean.rs"),
-            "clean fixture produced a finding: {}",
-            f.render()
-        );
-    }
-}
-
-#[test]
-fn every_structural_rule_fires_somewhere() {
-    let report = lint_workspace(&sources());
-    for rule in [
+const SUITE: Suite = Suite {
+    fixtures: &[
+        (
+            "crates/overlay/src/layering_violation.rs",
+            "tao-overlay",
+            FileKind::Lib,
+            include_str!("lint_fixtures/layering_violation.rs"),
+        ),
+        (
+            "crates/overlay/src/layering_clean.rs",
+            "tao-overlay",
+            FileKind::Lib,
+            include_str!("lint_fixtures/layering_clean.rs"),
+        ),
+        (
+            "crates/core/src/seed_violation.rs",
+            "tao-core",
+            FileKind::Lib,
+            include_str!("lint_fixtures/seed_violation.rs"),
+        ),
+        (
+            "crates/core/src/seed_clean.rs",
+            "tao-core",
+            FileKind::Lib,
+            include_str!("lint_fixtures/seed_clean.rs"),
+        ),
+        (
+            "crates/overlay/src/panic_reach_violation.rs",
+            "tao-overlay",
+            FileKind::Lib,
+            include_str!("lint_fixtures/panic_reach_violation.rs"),
+        ),
+        (
+            "crates/overlay/src/panic_reach_clean.rs",
+            "tao-overlay",
+            FileKind::Lib,
+            include_str!("lint_fixtures/panic_reach_clean.rs"),
+        ),
+        (
+            "crates/landmark/src/unused_waiver_violation.rs",
+            "tao-landmark",
+            FileKind::Lib,
+            include_str!("lint_fixtures/unused_waiver_violation.rs"),
+        ),
+        (
+            "crates/landmark/src/unused_waiver_clean.rs",
+            "tao-landmark",
+            FileKind::Lib,
+            include_str!("lint_fixtures/unused_waiver_clean.rs"),
+        ),
+    ],
+    golden: include_str!("lint_fixtures/expected_structural.txt"),
+    golden_file: "expected_structural.txt",
+    rules: &[
         Rule::PanicReachability,
         Rule::CrateLayering,
         Rule::SeedDiscipline,
         Rule::UnusedWaiver,
-    ] {
-        assert!(
-            report.findings.iter().any(|f| f.rule == rule),
-            "no fixture exercises structural rule `{}`",
-            rule.name()
-        );
-    }
+    ],
+};
+
+#[test]
+fn structural_findings_match_golden_file() {
+    SUITE.assert_golden();
+}
+
+#[test]
+fn clean_fixtures_stay_quiet() {
+    SUITE.assert_clean_fixtures_quiet();
+}
+
+#[test]
+fn every_structural_rule_fires_somewhere() {
+    SUITE.assert_every_rule_fires();
 }
 
 #[test]
 fn structural_keys_are_line_free() {
-    // The stable keys must not contain line numbers, so the committed
-    // baseline does not churn when unrelated edits shift code.
-    let report = lint_workspace(&sources());
-    for f in &report.findings {
-        let line_str = format!(":{}", f.line);
-        match f.rule {
-            Rule::PanicReachability | Rule::CrateLayering | Rule::SeedDiscipline => {
-                assert!(
-                    !f.key.contains(&line_str),
-                    "key `{}` embeds line {}",
-                    f.key,
-                    f.line
-                );
-            }
-            _ => {}
-        }
-    }
+    SUITE.assert_keys_line_free();
 }
 
 #[test]
 fn entry_pragmas_count_as_waivers() {
-    let report = lint_workspace(&sources());
+    let report = SUITE.report();
     assert!(
         report.waived.iter().any(|(rule, path, _)| {
             *rule == Rule::PanicReachability && path.ends_with("panic_reach_clean.rs")
