@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod aware;
-pub mod churn;
 pub mod experiment;
 mod load;
 mod metrics;

@@ -88,7 +88,7 @@ pub struct Item {
     /// Code-token index span `[start, end)` of the whole item (signature
     /// and body), indexing into the slice given to [`parse_items`]. The
     /// taint and hot-path passes scan this to see tokens the `body` range
-    /// misses — a `ByteWriter` parameter lives in the signature, not the
+    /// misses — a `HashMap` parameter lives in the signature, not the
     /// body.
     pub tok: (usize, usize),
     /// For items with a braced body: the code-token index range

@@ -65,8 +65,8 @@ pub enum Rule {
     /// A valid waiver pragma whose rule has no potential site in its
     /// scope: the code it excused no longer exists.
     UnusedWaiver,
-    /// A published sink (`ByteWriter` serialization, fingerprint/digest,
-    /// `results/` writer) transitively reachable from a nondeterminism
+    /// A published sink (fingerprint/digest, `results/` writer)
+    /// transitively reachable from a nondeterminism
     /// source (wall clock, `std::env`, thread identity, pointer cast,
     /// `partial_cmp`, std hash iteration). See [`crate::taint`].
     DeterminismTaint,
@@ -653,12 +653,12 @@ fn layering_findings(file: &SourceFile, code: &[&Token]) -> Vec<Finding> {
 /// from literals, parameters, and seed-derivation arithmetic only.
 ///
 /// An argument expression *anchored on a seed* — any identifier containing
-/// `seed`, such as `op_seed(master, index)` or `self.master_seed` — may
-/// additionally mix in benign helper calls (`domain.len()`, casts, …): the
-/// per-op seeds the parallel churn executor derives from
-/// `(master seed, op index)` are exactly this shape, and they replay
-/// bit-identically by construction. Denied identifiers (wall clocks,
-/// entropy, pointers) are flagged even when a seed anchor is present.
+/// `seed`, such as `self.master_seed ^ index` or `derive_seed(a, b)` — may
+/// additionally mix in benign helper calls (`domain.len()`, casts, …):
+/// per-item seeds derived from `(master seed, index)` are exactly this
+/// shape, and they replay bit-identically by construction. Denied
+/// identifiers (wall clocks, entropy, pointers) are flagged even when a
+/// seed anchor is present.
 fn seed_findings(
     file: &SourceFile,
     code: &[&Token],

@@ -9,8 +9,8 @@
 //! NaN-sensitive float comparisons, std hash-collection iteration) and
 //! propagates the mark along call-graph edges: a function is tainted if
 //! it is a source or calls a tainted function. Any *sink* — a function
-//! that serializes via `ByteWriter`, computes a fingerprint/digest, or
-//! writes a `results/` path — that is tainted gets a finding with a
+//! that computes a fingerprint/digest or writes a `results/` path — that
+//! is tainted gets a finding with a
 //! deterministic witness chain from the sink to the source, exactly like
 //! panic-reachability.
 //!
@@ -49,9 +49,6 @@ struct Source {
 /// What makes a function a published sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SinkKind {
-    /// Mentions `ByteWriter` in its signature or body: it serializes
-    /// bytes that feed fingerprints.
-    ByteWriter,
     /// Its name contains `fingerprint` or `digest`.
     FingerprintName,
     /// It holds a string literal addressing the published artifact
@@ -62,7 +59,6 @@ enum SinkKind {
 impl SinkKind {
     fn describe(self) -> &'static str {
         match self {
-            SinkKind::ByteWriter => "serializes via `ByteWriter`",
             SinkKind::FingerprintName => "computes a fingerprint/digest",
             SinkKind::ResultsWrite => "writes under `results/`",
         }
@@ -120,14 +116,10 @@ fn scan_sinks(code: &[&Token], tok: (usize, usize), fn_name: &str) -> Option<Sin
     }
     let (lo, hi) = (tok.0.min(code.len()), tok.1.min(code.len()));
     for t in &code[lo..hi] {
-        match t.kind {
-            TokenKind::Ident if t.text == "ByteWriter" => return Some(SinkKind::ByteWriter),
-            TokenKind::Str
-                if t.text.contains("results/") || t.text.trim_matches('"') == "results" =>
-            {
-                return Some(SinkKind::ResultsWrite)
-            }
-            _ => {}
+        if t.kind == TokenKind::Str
+            && (t.text.contains("results/") || t.text.trim_matches('"') == "results")
+        {
+            return Some(SinkKind::ResultsWrite);
         }
     }
     None

@@ -329,11 +329,6 @@ impl EcanOverlay {
         &self.can
     }
 
-    /// Consumes the eCAN, returning the underlying CAN.
-    pub fn into_can(self) -> CanOverlay {
-        self.can
-    }
-
     /// Grows the dense per-id arrays to cover every assigned id.
     fn grow_arrays(&mut self) {
         let n = self.can.id_bound();
@@ -1023,7 +1018,7 @@ mod tests {
         // `build` is `unselected` followed by the one pass.
         let mut selected = ecan.clone();
         selected.reselect(&mut RandomSelector::new(55));
-        let built = EcanOverlay::build(ecan.into_can(), &mut RandomSelector::new(55));
+        let built = EcanOverlay::build(ecan.can().clone(), &mut RandomSelector::new(55));
         for &id in &live {
             assert_eq!(selected.high_order_entries(id), built.high_order_entries(id));
         }

@@ -16,9 +16,10 @@
 //! * [`chord`] / [`pastry`] — the id-keyed substrates of the paper's
 //!   generality claim; [`keyed`] names the surface they share and the one
 //!   selection hook their routing slots are filled through,
-//! * [`tacan`] — the Topologically-Aware CAN baseline (geographic layout by
-//!   landmark ordering), used to reproduce the paper's §1 claim about
-//!   space imbalance and neighbor blow-up.
+//! * [`tacan`] — the Topologically-Aware CAN baseline's join points
+//!   (geographic layout by landmark ordering) for a plain [`CanOverlay`],
+//!   used to reproduce the paper's §1 claim about space imbalance and
+//!   neighbor blow-up.
 //!
 //! # Example
 //!
@@ -57,5 +58,4 @@ mod zone_index;
 pub use can::{CanOverlay, OverlayError, OverlayNodeId, Route};
 pub use point::Point;
 pub use scratch::RouteScratch;
-pub use tacan::TaCanOverlay;
 pub use zone::Zone;

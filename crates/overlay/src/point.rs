@@ -13,9 +13,10 @@ use tao_util::rand::Rng;
 /// use tao_overlay::Point;
 ///
 /// let a = Point::new(vec![0.05, 0.5]).unwrap();
-/// let b = Point::new(vec![0.95, 0.5]).unwrap();
-/// // Torus wrap: the short way across 0 is 0.1, not 0.9.
-/// assert!((a.torus_distance(&b) - 0.1).abs() < 1e-12);
+/// assert_eq!((a.dims(), a.coord(1)), (2, 0.5));
+/// // Coordinates live in [0, 1): `new` refuses 1.0, `clamped` pulls it in.
+/// assert!(Point::new(vec![1.0, 0.5]).is_none());
+/// assert!(Point::clamped(vec![1.0, 0.5]).coord(0) < 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Point {
@@ -84,36 +85,6 @@ impl Point {
     pub fn coords(&self) -> &[f64] {
         &self.coords
     }
-
-    /// Distance along one axis on the torus (the shorter way around).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is out of range for either point.
-    pub fn axis_distance(&self, other: &Point, axis: usize) -> f64 {
-        let d = (self.coords[axis] - other.coords[axis]).abs();
-        d.min(1.0 - d)
-    }
-
-    /// Euclidean distance on the torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensionalities differ.
-    pub fn torus_distance(&self, other: &Point) -> f64 {
-        assert_eq!(
-            self.dims(),
-            other.dims(),
-            "points must have equal dimensionality"
-        );
-        (0..self.dims())
-            .map(|a| {
-                let d = self.axis_distance(other, a);
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 impl fmt::Display for Point {
@@ -150,37 +121,6 @@ mod tests {
         assert_eq!(p.coord(0), 0.0);
         assert!(p.coord(1) < 1.0);
         assert_eq!(p.coord(2), 0.5);
-    }
-
-    #[test]
-    fn torus_distance_wraps() {
-        let a = Point::new(vec![0.1]).unwrap();
-        let b = Point::new(vec![0.9]).unwrap();
-        assert!((a.torus_distance(&b) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn torus_distance_is_a_metric_sample() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let a = Point::random(3, &mut rng);
-            let b = Point::random(3, &mut rng);
-            let c = Point::random(3, &mut rng);
-            let ab = a.torus_distance(&b);
-            let bc = b.torus_distance(&c);
-            let ac = a.torus_distance(&c);
-            assert!(ab >= 0.0);
-            assert!((a.torus_distance(&a)).abs() < 1e-12);
-            assert!((ab - b.torus_distance(&a)).abs() < 1e-12, "symmetry");
-            assert!(ac <= ab + bc + 1e-12, "triangle inequality");
-        }
-    }
-
-    #[test]
-    fn max_axis_distance_is_half() {
-        let a = Point::new(vec![0.0]).unwrap();
-        let b = Point::new(vec![0.5]).unwrap();
-        assert!((a.axis_distance(&b, 0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -28,8 +28,7 @@ use crate::can::OverlayNodeId;
 
 /// Reusable scratch state for the `route_into` fast paths on every overlay
 /// ([`crate::CanOverlay::route_into`], `EcanOverlay::route_express_into`,
-/// [`crate::TaCanOverlay::route_into`], `ChordOverlay::route_into`,
-/// `PastryOverlay::route_into`).
+/// `ChordOverlay::route_into`, `PastryOverlay::route_into`).
 ///
 /// See the [module documentation](self) for the epoch-stamping scheme.
 #[derive(Debug, Clone, Default)]
@@ -70,12 +69,6 @@ impl RouteScratch {
     /// Overlay hops (edges traversed) recorded in [`RouteScratch::hops`].
     pub fn hop_count(&self) -> usize {
         self.hops.len().saturating_sub(1)
-    }
-
-    /// Overlay hops (edges traversed) recorded in
-    /// [`RouteScratch::ring_hops`].
-    pub fn ring_hop_count(&self) -> usize {
-        self.ring_hops.len().saturating_sub(1)
     }
 
     /// Arms the scratch for a CAN-family route over an arena of `bound`
@@ -221,6 +214,5 @@ mod tests {
         assert_eq!(s.hops(), &[OverlayNodeId(7)]);
         assert_eq!(s.ring_hops(), &[42]);
         assert_eq!(s.hop_count(), 0);
-        assert_eq!(s.ring_hop_count(), 0);
     }
 }

@@ -4,19 +4,37 @@
 //! physical topology: each node computes its landmark *ordering* (the
 //! permutation of landmarks by increasing RTT) and joins CAN at a point
 //! inside the region of the Cartesian space assigned to that ordering, so
-//! physically close nodes own adjacent zones.
+//! physically close nodes own adjacent zones. A TA-CAN is a plain
+//! [`CanOverlay`] whose nodes join at [`binned_join_point`].
 //!
 //! The paper's §1 criticises exactly this: because orderings are wildly
 //! non-uniform, "10% of the nodes can occupy 80–98% of the entire Cartesian
 //! space, and some nodes have to maintain 10s–100s of neighbors". This
 //! module reproduces the layout and provides [`ImbalanceStats`] to quantify
 //! the claim.
+//!
+//! # Example
+//!
+//! ```
+//! use tao_overlay::tacan::binned_join_point;
+//! use tao_overlay::CanOverlay;
+//! use tao_topology::NodeIdx;
+//! use tao_util::rand::SeedableRng;
+//!
+//! let mut rng = tao_util::rand::rngs::StdRng::seed_from_u64(2);
+//! let mut tacan = CanOverlay::new(2).unwrap();
+//! for i in 0..16u32 {
+//!     let ordering = if i % 2 == 0 { [0, 1, 2] } else { [1, 0, 2] };
+//!     tacan.join(NodeIdx(i), binned_join_point(&ordering, 2, &mut rng));
+//! }
+//! tacan.check_invariants();
+//! assert_eq!(tacan.len(), 16);
+//! ```
 
 use tao_util::rand::Rng;
 
-use crate::can::{CanOverlay, OverlayError, OverlayNodeId, Route};
+use crate::can::CanOverlay;
 use crate::point::Point;
-use tao_topology::NodeIdx;
 
 /// Maps a landmark ordering (a permutation of `0..m`) to its lexicographic
 /// rank via the Lehmer code, returning `(rank, m!)`.
@@ -69,166 +87,6 @@ pub fn binned_join_point(ordering: &[usize], dims: usize, rng: &mut impl Rng) ->
         *c = rng.gen_range(0.0..1.0);
     }
     Point::clamped(coords)
-}
-
-/// A Topologically-Aware CAN: a [`CanOverlay`] whose nodes join at
-/// landmark-binned points, so physically close nodes own adjacent zones.
-///
-/// This is the paper's §1 baseline made concrete as an overlay type, so the
-/// churn/fault harness can exercise it alongside CAN, eCAN, Pastry, and
-/// Chord via the same `check_invariants` pattern.
-///
-/// # Example
-///
-/// ```
-/// use tao_overlay::tacan::TaCanOverlay;
-/// use tao_topology::NodeIdx;
-/// use tao_util::rand::SeedableRng;
-///
-/// let mut rng = tao_util::rand::rngs::StdRng::seed_from_u64(2);
-/// let mut tacan = TaCanOverlay::new(2, 3).unwrap();
-/// for i in 0..16u32 {
-///     let ordering = if i % 2 == 0 { [0, 1, 2] } else { [1, 0, 2] };
-///     tacan.join(NodeIdx(i), &ordering, &mut rng);
-/// }
-/// tacan.check_invariants();
-/// assert_eq!(tacan.len(), 16);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TaCanOverlay {
-    can: CanOverlay,
-    landmarks: usize,
-}
-
-impl TaCanOverlay {
-    /// Creates an empty `dims`-dimensional overlay whose joins are binned by
-    /// orderings of `landmarks` landmarks. Returns `None` when `dims` is 0
-    /// or `landmarks` is outside `1..=20` (20! overflows the bin rank).
-    pub fn new(dims: usize, landmarks: usize) -> Option<Self> {
-        if !(1..=20).contains(&landmarks) {
-            return None;
-        }
-        Some(TaCanOverlay {
-            can: CanOverlay::new(dims)?,
-            landmarks,
-        })
-    }
-
-    /// The underlying CAN.
-    pub fn can(&self) -> &CanOverlay {
-        &self.can
-    }
-
-    /// Number of landmarks whose orderings partition the first axis.
-    pub fn landmarks(&self) -> usize {
-        self.landmarks
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.can.len()
-    }
-
-    /// `true` when no node is live.
-    pub fn is_empty(&self) -> bool {
-        self.can.is_empty()
-    }
-
-    /// Joins a node at the binned point its landmark `ordering` dictates;
-    /// the residual position inside the bin is drawn from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ordering` is not a permutation of `0..landmarks`.
-    pub fn join(
-        &mut self,
-        underlay: NodeIdx,
-        ordering: &[usize],
-        rng: &mut impl Rng,
-    ) -> OverlayNodeId {
-        assert_eq!(
-            ordering.len(),
-            self.landmarks,
-            "ordering must rank all {} landmarks",
-            self.landmarks
-        );
-        let point = binned_join_point(ordering, self.can.dims(), rng);
-        self.can.join(underlay, point)
-    }
-
-    /// Departs a node; its zones fall to a CAN takeover.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`OverlayError`] from [`CanOverlay::leave`].
-    pub fn leave(&mut self, id: OverlayNodeId) -> Result<(), OverlayError> {
-        self.can.leave(id)
-    }
-
-    /// Greedy CAN routing from `source` to the owner of `target`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CanOverlay::route`].
-    pub fn route(&self, source: OverlayNodeId, target: &Point) -> Result<Route, OverlayError> {
-        self.can.route(source, target)
-    }
-
-    /// Allocation-free variant of [`TaCanOverlay::route`]; see
-    /// [`CanOverlay::route_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CanOverlay::route`].
-    // tao-lint: hot
-    // tao-lint: allow(panic-reachability, reason = "delegates to CanOverlay::route_into, whose panic edges are guarded by its own scratch sizing and liveness checks")
-    pub fn route_into(
-        &self,
-        scratch: &mut crate::RouteScratch,
-        source: OverlayNodeId,
-        target: &Point,
-    ) -> Result<(), OverlayError> {
-        self.can.route_into(scratch, source, target)
-    }
-
-    /// Imbalance statistics over the current membership — the quantities
-    /// behind the paper's §1 claim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the overlay is empty.
-    pub fn imbalance(&self) -> ImbalanceStats {
-        ImbalanceStats::measure(&self.can)
-    }
-
-    /// Asserts the overlay's structural invariants, panicking with a
-    /// description on the first violation: the underlying CAN's zone
-    /// tiling and neighbor symmetry, plus an explicit end-to-end tiling
-    /// re-check (every live node's zones sum to the whole space), since
-    /// the skewed zones this layout produces are where tiling bugs would
-    /// surface first.
-    pub fn check_invariants(&self) {
-        self.can.check_invariants();
-        if self.can.is_empty() {
-            return;
-        }
-        let total: f64 = self
-            .can
-            .live_nodes()
-            .map(|id| {
-                self.can
-                    .zones(id)
-                    .expect("live node") // tao-lint: allow(no-unwrap-in-lib, reason = "live node")
-                    .iter()
-                    .map(crate::zone::Zone::volume)
-                    .sum::<f64>()
-            })
-            .sum();
-        assert!(
-            (total - 1.0).abs() <= 1e-6,
-            "ta-can zones must tile the space: {total}"
-        );
-    }
 }
 
 /// Zone-size and neighbor-count imbalance statistics for an overlay —

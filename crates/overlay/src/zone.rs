@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use tao_util::rand::Rng;
-
 use crate::point::Point;
 
 /// An axis-aligned half-open box `[lo, hi)` in the CAN space.
@@ -124,15 +122,6 @@ impl Zone {
         )
     }
 
-    /// A uniformly random point inside the zone.
-    pub fn random_point(&self, rng: &mut impl Rng) -> Point {
-        Point::clamped(
-            (0..self.dims())
-                .map(|a| rng.gen_range(self.lo[a]..self.hi[a]))
-                .collect(),
-        )
-    }
-
     /// Splits the zone in half along `axis`, returning `(lower, upper)`.
     ///
     /// # Panics
@@ -210,21 +199,6 @@ impl Zone {
     pub fn distance_to_point(&self, p: &Point) -> f64 {
         assert_eq!(p.dims(), self.dims(), "dimensionality mismatch");
         gap_sum(&self.lo, &self.hi, p.coords()).sqrt()
-    }
-
-    /// The zone clipped to `other`, if they intersect.
-    // tao-lint: allow(panic-reachability, reason = "axis indices run 0..dims() over two zones of the same space")
-    pub fn intersection(&self, other: &Zone) -> Option<Zone> {
-        if !self.intersects(other) {
-            return None;
-        }
-        let lo = (0..self.dims())
-            .map(|a| self.lo[a].max(other.lo[a]))
-            .collect();
-        let hi = (0..self.dims())
-            .map(|a| self.hi[a].min(other.hi[a]))
-            .collect();
-        Zone::from_bounds(lo, hi)
     }
 
     /// The aligned high-order box of side `2^-level` that contains this
@@ -323,6 +297,7 @@ pub(crate) fn branchy_distance(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tao_util::rand::Rng;
 
     #[test]
     fn whole_space_has_unit_volume() {
@@ -445,16 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_clips() {
-        let whole = Zone::whole(2);
-        let (left, right) = whole.split(0);
-        assert!(left.intersection(&right).is_none());
-        let (lb, _) = left.split(1);
-        let i = lb.intersection(&left).unwrap();
-        assert_eq!(i, lb);
-    }
-
-    #[test]
     fn contains_zone_is_reflexive_and_ordered() {
         let whole = Zone::whole(2);
         let (left, _) = whole.split(0);
@@ -480,17 +445,6 @@ mod tests {
         assert!(Zone::from_bounds(vec![0.0, 0.0], vec![1.0]).is_none());
         assert!(Zone::from_bounds(vec![-0.1], vec![0.5]).is_none());
         assert!(Zone::from_bounds(vec![0.0], vec![1.1]).is_none());
-    }
-
-    #[test]
-    fn random_point_lands_inside() {
-        use tao_util::rand::rngs::StdRng;
-        use tao_util::rand::SeedableRng;
-        let (left, _) = Zone::whole(3).split(2);
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..50 {
-            assert!(left.contains(&left.random_point(&mut rng)));
-        }
     }
 
     #[test]

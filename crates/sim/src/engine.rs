@@ -13,6 +13,9 @@ use crate::stats::NetStats;
 use tao_util::time::{SimDuration, SimTime};
 use std::fmt;
 
+/// The nominal byte size [`NetStats`] charges per delivered message.
+const PAYLOAD_BYTES: u64 = 64;
+
 /// Identifies a simulated node. Dense, assigned by [`Simulator::add_node`] in
 /// increasing order starting at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -139,7 +142,6 @@ pub struct Simulator<M, L> {
     now: SimTime,
     nodes: usize,
     stats: NetStats,
-    payload_size: u64,
     faults: Option<FaultPlan>,
     /// `(time, seq)` of the last event popped; every subsequent pop must be
     /// strictly greater, which is the determinism contract latency ties are
@@ -161,18 +163,11 @@ impl<M, L> Simulator<M, L> {
             now: SimTime::ORIGIN,
             nodes: 0,
             stats: NetStats::new(),
-            payload_size: 64,
             faults: None,
             last_event: None,
             scratch_outgoing: Vec::new(),
             scratch_timers: Vec::new(),
         }
-    }
-
-    /// Sets the nominal byte size charged per message for [`NetStats`]
-    /// accounting (default 64).
-    pub fn set_payload_size(&mut self, bytes: u64) {
-        self.payload_size = bytes;
     }
 
     /// Installs a fault plan; subsequent sends and deliveries are filtered
@@ -181,11 +176,6 @@ impl<M, L> Simulator<M, L> {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.stats.record_partition_epochs(plan.partition_epoch_count());
         self.faults = Some(plan);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Registers a node and returns its id. Ids are dense and increasing.
@@ -275,10 +265,10 @@ impl<M: Clone, L: LatencyModel> Simulator<M, L> {
         match verdict {
             Verdict::Drop => self.stats.record_drop(),
             Verdict::Deliver { extra, duplicate_extra } => {
-                self.stats.record_message(self.payload_size);
+                self.stats.record_message(PAYLOAD_BYTES);
                 if let Some(dup_extra) = duplicate_extra {
                     // The duplicate is real traffic: charge it too.
-                    self.stats.record_message(self.payload_size);
+                    self.stats.record_message(PAYLOAD_BYTES);
                     self.stats.record_duplicate();
                     self.queue.schedule(
                         self.now + delay + dup_extra,
@@ -466,12 +456,11 @@ mod tests {
     #[test]
     fn stats_count_messages_not_timers() {
         let mut sim = two_node_sim();
-        sim.set_payload_size(100);
         sim.send(NodeId(0), NodeId(1), 1);
         sim.set_timer(NodeId(0), SimDuration::ZERO, 2);
         while sim.step(|_, _, _| {}).is_some() {}
         assert_eq!(sim.stats().messages(), 1);
-        assert_eq!(sim.stats().bytes(), 100);
+        assert_eq!(sim.stats().bytes(), PAYLOAD_BYTES);
     }
 
     #[test]
@@ -501,6 +490,21 @@ mod tests {
         let n = sim.run_until(SimTime::from_micros(2_000), |_, _, m| seen.push(m.payload));
         assert_eq!(n, 1);
         assert_eq!(seen, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn driver_send_between_windows_lands_behind_cursor() {
+        // `run_until` peeks the 100 ms timer and stops short of it, but the
+        // peek has already moved the queue's cursor onto it. A send the
+        // driver makes between windows, due at 2 ms, is scheduled behind
+        // that cursor and must still be delivered first.
+        let mut sim = two_node_sim();
+        sim.set_timer(NodeId(0), SimDuration::from_millis(100), 1);
+        assert_eq!(sim.run_until(SimTime::from_micros(10_000), |_, _, _| {}), 0);
+        sim.send(NodeId(0), NodeId(1), 2);
+        let mut seen = Vec::new();
+        while sim.step(|engine, _, m| seen.push((engine.now(), m.payload))).is_some() {}
+        assert_eq!(seen, vec![(SimTime::from_micros(2_000), 2), (SimTime::from_micros(100_000), 1)]);
     }
 
     #[test]

@@ -13,14 +13,13 @@
 //! tens of millions of in-flight events tractable. The original heap
 //! (`HeapQueue`) lives in this file's test code as the *oracle*: the
 //! property tests below drive both with identical random schedules
-//! (same-tick bursts, far-future overflow events, cancellations) and
-//! require identical pop sequences, so replay fingerprints stay
-//! byte-identical across the swap.
+//! (same-tick bursts, far-future overflow events) and require identical
+//! pop sequences, so replay fingerprints stay byte-identical across the
+//! swap.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use tao_util::det::DetSet;
 use tao_util::time::SimTime;
 
 /// An event of payload type `E` scheduled for a specific instant.
@@ -93,9 +92,12 @@ fn level_for(delta: u64) -> usize {
 ///   cascaded entries and direct inserts interleave at the same tick.
 /// * Entries ≥ `64^6` ticks ahead wait in an overflow heap and are pulled
 ///   into the wheel once the cursor comes within range.
-/// * Entries scheduled *before* the cursor (behind a previous pop — legal
-///   for the queue even though the [`Simulator`](crate::Simulator) never
-///   does it) wait in a small `past` heap that always pops first.
+/// * Entries scheduled *before* the cursor wait in a small `past` heap that
+///   always pops first. [`next_time`](Self::next_time) moves the cursor
+///   onto the next event without popping it, so this is the
+///   [`Simulator`](crate::Simulator)'s path too: `run_until` peeks an
+///   event past its deadline and returns, and a driver `send` or
+///   `set_timer` due before that event then lands behind the cursor.
 ///
 /// # Example
 ///
@@ -130,16 +132,8 @@ pub struct EventQueue<E> {
     /// Lower bound (in ticks) for every wheel/overflow entry.
     cursor: u64,
     next_seq: u64,
-    /// Live (scheduled, not yet popped or cancelled) entry count.
+    /// Live (scheduled, not yet popped) entry count.
     live: usize,
-    /// Tombstones for cancelled-but-not-yet-drained sequence numbers.
-    cancelled: DetSet<u64>,
-    /// `(tick, seq)` of the last *delivered* entry; used to refuse
-    /// cancelling already-popped events. Tombstone drains deliberately do
-    /// not advance it — they are compaction, not consumption — which keeps
-    /// cancel verdicts identical between the wheel (which compacts
-    /// eagerly) and the heap oracle (which compacts at the top).
-    last_consumed: Option<(u64, u64)>,
 }
 
 impl<E> EventQueue<E> {
@@ -155,8 +149,6 @@ impl<E> EventQueue<E> {
             cursor: 0,
             next_seq: 0,
             live: 0,
-            cancelled: DetSet::new(),
-            last_consumed: None,
         }
     }
 
@@ -170,174 +162,47 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Cancels a pending event previously returned by
-    /// [`schedule`](Self::schedule); `(at, seq)` must be the pair the
-    /// schedule call produced. Returns `true` if the event was pending and
-    /// is now cancelled, `false` if it was never issued, already popped, or
-    /// already cancelled. (An event scheduled behind an already-popped
-    /// instant may be conservatively refused.)
-    ///
-    /// Entries resident in a wheel slot or in the drained current tick are
-    /// removed *physically*, so heavy cancellation leaves no tombstones
-    /// behind; only entries buried in the `past`/`overflow` heaps (where
-    /// removal would be O(n)) are tombstoned, which bounds the tombstone
-    /// set by the number of *pending* heap entries instead of the number
-    /// of cancellations ever issued.
-    // tao-lint: allow(panic-reachability, reason = "slot index is level*64+slot with slot = tick & 63, always in bounds by construction")
-    pub fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
-        if seq >= self.next_seq {
-            return false;
-        }
-        let at_us = at.as_micros();
-        if self.last_consumed.map_or(false, |last| (at_us, seq) <= last) {
-            return false;
-        }
-        if self.cancelled.contains(&seq) {
-            return false;
-        }
-        // Drained current tick: sorted by `seq`, so binary search.
-        if !self.current.is_empty() && at_us == self.current_tick {
-            if let Ok(i) = self.current.binary_search_by_key(&seq, |e| e.seq) {
-                self.current.remove(i);
-                self.live -= 1;
-                return true;
-            }
-        }
-        // Wheel slots: at every level, the slot an entry with firing tick
-        // `at` could occupy is `(at >> 6l) & 63` — `place` derives it from
-        // the tick alone — so six targeted scans cover the whole wheel.
-        if at_us >= self.cursor && at_us - self.cursor < HORIZON {
-            for l in 0..LEVELS {
-                let shift = LEVEL_BITS * l as u32;
-                let s = ((at_us >> shift) & (SLOTS as u64 - 1)) as usize;
-                if self.occupied[l] & (1u64 << s) == 0 {
-                    continue;
-                }
-                let i = l * SLOTS + s;
-                if let Some(j) = self.slots[i].iter().position(|e| e.seq == seq) {
-                    self.slots[i].swap_remove(j);
-                    if self.slots[i].is_empty() {
-                        self.occupied[l] &= !(1u64 << s);
-                    }
-                    self.live -= 1;
-                    return true;
-                }
-            }
-        }
-        // Heap residents (behind the cursor or beyond the horizon): a
-        // binary heap cannot remove an interior entry cheaply, so these
-        // keep the tombstone path. The overflow pull in `refill` drops
-        // tombstoned entries instead of re-placing them.
-        if self.past.iter().any(|Reverse(e)| e.seq == seq)
-            || self.overflow.iter().any(|Reverse(e)| e.seq == seq)
-        {
-            self.cancelled.insert(seq);
-            self.live -= 1;
-            return true;
-        }
-        // Not physically present: the event was already consumed (or its
-        // tombstone already compacted away). Refuse, so double cancels
-        // stay refused even after compaction removed the tombstone.
-        false
-    }
-
-    /// Number of cancelled-but-not-yet-compacted tombstones currently held.
-    /// Bounded by the number of pending `past`/`overflow` heap entries —
-    /// the memory-linear guarantee the cancel-heavy regression test pins.
-    pub fn tombstones(&self) -> usize {
-        self.cancelled.len()
-    }
-
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     // tao-lint: hot
     // tao-lint: allow(panic-reachability, reason = "slot index is level*64+slot with slot = tick & 63, always in bounds by construction")
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            if let Some(Reverse(e)) = self.past.pop() {
-                if self.cancelled.remove(&e.seq) {
-                    continue;
-                }
-                self.last_consumed = Some((e.at, e.seq));
-                self.live -= 1;
-                return Some(ScheduledEvent {
-                    at: SimTime::from_micros(e.at),
-                    seq: e.seq,
-                    event: e.event,
-                });
-            }
-            if !self.refill() {
-                debug_assert_eq!(self.live, 0, "live entries but nothing to drain");
-                return None;
-            }
-            let Some(e) = self.current.pop_front() else {
-                continue;
-            };
-            if self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            self.last_consumed = Some((e.at, e.seq));
-            self.live -= 1;
-            return Some(ScheduledEvent {
-                at: SimTime::from_micros(e.at),
-                seq: e.seq,
-                event: e.event,
-            });
+        if self.live == 0 {
+            return None;
         }
+        let e = match self.past.pop() {
+            Some(Reverse(e)) => e,
+            None => {
+                if !self.refill() {
+                    debug_assert_eq!(self.live, 0, "live entries but nothing to drain");
+                    return None;
+                }
+                self.current.pop_front()?
+            }
+        };
+        self.live -= 1;
+        Some(ScheduledEvent {
+            at: SimTime::from_micros(e.at),
+            seq: e.seq,
+            event: e.event,
+        })
     }
 
     /// The instant of the earliest pending event, advancing internal
-    /// bookkeeping (cascades) as needed. Amortized O(1); the engine's hot
-    /// path uses this instead of [`peek_time`](Self::peek_time).
+    /// bookkeeping (cascades) as needed. Amortized O(1).
     // tao-lint: hot
     // tao-lint: allow(panic-reachability, reason = "slot index is level*64+slot with slot = tick & 63, always in bounds by construction")
     pub fn next_time(&mut self) -> Option<SimTime> {
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            while let Some(Reverse(e)) = self.past.peek() {
-                if self.cancelled.contains(&e.seq) {
-                    let seq = e.seq;
-                    self.past.pop();
-                    self.cancelled.remove(&seq);
-                } else {
-                    return Some(SimTime::from_micros(e.at));
-                }
-            }
-            if !self.refill() {
-                debug_assert_eq!(self.live, 0, "live entries but nothing to drain");
-                return None;
-            }
-            while let Some(e) = self.current.front() {
-                if self.cancelled.contains(&e.seq) {
-                    let seq = e.seq;
-                    self.current.pop_front();
-                    self.cancelled.remove(&seq);
-                } else {
-                    return Some(SimTime::from_micros(e.at));
-                }
-            }
+        if self.live == 0 {
+            return None;
         }
-    }
-
-    /// The instant of the earliest pending event, without mutating the
-    /// queue. O(n) worst case — intended for assertions and tests; the
-    /// engine uses [`next_time`](Self::next_time).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let cancelled = &self.cancelled;
-        self.past
-            .iter()
-            .chain(self.overflow.iter())
-            .map(|Reverse(e)| e)
-            .chain(self.current.iter())
-            .chain(self.slots.iter().flatten())
-            .filter(|e| !cancelled.contains(&e.seq))
-            .map(|e| (e.at, e.seq))
-            .min()
-            .map(|(at, _)| SimTime::from_micros(at))
+        if let Some(Reverse(e)) = self.past.peek() {
+            return Some(SimTime::from_micros(e.at));
+        }
+        if !self.refill() {
+            debug_assert_eq!(self.live, 0, "live entries but nothing to drain");
+            return None;
+        }
+        self.current.front().map(|e| SimTime::from_micros(e.at))
     }
 
     /// Number of pending events.
@@ -396,15 +261,6 @@ impl<E> EventQueue<E> {
                     break;
                 }
                 if let Some(Reverse(e)) = self.overflow.pop() {
-                    // Compact: a tombstoned overflow entry is dropped here
-                    // instead of re-entering the wheel, so wheel slots never
-                    // hold cancelled entries (cancel removes slot residents
-                    // physically) and the tombstone set stays bounded by the
-                    // pending heap entries. `last_consumed` is untouched —
-                    // this is compaction, not consumption.
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                        continue;
-                    }
                     self.place(e);
                 }
             }
@@ -530,6 +386,17 @@ mod tests {
     use super::properties::HeapQueue;
     use super::*;
 
+    impl<E> EventQueue<E> {
+        /// The instant of the earliest pending event, read without moving
+        /// the cursor: an O(n) scan of every resident, the oracle for
+        /// [`EventQueue::next_time`].
+        fn peek_time(&self) -> Option<SimTime> {
+            let heaps = self.past.iter().chain(self.overflow.iter()).map(|Reverse(e)| e);
+            let wheel = self.current.iter().chain(self.slots.iter().flatten());
+            heaps.chain(wheel).map(|e| e.at).min().map(SimTime::from_micros)
+        }
+    }
+
     #[test]
     fn orders_by_time_then_sequence() {
         let mut q = EventQueue::new();
@@ -649,124 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_the_entry_and_updates_len() {
-        let mut q = EventQueue::new();
-        let at = SimTime::from_micros(10);
-        let s1 = q.schedule(at, 1);
-        let s2 = q.schedule(at, 2);
-        q.schedule(SimTime::from_micros(20), 3);
-        assert!(q.cancel(at, s1));
-        assert!(!q.cancel(at, s1), "double cancel must refuse");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(at));
-        assert_eq!(q.pop().unwrap().event, 2);
-        assert!(!q.cancel(at, s2), "cancelling a popped event must refuse");
-        assert_eq!(q.pop().unwrap().event, 3);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_far_future_overflow_entry() {
-        let mut q = EventQueue::new();
-        let far = SimTime::from_micros(HORIZON * 2);
-        let s = q.schedule(far, "far");
-        q.schedule(SimTime::from_micros(1), "near");
-        assert!(q.cancel(far, s));
-        assert_eq!(q.pop().unwrap().event, "near");
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn heap_queue_matches_basic_semantics() {
         let mut q = HeapQueue::new();
         q.schedule(SimTime::from_micros(5), 'b');
-        let s = q.schedule(SimTime::from_micros(1), 'a');
+        q.schedule(SimTime::from_micros(1), 'a');
         q.schedule(SimTime::from_micros(5), 'c');
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
-        assert!(q.cancel(SimTime::from_micros(1), s));
-        assert_eq!(q.next_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(q.next_time(), Some(SimTime::from_micros(1)));
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!['b', 'c']);
+        assert_eq!(order, vec!['a', 'b', 'c']);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_heavy_rearm_schedule_leaves_no_tombstones() {
-        // The classic timeout-rearm pattern: every tick, cancel the pending
-        // timer and schedule a fresh one. Before tombstone compaction the
-        // `cancelled` set grew by one entry per rearm (100_000 tombstones
-        // here); with physical slot removal it must stay empty, and the
-        // queue must hold exactly the live timer.
-        let mut q = EventQueue::new();
-        let mut pending = None;
-        let mut now = 0u64;
-        for i in 0..100_000u64 {
-            if let Some((at, seq)) = pending.take() {
-                assert!(q.cancel(at, seq), "rearm cancel must succeed at iter {i}");
-            }
-            let at = SimTime::from_micros(now + 50 + (i * 37) % 4_000);
-            let seq = q.schedule(at, i);
-            pending = Some((at, seq));
-            assert_eq!(q.tombstones(), 0, "slot cancels must compact eagerly");
-            assert_eq!(q.len(), 1);
-            // Occasionally fire the timer to move the cursor forward.
-            if i % 64 == 63 {
-                let e = q.pop().expect("timer pending");
-                now = e.at.as_micros();
-                pending = None;
-            }
-        }
-        assert!(q.tombstones() == 0 && q.len() <= 1);
-    }
-
-    #[test]
-    fn overflow_tombstones_compact_at_the_pull_and_stay_refused() {
-        let mut q = EventQueue::new();
-        // Far-future entries land in the overflow heap; cancelling them
-        // must tombstone (heaps cannot remove interior entries cheaply)...
-        let far: Vec<(SimTime, u64)> = (0..32)
-            .map(|i| {
-                let at = SimTime::from_micros(HORIZON + 10 + i);
-                (at, q.schedule(at, i))
-            })
-            .collect();
-        for &(at, seq) in far.iter().take(16) {
-            assert!(q.cancel(at, seq));
-        }
-        assert_eq!(q.tombstones(), 16, "overflow cancels tombstone");
-        assert_eq!(q.len(), 16);
-        // ...and the pull that brings the survivors into the wheel drops
-        // every tombstoned entry without consuming it.
-        let mut popped = 0;
-        while let Some(e) = q.pop() {
-            assert!(e.at >= SimTime::from_micros(HORIZON + 10 + 16));
-            popped += 1;
-        }
-        assert_eq!(popped, 16);
-        assert_eq!(q.tombstones(), 0, "pull must compact overflow tombstones");
-        // Compaction must not resurrect cancellability: a second cancel of
-        // a compacted entry still refuses.
-        for &(at, seq) in far.iter().take(16) {
-            assert!(!q.cancel(at, seq), "double cancel after compaction");
-        }
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn cancelling_a_current_tick_entry_removes_it_physically() {
-        let mut q = EventQueue::new();
-        let at = SimTime::from_micros(5);
-        q.schedule(at, 'a');
-        let b = q.schedule(at, 'b');
-        q.schedule(at, 'c');
-        // Drain tick 5 into `current` without consuming anything.
-        assert_eq!(q.next_time(), Some(at));
-        assert!(q.cancel(at, b), "current-tick entry must be cancellable");
-        assert_eq!(q.tombstones(), 0, "current-tick cancel is physical");
-        assert_eq!(q.pop().unwrap().event, 'a');
-        assert_eq!(q.pop().unwrap().event, 'c');
-        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -791,35 +549,24 @@ mod properties {
 
     /// The original `BinaryHeap`-backed queue, kept as the determinism oracle
     /// for [`EventQueue`]: the property test below drives both with identical
-    /// random schedules and requires identical pop sequences.
-    ///
-    /// Same semantics as [`EventQueue`] for the methods the tests drive;
-    /// O(log n) schedule/pop.
+    /// random schedules and requires identical pop sequences. O(log n)
+    /// schedule/pop.
     pub(super) struct HeapQueue<E> {
         heap: BinaryHeap<Reverse<WheelEntry<E>>>,
         next_seq: u64,
-        live: usize,
-        cancelled: DetSet<u64>,
-        last_consumed: Option<(u64, u64)>,
     }
 
     impl<E> HeapQueue<E> {
-        /// Creates an empty queue.
         pub(super) fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
-                live: 0,
-                cancelled: DetSet::new(),
-                last_consumed: None,
             }
         }
 
-        /// Schedules `event` to fire at instant `at`; returns its sequence number.
         pub(super) fn schedule(&mut self, at: SimTime, event: E) -> u64 {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.live += 1;
             self.heap.push(Reverse(WheelEntry {
                 at: at.as_micros(),
                 seq,
@@ -828,105 +575,39 @@ mod properties {
             seq
         }
 
-        /// Cancels a pending event; same contract as [`EventQueue::cancel`].
-        pub(super) fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
-            if seq >= self.next_seq {
-                return false;
-            }
-            if self
-                .last_consumed
-                .map_or(false, |last| (at.as_micros(), seq) <= last)
-            {
-                return false;
-            }
-            if self.cancelled.contains(&seq) {
-                return false;
-            }
-            // Refuse entries no longer physically in the heap (already drained
-            // as tombstones), mirroring the wheel's presence check — O(n), but
-            // the heap is the test oracle, not the production queue.
-            if !self.heap.iter().any(|Reverse(e)| e.seq == seq) {
-                return false;
-            }
-            self.cancelled.insert(seq);
-            self.live -= 1;
-            true
-        }
-
-        /// Removes and returns the earliest event, or `None` if the queue is empty.
         pub(super) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-            loop {
-                if self.live == 0 {
-                    return None;
-                }
-                let Reverse(e) = self.heap.pop()?;
-                if self.cancelled.remove(&e.seq) {
-                    continue;
-                }
-                self.last_consumed = Some((e.at, e.seq));
-                self.live -= 1;
-                return Some(ScheduledEvent {
-                    at: SimTime::from_micros(e.at),
-                    seq: e.seq,
-                    event: e.event,
-                });
-            }
+            let Reverse(e) = self.heap.pop()?;
+            Some(ScheduledEvent {
+                at: SimTime::from_micros(e.at),
+                seq: e.seq,
+                event: e.event,
+            })
         }
 
-        /// The instant of the earliest pending event, discarding cancelled
-        /// entries from the heap top as they are encountered.
-        pub(super) fn next_time(&mut self) -> Option<SimTime> {
-            loop {
-                if self.live == 0 {
-                    return None;
-                }
-                let Reverse(e) = self.heap.peek()?;
-                if self.cancelled.contains(&e.seq) {
-                    let seq = e.seq;
-                    self.heap.pop();
-                    self.cancelled.remove(&seq);
-                    continue;
-                }
-                return Some(SimTime::from_micros(e.at));
-            }
+        pub(super) fn next_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse(e)| SimTime::from_micros(e.at))
         }
 
-        /// The instant of the earliest pending event, without mutating the
-        /// queue. O(n) when cancelled entries are pending.
-        pub(super) fn peek_time(&self) -> Option<SimTime> {
-            let cancelled = &self.cancelled;
-            self.heap
-                .iter()
-                .map(|Reverse(e)| e)
-                .filter(|e| !cancelled.contains(&e.seq))
-                .map(|e| (e.at, e.seq))
-                .min()
-                .map(|(at, _)| SimTime::from_micros(at))
-        }
-
-        /// Number of pending events.
         pub(super) fn len(&self) -> usize {
-            self.live
+            self.heap.len()
         }
 
-        /// `true` if no events are pending.
         pub(super) fn is_empty(&self) -> bool {
-            self.live == 0
+            self.heap.is_empty()
         }
     }
 
     /// The wheel and the heap oracle, driven by identical random command
     /// streams (schedules across every level and the overflow horizon,
-    /// same-tick bursts, pops, cancellations, peeks), must agree on every
-    /// observable: pop order and payloads, cancel verdicts, lengths, and
-    /// next-event times. This is the contract that keeps replay
-    /// fingerprints byte-identical across the queue swap.
+    /// same-tick bursts, pops, peeks), must agree on every observable: pop
+    /// order and payloads, lengths, and next-event times. This is the
+    /// contract that keeps replay fingerprints byte-identical across the
+    /// queue swap.
     #[test]
     fn wheel_matches_heap_on_random_schedules() {
         for_all("wheel_matches_heap_on_random_schedules", 192, |rng| {
             let mut wheel = EventQueue::new();
             let mut heap = HeapQueue::new();
-            let mut pending: Vec<(SimTime, u64)> = Vec::new();
             for _ in 0..rng.gen_range(1usize..150) {
                 match rng.gen_range(0u8..10) {
                     0..=5 => {
@@ -938,31 +619,9 @@ mod properties {
                         };
                         let at = SimTime::from_micros(t);
                         let payload = rng.gen::<u32>();
-                        let s1 = wheel.schedule(at, payload);
-                        let s2 = heap.schedule(at, payload);
-                        check_eq!(s1, s2);
-                        pending.push((at, s1));
+                        check_eq!(wheel.schedule(at, payload), heap.schedule(at, payload));
                     }
-                    6..=7 => {
-                        let a = wheel.pop();
-                        let b = heap.pop();
-                        check_eq!(a, b);
-                        if let Some(e) = &a {
-                            pending.retain(|&(_, s)| s != e.seq);
-                        }
-                    }
-                    8 => {
-                        if !pending.is_empty() {
-                            let i = rng.gen_range(0..pending.len());
-                            let (at, seq) = pending[i];
-                            let c1 = wheel.cancel(at, seq);
-                            let c2 = heap.cancel(at, seq);
-                            check_eq!(c1, c2);
-                            if c1 {
-                                pending.swap_remove(i);
-                            }
-                        }
-                    }
+                    6..=7 => check_eq!(wheel.pop(), heap.pop()),
                     _ => check_eq!(wheel.next_time(), heap.next_time()),
                 }
                 check_eq!(wheel.len(), heap.len());

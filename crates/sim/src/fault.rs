@@ -48,55 +48,6 @@ use tao_util::det::{DetMap, DetSet};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
 
-/// The kind of a pending membership operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnOpKind {
-    /// A node joins the overlay at a coordinate point.
-    Join,
-    /// A node leaves gracefully, handing its zone off.
-    Depart,
-    /// A node fails without handoff (soft-state expiry recovers it).
-    Crash,
-    /// A previously crashed node rejoins.
-    Recover,
-}
-
-/// One pending membership operation, as emitted by the [`FaultPlan`]
-/// batch scenario generators (flash crowd, stub-domain crash, diurnal
-/// wave).
-///
-/// The descriptor is overlay-agnostic: `node` names an underlay node
-/// (the consumer maps it to overlay identifiers), and `point` carries
-/// the join coordinate for [`ChurnOpKind::Join`] /
-/// [`ChurnOpKind::Recover`] (empty otherwise).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnOp {
-    /// What the operation does.
-    pub kind: ChurnOpKind,
-    /// Virtual time at which the operation fires.
-    pub at: SimTime,
-    /// Underlay node the operation concerns.
-    pub node: u64,
-    /// Join/recover coordinate (one entry per axis; empty for
-    /// depart/crash).
-    pub point: Vec<f64>,
-}
-
-/// Derives a per-operation RNG seed from the master seed and the
-/// operation's batch index (SplitMix64 finalizer, matching the
-/// workspace `StdRng` generator family).
-///
-/// The batch generators below and the consumers that apply a batch
-/// both seed per-op RNGs with this function, so an operation's random
-/// draws depend on `(master seed, index)` alone — never on how much of
-/// a shared stream earlier operations consumed.
-pub fn op_seed(master: u64, index: u64) -> u64 {
-    let mut z = master ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One scheduled partition window: nodes in `island` cannot exchange
 /// messages with nodes outside it while `from <= now < until`.
 #[derive(Debug, Clone)]
@@ -145,7 +96,6 @@ pub(crate) enum Verdict {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rng: StdRng,
-    seed: u64,
     drop_probability: f64,
     link_drops: DetMap<(NodeId, NodeId), f64>,
     duplicate_probability: f64,
@@ -165,7 +115,6 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             rng: StdRng::seed_from_u64(seed),
-            seed,
             drop_probability: 0.0,
             link_drops: DetMap::new(),
             duplicate_probability: 0.0,
@@ -174,11 +123,6 @@ impl FaultPlan {
             crashes: Vec::new(),
             crash_index: DetMap::new(),
         }
-    }
-
-    /// The seed this plan was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Sets the default per-message drop probability, applied to every link
@@ -299,129 +243,6 @@ impl FaultPlan {
         self.partitions.len() as u64
     }
 
-    /// Generates a flash-crowd join burst: `count` fresh underlay nodes
-    /// (`first_node`, `first_node + 1`, …) join at uniform random points,
-    /// at firing times drawn per-op within `[start, start + spread]`.
-    /// The batch is sorted by firing time (ties by node id), which is the
-    /// order it is applied in.
-    ///
-    /// Every random draw comes from a per-op RNG seeded with
-    /// [`op_seed`]`(plan seed, op index)`, so generating
-    /// a batch never perturbs the plan's drop/jitter/duplicate decision
-    /// stream, and the same plan seed always yields the same batch.
-    pub fn flash_crowd(
-        &self,
-        dims: usize,
-        count: usize,
-        first_node: u64,
-        start: SimTime,
-        spread: SimDuration,
-    ) -> Vec<ChurnOp> {
-        let mut ops: Vec<ChurnOp> = (0..count)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(op_seed(self.seed, i as u64));
-                let at = start
-                    + SimDuration::from_micros(rng.gen_range(0..=spread.as_micros()));
-                ChurnOp {
-                    kind: ChurnOpKind::Join,
-                    at,
-                    node: first_node + i as u64,
-                    point: (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
-                }
-            })
-            .collect();
-        ops.sort_by(|a, b| (a.at, a.node).cmp(&(b.at, b.node)));
-        ops
-    }
-
-    /// Generates a correlated stub-domain failure: every node in `domain`
-    /// crashes at `down_from` and (when `up_at` is not [`SimTime::MAX`])
-    /// recovers at `up_at`, rejoining at a fresh per-op random point. The
-    /// crash windows are also installed on the plan itself (as with
-    /// [`FaultPlan::crash_recover`]), so the engine drops traffic to the
-    /// domain while it is down.
-    ///
-    /// The batch lists all crashes first (in `domain` order), then all
-    /// recoveries — the order the serial loop would apply them in.
-    pub fn stub_domain_crash(
-        &mut self,
-        dims: usize,
-        domain: &[NodeId],
-        down_from: SimTime,
-        up_at: SimTime,
-    ) -> Vec<ChurnOp> {
-        let mut ops = Vec::with_capacity(domain.len() * 2);
-        for &node in domain {
-            self.crash_recover(node, down_from, up_at);
-            ops.push(ChurnOp {
-                kind: ChurnOpKind::Crash,
-                at: down_from,
-                node: node.0 as u64,
-                point: Vec::new(),
-            });
-        }
-        if up_at < SimTime::MAX {
-            for (i, &node) in domain.iter().enumerate() {
-                let mut rng =
-                    StdRng::seed_from_u64(op_seed(self.seed, (domain.len() + i) as u64));
-                ops.push(ChurnOp {
-                    kind: ChurnOpKind::Recover,
-                    at: up_at,
-                    node: node.0 as u64,
-                    point: (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
-                });
-            }
-        }
-        ops
-    }
-
-    /// Generates a diurnal churn wave: `count` operations evenly spaced
-    /// over `period`, with the join probability following a cosine day
-    /// curve — all joins at the start of the period, all departures at its
-    /// midpoint. Joins bring in fresh nodes `first_node`, `first_node + 1`,
-    /// …; each departure picks a uniformly random previously-introduced
-    /// node (the consumer skips departures of nodes that never joined).
-    ///
-    /// Per-op randomness derives from [`op_seed`] exactly
-    /// as in [`FaultPlan::flash_crowd`].
-    pub fn diurnal_wave(
-        &self,
-        dims: usize,
-        count: usize,
-        first_node: u64,
-        period: SimDuration,
-    ) -> Vec<ChurnOp> {
-        let mut next_join = first_node;
-        (0..count)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(op_seed(self.seed, i as u64));
-                let at = SimTime::ORIGIN
-                    + SimDuration::from_micros(
-                        spread_evenly(period.as_micros(), i as u64, count as u64),
-                    );
-                let phase = i as f64 / count.max(1) as f64;
-                let p_join = 0.5 * (1.0 + (2.0 * std::f64::consts::PI * phase).cos());
-                if next_join == first_node || rng.gen_bool(p_join) {
-                    let node = next_join;
-                    next_join += 1;
-                    ChurnOp {
-                        kind: ChurnOpKind::Join,
-                        at,
-                        node,
-                        point: (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
-                    }
-                } else {
-                    ChurnOp {
-                        kind: ChurnOpKind::Depart,
-                        at,
-                        node: rng.gen_range(first_node..next_join),
-                        point: Vec::new(),
-                    }
-                }
-            })
-            .collect()
-    }
-
     /// Decides the fate of one send attempt. Consumes randomness only for
     /// the probabilistic knobs actually enabled, in a fixed order
     /// (drop, then jitter, then duplicate), so the decision stream is a
@@ -454,15 +275,6 @@ impl FaultPlan {
     }
 }
 
-/// `total * index / count` in 128-bit arithmetic (overflow-safe); 0 when
-/// `count` is 0.
-fn spread_evenly(total: u64, index: u64, count: u64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    ((u128::from(total) * u128::from(index)) / u128::from(count)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,23 +283,6 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
-    }
-
-    #[test]
-    fn op_seed_is_deterministic_and_spreads() {
-        assert_eq!(op_seed(42, 0), op_seed(42, 0));
-        let a = op_seed(42, 0);
-        let b = op_seed(42, 1);
-        let c = op_seed(43, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Distinct indices under one master produce distinct seeds on
-        // a realistic batch size.
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..10_000u64 {
-            seen.insert(op_seed(7, i));
-        }
-        assert_eq!(seen.len(), 10_000);
     }
 
     #[test]
@@ -639,82 +434,5 @@ mod tests {
     #[should_panic(expected = "not in [0, 1]")]
     fn rejects_probability_above_one() {
         FaultPlan::new(7).drop_probability(1.5);
-    }
-
-    #[test]
-    fn flash_crowd_is_deterministic_sorted_and_rng_free() {
-        let plan = FaultPlan::new(0xF1A5);
-        let before = plan.rng.clone();
-        let batch = plan.flash_crowd(2, 64, 1_000, t(500), SimDuration::from_millis(10));
-        assert_eq!(plan.rng, before, "generators must not touch the judge RNG");
-        assert_eq!(batch.len(), 64);
-        assert!(batch.windows(2).all(|w| (w[0].at, w[0].node) <= (w[1].at, w[1].node)));
-        assert!(batch.iter().all(|op| {
-            op.kind == ChurnOpKind::Join
-                && op.point.len() == 2
-                && op.at >= t(500)
-                && op.at <= t(500) + SimDuration::from_millis(10)
-                && op.point.iter().all(|c| (0.0..1.0).contains(c))
-        }));
-        let again = FaultPlan::new(0xF1A5)
-            .flash_crowd(2, 64, 1_000, t(500), SimDuration::from_millis(10));
-        assert_eq!(batch, again, "same seed must reproduce the batch");
-        // Node ids cover exactly first_node..first_node+count.
-        let mut nodes: Vec<u64> = batch.iter().map(|op| op.node).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, (1_000..1_064).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn stub_domain_crash_installs_windows_and_orders_crashes_first() {
-        let mut plan = FaultPlan::new(0xD0_0D);
-        let domain: Vec<NodeId> = (4..8).map(NodeId).collect();
-        let batch = plan.stub_domain_crash(2, &domain, t(100), t(900));
-        assert_eq!(batch.len(), 8);
-        assert!(batch.iter().take(4).all(|op| op.kind == ChurnOpKind::Crash && op.at == t(100)));
-        assert!(batch.iter().skip(4).all(|op| {
-            op.kind == ChurnOpKind::Recover && op.at == t(900) && op.point.len() == 2
-        }));
-        for node in 4..8 {
-            assert!(plan.is_down(NodeId(node), t(500)));
-            assert!(!plan.is_down(NodeId(node), t(900)));
-        }
-        // Crash-stop (no recovery) emits crashes only.
-        let mut stop = FaultPlan::new(0xD0_0D);
-        let batch = stop.stub_domain_crash(2, &domain, t(100), SimTime::MAX);
-        assert_eq!(batch.len(), 4);
-        assert!(batch.iter().all(|op| op.kind == ChurnOpKind::Crash));
-    }
-
-    #[test]
-    fn diurnal_wave_mixes_joins_and_departs_deterministically() {
-        let plan = FaultPlan::new(0xD1A1);
-        let batch = plan.diurnal_wave(2, 200, 50, SimDuration::from_secs(86_400));
-        assert_eq!(batch.len(), 200);
-        assert_eq!(batch, plan.diurnal_wave(2, 200, 50, SimDuration::from_secs(86_400)));
-        assert!(batch.windows(2).all(|w| w[0].at <= w[1].at), "evenly spaced times");
-        let joins = batch.iter().filter(|op| op.kind == ChurnOpKind::Join).count();
-        let departs = batch.len() - joins;
-        assert!(joins > 0 && departs > 0, "wave must mix phases: {joins} joins");
-        // The first quarter (day peak) is join-heavy; the middle is depart-heavy.
-        let quarter = &batch[..50];
-        let mid = &batch[75..125];
-        let q_joins = quarter.iter().filter(|op| op.kind == ChurnOpKind::Join).count();
-        let m_joins = mid.iter().filter(|op| op.kind == ChurnOpKind::Join).count();
-        assert!(q_joins > 35, "day peak should be join-heavy: {q_joins}/50");
-        assert!(m_joins < 15, "trough should be depart-heavy: {m_joins}/50");
-        // Departures only name nodes some earlier op introduced.
-        let mut introduced = std::collections::BTreeSet::new();
-        for op in &batch {
-            match op.kind {
-                ChurnOpKind::Join => {
-                    introduced.insert(op.node);
-                }
-                ChurnOpKind::Depart => {
-                    assert!(introduced.contains(&op.node), "depart of unknown node {}", op.node)
-                }
-                _ => unreachable!("diurnal wave emits joins and departs only"),
-            }
-        }
     }
 }

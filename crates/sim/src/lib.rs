@@ -13,10 +13,7 @@
 //!   accounting under faults), so experiments can report communication cost,
 //! * [`FaultPlan`] — seeded, bit-reproducible fault injection: message loss,
 //!   jitter/reordering, duplicates, partitions with heal times, and
-//!   crash-stop / crash-recover schedules — plus batch churn scenario
-//!   generators (flash crowd, stub-domain crash, diurnal wave) emitting
-//!   [`ChurnOp`] batches, which consumers apply in order with per-op RNGs
-//!   seeded by [`op_seed`].
+//!   crash-stop / crash-recover schedules.
 //!
 //! The paper's soft-state machinery (TTL decay, refresh timers,
 //! publish/subscribe notifications) is time-driven; running it on virtual
@@ -57,7 +54,7 @@ mod stats;
 
 pub use engine::{Engine, LatencyModel, Message, NodeId, Simulator, UniformLatency};
 pub use event::{EventQueue, ScheduledEvent};
-pub use fault::{op_seed, ChurnOp, ChurnOpKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use stats::NetStats;
 // The time newtypes live in `tao_util::time` so that the layers below the
 // simulator (topology, landmark, overlay, proximity, softstate) can speak

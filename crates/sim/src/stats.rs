@@ -79,31 +79,6 @@ impl NetStats {
     pub fn partition_epochs(&self) -> u64 {
         self.partition_epochs
     }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: NetStats) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.drops += other.drops;
-        self.duplicates += other.duplicates;
-        self.partition_epochs += other.partition_epochs;
-    }
-
-    /// Difference since an earlier snapshot. Counters subtract
-    /// saturatingly: if `earlier` is not actually an earlier snapshot of
-    /// this stats block (a caller bug), the affected deltas clamp to zero
-    /// instead of panicking — sweeps snapshot around every phase, so a
-    /// panic path here would tear down a whole run.
-    pub fn since(&self, earlier: NetStats) -> NetStats {
-        let sub = |a: u64, b: u64| a.saturating_sub(b);
-        NetStats {
-            messages: sub(self.messages, earlier.messages),
-            bytes: sub(self.bytes, earlier.bytes),
-            drops: sub(self.drops, earlier.drops),
-            duplicates: sub(self.duplicates, earlier.duplicates),
-            partition_epochs: sub(self.partition_epochs, earlier.partition_epochs),
-        }
-    }
 }
 
 impl fmt::Display for NetStats {
@@ -122,50 +97,6 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_merges() {
-        let mut a = NetStats::new();
-        a.record_message(10);
-        a.record_drop();
-        let mut b = NetStats::new();
-        b.record_message(5);
-        b.record_message(5);
-        b.record_duplicate();
-        b.record_partition_epochs(2);
-        a.merge(b);
-        assert_eq!(a.messages(), 3);
-        assert_eq!(a.bytes(), 20);
-        assert_eq!(a.drops(), 1);
-        assert_eq!(a.duplicates(), 1);
-        assert_eq!(a.partition_epochs(), 2);
-    }
-
-    #[test]
-    fn since_subtracts_snapshots() {
-        let mut s = NetStats::new();
-        s.record_message(100);
-        s.record_drop();
-        let snap = s;
-        s.record_message(50);
-        s.record_drop();
-        s.record_duplicate();
-        let delta = s.since(snap);
-        assert_eq!(delta.messages(), 1);
-        assert_eq!(delta.bytes(), 50);
-        assert_eq!(delta.drops(), 1);
-        assert_eq!(delta.duplicates(), 1);
-    }
-
-    #[test]
-    fn since_saturates_instead_of_panicking_on_a_newer_snapshot() {
-        let mut snap = NetStats::new();
-        snap.record_message(100);
-        let older = NetStats::new();
-        let delta = older.since(snap);
-        assert_eq!(delta.messages(), 0);
-        assert_eq!(delta.bytes(), 0);
-    }
 
     #[test]
     fn display_mentions_both_counters() {

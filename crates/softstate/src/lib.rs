@@ -8,16 +8,16 @@
 //!
 //! * [`NodeInfo`] / [`SoftStateEntry`] — the published objects: the triple
 //!   `<Z, n, p>` of the paper (§5.1) plus a TTL and optional [`LoadStats`]
-//!   (§6), with a compact wire encoding,
-//! * [`ZoneMap`] — the map of one region (high-order zone): entries indexed
+//!   (§6),
+//! * [`ZoneMap`] — the map of one region (high-order zone): entries placed
 //!   by landmark number, *condensed* into a fraction of the region
-//!   (condense rate), expiring by TTL, queried with the Table-1 lookup
-//!   procedure (land at the hash position, widen the search window until
-//!   candidates are found, rank by full landmark vector),
+//!   (condense rate), expiring by TTL, and indexed by storage position so
+//!   a host's share of the map is one range walk,
 //! * [`GlobalState`] — all maps of an eCAN overlay: publish a node into the
-//!   map of every enclosing high-order zone (≤ log N maps), look up the
-//!   closest members of a target zone, and report per-host entry counts
-//!   (figure 16's "map entries / node"),
+//!   map of every enclosing high-order zone (≤ log N maps), run the Table-1
+//!   lookup (land on the host of the hash position, widen to its CAN
+//!   neighbors until candidates are found, rank by full landmark vector),
+//!   and report per-host entry counts (figure 16's "map entries / node"),
 //! * [`ring`] / [`prefix`] — the appendix's mappings for Chord and Pastry:
 //!   the same [`PeerRecord`] placed at its landmark number's successor, or
 //!   in one map per nodeId prefix,

@@ -56,13 +56,14 @@ struct Slot {
 /// let vector = LandmarkVector::from_millis(&[10.0, 40.0, 90.0]);
 /// let number = config.grid().landmark_number(&vector, config.curve());
 /// map.publish(
-///     NodeInfo { node: OverlayNodeId(0), underlay: NodeIdx(0), vector: vector.clone(),
-///                number, load: None },
+///     NodeInfo { node: OverlayNodeId(0), underlay: NodeIdx(0), vector, number, load: None },
 ///     SimTime::ORIGIN,
 ///     &config,
 /// );
-/// let found = map.lookup(&vector, number, 5, 32, SimTime::ORIGIN);
-/// assert_eq!(found.len(), 1);
+/// // Stored at its number's position, which lies in the condensed box.
+/// let entry = map.entry_of(OverlayNodeId(0)).unwrap();
+/// assert!(map.condensed().contains(&entry.position));
+/// assert_eq!(map.live_entries_in(map.region(), SimTime::ORIGIN).len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZoneMap {
@@ -73,7 +74,7 @@ pub struct ZoneMap {
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Slots by landmark number (then owner id for determinism): the curve
-    /// order [`ZoneMap::lookup`] walks and [`ZoneMap::entries`] yields.
+    /// order [`ZoneMap::entries`] yields.
     by_number: BTreeMap<(u128, OverlayNodeId), u32>,
     /// Slots by node, enforcing one entry per node per map even when its
     /// coordinates change.
@@ -279,26 +280,6 @@ impl ZoneMap {
     /// Re-stamps the TTL of `node`'s entry; returns whether it existed.
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime, config: &SoftStateConfig) -> bool {
         self.restamp(node, now + config.ttl(), None)
-    }
-
-    /// The Table-1 lookup: starting from the query's landmark number, scan
-    /// outward along the curve (up to `overscan` entries per side — the
-    /// paper's "TTL to search outside y's map content range"), rank the live
-    /// candidates by full-landmark-vector distance, and return up to `max`.
-    pub fn lookup(
-        &self,
-        query: &LandmarkVector,
-        number: LandmarkNumber,
-        max: usize,
-        overscan: usize,
-        now: SimTime,
-    ) -> Vec<NodeInfo> {
-        let pivot = (number.value(), OverlayNodeId(0));
-        let window = (self.by_number.range(pivot..).take(overscan))
-            .chain(self.by_number.range(..pivot).rev().take(overscan))
-            .map(|(_, &slot)| slot)
-            .filter(|&slot| self.get(slot).is_some_and(|e| e.is_live(now)));
-        self.nearest(query, window, max, &mut Vec::new()).cloned().collect()
     }
 
     /// The `max` entries among `slots` nearest to `query` by landmark-vector
@@ -529,7 +510,12 @@ mod tests {
         let a = map.position_for(LandmarkNumber::new(1_000), &cfg);
         let b = map.position_for(LandmarkNumber::new(1_001), &cfg);
         let far = map.position_for(LandmarkNumber::new(20_000), &cfg);
-        assert!(a.torus_distance(&b) <= a.torus_distance(&far));
+        // Squared torus distance: the order is the distance's.
+        let gap = |p: &Point, q: &Point| -> f64 {
+            let axes = p.coords().iter().zip(q.coords());
+            axes.map(|(x, y)| (x - y).abs().min(1.0 - (x - y).abs()).powi(2)).sum()
+        };
+        assert!(gap(&a, &b) <= gap(&a, &far));
     }
 
     #[test]
@@ -543,11 +529,9 @@ mod tests {
             map.publish(i.clone(), SimTime::ORIGIN, &cfg);
         }
         let query = LandmarkVector::from_millis(&[12.0, 41.0, 88.0]);
-        let qn = cfg.grid().landmark_number(&query, cfg.curve());
-        let found = map.lookup(&query, qn, 2, 32, SimTime::ORIGIN);
-        assert_eq!(found.len(), 2);
-        assert_eq!(found[0].node, OverlayNodeId(1));
-        assert_eq!(found[1].node, OverlayNodeId(2));
+        let slots = map.by_node.values().copied();
+        let found: Vec<OverlayNodeId> = map.nearest(&query, slots, 2, &mut Vec::new()).map(|i| i.node).collect();
+        assert_eq!(found, [OverlayNodeId(1), OverlayNodeId(2)]);
     }
 
     #[test]
@@ -555,11 +539,10 @@ mod tests {
         let cfg = config();
         let mut map = ZoneMap::new(Zone::whole(2), &cfg);
         let i = info(1, [10.0, 40.0, 90.0], &cfg);
-        map.publish(i.clone(), SimTime::ORIGIN, &cfg);
+        map.publish(i, SimTime::ORIGIN, &cfg);
         let after_ttl = SimTime::ORIGIN + cfg.ttl() + SimDuration::from_micros(1);
-        assert!(map
-            .lookup(&i.vector, i.number, 5, 32, after_ttl)
-            .is_empty());
+        assert!(map.live_entries_in(&Zone::whole(2), after_ttl).is_empty());
+        assert_eq!(map.live_entries(after_ttl).count(), 0);
         assert_eq!(map.expire(after_ttl), 1);
         assert!(map.is_empty());
     }
@@ -569,11 +552,11 @@ mod tests {
         let cfg = config();
         let mut map = ZoneMap::new(Zone::whole(2), &cfg);
         let i = info(1, [10.0, 40.0, 90.0], &cfg);
-        map.publish(i.clone(), SimTime::ORIGIN, &cfg);
+        map.publish(i, SimTime::ORIGIN, &cfg);
         let half = SimTime::ORIGIN + cfg.ttl() / 2;
         assert!(map.refresh(OverlayNodeId(1), half, &cfg));
         let past_original = SimTime::ORIGIN + cfg.ttl() + SimDuration::from_secs(1);
-        assert_eq!(map.lookup(&i.vector, i.number, 5, 32, past_original).len(), 1);
+        assert_eq!(map.live_entries_in(&Zone::whole(2), past_original).len(), 1);
         assert!(!map.refresh(OverlayNodeId(9), half, &cfg));
     }
 
@@ -585,28 +568,6 @@ mod tests {
         assert!(map.remove(OverlayNodeId(1)));
         assert!(!map.remove(OverlayNodeId(1)));
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn overscan_bounds_the_search_window() {
-        let cfg = config();
-        let mut map = ZoneMap::new(Zone::whole(2), &cfg);
-        // Publish 20 nodes spread across the landmark space.
-        for i in 0..20u32 {
-            let base = 10.0 + i as f64 * 15.0;
-            map.publish(
-                info(i, [base, base + 5.0, base + 10.0], &cfg),
-                SimTime::ORIGIN,
-                &cfg,
-            );
-        }
-        let query = LandmarkVector::from_millis(&[10.0, 15.0, 20.0]);
-        let qn = cfg.grid().landmark_number(&query, cfg.curve());
-        // overscan=1 examines at most 2 entries total.
-        let narrow = map.lookup(&query, qn, 10, 1, SimTime::ORIGIN);
-        assert!(narrow.len() <= 2);
-        let wide = map.lookup(&query, qn, 10, 32, SimTime::ORIGIN);
-        assert_eq!(wide.len(), 10);
     }
 
     /// A canonical, order-free fingerprint of an entry set.

@@ -185,35 +185,14 @@ impl GlobalState {
         dropped
     }
 
-    /// Looks up, in `region`'s map, up to `max` nodes whose landmark vectors
-    /// are closest to `query` — the Table-1 procedure. Returns an empty list
-    /// if the region has no map yet.
-    pub fn lookup_in(
-        &self,
-        region: &Zone,
-        query: &NodeInfo,
-        max: usize,
-        overscan: usize,
-        now: SimTime,
-    ) -> Vec<NodeInfo> {
-        match self.map(region) {
-            Some(map) => {
-                let mut found = map.lookup(&query.vector, query.number, max, overscan, now);
-                // Never hand a node back itself as a candidate.
-                found.retain(|i| i.node != query.node);
-                found
-            }
-            None => Vec::new(),
-        }
-    }
-
     /// The distributed lookup of Table 1: hash the query's landmark number
     /// to its position `p'` in `region`, route to the overlay node hosting
     /// `p'`, and consider only the map entries *that host actually stores*.
     /// If fewer than `max` candidates live there, widen the search to the
     /// host's CAN neighbors (the paper's "define a TTL to search outside
     /// y's map content range"). Candidates are ranked by full
-    /// landmark-vector distance.
+    /// landmark-vector distance, and the querying node is never one of
+    /// them. A region no node has published into answers nothing.
     ///
     /// This is the faithful model of the condense rate: spreading a map
     /// thin (rate → 1) leaves each host a small fragment and lookups see
@@ -321,15 +300,6 @@ impl GlobalState {
             }
         }
         totals
-    }
-
-    /// Mean map entries per live node.
-    pub fn mean_entries_per_host(&self, can: &CanOverlay) -> f64 {
-        let totals = self.entries_per_host(can);
-        if totals.is_empty() {
-            return 0.0;
-        }
-        totals.values().sum::<usize>() as f64 / totals.len() as f64
     }
 
     /// Iterates over `(region, map)` pairs.
@@ -479,13 +449,14 @@ mod tests {
         let b = info_for(&state, 2, [12.0, 52.0, 88.0]);
         state.publish(a.clone(), &ecan, SimTime::ORIGIN);
         state.publish(b.clone(), &ecan, SimTime::ORIGIN);
-        // Query in the highest-order zone that contains node 1.
-        let regions = ecan.enclosing_high_order_zones(a.node);
-        let top = regions.last().expect("node has high-order zones");
-        let found = state.lookup_in(top, &a, 5, 32, SimTime::ORIGIN);
-        assert!(found.iter().all(|i| i.node != a.node), "no self-candidate");
-        // b may or may not share this region; the call must not error.
-        let _ = found;
+        // Query every high-order zone that contains node 1. b may or may
+        // not share one, or be stored near the landing host; whatever is
+        // found, a is not.
+        for region in &ecan.enclosing_high_order_zones(a.node) {
+            let found = state.lookup_in_hosted(region, &a, 5, ecan.can(), SimTime::ORIGIN);
+            assert!(found.iter().all(|i| i.node != a.node), "no self-candidate");
+            assert!(found.iter().all(|i| i.node == b.node), "only b was published besides a");
+        }
     }
 
     #[test]
@@ -520,7 +491,7 @@ mod tests {
         assert_eq!(hosts.len(), 64);
         let total: usize = hosts.values().sum();
         assert_eq!(total, state.total_entries());
-        assert!(state.mean_entries_per_host(ecan.can()) > 0.0);
+        assert!(state.mean_entries_per_hosting_node(ecan.can()) > 0.0);
     }
 
     #[test]
@@ -618,10 +589,10 @@ mod tests {
 
     #[test]
     fn missing_region_lookup_is_empty() {
-        let (_, state) = setup(16);
+        let (ecan, state) = setup(16);
         let q = info_for(&state, 0, [10.0, 20.0, 30.0]);
         assert!(state
-            .lookup_in(&Zone::whole(2), &q, 5, 32, SimTime::ORIGIN)
+            .lookup_in_hosted(&Zone::whole(2), &q, 5, ecan.can(), SimTime::ORIGIN)
             .is_empty());
     }
 }

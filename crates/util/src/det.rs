@@ -52,7 +52,6 @@ pub type DetSet<T> = std::collections::BTreeSet<T>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytes::{ByteReader, ByteWriter};
     use crate::check::for_all;
     use crate::rand::Rng;
     use crate::{check, check_eq};
@@ -120,37 +119,21 @@ mod tests {
             for _ in 0..n {
                 map.insert(rng.gen_range(0..1000u64), rng.gen());
             }
-            // Encode: length prefix + (key, value) pairs in iteration
-            // order. Because that order is content-determined, the
-            // encoding is canonical: equal maps encode identically.
-            let mut w = ByteWriter::new();
-            w.put_u32(map.len() as u32);
-            for (&k, &v) in map.iter() {
-                w.put_u64(k);
-                w.put_u64(v);
-            }
-            let buf = w.into_vec();
-
-            let mut r = ByteReader::new(&buf);
-            let len = r.get_u32().expect("length prefix") as usize;
-            let mut decoded: DetMap<u64, u64> = DetMap::new();
-            for _ in 0..len {
-                let k = r.get_u64().expect("key");
-                let v = r.get_u64().expect("value");
-                decoded.insert(k, v);
-            }
-            check!(r.is_empty(), "codec must consume the whole buffer");
+            // Encode: big-endian (key, value) pairs in iteration order.
+            // Because that order is content-determined, the encoding is
+            // canonical: equal maps encode identically.
+            let encode = |m: &DetMap<u64, u64>| -> Vec<u8> {
+                m.iter().flat_map(|(k, v)| [k.to_be_bytes(), v.to_be_bytes()]).flatten().collect()
+            };
+            let buf = encode(&map);
+            let word = |c: &[u8]| u64::from_be_bytes(c.try_into().expect("8-byte chunk"));
+            let decoded: DetMap<u64, u64> = buf.chunks(16).map(|c| (word(&c[..8]), word(&c[8..]))).collect();
+            check_eq!(buf.len(), 16 * map.len(), "one fixed-width pair per entry");
             check_eq!(map, decoded);
 
             // Canonical encoding: re-encoding the decoded map is
             // byte-identical.
-            let mut w2 = ByteWriter::new();
-            w2.put_u32(decoded.len() as u32);
-            for (&k, &v) in decoded.iter() {
-                w2.put_u64(k);
-                w2.put_u64(v);
-            }
-            check_eq!(buf, w2.into_vec());
+            check_eq!(buf, encode(&decoded));
         });
     }
 

@@ -10,7 +10,6 @@
 //! |---|---|---|
 //! | [`rand`] | `rand` 0.8 | seedable SplitMix64 `StdRng`, `gen`/`gen_range`/`gen_bool`, `shuffle`, `Uniform` |
 //! | [`check`] | `proptest` | `for_all` seeded property harness + `check!` macros |
-//! | [`bytes`] | `bytes` | big-endian `ByteWriter`/`ByteReader` |
 //! | [`det`] | `std::collections::Hash{Map,Set}` | `DetMap`/`DetSet` with deterministic iteration order |
 //! | [`par`] | `rayon` | order-preserving `par_map` over scoped threads, `TAO_WORKERS` knob |
 //! | [`time`] | `std::time` | virtual-time `SimTime`/`SimDuration` newtypes (re-exported by `tao-sim`) |
@@ -24,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytes;
 pub mod check;
 pub mod det;
 pub mod par;

@@ -129,6 +129,16 @@ lint_smoke "hot-path Vec::push" crates/overlay/src/can.rs \
         ci_smoke_trace.push(0u64);
 EOF
 
+# seed-discipline: an RNG seeded from the process id, which differs from
+# run to run; no other rule sees a seed.
+lint_smoke "process-id RNG seed" crates/core/src/ci_seed_smoke.rs <<'EOF'
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
+pub fn smoke() -> StdRng {
+    StdRng::seed_from_u64(u64::from(std::process::id()))
+}
+EOF
+
 # arith-safety (time-arith): an unguarded, wrapping `+` in the timing
 # wheel's cursor math — `place` sits inside the hot closure of `pop`.
 lint_smoke "wrapping cursor add" crates/sim/src/event.rs \
@@ -179,7 +189,7 @@ echo "determinism spot-check: OK"
 cargo test -q --offline -p tao-core --test fault_injection
 cargo test -q --offline -p tao-core --test softstate_convergence
 
-# Cross-process determinism of the four pinned in-test fingerprints: each
+# Cross-process determinism of the three pinned in-test fingerprints: each
 # test prints one `<PREFIX> …` line, and two separate processes must print
 # the same one. (Each test also holds its digest to a pinned constant.)
 #   two_process_fingerprint TEST_FILE TEST_NAME LINE_PREFIX MISSING DIVERGED OK
@@ -203,10 +213,6 @@ two_process_fingerprint() {
 # + partition + crashes): delivery log digest, final clock, NetStats.
 two_process_fingerprint fault_injection fault_fingerprint_for_ci FAULT_FINGERPRINT \
     "fault" "same seed + fault plan" "fault determinism"
-# The canonical three-scenario churn run (flash crowd + stub-domain crash +
-# diurnal wave), applied in batch order: digest and op count.
-two_process_fingerprint churn_batches churn_fingerprint_for_ci CHURN_FINGERPRINT \
-    "churn" "churn fingerprint" "churn determinism"
 # A fixed lookup / refresh / expire / remove / churn script on a seeded
 # N = 256 system, digested in order. The constant was taken before the
 # store was rebuilt around a slab (PR 14), so a change to candidate
@@ -214,7 +220,8 @@ two_process_fingerprint churn_batches churn_fingerprint_for_ci CHURN_FINGERPRINT
 # instead of silently moving figures.
 two_process_fingerprint softstate_store softstate_fingerprint_for_ci SOFTSTATE_FINGERPRINT \
     "soft-state" "soft-state fingerprint" "soft-state store determinism"
-# Every hop of fixed-seed routes on CAN, TA-CAN and eCAN — join-only,
+# Every hop of fixed-seed routes on CAN, TA-CAN (landmark-binned joins)
+# and eCAN — join-only,
 # churned-and-repaired and churned-unrepaired arenas, d = 2 and 3. The
 # constant was taken before the hop kernel (PR 24) replaced the two
 # per-candidate sqrt loops, so a change to the torus gap, the candidate

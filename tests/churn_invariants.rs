@@ -8,10 +8,12 @@ use tao_overlay::chord::ChordOverlay;
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
 use tao_overlay::pastry::PastryOverlay;
-use tao_overlay::{CanOverlay, Point, TaCanOverlay};
+use tao_overlay::tacan::binned_join_point;
+use tao_overlay::{CanOverlay, OverlayNodeId, Point};
 use tao_sim::SimDuration;
 use tao_softstate::MaintenancePolicy;
 use tao_topology::{LatencyAssignment, NodeIdx, TransitStubParams};
+use tao_util::det::{DetMap, DetSet};
 
 #[test]
 fn can_survives_heavy_interleaved_churn() {
@@ -170,8 +172,11 @@ fn chord_survives_heavy_interleaved_churn() {
 
 #[test]
 fn tacan_survives_heavy_interleaved_churn() {
+    // A TA-CAN is a plain CAN whose nodes join at landmark-binned points;
+    // the skewed zones that layout produces are where tiling bugs would
+    // surface first, so the overlay is checked after every op.
     const LANDMARKS: usize = 4;
-    let mut tacan = TaCanOverlay::new(2, LANDMARKS).expect("valid config");
+    let mut tacan = CanOverlay::new(2).expect("2-d CAN");
     let mut rng = StdRng::seed_from_u64(31);
     // Landmark orderings cycle through rotations of the identity — a crude
     // stand-in for "nodes near different landmarks" that still exercises
@@ -181,7 +186,7 @@ fn tacan_survives_heavy_interleaved_churn() {
     };
     let mut live = Vec::new();
     for i in 0..64u32 {
-        live.push(tacan.join(NodeIdx(i), &ordering_for(i as usize), &mut rng));
+        live.push(tacan.join(NodeIdx(i), binned_join_point(&ordering_for(i as usize), 2, &mut rng)));
     }
     tacan.check_invariants();
     let mut next_underlay = 64u32;
@@ -190,20 +195,18 @@ fn tacan_survives_heavy_interleaved_churn() {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             tacan.leave(victim).expect("victim is live");
         } else {
-            live.push(tacan.join(NodeIdx(next_underlay), &ordering_for(step), &mut rng));
+            let point = binned_join_point(&ordering_for(step), 2, &mut rng);
+            live.push(tacan.join(NodeIdx(next_underlay), point));
             next_underlay += 1;
         }
-        if step % 25 == 24 {
-            tacan.check_invariants();
-        }
+        tacan.check_invariants();
     }
-    tacan.check_invariants();
-    // The landmark-binned CAN still routes to the owner underneath.
+    // The landmark-binned CAN still routes to the owner.
     for _ in 0..100 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
         let route = tacan.route(src, &target).expect("routing succeeds");
-        assert_eq!(*route.hops.last().expect("non-empty"), tacan.can().owner(&target));
+        assert_eq!(*route.hops.last().expect("non-empty"), tacan.owner(&target));
     }
 }
 
@@ -264,7 +267,6 @@ enum Handover {
 fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
     use std::cell::Cell;
     use tao_overlay::ecan::SampledRandomSelector;
-    use tao_overlay::OverlayNodeId;
     use tao_util::check::for_all_sequences;
 
     let (takers_departed, taken_over_joins) = (Cell::new(0u32), Cell::new(0u32));
@@ -338,195 +340,140 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch churn scenarios applied in batch order: structural invariants must
-// hold not just at the end of a batch but after every single op.
+// Churn batches applied op by op: structural invariants must hold not just
+// at the end of a batch but after every single op.
 // ---------------------------------------------------------------------------
 
-/// The three `FaultPlan` batch scenario generators, concatenated: a flash
-/// crowd of joins, a stub-domain mass crash with recovery, and a diurnal
-/// churn wave.
-fn scenario_batches(seed: u64, dims: usize) -> Vec<Vec<tao_sim::ChurnOp>> {
-    use tao_sim::{FaultPlan, NodeId, SimTime};
-    let mut plan = FaultPlan::new(seed);
-    let flash = plan.flash_crowd(
-        dims,
-        48,
-        1_000,
-        SimTime::ORIGIN,
-        SimDuration::from_secs(10),
-    );
-    let domain: Vec<NodeId> = (4..16).map(NodeId).collect();
-    let crash = plan.stub_domain_crash(
-        dims,
-        &domain,
-        SimTime::from_micros(1_000),
-        SimTime::from_micros(60_000),
-    );
-    let wave = plan.diurnal_wave(dims, 48, 2_000, SimDuration::from_secs(43_200));
-    vec![flash, crash, wave]
+/// One membership change, on a churn label.
+#[derive(Debug, Clone)]
+enum BatchOp {
+    Join(u64, Point),
+    Depart(u64),
+}
+
+/// Three seeded batches over a bootstrap of labels `0..32`, as the changes
+/// they make: a crowd of 48 fresh labels joining, labels `4..16` departing
+/// and then rejoining elsewhere, and a wave of 24 fresh joins followed by
+/// departures drawn from them (a label drawn twice departs once).
+fn membership_changes(seed: u64) -> Vec<BatchOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ops: Vec<BatchOp> = (1_000..1_048).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))).collect();
+    ops.extend((4..16).map(BatchOp::Depart));
+    ops.extend((4..16).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))));
+    ops.extend((2_000..2_024).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))));
+    let mut departed = DetSet::new();
+    for _ in 0..24 {
+        let label = rng.gen_range(2_000..2_024);
+        if departed.insert(label) {
+            ops.push(BatchOp::Depart(label));
+        }
+    }
+    ops
+}
+
+/// Labels `0..32` joined at seeded random points: the batches' bootstrap.
+fn bootstrap_can(seed: u64) -> (CanOverlay, DetMap<u64, OverlayNodeId>) {
+    let mut can = CanOverlay::new(2).expect("2-d CAN");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ids = (0..32).map(|l| (l, can.join(NodeIdx(l as u32), Point::random(2, &mut rng)))).collect();
+    (can, ids)
 }
 
 #[test]
 fn can_invariants_hold_after_every_batch_op() {
-    use tao_core::churn::ChurnState;
-    let mut state = ChurnState::new(2, 0xbc_01, 32);
-    for ops in scenario_batches(0xbc_01, 2) {
-        for (i, op) in ops.iter().enumerate() {
-            state.apply(i, op);
-            state.can().check_invariants();
+    let (mut can, mut ids) = bootstrap_can(0xbc_01);
+    for op in membership_changes(0xbc_01) {
+        match op {
+            BatchOp::Join(label, point) => {
+                ids.insert(label, can.join(NodeIdx(label as u32), point));
+            }
+            BatchOp::Depart(label) => can.leave(ids.remove(&label).expect("live label")).expect("victim is live"),
         }
+        can.check_invariants();
     }
-    assert!(state.live_len() > 16, "scenarios must leave a live overlay");
+    assert!(ids.len() > 16, "scenarios must leave a live overlay");
 }
 
 #[test]
 fn tacan_invariants_hold_after_every_batch_op() {
-    use tao_sim::{op_seed, ChurnOpKind};
-    use tao_util::det::DetMap;
+    // The batches' labels, joined instead at the landmark-binned point of
+    // an ordering rotated by the label: skewed zones under churn.
     const LANDMARKS: usize = 4;
     let seed = 0xbc_02;
-    let mut tacan = TaCanOverlay::new(2, LANDMARKS).expect("valid config");
-    let mut live = DetMap::new();
-    let mut next_underlay = 0u32;
-    let mut boot = StdRng::seed_from_u64(seed);
-    for label in 0..32u64 {
-        let ordering: Vec<usize> =
-            (0..LANDMARKS).map(|i| (i + label as usize) % LANDMARKS).collect();
-        let id = tacan.join(NodeIdx(next_underlay), &ordering, &mut boot);
-        next_underlay += 1;
-        live.insert(label, id);
-    }
-    for ops in scenario_batches(seed, 2) {
-        for (i, op) in ops.iter().enumerate() {
-            // TA-CAN joins draw their landing point from the per-op RNG.
-            let mut rng = StdRng::seed_from_u64(op_seed(seed, i as u64));
-            match op.kind {
-                ChurnOpKind::Join | ChurnOpKind::Recover => {
-                    if live.get(&op.node).is_none() {
-                        let ordering: Vec<usize> =
-                            (0..LANDMARKS).map(|k| (k + i) % LANDMARKS).collect();
-                        let id = tacan.join(NodeIdx(next_underlay), &ordering, &mut rng);
-                        next_underlay += 1;
-                        live.insert(op.node, id);
-                    }
-                }
-                ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                    if let Some(id) = live.remove(&op.node) {
-                        tacan.leave(id).expect("victim is live");
-                    }
-                }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut binned = |label: u64| {
+        let ordering: Vec<usize> = (0..LANDMARKS).map(|i| (i + label as usize) % LANDMARKS).collect();
+        binned_join_point(&ordering, 2, &mut rng)
+    };
+    let mut tacan = CanOverlay::new(2).expect("2-d CAN");
+    let mut ids: DetMap<u64, OverlayNodeId> =
+        (0..32).map(|l| (l, tacan.join(NodeIdx(l as u32), binned(l)))).collect();
+    for op in membership_changes(seed) {
+        match op {
+            BatchOp::Join(label, _) => {
+                ids.insert(label, tacan.join(NodeIdx(label as u32), binned(label)));
             }
-            tacan.check_invariants();
+            BatchOp::Depart(label) => tacan.leave(ids.remove(&label).expect("live label")).expect("victim is live"),
         }
+        tacan.check_invariants();
     }
-    assert!(live.len() > 16);
+    assert!(ids.len() > 16);
 }
 
 #[test]
 fn ecan_invariants_hold_after_every_batch_op() {
-    use tao_sim::{op_seed, ChurnOpKind};
-    use tao_util::det::DetMap;
     let seed = 0xbc_03;
-    let mut can = CanOverlay::new(2).expect("2-d CAN");
-    let mut boot = StdRng::seed_from_u64(seed);
-    let mut live = DetMap::new();
-    for label in 0..32u64 {
-        live.insert(label, can.join(NodeIdx(label as u32), Point::random(2, &mut boot)));
-    }
+    let (can, mut ids) = bootstrap_can(seed);
     let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(seed));
-    let mut next_underlay = 32u32;
-    for ops in scenario_batches(seed, 2) {
-        for (i, op) in ops.iter().enumerate() {
-            // Joins split zones out from under other nodes' expressway
-            // representatives, so per-op soundness needs a full
-            // reselection (tests/churn_batches.rs covers the cheaper
-            // incremental repair path).
-            let mut changed = false;
-            match op.kind {
-                ChurnOpKind::Join | ChurnOpKind::Recover => {
-                    if live.get(&op.node).is_none() {
-                        let id = ecan.join_unselected(
-                            NodeIdx(next_underlay),
-                            Point::clamped(op.point.clone()),
-                        );
-                        next_underlay += 1;
-                        live.insert(op.node, id);
-                        changed = true;
-                    }
-                }
-                ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                    if let Some(id) = live.remove(&op.node) {
-                        ecan.depart(id).expect("victim is live");
-                        changed = true;
-                    }
-                }
+    for (i, op) in membership_changes(seed).into_iter().enumerate() {
+        match op {
+            BatchOp::Join(label, point) => {
+                ids.insert(label, ecan.join_unselected(NodeIdx(label as u32), point));
             }
-            if changed {
-                ecan.reselect(&mut RandomSelector::new(op_seed(seed, i as u64)));
-            }
-            ecan.check_invariants();
+            BatchOp::Depart(label) => ecan.depart(ids.remove(&label).expect("live label")).expect("victim is live"),
         }
+        // Joins split zones out from under other nodes' expressway
+        // representatives, so per-op soundness needs a full reselection
+        // (`multi_zone_handover…` covers the incremental repair path).
+        ecan.reselect(&mut RandomSelector::new(seed ^ i as u64));
+        ecan.check_invariants();
     }
-    assert!(live.len() > 16);
+    assert!(ids.len() > 16);
 }
 
 #[test]
 fn pastry_and_chord_invariants_hold_after_every_batch_op() {
-    use tao_sim::{op_seed, ChurnOpKind};
-    use tao_util::det::DetMap;
     // Tables are rebuilt per op so structural invariants are checkable
-    // after every one.
+    // after every one. A label's key is a function of the label, so a
+    // rejoin reuses it and no two live labels share one.
     let seed = 0xbc_04;
+    let key = |label: u64| -> u64 { StdRng::seed_from_u64(seed ^ label).gen() };
     let mut pastry = PastryOverlay::new(8);
     let mut ring = ChordOverlay::new();
-    let mut live: DetMap<u64, u64> = DetMap::new();
-    let mut next_underlay = 0u32;
-    let mut boot = StdRng::seed_from_u64(seed);
     for label in 0..32u64 {
-        let key: u64 = boot.gen();
-        pastry.join(NodeIdx(next_underlay), key);
-        ring.join(NodeIdx(next_underlay), key);
-        next_underlay += 1;
-        live.insert(label, key);
+        pastry.join(NodeIdx(label as u32), key(label));
+        ring.join(NodeIdx(label as u32), key(label));
     }
-    pastry.reselect(&mut RandomPeerSelector::new(seed));
-    ring.reselect(&mut RandomPeerSelector::new(seed));
-    for ops in scenario_batches(seed, 2) {
-        for (i, op) in ops.iter().enumerate() {
-            let per_op = op_seed(seed, i as u64);
-            let mut changed = false;
-            match op.kind {
-                ChurnOpKind::Join | ChurnOpKind::Recover => {
-                    if live.get(&op.node).is_none() {
-                        // Key derived from the churn label, not the
-                        // batch index: indexes restart at 0 for every
-                        // batch, and a repeated key would be a
-                        // double-join.
-                        let key: u64 = op_seed(seed, op.node);
-                        pastry.join(NodeIdx(next_underlay), key);
-                        ring.join(NodeIdx(next_underlay), key);
-                        next_underlay += 1;
-                        live.insert(op.node, key);
-                        changed = true;
-                    }
-                }
-                ChurnOpKind::Depart | ChurnOpKind::Crash => {
-                    if let Some(key) = live.remove(&op.node) {
-                        pastry.leave(key).expect("victim is live");
-                        ring.leave(key).expect("victim is live");
-                        changed = true;
-                    }
-                }
+    let mut live = 32;
+    for (i, op) in membership_changes(seed).into_iter().enumerate() {
+        match op {
+            BatchOp::Join(label, _) => {
+                pastry.join(NodeIdx(label as u32), key(label));
+                ring.join(NodeIdx(label as u32), key(label));
+                live += 1;
             }
-            if changed {
-                pastry.reselect(&mut RandomPeerSelector::new(per_op));
-                ring.reselect(&mut RandomPeerSelector::new(per_op));
+            BatchOp::Depart(label) => {
+                pastry.leave(key(label)).expect("victim is live");
+                ring.leave(key(label)).expect("victim is live");
+                live -= 1;
             }
-            pastry.check_invariants();
-            ring.check_invariants();
         }
+        pastry.reselect(&mut RandomPeerSelector::new(seed ^ i as u64));
+        ring.reselect(&mut RandomPeerSelector::new(seed ^ i as u64));
+        pastry.check_invariants();
+        ring.check_invariants();
     }
-    assert!(live.len() > 16);
+    assert!(live > 16);
 }
 
 #[test]

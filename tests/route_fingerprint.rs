@@ -2,15 +2,16 @@
 //!
 //! Every stretch the paper reports is a sum over hops, so a change to the
 //! routing metric, the candidate filter or the tie-break moves figures.
-//! This test digests every hop of fixed-seed routes on CAN, TA-CAN and eCAN
-//! — join-only arenas, churned-and-repaired ones, and ones churned with no
+//! This test digests every hop of fixed-seed routes on CAN, TA-CAN (a CAN
+//! joined at landmark-binned points) and eCAN — join-only arenas, churned-and-repaired ones, and ones churned with no
 //! repair at all (`join_unselected` / `depart` and never a `reselect`, so
 //! tables name departed representatives and newcomers have none) — at
 //! d = 2 and d = 3. The constant was taken with the per-candidate
 //! `sqrt` + best-so-far loops that the hop kernel replaced.
 
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
-use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
+use tao_overlay::tacan::binned_join_point;
+use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
 use tao_topology::NodeIdx;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
@@ -111,7 +112,7 @@ fn route_fingerprint_for_ci() {
         digest.routes(dims, &live, seed + 3, &mut scratch, |s, src, t| can.route_into(s, src, t));
 
         // TA-CAN: landmark-binned joins skew the zones; then departures.
-        let mut tacan = TaCanOverlay::new(dims, 4).expect("valid params");
+        let mut tacan = CanOverlay::new(dims).expect("dims > 0");
         let mut rng = StdRng::seed_from_u64(seed + 4);
         let mut live = Vec::new();
         for i in 0..NODES {
@@ -119,7 +120,7 @@ fn route_fingerprint_for_ci() {
             for j in (1..ordering.len()).rev() {
                 ordering.swap(j, rng.gen_range(0..j + 1));
             }
-            live.push(tacan.join(NodeIdx(i), &ordering, &mut rng));
+            live.push(tacan.join(NodeIdx(i), binned_join_point(&ordering, dims, &mut rng)));
         }
         digest.routes(dims, &live, seed + 5, &mut scratch, |s, src, t| tacan.route_into(s, src, t));
         for _ in 0..CHURN {

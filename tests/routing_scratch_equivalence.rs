@@ -1,4 +1,5 @@
-//! Routing property tests over all five overlays.
+//! Routing property tests over CAN, eCAN, Chord, Pastry and the TA-CAN
+//! layout (a CAN joined at landmark-binned points).
 //!
 //! `route()` / `route_express()` run the overlay's one routing loop on a
 //! fresh `RouteScratch`, so the `*_matches_the_allocating_oracle` tests pin
@@ -21,7 +22,8 @@ use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
-use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
+use tao_overlay::tacan::binned_join_point;
+use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
 use tao_topology::NodeIdx;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
@@ -289,7 +291,7 @@ fn ecan_route_express_into_matches_the_allocating_oracle() {
 
 #[test]
 fn tacan_route_into_matches_the_allocating_oracle() {
-    let mut tacan = TaCanOverlay::new(DIMS, 4).expect("valid params");
+    let mut tacan = CanOverlay::new(DIMS).expect("2-d CAN");
     let mut rng = StdRng::seed_from_u64(0x0906);
     let mut ids = Vec::new();
     for i in 0..384u32 {
@@ -298,7 +300,7 @@ fn tacan_route_into_matches_the_allocating_oracle() {
         for j in (1..ordering.len()).rev() {
             ordering.swap(j, rng.gen_range(0..j + 1));
         }
-        ids.push(tacan.join(NodeIdx(i), &ordering, &mut rng));
+        ids.push(tacan.join(NodeIdx(i), binned_join_point(&ordering, DIMS, &mut rng)));
     }
     let mut dead = Vec::new();
     for _ in 0..64 {

@@ -1,7 +1,8 @@
 //! PR-10 runtime cross-check of the static `alloc-reachability` claim:
 //! after one warm-up pass has sized every scratch buffer (the hop kernel's
-//! candidate buffer included), `route_into` on all five overlays — the
-//! CAN family on a join-only arena and on a churned one, since the kernel
+//! candidate buffer included), `route_into` on every overlay — the CAN
+//! family (CAN, eCAN, and a TA-CAN: a CAN joined at landmark-binned
+//! points) on a join-only arena and on a churned one, since the kernel
 //! reads takeover zones only on the latter — and the soft-state hosted
 //! lookup through its `LookupScratch`, whose remembered `(region, host)`
 //! fragments a warmed pass revisits — perform ZERO heap allocations, and
@@ -27,7 +28,8 @@ use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
-use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch, TaCanOverlay};
+use tao_overlay::tacan::binned_join_point;
+use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
 use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::Zone;
 use tao_sim::{SimDuration, SimTime};
@@ -134,7 +136,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
             .count()
     };
 
-    let mut tacan = TaCanOverlay::new(DIMS, 4).expect("valid params");
+    let mut tacan = CanOverlay::new(DIMS).expect("2-d CAN");
     let mut rng = StdRng::seed_from_u64(0x0a06);
     let mut tacan_ids = Vec::new();
     for i in 0..192u32 {
@@ -142,7 +144,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         for j in (1..ordering.len()).rev() {
             ordering.swap(j, rng.gen_range(0..j + 1));
         }
-        tacan_ids.push(tacan.join(NodeIdx(i), &ordering, &mut rng));
+        tacan_ids.push(tacan.join(NodeIdx(i), binned_join_point(&ordering, DIMS, &mut rng)));
     }
     let tacan_calls = can_family_calls(&tacan_ids, 0x0a07);
     let mut churned_tacan = tacan.clone();
