@@ -105,7 +105,7 @@ fn main() {
             } else {
                 // Publish fresh load, decay stale load, re-select.
                 {
-                    let mut selector = LoadAwareSelector::new(&oracle, &model, penalty, 113);
+                    let mut selector = LoadAwareSelector::new(&oracle, &model, penalty);
                     ecan.reselect(&mut selector);
                 }
                 decay_loads(&mut model, &live);

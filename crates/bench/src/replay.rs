@@ -427,12 +427,7 @@ fn run_skew(
         overloaded.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         overloaded.truncate(spec.max_reselect);
         let mut selector = SaturationSelector {
-            inner: LoadAwareSelector::new(
-                &world.oracle,
-                &loads,
-                spec.penalty,
-                mix(spec.seed, 0x5e1e, round as u64),
-            ),
+            inner: LoadAwareSelector::new(&world.oracle, &loads, spec.penalty),
             sample_rng: StdRng::seed_from_u64(mix(spec.seed, 0x5a3b, round as u64)),
         };
         for &(_, id) in &overloaded {

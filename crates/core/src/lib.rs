@@ -21,8 +21,9 @@
 //! 5. **Load awareness (§6)** — candidates can be scored by a blend of RTT
 //!    and published utilization ([`LoadAwareSelector`]).
 //!
-//! 6. **Generality (§7)** — the same pipeline on Chord and Pastry, written
-//!    once over the id-keyed overlays ([`KeyedAware`]).
+//! 6. **Generality (§7)** — one system, [`Aware`], runs the pipeline on
+//!    eCAN, Chord and Pastry ([`TopologyAwareOverlay`], [`ChordAware`],
+//!    [`PastryAware`]).
 //!
 //! The entry point is [`TopologyAwareOverlay`], built via [`TaoBuilder`];
 //! [`experiment`] contains the harnesses that regenerate the paper's
@@ -58,9 +59,9 @@ mod params;
 mod selector;
 mod system;
 
-pub use aware::{AwareOverlay, ChordAware, KeyedAware, PastryAware};
+pub use aware::{Aware, AwareOverlay, ChordAware, PastryAware, TopologyAwareOverlay};
 pub use load::{LoadAwareSelector, LoadModel};
 pub use metrics::{StretchSummary, Summary};
 pub use params::{ExperimentParams, SelectionStrategy};
 pub use selector::{GlobalStateSelector, SelectorStats};
-pub use system::{TaoBuilder, TopologyAwareOverlay};
+pub use system::TaoBuilder;

@@ -138,7 +138,6 @@ pub struct LoadAwareSelector<'a> {
     oracle: &'a RttOracle,
     loads: &'a LoadModel,
     penalty: f64,
-    fallback_rng: StdRng,
 }
 
 impl<'a> LoadAwareSelector<'a> {
@@ -147,7 +146,7 @@ impl<'a> LoadAwareSelector<'a> {
     /// # Panics
     ///
     /// Panics if `penalty` is negative or not finite.
-    pub fn new(oracle: &'a RttOracle, loads: &'a LoadModel, penalty: f64, seed: u64) -> Self {
+    pub fn new(oracle: &'a RttOracle, loads: &'a LoadModel, penalty: f64) -> Self {
         assert!(
             penalty.is_finite() && penalty >= 0.0,
             "penalty must be a non-negative finite number"
@@ -156,7 +155,6 @@ impl<'a> LoadAwareSelector<'a> {
             oracle,
             loads,
             penalty,
-            fallback_rng: StdRng::seed_from_u64(seed),
         }
     }
 
@@ -191,9 +189,7 @@ impl NeighborSelector for LoadAwareSelector<'_> {
                     .expect("scores are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "scores are finite")
                     .then(a.cmp(&b))
             })
-            .unwrap_or_else(|| {
-                candidates[self.fallback_rng.gen_range(0..candidates.len())]
-            })
+            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
     }
 }
 
@@ -264,12 +260,12 @@ mod tests {
         members.retain(|&m| m != chooser);
         assert!(members.len() >= 2, "need competition in the box");
 
-        let mut pure = LoadAwareSelector::new(&oracle, &model, 0.0, 1);
+        let mut pure = LoadAwareSelector::new(&oracle, &model, 0.0);
         let closest = pure.select(chooser, &entry.target_box, &members, ecan.can());
 
         // Saturate the closest candidate far beyond capacity.
         model.add_load(closest, 10_000.0);
-        let mut aware = LoadAwareSelector::new(&oracle, &model, 10.0, 1);
+        let mut aware = LoadAwareSelector::new(&oracle, &model, 10.0);
         let choice = aware.select(chooser, &entry.target_box, &members, ecan.can());
         assert_ne!(choice, closest, "overloaded node should be avoided");
     }

@@ -45,8 +45,6 @@ pub struct ExperimentParams {
     pub grid_bits: u32,
     /// Overlay dimensionality (default 2, as in the paper's eCAN).
     pub dims: usize,
-    /// How far map lookups scan along the curve per side (Table 1's TTL).
-    pub lookup_overscan: usize,
     /// Neighbor-selection strategy.
     pub selection: SelectionStrategy,
 }
@@ -61,7 +59,6 @@ impl Default for ExperimentParams {
             landmark_vector_index: 3,
             grid_bits: 5,
             dims: 2,
-            lookup_overscan: 64,
             selection: SelectionStrategy::GlobalState,
         }
     }
@@ -90,7 +87,6 @@ impl ExperimentParams {
             "grid bits must be in 1..=16"
         );
         assert!(self.dims >= 2, "eCAN needs at least 2 dimensions");
-        assert!(self.lookup_overscan >= 1, "overscan must be at least 1");
     }
 }
 

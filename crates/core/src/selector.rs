@@ -115,16 +115,6 @@ impl<'a> GlobalStateSelector<'a> {
         SelectorStats { fragment_walks, ..self.stats }
     }
 
-    /// RTT probes this selector has spent so far.
-    pub fn probes_spent(&self) -> u64 {
-        self.stats.probes
-    }
-
-    /// How many selections fell back to random for lack of candidates.
-    pub fn fallbacks(&self) -> u64 {
-        self.stats.fallbacks
-    }
-
     /// Names `(for_node, target_box)` on this CAN, if the box has a key.
     fn asked(for_node: OverlayNodeId, target_box: &Zone, can: &CanOverlay) -> Option<(OverlayNodeId, RegionKey, usize, usize)> {
         Some((for_node, RegionKey::from_zone(target_box)?, can.id_bound(), can.len()))
@@ -305,14 +295,14 @@ mod tests {
         f
     }
 
-    /// A [`GlobalStateSelector`] behind a wrapper that counts the boxes it
-    /// is asked about and the lists it is handed and, unless `whole_box`,
-    /// hides `select_in_box` — the reference path, on which every box is
-    /// enumerated.
+    /// The list-path reference: a [`GlobalStateSelector`] behind a wrapper
+    /// that counts the lists it is handed and implements only `select`, with
+    /// eCAN's concrete signature — the shape of the benchmark package's
+    /// traced selector, so a change to [`NeighborSelector`] that would stop
+    /// such a selector compiling fails here. Without `select_in_box`, every
+    /// box is enumerated.
     struct Wrapped<'a> {
         inner: GlobalStateSelector<'a>,
-        whole_box: bool,
-        boxes: u64,
         lists: u64,
     }
 
@@ -327,6 +317,25 @@ mod tests {
             self.lists += 1;
             self.inner.select(for_node, target_box, candidates, can)
         }
+    }
+
+    /// The membership path: [`Wrapped`] with `select_in_box` forwarded, and
+    /// the boxes it is asked about counted.
+    struct Counted<'a> {
+        listed: Wrapped<'a>,
+        boxes: u64,
+    }
+
+    impl NeighborSelector for Counted<'_> {
+        fn select(
+            &mut self,
+            for_node: OverlayNodeId,
+            target_box: &Zone,
+            candidates: &[OverlayNodeId],
+            can: &CanOverlay,
+        ) -> OverlayNodeId {
+            self.listed.select(for_node, target_box, candidates, can)
+        }
 
         fn select_in_box(
             &mut self,
@@ -335,11 +344,7 @@ mod tests {
             can: &CanOverlay,
         ) -> BoxSelection {
             self.boxes += 1;
-            if self.whole_box {
-                self.inner.select_in_box(for_node, target_box, can)
-            } else {
-                BoxSelection::Enumerate
-            }
+            self.listed.inner.select_in_box(for_node, target_box, can)
         }
     }
 
@@ -365,22 +370,27 @@ mod tests {
         let before = f.oracle.measurements();
         let inner =
             GlobalStateSelector::new(state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 9);
-        let mut sel = Wrapped { inner, whole_box, boxes: 0, lists: 0 };
-        ecan.reselect(&mut sel);
+        let mut sel = Counted { listed: Wrapped { inner, lists: 0 }, boxes: 0 };
+        if whole_box {
+            ecan.reselect(&mut sel);
+        } else {
+            ecan.reselect(&mut sel.listed);
+        }
         ecan.check_invariants();
+        let (inner, lists) = (&sel.listed.inner, sel.listed.lists);
         let outcome = Outcome {
             tables: ecan.can().live_nodes().map(|id| ecan.high_order_entries(id)).collect(),
-            probes_spent: sel.inner.probes_spent(),
-            fallbacks: sel.inner.fallbacks(),
+            probes_spent: inner.stats().probes,
+            fallbacks: inner.stats().fallbacks,
             charged: f.oracle.measurements() - before,
         };
-        let stats = sel.inner.stats();
+        let stats = inner.stats();
         assert_eq!(stats.selections, outcome.selections(), "one selection per entry");
         // One lookup per box asked about — none again for the fallback draw
         // — or, on the reference path, one per list.
-        assert_eq!(stats.lookups, if whole_box { sel.boxes } else { sel.lists });
+        assert_eq!(stats.lookups, if whole_box { sel.boxes } else { lists });
         assert!(stats.fragment_walks <= stats.lookups);
-        (outcome, sel.lists)
+        (outcome, lists)
     }
 
     #[test]
@@ -508,9 +518,9 @@ mod tests {
         ecan.reselect_node(live[0], &mut sel);
         let entries = ecan.high_order_entries(live[0]).len() as u64;
         assert!(
-            sel.probes_spent() <= entries * 5,
+            sel.stats().probes <= entries * 5,
             "spent {} probes for {} entries",
-            sel.probes_spent(),
+            sel.stats().probes,
             entries
         );
     }
@@ -569,7 +579,7 @@ mod tests {
         let mut sel =
             GlobalStateSelector::new(&empty, &f.oracle, &f.infos, 5, SimTime::ORIGIN, 4);
         ecan.reselect(&mut sel);
-        assert!(sel.fallbacks() > 0);
-        assert_eq!(sel.probes_spent(), 0, "no candidates, no probes");
+        assert!(sel.stats().fallbacks > 0);
+        assert_eq!(sel.stats().probes, 0, "no candidates, no probes");
     }
 }

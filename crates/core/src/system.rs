@@ -1,24 +1,23 @@
-//! The assembled system: topology + landmarks + eCAN + global soft-state.
+//! The eCAN system the paper's figures measure: [`TaoBuilder`], what eCAN
+//! contributes to the one topology-aware system ([`AwareOverlay`] items),
+//! and what only eCAN has — a clock, incremental membership
+//! ([`TopologyAwareOverlay::join_node`], [`TopologyAwareOverlay::depart`])
+//! and pub/sub.
 
-use tao_util::det::DetMap;
-
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::seq::SliceRandom;
-use tao_util::rand::{Rng, SeedableRng};
-use tao_landmark::{LandmarkGrid, LandmarkVector, SpaceFillingCurve};
-use tao_overlay::ecan::{ClosestSelector, EcanOverlay, NeighborSelector, RandomSelector};
+use tao_landmark::{LandmarkNumber, LandmarkVector, SpaceFillingCurve};
+use tao_overlay::ecan::{EcanOverlay, NeighborSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
-use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
-use tao_topology::{
-    generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle, Topology, TransitStubParams,
-};
+use tao_topology::landmarks::LandmarkStrategy;
+use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, Topology, TransitStubParams};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
-use crate::metrics::{route_stretch, StretchSummary};
+use crate::aware::{Aware, AwareOverlay, TopologyAwareOverlay};
 use crate::params::{ExperimentParams, SelectionStrategy};
-use crate::selector::{GlobalStateSelector, SelectorStats};
+use crate::selector::GlobalStateSelector;
 
 /// Builder for [`TopologyAwareOverlay`].
 ///
@@ -141,176 +140,90 @@ impl TaoBuilder {
     /// # Panics
     ///
     /// Same conditions as [`TaoBuilder::build`].
-    // tao-lint: allow(panic-reachability, reason = "panics only if the landmark set is empty, which validate() rejects before any build path reaches the expect")
+    // tao-lint: allow(panic-reachability, reason = "panics only if the parameters are invalid or the overlay outgrows the topology, which are its documented contract")
     pub fn build_on(&self, topology: Topology) -> TopologyAwareOverlay {
-        self.params.validate();
-        assert!(
-            self.params.overlay_nodes <= topology.graph().node_count(),
-            "overlay larger than the topology"
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x7a0));
-        let oracle = RttOracle::new(topology.graph().clone());
-
-        // 1. Landmarks. (`warm` is a no-op on a graph whose distances
-        //    factor — every transit-stub one; on a graph that falls back to
-        //    rows it computes the landmarks' rows ahead of the vectors.)
-        let landmarks = select_landmarks(
-            topology.graph(),
-            self.params.landmarks,
-            self.landmark_strategy,
-            &mut rng,
-        );
-        oracle.warm(&landmarks);
-
-        // 2. Pick participants and grow the CAN with uniform random joins.
-        let participants = topology.sample_nodes(self.params.overlay_nodes, &mut rng);
-        let mut can = CanOverlay::new(self.params.dims).expect("dims >= 2"); // tao-lint: allow(no-unwrap-in-lib, reason = "dims >= 2")
-        for &router in &participants {
-            can.join(router, Point::random(self.params.dims, &mut rng));
-        }
-
-        // 3. Landmark vectors and numbers (RTT probes, charged).
-        let config = SoftStateConfig::builder(landmark_grid(&oracle, &landmarks, &self.params))
-            .curve(self.curve)
-            .condense_rate(self.params.condense_rate)
-            .build();
-        let mut infos = DetMap::new();
-        for id in can.live_nodes().collect::<Vec<_>>() {
-            let underlay = can.underlay(id);
-            let vector = LandmarkVector::measure(underlay, &landmarks, &oracle);
-            let number = config.grid().landmark_number(&vector, config.curve());
-            infos.insert(
-                id,
-                NodeInfo {
-                    node: id,
-                    underlay,
-                    vector,
-                    number,
-                    load: None,
-                },
-            );
-        }
-
-        // 4. Publish everyone's soft-state over the bare CAN, then make the
-        //    one table pass with the configured neighbor selection.
-        let ecan = EcanOverlay::unselected(can);
-        let mut state = GlobalState::new(config);
-        let now = SimTime::ORIGIN;
-        for info in infos.values() {
-            state.publish(info.clone(), &ecan, now);
-        }
-        let mut tao = TopologyAwareOverlay {
-            topology,
-            oracle,
-            landmarks,
-            params: self.params,
-            ecan,
-            state,
-            pubsub: PubSub::new(),
-            infos,
-            now,
-            scratch: LookupScratch::default(),
-            last_pass: SelectorStats::default(),
-        };
-        tao.with_selector(self.seed, self.seed.wrapping_add(0x5e1), |ecan, sel| {
-            ecan.reselect(sel)
-        });
-        tao
+        Aware::assemble(topology, self.params, self.seed, self.landmark_strategy, self.curve)
     }
 }
 
-/// The landmark-space grid every system quantises vectors on: the
-/// (validated) `params`' index and resolution under an RTT ceiling of twice
-/// the largest landmark-to-landmark distance, so in-range vectors rarely
-/// saturate.
-pub(crate) fn landmark_grid(
-    oracle: &RttOracle,
-    landmarks: &[NodeIdx],
-    params: &ExperimentParams,
-) -> LandmarkGrid {
-    let mut max = SimDuration::from_millis(1);
-    for (i, &a) in landmarks.iter().enumerate() {
-        for &b in &landmarks[i + 1..] {
-            max = max.max(oracle.ground_truth(a, b));
+/// eCAN's slots are its CAN's aligned boxes, its store one map per
+/// high-order zone, and a route heads for a random point.
+impl AwareOverlay for EcanOverlay {
+    type Slots = CanOverlay;
+    type State = GlobalState;
+    type Record = NodeInfo;
+    type Scratch = LookupScratch;
+    type Key = Point;
+    const BUILD_SALT: u64 = 0x7a0;
+
+    fn pass_seeds(build: Option<u64>, now: SimTime) -> (u64, u64) {
+        match build {
+            Some(seed) => (seed, seed.wrapping_add(0x5e1)),
+            None => (now.as_micros(), now.as_micros() ^ 0x5e1),
         }
     }
-    LandmarkGrid::new(params.landmark_vector_index, params.grid_bits, max * 2)
-        .expect("validated grid parameters") // tao-lint: allow(no-unwrap-in-lib, reason = "validated grid parameters")
+
+    fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (Self, GlobalState) {
+        let can = CanOverlay::new(params.dims).expect("dims >= 2"); // tao-lint: allow(no-unwrap-in-lib, reason = "dims >= 2")
+        (EcanOverlay::unselected(can), GlobalState::new(config))
+    }
+
+    fn slots(&self) -> &CanOverlay {
+        self.can()
+    }
+
+    fn members(&self) -> Vec<OverlayNodeId> {
+        self.can().live_nodes().collect()
+    }
+
+    fn join_drawn(&mut self, underlay: NodeIdx, rng: &mut StdRng) {
+        self.join_unselected(underlay, Point::random(self.can().dims(), rng));
+    }
+
+    fn record(node: OverlayNodeId, underlay: NodeIdx, vector: LandmarkVector, number: LandmarkNumber) -> NodeInfo {
+        NodeInfo { node, underlay, vector, number, load: None }
+    }
+
+    fn publish(&self, state: &mut GlobalState, info: NodeInfo, now: SimTime) {
+        state.publish(info, self, now);
+    }
+
+    fn reselect(&mut self, selector: &mut dyn NeighborSelector) {
+        EcanOverlay::reselect(self, selector);
+    }
+
+    fn with_store_selector(
+        aware: &mut Aware<Self>,
+        fallback: u64,
+        pass: impl FnOnce(&mut Self, &mut dyn NeighborSelector),
+    ) {
+        let (infos, budget) = (&aware.records, aware.params.rtt_budget);
+        let mut selector =
+            GlobalStateSelector::new(&aware.state, &aware.oracle, infos, budget, aware.now, fallback)
+                .lend(std::mem::take(&mut aware.scratch));
+        pass(&mut aware.overlay, &mut selector);
+        (aware.last_pass, aware.scratch) = selector.finish();
+    }
+
+    fn draw_key(&self, rng: &mut StdRng) -> Point {
+        Point::random(self.can().dims(), rng)
+    }
+
+    fn route<'s>(&self, scratch: &'s mut RouteScratch, start: OverlayNodeId, key: &Point) -> Option<&'s [OverlayNodeId]> {
+        self.route_express_into(scratch, start, key).ok()?;
+        Some(scratch.hops())
+    }
 }
 
-/// The assembled topology-aware overlay: the object experiments measure.
-#[derive(Debug)]
-pub struct TopologyAwareOverlay {
-    topology: Topology,
-    oracle: RttOracle,
-    landmarks: Vec<NodeIdx>,
-    params: ExperimentParams,
-    ecan: EcanOverlay,
-    state: GlobalState,
-    pubsub: PubSub,
-    infos: DetMap<OverlayNodeId, NodeInfo>,
-    now: SimTime,
-    /// The soft-state selectors' lookup scratch, lent to each pass: what it
-    /// remembers stands while the state, the CAN and `now` do.
-    scratch: LookupScratch,
-    last_pass: SelectorStats,
-}
-
-impl TopologyAwareOverlay {
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The RTT oracle (shared meter).
-    pub fn oracle(&self) -> &RttOracle {
-        &self.oracle
-    }
-
-    /// The landmark routers.
-    pub fn landmarks(&self) -> &[NodeIdx] {
-        &self.landmarks
-    }
-
-    /// The experiment parameters the system was built with.
-    pub fn params(&self) -> &ExperimentParams {
-        &self.params
-    }
-
+impl Aware<EcanOverlay> {
     /// The eCAN overlay.
     pub fn ecan(&self) -> &EcanOverlay {
-        &self.ecan
-    }
-
-    /// The global soft-state.
-    pub fn state(&self) -> &GlobalState {
-        &self.state
-    }
-
-    /// Mutable access to the global soft-state (for churn experiments).
-    pub fn state_mut(&mut self) -> &mut GlobalState {
-        &mut self.state
-    }
-
-    /// The pub/sub registry.
-    pub fn pubsub(&self) -> &PubSub {
-        &self.pubsub
+        &self.overlay
     }
 
     /// Mutable access to the pub/sub registry.
     pub fn pubsub_mut(&mut self) -> &mut PubSub {
         &mut self.pubsub
-    }
-
-    /// Published info of an overlay node.
-    pub fn info(&self, id: OverlayNodeId) -> Option<&NodeInfo> {
-        self.infos.get(&id)
-    }
-
-    /// What the soft-state selector of the latest pass did — the build's,
-    /// or the last `reselect*` since (zeros under the other strategies).
-    pub fn last_pass(&self) -> SelectorStats {
-        self.last_pass
     }
 
     /// Current virtual time of the system.
@@ -321,33 +234,6 @@ impl TopologyAwareOverlay {
     /// Advances virtual time (TTL decay is visible to subsequent lookups).
     pub fn advance(&mut self, by: SimDuration) {
         self.now += by;
-    }
-
-    /// Measures routing stretch over `routes` random `(source, target)`
-    /// pairs: the ratio of accumulated latency along the eCAN route to the
-    /// shortest-path latency from source to the target's owner.
-    ///
-    /// Pairs whose source owns the target point, or whose endpoints are
-    /// co-located (zero shortest path), are skipped, as are the rare pairs
-    /// where greedy routing dead-ends.
-    // tao-lint: allow(panic-reachability, reason = "indexes parallel per-node vectors whose lengths are equal by construction of the stretch sweep")
-    pub fn measure_routing_stretch(&self, routes: usize, seed: u64) -> StretchSummary {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let live: Vec<OverlayNodeId> = self.ecan.can().live_nodes().collect();
-        let mut summary = StretchSummary::new();
-        let mut scratch = RouteScratch::new();
-        for _ in 0..routes {
-            let src = live[rng.gen_range(0..live.len())];
-            let target = Point::random(self.params.dims, &mut rng);
-            if self.ecan.route_express_into(&mut scratch, src, &target).is_err() {
-                continue;
-            }
-            let underlays = scratch.hops().iter().map(|&h| self.ecan.can().underlay(h));
-            if let Some(stretch) = route_stretch(underlays, &self.oracle) {
-                summary.add(stretch);
-            }
-        }
-        summary
     }
 
     /// Joins a new node onto underlay router `underlay`, running the
@@ -368,32 +254,21 @@ impl TopologyAwareOverlay {
         // tao-lint: allow(seed-discipline, reason = "seeded from *virtual* time, which is itself deterministic; changing the stream would break the pinned replay fingerprints")
         let mut rng = StdRng::seed_from_u64(self.now.as_micros() ^ u64::from(underlay.0));
         let point = Point::random(self.params.dims, &mut rng);
-        let id = self.ecan.join_unselected(underlay, point);
-
-        let vector = LandmarkVector::measure(underlay, &self.landmarks, &self.oracle);
+        let id = self.overlay.join_unselected(underlay, point);
         let config = *self.state.config();
-        let number = config.grid().landmark_number(&vector, config.curve());
-        let info = NodeInfo {
-            node: id,
-            underlay,
-            vector,
-            number,
-            load: None,
-        };
-        self.state.publish(info.clone(), &self.ecan, self.now);
-        self.infos.insert(id, info.clone());
+        let info = self.publish_member(id, &config);
 
         // Select the newcomer's expressways; its split partner's table is
         // refreshed too since its zone changed shape.
         let mut affected: Vec<OverlayNodeId> =
-            self.ecan.can().neighbors(id).unwrap_or_default();
+            self.overlay.can().neighbors(id).unwrap_or_default();
         affected.push(id);
         self.reselect_nodes(&affected);
 
         // Demand-driven maintenance: tell subscribers of every zone the
         // newcomer landed in.
         let mut notified = Vec::new();
-        for zone in self.ecan.enclosing_high_order_zones(id) {
+        for zone in self.overlay.enclosing_high_order_zones(id) {
             notified.extend(
                 self.pubsub
                     .publish(&zone, &pubsub::Event::NodeJoined(info.clone())),
@@ -420,43 +295,11 @@ impl TopologyAwareOverlay {
     /// Propagates [`tao_overlay::OverlayError`] from the CAN departure.
     // tao-lint: allow(panic-reachability, reason = "departure panics only if zone bookkeeping is corrupted, which the churn invariant tests pin down")
     pub fn depart(&mut self, node: OverlayNodeId) -> Result<(), tao_overlay::OverlayError> {
-        let dependents = self.ecan.dependents_of(node);
-        self.ecan.depart(node)?;
-        self.infos.remove(&node);
+        let dependents = self.overlay.dependents_of(node);
+        self.overlay.depart(node)?;
+        self.records.remove(&node);
         self.reselect_nodes(&dependents);
         Ok(())
-    }
-
-    /// Runs `f` on the eCAN with the configured strategy's selector over
-    /// the current soft-state — the one place a [`SelectionStrategy`]
-    /// becomes a selector. `random_seed` feeds [`RandomSelector`],
-    /// `fallback_seed` the soft-state selector's fallback draw.
-    fn with_selector(
-        &mut self,
-        random_seed: u64,
-        fallback_seed: u64,
-        f: impl FnOnce(&mut EcanOverlay, &mut dyn NeighborSelector),
-    ) {
-        self.last_pass = SelectorStats::default();
-        match self.params.selection {
-            SelectionStrategy::Random => f(&mut self.ecan, &mut RandomSelector::new(random_seed)),
-            SelectionStrategy::Optimal => {
-                f(&mut self.ecan, &mut ClosestSelector::new(self.oracle.clone()))
-            }
-            SelectionStrategy::GlobalState => {
-                let mut selector = GlobalStateSelector::new(
-                    &self.state,
-                    &self.oracle,
-                    &self.infos,
-                    self.params.rtt_budget,
-                    self.now,
-                    fallback_seed,
-                )
-                .lend(std::mem::take(&mut self.scratch));
-                f(&mut self.ecan, &mut selector);
-                (self.last_pass, self.scratch) = selector.finish();
-            }
-        }
     }
 
     /// Re-runs neighbor selection for the given nodes only, with the
@@ -464,39 +307,18 @@ impl TopologyAwareOverlay {
     // tao-lint: allow(panic-reachability, reason = "reselection panics only on corrupted expressway tables; the fault-injection harness exercises the recoverable paths")
     pub fn reselect_nodes(&mut self, nodes: &[OverlayNodeId]) {
         let now = self.now.as_micros();
-        self.with_selector(now, now ^ 0x5e2, |ecan, sel| {
+        self.with_selector((now, now ^ 0x5e2), |ecan, sel| {
             for &id in nodes {
                 ecan.reselect_node(id, sel);
             }
         });
-    }
-
-    /// Re-runs neighbor selection with the system's configured strategy
-    /// against the *current* soft-state (e.g. after churn or TTL decay).
-    // tao-lint: allow(panic-reachability, reason = "an expressway table pass panics only if a live node has no published info or a target box has no member; build_on and join_node record an info for every node they add, depart drops it with the node, and the CAN's zones cover the space")
-    pub fn reselect(&mut self) {
-        let now = self.now.as_micros();
-        self.with_selector(now, now ^ 0x5e1, |ecan, sel| ecan.reselect(sel));
-    }
-
-    /// Draws `count` distinct live overlay nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the number of live nodes.
-    pub fn sample_overlay_nodes(&self, count: usize, seed: u64) -> Vec<OverlayNodeId> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut live: Vec<OverlayNodeId> = self.ecan.can().live_nodes().collect();
-        assert!(count <= live.len(), "not enough live nodes");
-        live.shuffle(&mut rng);
-        live.truncate(count);
-        live
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SelectorStats;
 
     fn small_builder() -> TaoBuilder {
         let mut b = TaoBuilder::new();
@@ -518,45 +340,6 @@ mod tests {
         for id in tao.ecan().can().live_nodes() {
             assert!(tao.info(id).is_some());
         }
-    }
-
-    #[test]
-    fn global_state_beats_random_selection_on_stretch() {
-        let mut b = small_builder();
-        let baseline = {
-            b.selection(SelectionStrategy::Random);
-            b.build().measure_routing_stretch(400, 3)
-        };
-        let aware = {
-            b.selection(SelectionStrategy::GlobalState);
-            b.build().measure_routing_stretch(400, 3)
-        };
-        assert!(
-            aware.mean() < baseline.mean(),
-            "global state ({:.3}) should beat random ({:.3})",
-            aware.mean(),
-            baseline.mean()
-        );
-    }
-
-    #[test]
-    fn optimal_is_a_lower_bound_for_global_state() {
-        let mut b = small_builder();
-        let optimal = {
-            b.selection(SelectionStrategy::Optimal);
-            b.build().measure_routing_stretch(400, 5)
-        };
-        let aware = {
-            b.selection(SelectionStrategy::GlobalState);
-            b.build().measure_routing_stretch(400, 5)
-        };
-        // Allow a whisker of sampling noise.
-        assert!(
-            optimal.mean() <= aware.mean() * 1.05,
-            "optimal ({:.3}) must not lose to global state ({:.3})",
-            optimal.mean(),
-            aware.mean()
-        );
     }
 
     #[test]

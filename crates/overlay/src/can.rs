@@ -32,6 +32,7 @@ use tao_topology::NodeIdx;
 
 use crate::point::Point;
 use crate::scratch::RouteScratch;
+use crate::select::SlotOverlay;
 use crate::zone::{gap_sum, Zone};
 use crate::zone_index::{IndexHit, ZoneIndex};
 
@@ -971,6 +972,16 @@ impl CanOverlay {
         let held: usize = self.live_nodes().map(|id| 1 + self.extra[id.index()].len()).sum();
         assert_eq!(leaves, held, "leaves and held zones must be 1:1");
         assert!(self.index.len().is_none_or(|n| n == leaves), "zone index holds a zone that is no leaf");
+    }
+}
+
+/// eCAN's slots are aligned boxes; an id keeps its router after departing.
+impl SlotOverlay for CanOverlay {
+    type Id = OverlayNodeId;
+    type Slot = Zone;
+
+    fn underlay(&self, id: OverlayNodeId) -> Option<NodeIdx> {
+        self.underlay.get(id.index()).copied()
     }
 }
 

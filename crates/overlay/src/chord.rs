@@ -15,14 +15,15 @@
 //!
 //! ```
 //! use tao_overlay::chord::ChordOverlay;
-//! use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
+//! use tao_overlay::keyed::KeyedOverlay;
+//! use tao_overlay::select::RandomSelector;
 //! use tao_topology::NodeIdx;
 //!
 //! let mut ring = ChordOverlay::new();
 //! for i in 0..32u32 {
 //!     ring.join(NodeIdx(i), u64::from(i) * (u64::MAX / 32));
 //! }
-//! ring.reselect(&mut RandomPeerSelector::new(1));
+//! ring.reselect(&mut RandomSelector::new(1));
 //! let start = ring.node_ids().next().unwrap();
 //! let route = ring.route(start, u64::MAX / 2).unwrap();
 //! assert!(route.hop_count() <= 6, "Chord routes in O(log N)");
@@ -33,7 +34,8 @@ use std::fmt;
 
 use tao_topology::NodeIdx;
 
-use crate::keyed::{KeyedOverlay, PeerSelector};
+use crate::keyed::KeyedOverlay;
+use crate::select::{NeighborSelector, SlotOverlay};
 use crate::RouteScratch;
 
 /// A position on the Chord identifier ring (`u64`, wrapping).
@@ -242,15 +244,22 @@ impl ChordOverlay {
     }
 }
 
+/// A Chord slot is a finger: the bit `i` of the interval
+/// `[owner + 2^i, owner + 2^(i+1))`.
+impl SlotOverlay for ChordOverlay {
+    type Id = RingId;
+    type Slot = u32;
+
+    fn underlay(&self, id: RingId) -> Option<NodeIdx> {
+        self.nodes.get(&id).map(|s| s.underlay)
+    }
+}
+
 impl KeyedOverlay for ChordOverlay {
     type Error = ChordError;
 
     fn node_ids(&self) -> impl Iterator<Item = RingId> + '_ {
         self.nodes.keys().copied()
-    }
-
-    fn underlay(&self, id: RingId) -> Option<NodeIdx> {
-        self.nodes.get(&id).map(|s| s.underlay)
     }
 
     fn join(&mut self, underlay: NodeIdx, id: RingId) {
@@ -267,7 +276,7 @@ impl KeyedOverlay for ChordOverlay {
     /// Rebuilds one node's finger table: finger `i` is whichever member of
     /// `[id + 2^i, id + 2^(i+1))` the selector picks; empty intervals get
     /// no finger.
-    fn reselect_node(&mut self, id: RingId, selector: &mut dyn PeerSelector<Self>) {
+    fn reselect_node(&mut self, id: RingId, selector: &mut dyn NeighborSelector<Self>) {
         assert!(self.nodes.contains_key(&id), "node {id:#x} not on the ring");
         let mut fingers = Vec::new();
         for bit in 0..64u32 {
@@ -278,7 +287,7 @@ impl KeyedOverlay for ChordOverlay {
             if candidates.is_empty() {
                 continue;
             }
-            let target = selector.select(id, &candidates, self);
+            let target = selector.select(id, &bit, &candidates, self);
             fingers.push(Finger { bit, target });
         }
         self.nodes
@@ -341,7 +350,7 @@ impl KeyedOverlay for ChordOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keyed::{ClosestPeerSelector, RandomPeerSelector};
+    use crate::select::{ClosestSelector, RandomSelector};
     use tao_topology::RttOracle;
     use tao_util::rand::rngs::StdRng;
     use tao_util::rand::{Rng, SeedableRng};
@@ -352,7 +361,7 @@ mod tests {
         for i in 0..n {
             ring.join(NodeIdx(i), rng.gen());
         }
-        ring.reselect(&mut RandomPeerSelector::new(seed ^ 1));
+        ring.reselect(&mut RandomSelector::new(seed ^ 1));
         ring
     }
 
@@ -464,7 +473,7 @@ mod tests {
         for i in 0..128u32 {
             ring.join(NodeIdx(i * 7), rng.gen());
         }
-        ring.reselect(&mut ClosestPeerSelector::new(oracle.clone()));
+        ring.reselect(&mut ClosestSelector::new(oracle.clone()));
         for id in ring.node_ids() {
             let me = ring.underlay(id).unwrap();
             for f in ring.fingers(id) {
@@ -492,7 +501,7 @@ mod tests {
         assert_ne!(heir, victim);
         assert!(ring.leave(victim).is_err());
         // Re-selection drops stale fingers.
-        ring.reselect(&mut RandomPeerSelector::new(12));
+        ring.reselect(&mut RandomSelector::new(12));
         for id in ring.node_ids() {
             assert!(ring.fingers(id).iter().all(|f| f.target != victim));
         }

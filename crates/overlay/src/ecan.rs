@@ -78,11 +78,11 @@
 use tao_util::det::DetMap;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::{Rng, SeedableRng};
-use tao_topology::RttOracle;
 
 use crate::can::{CanOverlay, OverlayError, OverlayNodeId, Route};
 use crate::point::Point;
 use crate::zone::Zone;
+pub use crate::select::{BoxSelection, ClosestSelector, NeighborSelector, RandomSelector};
 
 /// One expressway routing-table entry, materialized.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,86 +117,6 @@ struct CompactEntry {
 struct NodeTable {
     built_level: u32,
     entries: Vec<CompactEntry>,
-}
-
-/// How a selector answers a whole-box representative query — the fast
-/// path that avoids enumerating every member of a huge high-order zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoxSelection {
-    /// Enumerate the box's members and call [`NeighborSelector::select`]
-    /// (the default, and the only option for selectors that must compare
-    /// candidates).
-    Enumerate,
-    /// Use this node, which the selector asserts is a live member of the
-    /// target box other than the querying node.
-    Chosen(OverlayNodeId),
-    /// Leave no entry for this box.
-    Skip,
-}
-
-/// Chooses the representative member of a neighboring high-order zone.
-///
-/// The paper's three regimes map to three implementations:
-/// [`RandomSelector`] (baseline), the global-soft-state selector built in
-/// `tao-core` (the contribution), and [`ClosestSelector`] (the unattainable
-/// optimum, via free ground-truth distances).
-pub trait NeighborSelector {
-    /// Picks one of `candidates` (non-empty, all live members of
-    /// `target_box`) as the representative for `for_node`.
-    fn select(
-        &mut self,
-        for_node: OverlayNodeId,
-        target_box: &Zone,
-        candidates: &[OverlayNodeId],
-        can: &CanOverlay,
-    ) -> OverlayNodeId;
-
-    /// Picks a representative for `target_box` without a pre-enumerated
-    /// candidate list; asked first, for every box. The default answers
-    /// [`BoxSelection::Enumerate`] — the members are listed and passed to
-    /// [`NeighborSelector::select`] — which is right for a selector that
-    /// compares or indexes all of them. One that can name a member without
-    /// the list (sampling the zone tree in O(depth); testing candidates it
-    /// got elsewhere with [`CanOverlay::zone_intersects`]) overrides this,
-    /// so table builds never enumerate half the overlay to keep one id. It
-    /// may still answer `Enumerate` for a box where that finds nobody.
-    // tao-lint: hot
-    fn select_in_box(
-        &mut self,
-        _for_node: OverlayNodeId,
-        _target_box: &Zone,
-        _can: &CanOverlay,
-    ) -> BoxSelection {
-        BoxSelection::Enumerate
-    }
-}
-
-/// Picks a uniformly random candidate — the paper's "random neighbor
-/// selection" baseline (no topology awareness).
-#[derive(Debug, Clone)]
-pub struct RandomSelector {
-    rng: StdRng,
-}
-
-impl RandomSelector {
-    /// Creates a selector with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        RandomSelector {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl NeighborSelector for RandomSelector {
-    fn select(
-        &mut self,
-        _for_node: OverlayNodeId,
-        _target_box: &Zone,
-        candidates: &[OverlayNodeId],
-        _can: &CanOverlay,
-    ) -> OverlayNodeId {
-        candidates[self.rng.gen_range(0..candidates.len())]
-    }
 }
 
 /// The random baseline for overlays too large to enumerate: instead of
@@ -248,40 +168,6 @@ impl NeighborSelector for SampledRandomSelector {
             }
         }
         BoxSelection::Skip
-    }
-}
-
-/// Picks the physically closest candidate using *free* ground-truth
-/// distances — the paper's "optimal" curve (infinite RTT measurements).
-#[derive(Debug, Clone)]
-pub struct ClosestSelector {
-    oracle: RttOracle,
-}
-
-impl ClosestSelector {
-    /// Creates the optimal selector over `oracle`'s topology.
-    pub fn new(oracle: RttOracle) -> Self {
-        ClosestSelector { oracle }
-    }
-}
-
-impl NeighborSelector for ClosestSelector {
-    fn select(
-        &mut self,
-        for_node: OverlayNodeId,
-        _target_box: &Zone,
-        candidates: &[OverlayNodeId],
-        can: &CanOverlay,
-    ) -> OverlayNodeId {
-        let me = can.underlay(for_node);
-        *candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                let da = self.oracle.ground_truth(me, can.underlay(a));
-                let db = self.oracle.ground_truth(me, can.underlay(b));
-                da.cmp(&db).then(a.cmp(&b))
-            })
-            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
     }
 }
 
@@ -828,7 +714,7 @@ fn aligned_level(zone: &Zone) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_topology::NodeIdx;
+    use tao_topology::{NodeIdx, RttOracle};
 
     fn grown_can(n: u32, dims: usize, seed: u64) -> CanOverlay {
         let mut can = CanOverlay::new(dims).unwrap();

@@ -10,12 +10,13 @@
 //! * [`CanOverlay`] — the base content-addressable network: node join by
 //!   zone split, departure with merge/takeover, incremental neighbor
 //!   tables, owner lookup, and greedy routing,
-//! * [`ecan`] — high-order zones, expressway routing tables with pluggable
-//!   neighbor *selection* (the hook the paper's proximity-neighbor
-//!   selection plugs into), and expressway routing,
+//! * [`ecan`] — high-order zones, expressway routing tables and
+//!   expressway routing,
 //! * [`chord`] / [`pastry`] — the id-keyed substrates of the paper's
-//!   generality claim; [`keyed`] names the surface they share and the one
-//!   selection hook their routing slots are filled through,
+//!   generality claim; [`keyed`] names the surface they share,
+//! * [`select`] — the one neighbor-*selection* hook all three overlays'
+//!   routing slots are filled through (where the paper's
+//!   proximity-neighbor selection plugs in),
 //! * [`tacan`] — the Topologically-Aware CAN baseline's join points
 //!   (geographic layout by landmark ordering) for a plain [`CanOverlay`],
 //!   used to reproduce the paper's §1 claim about space imbalance and
@@ -51,6 +52,7 @@ pub mod keyed;
 pub mod pastry;
 mod point;
 mod scratch;
+pub mod select;
 pub mod tacan;
 mod zone;
 mod zone_index;

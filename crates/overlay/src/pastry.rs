@@ -13,8 +13,9 @@
 //! # Example
 //!
 //! ```
-//! use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
+//! use tao_overlay::keyed::KeyedOverlay;
 //! use tao_overlay::pastry::PastryOverlay;
+//! use tao_overlay::select::RandomSelector;
 //! use tao_topology::NodeIdx;
 //! use tao_util::rand::{Rng, SeedableRng};
 //!
@@ -23,7 +24,7 @@
 //! for i in 0..64u32 {
 //!     pastry.join(NodeIdx(i), rng.gen());
 //! }
-//! pastry.reselect(&mut RandomPeerSelector::new(1));
+//! pastry.reselect(&mut RandomSelector::new(1));
 //! let start = pastry.node_ids().next().unwrap();
 //! let key: u64 = rng.gen();
 //! let route = pastry.route(start, key).unwrap();
@@ -35,7 +36,8 @@ use std::fmt;
 
 use tao_topology::NodeIdx;
 
-use crate::keyed::{KeyedOverlay, PeerSelector};
+use crate::keyed::KeyedOverlay;
+use crate::select::{NeighborSelector, SlotOverlay};
 use crate::RouteScratch;
 
 /// A Pastry node identifier: 64 bits read as 16 hexadecimal digits, most
@@ -309,15 +311,22 @@ impl PastryOverlay {
     }
 }
 
+/// A Pastry slot is a routing-table cell `(row, digit)`: the members
+/// sharing `row` digits with the owner and continuing with `digit`.
+impl SlotOverlay for PastryOverlay {
+    type Id = PastryId;
+    type Slot = (u32, u8);
+
+    fn underlay(&self, id: PastryId) -> Option<NodeIdx> {
+        self.nodes.get(&id).map(|s| s.underlay)
+    }
+}
+
 impl KeyedOverlay for PastryOverlay {
     type Error = PastryError;
 
     fn node_ids(&self) -> impl Iterator<Item = PastryId> + '_ {
         self.nodes.keys().copied()
-    }
-
-    fn underlay(&self, id: PastryId) -> Option<NodeIdx> {
-        self.nodes.get(&id).map(|s| s.underlay)
     }
 
     fn join(&mut self, underlay: NodeIdx, id: PastryId) {
@@ -335,7 +344,7 @@ impl KeyedOverlay for PastryOverlay {
     /// Rebuilds one node's routing table and leaf set: slot `(row, d)` is
     /// whichever member sharing `row` digits with `id` and continuing with
     /// `d` the selector picks; slots nobody fits stay empty.
-    fn reselect_node(&mut self, id: PastryId, selector: &mut dyn PeerSelector<Self>) {
+    fn reselect_node(&mut self, id: PastryId, selector: &mut dyn NeighborSelector<Self>) {
         assert!(self.nodes.contains_key(&id), "node {id:#x} not present");
         let mut table = vec![None; (DIGITS as usize) * 16];
         for row in 0..DIGITS {
@@ -349,7 +358,7 @@ impl KeyedOverlay for PastryOverlay {
                 if candidates.is_empty() {
                     continue;
                 }
-                let entry = selector.select(id, &candidates, self);
+                let entry = selector.select(id, &(row, d), &candidates, self);
                 table[(row as usize) * 16 + d as usize] = Some(entry);
             }
         }
@@ -452,7 +461,7 @@ fn ring_distance(a: PastryId, b: PastryId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keyed::RandomPeerSelector;
+    use crate::select::RandomSelector;
     use tao_util::rand::rngs::StdRng;
     use tao_util::rand::{Rng, SeedableRng};
 
@@ -462,7 +471,7 @@ mod tests {
         for i in 0..n {
             o.join(NodeIdx(i), rng.gen());
         }
-        o.reselect(&mut RandomPeerSelector::new(seed ^ 1));
+        o.reselect(&mut RandomSelector::new(seed ^ 1));
         o
     }
 
@@ -520,8 +529,8 @@ mod tests {
     #[test]
     fn rare_case_fallback_keeps_the_shared_prefix() {
         struct Prefer([PastryId; 2]);
-        impl PeerSelector<PastryOverlay> for Prefer {
-            fn select(&mut self, _: PastryId, candidates: &[PastryId], _: &PastryOverlay) -> PastryId {
+        impl NeighborSelector<PastryOverlay> for Prefer {
+            fn select(&mut self, _: PastryId, _: &(u32, u8), candidates: &[PastryId], _: &PastryOverlay) -> PastryId {
                 let preferred = self.0.iter().find(|p| candidates.contains(p));
                 *preferred.unwrap_or(&candidates[0])
             }
@@ -603,7 +612,7 @@ mod tests {
         let victim = o.node_ids().nth(10).unwrap();
         o.leave(victim).unwrap();
         assert!(o.leave(victim).is_err());
-        o.reselect(&mut RandomPeerSelector::new(14));
+        o.reselect(&mut RandomSelector::new(14));
         let ids: Vec<PastryId> = o.node_ids().collect();
         let mut rng = StdRng::seed_from_u64(15);
         for _ in 0..50 {

@@ -153,7 +153,7 @@ impl RingState {
 mod tests {
     use super::*;
     use tao_landmark::{LandmarkGrid, LandmarkVector};
-    use tao_overlay::keyed::RandomPeerSelector;
+    use tao_overlay::select::RandomSelector;
     use tao_topology::NodeIdx;
     use tao_util::time::SimDuration;
 
@@ -178,7 +178,7 @@ mod tests {
         for i in 0..n {
             ring.join(NodeIdx(i as u32), i * (u64::MAX / n));
         }
-        ring.reselect(&mut RandomPeerSelector::new(1));
+        ring.reselect(&mut RandomSelector::new(1));
         ring
     }
 

@@ -77,7 +77,7 @@ fn main() {
     // Phase 2: re-select with the published load in the score.
     {
         let oracle = tao.oracle().clone();
-        let mut selector = LoadAwareSelector::new(&oracle, &model, 5.0, 20);
+        let mut selector = LoadAwareSelector::new(&oracle, &model, 5.0);
         ecan.reselect(&mut selector);
     }
     for &n in &live {

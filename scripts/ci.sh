@@ -33,6 +33,9 @@ echo "dependency guard: OK (tao-* path dependencies only)"
 
 # ---- Build + test, fully offline, warnings are errors. ----------------------
 RUSTFLAGS="-D warnings" cargo build --release --offline
+# benchmark/ drives only the public API: an API change that breaks it fails
+# here in seconds, not after the lint, fault and fingerprint stages.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline
 
 # ---- Lint stage: structural + taint + hot-path analysis, baseline-gated. ---

@@ -6,7 +6,7 @@ use tao_util::rand::{Rng, SeedableRng};
 use tao_core::{SelectionStrategy, TaoBuilder};
 use tao_overlay::chord::ChordOverlay;
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
-use tao_overlay::keyed::{KeyedOverlay, RandomPeerSelector};
+use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::PastryOverlay;
 use tao_overlay::tacan::binned_join_point;
 use tao_overlay::{CanOverlay, OverlayNodeId, Point};
@@ -94,7 +94,7 @@ fn pastry_survives_heavy_interleaved_churn() {
         pastry.join(NodeIdx(i), id);
         live.push(id);
     }
-    pastry.reselect(&mut RandomPeerSelector::new(12));
+    pastry.reselect(&mut RandomSelector::new(12));
     pastry.check_invariants();
     // 200 churn events; tables are rebuilt every 25 (leaf sets and routing
     // slots must be exact again after each rebuild, never below 16 nodes).
@@ -110,11 +110,11 @@ fn pastry_survives_heavy_interleaved_churn() {
             next_underlay += 1;
         }
         if step % 25 == 24 {
-            pastry.reselect(&mut RandomPeerSelector::new(13 + step as u64));
+            pastry.reselect(&mut RandomSelector::new(13 + step as u64));
             pastry.check_invariants();
         }
     }
-    pastry.reselect(&mut RandomPeerSelector::new(99));
+    pastry.reselect(&mut RandomSelector::new(99));
     pastry.check_invariants();
     // Routing from any live node lands on the key's numerical root.
     for _ in 0..100 {
@@ -138,7 +138,7 @@ fn chord_survives_heavy_interleaved_churn() {
         ring.join(NodeIdx(i), id);
         live.push(id);
     }
-    ring.reselect(&mut RandomPeerSelector::new(22));
+    ring.reselect(&mut RandomSelector::new(22));
     ring.check_invariants();
     let mut next_underlay = 64u32;
     for step in 0..200 {
@@ -152,11 +152,11 @@ fn chord_survives_heavy_interleaved_churn() {
             next_underlay += 1;
         }
         if step % 25 == 24 {
-            ring.reselect(&mut RandomPeerSelector::new(23 + step as u64));
+            ring.reselect(&mut RandomSelector::new(23 + step as u64));
             ring.check_invariants();
         }
     }
-    ring.reselect(&mut RandomPeerSelector::new(199));
+    ring.reselect(&mut RandomSelector::new(199));
     ring.check_invariants();
     // Greedy finger routing terminates at each key's successor.
     for _ in 0..100 {
@@ -468,8 +468,8 @@ fn pastry_and_chord_invariants_hold_after_every_batch_op() {
                 live -= 1;
             }
         }
-        pastry.reselect(&mut RandomPeerSelector::new(seed ^ i as u64));
-        ring.reselect(&mut RandomPeerSelector::new(seed ^ i as u64));
+        pastry.reselect(&mut RandomSelector::new(seed ^ i as u64));
+        ring.reselect(&mut RandomSelector::new(seed ^ i as u64));
         pastry.check_invariants();
         ring.check_invariants();
     }
