@@ -227,7 +227,11 @@ impl ChordOverlay {
                     f.bit,
                     f.target
                 );
-                assert_ne!(f.target, id, "finger bit {} of {id:#x} is a self-loop", f.bit);
+                assert_ne!(
+                    f.target, id,
+                    "finger bit {} of {id:#x} is a self-loop",
+                    f.bit
+                );
                 let off = f.target.wrapping_sub(id);
                 assert!(
                     off >= 1u64 << f.bit,
@@ -459,9 +463,7 @@ mod tests {
 
     #[test]
     fn closest_selector_minimises_candidate_distance() {
-        use tao_topology::{
-            generate_transit_stub, LatencyAssignment, TransitStubParams,
-        };
+        use tao_topology::{generate_transit_stub, LatencyAssignment, TransitStubParams};
         let topo = generate_transit_stub(
             &TransitStubParams::tsk_small_mini(),
             LatencyAssignment::manual(),
@@ -521,9 +523,6 @@ mod tests {
     #[test]
     fn route_from_unknown_node_errors() {
         let ring = ring_of(8, 13);
-        assert!(matches!(
-            ring.route(1, 2),
-            Err(ChordError::UnknownNode(1))
-        ));
+        assert!(matches!(ring.route(1, 2), Err(ChordError::UnknownNode(1))));
     }
 }

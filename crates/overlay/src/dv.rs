@@ -11,8 +11,8 @@
 
 use tao_util::det::DetMap;
 
-use tao_util::time::SimDuration;
 use tao_topology::RttOracle;
+use tao_util::time::SimDuration;
 
 use crate::can::{CanOverlay, OverlayError, OverlayNodeId, Route};
 
@@ -67,9 +67,7 @@ impl DistanceVectorTables {
     ///
     /// Panics if `links` is empty.
     // tao-lint: allow(panic-reachability, reason = "tables are seeded with a row for every overlay node before relaxation; row lookups cannot miss")
-    pub fn converge_on(
-        links: &DetMap<OverlayNodeId, Vec<(OverlayNodeId, SimDuration)>>,
-    ) -> Self {
+    pub fn converge_on(links: &DetMap<OverlayNodeId, Vec<(OverlayNodeId, SimDuration)>>) -> Self {
         let live: Vec<OverlayNodeId> = {
             let mut v: Vec<OverlayNodeId> = links.keys().copied().collect();
             v.sort();
@@ -151,11 +149,7 @@ impl DistanceVectorTables {
     /// from the tables, and [`OverlayError::RoutingStuck`] if the tables
     /// are inconsistent (cannot happen after [`Self::converge`]).
     // tao-lint: allow(panic-reachability, reason = "next-hop entries are installed for every reachable destination during convergence; the walk stays on seeded rows")
-    pub fn route(
-        &self,
-        src: OverlayNodeId,
-        dst: OverlayNodeId,
-    ) -> Result<Route, OverlayError> {
+    pub fn route(&self, src: OverlayNodeId, dst: OverlayNodeId) -> Result<Route, OverlayError> {
         if !self.next.contains_key(&src) {
             return Err(OverlayError::UnknownNode(src));
         }
@@ -235,11 +229,9 @@ pub fn proximity_links(
 mod tests {
     use super::*;
     use crate::point::Point;
+    use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams};
     use tao_util::rand::rngs::StdRng;
     use tao_util::rand::{Rng, SeedableRng};
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams,
-    };
 
     fn world(n: u32) -> (CanOverlay, RttOracle) {
         let topo = generate_transit_stub(
@@ -268,10 +260,7 @@ mod tests {
                 for &dst in &live {
                     let ca = dv.path_cost(a, dst).expect("converged everywhere");
                     let cb = dv.path_cost(b, dst).expect("converged everywhere");
-                    assert!(
-                        ca <= cb + link,
-                        "triangle violation {a}->{dst} vs via {b}"
-                    );
+                    assert!(ca <= cb + link, "triangle violation {a}->{dst} vs via {b}");
                 }
             }
         }
@@ -347,7 +336,7 @@ mod tests {
         let dv = DistanceVectorTables::converge(&can, &oracle);
         // The §5.4 limitation: per-node state is O(N)…
         assert_eq!(dv.entries_per_node(), 47); // every destination but self
-        // …and convergence floods many full-vector advertisements.
+                                               // …and convergence floods many full-vector advertisements.
         assert!(dv.updates() as usize >= 48 * 4 * dv.rounds() / 2);
         assert!(dv.rounds() >= 3);
     }

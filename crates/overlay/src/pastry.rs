@@ -215,12 +215,12 @@ impl PastryOverlay {
             }
         }
         // Counter-clockwise predecessors.
-        let mut it = self
-            .nodes
-            .range(..id)
-            .rev()
-            .map(|(&i, _)| i)
-            .chain(self.nodes.range(id.wrapping_add(1)..).rev().map(|(&i, _)| i));
+        let mut it = self.nodes.range(..id).rev().map(|(&i, _)| i).chain(
+            self.nodes
+                .range(id.wrapping_add(1)..)
+                .rev()
+                .map(|(&i, _)| i),
+        );
         for _ in 0..self.leaf_set_half {
             match it.next() {
                 Some(n) if n != id && !leaves.contains(&n) => leaves.push(n),
@@ -419,9 +419,7 @@ impl KeyedOverlay for PastryOverlay {
                                 .copied(),
                         )
                         .filter(|&n| self.nodes.contains_key(&n))
-                        .filter(|&n| {
-                            shared_prefix_len(n, key) >= p && ring_distance(n, key) < here
-                        })
+                        .filter(|&n| shared_prefix_len(n, key) >= p && ring_distance(n, key) < here)
                         .min_by_key(|&n| (ring_distance(n, key), n))
                 });
             let Some(next) = next else {
@@ -530,7 +528,13 @@ mod tests {
     fn rare_case_fallback_keeps_the_shared_prefix() {
         struct Prefer([PastryId; 2]);
         impl NeighborSelector<PastryOverlay> for Prefer {
-            fn select(&mut self, _: PastryId, _: &(u32, u8), candidates: &[PastryId], _: &PastryOverlay) -> PastryId {
+            fn select(
+                &mut self,
+                _: PastryId,
+                _: &(u32, u8),
+                candidates: &[PastryId],
+                _: &PastryOverlay,
+            ) -> PastryId {
                 let preferred = self.0.iter().find(|p| candidates.contains(p));
                 *preferred.unwrap_or(&candidates[0])
             }

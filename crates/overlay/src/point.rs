@@ -32,7 +32,10 @@ impl Point {
         if coords.is_empty() {
             return None;
         }
-        if coords.iter().any(|c| !c.is_finite() || !(0.0..1.0).contains(c)) {
+        if coords
+            .iter()
+            .any(|c| !c.is_finite() || !(0.0..1.0).contains(c))
+        {
             return None;
         }
         Some(Point { coords })

@@ -44,8 +44,13 @@ pub enum BoxSelection<Id = OverlayNodeId> {
 pub trait NeighborSelector<O: SlotOverlay = CanOverlay> {
     /// Picks one of `candidates` (non-empty, all admissible to `slot`, never
     /// `for_node`) as `for_node`'s entry for `slot`.
-    fn select(&mut self, for_node: O::Id, slot: &O::Slot, candidates: &[O::Id], overlay: &O)
-        -> O::Id;
+    fn select(
+        &mut self,
+        for_node: O::Id,
+        slot: &O::Slot,
+        candidates: &[O::Id],
+        overlay: &O,
+    ) -> O::Id;
 
     /// Picks a member for `slot` without a listed candidate set; eCAN asks
     /// this first for every box (id-keyed slots are cheap to list and go
@@ -103,7 +108,13 @@ impl ClosestSelector {
 }
 
 impl<O: SlotOverlay> NeighborSelector<O> for ClosestSelector {
-    fn select(&mut self, for_node: O::Id, _slot: &O::Slot, candidates: &[O::Id], overlay: &O) -> O::Id {
+    fn select(
+        &mut self,
+        for_node: O::Id,
+        _slot: &O::Slot,
+        candidates: &[O::Id],
+        overlay: &O,
+    ) -> O::Id {
         let router = |id| overlay.underlay(id).expect("selector ids are members"); // tao-lint: allow(no-unwrap-in-lib, reason = "selector ids are members")
         let me = router(for_node);
         *candidates

@@ -158,9 +158,9 @@ impl ImbalanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tao_topology::NodeIdx;
     use tao_util::rand::rngs::StdRng;
     use tao_util::rand::SeedableRng;
-    use tao_topology::NodeIdx;
 
     #[test]
     fn ranks_cover_all_permutations() {

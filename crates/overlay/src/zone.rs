@@ -245,7 +245,10 @@ impl Zone {
 /// wrapped ones are not below it, and the `+0.0` the axis adds leaves the
 /// bits of a non-negative sum as they were.
 pub(crate) fn gap_sum(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
-    debug_assert!(lo.len() == hi.len() && lo.len() == p.len(), "dimensionality mismatch");
+    debug_assert!(
+        lo.len() == hi.len() && lo.len() == p.len(),
+        "dimensionality mismatch"
+    );
     let mut sum = 0.0;
     for ((&lo, &hi), &c) in lo.iter().zip(hi).zip(p) {
         // Direct gaps on either side, and wrapped gaps around the torus.
@@ -276,7 +279,10 @@ impl fmt::Display for Zone {
 /// oracle for the kernels that replaced it.
 #[cfg(test)]
 pub(crate) fn branchy_distance(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
-    assert!(lo.len() == hi.len() && lo.len() == p.len(), "dimensionality mismatch");
+    assert!(
+        lo.len() == hi.len() && lo.len() == p.len(),
+        "dimensionality mismatch"
+    );
     let mut sum = 0.0;
     for a in 0..lo.len() {
         let c = p[a];
@@ -354,7 +360,10 @@ mod tests {
         let (right_bottom, right_top) = right.split(1);
         assert!(left.is_neighbor(&right_bottom));
         assert!(left.is_neighbor(&right_top));
-        assert!(!right_bottom.is_neighbor(&right_bottom.clone()), "zone is not its own neighbor");
+        assert!(
+            !right_bottom.is_neighbor(&right_bottom.clone()),
+            "zone is not its own neighbor"
+        );
     }
 
     #[test]
@@ -370,53 +379,64 @@ mod tests {
     fn gap_sum_root_equals_the_branchy_formula_bit_for_bit() {
         use tao_util::check::for_all;
         use tao_util::{check, check_eq};
-        for_all("gap_sum_root_equals_the_branchy_formula_bit_for_bit", 4_000, |rng| {
-            let dims = rng.gen_range(1..=4usize);
-            // A zone as the overlay makes them (dyadic, by random splits,
-            // so bounds land on 0 and 1) or with arbitrary bounds.
-            let zone = if rng.gen_bool(0.7) {
-                let mut z = Zone::whole(dims);
-                for _ in 0..rng.gen_range(0..=20) {
-                    let (lower, upper) = z.split(rng.gen_range(0..dims));
-                    z = if rng.gen_bool(0.5) { lower } else { upper };
-                }
-                z
-            } else {
-                let (mut lo, mut hi) = (Vec::new(), Vec::new());
-                for _ in 0..dims {
-                    let (a, b): (f64, f64) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-                    let (a, b) = if a < b { (a, b) } else { (b, a) };
-                    lo.push(a);
-                    hi.push(if a == b { 1.0 } else { b });
-                }
-                Zone::from_bounds(lo, hi).expect("ordered bounds in [0, 1]")
-            };
-            // Coordinates drawn at large, exactly on a bound, one step to
-            // either side of it, and on both sides of the torus seam.
-            let top = 1.0 - f64::EPSILON / 2.0;
-            let coords: Vec<f64> = (0..dims)
-                .map(|a| {
-                    let c: f64 = match rng.gen_range(0..10u32) {
-                        0 => zone.lo(a),
-                        1 => zone.hi(a),
-                        2 => zone.lo(a).next_down(),
-                        3 => zone.lo(a).next_up(),
-                        4 => zone.hi(a).next_down(),
-                        5 => zone.hi(a).next_up(),
-                        6 => 0.0,
-                        7 => top,
-                        _ => rng.gen_range(0.0..1.0),
-                    };
-                    c.clamp(0.0, top)
-                })
-                .collect();
-            let want = branchy_distance(zone.lo_slice(), zone.hi_slice(), &coords);
-            let sum = gap_sum(zone.lo_slice(), zone.hi_slice(), &coords);
-            check_eq!(sum.sqrt().to_bits(), want.to_bits(), "{zone} to {coords:?}");
-            let p = Point::new(coords).expect("coordinates in [0, 1)");
-            check_eq!(zone.distance_to_point(&p).to_bits(), want.to_bits(), "{zone} to {p}");
-            check!(want == 0.0 || !zone.contains(&p), "{zone} holds {p}, {want} away");
-        });
+        for_all(
+            "gap_sum_root_equals_the_branchy_formula_bit_for_bit",
+            4_000,
+            |rng| {
+                let dims = rng.gen_range(1..=4usize);
+                // A zone as the overlay makes them (dyadic, by random splits,
+                // so bounds land on 0 and 1) or with arbitrary bounds.
+                let zone = if rng.gen_bool(0.7) {
+                    let mut z = Zone::whole(dims);
+                    for _ in 0..rng.gen_range(0..=20) {
+                        let (lower, upper) = z.split(rng.gen_range(0..dims));
+                        z = if rng.gen_bool(0.5) { lower } else { upper };
+                    }
+                    z
+                } else {
+                    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                    for _ in 0..dims {
+                        let (a, b): (f64, f64) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+                        let (a, b) = if a < b { (a, b) } else { (b, a) };
+                        lo.push(a);
+                        hi.push(if a == b { 1.0 } else { b });
+                    }
+                    Zone::from_bounds(lo, hi).expect("ordered bounds in [0, 1]")
+                };
+                // Coordinates drawn at large, exactly on a bound, one step to
+                // either side of it, and on both sides of the torus seam.
+                let top = 1.0 - f64::EPSILON / 2.0;
+                let coords: Vec<f64> = (0..dims)
+                    .map(|a| {
+                        let c: f64 = match rng.gen_range(0..10u32) {
+                            0 => zone.lo(a),
+                            1 => zone.hi(a),
+                            2 => zone.lo(a).next_down(),
+                            3 => zone.lo(a).next_up(),
+                            4 => zone.hi(a).next_down(),
+                            5 => zone.hi(a).next_up(),
+                            6 => 0.0,
+                            7 => top,
+                            _ => rng.gen_range(0.0..1.0),
+                        };
+                        c.clamp(0.0, top)
+                    })
+                    .collect();
+                let want = branchy_distance(zone.lo_slice(), zone.hi_slice(), &coords);
+                let sum = gap_sum(zone.lo_slice(), zone.hi_slice(), &coords);
+                check_eq!(sum.sqrt().to_bits(), want.to_bits(), "{zone} to {coords:?}");
+                let p = Point::new(coords).expect("coordinates in [0, 1)");
+                check_eq!(
+                    zone.distance_to_point(&p).to_bits(),
+                    want.to_bits(),
+                    "{zone} to {p}"
+                );
+                check!(
+                    want == 0.0 || !zone.contains(&p),
+                    "{zone} holds {p}, {want} away"
+                );
+            },
+        );
     }
 
     #[test]
