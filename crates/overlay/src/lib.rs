@@ -55,7 +55,6 @@ mod scratch;
 pub mod select;
 pub mod tacan;
 mod zone;
-mod zone_index;
 
 pub use can::{CanOverlay, OverlayError, OverlayNodeId, Route};
 pub use point::Point;
