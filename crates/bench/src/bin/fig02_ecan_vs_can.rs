@@ -56,8 +56,9 @@ fn mean_hops_express(ecan: &EcanOverlay, routes: usize, seed: u64) -> f64 {
 
 fn main() {
     let scale = Scale::from_env();
-    // The zone-membership index in `CanOverlay` keeps joins near-constant,
-    // so the paper-scale sweep now extends well past the old 8,192 cap.
+    // A join is one split-tree descent and a member list walks only the
+    // subtrees that meet its box, so the paper-scale sweep extends well
+    // past the old 8,192 cap.
     let sizes: &[usize] = match scale {
         Scale::Paper => &[1_024, 2_048, 4_096, 8_192, 16_384, 32_768],
         Scale::Mini => &[256, 512, 1_024, 2_048],

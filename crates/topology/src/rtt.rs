@@ -110,8 +110,8 @@ impl RttOracle {
     }
 
     /// Pre-computes the rows of `sources` (a landmark set) on a graph
-    /// without the index; returns at once when [`RttOracle::is_factored`].
-    /// Kept for `benchmark/src/traced.rs`, goes with it (ROADMAP item 2).
+    /// without the index, so the reads that follow find them built; a
+    /// no-op when [`RttOracle::is_factored`].
     pub fn warm(&self, sources: &[NodeIdx]) {
         if let Distances::Rows(rows) = &self.distances {
             for &s in sources {

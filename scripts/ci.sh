@@ -39,11 +39,13 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline
 
 # ---- Lint stage: structural + taint + hot-path analysis, baseline-gated. ---
-# The linter itself is held to rustfmt and clippy (the rest of the
-# workspace is not yet clean under either).
-cargo fmt --check -p tao-lint
-cargo clippy -q --offline -p tao-lint --all-targets -- -D warnings
-echo "tao-lint fmt + clippy: OK"
+# The linter and the overlays are held to rustfmt and clippy (the rest
+# of the workspace is not yet clean under either).
+for crate in tao-lint tao-overlay; do
+    cargo fmt --check -p "$crate"
+    cargo clippy -q --offline -p "$crate" --all-targets -- -D warnings
+done
+echo "tao-lint + tao-overlay fmt + clippy: OK"
 # tao-lint derives the file set from the workspace manifests (its own crate
 # included), enforces the four token rules, the four structural rules
 # (panic-reachability, crate-layering, seed-discipline, unused-waiver),

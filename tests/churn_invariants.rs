@@ -319,9 +319,9 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
             if let Some(victim) = victim.filter(|_| live.len() > 4) {
                 ecan.depart_and_repair(victim, &mut selector).expect("victim is live");
             }
-            // The eCAN's check runs the CAN's first: tree, zone lists and
-            // Morton index describe one tiling; tables and reverse index
-            // one set of links. Then the descent itself, zone by zone.
+            // The eCAN's check runs the CAN's first: tree and zone lists
+            // describe one tiling; tables and reverse index one set of
+            // links. Then the descent itself, zone by zone.
             ecan.check_invariants();
             for id in ecan.can().live_nodes() {
                 for zone in ecan.can().zones(id).expect("live node") {
