@@ -120,7 +120,10 @@ impl SoftStateConfigBuilder {
     ///
     /// Panics unless `bits` is in `1..=16`.
     pub fn position_resolution_bits(&mut self, bits: u32) -> &mut Self {
-        assert!((1..=16).contains(&bits), "resolution bits must be in 1..=16");
+        assert!(
+            (1..=16).contains(&bits),
+            "resolution bits must be in 1..=16"
+        );
         self.config.position_resolution_bits = bits;
         self
     }

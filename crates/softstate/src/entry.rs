@@ -3,8 +3,8 @@
 use tao_landmark::{LandmarkNumber, LandmarkVector};
 use tao_overlay::keyed::PeerId;
 use tao_overlay::{OverlayNodeId, Point};
-use tao_util::time::{SimDuration, SimTime};
 use tao_topology::NodeIdx;
+use tao_util::time::{SimDuration, SimTime};
 
 /// Load and capacity statistics a node may publish alongside its proximity
 /// information (§6: "a node periodically publishes these statistics along

@@ -47,11 +47,11 @@
 
 mod config;
 mod entry;
-mod map;
-mod region;
-pub mod pubsub;
 mod maintenance;
+mod map;
 pub mod prefix;
+pub mod pubsub;
+mod region;
 pub mod ring;
 mod store;
 

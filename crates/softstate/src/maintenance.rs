@@ -148,12 +148,12 @@ mod tests {
     use super::*;
     use crate::config::SoftStateConfig;
     use crate::entry::NodeInfo;
-    use tao_util::rand::rngs::StdRng;
-    use tao_util::rand::SeedableRng;
     use tao_landmark::{LandmarkGrid, LandmarkVector};
     use tao_overlay::ecan::{EcanOverlay, RandomSelector};
     use tao_overlay::{CanOverlay, Point};
     use tao_topology::NodeIdx;
+    use tao_util::rand::rngs::StdRng;
+    use tao_util::rand::SeedableRng;
 
     fn published_state() -> (GlobalState, u64) {
         let mut can = CanOverlay::new(2).unwrap();
@@ -251,7 +251,9 @@ mod tests {
         assert_eq!(r1.expired, 0);
         // Node 7's refreshes are lost until its entries lapse...
         let t2 = t1 + ttl + SimDuration::from_secs(1);
-        let r2 = refresh_round(&mut state, &ecan, &infos, t2, |i| i.node == OverlayNodeId(7));
+        let r2 = refresh_round(&mut state, &ecan, &infos, t2, |i| {
+            i.node == OverlayNodeId(7)
+        });
         assert_eq!(r2.lost, 1);
         assert!(r2.expired > 0, "node 7's entries lapsed");
         // ...and the next round that gets through repairs them.

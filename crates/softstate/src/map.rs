@@ -167,7 +167,10 @@ impl ZoneMap {
         let expires_at = now + config.ttl();
         // Same node under the same number: the position is a function of
         // the number, so only the payload and the TTL change.
-        if self.entry_of(info.node).is_some_and(|e| e.info.number == info.number) {
+        if self
+            .entry_of(info.node)
+            .is_some_and(|e| e.info.number == info.number)
+        {
             self.restamp(info.node, expires_at, Some(info));
             return;
         }
@@ -185,9 +188,11 @@ impl ZoneMap {
         });
         self.by_number.insert(key, slot);
         self.by_node.insert(info.node, slot);
-        self.by_position.insert((self.position_code(&position), slot));
+        self.by_position
+            .insert((self.position_code(&position), slot));
         let home = &mut self.slots[slot as usize];
-        self.wheel.push(Reverse((expires_at, slot, home.generation)));
+        self.wheel
+            .push(Reverse((expires_at, slot, home.generation)));
         home.entry = Some(SoftStateEntry {
             info,
             position,
@@ -201,7 +206,12 @@ impl ZoneMap {
     /// unless the expiry moved *earlier* (a caller's clock ran backwards),
     /// where waiting for the old stamp would keep the entry past its time:
     /// a new one replaces it.
-    fn restamp(&mut self, node: OverlayNodeId, expires_at: SimTime, info: Option<NodeInfo>) -> bool {
+    fn restamp(
+        &mut self,
+        node: OverlayNodeId,
+        expires_at: SimTime,
+        info: Option<NodeInfo>,
+    ) -> bool {
         let Some(&slot) = self.by_node.get(&node) else {
             return false;
         };
@@ -216,7 +226,8 @@ impl ZoneMap {
         }
         if expires_at < e.expires_at {
             home.generation = home.generation.wrapping_add(1);
-            self.wheel.push(Reverse((expires_at, slot, home.generation)));
+            self.wheel
+                .push(Reverse((expires_at, slot, home.generation)));
         }
         e.expires_at = expires_at;
         true
@@ -261,7 +272,11 @@ impl ZoneMap {
             };
             let Reverse((_, slot, generation)) = *top;
             let home = &self.slots[slot as usize];
-            match home.entry.as_ref().filter(|_| home.generation == generation) {
+            match home
+                .entry
+                .as_ref()
+                .filter(|_| home.generation == generation)
+            {
                 // Refreshed since the stamp was set: re-arm it in place.
                 Some(e) if e.is_live(now) => *top = Reverse((e.expires_at, slot, generation)),
                 Some(e) => {
@@ -298,7 +313,9 @@ impl ZoneMap {
             Some((&e.info.vector, e.info.node, slot))
         });
         query.nearest(candidates, max, ranked);
-        ranked.iter().filter_map(|&(_, _, slot)| Some(&self.get(slot)?.info))
+        ranked
+            .iter()
+            .filter_map(|&(_, _, slot)| Some(&self.get(slot)?.info))
     }
 
     /// Iterates over live entries.
@@ -376,7 +393,12 @@ impl ZoneMap {
         let code_bits = self.pos_bits * u32::try_from(self.region.dims()).ok()?;
         let below = code_bits.checked_sub(key.depth())?;
         let first = key.path().checked_shl(below).unwrap_or(0);
-        Some((first, 1u128.checked_shl(below).and_then(|span| first.checked_add(span))))
+        Some((
+            first,
+            1u128
+                .checked_shl(below)
+                .and_then(|span| first.checked_add(span)),
+        ))
     }
 
     /// Iterates over all entries, live or stale, in landmark-number order.
@@ -405,26 +427,56 @@ impl ZoneMap {
     // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a violation is its contract")
     pub fn check_invariants(&self) {
         let live = self.slots.iter().filter(|s| s.entry.is_some()).count();
-        let sizes = [self.by_number.len(), self.by_node.len(), self.by_position.len()];
-        assert_eq!(sizes, [live; 3], "an index misses a slot or names a vacant one");
+        let sizes = [
+            self.by_number.len(),
+            self.by_node.len(),
+            self.by_position.len(),
+        ];
+        assert_eq!(
+            sizes, [live; 3],
+            "an index misses a slot or names a vacant one"
+        );
         assert_eq!(self.free.len(), self.slots.len() - live, "free list size");
-        assert!(self.free.iter().all(|&s| self.get(s).is_none()), "a free slot is occupied");
+        assert!(
+            self.free.iter().all(|&s| self.get(s).is_none()),
+            "a free slot is occupied"
+        );
         for (&(number, node), &slot) in &self.by_number {
-            let e = self.get(slot).filter(|e| (e.info.number.value(), e.info.node) == (number, node));
+            let e = self
+                .get(slot)
+                .filter(|e| (e.info.number.value(), e.info.node) == (number, node));
             let code = e.map(|e| (self.position_code(&e.position), slot));
             assert!(e.is_some(), "by_number names the wrong slot for {node}");
-            assert_eq!(self.by_node.get(&node), Some(&slot), "by_node disagrees on {node}");
-            assert!(code.is_some_and(|c| self.by_position.contains(&c)), "by_position misses {node}");
+            assert_eq!(
+                self.by_node.get(&node),
+                Some(&slot),
+                "by_node disagrees on {node}"
+            );
+            assert!(
+                code.is_some_and(|c| self.by_position.contains(&c)),
+                "by_position misses {node}"
+            );
         }
         let mut stamps = vec![0usize; self.slots.len()];
         for &Reverse((due, slot, generation)) in &self.wheel {
             let home = &self.slots[slot as usize];
-            if let Some(e) = home.entry.as_ref().filter(|_| home.generation == generation) {
-                assert!(due <= e.expires_at, "a stamp is due after its entry expires");
+            if let Some(e) = home
+                .entry
+                .as_ref()
+                .filter(|_| home.generation == generation)
+            {
+                assert!(
+                    due <= e.expires_at,
+                    "a stamp is due after its entry expires"
+                );
                 stamps[slot as usize] += 1;
             }
         }
-        let expected: Vec<usize> = self.slots.iter().map(|s| s.entry.is_some() as usize).collect();
+        let expected: Vec<usize> = self
+            .slots
+            .iter()
+            .map(|s| s.entry.is_some() as usize)
+            .collect();
         assert_eq!(stamps, expected, "current stamps per slot");
     }
 }
@@ -432,7 +484,12 @@ impl ZoneMap {
 /// The normalised position in `[0,1)^dims` at which information keyed by
 /// `number` is stored: the curve decode every region shares, each then
 /// applying its own [`ZoneMap::scale_into_condensed`].
-pub(crate) fn unit_position_into(number: LandmarkNumber, config: &SoftStateConfig, dims: usize, out: &mut Vec<f64>) {
+pub(crate) fn unit_position_into(
+    number: LandmarkNumber,
+    config: &SoftStateConfig,
+    dims: usize,
+    out: &mut Vec<f64>,
+) {
     // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
     out.resize(dims, 0.0);
     let grid_bits = config.grid().number_bits();
@@ -461,8 +518,8 @@ fn condensed_box(region: &Zone, rate: f64) -> Zone {
 mod tests {
     use super::*;
     use tao_landmark::LandmarkGrid;
-    use tao_util::time::SimDuration;
     use tao_topology::NodeIdx;
+    use tao_util::time::SimDuration;
 
     fn config() -> SoftStateConfig {
         let grid = LandmarkGrid::new(3, 5, SimDuration::from_millis(320)).unwrap();
@@ -513,7 +570,8 @@ mod tests {
         // Squared torus distance: the order is the distance's.
         let gap = |p: &Point, q: &Point| -> f64 {
             let axes = p.coords().iter().zip(q.coords());
-            axes.map(|(x, y)| (x - y).abs().min(1.0 - (x - y).abs()).powi(2)).sum()
+            axes.map(|(x, y)| (x - y).abs().min(1.0 - (x - y).abs()).powi(2))
+                .sum()
         };
         assert!(gap(&a, &b) <= gap(&a, &far));
     }
@@ -530,7 +588,10 @@ mod tests {
         }
         let query = LandmarkVector::from_millis(&[12.0, 41.0, 88.0]);
         let slots = map.by_node.values().copied();
-        let found: Vec<OverlayNodeId> = map.nearest(&query, slots, 2, &mut Vec::new()).map(|i| i.node).collect();
+        let found: Vec<OverlayNodeId> = map
+            .nearest(&query, slots, 2, &mut Vec::new())
+            .map(|i| i.node)
+            .collect();
         assert_eq!(found, [OverlayNodeId(1), OverlayNodeId(2)]);
     }
 
@@ -647,16 +708,27 @@ mod tests {
         let mut map = ZoneMap::new(Zone::whole(3), &cfg);
         for i in 0..80u32 {
             let base = 4.0 + i as f64 * 3.9;
-            map.publish(info(i, [base, base + 5.0, base + 1.0], &cfg), SimTime::ORIGIN, &cfg);
+            map.publish(
+                info(i, [base, base + 5.0, base + 1.0], &cfg),
+                SimTime::ORIGIN,
+                &cfg,
+            );
         }
         let mut level = vec![Zone::whole(3)];
         for depth in 0..8 {
             for zone in &level {
                 let indexed = key_set(map.live_entries_in(zone, SimTime::ORIGIN));
-                let scanned = key_set(map.entries().filter(|e| zone.contains(&e.position)).collect());
+                let scanned = key_set(
+                    map.entries()
+                        .filter(|e| zone.contains(&e.position))
+                        .collect(),
+                );
                 assert_eq!(indexed, scanned, "zone {zone:?}");
             }
-            level = level.iter().flat_map(|z| <[Zone; 2]>::from(z.split(depth % 3))).collect();
+            level = level
+                .iter()
+                .flat_map(|z| <[Zone; 2]>::from(z.split(depth % 3)))
+                .collect();
         }
     }
 

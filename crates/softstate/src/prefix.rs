@@ -169,10 +169,15 @@ impl PrefixState {
         candidates.retain(|r| r.id != query.id);
         let mut ranked = Vec::new();
         let by_position = candidates.iter().enumerate();
-        query
-            .vector
-            .nearest(by_position.map(|(i, r)| (&r.vector, r.id, i)), max, &mut ranked);
-        ranked.iter().map(|&(_, _, i)| candidates[i].clone()).collect()
+        query.vector.nearest(
+            by_position.map(|(i, r)| (&r.vector, r.id, i)),
+            max,
+            &mut ranked,
+        );
+        ranked
+            .iter()
+            .map(|&(_, _, i)| candidates[i].clone())
+            .collect()
     }
 }
 
@@ -216,7 +221,10 @@ mod tests {
     fn publish_writes_one_map_per_prefix_length() {
         let cfg = config();
         let mut s = PrefixState::new(cfg, 3);
-        let written = s.publish(record(0xAB12_0000_0000_0000, [10.0, 20.0, 30.0], &cfg), SimTime::ORIGIN);
+        let written = s.publish(
+            record(0xAB12_0000_0000_0000, [10.0, 20.0, 30.0], &cfg),
+            SimTime::ORIGIN,
+        );
         assert_eq!(written, 3);
         assert_eq!(s.map_count(), 3);
         assert_eq!(s.total_entries(), 3);
@@ -226,8 +234,14 @@ mod tests {
     fn siblings_share_shallow_maps_only() {
         let cfg = config();
         let mut s = PrefixState::new(cfg, 2);
-        s.publish(record(0xAA00_0000_0000_0000, [10.0, 20.0, 30.0], &cfg), SimTime::ORIGIN);
-        s.publish(record(0xAB00_0000_0000_0000, [11.0, 21.0, 31.0], &cfg), SimTime::ORIGIN);
+        s.publish(
+            record(0xAA00_0000_0000_0000, [10.0, 20.0, 30.0], &cfg),
+            SimTime::ORIGIN,
+        );
+        s.publish(
+            record(0xAB00_0000_0000_0000, [11.0, 21.0, 31.0], &cfg),
+            SimTime::ORIGIN,
+        );
         // Same first digit: shared len-1 map plus two distinct len-2 maps.
         assert_eq!(s.map_count(), 3);
     }

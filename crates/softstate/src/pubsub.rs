@@ -17,8 +17,8 @@ use std::fmt;
 use tao_util::det::DetMap;
 
 use tao_overlay::{OverlayNodeId, Zone};
-use tao_util::time::SimDuration;
 use tao_topology::{NodeIdx, RttOracle};
+use tao_util::time::SimDuration;
 
 use crate::entry::{LoadStats, NodeInfo};
 use crate::region::RegionKey;
@@ -188,7 +188,10 @@ impl PubSub {
 
     /// Subscribers that are no longer alive per `live` — *orphaned*
     /// subscriptions left behind by crashed nodes. Deduplicated, sorted.
-    pub fn orphaned_subscribers(&self, mut live: impl FnMut(OverlayNodeId) -> bool) -> Vec<OverlayNodeId> {
+    pub fn orphaned_subscribers(
+        &self,
+        mut live: impl FnMut(OverlayNodeId) -> bool,
+    ) -> Vec<OverlayNodeId> {
         let mut orphans: Vec<OverlayNodeId> = self
             .subs
             .values()
@@ -326,14 +329,24 @@ mod tests {
     #[test]
     fn utilization_threshold_is_respected() {
         let mut bus = PubSub::new();
-        bus.subscribe(&region(), OverlayNodeId(1), Predicate::UtilizationAbove(0.8));
+        bus.subscribe(
+            &region(),
+            OverlayNodeId(1),
+            Predicate::UtilizationAbove(0.8),
+        );
         let low = Event::LoadChanged {
             node: OverlayNodeId(5),
-            load: LoadStats { capacity: 100.0, current_load: 50.0 },
+            load: LoadStats {
+                capacity: 100.0,
+                current_load: 50.0,
+            },
         };
         let high = Event::LoadChanged {
             node: OverlayNodeId(5),
-            load: LoadStats { capacity: 100.0, current_load: 90.0 },
+            load: LoadStats {
+                capacity: 100.0,
+                current_load: 90.0,
+            },
         };
         assert!(bus.publish(&region(), &low).is_empty());
         assert_eq!(bus.publish(&region(), &high), vec![OverlayNodeId(1)]);
@@ -391,8 +404,7 @@ mod tests {
             let d = distribution_tree(NodeIdx(0), &subs, 4, &oracle);
             assert_eq!(d.deliveries.len(), 20);
             assert_eq!(d.messages, 20);
-            let mut seen: Vec<OverlayNodeId> =
-                d.deliveries.iter().map(|x| x.subscriber).collect();
+            let mut seen: Vec<OverlayNodeId> = d.deliveries.iter().map(|x| x.subscriber).collect();
             seen.sort();
             seen.dedup();
             assert_eq!(seen.len(), 20);

@@ -104,7 +104,11 @@ mod tests {
             let mut level = vec![Zone::whole(dims)];
             let mut keys = Vec::new();
             for depth in 0..7 {
-                keys.extend(level.iter().map(|z| RegionKey::from_zone(z).expect("tree box")));
+                keys.extend(
+                    level
+                        .iter()
+                        .map(|z| RegionKey::from_zone(z).expect("tree box")),
+                );
                 level = level
                     .iter()
                     .flat_map(|z| {

@@ -255,7 +255,10 @@ mod tests {
         let mut s = RingState::new(cfg);
         let ring = small_ring(8);
         for i in 0..20u64 {
-            s.publish(record(i + 100, [i as f64 * 12.0, 50.0, 90.0], &cfg), SimTime::ORIGIN);
+            s.publish(
+                record(i + 100, [i as f64 * 12.0, 50.0, 90.0], &cfg),
+                SimTime::ORIGIN,
+            );
         }
         let hosts = s.records_per_host(&ring);
         assert_eq!(hosts.values().sum::<usize>(), 20);

@@ -163,7 +163,10 @@ impl GlobalState {
             return 0;
         };
         keys.iter()
-            .filter(|key| maps.get_mut(key).is_some_and(|m| m.refresh(node, now, config)))
+            .filter(|key| {
+                maps.get_mut(key)
+                    .is_some_and(|m| m.refresh(node, now, config))
+            })
             .count()
     }
 
@@ -231,7 +234,16 @@ impl GlobalState {
     ) -> impl Iterator<Item = &'a NodeInfo> {
         let keyed = RegionKey::from_zone(region).and_then(|key| Some((key, self.maps.get(&key)?)));
         let hits = keyed.map(|(key, map)| {
-            let LookupScratch { stamp, fragments, slots, walks, decoded, unit, landing, ranked } = scratch;
+            let LookupScratch {
+                stamp,
+                fragments,
+                slots,
+                walks,
+                decoded,
+                unit,
+                landing,
+                ranked,
+            } = scratch;
             let read_from = Some((self.version, can.id_bound(), can.len(), now));
             if *stamp != read_from {
                 *stamp = read_from;
@@ -255,7 +267,10 @@ impl GlobalState {
                     *walks += 1;
                     let from = slots.len();
                     walk(map, can, host, now, slots);
-                    Fragment { host: (from, slots.len()), ring: None }
+                    Fragment {
+                        host: (from, slots.len()),
+                        ring: None,
+                    }
                 });
                 // Never hand a node back itself as a candidate. TTL
                 // widening: the ring of CAN neighbors around the host is
@@ -265,7 +280,8 @@ impl GlobalState {
                 if own < max && fragment.ring.is_none() {
                     let ring_from = slots.len();
                     let ring = can.neighbor_ids(host).ok().into_iter().flatten();
-                    ring.filter(|&&n| n != host).for_each(|&n| walk(map, can, n, now, slots));
+                    ring.filter(|&&n| n != host)
+                        .for_each(|&n| walk(map, can, n, now, slots));
                     fragment.ring = Some((ring_from, slots.len()));
                 }
                 let (ring_from, ring_to) = fragment.ring.filter(|_| own < max).unwrap_or((to, to));
@@ -292,8 +308,7 @@ impl GlobalState {
     /// stores (figure 16's dashed line). Nodes hosting nothing are included
     /// with zero so averages are honest.
     pub fn entries_per_host(&self, can: &CanOverlay) -> DetMap<OverlayNodeId, usize> {
-        let mut totals: DetMap<OverlayNodeId, usize> =
-            can.live_nodes().map(|id| (id, 0)).collect();
+        let mut totals: DetMap<OverlayNodeId, usize> = can.live_nodes().map(|id| (id, 0)).collect();
         for map in self.maps.values() {
             for (host, count) in map.entries_per_host(can) {
                 *totals.entry(host).or_insert(0) += count;
@@ -353,14 +368,25 @@ impl GlobalState {
             map.check_invariants();
             for e in map.entries() {
                 let keys = self.listed.get(&e.info.node);
-                assert!(keys.is_some_and(|k| k.contains(key)), "{} unlisted", e.info.node);
+                assert!(
+                    keys.is_some_and(|k| k.contains(key)),
+                    "{} unlisted",
+                    e.info.node
+                );
             }
         }
         // Every entry is listed, so lists as long in total as the entries
         // are many name nothing else and nothing twice.
         let listings: usize = self.listed.values().map(Vec::len).sum();
-        assert_eq!(listings, self.total_entries(), "a region list names a map without its node");
-        assert!(self.listed.values().all(|k| !k.is_empty()), "an empty region list is kept");
+        assert_eq!(
+            listings,
+            self.total_entries(),
+            "a region list names a map without its node"
+        );
+        assert!(
+            self.listed.values().all(|k| !k.is_empty()),
+            "an empty region list is kept"
+        );
     }
 }
 
@@ -368,7 +394,13 @@ impl GlobalState {
 /// `host` stores. An entry is stored by a host exactly when its position
 /// falls in one of the host's zones, so this is one walk of the position
 /// index per zone, not an `owner()` walk per entry.
-fn walk(map: &ZoneMap, can: &CanOverlay, host: OverlayNodeId, now: SimTime, slots: &mut Vec<(u32, OverlayNodeId)>) {
+fn walk(
+    map: &ZoneMap,
+    can: &CanOverlay,
+    host: OverlayNodeId,
+    now: SimTime,
+    slots: &mut Vec<(u32, OverlayNodeId)>,
+) {
     for (lo, hi) in can.zone_bounds(host).into_iter().flatten() {
         // tao-lint: allow(alloc-reachability, reason = "caller-held fragment buffer: grows to the slots of the (region, host) pairs one stamp sees, then is reused")
         map.for_each_live_in(lo, hi, now, |e, slot| slots.push((slot, e.info.node)));
@@ -397,13 +429,13 @@ impl ConvergenceReport {
 mod tests {
     use super::*;
     use crate::entry::NodeInfo;
-    use tao_util::rand::rngs::StdRng;
-    use tao_util::rand::SeedableRng;
     use tao_landmark::{LandmarkGrid, LandmarkVector};
     use tao_overlay::ecan::RandomSelector;
     use tao_overlay::Point;
-    use tao_util::time::SimDuration;
     use tao_topology::NodeIdx;
+    use tao_util::rand::rngs::StdRng;
+    use tao_util::rand::SeedableRng;
+    use tao_util::time::SimDuration;
 
     fn setup(n: u32) -> (EcanOverlay, GlobalState) {
         let mut can = CanOverlay::new(2).unwrap();
@@ -455,7 +487,10 @@ mod tests {
         for region in &ecan.enclosing_high_order_zones(a.node) {
             let found = state.lookup_in_hosted(region, &a, 5, ecan.can(), SimTime::ORIGIN);
             assert!(found.iter().all(|i| i.node != a.node), "no self-candidate");
-            assert!(found.iter().all(|i| i.node == b.node), "only b was published besides a");
+            assert!(
+                found.iter().all(|i| i.node == b.node),
+                "only b was published besides a"
+            );
         }
     }
 
@@ -502,7 +537,10 @@ mod tests {
         state.publish(a.clone(), &ecan, SimTime::ORIGIN);
         // a published, b did not: b's regions are all missing it.
         let report = state.convergence_report(&ecan, &[a.clone(), b.clone()], SimTime::ORIGIN);
-        assert_eq!(report.missing, ecan.enclosing_high_order_zones(b.node).len());
+        assert_eq!(
+            report.missing,
+            ecan.enclosing_high_order_zones(b.node).len()
+        );
         assert_eq!(report.stale, 0);
         assert!(!report.is_converged());
         // Publish b too: converged against {a, b}...

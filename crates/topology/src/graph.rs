@@ -102,11 +102,17 @@ impl Csr {
         offsets.push(0);
         for edges in adj {
             for e in edges {
-                flat.push(CsrEdge { to: e.to.0, weight: e.latency });
+                flat.push(CsrEdge {
+                    to: e.to.0,
+                    weight: e.latency,
+                });
             }
             offsets.push(flat.len() as u32);
         }
-        Csr { offsets, edges: flat }
+        Csr {
+            offsets,
+            edges: flat,
+        }
     }
 
     /// Node `n`'s outgoing edge slice.
@@ -177,8 +183,16 @@ impl Graph {
         assert!(a.index() < self.adj.len(), "node {a} out of range");
         assert!(b.index() < self.adj.len(), "node {b} out of range");
         assert_ne!(a, b, "self-loops are not allowed");
-        self.adj[a.index()].push(Edge { to: b, latency, class });
-        self.adj[b.index()].push(Edge { to: a, latency, class });
+        self.adj[a.index()].push(Edge {
+            to: b,
+            latency,
+            class,
+        });
+        self.adj[b.index()].push(Edge {
+            to: a,
+            latency,
+            class,
+        });
         self.edge_count += 1;
         self.derived = Arc::default();
     }
@@ -219,7 +233,9 @@ impl Graph {
         &self,
         n: NodeIdx,
     ) -> impl Iterator<Item = (NodeIdx, SimDuration, EdgeClass)> + '_ {
-        self.adj[n.index()].iter().map(|e| (e.to, e.latency, e.class))
+        self.adj[n.index()]
+            .iter()
+            .map(|e| (e.to, e.latency, e.class))
     }
 
     /// Iterates over all node indices.
@@ -229,7 +245,9 @@ impl Graph {
 
     /// Indices of all transit routers.
     pub fn transit_nodes(&self) -> Vec<NodeIdx> {
-        self.nodes().filter(|&n| self.kind(n).is_transit()).collect()
+        self.nodes()
+            .filter(|&n| self.kind(n).is_transit())
+            .collect()
     }
 
     /// Indices of all stub routers.
@@ -245,7 +263,10 @@ impl Graph {
     /// The factored distance index, built on first use after any mutation;
     /// `None` when the graph does not factor.
     pub(crate) fn distance_index(&self) -> Option<&Arc<DistanceIndex>> {
-        self.derived.index.get_or_init(|| DistanceIndex::build(self).map(Arc::new)).as_ref()
+        self.derived
+            .index
+            .get_or_init(|| DistanceIndex::build(self).map(Arc::new))
+            .as_ref()
     }
 
     /// `true` if every router can reach every other (BFS from node 0).
@@ -377,16 +398,34 @@ mod tests {
                 .iter()
                 .map(|e| (NodeIdx(e.to), e.weight))
                 .collect();
-            let direct: Vec<(NodeIdx, SimDuration)> =
-                g.neighbors(NodeIdx(n as u32)).map(|(v, w, _)| (v, w)).collect();
+            let direct: Vec<(NodeIdx, SimDuration)> = g
+                .neighbors(NodeIdx(n as u32))
+                .map(|(v, w, _)| (v, w))
+                .collect();
             assert_eq!(listed, direct);
         }
         // Mutation invalidates the cached view.
         g.reassign_latencies(|_, _| SimDuration::from_millis(99));
-        assert!(g.csr().row(0).iter().all(|e| e.weight == SimDuration::from_millis(99)));
+        assert!(g
+            .csr()
+            .row(0)
+            .iter()
+            .all(|e| e.weight == SimDuration::from_millis(99)));
         let d = g.add_node(NodeKind::Stub { domain: 5 });
-        g.add_edge(NodeIdx(0), d, SimDuration::from_millis(1), EdgeClass::IntraStub);
-        assert_eq!(g.csr().row(d.index()).iter().map(|e| e.to).collect::<Vec<_>>(), vec![0]);
+        g.add_edge(
+            NodeIdx(0),
+            d,
+            SimDuration::from_millis(1),
+            EdgeClass::IntraStub,
+        );
+        assert_eq!(
+            g.csr()
+                .row(d.index())
+                .iter()
+                .map(|e| e.to)
+                .collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]

@@ -71,7 +71,10 @@ fn pick_random(mut pool: Vec<NodeIdx>, count: usize, rng: &mut impl Rng) -> Vec<
 
 fn max_min_spread(graph: &Graph, count: usize, rng: &mut impl Rng) -> Vec<NodeIdx> {
     let n = graph.node_count();
-    assert!(count <= n, "cannot choose {count} landmarks from {n} routers");
+    assert!(
+        count <= n,
+        "cannot choose {count} landmarks from {n} routers"
+    );
     let first = NodeIdx(rng.gen_range(0..n as u32));
     let mut chosen = vec![first];
     // min_dist[v] = distance from v to the nearest chosen landmark.

@@ -335,7 +335,11 @@ pub fn generate_transit_stub(
     let mut transit: Vec<Vec<NodeIdx>> = Vec::with_capacity(params.transit_domains);
     for domain in 0..params.transit_domains {
         let nodes: Vec<NodeIdx> = (0..params.transit_nodes_per_domain)
-            .map(|_| graph.add_node(NodeKind::Transit { domain: domain as u32 }))
+            .map(|_| {
+                graph.add_node(NodeKind::Transit {
+                    domain: domain as u32,
+                })
+            })
             .collect();
         connect_random_tree(
             &mut graph,
@@ -423,7 +427,10 @@ pub fn generate_transit_stub(
         }
     }
 
-    debug_assert!(graph.is_connected(), "generator must produce a connected graph");
+    debug_assert!(
+        graph.is_connected(),
+        "generator must produce a connected graph"
+    );
     Topology {
         graph,
         params: *params,
