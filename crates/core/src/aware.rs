@@ -178,8 +178,7 @@ impl<O: AwareOverlay> Aware<O> {
     /// Panics on invalid parameters or an overlay larger than the topology.
     // tao-lint: allow(panic-reachability, reason = "panics are the documented contract: validate() rejects bad parameters and the assert an overlay larger than the topology; past those the grid is valid and the 64-bit ids drawn from one seeded stream do not collide")
     pub fn build(topology: &Topology, params: ExperimentParams, seed: u64) -> Self {
-        let strategy = LandmarkStrategy::Random;
-        Self::assemble(topology.clone(), params, seed, strategy, SpaceFillingCurve::Hilbert)
+        Self::assemble(topology.clone(), params, seed, SpaceFillingCurve::Hilbert)
     }
 
     /// The pipeline: landmarks → participants → vectors → numbers →
@@ -188,7 +187,6 @@ impl<O: AwareOverlay> Aware<O> {
         topology: Topology,
         params: ExperimentParams,
         seed: u64,
-        strategy: LandmarkStrategy,
         curve: SpaceFillingCurve,
     ) -> Self {
         params.validate();
@@ -201,7 +199,8 @@ impl<O: AwareOverlay> Aware<O> {
         // (`warm` is a no-op on a graph whose distances factor — every
         // transit-stub one; on a graph that falls back to rows it computes
         // the landmarks' rows ahead of the vectors.)
-        let landmarks = select_landmarks(topology.graph(), params.landmarks, strategy, &mut rng);
+        let landmarks =
+            select_landmarks(topology.graph(), params.landmarks, LandmarkStrategy::Random, &mut rng);
         oracle.warm(&landmarks);
         let config = SoftStateConfig::builder(landmark_grid(&oracle, &landmarks, &params))
             .curve(curve)

@@ -10,7 +10,6 @@ use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
-use tao_topology::landmarks::LandmarkStrategy;
 use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, Topology, TransitStubParams};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
@@ -29,7 +28,6 @@ pub struct TaoBuilder {
     topology_params: TransitStubParams,
     latency: LatencyAssignment,
     params: ExperimentParams,
-    landmark_strategy: LandmarkStrategy,
     curve: SpaceFillingCurve,
     seed: u64,
 }
@@ -48,7 +46,6 @@ impl TaoBuilder {
             topology_params: TransitStubParams::tsk_large_mini(),
             latency: LatencyAssignment::manual(),
             params: ExperimentParams::default(),
-            landmark_strategy: LandmarkStrategy::Random,
             curve: SpaceFillingCurve::Hilbert,
             seed: 0,
         }
@@ -102,12 +99,6 @@ impl TaoBuilder {
         self
     }
 
-    /// Sets the landmark placement strategy.
-    pub fn landmark_strategy(&mut self, s: LandmarkStrategy) -> &mut Self {
-        self.landmark_strategy = s;
-        self
-    }
-
     /// Sets the space-filling curve used for landmark numbers and map
     /// placement (default: Hilbert; the alternatives exist for ablations).
     pub fn curve(&mut self, curve: SpaceFillingCurve) -> &mut Self {
@@ -142,7 +133,7 @@ impl TaoBuilder {
     /// Same conditions as [`TaoBuilder::build`].
     // tao-lint: allow(panic-reachability, reason = "panics only if the parameters are invalid or the overlay outgrows the topology, which are its documented contract")
     pub fn build_on(&self, topology: Topology) -> TopologyAwareOverlay {
-        Aware::assemble(topology, self.params, self.seed, self.landmark_strategy, self.curve)
+        Aware::assemble(topology, self.params, self.seed, self.curve)
     }
 }
 

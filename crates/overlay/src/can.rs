@@ -12,8 +12,8 @@
 //! # Storage layout
 //!
 //! Node state lives in a struct-of-arrays arena keyed by the dense
-//! [`OverlayNodeId`]: one parallel array per field (`underlay`, `depth`,
-//! `alive`, sorted neighbor lists) plus a single flat `bounds` array holding
+//! [`OverlayNodeId`]: one parallel array per field (`underlay`, `alive`,
+//! sorted neighbor lists) plus a single flat `bounds` array holding
 //! every node's primary-zone bounds contiguously (`2 * dims` doubles per
 //! node, lows then highs). The routing sweep — "which neighbor's zone is
 //! closest to the target point?" — therefore reads consecutive cache lines
@@ -35,7 +35,7 @@ use tao_topology::NodeIdx;
 use crate::point::Point;
 use crate::scratch::RouteScratch;
 use crate::select::SlotOverlay;
-use crate::zone::{gap_sum, Zone};
+use crate::zone::{box_contains, box_volume, boxes_intersect, boxes_neighbor, gap_sum, Zone};
 
 /// Identifies a node in an overlay. Dense per overlay; ids of departed
 /// nodes are *not* reused.
@@ -131,8 +131,6 @@ pub struct CanOverlay {
     dims: usize,
     /// Underlay router per node, indexed by id.
     underlay: Vec<NodeIdx>,
-    /// Split-tree depth of the primary zone, indexed by id.
-    depth: Vec<u32>,
     /// Liveness flag, indexed by id (departed ids are never reused).
     alive: Vec<bool>,
     /// CAN neighbors per node, each list sorted ascending by id (the same
@@ -161,7 +159,6 @@ impl CanOverlay {
         Some(CanOverlay {
             dims,
             underlay: Vec::new(),
-            depth: Vec::new(),
             alive: Vec::new(),
             neighbors: Vec::new(),
             bounds: Vec::new(),
@@ -249,7 +246,6 @@ impl CanOverlay {
     fn push_node(&mut self, underlay: NodeIdx, zone: &Zone) -> OverlayNodeId {
         let id = OverlayNodeId(self.underlay.len() as u32);
         self.underlay.push(underlay);
-        self.depth.push(0);
         self.alive.push(true);
         self.neighbors.push(Vec::new());
         for a in 0..self.dims {
@@ -266,7 +262,7 @@ impl CanOverlay {
     /// first, then takeovers — the order the zones were acquired).
     /// `pristine` (see [`CanOverlay::is_pristine`]) skips the takeovers.
     pub(crate) fn node_owns_point(&self, i: usize, p: &Point, pristine: bool) -> bool {
-        bounds_contain(self.primary_lo(i), self.primary_hi(i), p)
+        box_contains(self.primary_lo(i), self.primary_hi(i), p.coords())
             || (!pristine && self.extra[i].iter().any(|z| z.contains(p)))
     }
 
@@ -294,31 +290,26 @@ impl CanOverlay {
         s
     }
 
+    /// The `(lo, hi)` bounds of node `i`'s zones, primary first, then
+    /// takeovers — the order the zones were acquired.
+    fn node_boxes(&self, i: usize) -> impl Iterator<Item = (&[f64], &[f64])> + '_ {
+        std::iter::once((self.primary_lo(i), self.primary_hi(i)))
+            .chain(self.extra[i].iter().map(|z| (z.lo_slice(), z.hi_slice())))
+    }
+
     /// Total volume of node `i`'s zones, summed primary-first (the same
     /// fold order as the zone-list representation this replaced).
     fn node_volume(&self, i: usize) -> f64 {
-        let mut v = bounds_volume(self.primary_lo(i), self.primary_hi(i));
-        for z in &self.extra[i] {
-            v += z.volume();
-        }
-        v
+        self.node_boxes(i).map(|(lo, hi)| box_volume(lo, hi)).sum()
     }
 
     /// `true` if any zone of node `i` is a CAN neighbor of any zone of
     /// node `j`.
     fn nodes_adjacent(&self, i: usize, j: usize) -> bool {
-        let a_pairs = std::iter::once((self.primary_lo(i), self.primary_hi(i)))
-            .chain(self.extra[i].iter().map(|z| (z.lo_slice(), z.hi_slice())));
-        for (alo, ahi) in a_pairs {
-            let b_pairs = std::iter::once((self.primary_lo(j), self.primary_hi(j)))
-                .chain(self.extra[j].iter().map(|z| (z.lo_slice(), z.hi_slice())));
-            for (blo, bhi) in b_pairs {
-                if bounds_neighbor(alo, ahi, blo, bhi) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.node_boxes(i).any(|(alo, ahi)| {
+            self.node_boxes(j)
+                .any(|(blo, bhi)| boxes_neighbor(alo, ahi, blo, bhi))
+        })
     }
 
     /// The underlay router a live overlay node runs on.
@@ -370,9 +361,7 @@ impl CanOverlay {
         id: OverlayNodeId,
     ) -> Result<impl Iterator<Item = (&[f64], &[f64])> + '_, OverlayError> {
         self.ensure_live(id)?;
-        let i = id.index();
-        Ok(std::iter::once((self.primary_lo(i), self.primary_hi(i)))
-            .chain(self.extra[i].iter().map(|z| (z.lo_slice(), z.hi_slice()))))
+        Ok(self.node_boxes(id.index()))
     }
 
     /// `true` if any of `id`'s zones overlaps `query` (open overlap on
@@ -385,21 +374,10 @@ impl CanOverlay {
     // tao-lint: allow(panic-reachability, reason = "the bounds kernel indexes lo/hi by axis < dims, equal for every node by construction; mismatch is a debug assertion")
     pub fn zone_intersects(&self, id: OverlayNodeId, query: &Zone) -> Result<bool, OverlayError> {
         self.ensure_live(id)?;
-        let i = id.index();
-        if bounds_intersect(self.primary_lo(i), self.primary_hi(i), query) {
-            return Ok(true);
-        }
-        Ok(self.extra[i].iter().any(|z| z.intersects(query)))
-    }
-
-    /// Zone-tree depth of a live node's zone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownNode`] if `id` is unknown or departed.
-    pub fn depth(&self, id: OverlayNodeId) -> Result<u32, OverlayError> {
-        self.ensure_live(id)?;
-        Ok(self.depth[id.index()])
+        let (qlo, qhi) = (query.lo_slice(), query.hi_slice());
+        Ok(self
+            .node_boxes(id.index())
+            .any(|(lo, hi)| boxes_intersect(lo, hi, qlo, qhi)))
     }
 
     /// `true` if live node `id` owns `point` through any of its zones.
@@ -638,7 +616,7 @@ impl CanOverlay {
         // may hold extra zones taken over from departed neighbors): the
         // primary zone is checked first, matching the acquisition order.
         let oi = owner.index();
-        let zone_idx = if bounds_contain(self.primary_lo(oi), self.primary_hi(oi), &point) {
+        let zone_idx = if box_contains(self.primary_lo(oi), self.primary_hi(oi), point.coords()) {
             0
         } else {
             1 + self.extra[oi]
@@ -685,15 +663,12 @@ impl CanOverlay {
             upper: upper_leaf,
         };
 
-        // Update owner's zone and both depths.
+        // Update the owner's zone.
         if zone_idx == 0 {
             self.set_primary(oi, &old_zone);
         } else {
             self.extra[oi][zone_idx - 1] = old_zone;
         }
-        self.depth[oi] = bounds_split_depth(self.primary_lo(oi), self.primary_hi(oi));
-        let ni = new_id.index();
-        self.depth[ni] = bounds_split_depth(self.primary_lo(ni), self.primary_hi(ni));
 
         // Rebuild neighbor sets of the two halves from the owner's previous
         // neighborhood (plus each other).
@@ -786,37 +761,24 @@ impl CanOverlay {
         Ok(())
     }
 
-    /// Routes greedily from `source` toward the owner of `target` using only
-    /// default CAN neighbors: each hop forwards to the neighbor whose zone is
-    /// closest to the target point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownNode`] for a dead source,
-    /// [`OverlayError::DimensionMismatch`] for a bad target, and
-    /// [`OverlayError::RoutingStuck`] if greedy progress stalls.
-    pub fn route(&self, source: OverlayNodeId, target: &Point) -> Result<Route, OverlayError> {
-        let mut scratch = RouteScratch::new();
-        self.route_into(&mut scratch, source, target)?;
-        Ok(Route {
-            hops: scratch.take_hops(),
-        })
-    }
-
     /// Node `i`'s sorted neighbor list, without the liveness check or the
     /// clone of the public [`CanOverlay::neighbors`] accessor.
     pub(crate) fn neighbor_slice(&self, i: usize) -> &[OverlayNodeId] {
         &self.neighbors[i]
     }
 
-    /// [`CanOverlay::route`] with the visited set and hop buffer living in
+    /// Routes greedily from `source` toward the owner of `target` using only
+    /// default CAN neighbors: each hop forwards to the neighbor whose zone is
+    /// closest to the target point. The visited set and hop buffer live in
     /// `scratch`, so a caller that routes more than once allocates nothing
     /// after the first call. On success the hop sequence (source first) is
     /// in [`RouteScratch::hops`]; on error the scratch is still reusable.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CanOverlay::route`].
+    /// Returns [`OverlayError::UnknownNode`] for a dead source,
+    /// [`OverlayError::DimensionMismatch`] for a bad target, and
+    /// [`OverlayError::RoutingStuck`] if greedy progress stalls.
     // tao-lint: hot
     // tao-lint: allow(panic-reachability, reason = "scratch stamps are sized by begin_can(id_bound()) before any mark; the greedy tail indexes bounds by live ids validated by ensure_live")
     pub fn route_into(
@@ -1026,57 +988,6 @@ fn link_remove(v: &mut Vec<OverlayNodeId>, id: OverlayNodeId) {
     }
 }
 
-/// `Zone::contains` over raw bound slices (identical arithmetic).
-fn bounds_contain(lo: &[f64], hi: &[f64], p: &Point) -> bool {
-    assert_eq!(p.dims(), lo.len(), "dimensionality mismatch");
-    (0..lo.len()).all(|a| lo[a] <= p.coord(a) && p.coord(a) < hi[a])
-}
-
-/// `Zone::volume` over raw bound slices (identical arithmetic).
-fn bounds_volume(lo: &[f64], hi: &[f64]) -> f64 {
-    (0..lo.len()).map(|a| hi[a] - lo[a]).product()
-}
-
-/// `Zone::intersects` over raw bound slices: positive-length overlap on
-/// every axis.
-fn bounds_intersect(lo: &[f64], hi: &[f64], query: &Zone) -> bool {
-    debug_assert_eq!(lo.len(), query.dims(), "dimensionality mismatch");
-    (0..lo.len()).all(|a| lo[a] < query.hi(a) && query.lo(a) < hi[a])
-}
-
-/// `Zone::is_neighbor` over raw bound slices: the boxes abut along exactly
-/// one axis (including across the torus seam) and overlap along all others.
-fn bounds_neighbor(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-    debug_assert_eq!(alo.len(), blo.len(), "dimensionality mismatch");
-    let mut abutting = 0;
-    for a in 0..alo.len() {
-        if alo[a] < bhi[a] && blo[a] < ahi[a] {
-            continue; // overlap of positive length on this axis
-        }
-        let abuts = ahi[a] == blo[a]
-            || bhi[a] == alo[a]
-            || (ahi[a] == 1.0 && blo[a] == 0.0)
-            || (bhi[a] == 1.0 && alo[a] == 0.0);
-        if abuts {
-            abutting += 1;
-            if abutting > 1 {
-                return false;
-            }
-        } else {
-            return false;
-        }
-    }
-    abutting == 1
-}
-
-/// Number of binary splits that produced the box from the whole space:
-/// the sum over axes of log2(1/extent), over raw bound slices.
-fn bounds_split_depth(lo: &[f64], hi: &[f64]) -> u32 {
-    (0..lo.len())
-        .map(|a| (-(hi[a] - lo[a]).log2()).round() as u32)
-        .sum()
-}
-
 /// The axis along which `zone` is widest (ties break to the lowest axis) —
 /// the CAN split axis.
 fn widest_axis(zone: &Zone) -> usize {
@@ -1170,12 +1081,13 @@ mod tests {
         let can = grown_overlay(100, 5);
         let mut rng = StdRng::seed_from_u64(13);
         let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+        let mut scratch = RouteScratch::new();
         for _ in 0..100 {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(2, &mut rng);
-            let route = can.route(src, &target).unwrap();
-            assert_eq!(route.hops[0], src);
-            assert_eq!(*route.hops.last().unwrap(), can.owner(&target));
+            can.route_into(&mut scratch, src, &target).unwrap();
+            assert_eq!(scratch.hops()[0], src);
+            assert_eq!(scratch.hops().last(), Some(&can.owner(&target)));
         }
     }
 
@@ -1185,11 +1097,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let live: Vec<OverlayNodeId> = can.live_nodes().collect();
         let mut total = 0usize;
+        let mut scratch = RouteScratch::new();
         const ROUTES: usize = 200;
         for _ in 0..ROUTES {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(2, &mut rng);
-            total += can.route(src, &target).unwrap().hop_count();
+            can.route_into(&mut scratch, src, &target).unwrap();
+            total += scratch.hop_count();
         }
         let avg = total as f64 / ROUTES as f64;
         // Theory: (d/4) * n^(1/d) = 8 for n=256, d=2. Allow generous slack.
@@ -1219,11 +1133,12 @@ mod tests {
             can.leave(OverlayNodeId(id)).unwrap();
         }
         let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+        let mut scratch = RouteScratch::new();
         for _ in 0..100 {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(2, &mut rng);
-            let route = can.route(src, &target).unwrap();
-            assert_eq!(*route.hops.last().unwrap(), can.owner(&target));
+            can.route_into(&mut scratch, src, &target).unwrap();
+            assert_eq!(scratch.hops().last(), Some(&can.owner(&target)));
         }
     }
 
@@ -1580,10 +1495,12 @@ mod tests {
         let intact = grown_overlay(12, 5);
         let live: Vec<OverlayNodeId> = intact.live_nodes().collect();
         let routes = live.iter().flat_map(|&s| live.iter().map(move |&o| (s, o)));
+        let mut scratch = RouteScratch::new();
         let (source, via, owner, target) = routes
             .filter_map(|(s, o)| {
                 let target = intact.primary_zone(o.index()).center();
-                let hops = intact.route(s, &target).unwrap().hops;
+                intact.route_into(&mut scratch, s, &target).unwrap();
+                let hops = scratch.hops();
                 (hops.len() > 2).then(|| (s, hops[1], o, target))
             })
             .next()
@@ -1592,12 +1509,10 @@ mod tests {
         can.neighbors[via.index()] = vec![source];
 
         assert_eq!(
-            can.route(source, &target),
+            can.route_into(&mut scratch, source, &target),
             Err(OverlayError::RoutingStuck { at: via })
         );
         // The scratch of a failed call is reusable as it stands.
-        let mut scratch = RouteScratch::new();
-        assert!(can.route_into(&mut scratch, source, &target).is_err());
         intact.route_into(&mut scratch, source, &target).unwrap();
         assert_eq!(scratch.hops().last(), Some(&owner));
 
@@ -1740,8 +1655,9 @@ mod tests {
 
     #[test]
     fn bounds_kernels_match_zone_methods() {
-        // The slice kernels must agree with the Zone methods they mirror —
-        // bit-for-bit, since routes compare distances with total_cmp.
+        // CanOverlay's folds over a node's primary and extra zones must
+        // agree with the per-Zone answers — bit-for-bit, since routes
+        // compare distances with total_cmp.
         let mut rng = StdRng::seed_from_u64(29);
         for d in 2..=4usize {
             let mut can = CanOverlay::new(d).unwrap();
@@ -1766,6 +1682,16 @@ mod tests {
                         want_d.to_bits()
                     );
                     assert_eq!(can.owns_point(id, &p).unwrap(), want_own);
+                }
+            }
+            for &id in &live {
+                let zones = can.zones(id).unwrap();
+                let want_v = zones.iter().fold(0.0, |v, z| v + z.volume());
+                assert_eq!(can.node_volume(id.index()).to_bits(), want_v.to_bits());
+                for &other in &live {
+                    let query = can.zone(other).unwrap();
+                    let want = zones.iter().any(|z| z.intersects(&query));
+                    assert_eq!(can.zone_intersects(id, &query).unwrap(), want);
                 }
             }
             for &a in &live {
@@ -1797,8 +1723,10 @@ mod tests {
                 .sum();
             assert!((total - 1.0).abs() < 1e-9);
             let live: Vec<OverlayNodeId> = can.live_nodes().collect();
-            let route = can.route(live[0], &Point::random(d, &mut rng)).unwrap();
-            assert!(route.hop_count() < 32);
+            let mut scratch = RouteScratch::new();
+            can.route_into(&mut scratch, live[0], &Point::random(d, &mut rng))
+                .unwrap();
+            assert!(scratch.hop_count() < 32);
         }
     }
 }

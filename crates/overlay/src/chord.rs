@@ -17,6 +17,7 @@
 //! use tao_overlay::chord::ChordOverlay;
 //! use tao_overlay::keyed::KeyedOverlay;
 //! use tao_overlay::select::RandomSelector;
+//! use tao_overlay::RouteScratch;
 //! use tao_topology::NodeIdx;
 //!
 //! let mut ring = ChordOverlay::new();
@@ -25,8 +26,9 @@
 //! }
 //! ring.reselect(&mut RandomSelector::new(1));
 //! let start = ring.node_ids().next().unwrap();
-//! let route = ring.route(start, u64::MAX / 2).unwrap();
-//! assert!(route.hop_count() <= 6, "Chord routes in O(log N)");
+//! let mut scratch = RouteScratch::new();
+//! ring.route_into(&mut scratch, start, u64::MAX / 2).unwrap();
+//! assert!(scratch.ring_hops().len() <= 7, "Chord routes in O(log N) hops");
 //! ```
 
 use std::collections::BTreeMap;
@@ -74,21 +76,6 @@ pub struct Finger {
 struct NodeState {
     underlay: NodeIdx,
     fingers: Vec<Finger>,
-}
-
-/// The result of routing a key lookup: ring ids visited, origin first,
-/// the key's successor last.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChordRoute {
-    /// Visited nodes in order.
-    pub hops: Vec<RingId>,
-}
-
-impl ChordRoute {
-    /// Number of ring hops traversed.
-    pub fn hop_count(&self) -> usize {
-        self.hops.len().saturating_sub(1)
-    }
 }
 
 /// A Chord identifier ring with per-node finger tables.
@@ -171,23 +158,6 @@ impl ChordOverlay {
     /// Clockwise distance from `a` to `b` on the ring.
     fn clockwise(a: RingId, b: RingId) -> u64 {
         b.wrapping_sub(a)
-    }
-
-    /// Routes a lookup for `key` from node `start` using fingers: each hop
-    /// forwards to the table entry that gets clockwise-closest to the key
-    /// without overshooting — classic closest-preceding-finger routing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChordError::UnknownNode`] if `start` is not on the ring or
-    /// [`ChordError::EmptyRing`] on an empty ring.
-    // tao-lint: allow(panic-reachability, reason = "delegates to route_into, whose unreachable! hop bound is a defensive invariant")
-    pub fn route(&self, start: RingId, key: RingId) -> Result<ChordRoute, ChordError> {
-        let mut scratch = RouteScratch::new();
-        self.route_into(&mut scratch, start, key)?;
-        Ok(ChordRoute {
-            hops: scratch.take_ring_hops(),
-        })
     }
 
     /// Asserts the ring's structural invariants, panicking with a
@@ -300,15 +270,19 @@ impl KeyedOverlay for ChordOverlay {
             .fingers = fingers;
     }
 
-    /// [`ChordOverlay::route`] with the hop buffer living in `scratch`, so
-    /// a caller that routes more than once allocates nothing after the
-    /// first call. On success the hop sequence (start first) is in
+    /// Routes a lookup for `key` from node `start` using fingers: each hop
+    /// forwards to the table entry that gets clockwise-closest to the key
+    /// without overshooting — classic closest-preceding-finger routing.
+    /// The hop buffer lives in `scratch`, so a caller that routes more than
+    /// once allocates nothing after the first call. On success the hop
+    /// sequence (start first) is in
     /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
     /// error the scratch is still reusable.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ChordOverlay::route`].
+    /// Returns [`ChordError::UnknownNode`] if `start` is not on the ring or
+    /// [`ChordError::EmptyRing`] on an empty ring.
     // tao-lint: hot
     fn route_into(
         &self,
@@ -395,11 +369,15 @@ mod tests {
         let ring = ring_of(128, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let ids: Vec<RingId> = ring.node_ids().collect();
+        let mut scratch = RouteScratch::new();
         for _ in 0..200 {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: RingId = rng.gen();
-            let route = ring.route(start, key).unwrap();
-            assert_eq!(*route.hops.last().unwrap(), ring.successor(key).unwrap());
+            ring.route_into(&mut scratch, start, key).unwrap();
+            assert_eq!(
+                scratch.ring_hops().last(),
+                Some(&ring.successor(key).unwrap())
+            );
         }
     }
 
@@ -434,10 +412,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let ids: Vec<RingId> = ring.node_ids().collect();
         let mut total = 0usize;
+        let mut scratch = RouteScratch::new();
         const ROUTES: usize = 200;
         for _ in 0..ROUTES {
             let start = ids[rng.gen_range(0..ids.len())];
-            total += ring.route(start, rng.gen()).unwrap().hop_count();
+            ring.route_into(&mut scratch, start, rng.gen()).unwrap();
+            total += scratch.ring_hops().len() - 1;
         }
         let avg = total as f64 / ROUTES as f64;
         // Theory: ~0.5 log2(1024) = 5.
@@ -523,6 +503,7 @@ mod tests {
     #[test]
     fn route_from_unknown_node_errors() {
         let ring = ring_of(8, 13);
-        assert!(matches!(ring.route(1, 2), Err(ChordError::UnknownNode(1))));
+        let routed = ring.route_into(&mut RouteScratch::new(), 1, 2);
+        assert!(matches!(routed, Err(ChordError::UnknownNode(1))));
     }
 }

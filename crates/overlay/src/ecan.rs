@@ -818,10 +818,12 @@ mod tests {
         let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
         let mut plain = 0usize;
         let mut express = 0usize;
+        let mut scratch = crate::RouteScratch::new();
         for _ in 0..150 {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(2, &mut rng);
-            plain += ecan.can().route(src, &target).unwrap().hop_count();
+            ecan.can().route_into(&mut scratch, src, &target).unwrap();
+            plain += scratch.hop_count();
             express += ecan.route_express(src, &target).unwrap().hop_count();
         }
         assert!(
@@ -927,12 +929,14 @@ mod tests {
             );
         }
         // With every table empty an express route is the greedy CAN route.
+        let mut scratch = crate::RouteScratch::new();
         for _ in 0..50 {
             let src = live[rng.gen_range(0..live.len())];
             let target = Point::random(2, &mut rng);
             let route = ecan.route_express(src, &target).unwrap();
             assert_eq!(*route.hops.last().unwrap(), ecan.can().owner(&target));
-            assert_eq!(route.hops, ecan.can().route(src, &target).unwrap().hops);
+            ecan.can().route_into(&mut scratch, src, &target).unwrap();
+            assert_eq!(route.hops, scratch.hops());
         }
         // `build` is `unselected` followed by the one pass.
         let mut selected = ecan.clone();

@@ -25,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use tao_overlay::{CanOverlay, Point};
+//! use tao_overlay::{CanOverlay, Point, RouteScratch};
 //! use tao_topology::NodeIdx;
 //!
 //! let mut can = CanOverlay::new(2).unwrap();
@@ -36,8 +36,9 @@
 //! // Every point has exactly one owner, and routing reaches it.
 //! let target = Point::new(vec![0.85, 0.15]).unwrap();
 //! assert_eq!(can.owner(&target), c);
-//! let route = can.route(a, &target).unwrap();
-//! assert_eq!(*route.hops.last().unwrap(), c);
+//! let mut scratch = RouteScratch::new();
+//! can.route_into(&mut scratch, a, &target).unwrap();
+//! assert_eq!(scratch.hops().last(), Some(&c));
 //! # let _ = b;
 //! ```
 

@@ -16,6 +16,7 @@
 //! use tao_overlay::keyed::KeyedOverlay;
 //! use tao_overlay::pastry::PastryOverlay;
 //! use tao_overlay::select::RandomSelector;
+//! use tao_overlay::RouteScratch;
 //! use tao_topology::NodeIdx;
 //! use tao_util::rand::{Rng, SeedableRng};
 //!
@@ -27,8 +28,9 @@
 //! pastry.reselect(&mut RandomSelector::new(1));
 //! let start = pastry.node_ids().next().unwrap();
 //! let key: u64 = rng.gen();
-//! let route = pastry.route(start, key).unwrap();
-//! assert_eq!(*route.hops.last().unwrap(), pastry.root_of(key).unwrap());
+//! let mut scratch = RouteScratch::new();
+//! pastry.route_into(&mut scratch, start, key).unwrap();
+//! assert_eq!(scratch.ring_hops().last(), Some(&pastry.root_of(key).unwrap()));
 //! ```
 
 use std::collections::BTreeMap;
@@ -98,20 +100,6 @@ struct NodeState {
     table: Vec<Option<PastryId>>,
     /// Nearest ids on either side (leaf set), ascending.
     leaves: Vec<PastryId>,
-}
-
-/// The result of routing: ids visited, origin first, the key's root last.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PastryRoute {
-    /// Visited nodes in order.
-    pub hops: Vec<PastryId>,
-}
-
-impl PastryRoute {
-    /// Number of hops traversed.
-    pub fn hop_count(&self) -> usize {
-        self.hops.len().saturating_sub(1)
-    }
 }
 
 /// A Pastry-style overlay: prefix routing tables plus leaf sets.
@@ -249,23 +237,6 @@ impl PastryOverlay {
             .unwrap_or(&[])
     }
 
-    /// Prefix routing: at each hop, use the table entry matching one more
-    /// digit of the key; fall back to the numerically closest known node
-    /// (leaf set ∪ table) that keeps the shared prefix and improves on the
-    /// current distance; terminate at the key's root.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PastryError::UnknownNode`] for an absent start and
-    /// [`PastryError::Empty`] on an empty overlay.
-    pub fn route(&self, start: PastryId, key: PastryId) -> Result<PastryRoute, PastryError> {
-        let mut scratch = RouteScratch::new();
-        self.route_into(&mut scratch, start, key)?;
-        Ok(PastryRoute {
-            hops: scratch.take_ring_hops(),
-        })
-    }
-
     /// Asserts the overlay's structural invariants, panicking with a
     /// description on the first violation:
     ///
@@ -368,15 +339,19 @@ impl KeyedOverlay for PastryOverlay {
         s.leaves = leaves;
     }
 
-    /// [`PastryOverlay::route`] with the hop buffer living in `scratch`, so
-    /// a caller that routes more than once allocates nothing after the
-    /// first call. On success the hop sequence (start first) is in
-    /// [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops); on
-    /// error the scratch is still reusable.
+    /// Prefix routing: at each hop, use the table entry matching one more
+    /// digit of the key; fall back to the numerically closest known node
+    /// (leaf set ∪ table) that keeps the shared prefix and improves on the
+    /// current distance; terminate at the key's root. The hop buffer lives
+    /// in `scratch`, so a caller that routes more than once allocates
+    /// nothing after the first call. On success the hop sequence (start
+    /// first) is in [`RouteScratch::ring_hops`](crate::RouteScratch::ring_hops);
+    /// on error the scratch is still reusable.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PastryOverlay::route`].
+    /// Returns [`PastryError::UnknownNode`] for an absent start and
+    /// [`PastryError::Empty`] on an empty overlay.
     // tao-lint: hot
     fn route_into(
         &self,
@@ -554,8 +529,9 @@ mod tests {
         assert_eq!(o.table_entry(b, 0, 7), Some(a));
         assert!(!o.leaves(a).contains(&root));
         assert_eq!(o.root_of(key).unwrap(), root);
-        let route = o.route(a, key).unwrap();
-        assert_eq!(route.hops, [a, a + 2, root]);
+        let mut scratch = RouteScratch::new();
+        o.route_into(&mut scratch, a, key).unwrap();
+        assert_eq!(scratch.ring_hops(), [a, a + 2, root]);
     }
 
     #[test]
@@ -563,11 +539,12 @@ mod tests {
         let o = overlay_of(256, 7);
         let mut rng = StdRng::seed_from_u64(8);
         let ids: Vec<PastryId> = o.node_ids().collect();
+        let mut scratch = RouteScratch::new();
         for _ in 0..200 {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: PastryId = rng.gen();
-            let route = o.route(start, key).unwrap();
-            assert_eq!(*route.hops.last().unwrap(), o.root_of(key).unwrap());
+            o.route_into(&mut scratch, start, key).unwrap();
+            assert_eq!(scratch.ring_hops().last(), Some(&o.root_of(key).unwrap()));
         }
     }
 
@@ -577,10 +554,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let ids: Vec<PastryId> = o.node_ids().collect();
         let mut total = 0usize;
+        let mut scratch = RouteScratch::new();
         const ROUTES: usize = 200;
         for _ in 0..ROUTES {
             let start = ids[rng.gen_range(0..ids.len())];
-            total += o.route(start, rng.gen()).unwrap().hop_count();
+            o.route_into(&mut scratch, start, rng.gen()).unwrap();
+            total += scratch.ring_hops().len() - 1;
         }
         let avg = total as f64 / ROUTES as f64;
         // Theory: ~log16(1024) = 2.5 digit hops plus leaf-set steps.
@@ -619,11 +598,12 @@ mod tests {
         o.reselect(&mut RandomSelector::new(14));
         let ids: Vec<PastryId> = o.node_ids().collect();
         let mut rng = StdRng::seed_from_u64(15);
+        let mut scratch = RouteScratch::new();
         for _ in 0..50 {
             let start = ids[rng.gen_range(0..ids.len())];
             let key: PastryId = rng.gen();
-            let route = o.route(start, key).unwrap();
-            assert!(route.hops.iter().all(|&h| h != victim));
+            o.route_into(&mut scratch, start, key).unwrap();
+            assert!(scratch.ring_hops().iter().all(|&h| h != victim));
         }
     }
 

@@ -20,9 +20,9 @@
 //! One scratch can be shared freely across overlays and overlay types; each
 //! `route_into` call re-arms it for the arena it is given. Calls that
 //! return an error leave the scratch reusable — the next call re-arms it
-//! regardless of what the failed call left behind. The one-shot `route()` /
-//! `route_express()` conveniences run the same loop on a fresh scratch and
-//! move its hop buffer into the returned route.
+//! regardless of what the failed call left behind. eCAN's one-shot
+//! `route_express()` runs the same loop on a fresh scratch and moves its
+//! hop buffer into the returned route.
 
 use crate::can::OverlayNodeId;
 
@@ -123,15 +123,10 @@ impl RouteScratch {
         self.hops.len()
     }
 
-    /// Moves the CAN-family hop buffer out, leaving an empty one — how the
-    /// one-shot `route()` conveniences hand the hops to a [`crate::Route`].
+    /// Moves the CAN-family hop buffer out, leaving an empty one — how
+    /// eCAN's one-shot `route_express` hands the hops to a [`crate::Route`].
     pub(crate) fn take_hops(&mut self) -> Vec<OverlayNodeId> {
         std::mem::take(&mut self.hops)
-    }
-
-    /// Moves the ring hop buffer out, leaving an empty one.
-    pub(crate) fn take_ring_hops(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.ring_hops)
     }
 
     /// Arms the scratch for a ring route: clears the ring hop buffer.

@@ -100,7 +100,7 @@ impl Zone {
 
     /// Volume (product of extents).
     pub fn volume(&self) -> f64 {
-        (0..self.dims()).map(|a| self.extent(a)).product()
+        box_volume(&self.lo, &self.hi)
     }
 
     /// `true` if `p` lies inside the half-open box.
@@ -109,8 +109,7 @@ impl Zone {
     ///
     /// Panics if dimensionalities differ.
     pub fn contains(&self, p: &Point) -> bool {
-        assert_eq!(p.dims(), self.dims(), "dimensionality mismatch");
-        (0..self.dims()).all(|a| self.lo[a] <= p.coord(a) && p.coord(a) < self.hi[a])
+        box_contains(&self.lo, &self.hi, p.coords())
     }
 
     /// The centre point.
@@ -137,21 +136,6 @@ impl Zone {
         (lower, upper)
     }
 
-    /// `true` if the zones overlap along `axis` over an interval of positive
-    /// length (no torus wrap: zones never straddle the 0/1 seam).
-    fn overlaps_on(&self, other: &Zone, axis: usize) -> bool {
-        self.lo[axis] < other.hi[axis] && other.lo[axis] < self.hi[axis]
-    }
-
-    /// `true` if the zones abut along `axis` — share a boundary face,
-    /// including across the torus seam at 0/1.
-    fn abuts_on(&self, other: &Zone, axis: usize) -> bool {
-        self.hi[axis] == other.lo[axis]
-            || other.hi[axis] == self.lo[axis]
-            || (self.hi[axis] == 1.0 && other.lo[axis] == 0.0)
-            || (other.hi[axis] == 1.0 && self.lo[axis] == 0.0)
-    }
-
     /// CAN neighborship: the zones abut along exactly one axis and overlap
     /// along all others.
     ///
@@ -160,26 +144,12 @@ impl Zone {
     /// Panics if dimensionalities differ.
     pub fn is_neighbor(&self, other: &Zone) -> bool {
         assert_eq!(self.dims(), other.dims(), "dimensionality mismatch");
-        let mut abutting = 0;
-        for a in 0..self.dims() {
-            if self.overlaps_on(other, a) {
-                continue;
-            }
-            if self.abuts_on(other, a) {
-                abutting += 1;
-                if abutting > 1 {
-                    return false;
-                }
-            } else {
-                return false;
-            }
-        }
-        abutting == 1
+        boxes_neighbor(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 
     /// `true` if the boxes intersect with positive volume.
     pub fn intersects(&self, other: &Zone) -> bool {
-        (0..self.dims()).all(|a| self.overlaps_on(other, a))
+        boxes_intersect(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 
     /// `true` if `other` lies entirely within `self`.
@@ -236,6 +206,57 @@ impl Zone {
             self.hi[a] = lo + side;
         }
     }
+}
+
+// The box predicates, each written once over raw bound slices: the
+// `Zone` methods and `CanOverlay`'s flat bounds arrays both call them.
+
+/// `true` if the half-open box `[lo, hi)` holds the point with coordinates
+/// `p`.
+///
+/// # Panics
+///
+/// Panics if dimensionalities differ.
+pub(crate) fn box_contains(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
+    assert_eq!(p.len(), lo.len(), "dimensionality mismatch");
+    (0..lo.len()).all(|a| lo[a] <= p[a] && p[a] < hi[a])
+}
+
+/// Volume of the box `[lo, hi)`: the product of its extents.
+pub(crate) fn box_volume(lo: &[f64], hi: &[f64]) -> f64 {
+    (0..lo.len()).map(|a| hi[a] - lo[a]).product()
+}
+
+/// `true` if the boxes `a` and `b` overlap over a positive length on every
+/// axis (no torus wrap: zones never straddle the 0/1 seam).
+pub(crate) fn boxes_intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
+    debug_assert_eq!(alo.len(), blo.len(), "dimensionality mismatch");
+    (0..alo.len()).all(|a| alo[a] < bhi[a] && blo[a] < ahi[a])
+}
+
+/// `true` if the boxes `a` and `b` are CAN neighbors: they abut along
+/// exactly one axis (share a boundary face, including across the torus
+/// seam at 0/1) and overlap along all others.
+pub(crate) fn boxes_neighbor(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
+    debug_assert_eq!(alo.len(), blo.len(), "dimensionality mismatch");
+    let mut abutting = 0;
+    for a in 0..alo.len() {
+        if alo[a] < bhi[a] && blo[a] < ahi[a] {
+            continue; // overlap of positive length on this axis
+        }
+        let abuts = ahi[a] == blo[a]
+            || bhi[a] == alo[a]
+            || (ahi[a] == 1.0 && blo[a] == 0.0)
+            || (bhi[a] == 1.0 && alo[a] == 0.0);
+        if !abuts {
+            return false;
+        }
+        abutting += 1;
+        if abutting > 1 {
+            return false;
+        }
+    }
+    abutting == 1
 }
 
 /// The squared minimum torus distance from the box `[lo, hi)` to the point

@@ -13,7 +13,6 @@ pub struct SoftStateConfig {
     curve: SpaceFillingCurve,
     condense_rate: f64,
     ttl: SimDuration,
-    position_resolution_bits: u32,
 }
 
 /// Builder for [`SoftStateConfig`].
@@ -48,7 +47,6 @@ impl SoftStateConfig {
                 curve: SpaceFillingCurve::Hilbert,
                 condense_rate: 0.25,
                 ttl: SimDuration::from_secs(60),
-                position_resolution_bits: 10,
             },
         }
     }
@@ -73,12 +71,6 @@ impl SoftStateConfig {
     /// Entry time-to-live.
     pub fn ttl(&self) -> SimDuration {
         self.ttl
-    }
-
-    /// Bits of resolution when hashing a landmark number to a region
-    /// position.
-    pub fn position_resolution_bits(&self) -> u32 {
-        self.position_resolution_bits
     }
 }
 
@@ -114,20 +106,6 @@ impl SoftStateConfigBuilder {
         self
     }
 
-    /// Sets the region-position resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bits` is in `1..=16`.
-    pub fn position_resolution_bits(&mut self, bits: u32) -> &mut Self {
-        assert!(
-            (1..=16).contains(&bits),
-            "resolution bits must be in 1..=16"
-        );
-        self.config.position_resolution_bits = bits;
-        self
-    }
-
     /// Produces the configuration.
     pub fn build(&self) -> SoftStateConfig {
         self.config
@@ -156,11 +134,10 @@ mod tests {
             .curve(SpaceFillingCurve::ZOrder)
             .condense_rate(1.0)
             .ttl(SimDuration::from_secs(5))
-            .position_resolution_bits(6)
             .build();
         assert_eq!(c.curve(), SpaceFillingCurve::ZOrder);
         assert_eq!(c.condense_rate(), 1.0);
-        assert_eq!(c.position_resolution_bits(), 6);
+        assert_eq!(c.ttl(), SimDuration::from_secs(5));
     }
 
     #[test]

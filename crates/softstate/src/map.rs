@@ -8,14 +8,14 @@
 //! information about physically close nodes lands on the same or adjacent
 //! hosts.
 //!
-//! Storage: a map's entries live in one slab, and three indexes name them
-//! by slot — by landmark number (the curve order), by node (one entry per
-//! node), and by the Morton code of the storage position (what a host's
-//! zone holds). Each entry owns exactly one stamp on the expiry wheel.
+//! Storage: a map's entries live in one slab, and two indexes name them by
+//! slot — by node (one entry per node) and by the Morton code of the
+//! storage position (what a host's zone holds). Each entry owns exactly one
+//! stamp on the expiry wheel.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use tao_util::det::DetMap;
@@ -73,9 +73,6 @@ pub struct ZoneMap {
     /// `free` and is taken by the next new entry.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Slots by landmark number (then owner id for determinism): the curve
-    /// order [`ZoneMap::entries`] yields.
-    by_number: BTreeMap<(u128, OverlayNodeId), u32>,
     /// Slots by node, enforcing one entry per node per map even when its
     /// coordinates change.
     by_node: DetMap<OverlayNodeId, u32>,
@@ -103,7 +100,6 @@ impl ZoneMap {
             condensed,
             slots: Vec::new(),
             free: Vec::new(),
-            by_number: BTreeMap::new(),
             by_node: DetMap::new(),
             by_position: BTreeSet::new(),
             wheel: BinaryHeap::new(),
@@ -178,7 +174,6 @@ impl ZoneMap {
         // under its previous landmark number first.
         self.remove(info.node);
         let position = self.position_for(info.number, config);
-        let key = (info.number.value(), info.node);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 generation: 0,
@@ -186,7 +181,6 @@ impl ZoneMap {
             });
             (self.slots.len() - 1) as u32
         });
-        self.by_number.insert(key, slot);
         self.by_node.insert(info.node, slot);
         self.by_position
             .insert((self.position_code(&position), slot));
@@ -244,7 +238,6 @@ impl ZoneMap {
         };
         home.generation = home.generation.wrapping_add(1);
         self.free.push(slot);
-        self.by_number.remove(&(e.info.number.value(), node));
         let code = self.position_code(&e.position);
         self.by_position.remove(&(code, slot));
         true
@@ -401,9 +394,9 @@ impl ZoneMap {
         ))
     }
 
-    /// Iterates over all entries, live or stale, in landmark-number order.
+    /// Iterates over all entries, live or stale, in slab order.
     pub fn entries(&self) -> impl Iterator<Item = &SoftStateEntry> {
-        self.by_number.values().filter_map(|&slot| self.get(slot))
+        self.slots.iter().filter_map(|s| s.entry.as_ref())
     }
 
     /// Counts this map's entries per hosting overlay node (the owner of
@@ -416,7 +409,7 @@ impl ZoneMap {
         hosts
     }
 
-    /// Asserts the storage invariants: the three indexes and the free list
+    /// Asserts the storage invariants: the two indexes and the free list
     /// account for every slot, each index names the slot of the entry that
     /// carries its key, and each entry has exactly one current stamp on the
     /// wheel, due no later than the entry.
@@ -427,13 +420,9 @@ impl ZoneMap {
     // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a violation is its contract")
     pub fn check_invariants(&self) {
         let live = self.slots.iter().filter(|s| s.entry.is_some()).count();
-        let sizes = [
-            self.by_number.len(),
-            self.by_node.len(),
-            self.by_position.len(),
-        ];
+        let sizes = [self.by_node.len(), self.by_position.len()];
         assert_eq!(
-            sizes, [live; 3],
+            sizes, [live; 2],
             "an index misses a slot or names a vacant one"
         );
         assert_eq!(self.free.len(), self.slots.len() - live, "free list size");
@@ -441,19 +430,17 @@ impl ZoneMap {
             self.free.iter().all(|&s| self.get(s).is_none()),
             "a free slot is occupied"
         );
-        for (&(number, node), &slot) in &self.by_number {
-            let e = self
-                .get(slot)
-                .filter(|e| (e.info.number.value(), e.info.node) == (number, node));
-            let code = e.map(|e| (self.position_code(&e.position), slot));
-            assert!(e.is_some(), "by_number names the wrong slot for {node}");
+        for (slot, home) in (0u32..).zip(&self.slots) {
+            let Some(e) = &home.entry else { continue };
+            let node = e.info.node;
             assert_eq!(
                 self.by_node.get(&node),
                 Some(&slot),
                 "by_node disagrees on {node}"
             );
             assert!(
-                code.is_some_and(|c| self.by_position.contains(&c)),
+                self.by_position
+                    .contains(&(self.position_code(&e.position), slot)),
                 "by_position misses {node}"
             );
         }
@@ -481,6 +468,10 @@ impl ZoneMap {
     }
 }
 
+/// Bits of resolution per axis when hashing a landmark number to a region
+/// position.
+const POSITION_BITS: u32 = 10;
+
 /// The normalised position in `[0,1)^dims` at which information keyed by
 /// `number` is stored: the curve decode every region shares, each then
 /// applying its own [`ZoneMap::scale_into_condensed`].
@@ -493,8 +484,7 @@ pub(crate) fn unit_position_into(
     // tao-lint: allow(alloc-reachability, reason = "caller-held coordinate buffer: sized to the region's dimensionality on first use, then reused")
     out.resize(dims, 0.0);
     let grid_bits = config.grid().number_bits();
-    let resolution = config.position_resolution_bits();
-    region_position_into(number, grid_bits, resolution, config.curve(), out);
+    region_position_into(number, grid_bits, POSITION_BITS, config.curve(), out);
 }
 
 /// The sub-box of `region` holding its map: per-axis extents scaled by

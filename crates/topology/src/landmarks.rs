@@ -1,35 +1,29 @@
 //! Landmark-node placement.
 //!
 //! The paper "randomly chooses nodes from the topology as the landmarks";
-//! it also discusses (§5.4) refinements such as widely-scattered landmark
-//! sets. This module provides both: uniform random selection and a max-min
-//! greedy spread that picks each next landmark to maximise its distance from
-//! the already-chosen set, plus selection restricted to transit routers.
+//! that is the one placement this module provides.
 
 use tao_util::rand::seq::SliceRandom;
 use tao_util::rand::Rng;
-use tao_util::time::SimDuration;
 
 use crate::graph::{Graph, NodeIdx};
-use crate::shortest_path::shortest_paths;
 
 /// How landmark nodes are chosen from the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LandmarkStrategy {
-    /// Uniformly random routers (the paper's default).
+    /// Uniformly random routers (the paper's placement). The only
+    /// strategy: the enum stays because `benchmark/src/traced.rs` names
+    /// this variant, and goes when that benchmark is rebuilt (ROADMAP
+    /// item 1b).
     Random,
-    /// Uniformly random *transit* routers (well-connected vantage points).
-    RandomTransit,
-    /// Greedy max-min spread: first landmark random, each next landmark is
-    /// the router farthest from all chosen so far (§5.4 "widely scattered").
-    MaxMinSpread,
 }
 
-/// Selects `count` distinct landmark routers from `graph` using `strategy`.
+/// Selects `count` distinct landmark routers from `graph`, uniformly at
+/// random (`strategy` has the one value [`LandmarkStrategy::Random`]).
 ///
 /// # Panics
 ///
-/// Panics if `count` is zero or exceeds the candidate pool for the strategy.
+/// Panics if `count` is zero or exceeds the number of routers.
 ///
 /// # Example
 ///
@@ -51,14 +45,8 @@ pub fn select_landmarks(
     rng: &mut impl Rng,
 ) -> Vec<NodeIdx> {
     assert!(count > 0, "need at least one landmark");
-    match strategy {
-        LandmarkStrategy::Random => pick_random(graph.nodes().collect(), count, rng),
-        LandmarkStrategy::RandomTransit => pick_random(graph.transit_nodes(), count, rng),
-        LandmarkStrategy::MaxMinSpread => max_min_spread(graph, count, rng),
-    }
-}
-
-fn pick_random(mut pool: Vec<NodeIdx>, count: usize, rng: &mut impl Rng) -> Vec<NodeIdx> {
+    let LandmarkStrategy::Random = strategy;
+    let mut pool: Vec<NodeIdx> = graph.nodes().collect();
     assert!(
         count <= pool.len(),
         "cannot choose {count} landmarks from {} candidates",
@@ -67,45 +55,6 @@ fn pick_random(mut pool: Vec<NodeIdx>, count: usize, rng: &mut impl Rng) -> Vec<
     pool.shuffle(rng);
     pool.truncate(count);
     pool
-}
-
-fn max_min_spread(graph: &Graph, count: usize, rng: &mut impl Rng) -> Vec<NodeIdx> {
-    let n = graph.node_count();
-    assert!(
-        count <= n,
-        "cannot choose {count} landmarks from {n} routers"
-    );
-    let first = NodeIdx(rng.gen_range(0..n as u32));
-    let mut chosen = vec![first];
-    // min_dist[v] = distance from v to the nearest chosen landmark.
-    let mut min_dist = shortest_paths(graph, first).as_slice().to_vec();
-    while chosen.len() < count {
-        let (best, _) = min_dist
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| **d)
-            .expect("graph is non-empty"); // tao-lint: allow(no-unwrap-in-lib, reason = "graph is non-empty")
-        let next = NodeIdx(best as u32);
-        chosen.push(next);
-        let d_next = shortest_paths(graph, next);
-        for (v, md) in min_dist.iter_mut().enumerate() {
-            *md = (*md).min(d_next[v]);
-        }
-    }
-    chosen
-}
-
-/// The minimum pairwise distance within a landmark set — a quality metric
-/// for comparing placement strategies.
-pub fn min_pairwise_distance(graph: &Graph, landmarks: &[NodeIdx]) -> SimDuration {
-    let mut best = SimDuration::MAX;
-    for (i, &a) in landmarks.iter().enumerate() {
-        let d = shortest_paths(graph, a);
-        for &b in &landmarks[i + 1..] {
-            best = best.min(d[b.index()]);
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -136,49 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn transit_selection_only_picks_transit_routers() {
-        let t = topo();
-        let mut rng = StdRng::seed_from_u64(0);
-        let lms = select_landmarks(t.graph(), 4, LandmarkStrategy::RandomTransit, &mut rng);
-        assert!(lms.iter().all(|&l| t.graph().kind(l).is_transit()));
-    }
-
-    #[test]
-    fn spread_selection_beats_random_on_min_pairwise_distance() {
-        let t = topo();
-        let mut rng = StdRng::seed_from_u64(5);
-        let spread = select_landmarks(t.graph(), 6, LandmarkStrategy::MaxMinSpread, &mut rng);
-        // Average over a few random draws for a fair comparison.
-        let spread_q = min_pairwise_distance(t.graph(), &spread);
-        let mut random_q_total = SimDuration::ZERO;
-        const TRIALS: u64 = 5;
-        for s in 0..TRIALS {
-            let mut r = StdRng::seed_from_u64(s);
-            let random = select_landmarks(t.graph(), 6, LandmarkStrategy::Random, &mut r);
-            random_q_total += min_pairwise_distance(t.graph(), &random);
-        }
-        assert!(
-            spread_q >= random_q_total / TRIALS,
-            "max-min spread should not be worse than average random placement"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn zero_landmarks_panics() {
         let t = topo();
         let mut rng = StdRng::seed_from_u64(0);
         select_landmarks(t.graph(), 0, LandmarkStrategy::Random, &mut rng);
-    }
-
-    #[test]
-    fn spread_produces_distinct_landmarks() {
-        let t = topo();
-        let mut rng = StdRng::seed_from_u64(9);
-        let lms = select_landmarks(t.graph(), 8, LandmarkStrategy::MaxMinSpread, &mut rng);
-        let mut u = lms.clone();
-        u.sort();
-        u.dedup();
-        assert_eq!(u.len(), 8, "landmarks must be distinct");
     }
 }

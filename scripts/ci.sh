@@ -39,13 +39,15 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline
 
 # ---- Lint stage: structural + taint + hot-path analysis, baseline-gated. ---
-# The linter and the overlays are held to rustfmt and clippy (the rest
-# of the workspace is not yet clean under either).
-for crate in tao-lint tao-overlay; do
+# The linter, the overlays, the topology and the soft-state store are held
+# to rustfmt and clippy (the rest of the workspace is not yet clean under
+# either).
+fmt_gated="tao-lint tao-overlay tao-topology tao-softstate"
+for crate in $fmt_gated; do
     cargo fmt --check -p "$crate"
     cargo clippy -q --offline -p "$crate" --all-targets -- -D warnings
 done
-echo "tao-lint + tao-overlay fmt + clippy: OK"
+echo "$fmt_gated fmt + clippy: OK"
 # tao-lint derives the file set from the workspace manifests (its own crate
 # included), enforces the four token rules, the four structural rules
 # (panic-reachability, crate-layering, seed-discipline, unused-waiver),

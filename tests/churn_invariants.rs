@@ -9,7 +9,7 @@ use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::PastryOverlay;
 use tao_overlay::tacan::binned_join_point;
-use tao_overlay::{CanOverlay, OverlayNodeId, Point};
+use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::SimDuration;
 use tao_softstate::MaintenancePolicy;
 use tao_topology::{LatencyAssignment, NodeIdx, TransitStubParams};
@@ -40,11 +40,12 @@ fn can_survives_heavy_interleaved_churn() {
     }
     can.check_invariants();
     // Routing still terminates at the owner from every live node.
+    let mut scratch = RouteScratch::new();
     for _ in 0..100 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
-        let route = can.route(src, &target).expect("routing succeeds");
-        assert_eq!(*route.hops.last().expect("non-empty"), can.owner(&target));
+        can.route_into(&mut scratch, src, &target).expect("routing succeeds");
+        assert_eq!(scratch.hops().last(), Some(&can.owner(&target)));
     }
 }
 
@@ -117,13 +118,14 @@ fn pastry_survives_heavy_interleaved_churn() {
     pastry.reselect(&mut RandomSelector::new(99));
     pastry.check_invariants();
     // Routing from any live node lands on the key's numerical root.
+    let mut scratch = RouteScratch::new();
     for _ in 0..100 {
         let start = live[rng.gen_range(0..live.len())];
         let key = rng.gen();
-        let route = pastry.route(start, key).expect("routing succeeds");
+        pastry.route_into(&mut scratch, start, key).expect("routing succeeds");
         assert_eq!(
-            *route.hops.last().expect("non-empty"),
-            pastry.root_of(key).expect("root exists")
+            scratch.ring_hops().last(),
+            Some(&pastry.root_of(key).expect("root exists"))
         );
     }
 }
@@ -159,13 +161,14 @@ fn chord_survives_heavy_interleaved_churn() {
     ring.reselect(&mut RandomSelector::new(199));
     ring.check_invariants();
     // Greedy finger routing terminates at each key's successor.
+    let mut scratch = RouteScratch::new();
     for _ in 0..100 {
         let start = live[rng.gen_range(0..live.len())];
         let key = rng.gen();
-        let route = ring.route(start, key).expect("routing succeeds");
+        ring.route_into(&mut scratch, start, key).expect("routing succeeds");
         assert_eq!(
-            *route.hops.last().expect("non-empty"),
-            ring.successor(key).expect("successor exists")
+            scratch.ring_hops().last(),
+            Some(&ring.successor(key).expect("successor exists"))
         );
     }
 }
@@ -202,11 +205,12 @@ fn tacan_survives_heavy_interleaved_churn() {
         tacan.check_invariants();
     }
     // The landmark-binned CAN still routes to the owner.
+    let mut scratch = RouteScratch::new();
     for _ in 0..100 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
-        let route = tacan.route(src, &target).expect("routing succeeds");
-        assert_eq!(*route.hops.last().expect("non-empty"), tacan.owner(&target));
+        tacan.route_into(&mut scratch, src, &target).expect("routing succeeds");
+        assert_eq!(scratch.hops().last(), Some(&tacan.owner(&target)));
     }
 }
 

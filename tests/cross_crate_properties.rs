@@ -3,7 +3,7 @@
 //! over arbitrary join sequences.
 
 use tao_landmark::{region_position, LandmarkGrid, LandmarkNumber, LandmarkVector, SpaceFillingCurve};
-use tao_overlay::{CanOverlay, Point, Zone};
+use tao_overlay::{CanOverlay, Point, RouteScratch, Zone};
 use tao_sim::SimDuration;
 use tao_topology::NodeIdx;
 use tao_util::check::for_all;
@@ -68,6 +68,7 @@ fn routing_always_reaches_the_owner() {
             can.join(NodeIdx(i as u32), Point::random(2, &mut join_rng));
         }
         let live: Vec<_> = can.live_nodes().collect();
+        let mut scratch = RouteScratch::new();
         for _ in 0..5 {
             let (qa, qb): (u64, u64) = (rng.gen(), rng.gen());
             let src = live[(qa % live.len() as u64) as usize];
@@ -75,10 +76,11 @@ fn routing_always_reaches_the_owner() {
                 (qb % 10_000) as f64 / 10_000.0,
                 (qb / 10_000 % 10_000) as f64 / 10_000.0,
             ]);
-            let route = can.route(src, &target).expect("routing succeeds");
+            can.route_into(&mut scratch, src, &target)
+                .expect("routing succeeds");
             check_eq!(
-                *route.hops.last().expect("non-empty"),
-                can.owner(&target),
+                scratch.hops().last(),
+                Some(&can.owner(&target)),
                 "seed={seed:#x} n={n}"
             );
         }

@@ -9,7 +9,7 @@
 //! fault plan attacks the messages carrying it.
 
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
-use tao_overlay::{CanOverlay, OverlayNodeId, Point};
+use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{FaultPlan, NodeId, SimDuration, SimTime, Simulator, UniformLatency};
 use tao_topology::NodeIdx;
 use tao_util::check;
@@ -110,19 +110,22 @@ fn can_routing_terminates_at_the_owner_under_message_loss() {
         let mut wrng = StdRng::seed_from_u64(seed ^ 0xF00D);
         let src = OverlayNodeId(wrng.gen_range(0..n as u32));
         let target = Point::random(2, &mut wrng);
-        let route = can.route(src, &target).expect("routing succeeds");
+        let mut scratch = RouteScratch::new();
+        can.route_into(&mut scratch, src, &target)
+            .expect("routing succeeds");
+        let hops = scratch.hops();
         check!(
-            *route.hops.last().expect("non-empty") == can.owner(&target),
+            hops.last() == Some(&can.owner(&target)),
             "route must structurally terminate at the owner"
         );
-        if route.hops.len() < 2 {
+        if hops.len() < 2 {
             return; // source already owns the target; nothing to transport
         }
         let mut plan = FaultPlan::new(seed ^ 0xFA17);
         plan.drop_probability(drop).jitter(SimDuration::from_millis(8));
         let mut sim = lossy_sim(n, plan);
         check!(
-            deliver_along(&as_sim_path(&route.hops), &mut sim),
+            deliver_along(&as_sim_path(hops), &mut sim),
             "request lost under {drop:.2} loss (n={n}, seed={seed:#x})"
         );
     });
@@ -183,8 +186,10 @@ fn routing_resumes_after_partition_heal() {
             }
         }
         let Some((src, target)) = crossing else { return };
-        let route = can.route(src, &target).expect("routing succeeds");
-        let path = as_sim_path(&route.hops);
+        let mut scratch = RouteScratch::new();
+        can.route_into(&mut scratch, src, &target)
+            .expect("routing succeeds");
+        let path = as_sim_path(scratch.hops());
         let mut plan = FaultPlan::new(seed ^ 0x9A17);
         plan.partition(&island, SimTime::ORIGIN, heal);
         let mut sim = lossy_sim(n, plan);

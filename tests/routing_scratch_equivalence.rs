@@ -1,15 +1,14 @@
 //! Routing property tests over CAN, eCAN, Chord, Pastry and the TA-CAN
 //! layout (a CAN joined at landmark-binned points).
 //!
-//! `route()` / `route_express()` run the overlay's one routing loop on a
-//! fresh `RouteScratch`, so the `*_matches_the_allocating_oracle` tests pin
-//! "ONE scratch reused across thousands of mixed calls ≡ a fresh scratch
-//! per call" — including error cases, which must leave the scratch
-//! reusable.
+//! The `*_matches_the_allocating_oracle` tests pin "ONE scratch reused
+//! across thousands of mixed calls ≡ a fresh `RouteScratch` per call"
+//! (for eCAN the fresh-scratch call is `route_express()`) — including
+//! error cases, which must leave the scratch reusable.
 //!
 //! Where the scratch loop is a different algorithm from the router it
-//! replaced (CAN and eCAN: generation-stamp visited set, single-pass
-//! minimum, primary-zone-only kernel on join-only arenas), that router is
+//! replaced (CAN and eCAN: generation-stamp visited set, two-pass hop
+//! kernel, primary-zone-only kernel on join-only arenas), that router is
 //! kept here as [`reference_route`] / [`reference_route_express`], written
 //! over public accessors only, and the `*_matches_the_reference_router`
 //! tests hold the production loop to it hop for hop and error for error.
@@ -116,6 +115,23 @@ fn assert_can_family_equivalence(
             }
         }
     }
+}
+
+/// The hops of one CAN-family call on a fresh `RouteScratch`: the oracle a
+/// scratch reused across every call is held to.
+fn fresh_hops(
+    route: impl FnOnce(&mut RouteScratch) -> Result<(), OverlayError>,
+) -> Result<Vec<OverlayNodeId>, OverlayError> {
+    let mut fresh = RouteScratch::new();
+    route(&mut fresh).map(|()| fresh.hops().to_vec())
+}
+
+/// [`fresh_hops`] for the ring overlays.
+fn fresh_ring_hops<E>(
+    route: impl FnOnce(&mut RouteScratch) -> Result<(), E>,
+) -> Result<Vec<u64>, E> {
+    let mut fresh = RouteScratch::new();
+    route(&mut fresh).map(|()| fresh.ring_hops().to_vec())
 }
 
 /// The CAN router the scratch loop replaced: `DetSet` visited set, next hop
@@ -269,7 +285,7 @@ fn can_route_into_matches_the_allocating_oracle() {
         "can",
         &calls,
         &mut scratch,
-        |s, t| can.route(s, t).map(|r| r.hops),
+        |s, t| fresh_hops(|fresh| can.route_into(fresh, s, t)),
         |scr, s, t| can.route_into(scr, s, t),
     );
 }
@@ -314,7 +330,7 @@ fn tacan_route_into_matches_the_allocating_oracle() {
         "tacan",
         &calls,
         &mut scratch,
-        |s, t| tacan.route(s, t).map(|r| r.hops),
+        |s, t| fresh_hops(|fresh| tacan.route_into(fresh, s, t)),
         |scr, s, t| tacan.route_into(scr, s, t),
     );
 }
@@ -342,12 +358,13 @@ fn chord_route_into_matches_the_allocating_oracle() {
         if i % 97 == 0 {
             let ghost = start.wrapping_add(1);
             if !members.contains(&ghost) {
-                assert!(chord.route(ghost, key).is_err());
+                assert!(fresh_ring_hops(|fresh| chord.route_into(fresh, ghost, key)).is_err());
                 assert!(chord.route_into(&mut scratch, ghost, key).is_err());
                 continue;
             }
         }
-        let hops = chord.route(start, key).expect("members route").hops;
+        let hops = fresh_ring_hops(|fresh| chord.route_into(fresh, start, key))
+            .expect("members route");
         chord
             .route_into(&mut scratch, start, key)
             .expect("members route");
@@ -376,12 +393,13 @@ fn pastry_route_into_matches_the_allocating_oracle() {
         if i % 97 == 0 {
             let ghost = start.wrapping_add(1);
             if !members.contains(&ghost) {
-                assert!(pastry.route(ghost, key).is_err());
+                assert!(fresh_ring_hops(|fresh| pastry.route_into(fresh, ghost, key)).is_err());
                 assert!(pastry.route_into(&mut scratch, ghost, key).is_err());
                 continue;
             }
         }
-        let hops = pastry.route(start, key).expect("members route").hops;
+        let hops = fresh_ring_hops(|fresh| pastry.route_into(fresh, start, key))
+            .expect("members route");
         pastry
             .route_into(&mut scratch, start, key)
             .expect("members route");
@@ -426,13 +444,14 @@ fn one_scratch_survives_interleaving_all_five_overlays() {
             }
         }
 
-        let hops = can.route(src, &target).expect("live source").hops;
+        let hops =
+            fresh_hops(|fresh| can.route_into(fresh, src, &target)).expect("live source");
         can.route_into(&mut scratch, src, &target).expect("live source");
         assert_eq!(hops, scratch.hops());
 
         let start = ring_members[rng.gen_range(0..ring_members.len())];
         let key: RingId = rng.gen();
-        let ring = chord.route(start, key).expect("member").hops;
+        let ring = fresh_ring_hops(|fresh| chord.route_into(fresh, start, key)).expect("member");
         chord.route_into(&mut scratch, start, key).expect("member");
         assert_eq!(ring, scratch.ring_hops());
 
@@ -457,14 +476,15 @@ fn routing_terminates_under_heavy_churn_with_the_live_count_bound() {
     for _ in 0..2_000 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(DIMS, &mut rng);
-        let route = can.route(src, &target).expect("consistent overlay routes");
+        let hops = fresh_hops(|fresh| can.route_into(fresh, src, &target))
+            .expect("consistent overlay routes");
         can.route_into(&mut scratch, src, &target)
             .expect("consistent overlay routes");
-        assert_eq!(route.hops, scratch.hops());
+        assert_eq!(hops, scratch.hops());
         assert!(
-            route.hop_count() <= 4 * can.len() + 16,
+            scratch.hop_count() <= 4 * can.len() + 16,
             "hop count {} exceeds the live-count bound",
-            route.hop_count(),
+            scratch.hop_count(),
         );
     }
 }
