@@ -7,7 +7,7 @@
 //! never show in an answer, whatever was written, joined, left or aged in
 //! between.
 //!
-//! [`GlobalState`] keeps each map's entries in a slab behind three indexes,
+//! [`GlobalState`] keeps each map's entries in a slab behind two indexes,
 //! a per-node list of the maps that name a node, and one expiry stamp per
 //! entry. The model below keeps one `Vec` of `(region, entry)` rows and
 //! answers everything by linear scan; generated operation sequences must
