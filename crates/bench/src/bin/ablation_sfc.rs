@@ -42,10 +42,10 @@ fn clustering_quality(
         let qn = grid.landmark_number(&qv, curve).value();
         let (nn, _) = true_nearest(q, pool.iter().map(|(n, _)| *n), oracle)
             .expect("pool has more than the query");
-        let mut by_number: Vec<&(NodeIdx, u128)> =
+        let mut closest_numbers: Vec<&(NodeIdx, u128)> =
             numbers.iter().filter(|(n, _)| *n != q).collect();
-        by_number.sort_by_key(|(n, num)| (num.abs_diff(qn), *n));
-        if by_number.iter().take(top_k).any(|(n, _)| *n == nn) {
+        closest_numbers.sort_by_key(|(n, num)| (num.abs_diff(qn), *n));
+        if closest_numbers.iter().take(top_k).any(|(n, _)| *n == nn) {
             hits += 1;
         }
     }
