@@ -5,8 +5,6 @@
 //! end-to-end routing stretch, and clustering quality — how close along the
 //! scalar key the true nearest neighbor's landmark number lands.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use tao_bench::{f3, print_table, Scale};
 use tao_core::{SelectionStrategy, TaoBuilder};
 use tao_landmark::{LandmarkGrid, LandmarkVector, SpaceFillingCurve};
@@ -14,6 +12,8 @@ use tao_proximity::true_nearest;
 use tao_sim::SimDuration;
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 const CURVES: &[(&str, SpaceFillingCurve)] = &[
     ("Hilbert", SpaceFillingCurve::Hilbert),
@@ -61,14 +61,23 @@ fn main() {
     let topo = generate_transit_stub(&scale.tsk_large(), LatencyAssignment::manual(), 121);
     let oracle = RttOracle::new(topo.graph().clone());
     let mut rng = StdRng::seed_from_u64(122);
-    let landmarks = select_landmarks(topo.graph(), base.landmarks, LandmarkStrategy::Random, &mut rng);
+    let landmarks = select_landmarks(
+        topo.graph(),
+        base.landmarks,
+        LandmarkStrategy::Random,
+        &mut rng,
+    );
     oracle.warm(&landmarks);
     let pool: Vec<(NodeIdx, LandmarkVector)> = topo
         .sample_nodes(base.overlay_nodes, &mut rng)
         .into_iter()
         .map(|n| (n, LandmarkVector::measure(n, &landmarks, &oracle)))
         .collect();
-    let queries: Vec<NodeIdx> = pool.iter().take(scale.query_nodes()).map(|(n, _)| *n).collect();
+    let queries: Vec<NodeIdx> = pool
+        .iter()
+        .take(scale.query_nodes())
+        .map(|(n, _)| *n)
+        .collect();
 
     let mut rows = Vec::new();
     for &(name, curve) in CURVES {
@@ -82,9 +91,7 @@ fn main() {
             .curve(curve)
             .seed(123);
         let tao = builder.build();
-        let stretch = tao
-            .measure_routing_stretch(base.overlay_nodes, 124)
-            .mean();
+        let stretch = tao.measure_routing_stretch(base.overlay_nodes, 124).mean();
         rows.push(vec![
             name.to_string(),
             format!("{:.0}%", quality * 100.0),

@@ -4,12 +4,12 @@
 //! Expected shape: CAN hops grow like `(d/4) · N^(1/d)`; eCAN stays
 //! logarithmic and beats even 5-dimensional CAN well before 10k nodes.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_topology::NodeIdx;
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 fn grown_can(n: usize, dims: usize, seed: u64) -> CanOverlay {
     let mut can = CanOverlay::new(dims).expect("dims >= 1");
@@ -81,7 +81,9 @@ fn main() {
     });
     print_table(
         "Figure 2: average logical hops, CAN (d=2..5) vs eCAN (d=2)",
-        &["nodes", "CAN d=2", "CAN d=3", "CAN d=4", "CAN d=5", "eCAN d=2"],
+        &[
+            "nodes", "CAN d=2", "CAN d=3", "CAN d=4", "CAN d=5", "eCAN d=2",
+        ],
         &rows,
     );
 }

@@ -133,11 +133,7 @@ fn run_sweep(n: usize, churn_ops: usize, routes: usize, seed: u64) -> SweepOutco
                         fingerprint = fnv(fingerprint, now ^ (u64::from(victim.0) << 24));
                         // Handler-armed follow-up: verify the departed
                         // node's space stays routable shortly after.
-                        engine.set_timer(
-                            msg.to,
-                            SimDuration::from_micros(1_500),
-                            Op::Echo(draw),
-                        );
+                        engine.set_timer(msg.to, SimDuration::from_micros(1_500), Op::Echo(draw));
                     }
                 }
                 Op::Route(draw) | Op::Echo(draw) => {

@@ -6,18 +6,14 @@
 //! stretch 1; the hybrid approach gets close with 5–30. The `lmk+rtt`
 //! series' first point (one measurement) is "landmark clustering alone".
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use tao_bench::{f3, print_table, Scale};
 use tao_landmark::LandmarkVector;
 use tao_overlay::{CanOverlay, OverlayNodeId, Point};
-use tao_proximity::{
-    expanding_ring_search, hybrid_search, nn_stretch, true_nearest, Candidate,
-};
+use tao_proximity::{expanding_ring_search, hybrid_search, nn_stretch, true_nearest, Candidate};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
-use tao_topology::{
-    generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams,
-};
+use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 const LANDMARKS: usize = 15;
 const HYBRID_BUDGETS: &[usize] = &[1, 2, 5, 10, 15, 20, 30, 40];

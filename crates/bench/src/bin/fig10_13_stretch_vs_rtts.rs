@@ -17,16 +17,39 @@ fn main() {
     let scale = Scale::from_env();
     let base = scale.base_params();
     let panels = [
-        ("Figure 10: tsk-large, GT-ITM latencies", scale.tsk_large(), LatencyAssignment::gt_itm()),
-        ("Figure 11: tsk-large, manual latencies", scale.tsk_large(), LatencyAssignment::manual()),
-        ("Figure 12: tsk-small, GT-ITM latencies", scale.tsk_small(), LatencyAssignment::gt_itm()),
-        ("Figure 13: tsk-small, manual latencies", scale.tsk_small(), LatencyAssignment::manual()),
+        (
+            "Figure 10: tsk-large, GT-ITM latencies",
+            scale.tsk_large(),
+            LatencyAssignment::gt_itm(),
+        ),
+        (
+            "Figure 11: tsk-large, manual latencies",
+            scale.tsk_large(),
+            LatencyAssignment::manual(),
+        ),
+        (
+            "Figure 12: tsk-small, GT-ITM latencies",
+            scale.tsk_small(),
+            LatencyAssignment::gt_itm(),
+        ),
+        (
+            "Figure 13: tsk-small, manual latencies",
+            scale.tsk_small(),
+            LatencyAssignment::manual(),
+        ),
     ];
     let workers = tao_bench::workers();
     for (i, (title, params, latency)) in panels.into_iter().enumerate() {
         eprintln!("fig10-13: running panel {i}…");
         let topo = topology_for(&params, latency, 20 + i as u64);
-        let rows = stretch_vs_rtts(&topo, base, LANDMARK_COUNTS, RTT_BUDGETS, 30 + i as u64, workers);
+        let rows = stretch_vs_rtts(
+            &topo,
+            base,
+            LANDMARK_COUNTS,
+            RTT_BUDGETS,
+            30 + i as u64,
+            workers,
+        );
         // Layout: one column per landmark count, the optimal as a final row.
         let optimal = rows
             .iter()
@@ -45,15 +68,7 @@ fn main() {
             }
             table.push(row);
         }
-        table.push(vec![
-            "optimal".to_string(),
-            f3(optimal),
-            f3(optimal),
-        ]);
-        print_table(
-            title,
-            &["RTTs", "landmarks=5", "landmarks=15"],
-            &table,
-        );
+        table.push(vec!["optimal".to_string(), f3(optimal), f3(optimal)]);
+        print_table(title, &["RTTs", "landmarks=5", "landmarks=15"], &table);
     }
 }

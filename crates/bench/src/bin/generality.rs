@@ -51,7 +51,13 @@ fn main() {
     }
     print_table(
         "Generality: the soft-state pipeline on Chord and Pastry (manual latencies)",
-        &["overlay/topology", "optimal", "lmk+rtt", "random", "saved vs random"],
+        &[
+            "overlay/topology",
+            "optimal",
+            "lmk+rtt",
+            "random",
+            "saved vs random",
+        ],
         &rows,
     );
 }

@@ -16,14 +16,14 @@
 
 use tao_util::det::DetSet;
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_core::{SelectionStrategy, TaoBuilder};
 use tao_overlay::OverlayNodeId;
 use tao_proximity::{nn_stretch, true_nearest};
 use tao_sim::{NodeId, SimDuration, SimTime, Simulator};
 use tao_topology::{LatencyAssignment, NodeIdx};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 const JOINERS: usize = 30;
 const ERS_RING_LIMIT: u32 = 4;
@@ -33,12 +33,16 @@ const PROBE_X: usize = 10;
 #[derive(Debug, Clone)]
 enum Msg {
     /// ERS flood with a remaining ring budget.
-    Flood { ttl: u32 },
+    Flood {
+        ttl: u32,
+    },
     /// Reply to the joiner from a flooded node.
     Pong,
     /// Soft-state lookup hop along a precomputed overlay route; `hop` is
     /// the index of the next route position.
-    Lookup { hop: usize },
+    Lookup {
+        hop: usize,
+    },
     /// Candidate list back to the joiner (candidate count only; contents
     /// are resolved by the driver).
     Candidates,
@@ -67,7 +71,10 @@ fn main() {
         .seed(401);
     let tao = builder.build();
     let live: Vec<OverlayNodeId> = tao.ecan().can().live_nodes().collect();
-    let underlays: Vec<NodeIdx> = live.iter().map(|&id| tao.ecan().can().underlay(id)).collect();
+    let underlays: Vec<NodeIdx> = live
+        .iter()
+        .map(|&id| tao.ecan().can().underlay(id))
+        .collect();
 
     // Joiners: routers not already in the overlay.
     let taken: DetSet<NodeIdx> = underlays.iter().copied().collect();
@@ -115,7 +122,12 @@ fn main() {
     ];
     print_table(
         "Join cost: messages and time to select a close neighbor (DES, tsk-large manual)",
-        &["approach", "messages/join", "elapsed/join", "neighbor stretch"],
+        &[
+            "approach",
+            "messages/join",
+            "elapsed/join",
+            "neighbor stretch",
+        ],
         &rows,
     );
 }
@@ -142,8 +154,17 @@ fn simulate_ers(
         sim.add_node();
     }
     let joiner_sim = NodeId(underlays.len());
-    let boot_idx = live.iter().position(|&id| id == bootstrap).expect("bootstrap is live");
-    sim.send(joiner_sim, NodeId(boot_idx), Msg::Flood { ttl: ERS_RING_LIMIT });
+    let boot_idx = live
+        .iter()
+        .position(|&id| id == bootstrap)
+        .expect("bootstrap is live");
+    sim.send(
+        joiner_sim,
+        NodeId(boot_idx),
+        Msg::Flood {
+            ttl: ERS_RING_LIMIT,
+        },
+    );
 
     let mut visited: DetSet<usize> = DetSet::new();
     let neighbors_of: Vec<Vec<usize>> = live

@@ -12,14 +12,14 @@
 //! is directly comparable to figures 3/5: nearest-neighbor stretch after k
 //! RTT measurements.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use tao_bench::{f3, print_table, Scale};
 use tao_landmark::coordinates::{estimated_distance_ms, fit_client, fit_landmarks, Coordinates};
 use tao_landmark::LandmarkVector;
 use tao_proximity::{nn_stretch, probe_ranked, true_nearest};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 const LANDMARKS: usize = 15;
 const BUDGETS: &[usize] = &[1, 5, 10, 20, 40];
@@ -50,7 +50,9 @@ fn main() {
     let mut rtt = vec![vec![0.0; n_lm]; n_lm];
     for i in 0..n_lm {
         for j in 0..n_lm {
-            rtt[i][j] = oracle.ground_truth(landmarks[i], landmarks[j]).as_millis_f64();
+            rtt[i][j] = oracle
+                .ground_truth(landmarks[i], landmarks[j])
+                .as_millis_f64();
         }
     }
     let lcoords = fit_landmarks(&rtt, 7, 2_000, 303);
@@ -72,13 +74,15 @@ fn main() {
         order.into_iter().map(|i| pool_ids[i]).collect()
     };
 
-    let queries: Vec<usize> = (0..pool_ids.len()).step_by(pool_ids.len() / scale.query_nodes().max(1)).collect();
+    let queries: Vec<usize> = (0..pool_ids.len())
+        .step_by(pool_ids.len() / scale.query_nodes().max(1))
+        .collect();
     let mut sums = vec![[0.0f64; 3]; BUDGETS.len()];
     let mut counted = 0usize;
     for &q in &queries {
         let me = pool_ids[q];
-        let (_, optimal) = true_nearest(me, pool_ids.iter().copied(), &oracle)
-            .expect("pool is non-trivial");
+        let (_, optimal) =
+            true_nearest(me, pool_ids.iter().copied(), &oracle).expect("pool is non-trivial");
         if optimal.is_zero() {
             continue;
         }
@@ -112,7 +116,12 @@ fn main() {
         .collect();
     print_table(
         "Related work: pre-selection quality (NN stretch after k probes, tsk-large GT-ITM)",
-        &["RTT probes", "landmark vectors", "GNP coordinates", "landmark ordering"],
+        &[
+            "RTT probes",
+            "landmark vectors",
+            "GNP coordinates",
+            "landmark ordering",
+        ],
         &rows,
     );
 }

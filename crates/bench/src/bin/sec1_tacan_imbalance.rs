@@ -6,14 +6,14 @@
 //! next to a uniform CAN of the same population and prints both imbalance
 //! profiles.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use tao_bench::{f3, print_table, Scale};
 use tao_landmark::LandmarkVector;
 use tao_overlay::tacan::{binned_join_point, ImbalanceStats};
 use tao_overlay::{CanOverlay, Point};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 const NODES: usize = 1_000;
 const LANDMARKS: usize = 5; // 5! = 120 ordering bins

@@ -89,12 +89,18 @@ fn main() {
         // To stderr, so the table stays as committed: how much of the
         // stretch column below is the policy's doing.
         let pass = tao.last_pass();
-        eprintln!("sec52: `{name}`: {} of {} post-churn selections drew the fallback", pass.fallbacks, pass.selections);
+        eprintln!(
+            "sec52: `{name}`: {} of {} post-churn selections drew the fallback",
+            pass.fallbacks, pass.selections
+        );
         let stretch = tao.measure_routing_stretch(512, 17);
         rows.push(vec![
             name.to_string(),
             maintenance_messages.to_string(),
-            format!("{:.1} s", staleness_total.as_millis_f64() / 1_000.0 / DEPARTURES as f64),
+            format!(
+                "{:.1} s",
+                staleness_total.as_millis_f64() / 1_000.0 / DEPARTURES as f64
+            ),
             notify_messages.to_string(),
             format!(
                 "{:.1} ms",

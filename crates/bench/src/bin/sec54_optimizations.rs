@@ -13,15 +13,17 @@
 //! Measurement noise is multiplicative per-probe jitter, the regime the
 //! paper's "suppress noises" remark targets.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_landmark::analysis::PcaModel;
 use tao_landmark::LandmarkVector;
-use tao_proximity::{contiguous_groups, multi_group_rank, nn_stretch, probe_ranked, true_nearest, Candidate};
+use tao_proximity::{
+    contiguous_groups, multi_group_rank, nn_stretch, probe_ranked, true_nearest, Candidate,
+};
 use tao_sim::SimDuration;
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 const LANDMARKS: usize = 40;
 const NOISE: f64 = 0.35; // up to ±35% multiplicative jitter per probe
@@ -131,11 +133,13 @@ fn main() {
         };
 
         let max = *BUDGETS.last().expect("non-empty");
-        for (m, ranked) in [flat, grouped, hierarchical, denoised].into_iter().enumerate() {
+        for (m, ranked) in [flat, grouped, hierarchical, denoised]
+            .into_iter()
+            .enumerate()
+        {
             let trace = probe_ranked(me, &ranked, max, &oracle);
             for (bi, &b) in BUDGETS.iter().enumerate() {
-                sums[bi][m] +=
-                    nn_stretch(trace.best_after(b).expect("budget >= 1").rtt, optimal);
+                sums[bi][m] += nn_stretch(trace.best_after(b).expect("budget >= 1").rtt, optimal);
             }
         }
     }
@@ -154,7 +158,13 @@ fn main() {
             "§5.4 optimisations under ±{:.0}% probe noise, {LANDMARKS} landmarks (NN stretch)",
             NOISE * 100.0
         ),
-        &["RTT probes", "flat vectors", "landmark groups", "hierarchical", "PCA denoised"],
+        &[
+            "RTT probes",
+            "flat vectors",
+            "landmark groups",
+            "hierarchical",
+            "PCA denoised",
+        ],
         &rows,
     );
 }

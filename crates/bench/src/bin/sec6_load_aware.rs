@@ -10,14 +10,14 @@
 //! Expected shape: as the load penalty grows, peak utilization falls while
 //! mean stretch rises moderately — distance is traded for headroom.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_bench::{f3, print_table, Scale};
 use tao_core::{LoadAwareSelector, LoadModel, SelectionStrategy, TaoBuilder};
 use tao_overlay::ecan::EcanOverlay;
 use tao_overlay::{OverlayNodeId, Point, RouteScratch};
 use tao_sim::SimDuration;
 use tao_topology::{LatencyAssignment, RttOracle};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 const ROUNDS: usize = 10;
 const ROUTES_PER_ROUND: usize = 300;

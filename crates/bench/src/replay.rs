@@ -23,9 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tao_core::{LoadAwareSelector, LoadModel};
-use tao_overlay::ecan::{
-    BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector,
-};
+use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, Zone};
 use tao_topology::{
     generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle, TransitStubParams,
@@ -514,7 +512,10 @@ pub fn sec6_replay_report(spec: &ReplaySpec, workers: usize) -> ReplayOutcome {
     let mut round_ns = Vec::new();
     let mut routed = 0u64;
     for (name, loads) in skews {
-        eprintln!("sec6_replay: replaying {} requests ({name} capacities)…", spec.requests);
+        eprintln!(
+            "sec6_replay: replaying {} requests ({name} capacities)…",
+            spec.requests
+        );
         let outcome = run_skew(&world, spec, name, loads, workers);
         rows.push(outcome.row);
         round_ns.extend(outcome.round_ns);
@@ -574,7 +575,10 @@ mod tests {
         let spec = toy_spec();
         let one = sec6_replay_report(&spec, 1);
         let eight = sec6_replay_report(&spec, 8);
-        assert_eq!(one.report, eight.report, "worker count leaked into the report");
+        assert_eq!(
+            one.report, eight.report,
+            "worker count leaked into the report"
+        );
         assert_eq!(one.fingerprint, eight.fingerprint);
         assert!(one.report.contains("uniform") && one.report.contains("heterogeneous"));
     }
@@ -585,7 +589,11 @@ mod tests {
         let out = sec6_replay_report(&spec, 2);
         // Two rows × 2,048 requests; sheds are expected once hotspots
         // saturate, stuck routes are not.
-        assert!(out.routed > 2 * 2_048 / 2, "routed only {} requests", out.routed);
+        assert!(
+            out.routed > 2 * 2_048 / 2,
+            "routed only {} requests",
+            out.routed
+        );
         assert!(!out.report.contains("NaN"));
         assert_eq!(out.round_ns.len(), 2 * spec.rounds);
     }
