@@ -156,7 +156,11 @@ pub type PastryAware = Aware<PastryOverlay>;
 /// (validated) `params`' index and resolution under an RTT ceiling of twice
 /// the largest landmark-to-landmark distance, so in-range vectors rarely
 /// saturate.
-fn landmark_grid(oracle: &RttOracle, landmarks: &[NodeIdx], params: &ExperimentParams) -> LandmarkGrid {
+fn landmark_grid(
+    oracle: &RttOracle,
+    landmarks: &[NodeIdx],
+    params: &ExperimentParams,
+) -> LandmarkGrid {
     let mut max = SimDuration::from_millis(1);
     for (i, &a) in landmarks.iter().enumerate() {
         for &b in &landmarks[i + 1..] {
@@ -199,8 +203,12 @@ impl<O: AwareOverlay> Aware<O> {
         // (`warm` is a no-op on a graph whose distances factor — every
         // transit-stub one; on a graph that falls back to rows it computes
         // the landmarks' rows ahead of the vectors.)
-        let landmarks =
-            select_landmarks(topology.graph(), params.landmarks, LandmarkStrategy::Random, &mut rng);
+        let landmarks = select_landmarks(
+            topology.graph(),
+            params.landmarks,
+            LandmarkStrategy::Random,
+            &mut rng,
+        );
         oracle.warm(&landmarks);
         let config = SoftStateConfig::builder(landmark_grid(&oracle, &landmarks, &params))
             .curve(curve)
@@ -227,7 +235,9 @@ impl<O: AwareOverlay> Aware<O> {
         for id in aware.overlay.members() {
             aware.publish_member(id, &config);
         }
-        aware.with_selector(O::pass_seeds(Some(seed), aware.now), |o, selector| o.reselect(selector));
+        aware.with_selector(O::pass_seeds(Some(seed), aware.now), |o, selector| {
+            o.reselect(selector)
+        });
         aware
     }
 
@@ -235,11 +245,16 @@ impl<O: AwareOverlay> Aware<O> {
     /// charged), derives its number on `config`'s grid and curve, publishes
     /// its record at `now` and keeps it.
     pub(crate) fn publish_member(&mut self, id: Id<O>, config: &SoftStateConfig) -> O::Record {
-        let underlay = self.overlay.slots().underlay(id).expect("members have routers"); // tao-lint: allow(no-unwrap-in-lib, reason = "members have routers")
+        let underlay = self
+            .overlay
+            .slots()
+            .underlay(id)
+            .expect("members have routers"); // tao-lint: allow(no-unwrap-in-lib, reason = "members have routers")
         let vector = LandmarkVector::measure(underlay, &self.landmarks, &self.oracle);
         let number = config.grid().landmark_number(&vector, config.curve());
         let record = O::record(id, underlay, vector, number);
-        self.overlay.publish(&mut self.state, record.clone(), self.now);
+        self.overlay
+            .publish(&mut self.state, record.clone(), self.now);
         self.records.insert(id, record.clone());
         record
     }
@@ -302,9 +317,10 @@ impl<O: AwareOverlay> Aware<O> {
         self.last_pass = SelectorStats::default();
         match self.params.selection {
             SelectionStrategy::Random => f(&mut self.overlay, &mut RandomSelector::new(random)),
-            SelectionStrategy::Optimal => {
-                f(&mut self.overlay, &mut ClosestSelector::new(self.oracle.clone()))
-            }
+            SelectionStrategy::Optimal => f(
+                &mut self.overlay,
+                &mut ClosestSelector::new(self.oracle.clone()),
+            ),
             SelectionStrategy::GlobalState => O::with_store_selector(self, fallback, f),
         }
     }
@@ -335,7 +351,9 @@ impl<O: AwareOverlay> Aware<O> {
             let Some(hops) = self.overlay.route(&mut scratch, start, &key) else {
                 continue;
             };
-            let underlays = hops.iter().map(|&h| slots.underlay(h).expect("hops are members")); // tao-lint: allow(no-unwrap-in-lib, reason = "hops are members")
+            let underlays = hops
+                .iter()
+                .map(|&h| slots.underlay(h).expect("hops are members")); // tao-lint: allow(no-unwrap-in-lib, reason = "hops are members")
             if let Some(stretch) = route_stretch(underlays, &self.oracle) {
                 summary.add(stretch);
             }
@@ -416,8 +434,18 @@ impl<K: KeyedStore> AwareOverlay for K {
         self.join(underlay, rng.gen());
     }
 
-    fn record(id: PeerId, underlay: NodeIdx, vector: LandmarkVector, number: LandmarkNumber) -> PeerRecord {
-        PeerRecord { id, underlay, vector, number }
+    fn record(
+        id: PeerId,
+        underlay: NodeIdx,
+        vector: LandmarkVector,
+        number: LandmarkNumber,
+    ) -> PeerRecord {
+        PeerRecord {
+            id,
+            underlay,
+            vector,
+            number,
+        }
     }
 
     fn publish(&self, state: &mut K::State, record: PeerRecord, now: SimTime) {
@@ -446,14 +474,22 @@ impl<K: KeyedStore> AwareOverlay for K {
         };
         pass(&mut aware.overlay, &mut selector);
         let probes = aware.oracle.measurements() - before;
-        aware.last_pass = SelectorStats { probes, ..selector.stats };
+        aware.last_pass = SelectorStats {
+            probes,
+            ..selector.stats
+        };
     }
 
     fn draw_key(&self, rng: &mut StdRng) -> PeerId {
         rng.gen()
     }
 
-    fn route<'s>(&self, scratch: &'s mut RouteScratch, start: PeerId, key: &PeerId) -> Option<&'s [PeerId]> {
+    fn route<'s>(
+        &self,
+        scratch: &'s mut RouteScratch,
+        start: PeerId,
+        key: &PeerId,
+    ) -> Option<&'s [PeerId]> {
         self.route_into(scratch, start, *key).ok()?;
         Some(scratch.ring_hops())
     }
@@ -472,7 +508,9 @@ fn probe_closest(
     oracle: &RttOracle,
 ) -> Option<PeerId> {
     let fitting = found.iter().filter(|r| candidates.contains(&r.id));
-    let probed = fitting.take(budget).map(|r| (oracle.measure(me, r.underlay), r.id));
+    let probed = fitting
+        .take(budget)
+        .map(|r| (oracle.measure(me, r.underlay), r.id));
     probed.min().map(|(_, id)| id)
 }
 
@@ -492,15 +530,30 @@ struct StoreSelector<'a, K: KeyedStore> {
 }
 
 impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_, K> {
-    fn select(&mut self, owner: PeerId, slot: &K::Slot, candidates: &[PeerId], overlay: &K) -> PeerId {
-        let query = self.records.get(&owner).expect("every member published at build"); // tao-lint: allow(no-unwrap-in-lib, reason = "every member published at build")
+    fn select(
+        &mut self,
+        owner: PeerId,
+        slot: &K::Slot,
+        candidates: &[PeerId],
+        overlay: &K,
+    ) -> PeerId {
+        let query = self
+            .records
+            .get(&owner)
+            .expect("every member published at build"); // tao-lint: allow(no-unwrap-in-lib, reason = "every member published at build")
         self.stats.selections += 1;
         if !(K::PER_OWNER && self.found_for == Some(owner)) {
             self.stats.lookups += 1;
             self.found = overlay.lookup(self.state, query, slot, self.rtt_budget);
             self.found_for = Some(owner);
         }
-        let chosen = probe_closest(&self.found, candidates, query.underlay, self.rtt_budget, self.oracle);
+        let chosen = probe_closest(
+            &self.found,
+            candidates,
+            query.underlay,
+            self.rtt_budget,
+            self.oracle,
+        );
         chosen.unwrap_or_else(|| {
             self.stats.fallbacks += 1;
             candidates[self.fallback.gen_range(0..candidates.len())]
@@ -523,7 +576,13 @@ impl KeyedStore for ChordOverlay {
 
     /// Fetches wide, from up to four successor hosts: enough physically
     /// close peers that every finger interval of interest overlaps the set.
-    fn lookup(&self, state: &RingState, query: &PeerRecord, _: &u32, rtt_budget: usize) -> Vec<PeerRecord> {
+    fn lookup(
+        &self,
+        state: &RingState,
+        query: &PeerRecord,
+        _: &u32,
+        rtt_budget: usize,
+    ) -> Vec<PeerRecord> {
         state.lookup_hosted(query, rtt_budget * 8, 4, self, SimTime::ORIGIN)
     }
 }
@@ -550,7 +609,13 @@ impl KeyedStore for PastryOverlay {
 
     /// The map of cell `(row, digit)`'s region: the owner's first `row`
     /// digits then `digit`, cut to the deepest prefix that has a map.
-    fn lookup(&self, state: &PrefixState, query: &PeerRecord, &(row, digit): &(u32, u8), rtt_budget: usize) -> Vec<PeerRecord> {
+    fn lookup(
+        &self,
+        state: &PrefixState,
+        query: &PeerRecord,
+        &(row, digit): &(u32, u8),
+        rtt_budget: usize,
+    ) -> Vec<PeerRecord> {
         let shift = (DIGITS - 1 - row) * DIGIT_BITS;
         let cell = query.id & !(0xF << shift) | u64::from(digit) << shift;
         let region = PrefixKey::of(cell, (row + 1).min(state.max_len()));
@@ -603,9 +668,15 @@ mod tests {
     }
 
     /// Another deployment's store: full of records, none of them a member.
-    fn strangers<O: Subject<Slots = O> + KeyedOverlay>(aware: &Aware<O>, topo: &Topology) -> O::State {
+    fn strangers<O: Subject<Slots = O> + KeyedOverlay>(
+        aware: &Aware<O>,
+        topo: &Topology,
+    ) -> O::State {
         let stranger = Aware::<O>::build(topo, params(SelectionStrategy::Random), 10);
-        assert!(stranger.overlay().node_ids().all(|id| aware.overlay().underlay(id).is_none()));
+        assert!(stranger
+            .overlay()
+            .node_ids()
+            .all(|id| aware.overlay().underlay(id).is_none()));
         stranger.state
     }
 
@@ -727,7 +798,10 @@ mod tests {
         let topo = topology::<O>();
         let optimal = mean_stretch::<O>(&topo, SelectionStrategy::Optimal, 5, 6);
         let aware = mean_stretch::<O>(&topo, SelectionStrategy::GlobalState, 5, 6);
-        assert!(optimal <= aware * 1.05, "optimal ({optimal:.3}) lost to global state ({aware:.3})");
+        assert!(
+            optimal <= aware * 1.05,
+            "optimal ({optimal:.3}) lost to global state ({aware:.3})"
+        );
     }
 
     /// Forwards to `inner` after checking what every slot offers, what the
@@ -741,26 +815,46 @@ mod tests {
     }
 
     impl<S: SlotOverlay<Id: Debug>> Checked<'_, S> {
-        fn metered<T>(&mut self, owner: S::Id, ask: impl FnOnce(&mut dyn NeighborSelector<S>) -> T) -> T {
+        fn metered<T>(
+            &mut self,
+            owner: S::Id,
+            ask: impl FnOnce(&mut dyn NeighborSelector<S>) -> T,
+        ) -> T {
             let before = self.oracle.measurements();
             let answer = ask(&mut *self.inner);
             let spent = self.oracle.measurements() - before;
-            assert!(spent <= self.budget, "{spent} probes for one slot of {owner:?}");
+            assert!(
+                spent <= self.budget,
+                "{spent} probes for one slot of {owner:?}"
+            );
             answer
         }
     }
 
     impl<S: SlotOverlay<Id: Debug>> NeighborSelector<S> for Checked<'_, S> {
-        fn select(&mut self, owner: S::Id, slot: &S::Slot, candidates: &[S::Id], overlay: &S) -> S::Id {
+        fn select(
+            &mut self,
+            owner: S::Id,
+            slot: &S::Slot,
+            candidates: &[S::Id],
+            overlay: &S,
+        ) -> S::Id {
             assert!(!candidates.is_empty(), "a slot of {owner:?} offered nobody");
             assert!(!candidates.contains(&owner), "{owner:?} offered to itself");
-            let chosen = self.metered(owner, |inner| inner.select(owner, slot, candidates, overlay));
+            let chosen = self.metered(owner, |inner| {
+                inner.select(owner, slot, candidates, overlay)
+            });
             assert!(candidates.contains(&chosen), "{chosen:?} was not offered");
             self.slots += 1;
             chosen
         }
 
-        fn select_in_box(&mut self, owner: S::Id, slot: &S::Slot, overlay: &S) -> BoxSelection<S::Id> {
+        fn select_in_box(
+            &mut self,
+            owner: S::Id,
+            slot: &S::Slot,
+            overlay: &S,
+        ) -> BoxSelection<S::Id> {
             let answer = self.metered(owner, |inner| inner.select_in_box(owner, slot, overlay));
             if let BoxSelection::Chosen(chosen) = answer {
                 assert_ne!(chosen, owner, "{owner:?} chose itself");
@@ -781,17 +875,33 @@ mod tests {
             let budget = if soft_state { BUDGET as u64 } else { 0 };
             let mut slots = 0;
             aware.with_selector(O::pass_seeds(None, SimTime::ORIGIN), |overlay, inner| {
-                let mut checked = Checked { inner, oracle: &oracle, budget, slots: 0 };
+                let mut checked = Checked {
+                    inner,
+                    oracle: &oracle,
+                    budget,
+                    slots: 0,
+                };
                 overlay.reselect(&mut checked);
                 slots = checked.slots;
             });
-            assert!(slots >= NODES, "{selection:?}: {slots} slots for {NODES} members");
+            assert!(
+                slots >= NODES,
+                "{selection:?}: {slots} slots for {NODES} members"
+            );
             aware.overlay().check_invariants();
 
             let routes = routes_of(&aware);
-            assert_eq!(routes.len(), 300, "{selection:?}: a member could not start a route");
+            assert_eq!(
+                routes.len(),
+                300,
+                "{selection:?}: a member could not start a route"
+            );
             for (key, hops) in routes {
-                assert_eq!(*hops.last().unwrap(), aware.overlay().home_of(&key), "{selection:?}");
+                assert_eq!(
+                    *hops.last().unwrap(),
+                    aware.overlay().home_of(&key),
+                    "{selection:?}"
+                );
             }
             assert!(aware.measure_routing_stretch(300, 8).count() > 250);
         }
@@ -804,14 +914,22 @@ mod tests {
 
         let before = aware.oracle().measurements();
         aware.reselect();
-        assert_eq!(aware.oracle().measurements(), before, "no candidate, no probe");
+        assert_eq!(
+            aware.oracle().measurements(),
+            before,
+            "no candidate, no probe"
+        );
         let pass = aware.last_pass();
         assert_eq!((pass.probes, pass.fallbacks), (0, pass.selections));
         aware.overlay().check_invariants();
         let fallen_back = routes_of(&aware);
         let (_, fallback) = O::pass_seeds(None, SimTime::ORIGIN);
         aware.overlay.reselect(&mut RandomSelector::new(fallback));
-        assert_eq!(fallen_back, routes_of(&aware), "every slot draws from the fallback stream");
+        assert_eq!(
+            fallen_back,
+            routes_of(&aware),
+            "every slot draws from the fallback stream"
+        );
     }
 
     macro_rules! on_every_overlay {
@@ -868,7 +986,10 @@ mod tests {
         }
         // Nobody fitting: nothing probed, nothing chosen.
         let before = oracle.measurements();
-        assert_eq!(probe_closest(&found, &[100, 101, 102], me, 10, &oracle), None);
+        assert_eq!(
+            probe_closest(&found, &[100, 101, 102], me, 10, &oracle),
+            None
+        );
         assert_eq!(oracle.measurements(), before);
     }
 
@@ -888,7 +1009,11 @@ mod tests {
                 // The region a listed member's prefix names, as the slot's own.
                 let region = PrefixKey::of(member, (row + 1).min(state.max_len()));
                 let want = state.lookup(region, query, BUDGET, LOOKUP_OVERSCAN, SimTime::ORIGIN);
-                assert_eq!(pastry.lookup(state, query, &(row, digit), BUDGET), want, "cell ({row}, {digit})");
+                assert_eq!(
+                    pastry.lookup(state, query, &(row, digit), BUDGET),
+                    want,
+                    "cell ({row}, {digit})"
+                );
             }
         }
         // `CanOverlay` is the default slot overlay.

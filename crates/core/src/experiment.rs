@@ -63,20 +63,12 @@ pub fn routes_for(overlay_nodes: usize) -> usize {
 
 /// Generates the topology for a named configuration (shared by the figure
 /// binaries so every figure uses identical graphs).
-pub fn topology_for(
-    params: &TransitStubParams,
-    latency: LatencyAssignment,
-    seed: u64,
-) -> Topology {
+pub fn topology_for(params: &TransitStubParams, latency: LatencyAssignment, seed: u64) -> Topology {
     generate_transit_stub(params, latency, seed)
 }
 
 /// Runs one full configuration and reports its mean stretch.
-pub fn run_stretch(
-    topology: &Topology,
-    params: ExperimentParams,
-    seed: u64,
-) -> StretchSummary {
+pub fn run_stretch(topology: &Topology, params: ExperimentParams, seed: u64) -> StretchSummary {
     let mut b = TaoBuilder::new();
     b.params(params).seed(seed);
     let tao = b.build_on(topology.clone());
@@ -191,9 +183,7 @@ pub fn condense_sweep(
         let mut b = TaoBuilder::new();
         b.params(params).seed(seed);
         let tao = b.build_on(topology.clone());
-        let entries_per_node = tao
-            .state()
-            .mean_entries_per_hosting_node(tao.ecan().can());
+        let entries_per_node = tao.state().mean_entries_per_hosting_node(tao.ecan().can());
         let stretch = tao
             .measure_routing_stretch(routes_for(params.overlay_nodes), seed ^ 0xF00D)
             .mean();

@@ -8,12 +8,12 @@
 
 use tao_util::det::DetMap;
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_overlay::ecan::NeighborSelector;
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_softstate::LoadStats;
 use tao_topology::RttOracle;
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 /// Assigns heterogeneous capacities and tracks current load.
 ///
@@ -178,11 +178,15 @@ impl NeighborSelector for LoadAwareSelector<'_> {
             .copied()
             .min_by(|&a, &b| {
                 let sa = self.score(
-                    self.oracle.ground_truth(me, can.underlay(a)).as_millis_f64(),
+                    self.oracle
+                        .ground_truth(me, can.underlay(a))
+                        .as_millis_f64(),
                     self.loads.stats(a),
                 );
                 let sb = self.score(
-                    self.oracle.ground_truth(me, can.underlay(b)).as_millis_f64(),
+                    self.oracle
+                        .ground_truth(me, can.underlay(b))
+                        .as_millis_f64(),
                     self.loads.stats(b),
                 );
                 sa.partial_cmp(&sb)
@@ -196,24 +200,25 @@ impl NeighborSelector for LoadAwareSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_util::rand::rngs::StdRng;
     use tao_overlay::ecan::EcanOverlay;
     use tao_overlay::{CanOverlay, Point};
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams,
-    };
+    use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams};
+    use tao_util::rand::rngs::StdRng;
 
     #[test]
     fn capacities_follow_the_heterogeneity_mix() {
         let nodes: Vec<OverlayNodeId> = (0..1_000).map(OverlayNodeId).collect();
         let model = LoadModel::heterogeneous(nodes.iter().copied(), 3);
-        let strong = model
-            .iter()
-            .filter(|(_, s)| s.capacity == 100.0)
-            .count();
+        let strong = model.iter().filter(|(_, s)| s.capacity == 100.0).count();
         let medium = model.iter().filter(|(_, s)| s.capacity == 10.0).count();
-        assert!((50..200).contains(&strong), "about 10% strong, got {strong}");
-        assert!((200..400).contains(&medium), "about 30% medium, got {medium}");
+        assert!(
+            (50..200).contains(&strong),
+            "about 10% strong, got {strong}"
+        );
+        assert!(
+            (200..400).contains(&medium),
+            "about 30% medium, got {medium}"
+        );
     }
 
     #[test]
@@ -239,10 +244,7 @@ mod tests {
         for i in 0..64u32 {
             can.join(NodeIdx(i * 11), Point::random(2, &mut rng));
         }
-        let ecan = EcanOverlay::build(
-            can,
-            &mut tao_overlay::ecan::RandomSelector::new(1),
-        );
+        let ecan = EcanOverlay::build(can, &mut tao_overlay::ecan::RandomSelector::new(1));
         let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
         let mut model = LoadModel::heterogeneous(live.iter().copied(), 2);
 

@@ -90,7 +90,10 @@ impl Summary {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.samples
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// The `q`-quantile (nearest-rank), or 0.0 with no samples.
@@ -108,7 +111,10 @@ impl Summary {
         // accepts, and cannot panic on a NaN that slips through.
         sorted.sort_by(|a, b| a.total_cmp(b));
         let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted.get(rank.min(sorted.len() - 1)).copied().unwrap_or(0.0)
+        sorted
+            .get(rank.min(sorted.len() - 1))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Sample standard deviation, or 0.0 with fewer than two samples.
@@ -117,11 +123,7 @@ impl Summary {
             return 0.0;
         }
         let m = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - m) * (x - m))
-            .sum::<f64>()
+        let var = self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>()
             / (self.samples.len() - 1) as f64;
         var.sqrt()
     }
@@ -170,10 +172,27 @@ mod tests {
         use tao_topology::{EdgeClass, Graph, NodeKind};
         // A triangle: 0–1 and 1–2 cost 3 ms each, the direct 0–2 link 2 ms.
         let mut g = Graph::new();
-        let n: Vec<NodeIdx> = (0..3).map(|_| g.add_node(NodeKind::Stub { domain: 0 })).collect();
-        g.add_edge(n[0], n[1], SimDuration::from_millis(3), EdgeClass::IntraStub);
-        g.add_edge(n[1], n[2], SimDuration::from_millis(3), EdgeClass::IntraStub);
-        g.add_edge(n[0], n[2], SimDuration::from_millis(2), EdgeClass::IntraStub);
+        let n: Vec<NodeIdx> = (0..3)
+            .map(|_| g.add_node(NodeKind::Stub { domain: 0 }))
+            .collect();
+        g.add_edge(
+            n[0],
+            n[1],
+            SimDuration::from_millis(3),
+            EdgeClass::IntraStub,
+        );
+        g.add_edge(
+            n[1],
+            n[2],
+            SimDuration::from_millis(3),
+            EdgeClass::IntraStub,
+        );
+        g.add_edge(
+            n[0],
+            n[2],
+            SimDuration::from_millis(2),
+            EdgeClass::IntraStub,
+        );
         let oracle = RttOracle::new(g);
         let stretch = |hops: &[NodeIdx]| route_stretch(hops.iter().copied(), &oracle);
         assert_eq!(stretch(&[n[0], n[1], n[2]]), Some(3.0));
@@ -196,7 +215,9 @@ mod tests {
 
     #[test]
     fn statistics_match_hand_computation() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
+        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+            .into_iter()
+            .collect();
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.stddev() - 2.138).abs() < 0.01);
         assert_eq!(s.min(), 2.0);

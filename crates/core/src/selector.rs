@@ -8,13 +8,13 @@
 
 use tao_util::det::DetMap;
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_overlay::ecan::{BoxSelection, NeighborSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Zone};
 use tao_sim::SimTime;
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo, RegionKey};
 use tao_topology::RttOracle;
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 /// What one selector did over its lifetime — one table pass, or the
 /// `reselect_node`s of one membership change. Deterministic counts; all
@@ -112,12 +112,24 @@ impl<'a> GlobalStateSelector<'a> {
     /// What this selector has done so far.
     pub fn stats(&self) -> SelectorStats {
         let fragment_walks = self.scratch.fragment_walks() - self.walks_before;
-        SelectorStats { fragment_walks, ..self.stats }
+        SelectorStats {
+            fragment_walks,
+            ..self.stats
+        }
     }
 
     /// Names `(for_node, target_box)` on this CAN, if the box has a key.
-    fn asked(for_node: OverlayNodeId, target_box: &Zone, can: &CanOverlay) -> Option<(OverlayNodeId, RegionKey, usize, usize)> {
-        Some((for_node, RegionKey::from_zone(target_box)?, can.id_bound(), can.len()))
+    fn asked(
+        for_node: OverlayNodeId,
+        target_box: &Zone,
+        can: &CanOverlay,
+    ) -> Option<(OverlayNodeId, RegionKey, usize, usize)> {
+        Some((
+            for_node,
+            RegionKey::from_zone(target_box)?,
+            can.id_bound(),
+            can.len(),
+        ))
     }
 
     /// Steps 1–4 for one box: hosted lookup, RTT probes of the candidates
@@ -172,7 +184,11 @@ impl NeighborSelector for GlobalStateSelector<'_> {
         // where it found nobody a second lookup finds nobody again.
         let asked = self.found_nobody;
         let known_empty = asked.is_some() && asked == Self::asked(for_node, target_box, can);
-        let chosen = if known_empty { None } else { self.closest_probed(for_node, target_box, can, listed) };
+        let chosen = if known_empty {
+            None
+        } else {
+            self.closest_probed(for_node, target_box, can, listed)
+        };
         chosen.unwrap_or_else(|| {
             self.stats.fallbacks += 1;
             candidates[self.fallback_rng.gen_range(0..candidates.len())]
@@ -207,15 +223,13 @@ impl NeighborSelector for GlobalStateSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_util::rand::rngs::StdRng;
     use tao_landmark::{LandmarkGrid, LandmarkVector};
     use tao_overlay::ecan::{EcanOverlay, RandomSelector};
     use tao_overlay::Point;
     use tao_sim::SimDuration;
     use tao_softstate::SoftStateConfig;
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams,
-    };
+    use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams};
+    use tao_util::rand::rngs::StdRng;
 
     struct Fixture {
         oracle: RttOracle,
@@ -235,7 +249,13 @@ mod tests {
     ) -> NodeInfo {
         let vector = LandmarkVector::measure(underlay, &LANDMARKS, oracle);
         let number = config.grid().landmark_number(&vector, config.curve());
-        NodeInfo { node: id, underlay, vector, number, load: None }
+        NodeInfo {
+            node: id,
+            underlay,
+            vector,
+            number,
+            load: None,
+        }
     }
 
     fn fixture() -> Fixture {
@@ -370,7 +390,10 @@ mod tests {
         let before = f.oracle.measurements();
         let inner =
             GlobalStateSelector::new(state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 9);
-        let mut sel = Counted { listed: Wrapped { inner, lists: 0 }, boxes: 0 };
+        let mut sel = Counted {
+            listed: Wrapped { inner, lists: 0 },
+            boxes: 0,
+        };
         if whole_box {
             ecan.reselect(&mut sel);
         } else {
@@ -379,13 +402,21 @@ mod tests {
         ecan.check_invariants();
         let (inner, lists) = (&sel.listed.inner, sel.listed.lists);
         let outcome = Outcome {
-            tables: ecan.can().live_nodes().map(|id| ecan.high_order_entries(id)).collect(),
+            tables: ecan
+                .can()
+                .live_nodes()
+                .map(|id| ecan.high_order_entries(id))
+                .collect(),
             probes_spent: inner.stats().probes,
             fallbacks: inner.stats().fallbacks,
             charged: f.oracle.measurements() - before,
         };
         let stats = inner.stats();
-        assert_eq!(stats.selections, outcome.selections(), "one selection per entry");
+        assert_eq!(
+            stats.selections,
+            outcome.selections(),
+            "one selection per entry"
+        );
         // One lookup per box asked about — none again for the fallback draw
         // — or, on the reference path, one per list.
         assert_eq!(stats.lookups, if whole_box { sel.boxes } else { lists });
@@ -418,7 +449,8 @@ mod tests {
                 for (i, &id) in live.iter().enumerate() {
                     if round == 4 && (half..half + 8).contains(&i) {
                         ecan.depart(id).unwrap();
-                        let at = Point::new(vec![0.11 * i as f64 % 1.0, 0.2 * f64::from(round)]).unwrap();
+                        let at = Point::new(vec![0.11 * i as f64 % 1.0, 0.2 * f64::from(round)])
+                            .unwrap();
                         ecan.join_unselected(NodeIdx(3 + round), at);
                         continue;
                     }
@@ -440,8 +472,14 @@ mod tests {
             let (got, stats, back) = run(Some(std::mem::take(&mut lent)));
             lent = back;
             assert_eq!(got, want, "round {round}");
-            assert_eq!((stats.selections, stats.lookups), (forgetful.selections, forgetful.lookups));
-            assert!(stats.fragment_walks * 2 < stats.lookups, "round {round}: {stats:?}");
+            assert_eq!(
+                (stats.selections, stats.lookups),
+                (forgetful.selections, forgetful.lookups)
+            );
+            assert!(
+                stats.fragment_walks * 2 < stats.lookups,
+                "round {round}: {stats:?}"
+            );
 
             let mut pick = |f: &Fixture| {
                 let live: Vec<OverlayNodeId> = f.ecan.can().live_nodes().collect();
@@ -487,8 +525,15 @@ mod tests {
                 let (got, lists) = pass(&f, state, budget, true);
                 let (want, ref_lists) = pass(&f, state, budget, false);
                 assert_eq!(got, want, "budget {budget}");
-                assert_eq!(got.probes_spent, got.charged, "every probe goes through the meter");
-                assert_eq!(ref_lists, want.selections(), "the reference lists every box");
+                assert_eq!(
+                    got.probes_spent, got.charged,
+                    "every probe goes through the meter"
+                );
+                assert_eq!(
+                    ref_lists,
+                    want.selections(),
+                    "the reference lists every box"
+                );
                 assert!(lists <= ref_lists);
             }
         }
@@ -498,14 +543,27 @@ mod tests {
     fn a_box_is_listed_only_for_the_fallback_draw() {
         let f = churned_fixture();
         let (got, lists) = pass(&f, &f.state, 10, true);
-        assert_eq!(lists, got.fallbacks, "a list was made that no fallback draw needed");
-        assert!(got.fallbacks > 0, "stale maps must leave some box without a usable candidate");
-        assert!(got.fallbacks * 2 < got.selections(), "{} fallbacks", got.fallbacks);
+        assert_eq!(
+            lists, got.fallbacks,
+            "a list was made that no fallback draw needed"
+        );
+        assert!(
+            got.fallbacks > 0,
+            "stale maps must leave some box without a usable candidate"
+        );
+        assert!(
+            got.fallbacks * 2 < got.selections(),
+            "{} fallbacks",
+            got.fallbacks
+        );
         // With nothing published every selection is a fallback over a list.
         let empty = GlobalState::new(*f.state.config());
         let (got, lists) = pass(&f, &empty, 10, true);
         let selections = got.selections();
-        assert_eq!((lists, got.fallbacks, got.probes_spent), (selections, selections, 0));
+        assert_eq!(
+            (lists, got.fallbacks, got.probes_spent),
+            (selections, selections, 0)
+        );
     }
 
     #[test]
@@ -545,9 +603,8 @@ mod tests {
         let f = fixture();
         let mean_rep_distance = |budget: usize| -> f64 {
             let mut ecan = f.ecan.clone();
-            let mut sel = GlobalStateSelector::new(
-                &f.state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 3,
-            );
+            let mut sel =
+                GlobalStateSelector::new(&f.state, &f.oracle, &f.infos, budget, SimTime::ORIGIN, 3);
             ecan.reselect(&mut sel);
             let mut total = 0.0;
             let mut count = 0;
@@ -576,8 +633,7 @@ mod tests {
         let f = fixture();
         let empty = GlobalState::new(*f.state.config());
         let mut ecan = f.ecan.clone();
-        let mut sel =
-            GlobalStateSelector::new(&empty, &f.oracle, &f.infos, 5, SimTime::ORIGIN, 4);
+        let mut sel = GlobalStateSelector::new(&empty, &f.oracle, &f.infos, 5, SimTime::ORIGIN, 4);
         ecan.reselect(&mut sel);
         assert!(sel.stats().fallbacks > 0);
         assert_eq!(sel.stats().probes, 0, "no candidates, no probes");

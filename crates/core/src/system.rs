@@ -10,7 +10,9 @@ use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::pubsub::{self, PubSub};
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
-use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, Topology, TransitStubParams};
+use tao_topology::{
+    generate_transit_stub, LatencyAssignment, NodeIdx, Topology, TransitStubParams,
+};
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
 
@@ -171,8 +173,19 @@ impl AwareOverlay for EcanOverlay {
         self.join_unselected(underlay, Point::random(self.can().dims(), rng));
     }
 
-    fn record(node: OverlayNodeId, underlay: NodeIdx, vector: LandmarkVector, number: LandmarkNumber) -> NodeInfo {
-        NodeInfo { node, underlay, vector, number, load: None }
+    fn record(
+        node: OverlayNodeId,
+        underlay: NodeIdx,
+        vector: LandmarkVector,
+        number: LandmarkNumber,
+    ) -> NodeInfo {
+        NodeInfo {
+            node,
+            underlay,
+            vector,
+            number,
+            load: None,
+        }
     }
 
     fn publish(&self, state: &mut GlobalState, info: NodeInfo, now: SimTime) {
@@ -189,9 +202,15 @@ impl AwareOverlay for EcanOverlay {
         pass: impl FnOnce(&mut Self, &mut dyn NeighborSelector),
     ) {
         let (infos, budget) = (&aware.records, aware.params.rtt_budget);
-        let mut selector =
-            GlobalStateSelector::new(&aware.state, &aware.oracle, infos, budget, aware.now, fallback)
-                .lend(std::mem::take(&mut aware.scratch));
+        let mut selector = GlobalStateSelector::new(
+            &aware.state,
+            &aware.oracle,
+            infos,
+            budget,
+            aware.now,
+            fallback,
+        )
+        .lend(std::mem::take(&mut aware.scratch));
         pass(&mut aware.overlay, &mut selector);
         (aware.last_pass, aware.scratch) = selector.finish();
     }
@@ -200,7 +219,12 @@ impl AwareOverlay for EcanOverlay {
         Point::random(self.can().dims(), rng)
     }
 
-    fn route<'s>(&self, scratch: &'s mut RouteScratch, start: OverlayNodeId, key: &Point) -> Option<&'s [OverlayNodeId]> {
+    fn route<'s>(
+        &self,
+        scratch: &'s mut RouteScratch,
+        start: OverlayNodeId,
+        key: &Point,
+    ) -> Option<&'s [OverlayNodeId]> {
         self.route_express_into(scratch, start, key).ok()?;
         Some(scratch.hops())
     }
@@ -251,8 +275,7 @@ impl Aware<EcanOverlay> {
 
         // Select the newcomer's expressways; its split partner's table is
         // refreshed too since its zone changed shape.
-        let mut affected: Vec<OverlayNodeId> =
-            self.overlay.can().neighbors(id).unwrap_or_default();
+        let mut affected: Vec<OverlayNodeId> = self.overlay.can().neighbors(id).unwrap_or_default();
         affected.push(id);
         self.reselect_nodes(&affected);
 
@@ -389,7 +412,8 @@ mod tests {
         let live: Vec<OverlayNodeId> = tao.ecan().can().live_nodes().collect();
         for &id in &live {
             if let Some(zone) = tao.ecan().enclosing_high_order_zones(id).first() {
-                tao.pubsub_mut().subscribe(&zone.clone(), id, Predicate::NodeJoined);
+                tao.pubsub_mut()
+                    .subscribe(&zone.clone(), id, Predicate::NodeJoined);
             }
         }
         let used: tao_util::det::DetSet<_> = live
@@ -478,9 +502,20 @@ mod tests {
                 live.map(|id| tao.ecan().high_order_entries(id)).collect()
             };
             assert_eq!(tables(&warm), tables(&cold), "step {i}");
-            let simulated = |s: SelectorStats| SelectorStats { fragment_walks: 0, ..s };
-            assert_eq!(simulated(warm.last_pass()), simulated(cold.last_pass()), "step {i}");
-            assert_eq!(warm.oracle().measurements(), cold.oracle().measurements(), "step {i}");
+            let simulated = |s: SelectorStats| SelectorStats {
+                fragment_walks: 0,
+                ..s
+            };
+            assert_eq!(
+                simulated(warm.last_pass()),
+                simulated(cold.last_pass()),
+                "step {i}"
+            );
+            assert_eq!(
+                warm.oracle().measurements(),
+                cold.oracle().measurements(),
+                "step {i}"
+            );
             // The first step repeats the build's pass with nothing changed
             // since: every fragment is found, where the cold system walks.
             if i == 0 {

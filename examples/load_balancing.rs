@@ -9,11 +9,11 @@
 //! optimal representatives; re-selecting with the load-aware score spreads
 //! the traffic.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_core::{LoadAwareSelector, LoadModel, SelectionStrategy, TaoBuilder};
 use tao_overlay::{OverlayNodeId, Point, RouteScratch};
 use tao_topology::{LatencyAssignment, TransitStubParams};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 fn route_workload(
     ecan: &tao_overlay::ecan::EcanOverlay,

@@ -9,13 +9,13 @@
 //! peer-to-peer system wants the physically closest existing member —
 //! without flooding the network with probes.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use tao_landmark::LandmarkVector;
 use tao_overlay::{CanOverlay, Point};
 use tao_proximity::{expanding_ring_search, hybrid_search, nn_stretch, true_nearest, Candidate};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 fn main() {
     let topo = generate_transit_stub(

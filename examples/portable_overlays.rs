@@ -45,33 +45,62 @@ fn main() {
         .iter()
         .map(|&selection| {
             let mut b = TaoBuilder::new();
-            b.params(ExperimentParams { selection, ..params }).seed(7);
-            b.build_on(topo.clone()).measure_routing_stretch(512, 9).mean()
+            b.params(ExperimentParams {
+                selection,
+                ..params
+            })
+            .seed(7);
+            b.build_on(topo.clone())
+                .measure_routing_stretch(512, 9)
+                .mean()
         })
         .collect();
-    println!("  eCAN   {:.2} -> {:.2} -> {:.2}", ecan[0], ecan[1], ecan[2]);
+    println!(
+        "  eCAN   {:.2} -> {:.2} -> {:.2}",
+        ecan[0], ecan[1], ecan[2]
+    );
 
     // Chord: records stored at their landmark number's ring successor.
     let chord: Vec<f64> = strategies
         .iter()
         .map(|&selection| {
-            ChordAware::build(&topo, ExperimentParams { selection, ..params }, 7)
-                .measure_routing_stretch(512, 9)
-                .mean()
+            ChordAware::build(
+                &topo,
+                ExperimentParams {
+                    selection,
+                    ..params
+                },
+                7,
+            )
+            .measure_routing_stretch(512, 9)
+            .mean()
         })
         .collect();
-    println!("  Chord  {:.2} -> {:.2} -> {:.2}", chord[0], chord[1], chord[2]);
+    println!(
+        "  Chord  {:.2} -> {:.2} -> {:.2}",
+        chord[0], chord[1], chord[2]
+    );
 
     // Pastry: one map per nodeId prefix.
     let pastry: Vec<f64> = strategies
         .iter()
         .map(|&selection| {
-            PastryAware::build(&topo, ExperimentParams { selection, ..params }, 7)
-                .measure_routing_stretch(512, 9)
-                .mean()
+            PastryAware::build(
+                &topo,
+                ExperimentParams {
+                    selection,
+                    ..params
+                },
+                7,
+            )
+            .measure_routing_stretch(512, 9)
+            .mean()
         })
         .collect();
-    println!("  Pastry {:.2} -> {:.2} -> {:.2}", pastry[0], pastry[1], pastry[2]);
+    println!(
+        "  Pastry {:.2} -> {:.2} -> {:.2}",
+        pastry[0], pastry[1], pastry[2]
+    );
 
     println!("\nsoft-state selection lands far below random and near the per-slot optimum on");
     println!("every family (\"optimal\" takes each slot's closest member, which bounds no whole");

@@ -32,17 +32,23 @@ fn main() {
     builder.selection(SelectionStrategy::Random);
     let random = builder.build();
 
-    println!("topology: {} routers ({} transit domains)",
+    println!(
+        "topology: {} routers ({} transit domains)",
         aware.topology().graph().node_count(),
-        aware.topology().params().transit_domains());
-    println!("overlay:  {} nodes, {} landmarks, {} RTT probes per selection",
+        aware.topology().params().transit_domains()
+    );
+    println!(
+        "overlay:  {} nodes, {} landmarks, {} RTT probes per selection",
         aware.ecan().can().len(),
         aware.landmarks().len(),
-        aware.params().rtt_budget);
-    println!("soft-state: {} maps holding {} entries ({} probes spent so far)\n",
+        aware.params().rtt_budget
+    );
+    println!(
+        "soft-state: {} maps holding {} entries ({} probes spent so far)\n",
         aware.state().map_count(),
         aware.state().total_entries(),
-        aware.oracle().measurements());
+        aware.oracle().measurements()
+    );
 
     let routes = 512;
     let aware_stretch = aware.measure_routing_stretch(routes, 1);

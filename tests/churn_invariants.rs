@@ -1,8 +1,6 @@
 //! Churn integration: overlay structure, soft-state, and routing stay
 //! consistent through interleaved joins and departures.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::{Rng, SeedableRng};
 use tao_core::{SelectionStrategy, TaoBuilder};
 use tao_overlay::chord::ChordOverlay;
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
@@ -14,6 +12,8 @@ use tao_sim::SimDuration;
 use tao_softstate::MaintenancePolicy;
 use tao_topology::{LatencyAssignment, NodeIdx, TransitStubParams};
 use tao_util::det::{DetMap, DetSet};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::{Rng, SeedableRng};
 
 #[test]
 fn can_survives_heavy_interleaved_churn() {
@@ -44,7 +44,8 @@ fn can_survives_heavy_interleaved_churn() {
     for _ in 0..100 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
-        can.route_into(&mut scratch, src, &target).expect("routing succeeds");
+        can.route_into(&mut scratch, src, &target)
+            .expect("routing succeeds");
         assert_eq!(scratch.hops().last(), Some(&can.owner(&target)));
     }
 }
@@ -122,7 +123,9 @@ fn pastry_survives_heavy_interleaved_churn() {
     for _ in 0..100 {
         let start = live[rng.gen_range(0..live.len())];
         let key = rng.gen();
-        pastry.route_into(&mut scratch, start, key).expect("routing succeeds");
+        pastry
+            .route_into(&mut scratch, start, key)
+            .expect("routing succeeds");
         assert_eq!(
             scratch.ring_hops().last(),
             Some(&pastry.root_of(key).expect("root exists"))
@@ -165,7 +168,8 @@ fn chord_survives_heavy_interleaved_churn() {
     for _ in 0..100 {
         let start = live[rng.gen_range(0..live.len())];
         let key = rng.gen();
-        ring.route_into(&mut scratch, start, key).expect("routing succeeds");
+        ring.route_into(&mut scratch, start, key)
+            .expect("routing succeeds");
         assert_eq!(
             scratch.ring_hops().last(),
             Some(&ring.successor(key).expect("successor exists"))
@@ -184,12 +188,14 @@ fn tacan_survives_heavy_interleaved_churn() {
     // Landmark orderings cycle through rotations of the identity — a crude
     // stand-in for "nodes near different landmarks" that still exercises
     // every bin of the binned join.
-    let ordering_for = |k: usize| -> Vec<usize> {
-        (0..LANDMARKS).map(|i| (i + k) % LANDMARKS).collect()
-    };
+    let ordering_for =
+        |k: usize| -> Vec<usize> { (0..LANDMARKS).map(|i| (i + k) % LANDMARKS).collect() };
     let mut live = Vec::new();
     for i in 0..64u32 {
-        live.push(tacan.join(NodeIdx(i), binned_join_point(&ordering_for(i as usize), 2, &mut rng)));
+        live.push(tacan.join(
+            NodeIdx(i),
+            binned_join_point(&ordering_for(i as usize), 2, &mut rng),
+        ));
     }
     tacan.check_invariants();
     let mut next_underlay = 64u32;
@@ -209,7 +215,9 @@ fn tacan_survives_heavy_interleaved_churn() {
     for _ in 0..100 {
         let src = live[rng.gen_range(0..live.len())];
         let target = Point::random(2, &mut rng);
-        tacan.route_into(&mut scratch, src, &target).expect("routing succeeds");
+        tacan
+            .route_into(&mut scratch, src, &target)
+            .expect("routing succeeds");
         assert_eq!(scratch.hops().last(), Some(&tacan.owner(&target)));
     }
 }
@@ -312,7 +320,10 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
                 Handover::JoinTakenOver(draw) if !takers.is_empty() => {
                     let zones = can.zones(pick(&takers, draw)).expect("live node");
                     taken_over_joins.set(taken_over_joins.get() + 1);
-                    (Some(zones[1 + (draw >> 32) as usize % (zones.len() - 1)].center()), None)
+                    (
+                        Some(zones[1 + (draw >> 32) as usize % (zones.len() - 1)].center()),
+                        None,
+                    )
                 }
                 _ => (None, None),
             };
@@ -321,7 +332,8 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
                 next_underlay += 1;
             }
             if let Some(victim) = victim.filter(|_| live.len() > 4) {
-                ecan.depart_and_repair(victim, &mut selector).expect("victim is live");
+                ecan.depart_and_repair(victim, &mut selector)
+                    .expect("victim is live");
             }
             // The eCAN's check runs the CAN's first: tree and zone lists
             // describe one tiling; tables and reverse index one set of
@@ -329,7 +341,11 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
             ecan.check_invariants();
             for id in ecan.can().live_nodes() {
                 for zone in ecan.can().zones(id).expect("live node") {
-                    assert_eq!(ecan.can().owner(&zone.center()), id, "{zone} is held by {id}");
+                    assert_eq!(
+                        ecan.can().owner(&zone.center()),
+                        id,
+                        "{zone} is held by {id}"
+                    );
                 }
             }
         }
@@ -361,7 +377,9 @@ enum BatchOp {
 /// departures drawn from them (a label drawn twice departs once).
 fn membership_changes(seed: u64) -> Vec<BatchOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops: Vec<BatchOp> = (1_000..1_048).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))).collect();
+    let mut ops: Vec<BatchOp> = (1_000..1_048)
+        .map(|l| BatchOp::Join(l, Point::random(2, &mut rng)))
+        .collect();
     ops.extend((4..16).map(BatchOp::Depart));
     ops.extend((4..16).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))));
     ops.extend((2_000..2_024).map(|l| BatchOp::Join(l, Point::random(2, &mut rng))));
@@ -379,7 +397,9 @@ fn membership_changes(seed: u64) -> Vec<BatchOp> {
 fn bootstrap_can(seed: u64) -> (CanOverlay, DetMap<u64, OverlayNodeId>) {
     let mut can = CanOverlay::new(2).expect("2-d CAN");
     let mut rng = StdRng::seed_from_u64(seed);
-    let ids = (0..32).map(|l| (l, can.join(NodeIdx(l as u32), Point::random(2, &mut rng)))).collect();
+    let ids = (0..32)
+        .map(|l| (l, can.join(NodeIdx(l as u32), Point::random(2, &mut rng))))
+        .collect();
     (can, ids)
 }
 
@@ -391,7 +411,9 @@ fn can_invariants_hold_after_every_batch_op() {
             BatchOp::Join(label, point) => {
                 ids.insert(label, can.join(NodeIdx(label as u32), point));
             }
-            BatchOp::Depart(label) => can.leave(ids.remove(&label).expect("live label")).expect("victim is live"),
+            BatchOp::Depart(label) => can
+                .leave(ids.remove(&label).expect("live label"))
+                .expect("victim is live"),
         }
         can.check_invariants();
     }
@@ -406,18 +428,23 @@ fn tacan_invariants_hold_after_every_batch_op() {
     let seed = 0xbc_02;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut binned = |label: u64| {
-        let ordering: Vec<usize> = (0..LANDMARKS).map(|i| (i + label as usize) % LANDMARKS).collect();
+        let ordering: Vec<usize> = (0..LANDMARKS)
+            .map(|i| (i + label as usize) % LANDMARKS)
+            .collect();
         binned_join_point(&ordering, 2, &mut rng)
     };
     let mut tacan = CanOverlay::new(2).expect("2-d CAN");
-    let mut ids: DetMap<u64, OverlayNodeId> =
-        (0..32).map(|l| (l, tacan.join(NodeIdx(l as u32), binned(l)))).collect();
+    let mut ids: DetMap<u64, OverlayNodeId> = (0..32)
+        .map(|l| (l, tacan.join(NodeIdx(l as u32), binned(l))))
+        .collect();
     for op in membership_changes(seed) {
         match op {
             BatchOp::Join(label, _) => {
                 ids.insert(label, tacan.join(NodeIdx(label as u32), binned(label)));
             }
-            BatchOp::Depart(label) => tacan.leave(ids.remove(&label).expect("live label")).expect("victim is live"),
+            BatchOp::Depart(label) => tacan
+                .leave(ids.remove(&label).expect("live label"))
+                .expect("victim is live"),
         }
         tacan.check_invariants();
     }
@@ -434,7 +461,9 @@ fn ecan_invariants_hold_after_every_batch_op() {
             BatchOp::Join(label, point) => {
                 ids.insert(label, ecan.join_unselected(NodeIdx(label as u32), point));
             }
-            BatchOp::Depart(label) => ecan.depart(ids.remove(&label).expect("live label")).expect("victim is live"),
+            BatchOp::Depart(label) => ecan
+                .depart(ids.remove(&label).expect("live label"))
+                .expect("victim is live"),
         }
         // Joins split zones out from under other nodes' expressway
         // representatives, so per-op soundness needs a full reselection
@@ -553,7 +582,9 @@ fn reactive_policy_leaves_stale_entries_until_ttl() {
     tao.state_mut().expire(now);
     for v in victims {
         assert!(
-            !tao.state().maps().any(|m| m.entries().any(|e| e.info.node == v)),
+            !tao.state()
+                .maps()
+                .any(|m| m.entries().any(|e| e.info.node == v)),
             "{v} must be gone after TTL"
         );
     }

@@ -2,7 +2,9 @@
 //! physical distance, region positions vs map placement, overlay routing
 //! over arbitrary join sequences.
 
-use tao_landmark::{region_position, LandmarkGrid, LandmarkNumber, LandmarkVector, SpaceFillingCurve};
+use tao_landmark::{
+    region_position, LandmarkGrid, LandmarkNumber, LandmarkVector, SpaceFillingCurve,
+};
 use tao_overlay::{CanOverlay, Point, RouteScratch, Zone};
 use tao_sim::SimDuration;
 use tao_topology::NodeIdx;
@@ -145,7 +147,11 @@ fn landmark_locality_transfers_to_map_positions() {
         region_position(num, grid.number_bits(), 2, 8, SpaceFillingCurve::Hilbert)
     };
     let dist = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
     };
 
     let mut same_stub = 0.0;

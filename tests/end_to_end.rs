@@ -48,7 +48,10 @@ fn selection_quality_is_ordered_optimal_then_aware_then_random() {
     let aware = b.build().measure_routing_stretch(512, 5).mean();
     b.selection(SelectionStrategy::Random);
     let random = b.build().measure_routing_stretch(512, 5).mean();
-    assert!(optimal <= aware * 1.05, "optimal {optimal:.2} vs aware {aware:.2}");
+    assert!(
+        optimal <= aware * 1.05,
+        "optimal {optimal:.2} vs aware {aware:.2}"
+    );
     assert!(aware < random, "aware {aware:.2} vs random {random:.2}");
 }
 
@@ -125,8 +128,11 @@ fn build_on_equals_the_random_build_then_publish_then_reselect_sequence() {
     // own CAN and landmarks: a random eCAN build, everyone's publish, then
     // a full re-selection with the configured strategy (none for Random).
     let seed = 48;
-    let topology =
-        generate_transit_stub(&TransitStubParams::tsk_large_mini(), LatencyAssignment::manual(), seed);
+    let topology = generate_transit_stub(
+        &TransitStubParams::tsk_large_mini(),
+        LatencyAssignment::manual(),
+        seed,
+    );
     for strategy in [
         SelectionStrategy::Random,
         SelectionStrategy::Optimal,
@@ -144,7 +150,13 @@ fn build_on_equals_the_random_build_then_publish_then_reselect_sequence() {
             let underlay = can.underlay(id);
             let vector = LandmarkVector::measure(underlay, tao.landmarks(), &oracle);
             let number = config.grid().landmark_number(&vector, config.curve());
-            let info = NodeInfo { node: id, underlay, vector, number, load: None };
+            let info = NodeInfo {
+                node: id,
+                underlay,
+                vector,
+                number,
+                load: None,
+            };
             assert_eq!(Some(&info), tao.info(id));
             infos.insert(id, info);
         }
@@ -173,7 +185,15 @@ fn build_on_equals_the_random_build_then_publish_then_reselect_sequence() {
                 "{strategy:?}: {id}'s table"
             );
         }
-        assert_eq!(tao.oracle().measurements(), oracle.measurements(), "{strategy:?}");
-        assert_eq!(tao.state().total_entries(), state.total_entries(), "{strategy:?}");
+        assert_eq!(
+            tao.oracle().measurements(),
+            oracle.measurements(),
+            "{strategy:?}"
+        );
+        assert_eq!(
+            tao.state().total_entries(),
+            state.total_entries(),
+            "{strategy:?}"
+        );
     }
 }

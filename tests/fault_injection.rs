@@ -55,7 +55,14 @@ fn deliver_along(path: &[NodeId], sim: &mut Simulator<Pkt, UniformLatency>) -> b
                         reached = true;
                     } else {
                         engine.send(at, path[idx + 1], Pkt::Fwd { hop: idx });
-                        engine.set_timer(at, retry_after, Pkt::Retry { hop: idx, attempt: 1 });
+                        engine.set_timer(
+                            at,
+                            retry_after,
+                            Pkt::Retry {
+                                hop: idx,
+                                attempt: 1,
+                            },
+                        );
                     }
                 }
             }
@@ -66,7 +73,10 @@ fn deliver_along(path: &[NodeId], sim: &mut Simulator<Pkt, UniformLatency>) -> b
                     engine.set_timer(
                         at,
                         retry_after,
-                        Pkt::Retry { hop, attempt: attempt + 1 },
+                        Pkt::Retry {
+                            hop,
+                            attempt: attempt + 1,
+                        },
                     );
                 }
             }
@@ -102,33 +112,38 @@ fn lossy_sim(n: usize, plan: FaultPlan) -> Simulator<Pkt, UniformLatency> {
 
 #[test]
 fn can_routing_terminates_at_the_owner_under_message_loss() {
-    for_all("can_routing_terminates_at_the_owner_under_message_loss", 12, |rng| {
-        let n = rng.gen_range(16usize..48);
-        let seed: u64 = rng.gen();
-        let drop = rng.gen_range(0.10..0.30);
-        let can = grown_can(n, seed);
-        let mut wrng = StdRng::seed_from_u64(seed ^ 0xF00D);
-        let src = OverlayNodeId(wrng.gen_range(0..n as u32));
-        let target = Point::random(2, &mut wrng);
-        let mut scratch = RouteScratch::new();
-        can.route_into(&mut scratch, src, &target)
-            .expect("routing succeeds");
-        let hops = scratch.hops();
-        check!(
-            hops.last() == Some(&can.owner(&target)),
-            "route must structurally terminate at the owner"
-        );
-        if hops.len() < 2 {
-            return; // source already owns the target; nothing to transport
-        }
-        let mut plan = FaultPlan::new(seed ^ 0xFA17);
-        plan.drop_probability(drop).jitter(SimDuration::from_millis(8));
-        let mut sim = lossy_sim(n, plan);
-        check!(
-            deliver_along(&as_sim_path(hops), &mut sim),
-            "request lost under {drop:.2} loss (n={n}, seed={seed:#x})"
-        );
-    });
+    for_all(
+        "can_routing_terminates_at_the_owner_under_message_loss",
+        12,
+        |rng| {
+            let n = rng.gen_range(16usize..48);
+            let seed: u64 = rng.gen();
+            let drop = rng.gen_range(0.10..0.30);
+            let can = grown_can(n, seed);
+            let mut wrng = StdRng::seed_from_u64(seed ^ 0xF00D);
+            let src = OverlayNodeId(wrng.gen_range(0..n as u32));
+            let target = Point::random(2, &mut wrng);
+            let mut scratch = RouteScratch::new();
+            can.route_into(&mut scratch, src, &target)
+                .expect("routing succeeds");
+            let hops = scratch.hops();
+            check!(
+                hops.last() == Some(&can.owner(&target)),
+                "route must structurally terminate at the owner"
+            );
+            if hops.len() < 2 {
+                return; // source already owns the target; nothing to transport
+            }
+            let mut plan = FaultPlan::new(seed ^ 0xFA17);
+            plan.drop_probability(drop)
+                .jitter(SimDuration::from_millis(8));
+            let mut sim = lossy_sim(n, plan);
+            check!(
+                deliver_along(&as_sim_path(hops), &mut sim),
+                "request lost under {drop:.2} loss (n={n}, seed={seed:#x})"
+            );
+        },
+    );
 }
 
 #[test]
@@ -185,7 +200,9 @@ fn routing_resumes_after_partition_heal() {
                 break;
             }
         }
-        let Some((src, target)) = crossing else { return };
+        let Some((src, target)) = crossing else {
+            return;
+        };
         let mut scratch = RouteScratch::new();
         can.route_into(&mut scratch, src, &target)
             .expect("routing succeeds");
@@ -201,7 +218,11 @@ fn routing_resumes_after_partition_heal() {
         );
         check!(sim.stats().drops() > 0, "the cut must account its drops");
         // Advance past the heal time, then the same route goes through.
-        sim.set_timer(path[0], SimDuration::from_secs(6), Pkt::Ack { hop: usize::MAX });
+        sim.set_timer(
+            path[0],
+            SimDuration::from_secs(6),
+            Pkt::Ack { hop: usize::MAX },
+        );
         sim.step(|_, _, _| {});
         check!(sim.now() > heal, "clock must be past the heal time");
         check!(
@@ -226,7 +247,11 @@ fn canonical_fault_scenario() -> (Vec<(usize, u32)>, SimTime, tao_sim::NetStats)
         .duplicate_probability(0.05)
         .jitter(SimDuration::from_millis(15))
         .link_drop(NodeId(3), NodeId(4), 0.9)
-        .partition(&island, SimTime::from_micros(100_000), SimTime::from_micros(900_000))
+        .partition(
+            &island,
+            SimTime::from_micros(100_000),
+            SimTime::from_micros(900_000),
+        )
         .crash_recover(
             NodeId(9),
             SimTime::from_micros(50_000),

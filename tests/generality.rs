@@ -37,8 +37,14 @@ fn the_ordering_holds_on_every_overlay_family() {
     let c_opt = chord(SelectionStrategy::Optimal, &mut p);
     let c_aware = chord(SelectionStrategy::GlobalState, &mut p);
     let c_rand = chord(SelectionStrategy::Random, &mut p);
-    assert!(c_opt <= c_aware * 1.05, "chord: optimal {c_opt:.2} vs aware {c_aware:.2}");
-    assert!(c_aware < c_rand, "chord: aware {c_aware:.2} vs random {c_rand:.2}");
+    assert!(
+        c_opt <= c_aware * 1.05,
+        "chord: optimal {c_opt:.2} vs aware {c_aware:.2}"
+    );
+    assert!(
+        c_aware < c_rand,
+        "chord: aware {c_aware:.2} vs random {c_rand:.2}"
+    );
 
     // Pastry.
     let pastry = |sel: SelectionStrategy, p: &mut ExperimentParams| {
@@ -50,8 +56,14 @@ fn the_ordering_holds_on_every_overlay_family() {
     let p_opt = pastry(SelectionStrategy::Optimal, &mut p);
     let p_aware = pastry(SelectionStrategy::GlobalState, &mut p);
     let p_rand = pastry(SelectionStrategy::Random, &mut p);
-    assert!(p_opt <= p_aware * 1.05, "pastry: optimal {p_opt:.2} vs aware {p_aware:.2}");
-    assert!(p_aware < p_rand, "pastry: aware {p_aware:.2} vs random {p_rand:.2}");
+    assert!(
+        p_opt <= p_aware * 1.05,
+        "pastry: optimal {p_opt:.2} vs aware {p_aware:.2}"
+    );
+    assert!(
+        p_aware < p_rand,
+        "pastry: aware {p_aware:.2} vs random {p_rand:.2}"
+    );
 }
 
 #[test]

@@ -1,8 +1,6 @@
 //! Integration of the Table-1 lookup procedure across crates: landmark
 //! machinery → soft-state maps → overlay hosting.
 
-use tao_util::rand::rngs::StdRng;
-use tao_util::rand::SeedableRng;
 use std::collections::HashMap;
 use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
@@ -11,6 +9,8 @@ use tao_sim::{SimDuration, SimTime};
 use tao_softstate::{GlobalState, NodeInfo, SoftStateConfig};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams};
+use tao_util::rand::rngs::StdRng;
+use tao_util::rand::SeedableRng;
 
 struct World {
     oracle: RttOracle,
@@ -88,7 +88,11 @@ fn hosted_lookup_returns_physically_close_candidates() {
             let avg_us: u64 = members
                 .iter()
                 .filter(|&&m| m != id)
-                .map(|&m| w.oracle.ground_truth(me, w.ecan.can().underlay(m)).as_micros())
+                .map(|&m| {
+                    w.oracle
+                        .ground_truth(me, w.ecan.can().underlay(m))
+                        .as_micros()
+                })
                 .sum::<u64>()
                 / members.len().max(1) as u64;
             comparisons += 1;
@@ -97,7 +101,10 @@ fn hosted_lookup_returns_physically_close_candidates() {
             }
         }
     }
-    assert!(comparisons > 20, "need a meaningful sample, got {comparisons}");
+    assert!(
+        comparisons > 20,
+        "need a meaningful sample, got {comparisons}"
+    );
     assert!(
         improvements * 10 >= comparisons * 7,
         "map candidates should beat the region average in >=70% of cases: {improvements}/{comparisons}"
@@ -141,7 +148,11 @@ fn refresh_keeps_state_alive_through_ttl_boundaries() {
         w.state.refresh(*id, half);
     }
     let past_first_ttl = SimTime::ORIGIN + w.state.config().ttl() + SimDuration::from_secs(1);
-    assert_eq!(w.state.expire(past_first_ttl), 0, "refreshed entries survive");
+    assert_eq!(
+        w.state.expire(past_first_ttl),
+        0,
+        "refreshed entries survive"
+    );
     assert!(w.state.total_entries() > 0);
 }
 
@@ -163,5 +174,8 @@ fn condensed_maps_concentrate_hosting() {
         "condensing must use fewer hosts: {hosts_condensed} vs {hosts_spread}"
     );
     // Total state is identical either way.
-    assert_eq!(spread.state.total_entries(), condensed.state.total_entries());
+    assert_eq!(
+        spread.state.total_entries(),
+        condensed.state.total_entries()
+    );
 }

@@ -66,7 +66,9 @@ impl Digest {
 fn grown_can(dims: usize, seed: u64) -> (CanOverlay, Vec<OverlayNodeId>) {
     let mut can = CanOverlay::new(dims).expect("dims > 0");
     let mut rng = StdRng::seed_from_u64(seed);
-    let ids = (0..NODES).map(|i| can.join(NodeIdx(i), Point::random(dims, &mut rng))).collect();
+    let ids = (0..NODES)
+        .map(|i| can.join(NodeIdx(i), Point::random(dims, &mut rng)))
+        .collect();
     (can, ids)
 }
 
@@ -83,7 +85,11 @@ fn churn(
     let dims = ecan.can().dims();
     for step in 0..CHURN {
         if step % 4 == 3 {
-            live.push(join(ecan, NodeIdx(NODES + step as u32), Point::random(dims, &mut rng)));
+            live.push(join(
+                ecan,
+                NodeIdx(NODES + step as u32),
+                Point::random(dims, &mut rng),
+            ));
         } else {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             depart(ecan, victim);
@@ -96,20 +102,27 @@ fn churn(
 /// requires the printed lines to be identical.
 #[test]
 fn route_fingerprint_for_ci() {
-    let mut digest = Digest { h: FNV_OFFSET, hops: 0 };
+    let mut digest = Digest {
+        h: FNV_OFFSET,
+        hops: 0,
+    };
     let mut scratch = RouteScratch::new();
     for dims in [2usize, 3] {
         let seed = 0x2400 + dims as u64 * 0x100;
 
         // CAN: join-only, then the same arena after departures.
         let (mut can, mut live) = grown_can(dims, seed);
-        digest.routes(dims, &live, seed + 1, &mut scratch, |s, src, t| can.route_into(s, src, t));
+        digest.routes(dims, &live, seed + 1, &mut scratch, |s, src, t| {
+            can.route_into(s, src, t)
+        });
         let mut rng = StdRng::seed_from_u64(seed + 2);
         for _ in 0..CHURN {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             can.leave(victim).expect("victim is live");
         }
-        digest.routes(dims, &live, seed + 3, &mut scratch, |s, src, t| can.route_into(s, src, t));
+        digest.routes(dims, &live, seed + 3, &mut scratch, |s, src, t| {
+            can.route_into(s, src, t)
+        });
 
         // TA-CAN: landmark-binned joins skew the zones; then departures.
         let mut tacan = CanOverlay::new(dims).expect("dims > 0");
@@ -122,12 +135,16 @@ fn route_fingerprint_for_ci() {
             }
             live.push(tacan.join(NodeIdx(i), binned_join_point(&ordering, dims, &mut rng)));
         }
-        digest.routes(dims, &live, seed + 5, &mut scratch, |s, src, t| tacan.route_into(s, src, t));
+        digest.routes(dims, &live, seed + 5, &mut scratch, |s, src, t| {
+            tacan.route_into(s, src, t)
+        });
         for _ in 0..CHURN {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             tacan.leave(victim).expect("victim is live");
         }
-        digest.routes(dims, &live, seed + 6, &mut scratch, |s, src, t| tacan.route_into(s, src, t));
+        digest.routes(dims, &live, seed + 6, &mut scratch, |s, src, t| {
+            tacan.route_into(s, src, t)
+        });
 
         // eCAN: join-only; churned with every table repaired as it goes;
         // churned with no repair.
@@ -143,13 +160,20 @@ fn route_fingerprint_for_ci() {
             &mut repaired,
             &mut repaired_live,
             seed + 11,
-            |e, victim| e.depart_and_repair(victim, &mut *selector.borrow_mut()).expect("victim is live"),
+            |e, victim| {
+                e.depart_and_repair(victim, &mut *selector.borrow_mut())
+                    .expect("victim is live")
+            },
             |e, underlay, point| e.join_and_select(underlay, point, &mut *selector.borrow_mut()),
         );
         repaired.check_invariants();
-        digest.routes(dims, &repaired_live, seed + 12, &mut scratch, |s, src, t| {
-            repaired.route_express_into(s, src, t)
-        });
+        digest.routes(
+            dims,
+            &repaired_live,
+            seed + 12,
+            &mut scratch,
+            |s, src, t| repaired.route_express_into(s, src, t),
+        );
 
         let (mut stale, mut stale_live) = (pristine, live);
         churn(

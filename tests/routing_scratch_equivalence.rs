@@ -31,7 +31,11 @@ const DIMS: usize = 2;
 
 /// Grows a CAN and departs a slice of its members, returning the overlay,
 /// the surviving ids, and the departed ids (dead sources for error cases).
-fn churned_can(nodes: u32, leaves: usize, seed: u64) -> (CanOverlay, Vec<OverlayNodeId>, Vec<OverlayNodeId>) {
+fn churned_can(
+    nodes: u32,
+    leaves: usize,
+    seed: u64,
+) -> (CanOverlay, Vec<OverlayNodeId>, Vec<OverlayNodeId>) {
     let mut can = CanOverlay::new(DIMS).expect("2-d CAN");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ids = Vec::new();
@@ -165,8 +169,12 @@ fn reference_route(
             .into_iter()
             .filter(|n| !visited.contains(n))
             .min_by(|a, b| {
-                let da = can.distance_to_point(*a, target).expect("neighbors are live");
-                let db = can.distance_to_point(*b, target).expect("neighbors are live");
+                let da = can
+                    .distance_to_point(*a, target)
+                    .expect("neighbors are live");
+                let db = can
+                    .distance_to_point(*b, target)
+                    .expect("neighbors are live");
                 da.total_cmp(&db).then(a.cmp(b))
             })
             .ok_or(OverlayError::RoutingStuck { at: current })?;
@@ -216,8 +224,12 @@ fn reference_route_express(
             .chain(express)
             .filter(|n| !visited.contains(n) && can.is_live(*n))
             .min_by(|a, b| {
-                let da = can.distance_to_point(*a, target).expect("filtered to live nodes");
-                let db = can.distance_to_point(*b, target).expect("filtered to live nodes");
+                let da = can
+                    .distance_to_point(*a, target)
+                    .expect("filtered to live nodes");
+                let db = can
+                    .distance_to_point(*b, target)
+                    .expect("filtered to live nodes");
                 da.total_cmp(&db).then(a.cmp(b))
             });
         let Some(next) = next else {
@@ -363,8 +375,8 @@ fn chord_route_into_matches_the_allocating_oracle() {
                 continue;
             }
         }
-        let hops = fresh_ring_hops(|fresh| chord.route_into(fresh, start, key))
-            .expect("members route");
+        let hops =
+            fresh_ring_hops(|fresh| chord.route_into(fresh, start, key)).expect("members route");
         chord
             .route_into(&mut scratch, start, key)
             .expect("members route");
@@ -398,12 +410,16 @@ fn pastry_route_into_matches_the_allocating_oracle() {
                 continue;
             }
         }
-        let hops = fresh_ring_hops(|fresh| pastry.route_into(fresh, start, key))
-            .expect("members route");
+        let hops =
+            fresh_ring_hops(|fresh| pastry.route_into(fresh, start, key)).expect("members route");
         pastry
             .route_into(&mut scratch, start, key)
             .expect("members route");
-        assert_eq!(hops, scratch.ring_hops(), "pastry hops diverged on call {i}");
+        assert_eq!(
+            hops,
+            scratch.ring_hops(),
+            "pastry hops diverged on call {i}"
+        );
     }
 }
 
@@ -433,7 +449,10 @@ fn one_scratch_survives_interleaving_all_five_overlays() {
             let bad = Point::random(DIMS + 1, &mut rng);
             assert_eq!(
                 can.route_into(&mut scratch, src, &bad),
-                Err(OverlayError::DimensionMismatch { expected: DIMS, got: DIMS + 1 }),
+                Err(OverlayError::DimensionMismatch {
+                    expected: DIMS,
+                    got: DIMS + 1
+                }),
             );
             if !dead.is_empty() {
                 let ghost = dead[rng.gen_range(0..dead.len())];
@@ -444,9 +463,9 @@ fn one_scratch_survives_interleaving_all_five_overlays() {
             }
         }
 
-        let hops =
-            fresh_hops(|fresh| can.route_into(fresh, src, &target)).expect("live source");
-        can.route_into(&mut scratch, src, &target).expect("live source");
+        let hops = fresh_hops(|fresh| can.route_into(fresh, src, &target)).expect("live source");
+        can.route_into(&mut scratch, src, &target)
+            .expect("live source");
         assert_eq!(hops, scratch.hops());
 
         let start = ring_members[rng.gen_range(0..ring_members.len())];

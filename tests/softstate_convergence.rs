@@ -63,8 +63,10 @@ fn round_time(round: u64) -> SimTime {
 #[test]
 fn region_maps_reconverge_within_ttl_rounds_after_crash_recover() {
     let (ecan, mut state, infos) = setup(64, 41);
-    let victims: Vec<OverlayNodeId> =
-        [3u32, 7, 11, 19].iter().map(|&i| OverlayNodeId(i)).collect();
+    let victims: Vec<OverlayNodeId> = [3u32, 7, 11, 19]
+        .iter()
+        .map(|&i| OverlayNodeId(i))
+        .collect();
     // Down from round 2 through round 7 (inclusive); recovered at round 8.
     let down_rounds = 2u64..8;
     for round in 0..2u64 {
@@ -90,7 +92,10 @@ fn region_maps_reconverge_within_ttl_rounds_after_crash_recover() {
         .cloned()
         .collect();
     let mid = state.convergence_report(&ecan, &survivors, round_time(7));
-    assert!(mid.is_converged(), "survivor view diverged mid-outage: {mid:?}");
+    assert!(
+        mid.is_converged(),
+        "survivor view diverged mid-outage: {mid:?}"
+    );
     // ...and (by the same token) missing every victim entry.
     let full = state.convergence_report(&ecan, &infos, round_time(7));
     assert!(full.missing > 0, "victim entries should have lapsed");
@@ -130,13 +135,17 @@ fn crash_stop_entries_lapse_and_orphaned_subscriptions_are_pruned() {
     }
     let total_subs = bus.len();
     assert!(total_subs >= infos.len(), "everyone subscribed somewhere");
-    let victims: Vec<OverlayNodeId> =
-        [5u32, 23, 42].iter().map(|&i| OverlayNodeId(i)).collect();
+    let victims: Vec<OverlayNodeId> = [5u32, 23, 42].iter().map(|&i| OverlayNodeId(i)).collect();
     // Crash-stop at round 1: victims never refresh again.
     for round in 0..5u64 {
-        let lost_after_crash =
-            |i: &NodeInfo| round >= 1 && victims.contains(&i.node);
-        refresh_round(&mut state, &ecan, &infos, round_time(round), lost_after_crash);
+        let lost_after_crash = |i: &NodeInfo| round >= 1 && victims.contains(&i.node);
+        refresh_round(
+            &mut state,
+            &ecan,
+            &infos,
+            round_time(round),
+            lost_after_crash,
+        );
     }
     // One TTL past the crash the maps hold survivors only.
     let survivors: Vec<NodeInfo> = infos
@@ -145,7 +154,10 @@ fn crash_stop_entries_lapse_and_orphaned_subscriptions_are_pruned() {
         .cloned()
         .collect();
     let report = state.convergence_report(&ecan, &survivors, round_time(4));
-    assert!(report.is_converged(), "diverged after crash-stop: {report:?}");
+    assert!(
+        report.is_converged(),
+        "diverged after crash-stop: {report:?}"
+    );
     // The subscription registry still carries the victims' subscriptions —
     // exactly the orphans the repair path must find and drop.
     let live = |n: OverlayNodeId| !victims.contains(&n);
@@ -160,7 +172,10 @@ fn crash_stop_entries_lapse_and_orphaned_subscriptions_are_pruned() {
     // Survivors' subscriptions still match events.
     let region = ecan.enclosing_high_order_zones(survivors[0].node)[0].clone();
     let notified = bus.publish(&region, &Event::NodeDeparted(victims[0]));
-    assert!(notified.iter().all(|n| live(*n)), "only live subscribers fire");
+    assert!(
+        notified.iter().all(|n| live(*n)),
+        "only live subscribers fire"
+    );
 }
 
 #[test]

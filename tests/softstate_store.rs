@@ -80,7 +80,13 @@ struct Model {
 }
 
 impl Model {
-    fn publish(&mut self, info: &NodeInfo, ecan: &EcanOverlay, now: SimTime, config: &SoftStateConfig) -> usize {
+    fn publish(
+        &mut self,
+        info: &NodeInfo,
+        ecan: &EcanOverlay,
+        now: SimTime,
+        config: &SoftStateConfig,
+    ) -> usize {
         let regions = ecan.enclosing_high_order_zones(info.node);
         for region in &regions {
             self.rows
@@ -164,7 +170,9 @@ impl Model {
         found.sort_by(|a, b| {
             let da = query.vector.euclidean_ms(&a.vector);
             let db = query.vector.euclidean_ms(&b.vector);
-            da.partial_cmp(&db).expect("finite").then(a.node.cmp(&b.node))
+            da.partial_cmp(&db)
+                .expect("finite")
+                .then(a.node.cmp(&b.node))
         });
         found.into_iter().take(max).cloned().collect()
     }
@@ -178,14 +186,33 @@ impl Model {
 /// history is itself a valid history — which is what lets it shrink.
 #[derive(Debug, Clone)]
 enum Op {
-    Publish { node: usize, vector_seed: u64 },
-    Refresh { node: usize },
-    Remove { node: usize },
+    Publish {
+        node: usize,
+        vector_seed: u64,
+    },
+    Refresh {
+        node: usize,
+    },
+    Remove {
+        node: usize,
+    },
     Expire,
-    Advance { millis: u64 },
-    Join { underlay: u32, x: f64, y: f64 },
-    Leave { node: usize },
-    Lookup { node: usize, region: usize, max: usize },
+    Advance {
+        millis: u64,
+    },
+    Join {
+        underlay: u32,
+        x: f64,
+        y: f64,
+    },
+    Leave {
+        node: usize,
+    },
+    Lookup {
+        node: usize,
+        region: usize,
+        max: usize,
+    },
 }
 
 fn generate(rng: &mut StdRng) -> Vec<Op> {
@@ -198,16 +225,24 @@ fn generate(rng: &mut StdRng) -> Vec<Op> {
                 // (an in-place upsert) must be as common as under a new one.
                 vector_seed: rng.gen_range(0..6),
             },
-            30..=41 => Op::Refresh { node: rng.gen_range(0..64) },
-            42..=49 => Op::Remove { node: rng.gen_range(0..64) },
+            30..=41 => Op::Refresh {
+                node: rng.gen_range(0..64),
+            },
+            42..=49 => Op::Remove {
+                node: rng.gen_range(0..64),
+            },
             50..=57 => Op::Expire,
-            58..=67 => Op::Advance { millis: rng.gen_range(0..45_000) },
+            58..=67 => Op::Advance {
+                millis: rng.gen_range(0..45_000),
+            },
             68..=73 => Op::Join {
                 underlay: rng.gen_range(1_000..2_000),
                 x: rng.gen_range(0.0..1.0),
                 y: rng.gen_range(0.0..1.0),
             },
-            74..=79 => Op::Leave { node: rng.gen_range(0..64) },
+            74..=79 => Op::Leave {
+                node: rng.gen_range(0..64),
+            },
             _ => Op::Lookup {
                 node: rng.gen_range(0..64),
                 region: rng.gen_range(0..64),
@@ -234,7 +269,11 @@ fn run(ops: &[Op]) {
                 let node = pick(&known, node);
                 let info = info_of(node, u64::from(node.0) << 8 | vector_seed, &config);
                 let written = state.publish(info.clone(), &ecan, now);
-                check_eq!(written, model.publish(&info, &ecan, now, &config), "step {step}");
+                check_eq!(
+                    written,
+                    model.publish(&info, &ecan, now, &config),
+                    "step {step}"
+                );
             }
             Op::Refresh { node } => {
                 let node = pick(&known, node);
@@ -258,7 +297,11 @@ fn run(ops: &[Op]) {
                     let _ = ecan.depart(node);
                 }
             }
-            Op::Lookup { node: at, region, max } => {
+            Op::Lookup {
+                node: at,
+                region,
+                max,
+            } => {
                 let node = pick(&known, at);
                 let query = info_of(node, u64::from(node.0) << 8, &config);
                 let mut regions = model.regions();
@@ -269,7 +312,11 @@ fn run(ops: &[Op]) {
                 check_eq!(got, want, "step {step}: region {region} max {max}");
             }
         }
-        check_eq!(state.total_entries(), model.rows.len(), "step {step}: {op:?}");
+        check_eq!(
+            state.total_entries(),
+            model.rows.len(),
+            "step {step}: {op:?}"
+        );
         state.check_invariants();
         // After two steps in three, the same two queriers in every region
         // through the history's one scratch: each host is revisited with
@@ -279,7 +326,11 @@ fn run(ops: &[Op]) {
         // fragment remembered under a small budget is widened by a large
         // one and read unwidened again.
         let max = LOOKUP_MAX[step % LOOKUP_MAX.len()];
-        let regions = if step % 3 == 2 { Vec::new() } else { model.regions() };
+        let regions = if step % 3 == 2 {
+            Vec::new()
+        } else {
+            model.regions()
+        };
         for region in regions {
             for &node in &known[..2] {
                 let query = info_of(node, u64::from(node.0) << 8, &config);
@@ -288,7 +339,11 @@ fn run(ops: &[Op]) {
                     .lookup_in_hosted_into(&mut scratch, &region, &query, max, ecan.can(), now)
                     .cloned()
                     .collect();
-                check_eq!(got, want, "step {step}: {node} in {region} max {max}, after {op:?}");
+                check_eq!(
+                    got,
+                    want,
+                    "step {step}: {node} in {region} max {max}, after {op:?}"
+                );
             }
         }
     }
@@ -310,13 +365,26 @@ fn a_changed_landmark_number_moves_the_entry_in_every_map() {
     let node = OverlayNodeId(7);
     let first = info_of(node, 1, &config);
     let moved = info_of(node, 2, &config);
-    check!(first.number != moved.number, "seeds must give distinct numbers");
+    check!(
+        first.number != moved.number,
+        "seeds must give distinct numbers"
+    );
     let written = state.publish(first, &ecan, SimTime::ORIGIN);
-    assert_eq!(state.publish(moved.clone(), &ecan, SimTime::ORIGIN), written);
-    assert_eq!(state.total_entries(), written, "no entry left under the old number");
+    assert_eq!(
+        state.publish(moved.clone(), &ecan, SimTime::ORIGIN),
+        written
+    );
+    assert_eq!(
+        state.total_entries(),
+        written,
+        "no entry left under the old number"
+    );
     state.check_invariants();
     for map in state.maps() {
-        assert_eq!(map.entry_of(node).map(|e| e.info.number), Some(moved.number));
+        assert_eq!(
+            map.entry_of(node).map(|e| e.info.number),
+            Some(moved.number)
+        );
     }
 }
 
@@ -355,7 +423,11 @@ fn refresh_rounds_leave_one_stamp_per_entry() {
         state.remove(info.node);
     }
     assert!(state.pending_stamps() > state.total_entries());
-    assert_eq!(state.expire(now + config.ttl() / 2), 0, "the rest was refreshed");
+    assert_eq!(
+        state.expire(now + config.ttl() / 2),
+        0,
+        "the rest was refreshed"
+    );
     assert_eq!(state.pending_stamps(), state.total_entries());
     state.check_invariants();
 }
@@ -402,7 +474,10 @@ fn softstate_fingerprint_for_ci() {
     let mut now = SimTime::ORIGIN;
     let members: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
     for &id in &members {
-        fold(&mut digest, state.publish(info_of(id, u64::from(id.0), &config), &ecan, now) as u64);
+        fold(
+            &mut digest,
+            state.publish(info_of(id, u64::from(id.0), &config), &ecan, now) as u64,
+        );
     }
     fold_lookups(&mut digest, &state, &ecan, now);
 
@@ -426,7 +501,10 @@ fn softstate_fingerprint_for_ci() {
     let mut rng = StdRng::seed_from_u64(0xf1aa);
     for i in 0..24u32 {
         let id = ecan.join_unselected(NodeIdx(10_000 + i), Point::random(DIMS, &mut rng));
-        fold(&mut digest, state.publish(info_of(id, u64::from(id.0), &config), &ecan, now) as u64);
+        fold(
+            &mut digest,
+            state.publish(info_of(id, u64::from(id.0), &config), &ecan, now) as u64,
+        );
     }
     for &id in members.iter().filter(|id| id.0 % 16 == 2) {
         let moved = info_of(id, u64::from(id.0) ^ 0xffff, &config);
@@ -446,7 +524,13 @@ fn softstate_fingerprint_for_ci() {
     fold(&mut digest, state.total_entries() as u64);
     fold_lookups(&mut digest, &state, &ecan, now);
 
-    println!("SOFTSTATE_FINGERPRINT digest={digest:#018x} entries={}", state.total_entries());
-    assert_eq!(digest, 0x230e_572f_6753_1e41, "soft-state fingerprint moved");
+    println!(
+        "SOFTSTATE_FINGERPRINT digest={digest:#018x} entries={}",
+        state.total_entries()
+    );
+    assert_eq!(
+        digest, 0x230e_572f_6753_1e41,
+        "soft-state fingerprint moved"
+    );
     assert_eq!(state.total_entries(), 262);
 }

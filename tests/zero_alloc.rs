@@ -24,14 +24,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::chord::{ChordOverlay, RingId};
 use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::tacan::binned_join_point;
-use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
-use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::Zone;
+use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, SimTime};
 use tao_softstate::{GlobalState, LookupScratch, NodeInfo, SoftStateConfig};
 use tao_topology::NodeIdx;
@@ -123,8 +123,12 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     let pristine_calls = can_family_calls(&pristine_live, 0x0a10);
     let box_picks = |ecan: &EcanOverlay| -> Vec<(OverlayNodeId, Zone)> {
         let ids = ecan.can().live_nodes();
-        ids.flat_map(|id| ecan.high_order_entries(id).into_iter().map(move |e| (id, e.target_box)))
-            .collect()
+        ids.flat_map(|id| {
+            ecan.high_order_entries(id)
+                .into_iter()
+                .map(move |e| (id, e.target_box))
+        })
+        .collect()
     };
     let picks = [(&ecan, box_picks(&ecan)), (&pristine, box_picks(&pristine))];
     let mut sampler = SampledRandomSelector::new(0x0a0d);
@@ -132,7 +136,12 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         picks
             .iter()
             .flat_map(|(ecan, boxes)| boxes.iter().map(move |(id, zone)| (ecan.can(), *id, zone)))
-            .filter(|(can, id, zone)| matches!(sampler.select_in_box(*id, zone, can), BoxSelection::Chosen(_)))
+            .filter(|(can, id, zone)| {
+                matches!(
+                    sampler.select_in_box(*id, zone, can),
+                    BoxSelection::Chosen(_)
+                )
+            })
             .count()
     };
 
@@ -163,7 +172,12 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         ring_members.push(id);
     }
     let chord_calls: Vec<(RingId, RingId)> = (0..CALLS)
-        .map(|_| (ring_members[rng.gen_range(0..ring_members.len())], rng.gen()))
+        .map(|_| {
+            (
+                ring_members[rng.gen_range(0..ring_members.len())],
+                rng.gen(),
+            )
+        })
         .collect();
 
     let mut pastry = PastryOverlay::new(8);
@@ -193,8 +207,17 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     for id in store_ecan.can().live_nodes().collect::<Vec<_>>() {
         let millis: Vec<f64> = (0..15).map(|_| rng.gen_range(1.0..300.0)).collect();
         let vector = LandmarkVector::from_millis(&millis);
-        let number = state.config().grid().landmark_number(&vector, state.config().curve());
-        let info = NodeInfo { node: id, underlay: NodeIdx(id.0), vector, number, load: None };
+        let number = state
+            .config()
+            .grid()
+            .landmark_number(&vector, state.config().curve());
+        let info = NodeInfo {
+            node: id,
+            underlay: NodeIdx(id.0),
+            vector,
+            number,
+            load: None,
+        };
         state.publish(info.clone(), &store_ecan, SimTime::ORIGIN);
         infos.push(info);
     }
@@ -211,21 +234,37 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         .iter()
         .flat_map(|info| {
             let entries = store_ecan.high_order_entries(info.node);
-            let own = store_ecan.enclosing_high_order_zones(info.node).into_iter().next();
-            let own = own.into_iter().flat_map(|zone| [1, 64, 1].map(|max| (zone.clone(), max)));
+            let own = store_ecan
+                .enclosing_high_order_zones(info.node)
+                .into_iter()
+                .next();
+            let own = own
+                .into_iter()
+                .flat_map(|zone| [1, 64, 1].map(|max| (zone.clone(), max)));
             let boxes = entries.into_iter().map(|e| (e.target_box, 10));
             boxes.chain(own).map(move |(zone, max)| (info, zone, max))
         })
         .collect();
-    assert!(lookups.len() > 1_000, "a 232-node eCAN has expressway tables");
+    assert!(
+        lookups.len() > 1_000,
+        "a 232-node eCAN has expressway tables"
+    );
     let mut lookup_scratch = LookupScratch::default();
     let hosted_lookups = |scratch: &mut LookupScratch| -> usize {
         lookups
             .iter()
             .map(|(query, zone, max)| {
-                let found =
-                    state.lookup_in_hosted_into(scratch, zone, query, *max, store_ecan.can(), SimTime::ORIGIN);
-                found.inspect(|candidate| assert_ne!(candidate.node, query.node)).count()
+                let found = state.lookup_in_hosted_into(
+                    scratch,
+                    zone,
+                    query,
+                    *max,
+                    store_ecan.can(),
+                    SimTime::ORIGIN,
+                );
+                found
+                    .inspect(|candidate| assert_ne!(candidate.node, query.node))
+                    .count()
             })
             .sum()
     };
@@ -235,15 +274,40 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     // --- warm-up: size the stamp array and both hop buffers ------------
     // Every measured call runs once so the scratch has seen the largest
     // arena bound and the longest hop sequence it will be asked to hold.
-    type RouteInto<'a> = &'a dyn Fn(&mut RouteScratch, OverlayNodeId, &Point) -> Result<(), OverlayError>;
+    type RouteInto<'a> =
+        &'a dyn Fn(&mut RouteScratch, OverlayNodeId, &Point) -> Result<(), OverlayError>;
     type Arena<'a> = (&'a str, RouteInto<'a>, &'a [(OverlayNodeId, Point)]);
     let can_family: [Arena; 6] = [
-        ("can, churned", &|scr, s, t| can.route_into(scr, s, t), &can_calls),
-        ("can, join-only", &|scr, s, t| whole_can.route_into(scr, s, t), &whole_can_calls),
-        ("ecan, churned", &|scr, s, t| ecan.route_express_into(scr, s, t), &ecan_calls),
-        ("ecan, join-only", &|scr, s, t| pristine.route_express_into(scr, s, t), &pristine_calls),
-        ("tacan, join-only", &|scr, s, t| tacan.route_into(scr, s, t), &tacan_calls),
-        ("tacan, churned", &|scr, s, t| churned_tacan.route_into(scr, s, t), &churned_tacan_calls),
+        (
+            "can, churned",
+            &|scr, s, t| can.route_into(scr, s, t),
+            &can_calls,
+        ),
+        (
+            "can, join-only",
+            &|scr, s, t| whole_can.route_into(scr, s, t),
+            &whole_can_calls,
+        ),
+        (
+            "ecan, churned",
+            &|scr, s, t| ecan.route_express_into(scr, s, t),
+            &ecan_calls,
+        ),
+        (
+            "ecan, join-only",
+            &|scr, s, t| pristine.route_express_into(scr, s, t),
+            &pristine_calls,
+        ),
+        (
+            "tacan, join-only",
+            &|scr, s, t| tacan.route_into(scr, s, t),
+            &tacan_calls,
+        ),
+        (
+            "tacan, churned",
+            &|scr, s, t| churned_tacan.route_into(scr, s, t),
+            &churned_tacan_calls,
+        ),
     ];
     let route_can_family = |scratch: &mut RouteScratch, arena: usize| {
         let (_, route_into, calls) = can_family[arena];
@@ -255,44 +319,82 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         route_can_family(&mut scratch, arena);
     }
     for (s, k) in &chord_calls {
-        chord.route_into(&mut scratch, *s, *k).expect("warm-up routes");
+        chord
+            .route_into(&mut scratch, *s, *k)
+            .expect("warm-up routes");
     }
     for (s, k) in &pastry_calls {
-        pastry.route_into(&mut scratch, *s, *k).expect("warm-up routes");
+        pastry
+            .route_into(&mut scratch, *s, *k)
+            .expect("warm-up routes");
     }
 
     let boxes = picks[0].1.len() + picks[1].1.len();
     assert!(boxes > 2_000, "two ~250-node eCANs have expressway tables");
-    assert!(sampled_picks(&mut sampler) * 10 > boxes * 9, "nearly every box yields a pick");
+    assert!(
+        sampled_picks(&mut sampler) * 10 > boxes * 9,
+        "nearly every box yields a pick"
+    );
 
     let candidates_found = hosted_lookups(&mut lookup_scratch);
-    assert!(candidates_found > lookups.len(), "lookups return candidates");
+    assert!(
+        candidates_found > lookups.len(),
+        "lookups return candidates"
+    );
     let walked = lookup_scratch.fragment_walks();
-    assert!(walked * 4 < lookups.len() as u64, "{walked} walks: queriers share hosts");
+    assert!(
+        walked * 4 < lookups.len() as u64,
+        "{walked} walks: queriers share hosts"
+    );
 
     // --- measurement: the same calls must not touch the allocator ------
     let mut per_overlay: Vec<(&str, u64)> = (0..can_family.len())
-        .map(|arena| (can_family[arena].0, allocations(|| route_can_family(&mut scratch, arena))))
+        .map(|arena| {
+            (
+                can_family[arena].0,
+                allocations(|| route_can_family(&mut scratch, arena)),
+            )
+        })
         .collect();
     per_overlay.extend([
-        ("chord", allocations(|| {
-            for (s, k) in &chord_calls {
-                chord.route_into(&mut scratch, *s, *k).expect("warmed routes");
-            }
-        })),
-        ("pastry", allocations(|| {
-            for (s, k) in &pastry_calls {
-                pastry.route_into(&mut scratch, *s, *k).expect("warmed routes");
-            }
-        })),
-        ("sampled expressway pick", allocations(|| {
-            assert!(sampled_picks(&mut sampler) * 10 > boxes * 9);
-        })),
-        ("softstate hosted lookup", allocations(|| {
-            assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
-        })),
+        (
+            "chord",
+            allocations(|| {
+                for (s, k) in &chord_calls {
+                    chord
+                        .route_into(&mut scratch, *s, *k)
+                        .expect("warmed routes");
+                }
+            }),
+        ),
+        (
+            "pastry",
+            allocations(|| {
+                for (s, k) in &pastry_calls {
+                    pastry
+                        .route_into(&mut scratch, *s, *k)
+                        .expect("warmed routes");
+                }
+            }),
+        ),
+        (
+            "sampled expressway pick",
+            allocations(|| {
+                assert!(sampled_picks(&mut sampler) * 10 > boxes * 9);
+            }),
+        ),
+        (
+            "softstate hosted lookup",
+            allocations(|| {
+                assert_eq!(hosted_lookups(&mut lookup_scratch), candidates_found);
+            }),
+        ),
     ]);
-    assert_eq!(lookup_scratch.fragment_walks(), walked, "the warmed pass found every fragment");
+    assert_eq!(
+        lookup_scratch.fragment_walks(),
+        walked,
+        "the warmed pass found every fragment"
+    );
 
     for (overlay, count) in per_overlay {
         assert_eq!(
