@@ -78,7 +78,10 @@ impl PcaModel {
             .iter()
             .map(|&k| eigenvectors.iter().map(|row| row[k]).collect())
             .collect();
-        let variances = order[..keep].iter().map(|&k| eigenvalues[k].max(0.0)).collect();
+        let variances = order[..keep]
+            .iter()
+            .map(|&k| eigenvalues[k].max(0.0))
+            .collect();
         PcaModel {
             mean,
             components,

@@ -51,15 +51,14 @@ pub fn fit_landmarks(
 ) -> Vec<Coordinates> {
     let n = rtt_ms.len();
     assert!(n > 0, "need at least one landmark");
-    assert!(rtt_ms.iter().all(|row| row.len() == n), "matrix must be square");
+    assert!(
+        rtt_ms.iter().all(|row| row.len() == n),
+        "matrix must be square"
+    );
     assert!(dims > 0, "need at least one dimension");
     assert!(iterations > 0, "need at least one iteration");
 
-    let scale = rtt_ms
-        .iter()
-        .flatten()
-        .copied()
-        .fold(1.0f64, f64::max);
+    let scale = rtt_ms.iter().flatten().copied().fold(1.0f64, f64::max);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut coords: Vec<Coordinates> = (0..n)
         .map(|_| (0..dims).map(|_| rng.gen_range(0.0..scale)).collect())
@@ -116,8 +115,8 @@ pub fn fit_client(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c: Coordinates = (0..dims)
         .map(|d| {
-            let centroid = landmark_coords.iter().map(|l| l[d]).sum::<f64>()
-                / landmark_coords.len() as f64;
+            let centroid =
+                landmark_coords.iter().map(|l| l[d]).sum::<f64>() / landmark_coords.len() as f64;
             centroid + rng.gen_range(-1.0..1.0)
         })
         .collect();
@@ -212,12 +211,12 @@ mod tests {
 
     #[test]
     fn estimates_correlate_with_real_distances_on_a_topology() {
-        use tao_util::rand::rngs::StdRng;
-        use tao_util::rand::SeedableRng;
         use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
         use tao_topology::{
             generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams,
         };
+        use tao_util::rand::rngs::StdRng;
+        use tao_util::rand::SeedableRng;
 
         let topo = generate_transit_stub(
             &TransitStubParams::tsk_large_mini(),

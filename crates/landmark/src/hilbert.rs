@@ -239,7 +239,11 @@ impl HilbertCurve {
     /// Skilling: transpose → axes, in place.
     fn transpose_to_axes(&self, x: &mut [u32]) {
         let n = self.dims;
-        let cap = if self.bits == 32 { 0 } else { 2u32 << (self.bits - 1) };
+        let cap = if self.bits == 32 {
+            0
+        } else {
+            2u32 << (self.bits - 1)
+        };
         // Gray decode by H ^ (H/2): every element but the first takes its
         // predecessor's *old* value, carried along so no `x[i - 1]` offset
         // indexing is needed.

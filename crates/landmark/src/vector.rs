@@ -3,8 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use tao_util::time::SimDuration;
 use tao_topology::{NodeIdx, RttOracle};
+use tao_util::time::SimDuration;
 
 /// A node's coordinates in the landmark space: its measured RTT to each
 /// landmark, in landmark order.
@@ -49,7 +49,10 @@ impl LandmarkVector {
     }
 
     fn shared(rtts: Arc<[SimDuration]>) -> Self {
-        assert!(!rtts.is_empty(), "a landmark vector needs at least one component");
+        assert!(
+            !rtts.is_empty(),
+            "a landmark vector needs at least one component"
+        );
         let millis = rtts.iter().map(|r| r.as_millis_f64()).collect();
         LandmarkVector { rtts, millis }
     }
@@ -60,7 +63,12 @@ impl LandmarkVector {
     ///
     /// Panics if `millis` is empty.
     pub fn from_millis(millis: &[f64]) -> Self {
-        Self::shared(millis.iter().map(|&m| SimDuration::from_millis_f64(m)).collect())
+        Self::shared(
+            millis
+                .iter()
+                .map(|&m| SimDuration::from_millis_f64(m))
+                .collect(),
+        )
     }
 
     /// Measures the vector for `node` against `landmarks`, charging one RTT
@@ -155,7 +163,8 @@ impl LandmarkVector {
         ranked: &mut Vec<(f64, K, H)>,
     ) {
         ranked.clear();
-        let rank = |(vector, id, handle): (&LandmarkVector, K, H)| (self.euclidean_ms(vector), id, handle);
+        let rank =
+            |(vector, id, handle): (&LandmarkVector, K, H)| (self.euclidean_ms(vector), id, handle);
         // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
         ranked.extend(candidates.into_iter().map(rank));
         // Distances are finite and never -0.0 (a square root of a sum of
@@ -183,7 +192,10 @@ impl LandmarkVector {
     ///
     /// Panics if `components` is empty or any index is out of range.
     pub fn project(&self, components: &[usize]) -> LandmarkVector {
-        assert!(!components.is_empty(), "projection needs at least one component");
+        assert!(
+            !components.is_empty(),
+            "projection needs at least one component"
+        );
         Self::shared(components.iter().map(|&c| self.rtts[c]).collect())
     }
 
@@ -279,7 +291,11 @@ mod tests {
                 check_eq!(got, want, "max {max}");
                 for &(d, id, i) in &ranked {
                     let want = formula(&query, &pool[i].0);
-                    check_eq!((d.to_bits(), id), (want.to_bits(), pool[i].1), "{d} vs {want}");
+                    check_eq!(
+                        (d.to_bits(), id),
+                        (want.to_bits(), pool[i].1),
+                        "{d} vs {want}"
+                    );
                     check_eq!(query.euclidean_ms(&pool[i].0).to_bits(), want.to_bits());
                 }
             }

@@ -197,7 +197,11 @@ mod tests {
                 let clamped: Vec<u32> = (0..dims)
                     .map(|_| rng.gen::<u32>() & c.max_coord())
                     .collect();
-                check_eq!(c.point(c.index(&clamped)), clamped, "dims={dims} bits={bits}");
+                check_eq!(
+                    c.point(c.index(&clamped)),
+                    clamped,
+                    "dims={dims} bits={bits}"
+                );
             });
         }
     }
