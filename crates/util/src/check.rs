@@ -315,7 +315,10 @@ mod tests {
             check_eq!(1 + 1, 3);
         });
         let payload = caught.expect_err("must fail");
-        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
         assert!(msg.contains("left") && msg.contains("right"), "got: {msg}");
     }
 }

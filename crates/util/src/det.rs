@@ -123,11 +123,17 @@ mod tests {
             // Because that order is content-determined, the encoding is
             // canonical: equal maps encode identically.
             let encode = |m: &DetMap<u64, u64>| -> Vec<u8> {
-                m.iter().flat_map(|(k, v)| [k.to_be_bytes(), v.to_be_bytes()]).flatten().collect()
+                m.iter()
+                    .flat_map(|(k, v)| [k.to_be_bytes(), v.to_be_bytes()])
+                    .flatten()
+                    .collect()
             };
             let buf = encode(&map);
             let word = |c: &[u8]| u64::from_be_bytes(c.try_into().expect("8-byte chunk"));
-            let decoded: DetMap<u64, u64> = buf.chunks(16).map(|c| (word(&c[..8]), word(&c[8..]))).collect();
+            let decoded: DetMap<u64, u64> = buf
+                .chunks(16)
+                .map(|c| (word(&c[..8]), word(&c[8..])))
+                .collect();
             check_eq!(buf.len(), 16 * map.len(), "one fixed-width pair per entry");
             check_eq!(map, decoded);
 

@@ -72,9 +72,7 @@ where
                     // A panicked worker poisons the queue; unwrap_or_else
                     // lets the rest drain it so the panic surfaces via join.
                     let batch: Vec<(usize, T)> = {
-                        let mut q = work
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
+                        let mut q = work.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
                         let take = chunk.min(q.len());
                         let at = q.len() - take;
                         q.split_off(at)

@@ -133,8 +133,12 @@ fn uniform_u128<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
 /// Types that can be drawn uniformly from a bounded range.
 pub trait SampleUniform: PartialOrd + Copy {
     /// Uniform draw from `[low, high)`; `[low, high]` when `inclusive`.
-    fn sample_uniform<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self, inclusive: bool)
-        -> Self;
+    fn sample_uniform<R: RngCore + ?Sized>(
+        rng: &mut R,
+        low: Self,
+        high: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 macro_rules! impl_sample_uniform_int {
@@ -369,7 +373,11 @@ pub mod distributions {
         /// Panics if the interval is empty.
         pub fn new(low: T, high: T) -> Uniform<T> {
             assert!(low < high, "Uniform::new requires low < high");
-            Uniform { low, high, inclusive: false }
+            Uniform {
+                low,
+                high,
+                inclusive: false,
+            }
         }
 
         /// Uniform over `[low, high]`.
@@ -379,7 +387,11 @@ pub mod distributions {
         /// Panics if `low > high`.
         pub fn new_inclusive(low: T, high: T) -> Uniform<T> {
             assert!(low <= high, "Uniform::new_inclusive requires low <= high");
-            Uniform { low, high, inclusive: true }
+            Uniform {
+                low,
+                high,
+                inclusive: true,
+            }
         }
     }
 

@@ -269,10 +269,7 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
-        assert_eq!(
-            SimDuration::from_millis(1),
-            SimDuration::from_micros(1_000)
-        );
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(
             SimDuration::from_millis_f64(1.5),
             SimDuration::from_micros(1_500)
@@ -304,7 +301,10 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_secs(1)), SimTime::MAX);
+        assert_eq!(
+            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
+            SimTime::MAX
+        );
         assert_eq!(
             SimDuration::from_millis(1).saturating_sub(SimDuration::from_millis(2)),
             SimDuration::ZERO
@@ -322,7 +322,10 @@ mod tests {
         t += SimDuration::MAX;
         assert_eq!(t, SimTime::MAX);
 
-        assert_eq!(SimDuration::MAX + SimDuration::from_micros(1), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::MAX + SimDuration::from_micros(1),
+            SimDuration::MAX
+        );
         let mut d = SimDuration::from_micros(u64::MAX - 1);
         d += SimDuration::from_millis(5);
         assert_eq!(d, SimDuration::MAX);
