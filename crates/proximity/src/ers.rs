@@ -72,12 +72,10 @@ pub fn expanding_ring_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tao_overlay::Point;
+    use tao_topology::{generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams};
     use tao_util::rand::rngs::StdRng;
     use tao_util::rand::SeedableRng;
-    use tao_overlay::Point;
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, NodeIdx, TransitStubParams,
-    };
 
     fn setup() -> (CanOverlay, RttOracle) {
         let topo = generate_transit_stub(

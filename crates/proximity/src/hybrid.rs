@@ -43,7 +43,11 @@ pub(crate) fn nearest_by_landmark_distance<'a>(
 ) -> Vec<&'a Candidate> {
     let others = pool.iter().enumerate().filter(|(_, c)| c.underlay != query);
     let mut ranked = Vec::new();
-    query_vector.nearest(others.map(|(i, c)| (&c.vector, c.underlay, i)), max, &mut ranked);
+    query_vector.nearest(
+        others.map(|(i, c)| (&c.vector, c.underlay, i)),
+        max,
+        &mut ranked,
+    );
     ranked.iter().map(|&(_, _, i)| &pool[i]).collect()
 }
 
@@ -87,9 +91,7 @@ pub fn hybrid_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, TransitStubParams,
-    };
+    use tao_topology::{generate_transit_stub, LatencyAssignment, TransitStubParams};
 
     fn pool_with(oracle: &RttOracle, landmarks: &[NodeIdx], ids: &[u32]) -> Vec<Candidate> {
         ids.iter()
@@ -120,10 +122,7 @@ mod tests {
         let r1 = rank_by_landmark_distance(query, &qv, &pool);
         let r2 = rank_by_landmark_distance(query, &qv, &pool);
         assert_eq!(r1.len(), pool.len() - 1, "self excluded");
-        assert!(r1
-            .iter()
-            .zip(&r2)
-            .all(|(a, b)| a.underlay == b.underlay));
+        assert!(r1.iter().zip(&r2).all(|(a, b)| a.underlay == b.underlay));
     }
 
     #[test]

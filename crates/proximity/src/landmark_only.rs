@@ -48,9 +48,13 @@ pub fn multi_group_rank<'a>(
     groups: &[Vec<usize>],
 ) -> Vec<&'a Candidate> {
     assert!(!groups.is_empty(), "need at least one landmark group");
-    let query_groups: Vec<LandmarkVector> = groups.iter().map(|g| query_vector.project(g)).collect();
+    let query_groups: Vec<LandmarkVector> =
+        groups.iter().map(|g| query_vector.project(g)).collect();
     let score = |v: &LandmarkVector| -> f64 {
-        let per_group = groups.iter().zip(&query_groups).map(|(g, q)| q.euclidean_ms(&v.project(g)));
+        let per_group = groups
+            .iter()
+            .zip(&query_groups)
+            .map(|(g, q)| q.euclidean_ms(&v.project(g)));
         per_group.fold(0.0, f64::max)
     };
     let mut ranked: Vec<&Candidate> = pool.iter().filter(|c| c.underlay != query).collect();

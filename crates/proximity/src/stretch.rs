@@ -5,8 +5,8 @@
 //! the algorithms to the distance between A and its actual nearest
 //! neighbor."
 
-use tao_util::time::SimDuration;
 use tao_topology::{NodeIdx, RttOracle};
+use tao_util::time::SimDuration;
 
 /// The nearest-neighbor stretch: `found / actual`.
 ///
@@ -62,9 +62,7 @@ pub fn true_nearest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_topology::{
-        generate_transit_stub, LatencyAssignment, TransitStubParams,
-    };
+    use tao_topology::{generate_transit_stub, LatencyAssignment, TransitStubParams};
 
     #[test]
     fn zero_distance_conventions() {

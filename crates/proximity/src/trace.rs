@@ -1,7 +1,7 @@
 //! Search traces: the running best answer after every RTT probe.
 
-use tao_util::time::SimDuration;
 use tao_topology::NodeIdx;
+use tao_util::time::SimDuration;
 
 /// One RTT probe made by a search and the best answer known after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
