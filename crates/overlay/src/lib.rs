@@ -47,7 +47,6 @@
 
 mod can;
 pub mod chord;
-pub mod dv;
 pub mod ecan;
 pub mod keyed;
 pub mod pastry;
