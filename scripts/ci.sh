@@ -39,15 +39,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline
 
 # ---- Lint stage: structural + taint + hot-path analysis, baseline-gated. ---
-# The linter, the overlays, the topology and the soft-state store are held
-# to rustfmt and clippy (the rest of the workspace is not yet clean under
-# either).
-fmt_gated="tao-lint tao-overlay tao-topology tao-softstate"
-for crate in $fmt_gated; do
-    cargo fmt --check -p "$crate"
-    cargo clippy -q --offline -p "$crate" --all-targets -- -D warnings
-done
-echo "$fmt_gated fmt + clippy: OK"
+# The whole workspace is held to rustfmt and clippy. benchmark/ is its own
+# cargo workspace, so neither command reaches it.
+cargo fmt --all --check
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
+echo "workspace fmt + clippy: OK"
 # tao-lint derives the file set from the workspace manifests (its own crate
 # included), enforces the four token rules, the four structural rules
 # (panic-reachability, crate-layering, seed-discipline, unused-waiver),
@@ -296,7 +292,7 @@ echo "incremental membership: OK (mini fig02_million_churn at $churn_fp)"
 
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
-# PR, then here for four tables; all fifteen take ~20 s together, so the
+# PR, then here for four tables; all fifteen take ~25 s together, so the
 # gate runs the list scripts/run_experiments.sh regenerates them from.
 # fig02 drives the RandomSelector stream through the pass's member-list
 # memo at 1 K–32 K nodes; fig10_13 … ablation_lvi make a GlobalState build
