@@ -13,9 +13,10 @@
 //! * membership changes use [`EcanOverlay::join_and_select`] and
 //!   [`EcanOverlay::depart_and_repair`] — no full-table rebuild anywhere.
 //!
-//! At mini scale the run aborts unless the event-log fingerprint equals
-//! [`MINI_FINGERPRINT`] — the value the timing wheel and the binary-heap
-//! reference queue both produced for this schedule — so a change to event
+//! The run aborts unless the event-log fingerprint equals the one pinned
+//! for its scale — [`MINI_FINGERPRINT`], the value the timing wheel and the
+//! binary-heap reference queue both produced for the mini schedule, or
+//! [`PAPER_FINGERPRINT`] for the 10^6-node one — so a change to event
 //! order, overlay maintenance or routing shows up as a mismatch.
 
 use tao_bench::{f3, print_table, Scale};
@@ -29,6 +30,10 @@ use tao_util::rand::{Rng, SeedableRng};
 /// Event-log fingerprint of the mini-scale sweep (32,768 nodes, 400 churn
 /// ops, 120 routes, seed 0x0602).
 const MINI_FINGERPRINT: u64 = 0x7b3b_8bea_d9f1_6acf;
+
+/// Event-log fingerprint of the paper-scale sweep (10^6 nodes, 2,000 churn
+/// ops, 400 routes, seed 0x0602).
+const PAPER_FINGERPRINT: u64 = 0x2dfe_c52d_eb10_9810;
 
 /// One scheduled churn-phase operation, carried as a timer payload.
 #[derive(Debug, Clone)]
@@ -166,19 +171,17 @@ fn run_sweep(n: usize, churn_ops: usize, routes: usize, seed: u64) -> SweepOutco
 
 fn main() {
     let scale = Scale::from_env();
-    let (n, churn_ops, routes) = match scale {
-        Scale::Paper => (1_000_000, 2_000, 400),
-        Scale::Mini => (32_768, 400, 120),
+    let (n, churn_ops, routes, pinned) = match scale {
+        Scale::Paper => (1_000_000, 2_000, 400, PAPER_FINGERPRINT),
+        Scale::Mini => (32_768, 400, 120, MINI_FINGERPRINT),
     };
     let seed = 0x0602u64;
 
     let sweep = run_sweep(n, churn_ops, routes, seed);
-    if matches!(scale, Scale::Mini) {
-        assert_eq!(
-            sweep.fingerprint, MINI_FINGERPRINT,
-            "mini-scale event log diverged from the pinned fingerprint"
-        );
-    }
+    assert_eq!(
+        sweep.fingerprint, pinned,
+        "{scale:?}-scale event log diverged from the pinned fingerprint"
+    );
 
     print_table(
         "Figure 2 companion: million-node eCAN churn + routing sweep",

@@ -264,6 +264,16 @@ impl Aware<EcanOverlay> {
     /// 5. notify `NodeJoined` subscribers of the affected zones.
     ///
     /// Returns the new node's id and the subscribers notified.
+    ///
+    /// Known gap: the join goes through [`EcanOverlay::join_unselected`]
+    /// and re-selects only the newcomer, its CAN neighbours and the
+    /// notified subscribers. An entry elsewhere that names the split owner
+    /// inside the half it gave up stays stale, so
+    /// [`EcanOverlay::check_invariants`] can fail after a run of joins and
+    /// [`Aware::depart`]s on the 128-node `tsk_small_mini` system (an order-2
+    /// representative "left the target box"), and the tables are not a
+    /// valid starting point for [`EcanOverlay::join_and_select`] or
+    /// [`EcanOverlay::depart_and_repair`] until a full re-selection.
     // tao-lint: allow(panic-reachability, reason = "join invariants (non-empty landmark grid, in-bounds point) are established by the builder; violation is a bug, not a recoverable state")
     pub fn join_node(&mut self, underlay: NodeIdx) -> (OverlayNodeId, Vec<OverlayNodeId>) {
         // tao-lint: allow(seed-discipline, reason = "seeded from *virtual* time, which is itself deterministic; changing the stream would break the pinned replay fingerprints")

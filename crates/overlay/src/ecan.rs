@@ -26,13 +26,18 @@
 //!
 //! What a membership change costs follows from that, and none of it grows
 //! with the overlay: the CAN's part is one O(depth) descent per join and
-//! one per zone the departing node held; a dependent's table is re-verified
-//! entry by entry against one box written in place, and an entry that has
-//! to change is patched where it stands, moving its own two reverse-index
-//! links; a sampled replacement ([`CanOverlay::sample_in`]) is one more
-//! descent and touches no heap. Whole-table replacement is the path of
-//! [`EcanOverlay::reselect`], [`EcanOverlay::reselect_node`] and
-//! [`EcanOverlay::depart`] only.
+//! one per zone the departing node held. A change can only make the
+//! entries that name the node it changed unsound — a join shrinks only the
+//! split owner, a departure removes only the departed node, and the taker
+//! only gains zones — so a dependent's table is walked for the entries
+//! naming that node, and only those are materialized (one box written in
+//! place) and re-checked. An entry that has to change is patched where it
+//! stands, moving its own two reverse-index links; a sampled replacement
+//! ([`CanOverlay::sample_in`]) is one more descent and touches no heap.
+//! That skip is exact only on tables that were sound before the change,
+//! the precondition [`EcanOverlay::check_invariants`] spells out.
+//! Whole-table replacement is the path of [`EcanOverlay::reselect`],
+//! [`EcanOverlay::reselect_node`] and [`EcanOverlay::depart`] only.
 //!
 //! # Table construction
 //!
@@ -316,9 +321,15 @@ impl EcanOverlay {
     /// first publishes the newcomer's soft-state, then selects neighbors —
     /// call [`EcanOverlay::reselect_node`] afterwards).
     ///
-    /// The split also invalidates the former owner's table, which is
-    /// rebuilt lazily on its next re-selection; routing stays correct in
-    /// the interim because tables only ever *shorten* routes.
+    /// The former owner keeps its table: its entries are anchored to the
+    /// level it was built at, and its zone only shrank in place, so their
+    /// boxes stay valid. What goes stale are *other* tables' entries that
+    /// name the owner inside the half it gave up; nothing repairs them until
+    /// their owners re-select, so [`EcanOverlay::check_invariants`] may fail
+    /// and the repairing paths ([`EcanOverlay::join_and_select`],
+    /// [`EcanOverlay::depart_and_repair`]) must not be used until then.
+    /// Routing stays correct in the interim because tables only ever
+    /// *shorten* routes.
     ///
     /// # Panics
     ///
@@ -343,6 +354,12 @@ impl EcanOverlay {
     /// table is touched — this is the membership path for populations
     /// where a full [`EcanOverlay::reselect`] is unaffordable.
     ///
+    /// Only the entries that name the split owner are re-checked, which is
+    /// exact when every table was sound before the join (the entry clause
+    /// of [`EcanOverlay::check_invariants`]); after
+    /// [`EcanOverlay::join_unselected`] or [`EcanOverlay::depart`] it is not,
+    /// until a `reselect` restores it.
+    ///
     /// # Panics
     ///
     /// Panics if the point has the wrong dimensionality.
@@ -361,7 +378,7 @@ impl EcanOverlay {
             // advertised it inside the vacated half must be re-pointed.
             let deps = self.dependents_of(owner);
             for d in deps {
-                self.repair_entries(d, selector);
+                self.repair_entries(d, owner, selector);
             }
         }
         id
@@ -383,7 +400,10 @@ impl EcanOverlay {
     /// Departs a node and repairs every table that referenced it, entry by
     /// entry: each dangling entry gets a fresh representative from its
     /// target box (or is dropped if the box holds no other member). Only
-    /// the actual dependents are touched — no full rebuild.
+    /// the actual dependents are touched, and of their tables only the
+    /// entries that name `id` — no full rebuild. Like
+    /// [`EcanOverlay::join_and_select`], this assumes every table was sound
+    /// before the departure.
     ///
     /// # Errors
     ///
@@ -397,17 +417,26 @@ impl EcanOverlay {
         let deps = self.dependents_of(id);
         self.depart(id)?;
         for d in deps {
-            self.repair_entries(d, selector);
+            self.repair_entries(d, id, selector);
         }
         Ok(())
     }
 
-    /// Re-points or drops the entries of `d` whose representative is dead
-    /// or no longer owns space inside the advertised box; sound entries
-    /// are left untouched (and their selector state unconsumed). An entry
-    /// that changes is patched where it stands and only its own two
-    /// reverse-index links move.
-    fn repair_entries(&mut self, d: OverlayNodeId, selector: &mut dyn NeighborSelector) {
+    /// Re-points or drops the entries of `d` that name `changed` and whose
+    /// representative is dead or no longer owns space inside the
+    /// advertised box; sound entries are left untouched (and their
+    /// selector state unconsumed). An entry that names another node is
+    /// skipped without materializing its box: `changed` is the only node
+    /// one membership op can move out of a box, so the skip is exact when
+    /// every entry was sound before the op. An entry that changes is
+    /// patched where it stands and only its own two reverse-index links
+    /// move.
+    fn repair_entries(
+        &mut self,
+        d: OverlayNodeId,
+        changed: OverlayNodeId,
+        selector: &mut dyn NeighborSelector,
+    ) {
         let Ok(zone) = self.can.zone(d) else {
             return;
         };
@@ -415,6 +444,10 @@ impl EcanOverlay {
         let mut target_box = zone.clone();
         let mut at = 0;
         while let Some(&e) = self.tables[d.index()].entries.get(at) {
+            if e.rep != changed.0 {
+                at += 1;
+                continue;
+            }
             Self::entry_box(&zone, built_level, &e, &mut target_box);
             if self
                 .can
@@ -664,9 +697,12 @@ impl EcanOverlay {
     /// * the reverse index is exactly the multiset of `(representative →
     ///   owner)` pairs the tables hold.
     ///
-    /// Intended for churn tests, called after re-selection has repaired
-    /// tables (entries go stale by design between a departure/split and the
-    /// next [`EcanOverlay::reselect`]).
+    /// Intended for churn tests. The entry clause is also the precondition
+    /// of the incremental paths: [`EcanOverlay::build`], the `reselect`
+    /// paths, [`EcanOverlay::join_and_select`] and
+    /// [`EcanOverlay::depart_and_repair`] preserve it, while entries go
+    /// stale by design after [`EcanOverlay::join_unselected`] or
+    /// [`EcanOverlay::depart`] until re-selection repairs them.
     pub fn check_invariants(&self) {
         self.can.check_invariants();
         // Every pair the tables hold is listed as often as it is held, and
@@ -1035,6 +1071,81 @@ mod tests {
         }
     }
 
+    /// The repair without the skip: the oracle the incremental paths are
+    /// held equal to.
+    impl EcanOverlay {
+        /// Materializes and re-checks every entry of `d`'s table, whichever
+        /// node it names; returns how many entries it re-pointed or dropped.
+        fn repair_all_entries(
+            &mut self,
+            d: OverlayNodeId,
+            selector: &mut dyn NeighborSelector,
+        ) -> usize {
+            let Ok(zone) = self.can.zone(d) else {
+                return 0;
+            };
+            let built_level = self.tables[d.index()].built_level;
+            let mut target_box = zone.clone();
+            let (mut at, mut repaired) = (0, 0);
+            while let Some(&e) = self.tables[d.index()].entries.get(at) {
+                Self::entry_box(&zone, built_level, &e, &mut target_box);
+                if self
+                    .can
+                    .zone_intersects(OverlayNodeId(e.rep), &target_box)
+                    .unwrap_or(false)
+                {
+                    at += 1;
+                    continue;
+                }
+                repaired += 1;
+                self.unlink(e.rep, d);
+                match self.representative(d, &target_box, selector, None) {
+                    Some(r) => {
+                        self.tables[d.index()].entries[at].rep = r.0;
+                        self.dependents[r.index()].push(d.0);
+                        at += 1;
+                    }
+                    None => {
+                        self.tables[d.index()].entries.remove(at);
+                    }
+                }
+            }
+            repaired
+        }
+
+        /// [`EcanOverlay::join_and_select`] repairing through the oracle.
+        fn join_and_recheck_all(
+            &mut self,
+            underlay: NodeIdx,
+            point: Point,
+            selector: &mut dyn NeighborSelector,
+        ) -> usize {
+            let (id, prev_owner) = self.can.join_split(underlay, point);
+            self.reselect_node(id, selector);
+            let Some(owner) = prev_owner else {
+                return 0;
+            };
+            self.reselect_node(owner, selector);
+            let deps = self.dependents_of(owner);
+            deps.into_iter()
+                .map(|d| self.repair_all_entries(d, selector))
+                .sum()
+        }
+
+        /// [`EcanOverlay::depart_and_repair`] repairing through the oracle.
+        fn depart_and_recheck_all(
+            &mut self,
+            id: OverlayNodeId,
+            selector: &mut dyn NeighborSelector,
+        ) -> usize {
+            let deps = self.dependents_of(id);
+            self.depart(id).expect("live victim");
+            deps.into_iter()
+                .map(|d| self.repair_all_entries(d, selector))
+                .sum()
+        }
+    }
+
     mod properties {
         use super::*;
         use tao_util::check::for_all;
@@ -1213,6 +1324,117 @@ mod tests {
                 ecan.check_invariants();
                 check!(!ecan.can().is_empty(), "overlay emptied, seed={seed:#x}");
             });
+        }
+
+        /// One step of a generated membership history, drawn the way
+        /// `tests/churn_invariants.rs` draws its handovers.
+        #[derive(Debug, Clone)]
+        enum Step {
+            Join(f64, f64),
+            Depart(u64),
+            /// Depart a node that holds taken-over zones (a no-op while
+            /// nobody holds any).
+            DepartTaker(u64),
+            /// Join at the centre of a taken-over zone, splitting it under
+            /// its holder (a no-op while nobody holds any).
+            JoinTakenOver(u64),
+        }
+
+        /// Repairing only the entries that name the changed node leaves
+        /// every table, the reverse index and the selector's stream exactly
+        /// where re-checking every entry of every dependent leaves them,
+        /// op for op, across generated join / depart histories that hand
+        /// zones over and split taken-over zones.
+        #[test]
+        fn repairing_the_changed_node_equals_rechecking_every_entry() {
+            use std::cell::Cell;
+            use tao_util::check::for_all_sequences;
+
+            let (repaired, handovers) = (Cell::new(0usize), Cell::new(0u32));
+            let generate = |rng: &mut StdRng| -> Vec<Step> {
+                (0..48)
+                    .map(|_| match rng.gen_range(0..10) {
+                        0..=2 => Step::Join(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
+                        3..=5 => Step::Depart(rng.gen()),
+                        6..=7 => Step::DepartTaker(rng.gen()),
+                        _ => Step::JoinTakenOver(rng.gen()),
+                    })
+                    .collect()
+            };
+            let replay = |steps: &[Step]| {
+                let can = grown_can(24, 2, 41);
+                let mut sel = SampledRandomSelector::new(42);
+                let mut oracle_sel = sel.clone();
+                let mut ecan = EcanOverlay::build(can.clone(), &mut sel);
+                let mut oracle = EcanOverlay::build(can, &mut oracle_sel);
+                let mut next_underlay = 24u32;
+                for step in steps {
+                    let can = ecan.can();
+                    let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+                    let pick = |from: &[OverlayNodeId], draw: u64| from[draw as usize % from.len()];
+                    let takers: Vec<OverlayNodeId> = live
+                        .iter()
+                        .copied()
+                        .filter(|&id| can.zones(id).expect("live node").len() > 1)
+                        .collect();
+                    let (join_at, victim) = match *step {
+                        Step::Join(x, y) => (Some(Point::clamped(vec![x, y])), None),
+                        Step::Depart(draw) => (None, Some(pick(&live, draw))),
+                        Step::DepartTaker(draw) if !takers.is_empty() => {
+                            handovers.set(handovers.get() + 1);
+                            (None, Some(pick(&takers, draw)))
+                        }
+                        Step::JoinTakenOver(draw) if !takers.is_empty() => {
+                            let zones = can.zones(pick(&takers, draw)).expect("live node");
+                            handovers.set(handovers.get() + 1);
+                            let at = 1 + (draw >> 32) as usize % (zones.len() - 1);
+                            (Some(zones[at].center()), None)
+                        }
+                        _ => (None, None),
+                    };
+                    if let Some(point) = join_at {
+                        let underlay = NodeIdx(next_underlay);
+                        next_underlay += 1;
+                        ecan.join_and_select(underlay, point.clone(), &mut sel);
+                        let n = oracle.join_and_recheck_all(underlay, point, &mut oracle_sel);
+                        repaired.set(repaired.get() + n);
+                    }
+                    if let Some(victim) = victim.filter(|_| live.len() > 4) {
+                        ecan.depart_and_repair(victim, &mut sel)
+                            .expect("live victim");
+                        let n = oracle.depart_and_recheck_all(victim, &mut oracle_sel);
+                        repaired.set(repaired.get() + n);
+                    }
+                    ecan.check_invariants();
+                    oracle.check_invariants();
+                    for id in 0..ecan.can().id_bound() as u32 {
+                        let id = OverlayNodeId(id);
+                        check_eq!(
+                            ecan.high_order_entries(id),
+                            oracle.high_order_entries(id),
+                            "{id}'s table after {step:?}"
+                        );
+                        check_eq!(
+                            ecan.dependents_of(id),
+                            oracle.dependents_of(id),
+                            "{id}'s dependents after {step:?}"
+                        );
+                    }
+                }
+                check_eq!(sel.rng.gen::<u64>(), oracle_sel.rng.gen::<u64>());
+            };
+            for_all_sequences(
+                "repairing_the_changed_node_equals_rechecking_every_entry",
+                32,
+                generate,
+                replay,
+            );
+            assert!(
+                repaired.get() > 100 && handovers.get() > 20,
+                "histories must repair entries ({}) and hand zones over ({})",
+                repaired.get(),
+                handovers.get()
+            );
         }
     }
 

@@ -278,17 +278,27 @@ echo "replay determinism: OK ($rfp1)"
 # ---- Incremental eCAN membership: the pinned mini-scale event log. ----------
 # fig02_million_churn at mini scale (32,768 nodes, 400 churn ops through
 # the simulator, ~0.5 s) aborts unless its event-log fingerprint is the one
-# pinned in the binary — the only pinned value over join_and_select /
-# depart_and_repair and the SampledRandomSelector stream, so a change to
-# the O(depth) relabel, the heap-free box pick or the in-place table repair
-# that moves one pick fails here.
+# pinned in the binary. With ROUTE_FINGERPRINT's churned-and-repaired arena
+# it pins join_and_select / depart_and_repair and the SampledRandomSelector
+# stream, so a change to the O(depth) relabel, the heap-free box pick or
+# the in-place table repair that moves one pick fails here.
 churn_fp=$(TAO_SCALE=mini cargo run -q --release --offline -p tao-bench \
     --bin fig02_million_churn 2>/dev/null | grep -o '0x7b3b8bead9f16acf' || true)
 if [ -z "$churn_fp" ]; then
     echo "FAIL: TAO_SCALE=mini fig02_million_churn did not reach its pinned fingerprint." >&2
     exit 1
 fi
-echo "incremental membership: OK (mini fig02_million_churn at $churn_fp)"
+# The repair re-checks only the entries that name the changed node; the
+# oracle that re-checks every entry of every dependent must leave tables,
+# reverse index and selector stream identical over generated histories.
+# A filter that matched nothing would pass too, hence the count.
+repair_out=$(TAO_PT_CASES=512 cargo test -q --release --offline -p tao-overlay --lib \
+    repairing_the_changed_node_equals_rechecking_every_entry 2>&1 || true)
+if [[ "$repair_out" != *"test result: ok. 1 passed"* ]]; then
+    echo "FAIL: eCAN repair diverged from the full re-check at TAO_PT_CASES=512." >&2
+    exit 1
+fi
+echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories)"
 
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
