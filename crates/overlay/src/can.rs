@@ -1061,6 +1061,92 @@ mod tests {
     }
 
     #[test]
+    fn owner_at_reads_coordinates_outside_the_space_as_its_nearest_edge() {
+        // Every split sends a coordinate of 1.0 or more, and NaN, to its
+        // upper side, and a negative one to its lower side: such a
+        // coordinate names the owner at the space's far or near edge along
+        // its axis, whatever the other coordinates say.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        let mut rng = StdRng::seed_from_u64(31);
+        for d in 1..=4usize {
+            let mut can = CanOverlay::new(d).unwrap();
+            for i in 0..96 {
+                can.join(NodeIdx(i), Point::random(d, &mut rng));
+            }
+            for id in [5u32, 17, 40] {
+                can.leave(OverlayNodeId(id)).unwrap();
+            }
+            for _ in 0..40 {
+                let p = Point::random(d, &mut rng).coords().to_vec();
+                for axis in 0..d {
+                    let at = |c: f64| {
+                        let mut q = p.clone();
+                        q[axis] = c;
+                        can.owner_at(&q)
+                    };
+                    for (c, edge) in [
+                        (1.0, top),
+                        (1.5, top),
+                        (f64::INFINITY, top),
+                        (f64::NAN, top),
+                        (-0.0, 0.0),
+                        (-0.25, 0.0),
+                        (f64::NEG_INFINITY, 0.0),
+                    ] {
+                        let want = at(edge);
+                        assert!(want.is_some());
+                        assert_eq!(at(c), want, "d={d} axis={axis} c={c} p={p:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owner_at_equals_a_scan_of_every_live_zone() {
+        use tao_util::check::for_all;
+        use tao_util::check_eq;
+        let takers = std::cell::Cell::new(0u32);
+        for_all("owner_at_equals_a_scan_of_every_live_zone", 48, |rng| {
+            let d = rng.gen_range(1usize..=5);
+            let can = generated_overlay(d, rng);
+            let live: Vec<OverlayNodeId> = can.live_nodes().collect();
+            if live.iter().any(|&id| can.zones(id).unwrap().len() > 2) {
+                takers.set(takers.get() + 1);
+            }
+            for _ in 0..60 {
+                // Half the points sit on a corner of a live zone, where the
+                // half-open bounds decide.
+                let p = if rng.gen_bool(0.5) {
+                    Point::random(d, rng)
+                } else {
+                    let zones = can.zones(live[rng.gen_range(0..live.len())]).unwrap();
+                    let z = &zones[rng.gen_range(0..zones.len())];
+                    let corner = (0..d).map(|a| {
+                        if rng.gen_bool(0.5) {
+                            z.lo(a)
+                        } else {
+                            z.center().coord(a)
+                        }
+                    });
+                    Point::new(corner.collect()).unwrap()
+                };
+                let owners: Vec<OverlayNodeId> = live
+                    .iter()
+                    .copied()
+                    .filter(|&id| can.zones(id).unwrap().iter().any(|z| z.contains(&p)))
+                    .collect();
+                check_eq!(owners.len(), 1, "d={d} p={p:?}");
+                check_eq!(can.owner_at(p.coords()), Some(owners[0]), "d={d} p={p:?}");
+            }
+        });
+        assert!(
+            takers.get() > 0,
+            "no generated overlay had a node holding three zones"
+        );
+    }
+
+    #[test]
     fn neighbor_sets_match_geometry() {
         let can = grown_overlay(40, 9);
         let live: Vec<OverlayNodeId> = can.live_nodes().collect();
