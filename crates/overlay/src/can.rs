@@ -3,11 +3,10 @@
 //!
 //! Ownership is tracked in a binary *zone tree* mirroring the history of
 //! splits — the one membership structure: owner lookup, joins, departures,
-//! member lists and samples all descend it, reading each split's stored
-//! axis and midpoint. A real deployment reconstructs the same information
-//! by routing; here it is available without simulating every control
-//! message. Neighbor tables are maintained incrementally on join/departure
-//! exactly as the CAN protocol would.
+//! member lists and samples all descend it. A real deployment reconstructs
+//! the same information by routing; here it is available without
+//! simulating every control message. Neighbor tables are maintained
+//! incrementally on join/departure exactly as the CAN protocol would.
 //!
 //! # Storage layout
 //!
@@ -18,9 +17,20 @@
 //! node, lows then highs). The routing sweep — "which neighbor's zone is
 //! closest to the target point?" — therefore reads consecutive cache lines
 //! instead of chasing a `Box<Zone>` per candidate. Zones taken over from
-//! departed neighbors are rare and stay in a per-node spill vector. The
-//! split tree is likewise an index-linked arena (`Vec` of nodes with `u32`
-//! children) rather than a pointer tree.
+//! departed neighbors are rare and stay in a per-node spill vector.
+//!
+//! The split tree is one dense `Vec<u32>` of child links, 4 bytes a tree
+//! node. A leaf slot holds its owner's id under a tag bit; a split slot
+//! holds the index of its lower child, and the upper child is the next
+//! slot, since a join pushes the two halves as a pair. Nothing else is
+//! stored: CAN halves a zone along its widest axis, ties to the lowest,
+//! which on the dyadic regions of the tree is round-robin — the split at
+//! depth `k` halves axis `k mod dims` — and at its region's midpoint. So a
+//! descent knows each split's axis and midpoint from its depth and the
+//! path it took, and decides by the binary digits of the coordinates it
+//! carries (`upper_half`, `halves_met`). This is exact while the tree
+//! halves no axis more than 52 times, so that every midpoint is an `f64`;
+//! [`CanOverlay::check_invariants`] asserts both facts.
 //!
 //! Neighbor lists are kept sorted by id, which reproduces the iteration
 //! order of the `DetSet` (BTree) representation they replaced, so every
@@ -109,17 +119,95 @@ impl Route {
     }
 }
 
-/// Zone-tree node in the index-linked arena: either a leaf owned by an
-/// overlay node or an internal split whose children are arena indices.
+/// The tag bit of a split-tree slot that holds a leaf: the slot is its
+/// owner's id under this bit. A slot without it is a split and holds the
+/// index of its lower child; the upper child is the next slot.
+const LEAF: u32 = 1 << 31;
+
+/// The node a split-tree slot names, if the slot is a leaf.
+fn leaf_of(slot: u32) -> Option<OverlayNodeId> {
+    (slot & LEAF != 0).then_some(OverlayNodeId(slot & !LEAF))
+}
+
+/// A depth of the split tree, as the splits there cut: along `axis`, which
+/// `halvings` splits above have halved already.
 #[derive(Debug, Clone, Copy)]
-enum ArenaNode {
-    Leaf(OverlayNodeId),
-    Split {
-        axis: u32,
-        mid: f64,
-        lower: u32,
-        upper: u32,
-    },
+struct Depth {
+    axis: usize,
+    halvings: u32,
+}
+
+impl Depth {
+    /// The root's depth: no axis halved yet, axis 0 next.
+    const ROOT: Depth = Depth {
+        axis: 0,
+        halvings: 0,
+    };
+
+    /// The depth below this one in a tree of `dims` axes, taken in turn.
+    fn below(self, dims: usize) -> Depth {
+        if self.axis + 1 == dims {
+            Depth {
+                axis: 0,
+                halvings: self.halvings + 1,
+            }
+        } else {
+            Depth {
+                axis: self.axis + 1,
+                ..self
+            }
+        }
+    }
+
+    /// How many splits above this depth halved `axis`.
+    fn halvings_of(self, axis: usize) -> u32 {
+        self.halvings + u32::from(axis < self.axis)
+    }
+}
+
+/// `2^k`, for `k` up to 1023: the exponent field alone.
+fn pow2(k: u32) -> f64 {
+    f64::from_bits(u64::from(1023 + k) << 52)
+}
+
+/// Whether coordinate `c` lies in the upper half of the `j`-th halving of
+/// its axis — the test `!(c < mid)` at the midpoint of the region on the
+/// way to `c`, read off `c`'s binary digit of weight `2^-(j+1)`. A
+/// coordinate of 1.0 or more, and NaN, goes up at every halving and a
+/// negative one goes down, as that test sends them.
+fn upper_half(c: f64, j: u32) -> bool {
+    if c < 0.0 {
+        false
+    } else if c < 1.0 {
+        (c * pow2(j + 1)) as i64 & 1 == 1
+    } else {
+        true
+    }
+}
+
+/// Which halves of the `j`-th halving of an axis meet `[lo, hi)`, as
+/// `(lower, upper)`, given that the halved region holds `[lo, hi)`. On
+/// the grid of side `2^-(j+1)` the region is two cells, and `lo` lies in
+/// cell `t`, so the midpoint is the odd one of `t` and `t + 1`.
+fn halves_met(lo: f64, hi: f64, j: u32) -> (bool, bool) {
+    let scale = pow2(j + 1);
+    let t = (lo * scale) as i64;
+    (t & 1 == 0, ((t | 1) as f64) < hi * scale)
+}
+
+/// `c` cut down to the grid of side `2^-j`.
+fn grid_floor(c: f64, j: u32) -> f64 {
+    let scale = pow2(j);
+    ((c * scale) as i64) as f64 / scale
+}
+
+/// The path a box walk took below its fork, one step per split, each on
+/// the stack frame that took it: where the chosen child starts along the
+/// split's axis. The split `dims` levels down halves that axis again and
+/// reads its region's low end here.
+struct Trail<'a> {
+    lo: f64,
+    up: Option<&'a Trail<'a>>,
 }
 
 /// A content-addressable network over `[0,1)^d`.
@@ -142,9 +230,9 @@ pub struct CanOverlay {
     /// Zones taken over from departed neighbors (primary zone excluded);
     /// empty for almost every node.
     extra: Vec<Vec<Zone>>,
-    /// Split-tree arena; `root` indexes into it once a node has joined.
-    arena: Vec<ArenaNode>,
-    root: Option<u32>,
+    /// The split tree as child links (see the module documentation); slot
+    /// 0 is the root once a node has joined.
+    tree: Vec<u32>,
     live_count: usize,
 }
 
@@ -163,8 +251,7 @@ impl CanOverlay {
             neighbors: Vec::new(),
             bounds: Vec::new(),
             extra: Vec::new(),
-            arena: Vec::new(),
-            root: None,
+            tree: Vec::new(),
             live_count: 0,
         })
     }
@@ -437,35 +524,28 @@ impl CanOverlay {
     /// [`CanOverlay::owner`] of the point with coordinates `coords`, for
     /// callers that compute a position into a reused buffer instead of
     /// building a [`Point`]. `None` if the overlay is empty or `coords` has
-    /// the wrong dimensionality.
+    /// the wrong dimensionality. A coordinate outside `[0, 1)` is read as
+    /// the space's nearest edge along its axis — 1.0, beyond and NaN as the
+    /// far edge, a negative one as 0 — so it still names a node.
     pub fn owner_at(&self, coords: &[f64]) -> Option<OverlayNodeId> {
-        self.leaf_at(coords).map(|(_, owner)| owner)
+        self.leaf_at(coords).map(|(_, owner, _)| owner)
     }
 
-    /// The one split-tree descent, O(depth): the arena index of the leaf
-    /// whose region contains `coords`, and the node it names. `None` if the
-    /// overlay is empty or `coords` has the wrong dimensionality.
-    fn leaf_at(&self, coords: &[f64]) -> Option<(u32, OverlayNodeId)> {
+    /// The one point descent, O(depth): the slot of the leaf whose region
+    /// contains `coords`, the node it names and the leaf's depth. `None` if
+    /// the overlay is empty or `coords` has the wrong dimensionality.
+    fn leaf_at(&self, coords: &[f64]) -> Option<(u32, OverlayNodeId, Depth)> {
         if coords.len() != self.dims {
             return None;
         }
-        let mut at = self.root?;
+        let (mut at, mut depth) = (0, Depth::ROOT);
         loop {
-            match self.arena.get(at as usize).copied()? {
-                ArenaNode::Leaf(id) => return Some((at, id)),
-                ArenaNode::Split {
-                    axis,
-                    mid,
-                    lower,
-                    upper,
-                } => {
-                    at = if coords.get(axis as usize)? < &mid {
-                        lower
-                    } else {
-                        upper
-                    };
-                }
+            let slot = *self.tree.get(at as usize)?;
+            if let Some(id) = leaf_of(slot) {
+                return Some((at, id, depth));
             }
+            at = slot + u32::from(upper_half(*coords.get(depth.axis)?, depth.halvings));
+            depth = depth.below(self.dims);
         }
     }
 
@@ -474,10 +554,11 @@ impl CanOverlay {
     /// `query`, so a taker of departed zones may appear more than once.
     ///
     /// One walk of the split tree, whatever the query's shape: down to the
-    /// node where the walk forks, then every leaf below it whose region
-    /// meets `query`, decided at each split from its stored axis and
-    /// midpoint as [`CanOverlay::sample_in`] decides. Nothing but the
-    /// answer is allocated.
+    /// node where the walk forks ([`CanOverlay::cover`]), then every leaf
+    /// below it whose region meets `query`, decided at each split as
+    /// [`CanOverlay::sample_in`] decides — and every leaf below it, with no
+    /// test at all, when the fork's region is `query` itself, as it is for
+    /// an aligned cube. Nothing but the answer is allocated.
     ///
     /// # Panics
     ///
@@ -485,14 +566,18 @@ impl CanOverlay {
     pub fn nodes_in(&self, query: &Zone) -> Vec<OverlayNodeId> {
         assert_eq!(query.dims(), self.dims, "dimensionality mismatch");
         let mut out = Vec::new();
-        if let Some(at) = self.cover(query) {
-            self.collect_in(at, query, &mut out);
+        if let Some((at, depth)) = self.fork(query) {
+            if self.is_region(query, depth) {
+                self.collect_all(at, &mut out);
+            } else {
+                self.collect_in(at, depth, None, query, &mut out);
+            }
         }
         out.sort();
         out
     }
 
-    /// The arena index where the walk of [`CanOverlay::nodes_in`] stops
+    /// The slot where the walk of [`CanOverlay::nodes_in`] stops
     /// descending: the first split both of whose children meet `query`, or
     /// the leaf that holds it. `None` on an empty overlay.
     ///
@@ -503,85 +588,160 @@ impl CanOverlay {
     /// answers while the overlay is not mutated, which is what lets a table
     /// pass key its member lists by cover.
     pub(crate) fn cover(&self, query: &Zone) -> Option<u32> {
-        let mut at = self.root?;
-        while let ArenaNode::Split {
-            axis,
-            mid,
-            lower,
-            upper,
-        } = self.arena[at as usize]
-        {
-            let axis = axis as usize;
-            at = match (query.lo(axis) < mid, mid < query.hi(axis)) {
+        self.fork(query).map(|(at, _)| at)
+    }
+
+    /// [`CanOverlay::cover`] and its depth. Every region on the way down
+    /// holds `query`, so each split is decided by [`halves_met`] on the
+    /// query's own bounds.
+    fn fork(&self, query: &Zone) -> Option<(u32, Depth)> {
+        let (mut at, mut depth) = (0, Depth::ROOT);
+        let mut slot = *self.tree.first()?;
+        while leaf_of(slot).is_none() {
+            let a = depth.axis;
+            at = match halves_met(query.lo(a), query.hi(a), depth.halvings) {
                 (true, true) => break,
-                (true, false) => lower,
-                (false, true) => upper,
-                (false, false) => return None,
+                (true, false) => slot,
+                (false, _) => slot + 1,
             };
+            slot = self.tree[at as usize];
+            depth = depth.below(self.dims);
         }
-        Some(at)
+        Some((at, depth))
+    }
+
+    /// `true` if `query`, which the region at `depth` holds, is that
+    /// region: a cell of the grid the splits above have cut on every axis.
+    fn is_region(&self, query: &Zone, depth: Depth) -> bool {
+        (0..self.dims).all(|a| {
+            let scale = pow2(depth.halvings_of(a));
+            let lo = query.lo(a) * scale;
+            lo == (lo as i64) as f64 && query.hi(a) * scale == lo + 1.0
+        })
     }
 
     /// A uniformly-random-ish live member of `query` (weighted by zone
     /// count, not volume) — usable where enumerating a huge high-order zone
     /// would be wasteful. One descent, O(depth) and heap-free: a region that
     /// meets `query` has a lower child that does iff `query` starts below
-    /// the stored split coordinate and an upper child that does iff it ends
-    /// above it, and a coin is drawn only where both do. Returns `None` on
-    /// an empty overlay (boxes of positive volume always meet a zone, since
-    /// zones tile the space).
+    /// the split's midpoint and an upper child that does iff it ends above
+    /// it, and a coin is drawn only where both do — the top bit of one
+    /// draw, the `gen_bool(0.5)` of the stream, heads to the lower side.
+    /// Below the fork of an aligned cube both children of every split lie
+    /// in the cube, so there the walk reads child links and coins alone.
+    /// Returns `None` on an empty overlay (boxes of positive volume always
+    /// meet a zone, since zones tile the space).
     ///
     /// # Panics
     ///
     /// Panics if dimensionalities differ.
-    // tao-lint: allow(panic-reachability, reason = "documented panic on dimensionality mismatch; callers pass boxes derived from this overlay's own zones, and children are arena indices by construction")
+    // tao-lint: allow(panic-reachability, reason = "documented panic on dimensionality mismatch; callers pass boxes derived from this overlay's own zones, and children are tree slots by construction")
     pub fn sample_in(
         &self,
         query: &Zone,
         rng: &mut impl tao_util::rand::Rng,
     ) -> Option<OverlayNodeId> {
         assert_eq!(query.dims(), self.dims, "dimensionality mismatch");
-        let mut at = self.root?;
+        let (mut at, depth) = self.fork(query)?;
+        if !self.is_region(query, depth) {
+            return self.sample_below(at, depth, None, query, rng);
+        }
         loop {
-            match self.arena[at as usize] {
-                ArenaNode::Leaf(id) => return Some(id),
-                ArenaNode::Split {
-                    axis,
-                    mid,
-                    lower,
-                    upper,
-                } => {
-                    let axis = axis as usize;
-                    at = match (query.lo(axis) < mid, mid < query.hi(axis)) {
-                        (true, true) if rng.gen_bool(0.5) => lower,
-                        (true, false) => lower,
-                        (_, true) => upper,
-                        (false, false) => return None,
-                    };
-                }
+            let slot = self.tree[at as usize];
+            if let Some(id) = leaf_of(slot) {
+                return Some(id);
             }
+            at = slot + u32::from(rng.next_u64() >> 63 == 1);
         }
     }
 
-    /// Appends the owner of every leaf below `at` whose region meets
-    /// `query`, given that `at`'s own region does: a child meets it iff the
-    /// test [`CanOverlay::sample_in`] makes at the stored split says so.
-    fn collect_in(&self, at: u32, query: &Zone, out: &mut Vec<OverlayNodeId>) {
-        match self.arena[at as usize] {
-            ArenaNode::Leaf(id) => out.push(id),
-            ArenaNode::Split {
-                axis,
-                mid,
-                lower,
-                upper,
-            } => {
-                let axis = axis as usize;
-                if query.lo(axis) < mid {
-                    self.collect_in(lower, query, out);
-                }
-                if mid < query.hi(axis) {
-                    self.collect_in(upper, query, out);
-                }
+    /// [`CanOverlay::sample_in`] from the split at `at`, whose region meets
+    /// `query`, for a query that is not one region of the tree.
+    fn sample_below(
+        &self,
+        at: u32,
+        depth: Depth,
+        trail: Option<&Trail>,
+        query: &Zone,
+        rng: &mut impl tao_util::rand::Rng,
+    ) -> Option<OverlayNodeId> {
+        let slot = self.tree[at as usize];
+        if let Some(id) = leaf_of(slot) {
+            return Some(id);
+        }
+        let (lo, mid, lower, upper) = self.split_test(depth, trail, query);
+        let up = match (lower, upper) {
+            (true, true) => rng.next_u64() >> 63 == 1,
+            (true, false) => false,
+            (false, true) => true,
+            (false, false) => return None,
+        };
+        let step = Trail {
+            lo: if up { mid } else { lo },
+            up: trail,
+        };
+        let below = depth.below(self.dims);
+        self.sample_below(slot + u32::from(up), below, Some(&step), query, rng)
+    }
+
+    /// A box walk's test at the split at `depth` below its fork: the split
+    /// region's low end along the split's axis, its midpoint, and whether
+    /// the lower and the upper child meet `query`. The low end is where
+    /// the trail's child starts at the split `dims` levels up, which halved
+    /// the same axis; past the trail's top the walk held the query, so it
+    /// is the query's low end cut to the grid.
+    fn split_test(
+        &self,
+        depth: Depth,
+        trail: Option<&Trail>,
+        query: &Zone,
+    ) -> (f64, f64, bool, bool) {
+        let a = depth.axis;
+        let same_axis = (1..self.dims).fold(trail, |t, _| t.and_then(|t| t.up));
+        let lo = match same_axis {
+            Some(t) => t.lo,
+            None => grid_floor(query.lo(a), depth.halvings),
+        };
+        let mid = lo + 0.5 / pow2(depth.halvings);
+        (lo, mid, query.lo(a) < mid, mid < query.hi(a))
+    }
+
+    /// Appends the owner of every leaf below the split at `at` whose region
+    /// meets `query`, given that `at`'s own region does: a child meets it
+    /// iff [`CanOverlay::split_test`] says so.
+    fn collect_in(
+        &self,
+        at: u32,
+        depth: Depth,
+        trail: Option<&Trail>,
+        query: &Zone,
+        out: &mut Vec<OverlayNodeId>,
+    ) {
+        let slot = self.tree[at as usize];
+        if let Some(id) = leaf_of(slot) {
+            out.push(id);
+            return;
+        }
+        let (lo, mid, lower, upper) = self.split_test(depth, trail, query);
+        let below = depth.below(self.dims);
+        if lower {
+            let step = Trail { lo, up: trail };
+            self.collect_in(slot, below, Some(&step), query, out);
+        }
+        if upper {
+            let step = Trail { lo: mid, up: trail };
+            self.collect_in(slot + 1, below, Some(&step), query, out);
+        }
+    }
+
+    /// Appends the owner of every leaf below `at`.
+    fn collect_all(&self, at: u32, out: &mut Vec<OverlayNodeId>) {
+        let slot = self.tree[at as usize];
+        match leaf_of(slot) {
+            Some(id) => out.push(id),
+            None => {
+                self.collect_all(slot, out);
+                self.collect_all(slot + 1, out);
             }
         }
     }
@@ -604,11 +764,10 @@ impl CanOverlay {
         point: Point,
     ) -> (OverlayNodeId, Option<OverlayNodeId>) {
         assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        let Some((leaf_at, owner)) = self.leaf_at(point.coords()) else {
+        let Some((leaf_at, owner, depth)) = self.leaf_at(point.coords()) else {
             // The first node owns the whole space.
             let new_id = self.push_node(underlay, &Zone::whole(self.dims));
-            self.arena.push(ArenaNode::Leaf(new_id));
-            self.root = Some(0);
+            self.tree.push(LEAF | new_id.0);
             self.live_count = 1;
             return (new_id, None);
         };
@@ -630,9 +789,10 @@ impl CanOverlay {
             self.extra[oi][zone_idx - 1].clone()
         };
         // CAN splits in half along the widest axis (ties -> lowest axis),
-        // which reproduces round-robin splitting on dyadic zones and stays
-        // well-defined for taken-over zones.
-        let axis = widest_axis(&owner_zone);
+        // which on the tree's dyadic regions is round-robin by depth — the
+        // fact the tree's layout keeps instead of the axis.
+        let axis = depth.axis;
+        debug_assert_eq!(axis, widest_axis(&owner_zone), "{owner_zone} at {depth:?}");
         let (lower, upper) = owner_zone.split(axis);
         // New node takes the half containing its join point.
         let (new_zone, old_zone) = if lower.contains(&point) {
@@ -644,24 +804,18 @@ impl CanOverlay {
         let new_id = self.push_node(underlay, &new_zone);
         self.live_count += 1;
 
-        // Update the zone tree: replace the leaf at the join point with a
-        // split over two freshly-allocated arena leaves.
-        let mid = (owner_zone.lo(axis) + owner_zone.hi(axis)) / 2.0;
+        // Update the zone tree: the leaf at the join point becomes a split
+        // whose two halves are pushed as a pair, lower first.
         let (lower_id, upper_id) = if new_zone.lo(axis) > old_zone.lo(axis) {
             (owner, new_id)
         } else {
             (new_id, owner)
         };
-        let lower_leaf = self.arena.len() as u32;
-        self.arena.push(ArenaNode::Leaf(lower_id));
-        let upper_leaf = self.arena.len() as u32;
-        self.arena.push(ArenaNode::Leaf(upper_id));
-        self.arena[leaf_at as usize] = ArenaNode::Split {
-            axis: axis as u32,
-            mid,
-            lower: lower_leaf,
-            upper: upper_leaf,
-        };
+        let lower_leaf = self.tree.len() as u32;
+        assert!(lower_leaf < LEAF, "the split tree outgrew its slot index");
+        self.tree.push(LEAF | lower_id.0);
+        self.tree.push(LEAF | upper_id.0);
+        self.tree[leaf_at as usize] = lower_leaf;
 
         // Update the owner's zone.
         if zone_idx == 0 {
@@ -728,15 +882,15 @@ impl CanOverlay {
         // The taker now owns all of the departing node's zones (primary
         // first, then its takeovers — the order the old zone list held).
         // Zones and leaves are 1:1, so the centre of each zone leads to the
-        // leaf to re-point: O(depth) per zone held, the arena is not swept.
+        // leaf to re-point: O(depth) per zone held, the tree is not swept.
         let primary = self.primary_zone(i);
         let departed_extra = std::mem::take(&mut self.extra[i]);
         for z in std::iter::once(&primary).chain(&departed_extra) {
-            let (leaf, holder) = self
+            let (leaf, holder, _) = self
                 .leaf_at(z.center().coords())
                 .expect("a held zone has a leaf"); // tao-lint: allow(no-unwrap-in-lib, reason = "a held zone has a leaf")
             debug_assert_eq!(holder, id, "the leaf under {z} names its holder");
-            self.arena[leaf as usize] = ArenaNode::Leaf(taker);
+            self.tree[leaf as usize] = LEAF | taker.0;
         }
         let ti = taker.index();
         self.extra[ti].push(primary);
@@ -892,9 +1046,11 @@ impl CanOverlay {
     ///
     /// Checks that live zones tile the space (volumes sum to 1), that
     /// neighbor sets are symmetric, and that the split tree and the nodes'
-    /// zone lists describe one tiling: every split stores its region's
-    /// midpoint, every leaf names a live node that holds exactly the leaf's
-    /// region, and there are as many leaves as held zones.
+    /// zone lists describe one tiling: every split halves its region along
+    /// the axis its depth names — its widest, as CAN splits — at a midpoint
+    /// exact in `f64`, every leaf names a live node that holds exactly the
+    /// leaf's region, there are as many leaves as held zones, and every
+    /// slot of the tree is reached once.
     ///
     /// # Panics
     ///
@@ -922,40 +1078,44 @@ impl CanOverlay {
                 );
             }
         }
-        let mut leaves = 0usize;
-        let root = self.root.expect("a non-empty overlay has a root"); // tao-lint: allow(no-unwrap-in-lib, reason = "a non-empty overlay has a root")
-        let mut open = vec![(root, Zone::whole(self.dims))];
-        while let Some((at, region)) = open.pop() {
-            match self.arena[at as usize] {
-                ArenaNode::Leaf(id) => {
-                    leaves += 1;
-                    assert!(
-                        self.alive[id.index()],
-                        "leaf {region} names departed node {id}"
-                    );
-                    assert!(
-                        self.primary_zone(id.index()) == region
-                            || self.extra[id.index()].contains(&region),
-                        "leaf {region} names {id}, which holds no such zone"
-                    );
-                }
-                ArenaNode::Split {
-                    axis,
-                    mid,
-                    lower,
-                    upper,
-                } => {
-                    let (below, above) = region.split(axis as usize);
-                    assert_eq!(
-                        below.hi(axis as usize),
-                        mid,
-                        "split of {region} is off its midpoint"
-                    );
-                    open.push((lower, below));
-                    open.push((upper, above));
-                }
+        let (mut leaves, mut slots) = (0usize, 0usize);
+        let mut open = vec![(0u32, Depth::ROOT, Zone::whole(self.dims))];
+        while let Some((at, depth, region)) = open.pop() {
+            slots += 1;
+            let slot = self.tree[at as usize];
+            if let Some(id) = leaf_of(slot) {
+                leaves += 1;
+                assert!(
+                    self.alive[id.index()],
+                    "leaf {region} names departed node {id}"
+                );
+                assert!(
+                    self.primary_zone(id.index()) == region
+                        || self.extra[id.index()].contains(&region),
+                    "leaf {region} names {id}, which holds no such zone"
+                );
+                continue;
             }
+            let axis = depth.axis;
+            assert_eq!(
+                widest_axis(&region),
+                axis,
+                "split of {region} at {depth:?} is not its widest axis"
+            );
+            let (below, above) = region.split(axis);
+            assert_eq!(
+                below.hi(axis),
+                region.lo(axis) + 0.5 / pow2(depth.halvings),
+                "split of {region} is off its dyadic midpoint"
+            );
+            assert!(
+                (slot as usize) < self.tree.len() - 1,
+                "split of {region} links past the tree"
+            );
+            open.push((slot, depth.below(self.dims), below));
+            open.push((slot + 1, depth.below(self.dims), above));
         }
+        assert_eq!(slots, self.tree.len(), "every tree slot is reached once");
         let held: usize = self
             .live_nodes()
             .map(|id| 1 + self.extra[id.index()].len())
@@ -1289,8 +1449,9 @@ mod tests {
     }
 
     /// The walk `sample_in` used to be: materialize the region of every
-    /// node on the way down and test it against the query. Kept as the
-    /// oracle for the descent that decides from the stored split alone.
+    /// node on the way down, halve it along its widest axis as CAN splits,
+    /// and test both halves against the query. Kept as the oracle for the
+    /// descent that decides from depth and coordinates alone.
     fn sample_node(
         can: &CanOverlay,
         node: u32,
@@ -1301,25 +1462,22 @@ mod tests {
         if !bounds.intersects(query) {
             return None;
         }
-        match can.arena[node as usize] {
-            ArenaNode::Leaf(id) => Some(id),
-            ArenaNode::Split {
-                axis, lower, upper, ..
-            } => {
-                let (lz, uz) = bounds.split(axis as usize);
-                match (lz.intersects(query), uz.intersects(query)) {
-                    (true, true) => {
-                        if rng.gen_bool(0.5) {
-                            sample_node(can, lower, &lz, query, rng)
-                        } else {
-                            sample_node(can, upper, &uz, query, rng)
-                        }
-                    }
-                    (true, false) => sample_node(can, lower, &lz, query, rng),
-                    (false, true) => sample_node(can, upper, &uz, query, rng),
-                    (false, false) => None,
+        let slot = can.tree[node as usize];
+        if let Some(id) = leaf_of(slot) {
+            return Some(id);
+        }
+        let (lz, uz) = bounds.split(widest_axis(bounds));
+        match (lz.intersects(query), uz.intersects(query)) {
+            (true, true) => {
+                if rng.gen_bool(0.5) {
+                    sample_node(can, slot, &lz, query, rng)
+                } else {
+                    sample_node(can, slot + 1, &uz, query, rng)
                 }
             }
+            (true, false) => sample_node(can, slot, &lz, query, rng),
+            (false, true) => sample_node(can, slot + 1, &uz, query, rng),
+            (false, false) => None,
         }
     }
 
@@ -1409,7 +1567,7 @@ mod tests {
                     let query = generated_query(&can, &live, rng);
                     let mut walked = StdRng::seed_from_u64(rng.gen());
                     let mut descended = walked.clone();
-                    let want = sample_node(&can, can.root.unwrap(), &whole, &query, &mut walked);
+                    let want = sample_node(&can, 0, &whole, &query, &mut walked);
                     check_eq!(
                         can.sample_in(&query, &mut descended),
                         want,
@@ -1651,24 +1809,22 @@ mod tests {
         );
     }
 
-    /// The region of arena node `target`, halved down from the whole space
-    /// as the splits on the way say.
+    /// The region of tree slot `target`, halved down from the whole space
+    /// along each region's widest axis.
     fn region_of(can: &CanOverlay, target: u32) -> Zone {
-        let mut open = vec![(can.root.unwrap(), Zone::whole(can.dims()))];
+        let mut open = vec![(0, Zone::whole(can.dims()))];
         while let Some((at, region)) = open.pop() {
             if at == target {
                 return region;
             }
-            if let ArenaNode::Split {
-                axis, lower, upper, ..
-            } = can.arena[at as usize]
-            {
-                let (below, above) = region.split(axis as usize);
-                open.push((lower, below));
-                open.push((upper, above));
+            let slot = can.tree[at as usize];
+            if leaf_of(slot).is_none() {
+                let (below, above) = region.split(widest_axis(&region));
+                open.push((slot, below));
+                open.push((slot + 1, above));
             }
         }
-        panic!("arena node {target} is not in the tree");
+        panic!("slot {target} is not in the tree");
     }
 
     #[test]
@@ -1689,7 +1845,7 @@ mod tests {
                 let at = can.cover(&cube).unwrap();
                 let region = region_of(&can, at);
                 if region != cube {
-                    let leaf = matches!(can.arena[at as usize], ArenaNode::Leaf(_));
+                    let leaf = leaf_of(can.tree[at as usize]).is_some();
                     let holds =
                         (0..d).all(|a| region.lo(a) <= cube.lo(a) && cube.hi(a) <= region.hi(a));
                     check!(leaf && holds, "d={d} cube={cube} cover={region}");

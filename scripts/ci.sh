@@ -298,7 +298,20 @@ if [[ "$repair_out" != *"test result: ok. 1 passed"* ]]; then
     echo "FAIL: eCAN repair diverged from the full re-check at TAO_PT_CASES=512." >&2
     exit 1
 fi
-echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories)"
+# The split tree stores child links only: each walk derives a split's axis
+# from its depth and its midpoint from the coordinates it carries. Its four
+# properties hold every walk to a geometric oracle over generated churned
+# overlays, dims 1-5; all four must run, hence the count.
+tree_out=$(TAO_PT_CASES=512 cargo test -q --release --offline -p tao-overlay --lib -- \
+    sample_in_equals_the_recursive_walk_coin_for_coin \
+    nodes_in_equals_the_brute_force_member_set \
+    cover_is_the_cube_or_a_leaf_holding_it \
+    owner_at_equals_a_scan_of_every_live_zone 2>&1 || true)
+if [[ "$tree_out" != *"test result: ok. 4 passed"* ]]; then
+    echo "FAIL: a split-tree walk diverged from its oracle at TAO_PT_CASES=512." >&2
+    exit 1
+fi
+echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each)"
 
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
