@@ -158,11 +158,6 @@ impl Depth {
             }
         }
     }
-
-    /// How many splits above this depth halved `axis`.
-    fn halvings_of(self, axis: usize) -> u32 {
-        self.halvings + u32::from(axis < self.axis)
-    }
 }
 
 /// `2^k`, for `k` up to 1023: the exponent field alone.
@@ -611,10 +606,11 @@ impl CanOverlay {
     }
 
     /// `true` if `query`, which the region at `depth` holds, is that
-    /// region: a cell of the grid the splits above have cut on every axis.
+    /// region: a cell of the grid the splits above have cut on every axis
+    /// — once more on the axes before `depth.axis` than on the rest.
     fn is_region(&self, query: &Zone, depth: Depth) -> bool {
         (0..self.dims).all(|a| {
-            let scale = pow2(depth.halvings_of(a));
+            let scale = pow2(depth.halvings + u32::from(a < depth.axis));
             let lo = query.lo(a) * scale;
             lo == (lo as i64) as f64 && query.hi(a) * scale == lo + 1.0
         })

@@ -178,7 +178,7 @@ impl NeighborSelector for SampledRandomSelector {
     }
 }
 
-/// Member lists made during one table pass, by the arena index of the
+/// Member lists made during one table pass, by the split-tree slot of the
 /// box's [`CanOverlay::cover`].
 type BoxMemo = DetMap<u32, Vec<OverlayNodeId>>;
 
