@@ -584,23 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn a_fair_coin_is_the_top_bit_of_one_draw() {
-        // Code that flips a fair coin may read the top bit of `next_u64`
-        // instead of calling `gen_bool(0.5)`: true exactly when it is 0,
-        // one draw per flip, so the stream stays where it was.
-        let mut by_bool = StdRng::seed_from_u64(40);
-        let mut by_bit = by_bool.clone();
-        let mut heads = 0;
-        for _ in 0..100_000 {
-            let bit = by_bit.next_u64() >> 63;
-            assert_eq!(by_bool.gen_bool(0.5), bit == 0);
-            heads += bit;
-        }
-        assert_eq!(by_bool.next_u64(), by_bit.next_u64());
-        assert!((49_000..51_000).contains(&heads), "{heads} of 100000");
-    }
-
-    #[test]
     fn uniform_distribution_matches_gen_range() {
         let d = Uniform::new(100u64, 200);
         let mut rng = StdRng::seed_from_u64(37);
