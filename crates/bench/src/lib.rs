@@ -10,7 +10,12 @@
 //! rows/series the paper plots; see `EXPERIMENTS.md` for the recorded runs.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 use tao_core::ExperimentParams;
 use tao_topology::TransitStubParams;

@@ -175,7 +175,8 @@ impl ReplayWorld {
             .collect();
 
         let mut join_rng = StdRng::seed_from_u64(mix(spec.seed, 0x2011, 0));
-        let mut can = CanOverlay::new(DIMS).expect("DIMS is nonzero"); // tao-lint: allow(no-unwrap-in-lib, reason = "DIMS is nonzero")
+        #[expect(clippy::expect_used, reason = "DIMS is nonzero")]
+        let mut can = CanOverlay::new(DIMS).expect("DIMS is nonzero");
         for i in 0..spec.nodes {
             can.join(routers[i % n_routers], Point::random(DIMS, &mut join_rng));
         }
@@ -231,6 +232,7 @@ impl ReplayWorld {
 
     /// Draws a request target: Zipf-ranked hotspot regions with
     /// probability `hotspot_prob`, uniform otherwise.
+    #[expect(clippy::expect_used, reason = "coords wrapped into [0,1)")]
     fn draw_target(&self, spec: &ReplaySpec, rng: &mut StdRng) -> Point {
         if !self.hotspot_centers.is_empty() && rng.gen::<f64>() < spec.hotspot_prob {
             let u: f64 = rng.gen();
@@ -247,7 +249,7 @@ impl ReplayWorld {
                     (x + off).rem_euclid(1.0)
                 })
                 .collect();
-            Point::new(coords).expect("coords wrapped into [0,1)") // tao-lint: allow(no-unwrap-in-lib, reason = "coords wrapped into [0,1)")
+            Point::new(coords).expect("coords wrapped into [0,1)")
         } else {
             Point::random(DIMS, rng)
         }
@@ -391,7 +393,11 @@ fn run_skew(
             .collect();
         let ecan_ref = &ecan;
         let snap_ref = snapshot.as_slice();
-        let t0 = Instant::now(); // tao-lint: allow(no-wall-clock, reason = "bench harness times the replay rounds; timings never reach the fingerprinted report")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench harness times the replay rounds; timings never reach the fingerprinted report"
+        )]
+        let t0 = Instant::now();
         let outcomes = par_map(tasks, workers, |(t, count)| {
             run_task(world, ecan_ref, snap_ref, spec, round, t, count)
         });

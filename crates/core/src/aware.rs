@@ -156,6 +156,7 @@ pub type PastryAware = Aware<PastryOverlay>;
 /// (validated) `params`' index and resolution under an RTT ceiling of twice
 /// the largest landmark-to-landmark distance, so in-range vectors rarely
 /// saturate.
+#[expect(clippy::expect_used, reason = "validated grid parameters")]
 fn landmark_grid(
     oracle: &RttOracle,
     landmarks: &[NodeIdx],
@@ -168,7 +169,7 @@ fn landmark_grid(
         }
     }
     LandmarkGrid::new(params.landmark_vector_index, params.grid_bits, max * 2)
-        .expect("validated grid parameters") // tao-lint: allow(no-unwrap-in-lib, reason = "validated grid parameters")
+        .expect("validated grid parameters")
 }
 
 impl<O: AwareOverlay> Aware<O> {
@@ -245,11 +246,12 @@ impl<O: AwareOverlay> Aware<O> {
     /// charged), derives its number on `config`'s grid and curve, publishes
     /// its record at `now` and keeps it.
     pub(crate) fn publish_member(&mut self, id: Id<O>, config: &SoftStateConfig) -> O::Record {
+        #[expect(clippy::expect_used, reason = "members have routers")]
         let underlay = self
             .overlay
             .slots()
             .underlay(id)
-            .expect("members have routers"); // tao-lint: allow(no-unwrap-in-lib, reason = "members have routers")
+            .expect("members have routers");
         let vector = LandmarkVector::measure(underlay, &self.landmarks, &self.oracle);
         let number = config.grid().landmark_number(&vector, config.curve());
         let record = O::record(id, underlay, vector, number);
@@ -351,9 +353,10 @@ impl<O: AwareOverlay> Aware<O> {
             let Some(hops) = self.overlay.route(&mut scratch, start, &key) else {
                 continue;
             };
+            #[expect(clippy::expect_used, reason = "hops are members")]
             let underlays = hops
                 .iter()
-                .map(|&h| slots.underlay(h).expect("hops are members")); // tao-lint: allow(no-unwrap-in-lib, reason = "hops are members")
+                .map(|&h| slots.underlay(h).expect("hops are members"));
             if let Some(stretch) = route_stretch(underlays, &self.oracle) {
                 summary.add(stretch);
             }
@@ -537,10 +540,11 @@ impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_, K> {
         candidates: &[PeerId],
         overlay: &K,
     ) -> PeerId {
+        #[expect(clippy::expect_used, reason = "every member published at build")]
         let query = self
             .records
             .get(&owner)
-            .expect("every member published at build"); // tao-lint: allow(no-unwrap-in-lib, reason = "every member published at build")
+            .expect("every member published at build");
         self.stats.selections += 1;
         if !(K::PER_OWNER && self.found_for == Some(owner)) {
             self.stats.lookups += 1;

@@ -173,7 +173,8 @@ impl NeighborSelector for LoadAwareSelector<'_> {
         can: &CanOverlay,
     ) -> OverlayNodeId {
         let me = can.underlay(for_node);
-        candidates
+        #[expect(clippy::expect_used, reason = "candidates are non-empty")]
+        let best = candidates
             .iter()
             .copied()
             .min_by(|&a, &b| {
@@ -189,11 +190,12 @@ impl NeighborSelector for LoadAwareSelector<'_> {
                         .as_millis_f64(),
                     self.loads.stats(b),
                 );
-                sa.partial_cmp(&sb)
-                    .expect("scores are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "scores are finite")
-                    .then(a.cmp(&b))
+                #[expect(clippy::expect_used, reason = "scores are finite")]
+                let order = sa.partial_cmp(&sb).expect("scores are finite");
+                order.then(a.cmp(&b))
             })
-            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
+            .expect("candidates are non-empty");
+        best
     }
 }
 

@@ -144,10 +144,11 @@ impl<'a> GlobalStateSelector<'a> {
         is_member: impl Fn(OverlayNodeId) -> bool,
     ) -> Option<OverlayNodeId> {
         let me = can.underlay(for_node);
+        #[expect(clippy::expect_used, reason = "selecting node has published info")]
         let query = self
             .infos
             .get(&for_node)
-            .expect("selecting node has published info"); // tao-lint: allow(no-unwrap-in-lib, reason = "selecting node has published info")
+            .expect("selecting node has published info");
         self.stats.lookups += 1;
         let found = self.state.lookup_in_hosted_into(
             &mut self.scratch,

@@ -157,7 +157,8 @@ impl AwareOverlay for EcanOverlay {
     }
 
     fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (Self, GlobalState) {
-        let can = CanOverlay::new(params.dims).expect("dims >= 2"); // tao-lint: allow(no-unwrap-in-lib, reason = "dims >= 2")
+        #[expect(clippy::expect_used, reason = "dims >= 2")]
+        let can = CanOverlay::new(params.dims).expect("dims >= 2");
         (EcanOverlay::unselected(can), GlobalState::new(config))
     }
 

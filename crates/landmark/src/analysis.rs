@@ -69,10 +69,11 @@ impl PcaModel {
         let (eigenvalues, eigenvectors) = jacobi_eigen(&cov);
         // Order by descending eigenvalue.
         let mut order: Vec<usize> = (0..d).collect();
+        #[expect(clippy::expect_used, reason = "eigenvalues are finite")]
         order.sort_by(|&a, &b| {
             eigenvalues[b]
                 .partial_cmp(&eigenvalues[a])
-                .expect("eigenvalues are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "eigenvalues are finite")
+                .expect("eigenvalues are finite")
         });
         let components = order[..keep]
             .iter()
@@ -154,7 +155,10 @@ impl PcaModel {
 
 /// Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 /// Returns `(eigenvalues, eigenvectors)` with eigenvector `k` in column `k`.
-#[allow(clippy::needless_range_loop)] // the rotation kernel reads clearest indexed
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the rotation kernel reads clearest indexed"
+)]
 fn jacobi_eigen(matrix: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
     let n = matrix.len();
     let mut a: Vec<Vec<f64>> = matrix.to_vec();

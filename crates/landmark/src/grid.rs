@@ -171,11 +171,13 @@ impl LandmarkGrid {
     ) -> LandmarkNumber {
         let cell = self.cell(vector);
         let value = match curve {
+            #[expect(clippy::expect_used, reason = "parameters validated at construction")]
             SpaceFillingCurve::Hilbert => HilbertCurve::new(self.dims, self.bits)
-                .expect("parameters validated at construction") // tao-lint: allow(no-unwrap-in-lib, reason = "parameters validated at construction")
+                .expect("parameters validated at construction")
                 .index(&cell),
+            #[expect(clippy::expect_used, reason = "parameters validated at construction")]
             SpaceFillingCurve::ZOrder => MortonCurve::new(self.dims, self.bits)
-                .expect("parameters validated at construction") // tao-lint: allow(no-unwrap-in-lib, reason = "parameters validated at construction")
+                .expect("parameters validated at construction")
                 .index(&cell),
             SpaceFillingCurve::FirstComponent => cell[0] as u128,
         };

@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn walk_is_a_bijection_and_unit_steps_2d() {
         let c = HilbertCurve::new(2, 4).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = tao_util::det::DetSet::new();
         let mut prev: Option<Vec<u32>> = None;
         for i in 0..=c.max_index() {
             let p = c.point(i);
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn walk_is_a_bijection_and_unit_steps_3d() {
         let c = HilbertCurve::new(3, 3).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = tao_util::det::DetSet::new();
         let mut prev: Option<Vec<u32>> = None;
         for i in 0..=c.max_index() {
             let p = c.point(i);

@@ -153,15 +153,17 @@ pub fn region_position_into(
     let mut cell = [0u32; 128];
     match curve {
         SpaceFillingCurve::Hilbert => {
+            #[expect(clippy::expect_used, reason = "invalid region curve parameters")]
             let c = HilbertCurve::new(region_dims, resolution_bits)
-                .expect("invalid region curve parameters"); // tao-lint: allow(no-unwrap-in-lib, reason = "invalid region curve parameters")
+                .expect("invalid region curve parameters");
             let cell = &mut cell[..region_dims];
             c.point_into(scaled_index(fraction, c.max_index()), cell);
             normalise(cell, resolution_bits, out);
         }
         SpaceFillingCurve::ZOrder => {
+            #[expect(clippy::expect_used, reason = "invalid region curve parameters")]
             let c = MortonCurve::new(region_dims, resolution_bits)
-                .expect("invalid region curve parameters"); // tao-lint: allow(no-unwrap-in-lib, reason = "invalid region curve parameters")
+                .expect("invalid region curve parameters");
             let cell = &mut cell[..region_dims];
             c.point_into(scaled_index(fraction, c.max_index()), cell);
             normalise(cell, resolution_bits, out);

@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn z_order_is_a_bijection() {
         let c = MortonCurve::new(2, 3).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = tao_util::det::DetSet::new();
         for i in 0..=c.max_index() {
             assert!(seen.insert(c.point(i)));
         }

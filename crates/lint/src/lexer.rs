@@ -129,7 +129,8 @@ impl<'a> Lexer<'a> {
                     self.push(TokenKind::Punct, "::".to_string(), line, col);
                 }
                 _ => {
-                    let c = self.bump().expect("peeked char exists"); // tao-lint: allow(no-unwrap-in-lib, reason = "peeked char exists")
+                    #[expect(clippy::expect_used, reason = "peeked char exists")]
+                    let c = self.bump().expect("peeked char exists");
                     self.push(TokenKind::Punct, c.to_string(), line, col);
                 }
             }
@@ -240,7 +241,8 @@ impl<'a> Lexer<'a> {
     /// Disambiguates identifiers starting with `r`/`b` from the literal
     /// prefixes `r"`, `r#"`, `b"`, `b'`, `br"`, `r#ident`.
     fn ident_or_prefixed_literal(&mut self, line: u32, col: u32) {
-        let c0 = self.peek(0).expect("caller saw a char"); // tao-lint: allow(no-unwrap-in-lib, reason = "caller saw a char")
+        #[expect(clippy::expect_used, reason = "caller saw a char")]
+        let c0 = self.peek(0).expect("caller saw a char");
         let c1 = self.peek(1);
         let c2 = self.peek(2);
         match (c0, c1) {

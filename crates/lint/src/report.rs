@@ -39,9 +39,7 @@ fn esc(s: &str) -> String {
 /// findings sorted by (path, line, col, rule), then a per-rule summary.
 pub fn render_json(findings: &[Finding], files_checked: usize) -> String {
     let mut sorted: Vec<&Finding> = findings.iter().collect();
-    sorted.sort_by(|a, b| {
-        (&a.path, a.line, a.col, a.rule.name()).cmp(&(&b.path, b.line, b.col, b.rule.name()))
-    });
+    sorted.sort_by(|a, b| a.order().cmp(&b.order()));
     let mut out = String::from("{\n  \"version\": 1,\n");
     out.push_str(&format!("  \"files_checked\": {files_checked},\n"));
     out.push_str("  \"findings\": [\n");

@@ -1,54 +1,38 @@
-//! The lint rules, pragma handling, and the per-file / per-workspace
-//! drivers.
+//! The lint rules, pragma handling, and the workspace driver.
 //!
-//! The four *token* rules work on the token stream of [`crate::lexer`],
-//! so string literals, char literals, and comments can never trigger a
-//! finding. Code under `#[cfg(test)]` (and whole integration-test files)
-//! is exempt from the determinism rules — tests may use whatever
-//! collections they like.
-//!
-//! The *structural* rules ([`Rule::PanicReachability`],
-//! [`Rule::CrateLayering`], [`Rule::SeedDiscipline`],
-//! [`Rule::UnusedWaiver`]) work on the item graph of [`crate::items`] and
-//! the approximate call graph of [`crate::graph`]; the *taint* rule
-//! ([`Rule::DeterminismTaint`], [`crate::taint`]) and the *hot-path*
-//! rules ([`Rule::AllocReachability`], [`Rule::ArithSafety`]) walk its
-//! edges with the one [`CallGraph::bfs`]. They need the whole workspace
-//! as context and therefore only run through [`lint_workspace`], not the
-//! single-file [`lint_source`].
+//! Every rule reads the token stream of [`crate::lexer`], so string
+//! literals, char literals, and comments can never trigger a finding.
+//! [`Rule::SeedDiscipline`] scans each file; [`Rule::PanicReachability`],
+//! the *taint* rule ([`Rule::DeterminismTaint`], [`crate::taint`]) and the
+//! *hot-path* rules ([`Rule::AllocReachability`], [`Rule::ArithSafety`])
+//! walk the approximate call graph of [`crate::graph`] with the one
+//! [`CallGraph::bfs`], so they run only through [`lint_workspace`].
+//! [`Rule::CrateLayering`] reads the member manifests instead
+//! ([`layering_findings`]).
 //!
 //! A finding can be waived in place with a pragma comment that names the
 //! rule and *must* give a justification:
 //!
 //! ```text
-//! some_option.expect("..."); // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
+//! // tao-lint: allow(panic-reachability, reason = "ids are members by construction")
+//! pub fn route(&self, id: NodeId) -> Route {
 //! ```
 //!
 //! A pragma on its own line waives the line below it; a trailing pragma
 //! waives its own line. A pragma without a non-empty `reason` string is
 //! itself a finding (`bad-pragma`) and waives nothing. A valid pragma
-//! whose rule has no potential site in its scope is *also* a finding
-//! (`unused-waiver`): stale waivers are removed, not accumulated.
+//! that waives no finding is *also* a finding (`unused-waiver`): stale
+//! waivers are removed, not accumulated.
 
 use crate::graph::{via, CallGraph, Dir};
 use crate::items::{code_tokens, parse_items, Item, ItemKind, Visibility};
 use crate::lexer::{lex, Token, TokenKind};
+use crate::walk::{toml_dependencies, toml_package_name};
 
 /// The rules `tao-lint` enforces. See `DESIGN.md` §8 for the rationale
 /// behind each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No `std::collections` hash map/set in non-test code: their
-    /// iteration order is seeded per process, which silently breaks
-    /// cross-process replay determinism. Use `tao_util::det`.
-    DetCollections,
-    /// No `SystemTime::now`/`Instant::now` outside the bench harness:
-    /// simulated time must come from `tao_sim`, never the wall clock.
-    NoWallClock,
-    /// No `.unwrap()`/`.expect(` in library code — a poisoned
-    /// `.lock().unwrap()` included: return errors or carry a pragma with
-    /// a justification.
-    NoUnwrapInLib,
     /// A malformed waiver pragma (unknown rule or missing reason).
     BadPragma,
     /// A panic site (`unwrap`/`expect`/panicking macro/indexing)
@@ -56,7 +40,7 @@ pub enum Rule {
     /// simulation-facing crates must be acknowledged with a pragma at the
     /// public entry point, not just at the leaf.
     PanicReachability,
-    /// A `use`/path edge between crates that violates the layering DAG
+    /// A dependency in a member manifest that violates the layering DAG
     /// (see [`LAYERS`]).
     CrateLayering,
     /// Every RNG construction must flow from a literal or derived seed:
@@ -82,10 +66,7 @@ pub enum Rule {
 }
 
 /// Every enforced rule, in reporting order.
-pub const ALL_RULES: [Rule; 11] = [
-    Rule::DetCollections,
-    Rule::NoWallClock,
-    Rule::NoUnwrapInLib,
+pub const ALL_RULES: [Rule; 8] = [
     Rule::BadPragma,
     Rule::PanicReachability,
     Rule::CrateLayering,
@@ -94,14 +75,6 @@ pub const ALL_RULES: [Rule; 11] = [
     Rule::DeterminismTaint,
     Rule::AllocReachability,
     Rule::ArithSafety,
-];
-
-/// The token-level rules enforced by the single-file [`lint_source`].
-pub const TOKEN_RULES: [Rule; 4] = [
-    Rule::DetCollections,
-    Rule::NoWallClock,
-    Rule::NoUnwrapInLib,
-    Rule::BadPragma,
 ];
 
 /// The crate-layering DAG: each crate with the set of workspace crates it
@@ -158,6 +131,40 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("tao-lint", &["tao-util"]),
 ];
 
+/// `crate-layering`: every workspace crate that the member manifest at
+/// `path` names under `[dependencies]` or `[dev-dependencies]` (the
+/// `[dev-dependencies.<crate>]` table form included) must be one
+/// [`LAYERS`] lets the member see. No source scan is needed: rustc
+/// rejects a `use tao_x` whose crate the manifest does not declare.
+pub fn layering_findings(path: &str, manifest: &str) -> Vec<Finding> {
+    let Some(krate) = toml_package_name(manifest) else {
+        return Vec::new();
+    };
+    let Some((_, allowed)) = LAYERS.iter().find(|(name, _)| *name == krate) else {
+        return Vec::new(); // unknown crate: nothing to enforce
+    };
+    toml_dependencies(manifest)
+        .into_iter()
+        .filter(|(dep, _)| {
+            *dep != krate
+                && LAYERS.iter().any(|(name, _)| name == dep)
+                && !allowed.contains(&dep.as_str())
+        })
+        .map(|(dep, line)| Finding {
+            rule: Rule::CrateLayering,
+            path: path.to_string(),
+            line,
+            col: 1,
+            key: format!("crate-layering:{path}:{krate}->{dep}"),
+            message: format!(
+                "`{krate}` must not depend on `{dep}`: the layering DAG allows \
+                 {krate} → {{{}}} only (see DESIGN.md §8)",
+                allowed.join(", ")
+            ),
+        })
+        .collect()
+}
+
 /// Crates whose `pub` functions are panic-reachability entry points.
 pub const PANIC_ENTRY_CRATES: [&str; 4] = ["tao-overlay", "tao-softstate", "tao-sim", "tao-core"];
 
@@ -206,9 +213,6 @@ impl Rule {
     /// The rule's name as used in pragmas and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::DetCollections => "det-collections",
-            Rule::NoWallClock => "no-wall-clock",
-            Rule::NoUnwrapInLib => "no-unwrap-in-lib",
             Rule::BadPragma => "bad-pragma",
             Rule::PanicReachability => "panic-reachability",
             Rule::CrateLayering => "crate-layering",
@@ -239,11 +243,11 @@ pub enum FileKind {
     /// Library code under `crates/*/src` (not `bin/`, not `main.rs`):
     /// all rules apply.
     Lib,
-    /// A binary (`src/bin/`, `src/main.rs`) or example: everything but
-    /// `no-unwrap-in-lib` applies.
+    /// A binary (`src/bin/`, `src/main.rs`) or example: outside the call
+    /// graph, since no `pub` item can call it.
     Bin,
-    /// An integration test: only compiled into test runners, so the
-    /// determinism rules are off; `crate-layering` still applies.
+    /// An integration test: only compiled into test runners, so no rule
+    /// applies; its pragmas are still checked.
     TestHarness,
 }
 
@@ -252,7 +256,7 @@ pub enum FileKind {
 pub struct Finding {
     /// The violated rule.
     pub rule: Rule,
-    /// Path of the file, as given to [`lint_source`].
+    /// Workspace-relative path of the file.
     pub path: String,
     /// 1-based line.
     pub line: u32,
@@ -266,6 +270,11 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// The report order: path, line, col, rule.
+    pub fn order(&self) -> (&str, u32, u32, &'static str) {
+        (&self.path, self.line, self.col, self.rule.name())
+    }
+
     /// `path:line:col: rule: message`, the report and golden-file format.
     pub fn render(&self) -> String {
         format!(
@@ -277,15 +286,6 @@ impl Finding {
             self.message
         )
     }
-}
-
-/// The outcome of linting one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    /// Violations that were not waived.
-    pub findings: Vec<Finding>,
-    /// `(rule, line)` of findings waived by a valid pragma.
-    pub waived: Vec<(Rule, u32)>,
 }
 
 /// One source file handed to [`lint_workspace`].
@@ -323,37 +323,8 @@ struct Pragma {
     col: u32,
 }
 
-fn token_key(rule: Rule, path: &str, line: u32) -> String {
-    format!("{}:{}:{}", rule.name(), path, line)
-}
-
-/// Lints one file's source text against the token rules. `path` is used
-/// only for reporting. Structural rules need workspace context and run
-/// through [`lint_workspace`].
-pub fn lint_source(path: &str, source: &str, kind: FileKind) -> FileReport {
-    let tokens = lex(source);
-    let code = code_tokens(&tokens);
-    let test_ranges = test_line_ranges(&code);
-    let (pragmas, _hot, bad) = collect_pragmas(path, &tokens, &code);
-    let raw = token_rule_findings(path, &code, kind, &test_ranges, false);
-
-    let mut report = FileReport::default();
-    for f in raw {
-        let waiver = pragmas
-            .iter()
-            .find(|p| p.rule == f.rule && p.effective_line == f.line);
-        match waiver {
-            Some(p) => report.waived.push((p.rule, f.line)),
-            None => report.findings.push(f),
-        }
-    }
-    report.findings.extend(bad);
-    report.findings.sort_by_key(|f| (f.line, f.col));
-    report
-}
-
-/// Lints a set of files as one workspace: token rules per file, then the
-/// structural rules over the item graph, then waiver application and the
+/// Lints a set of files as one workspace: `seed-discipline` per file,
+/// then the call-graph rules, then waiver application and the
 /// stale-pragma sweep.
 pub fn lint_workspace(files: &[SourceFile]) -> WorkspaceReport {
     // Lex and parse every file once.
@@ -397,17 +368,9 @@ pub fn lint_workspace(files: &[SourceFile]) -> WorkspaceReport {
         })
         .collect();
 
-    // Raw (pre-waiver) findings: token rules + per-file structural rules.
+    // Raw (pre-waiver) findings: the per-file rule first.
     let mut raw: Vec<Finding> = Vec::new();
     for a in &analyzed {
-        raw.extend(token_rule_findings(
-            &a.file.path,
-            &a.code,
-            a.file.kind,
-            &a.test_ranges,
-            false,
-        ));
-        raw.extend(layering_findings(a.file, &a.code));
         raw.extend(seed_findings(a.file, &a.code, &a.test_ranges, &a.items));
     }
 
@@ -469,31 +432,12 @@ pub fn lint_workspace(files: &[SourceFile]) -> WorkspaceReport {
         }
     }
 
-    // Stale-pragma sweep: a valid pragma counts as *used* if a potential
-    // site for its rule exists on its effective line, even one exempted
-    // by file kind or a test region (belt-and-suspenders pragmas are
-    // fine); otherwise the code it excused is gone and it must go too.
+    // Stale-pragma sweep: every rule anchors its findings at positions of
+    // its own choosing, so a valid pragma no finding consumed above
+    // guards nothing — the code it excused is gone and it must go too.
     for (fi, a) in analyzed.iter().enumerate() {
-        let relaxed = token_rule_findings(&a.file.path, &a.code, a.file.kind, &a.test_ranges, true);
         for (pi, p) in a.pragmas.iter().enumerate() {
-            if used_pragmas.contains(&(fi, pi)) {
-                continue;
-            }
-            let has_site = match p.rule {
-                // The structural, taint and hot-path rules anchor their
-                // findings at positions of their own choosing: a pragma
-                // none of them consumed above guards nothing.
-                Rule::PanicReachability
-                | Rule::CrateLayering
-                | Rule::SeedDiscipline
-                | Rule::DeterminismTaint
-                | Rule::AllocReachability
-                | Rule::ArithSafety => false,
-                _ => relaxed
-                    .iter()
-                    .any(|f| f.rule == p.rule && f.line == p.effective_line),
-            };
-            if !has_site {
+            if !used_pragmas.contains(&(fi, pi)) {
                 report.findings.push(Finding {
                     rule: Rule::UnusedWaiver,
                     path: a.file.path.clone(),
@@ -511,142 +455,8 @@ pub fn lint_workspace(files: &[SourceFile]) -> WorkspaceReport {
         report.findings.extend(a.bad.iter().cloned());
     }
 
-    report.findings.sort_by(|a, b| {
-        (&a.path, a.line, a.col, a.rule.name()).cmp(&(&b.path, b.line, b.col, b.rule.name()))
-    });
+    report.findings.sort_by(|a, b| a.order().cmp(&b.order()));
     report
-}
-
-/// The token-level rules (everything PR 3 enforced). With `relaxed` set,
-/// file-kind and test-region exemptions are ignored — used to decide
-/// whether a pragma still guards a *potential* site.
-fn token_rule_findings(
-    path: &str,
-    code: &[&Token],
-    kind: FileKind,
-    test_ranges: &[(u32, u32)],
-    relaxed: bool,
-) -> Vec<Finding> {
-    let in_test = |line: u32| -> bool {
-        !relaxed
-            && (kind == FileKind::TestHarness
-                || test_ranges.iter().any(|&(lo, hi)| lo <= line && line <= hi))
-    };
-    let mut raw = Vec::new();
-    for (i, t) in code.iter().enumerate() {
-        // det-collections
-        if t.kind == TokenKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !in_test(t.line)
-        {
-            raw.push(Finding {
-                rule: Rule::DetCollections,
-                path: path.to_string(),
-                line: t.line,
-                col: t.col,
-                key: token_key(Rule::DetCollections, path, t.line),
-                message: format!(
-                    "std `{}` iterates in per-process random order; \
-                     use `tao_util::det::{}` instead",
-                    t.text,
-                    if t.text == "HashMap" {
-                        "DetMap"
-                    } else {
-                        "DetSet"
-                    }
-                ),
-            });
-        }
-
-        // no-wall-clock: `SystemTime::now` / `Instant::now`
-        if t.kind == TokenKind::Ident
-            && (t.text == "SystemTime" || t.text == "Instant")
-            && !in_test(t.line)
-            && matches!(code.get(i + 1), Some(p) if p.text == "::")
-            && matches!(code.get(i + 2), Some(n) if n.text == "now")
-        {
-            raw.push(Finding {
-                rule: Rule::NoWallClock,
-                path: path.to_string(),
-                line: t.line,
-                col: t.col,
-                key: token_key(Rule::NoWallClock, path, t.line),
-                message: format!(
-                    "`{}::now` reads the wall clock; simulated code must \
-                     take time from `tao_sim::SimTime`",
-                    t.text
-                ),
-            });
-        }
-
-        // no-unwrap-in-lib: `.unwrap(` / `.expect(`
-        if (kind == FileKind::Lib || relaxed)
-            && t.kind == TokenKind::Punct
-            && t.text == "."
-            && !in_test(t.line)
-        {
-            if let (Some(name), Some(paren)) = (code.get(i + 1), code.get(i + 2)) {
-                if name.kind == TokenKind::Ident
-                    && (name.text == "unwrap" || name.text == "expect")
-                    && paren.text == "("
-                {
-                    raw.push(Finding {
-                        rule: Rule::NoUnwrapInLib,
-                        path: path.to_string(),
-                        line: name.line,
-                        col: name.col,
-                        key: token_key(Rule::NoUnwrapInLib, path, name.line),
-                        message: format!(
-                            "`.{}(` in library code can panic; return an error \
-                             or add `// tao-lint: allow(no-unwrap-in-lib, \
-                             reason = \"...\")`",
-                            name.text
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    raw
-}
-
-/// `crate-layering`: every `tao_x::` path (in `use` declarations and
-/// inline) must point at a crate the owning crate is allowed to see.
-fn layering_findings(file: &SourceFile, code: &[&Token]) -> Vec<Finding> {
-    let Some((_, allowed)) = LAYERS.iter().find(|(name, _)| *name == file.krate) else {
-        return Vec::new(); // unknown crate: nothing to enforce
-    };
-    let mut out = Vec::new();
-    for (i, t) in code.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !t.text.starts_with("tao_") {
-            continue;
-        }
-        if !matches!(code.get(i + 1), Some(p) if p.text == "::") {
-            continue;
-        }
-        let target = t.text.replace('_', "-");
-        if target == file.krate || !LAYERS.iter().any(|(name, _)| *name == target) {
-            continue;
-        }
-        if !allowed.contains(&target.as_str()) {
-            out.push(Finding {
-                rule: Rule::CrateLayering,
-                path: file.path.clone(),
-                line: t.line,
-                col: t.col,
-                key: format!("crate-layering:{}:{}->{}", file.path, file.krate, target),
-                message: format!(
-                    "`{}` must not depend on `{}`: the layering DAG allows \
-                     {} → {{{}}} only (see DESIGN.md §8)",
-                    file.krate,
-                    target,
-                    file.krate,
-                    allowed.join(", ")
-                ),
-            });
-        }
-    }
-    out
 }
 
 /// `seed-discipline`: every `seed_from_u64(…)` argument must be built
@@ -948,7 +758,7 @@ fn collect_pragmas(
                 path: path.to_string(),
                 line: t.line,
                 col: t.col,
-                key: token_key(Rule::BadPragma, path, t.line),
+                key: format!("bad-pragma:{path}:{}", t.line),
                 message: why,
             }),
         }
@@ -957,9 +767,10 @@ fn collect_pragmas(
 }
 
 /// Parses `allow(<rule>[, <rule>…], reason = "<non-empty>")`. One pragma
-/// comment may waive several rules on the same line (a wall-clock read
-/// unwrapped in place needs both `no-wall-clock` and `no-unwrap-in-lib`);
-/// the single `reason` justifies them all.
+/// comment may waive several rules on the same line (a fingerprint fn
+/// that reaches both a panic and an env read is a `panic-reachability`
+/// and a `determinism-taint` entry); the single `reason` justifies them
+/// all.
 fn parse_pragma(text: &str) -> Result<(Vec<Rule>, String), String> {
     let body = text
         .strip_prefix("allow(")
@@ -1020,144 +831,112 @@ fn parse_pragma(text: &str) -> Result<(Vec<Rule>, String), String> {
 mod tests {
     use super::*;
 
-    fn findings(src: &str, kind: FileKind) -> Vec<String> {
-        lint_source("f.rs", src, kind)
-            .findings
-            .into_iter()
-            .map(|f| format!("{}:{}", f.rule.name(), f.line))
-            .collect()
+    /// The report of one library file linted as the whole workspace.
+    fn lint_one(path: &str, krate: &str, source: &str) -> WorkspaceReport {
+        lint_workspace(&[SourceFile {
+            path: path.to_string(),
+            krate: krate.to_string(),
+            kind: FileKind::Lib,
+            source: source.to_string(),
+        }])
     }
 
-    fn ws(files: Vec<(&str, &str, FileKind, &str)>) -> WorkspaceReport {
-        let sources: Vec<SourceFile> = files
-            .into_iter()
-            .map(|(path, krate, kind, source)| SourceFile {
-                path: path.to_string(),
-                krate: krate.to_string(),
-                kind,
-                source: source.to_string(),
-            })
-            .collect();
-        lint_workspace(&sources)
-    }
-
-    fn ws_rules(report: &WorkspaceReport) -> Vec<String> {
-        report
+    /// `rule:line` of every finding of [`lint_one`].
+    fn findings(path: &str, krate: &str, source: &str) -> Vec<String> {
+        lint_one(path, krate, source)
             .findings
             .iter()
             .map(|f| format!("{}:{}", f.rule.name(), f.line))
             .collect()
     }
 
-    #[test]
-    fn hash_collections_flagged_outside_tests_only() {
-        let src = "use std::collections::HashMap;\n\
-                   #[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
-        assert_eq!(findings(src, FileKind::Lib), vec!["det-collections:1"]);
+    fn core_findings(source: &str) -> Vec<String> {
+        findings("crates/core/src/f.rs", "tao-core", source)
     }
 
     #[test]
     fn strings_and_comments_never_fire() {
-        let src = "// HashMap in a comment\nlet s = \"HashMap\"; /* Instant::now() */\n";
-        assert!(findings(src, FileKind::Lib).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_detected_through_paths() {
-        let src = "let t = std::time::Instant::now();\nlet s = SystemTime::now();\n";
-        assert_eq!(
-            findings(src, FileKind::Lib),
-            vec!["no-wall-clock:1", "no-wall-clock:2"]
-        );
-    }
-
-    #[test]
-    fn unwrap_rule_is_lib_only_and_waivable() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(findings(src, FileKind::Lib), vec!["no-unwrap-in-lib:1"]);
-        assert!(findings(src, FileKind::Bin).is_empty());
-        let waived =
-            "fn f() { x.unwrap(); } // tao-lint: allow(no-unwrap-in-lib, reason = \"ok\")\n";
-        assert!(findings(waived, FileKind::Lib).is_empty());
-        let report = lint_source("f.rs", waived, FileKind::Lib);
-        assert_eq!(report.waived, vec![(Rule::NoUnwrapInLib, 1)]);
+        let src = "// seed_from_u64(now()) in a comment\n\
+                   fn f() { let s = \"StdRng::seed_from_u64(now())\"; } /* seed_from_u64(now()) */\n";
+        assert!(core_findings(src).is_empty());
     }
 
     #[test]
     fn pragma_alone_on_a_line_covers_the_next() {
-        let src =
-            "// tao-lint: allow(no-unwrap-in-lib, reason = \"init\")\nlet x = y.expect(\"set\");\n";
-        assert!(findings(src, FileKind::Lib).is_empty());
+        let src = "fn f() {\n\
+                   // tao-lint: allow(seed-discipline, reason = \"fixture\")\n\
+                   let _ = StdRng::seed_from_u64(now());\n}\n";
+        assert!(core_findings(src).is_empty());
     }
 
     #[test]
     fn pragma_without_reason_is_a_finding_and_waives_nothing() {
-        let src = "x.unwrap(); // tao-lint: allow(no-unwrap-in-lib)\n";
-        let got = findings(src, FileKind::Lib);
-        assert!(got.contains(&"no-unwrap-in-lib:1".to_string()));
-        assert!(got.contains(&"bad-pragma:1".to_string()));
-    }
-
-    #[test]
-    fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nmod real {\n    use std::collections::HashMap;\n}\n";
-        assert_eq!(findings(src, FileKind::Lib), vec!["det-collections:3"]);
-    }
-
-    #[test]
-    fn test_attr_covers_a_single_fn() {
-        let src = "#[test]\nfn t() { x.unwrap(); }\nfn lib() { y.unwrap(); }\n";
-        assert_eq!(findings(src, FileKind::Lib), vec!["no-unwrap-in-lib:3"]);
-    }
-
-    // ---- structural rules (workspace driver) ----
-
-    #[test]
-    fn layering_violation_flags_use_and_inline_paths() {
-        let report = ws(vec![(
-            "crates/overlay/src/bad.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            "use tao_sim::SimTime;\npub fn f() { let _ = tao_core::params(); }\n",
-        )]);
-        let rules = ws_rules(&report);
-        assert!(rules.contains(&"crate-layering:1".to_string()), "{rules:?}");
-        assert!(rules.contains(&"crate-layering:2".to_string()), "{rules:?}");
-    }
-
-    #[test]
-    fn layering_allows_the_dag() {
-        let report = ws(vec![(
-            "crates/overlay/src/ok.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            "use tao_util::time::SimDuration;\nuse tao_topology::Graph;\n",
-        )]);
-        assert!(
-            !ws_rules(&report)
-                .iter()
-                .any(|r| r.starts_with("crate-layering")),
-            "{:?}",
-            report.findings
+        let src = "fn f() { StdRng::seed_from_u64(now()); } // tao-lint: allow(seed-discipline)\n";
+        assert_eq!(
+            core_findings(src),
+            vec!["seed-discipline:1", "bad-pragma:1"]
         );
     }
 
     #[test]
+    fn cfg_not_test_is_not_a_test_region() {
+        let src =
+            "#[cfg(not(test))]\nmod real {\n    fn f() { StdRng::seed_from_u64(now()); }\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { StdRng::seed_from_u64(now()); }\n}\n";
+        assert_eq!(core_findings(src), vec!["seed-discipline:3"]);
+    }
+
+    #[test]
+    fn test_attr_covers_a_single_fn() {
+        let src = "#[test]\nfn t() { StdRng::seed_from_u64(now()); }\n\
+                   fn lib() { StdRng::seed_from_u64(now()); }\n";
+        assert_eq!(core_findings(src), vec!["seed-discipline:3"]);
+    }
+
+    #[test]
+    fn unused_waiver_flags_stale_pragmas_only() {
+        let src = "\
+fn live() { StdRng::seed_from_u64(now()); } // tao-lint: allow(seed-discipline, reason = \"used\")\n\
+fn stale() { let y = 1 + 1; } // tao-lint: allow(seed-discipline, reason = \"code moved away\")\n";
+        assert_eq!(core_findings(src), vec!["unused-waiver:2"]);
+    }
+
+    #[test]
+    fn pragmas_in_test_regions_that_waive_nothing_are_unused() {
+        // No rule is exempted by a test region any more and then re-scanned
+        // for the pragma's sake: a pragma is used only if it waives.
+        let src = "#[cfg(test)]\nmod tests {\n    \
+                   fn t() { StdRng::seed_from_u64(now()); } // tao-lint: allow(seed-discipline, reason = \"defensive\")\n}\n";
+        assert_eq!(core_findings(src), vec!["unused-waiver:3"]);
+    }
+
+    #[test]
+    fn pragmas_naming_a_rule_moved_to_clippy_are_bad() {
+        for name in ["det-collections", "no-wall-clock", "no-unwrap-in-lib"] {
+            let src = format!("fn f() {{}} // tao-lint: allow({name}, reason = \"moved\")\n");
+            assert_eq!(core_findings(&src), vec!["bad-pragma:1"], "{name}");
+        }
+    }
+
+    #[test]
+    fn expect_attributes_are_not_panic_sites() {
+        let src = "pub fn f(v: &[u32]) -> u32 {\n    \
+                   #[expect(clippy::expect_used, reason = \"fixture\")]\n    \
+                   let n = v.len() as u32;\n    n\n}\n";
+        assert!(findings("crates/overlay/src/e.rs", "tao-overlay", src).is_empty());
+    }
+
+    #[test]
     fn seed_discipline_flags_wall_clock_and_unknown_calls() {
-        let report = ws(vec![(
-            "crates/core/src/s.rs",
-            "tao-core",
-            FileKind::Lib,
-            "fn a(seed: u64) { let _ = StdRng::seed_from_u64(seed.wrapping_add(1)); }\n\
-             fn b(&self) { let _ = StdRng::seed_from_u64(self.now.as_micros()); }\n\
-             fn c() { let _ = StdRng::seed_from_u64(compute_stuff()); }\n\
-             fn d(master: u64, i: u64) { let _ = StdRng::seed_from_u64(task_seed(master, i)); }\n",
-        )]);
-        let rules: Vec<String> = ws_rules(&report)
-            .into_iter()
-            .filter(|r| r.starts_with("seed-discipline"))
-            .collect();
-        assert_eq!(rules, vec!["seed-discipline:2", "seed-discipline:3"]);
+        let src = "\
+fn a(seed: u64) { let _ = StdRng::seed_from_u64(seed.wrapping_add(1)); }\n\
+fn b(&self) { let _ = StdRng::seed_from_u64(self.now.as_micros()); }\n\
+fn c() { let _ = StdRng::seed_from_u64(compute_stuff()); }\n\
+fn d(master: u64, i: u64) { let _ = StdRng::seed_from_u64(task_seed(master, i)); }\n";
+        assert_eq!(
+            core_findings(src),
+            vec!["seed-discipline:2", "seed-discipline:3"]
+        );
     }
 
     #[test]
@@ -1165,119 +944,104 @@ mod tests {
         // Per-op seeds mix a master seed with batch geometry: helper calls
         // like `len()` are fine once the expression is anchored on a
         // seed-named identifier — but wall clocks stay flagged.
-        let report = ws(vec![(
-            "crates/sim/src/s.rs",
-            "tao-sim",
-            FileKind::Lib,
-            "fn a(&self, domain: &[u8], i: usize) {\n\
-                 let _ = StdRng::seed_from_u64(op_seed(self.seed, (domain.len() + i) as u64));\n\
-             }\n\
-             fn b(&self, domain: &[u8]) {\n\
-                 let _ = StdRng::seed_from_u64(self.master_seed ^ domain.len() as u64);\n\
-             }\n\
-             fn c(&self, domain: &[u8]) {\n\
-                 let _ = StdRng::seed_from_u64(self.master_seed ^ now());\n\
-             }\n\
-             fn d(&self, domain: &[u8]) {\n\
-                 let _ = StdRng::seed_from_u64(domain.len() as u64);\n\
-             }\n",
-        )]);
-        let rules: Vec<String> = ws_rules(&report)
-            .into_iter()
-            .filter(|r| r.starts_with("seed-discipline"))
-            .collect();
-        assert_eq!(rules, vec!["seed-discipline:8", "seed-discipline:11"]);
+        let src = "\
+fn a(&self, domain: &[u8], i: usize) {\n\
+    let _ = StdRng::seed_from_u64(op_seed(self.seed, (domain.len() + i) as u64));\n\
+}\n\
+fn b(&self, domain: &[u8]) {\n\
+    let _ = StdRng::seed_from_u64(self.master_seed ^ domain.len() as u64);\n\
+}\n\
+fn c(&self, domain: &[u8]) {\n\
+    let _ = StdRng::seed_from_u64(self.master_seed ^ now());\n\
+}\n\
+fn d(&self, domain: &[u8]) {\n\
+    let _ = StdRng::seed_from_u64(domain.len() as u64);\n\
+}\n";
+        assert_eq!(
+            findings("crates/sim/src/s.rs", "tao-sim", src),
+            vec!["seed-discipline:8", "seed-discipline:11"]
+        );
     }
 
     #[test]
     fn panic_reachability_fires_at_entry_and_respects_pragmas() {
         let src = "\
 pub fn entry() { helper() }\n\
-fn helper(x: Option<u32>) { x.unwrap(); } // tao-lint: allow(no-unwrap-in-lib, reason = \"leaf ok\")\n\
+fn helper(x: Option<u32>) { x.unwrap(); }\n\
 // tao-lint: allow(panic-reachability, reason = \"bounded by construction\")\n\
 pub fn waived_entry() { helper() }\n\
 fn private_reaches() { helper() }\n";
-        let report = ws(vec![(
-            "crates/overlay/src/p.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            src,
-        )]);
-        let pr: Vec<&Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::PanicReachability)
-            .collect();
-        // Only the unwaived pub entry fires; leaf pragmas do not discharge
-        // the entry, private fns are not entries.
-        assert_eq!(pr.len(), 1, "{:?}", report.findings);
-        assert_eq!(pr[0].line, 1);
-        assert!(
-            pr[0].message.contains("entry → helper"),
-            "{}",
-            pr[0].message
+        let report = lint_one("crates/overlay/src/p.rs", "tao-overlay", src);
+        // Only the unwaived pub entry fires; private fns are not entries.
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        let pr = &report.findings[0];
+        assert_eq!((pr.rule, pr.line), (Rule::PanicReachability, 1));
+        assert!(pr.message.contains("entry → helper"), "{}", pr.message);
+        assert_eq!(
+            report.waived,
+            vec![(Rule::PanicReachability, "crates/overlay/src/p.rs".into(), 4)]
         );
-        assert!(report
-            .waived
-            .iter()
-            .any(|(r, _, line)| *r == Rule::PanicReachability && *line == 4));
     }
 
     #[test]
     fn non_entry_crates_do_not_fire_panic_reachability() {
-        let report = ws(vec![(
-            "crates/topology/src/t.rs",
-            "tao-topology",
-            FileKind::Lib,
-            "pub fn gen(x: Option<u32>) -> u32 { x.unwrap() } // tao-lint: allow(no-unwrap-in-lib, reason = \"ok\")\n",
-        )]);
-        assert!(
-            !ws_rules(&report)
-                .iter()
-                .any(|r| r.starts_with("panic-reachability")),
-            "{:?}",
-            report.findings
+        let src = "pub fn gen(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        assert!(findings("crates/topology/src/t.rs", "tao-topology", src).is_empty());
+    }
+
+    // ---- crate-layering (member manifests) ----
+
+    fn layering_lines(manifest: &str) -> Vec<(u32, String)> {
+        layering_findings("crates/overlay/Cargo.toml", manifest)
+            .into_iter()
+            .map(|f| (f.line, f.key))
+            .collect()
+    }
+
+    #[test]
+    fn layering_flags_upward_edges_in_every_dependency_table() {
+        let manifest = "[package]\nname = \"tao-overlay\"\n\n\
+                        [dependencies]\ntao-util.workspace = true\ntao-sim.workspace = true\n\n\
+                        [dev-dependencies]\ntao-core = { path = \"../core\" }\n\n\
+                        [dev-dependencies.tao-proximity]\nworkspace = true\n";
+        let key =
+            |dep: &str| format!("crate-layering:crates/overlay/Cargo.toml:tao-overlay->{dep}");
+        assert_eq!(
+            layering_lines(manifest),
+            vec![
+                (6, key("tao-sim")),
+                (9, key("tao-core")),
+                (11, key("tao-proximity")),
+            ]
         );
     }
 
     #[test]
-    fn unused_waiver_flags_stale_pragmas_only() {
-        let src = "\
-fn live(x: Option<u32>) { x.unwrap(); } // tao-lint: allow(no-unwrap-in-lib, reason = \"used\")\n\
-fn stale() { let y = 1 + 1; } // tao-lint: allow(no-unwrap-in-lib, reason = \"code moved away\")\n";
-        let report = ws(vec![(
-            "crates/overlay/src/w.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            src,
-        )]);
-        let uw: Vec<&Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::UnusedWaiver)
-            .collect();
-        assert_eq!(uw.len(), 1, "{:?}", report.findings);
-        assert_eq!(uw[0].line, 2);
+    fn layering_allows_the_dag() {
+        let manifest = "[package]\nname = \"tao-overlay\"\n\n\
+                        [dependencies]\ntao-util.workspace = true # the base layer\n\
+                        tao-topology = { workspace = true }\n\n\
+                        [dev-dependencies.tao-landmark]\nworkspace = true\n\n\
+                        [[test]]\nname = \"tao-core\"\npath = \"tests/t.rs\"\n";
+        assert!(layering_lines(manifest).is_empty());
     }
 
     #[test]
-    fn belt_and_suspenders_pragmas_in_tests_are_not_stale() {
-        // A pragma guarding an unwrap inside #[cfg(test)] waives nothing
-        // (the rule is off there) but still guards a potential site, so it
-        // is not reported as unused.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(x: Option<u32>) { x.unwrap(); } // tao-lint: allow(no-unwrap-in-lib, reason = \"defensive\")\n}\n";
-        let report = ws(vec![(
-            "crates/overlay/src/bt.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            src,
-        )]);
-        assert!(
-            !ws_rules(&report)
-                .iter()
-                .any(|r| r.starts_with("unused-waiver")),
-            "{:?}",
-            report.findings
-        );
+    fn layering_ignores_self_and_foreign_crates() {
+        let manifest = "[package]\nname = \"tao-overlay\"\n\n[dependencies]\n\
+                        tao-overlay = { path = \".\" }\n\"serde\" = \"1\"\n";
+        assert!(layering_lines(manifest).is_empty());
+    }
+
+    #[test]
+    fn workspace_manifests_respect_the_layering() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifests = crate::walk::member_manifests(&root).expect("workspace manifests");
+        assert_eq!(manifests.len(), LAYERS.len(), "{manifests:?}");
+        for path in manifests {
+            let text = std::fs::read_to_string(root.join(&path)).expect("readable manifest");
+            let findings = layering_findings(&path.display().to_string(), &text);
+            assert!(findings.is_empty(), "{findings:?}");
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! (`[[test]] path = "../../tests/…"`), and only files that belong to a
 //! member are linted. `target/`, `results/`, VCS internals, and the
 //! linter's violation fixtures can never leak into the run because they
-//! are not reachable from any manifest.
+//! are not reachable from any manifest. The member manifests are also
+//! what `crate-layering` checks ([`member_manifests`]).
 
 use std::fs;
 use std::path::{Component, Path, PathBuf};
@@ -56,27 +57,8 @@ pub fn classify(path: &Path) -> FileKind {
 /// top-level `tests/` and `examples/` directories — owned by `tao-core`
 /// — enter the run).
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<WalkedFile>> {
-    let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
     let mut out: Vec<WalkedFile> = Vec::new();
-    let mut member_dirs: Vec<PathBuf> = Vec::new();
-    for pattern in toml_members(&manifest) {
-        if let Some(prefix) = pattern.strip_suffix("/*") {
-            let dir = root.join(prefix);
-            let mut expanded: Vec<PathBuf> = Vec::new();
-            for entry in fs::read_dir(&dir)? {
-                let entry = entry?;
-                if entry.file_type()?.is_dir() && entry.path().join("Cargo.toml").is_file() {
-                    expanded.push(Path::new(prefix).join(entry.file_name()));
-                }
-            }
-            expanded.sort();
-            member_dirs.extend(expanded);
-        } else {
-            member_dirs.push(PathBuf::from(pattern));
-        }
-    }
-
-    for member in member_dirs {
+    for member in member_dirs(root)? {
         let member_manifest = fs::read_to_string(root.join(&member).join("Cargo.toml"))?;
         let Some(krate) = toml_package_name(&member_manifest) else {
             continue;
@@ -113,6 +95,39 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<WalkedFile>> {
     out.sort_by(|a, b| a.path.cmp(&b.path));
     out.dedup_by(|a, b| a.path == b.path);
     Ok(out)
+}
+
+/// The workspace-relative `Cargo.toml` of every workspace member.
+pub fn member_manifests(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    Ok(member_dirs(root)?
+        .into_iter()
+        .map(|dir| dir.join("Cargo.toml"))
+        .collect())
+}
+
+/// The workspace `members`, with `crates/*` globs expanded against the
+/// directories that actually contain a `Cargo.toml`.
+fn member_dirs(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
+    let mut member_dirs: Vec<PathBuf> = Vec::new();
+    for pattern in toml_members(&manifest) {
+        if let Some(prefix) = pattern.strip_suffix("/*") {
+            let dir = root.join(prefix);
+            let mut expanded: Vec<PathBuf> = Vec::new();
+            for entry in fs::read_dir(&dir)? {
+                let entry = entry?;
+                if entry.file_type()?.is_dir() && entry.path().join("Cargo.toml").is_file() {
+                    expanded.push(Path::new(prefix).join(entry.file_name()));
+                }
+            }
+            expanded.sort();
+            member_dirs.extend(expanded);
+        } else {
+            member_dirs.push(PathBuf::from(pattern));
+        }
+    }
+
+    Ok(member_dirs)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -191,7 +206,7 @@ fn toml_members(manifest: &str) -> Vec<String> {
 }
 
 /// The `name = "…"` of the `[package]` section.
-fn toml_package_name(manifest: &str) -> Option<String> {
+pub(crate) fn toml_package_name(manifest: &str) -> Option<String> {
     let mut in_package = false;
     for line in manifest.lines() {
         let line = line.split('#').next().unwrap_or("").trim();
@@ -210,6 +225,31 @@ fn toml_package_name(manifest: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Every `(crate, line)` of the `[dependencies]` and `[dev-dependencies]`
+/// sections, the `[dev-dependencies.<crate>]` table form included.
+pub(crate) fn toml_dependencies(manifest: &str) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    let mut in_deps = false;
+    for (line_no, line) in (1..).zip(manifest.lines()) {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            in_deps = header == "dependencies" || header == "dev-dependencies";
+            if let Some(dep) = header
+                .strip_prefix("dependencies.")
+                .or_else(|| header.strip_prefix("dev-dependencies."))
+            {
+                out.push((dep.trim().to_string(), line_no));
+            }
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| in_deps) {
+            // `tao-x.workspace = true` and `tao-x = { … }` both name `tao-x`.
+            let dep = key.split('.').next().unwrap_or(key).trim();
+            out.push((dep.trim_matches('"').to_string(), line_no));
+        }
+    }
+    out
 }
 
 /// Every `path = "…"` of the `[[test]]`/`[[bench]]`/`[[example]]`/

@@ -72,26 +72,25 @@ fn taint_finding_carries_the_full_witness_chain() {
 
 #[test]
 fn multi_rule_pragma_waives_each_listed_rule() {
-    // One comment, two rules: a wall-clock read unwrapped in place is a
-    // `no-wall-clock` site and a `no-unwrap-in-lib` site on one line, and
-    // a pragma listing both silences both.
-    let src = "use std::time::{SystemTime, UNIX_EPOCH};\n\
-               pub fn stamp() -> u64 {\n    \
-               SystemTime::now().duration_since(UNIX_EPOCH).expect(\"clock after 1970\").as_secs() \
-               // tao-lint: allow(no-wall-clock, no-unwrap-in-lib, reason = \"fixture: both rules on one line\")\n\
+    // One comment, two rules: a fingerprint fn that reaches both a panic
+    // and an env read is a `panic-reachability` entry and a
+    // `determinism-taint` sink on one line, and a pragma listing both
+    // silences both.
+    let src = "// tao-lint: allow(panic-reachability, determinism-taint, reason = \"fixture: both rules on one line\")\n\
+               pub fn stamp_fingerprint(v: &[u64]) -> u64 {\n    \
+               v[0] ^ std::env::var(\"SALT\").map(|s| s.len() as u64).unwrap_or(0)\n\
                }\n";
-    let report = lint_one("crates/topology/src/multi.rs", "tao-topology", src);
+    let report = lint_one("crates/core/src/multi.rs", "tao-core", src);
     assert!(
         report.findings.is_empty(),
         "multi-rule pragma must waive both rules: {:?}",
         rendered(&report)
     );
-    assert!(report
-        .waived
-        .iter()
-        .any(|(r, _, _)| *r == Rule::NoWallClock));
-    assert!(report
-        .waived
-        .iter()
-        .any(|(r, _, _)| *r == Rule::NoUnwrapInLib));
+    for rule in [Rule::PanicReachability, Rule::DeterminismTaint] {
+        assert!(
+            report.waived.iter().any(|(r, _, _)| *r == rule),
+            "{rule:?} not waived: {:?}",
+            report.waived
+        );
+    }
 }

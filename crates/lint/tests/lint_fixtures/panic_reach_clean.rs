@@ -16,7 +16,8 @@ impl SafeRouter {
     }
 
     fn choose(&self, target: u32) -> u32 {
-        // tao-lint: allow(no-unwrap-in-lib, reason = "hops is non-empty after join")
-        *self.hops.first().expect("joined") + target
+        #[expect(clippy::expect_used, reason = "hops is non-empty after join")]
+        let first = *self.hops.first().expect("joined");
+        first + target
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture: a pub entry point in an entry crate (`tao-overlay`) that
-//! transitively reaches a leaf panic. The leaf's own waiver discharges
-//! `no-unwrap-in-lib` but NOT the entry-point obligation.
+//! transitively reaches a leaf panic. The leaf's own clippy expectation
+//! discharges `clippy::expect_used` but NOT the entry-point obligation.
 
 pub struct Router {
     hops: Vec<u32>,
@@ -12,7 +12,8 @@ impl Router {
     }
 
     fn pick(&self, target: u32) -> u32 {
-        // tao-lint: allow(no-unwrap-in-lib, reason = "hops is non-empty after join")
-        *self.hops.first().expect("joined") + target
+        #[expect(clippy::expect_used, reason = "hops is non-empty after join")]
+        let first = *self.hops.first().expect("joined");
+        first + target
     }
 }

@@ -1,6 +1,7 @@
-//! Golden test for the structural rules: each rule must fire on its
-//! violation fixture with the exact expected positions and messages, and
-//! stay quiet on its clean fixture.
+//! Golden test for the structural source rules: each rule must fire on
+//! its violation fixture with the exact expected positions and messages,
+//! and stay quiet on its clean fixture. `crate-layering` reads manifests,
+//! not sources; `rules.rs` tests it.
 
 mod workspace_harness;
 
@@ -9,18 +10,6 @@ use workspace_harness::Suite;
 
 const SUITE: Suite = Suite {
     fixtures: &[
-        (
-            "crates/overlay/src/layering_violation.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            include_str!("lint_fixtures/layering_violation.rs"),
-        ),
-        (
-            "crates/overlay/src/layering_clean.rs",
-            "tao-overlay",
-            FileKind::Lib,
-            include_str!("lint_fixtures/layering_clean.rs"),
-        ),
         (
             "crates/core/src/seed_violation.rs",
             "tao-core",
@@ -46,14 +35,14 @@ const SUITE: Suite = Suite {
             include_str!("lint_fixtures/panic_reach_clean.rs"),
         ),
         (
-            "crates/landmark/src/unused_waiver_violation.rs",
-            "tao-landmark",
+            "crates/overlay/src/unused_waiver_violation.rs",
+            "tao-overlay",
             FileKind::Lib,
             include_str!("lint_fixtures/unused_waiver_violation.rs"),
         ),
         (
-            "crates/landmark/src/unused_waiver_clean.rs",
-            "tao-landmark",
+            "crates/overlay/src/unused_waiver_clean.rs",
+            "tao-overlay",
             FileKind::Lib,
             include_str!("lint_fixtures/unused_waiver_clean.rs"),
         ),
@@ -62,7 +51,6 @@ const SUITE: Suite = Suite {
     golden_file: "expected_structural.txt",
     rules: &[
         Rule::PanicReachability,
-        Rule::CrateLayering,
         Rule::SeedDiscipline,
         Rule::UnusedWaiver,
     ],

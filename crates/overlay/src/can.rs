@@ -511,9 +511,10 @@ impl CanOverlay {
     ///
     /// Panics if the overlay is empty or the point has the wrong
     /// dimensionality.
+    #[expect(clippy::expect_used, reason = "overlay is empty")]
     pub fn owner(&self, point: &Point) -> OverlayNodeId {
         assert_eq!(point.dims(), self.dims, "dimensionality mismatch");
-        self.owner_at(point.coords()).expect("overlay is empty") // tao-lint: allow(no-unwrap-in-lib, reason = "overlay is empty")
+        self.owner_at(point.coords()).expect("overlay is empty")
     }
 
     /// [`CanOverlay::owner`] of the point with coordinates `coords`, for
@@ -611,9 +612,11 @@ impl CanOverlay {
         })
     }
 
-    /// A uniformly-random-ish live member of `query` (weighted by zone
-    /// count, not volume) — usable where enumerating a huge high-order zone
-    /// would be wasteful. One descent, O(depth) and heap-free: a region that
+    /// A random live member of `query`, weighted by volume: a fair coin
+    /// at each split makes it the owner of a uniform random point in the
+    /// box, not a uniform pick among the members — usable where
+    /// enumerating a huge high-order zone would be wasteful. One descent,
+    /// O(depth) and heap-free: a region that
     /// meets `query` has a lower child that does iff `query` starts below
     /// the split's midpoint and an upper child that does iff it ends above
     /// it, and a coin is drawn only where both do, `gen_bool(0.5)`, heads
@@ -756,13 +759,14 @@ impl CanOverlay {
         // may hold extra zones taken over from departed neighbors): the
         // primary zone is checked first, matching the acquisition order.
         let oi = owner.index();
+        #[expect(clippy::expect_used, reason = "owner's zones cover the join point")]
         let zone_idx = if box_contains(self.primary_lo(oi), self.primary_hi(oi), point.coords()) {
             0
         } else {
             1 + self.extra[oi]
                 .iter()
                 .position(|z| z.contains(&point))
-                .expect("owner's zones cover the join point") // tao-lint: allow(no-unwrap-in-lib, reason = "owner's zones cover the join point")
+                .expect("owner's zones cover the join point")
         };
         let owner_zone = if zone_idx == 0 {
             self.primary_zone(oi)
@@ -850,6 +854,10 @@ impl CanOverlay {
         }
         let i = id.index();
         // Pick the smallest-volume neighbor as the taker.
+        #[expect(
+            clippy::expect_used,
+            reason = "a live non-last node has at least one neighbor"
+        )]
         let taker = self.neighbors[i]
             .iter()
             .copied()
@@ -858,7 +866,7 @@ impl CanOverlay {
                 let vb = self.node_volume(b.index());
                 va.total_cmp(&vb).then(a.cmp(b))
             })
-            .expect("a live non-last node has at least one neighbor"); // tao-lint: allow(no-unwrap-in-lib, reason = "a live non-last node has at least one neighbor")
+            .expect("a live non-last node has at least one neighbor");
 
         // The taker now owns all of the departing node's zones (primary
         // first, then its takeovers — the order the old zone list held).
@@ -867,9 +875,10 @@ impl CanOverlay {
         let primary = self.primary_zone(i);
         let departed_extra = std::mem::take(&mut self.extra[i]);
         for z in std::iter::once(&primary).chain(&departed_extra) {
+            #[expect(clippy::expect_used, reason = "a held zone has a leaf")]
             let (leaf, holder, _) = self
                 .leaf_at(z.center().coords())
-                .expect("a held zone has a leaf"); // tao-lint: allow(no-unwrap-in-lib, reason = "a held zone has a leaf")
+                .expect("a held zone has a leaf");
             debug_assert_eq!(holder, id, "the leaf under {z} names its holder");
             self.tree[leaf as usize] = LEAF | taker.0;
         }
@@ -1132,14 +1141,18 @@ fn link_remove(v: &mut Vec<OverlayNodeId>, id: OverlayNodeId) {
 /// The axis along which `zone` is widest (ties break to the lowest axis) —
 /// the CAN split axis.
 fn widest_axis(zone: &Zone) -> usize {
-    (0..zone.dims())
+    #[expect(clippy::expect_used, reason = "zones have at least one axis")]
+    let widest = (0..zone.dims())
         .max_by(|&a, &b| {
-            zone.extent(a)
+            #[expect(clippy::expect_used, reason = "extents are finite")]
+            let order = zone
+                .extent(a)
                 .partial_cmp(&zone.extent(b))
-                .expect("extents are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "extents are finite")
-                .then(b.cmp(&a)) // prefer the lower axis on ties
+                .expect("extents are finite");
+            order.then(b.cmp(&a)) // prefer the lower axis on ties
         })
-        .expect("zones have at least one axis") // tao-lint: allow(no-unwrap-in-lib, reason = "zones have at least one axis")
+        .expect("zones have at least one axis");
+    widest
 }
 
 #[cfg(test)]
@@ -1418,7 +1431,7 @@ mod tests {
         let can = grown_overlay(64, 15);
         let (left, _) = Zone::whole(2).split(0);
         let mut rng = StdRng::seed_from_u64(16);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = tao_util::det::DetSet::new();
         for _ in 0..200 {
             seen.insert(can.sample_in(&left, &mut rng).expect("populated"));
         }

@@ -180,16 +180,12 @@ impl ChordOverlay {
         let ids: Vec<RingId> = self.node_ids().collect();
         for (i, &id) in ids.iter().enumerate() {
             let next = ids[(i + 1) % ids.len()];
-            assert_eq!(
-                self.successor(id).expect("non-empty ring"), // tao-lint: allow(no-unwrap-in-lib, reason = "non-empty ring")
-                id,
-                "node {id:#x} is not its own successor"
-            );
-            assert_eq!(
-                self.successor(id.wrapping_add(1)).expect("non-empty ring"), // tao-lint: allow(no-unwrap-in-lib, reason = "non-empty ring")
-                next,
-                "ring order broken after {id:#x}"
-            );
+            #[expect(clippy::expect_used, reason = "non-empty ring")]
+            let own = self.successor(id).expect("non-empty ring");
+            assert_eq!(own, id, "node {id:#x} is not its own successor");
+            #[expect(clippy::expect_used, reason = "non-empty ring")]
+            let after = self.successor(id.wrapping_add(1)).expect("non-empty ring");
+            assert_eq!(after, next, "ring order broken after {id:#x}");
             for f in self.fingers(id) {
                 assert!(
                     self.nodes.contains_key(&f.target),
@@ -264,10 +260,9 @@ impl KeyedOverlay for ChordOverlay {
             let target = selector.select(id, &bit, &candidates, self);
             fingers.push(Finger { bit, target });
         }
-        self.nodes
-            .get_mut(&id)
-            .expect("checked above") // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
-            .fingers = fingers;
+        #[expect(clippy::expect_used, reason = "checked above")]
+        let state = self.nodes.get_mut(&id).expect("checked above");
+        state.fingers = fingers;
     }
 
     /// Routes a lookup for `key` from node `start` using fingers: each hop

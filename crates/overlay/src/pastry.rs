@@ -334,7 +334,8 @@ impl KeyedOverlay for PastryOverlay {
             }
         }
         let leaves = self.leaf_set_of(id);
-        let s = self.nodes.get_mut(&id).expect("checked above"); // tao-lint: allow(no-unwrap-in-lib, reason = "checked above")
+        #[expect(clippy::expect_used, reason = "checked above")]
+        let s = self.nodes.get_mut(&id).expect("checked above");
         s.table = table;
         s.leaves = leaves;
     }
@@ -369,6 +370,7 @@ impl KeyedOverlay for PastryOverlay {
         while current != root {
             let p = shared_prefix_len(current, key);
             let wanted = digit(key, p.min(DIGITS - 1));
+            #[expect(clippy::expect_used, reason = "current is present")]
             let next = self
                 .table_entry(current, p, wanted)
                 .filter(|&n| self.nodes.contains_key(&n))
@@ -387,7 +389,7 @@ impl KeyedOverlay for PastryOverlay {
                         .chain(
                             self.nodes
                                 .get(&current)
-                                .expect("current is present") // tao-lint: allow(no-unwrap-in-lib, reason = "current is present")
+                                .expect("current is present")
                                 .table
                                 .iter()
                                 .flatten()

@@ -115,11 +115,14 @@ impl<O: SlotOverlay> NeighborSelector<O> for ClosestSelector {
         candidates: &[O::Id],
         overlay: &O,
     ) -> O::Id {
-        let router = |id| overlay.underlay(id).expect("selector ids are members"); // tao-lint: allow(no-unwrap-in-lib, reason = "selector ids are members")
+        #[expect(clippy::expect_used, reason = "selector ids are members")]
+        let router = |id| overlay.underlay(id).expect("selector ids are members");
         let me = router(for_node);
-        *candidates
+        #[expect(clippy::expect_used, reason = "candidates are non-empty")]
+        let nearest = candidates
             .iter()
             .min_by_key(|&&c| (self.oracle.ground_truth(me, router(c)), c))
-            .expect("candidates are non-empty") // tao-lint: allow(no-unwrap-in-lib, reason = "candidates are non-empty")
+            .expect("candidates are non-empty");
+        *nearest
     }
 }

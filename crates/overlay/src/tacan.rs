@@ -108,8 +108,10 @@ impl ImbalanceStats {
         let mut volumes = Vec::with_capacity(can.len());
         let mut neighbor_counts = Vec::with_capacity(can.len());
         for id in can.live_nodes() {
-            volumes.push(can.zone(id).expect("live node").volume()); // tao-lint: allow(no-unwrap-in-lib, reason = "live node")
-            neighbor_counts.push(can.neighbors(id).expect("live node").len()); // tao-lint: allow(no-unwrap-in-lib, reason = "live node")
+            #[expect(clippy::expect_used, reason = "live node")]
+            volumes.push(can.zone(id).expect("live node").volume());
+            #[expect(clippy::expect_used, reason = "live node")]
+            neighbor_counts.push(can.neighbors(id).expect("live node").len());
         }
         volumes.sort_by(|a, b| b.total_cmp(a));
         neighbor_counts.sort_unstable_by(|a, b| b.cmp(a));

@@ -38,9 +38,10 @@ pub fn expanding_ring_search(
     let mut trace = SearchTrace::new();
     let mut visited: DetSet<OverlayNodeId> = DetSet::new();
     visited.insert(start);
+    #[expect(clippy::expect_used, reason = "start must be a live overlay node")]
     let mut ring: Vec<OverlayNodeId> = can
         .neighbors(start)
-        .expect("start must be a live overlay node"); // tao-lint: allow(no-unwrap-in-lib, reason = "start must be a live overlay node")
+        .expect("start must be a live overlay node");
     ring.sort();
     while !ring.is_empty() && trace.len() < budget {
         let mut next_ring: Vec<OverlayNodeId> = Vec::new();

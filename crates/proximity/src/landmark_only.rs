@@ -58,10 +58,11 @@ pub fn multi_group_rank<'a>(
         per_group.fold(0.0, f64::max)
     };
     let mut ranked: Vec<&Candidate> = pool.iter().filter(|c| c.underlay != query).collect();
+    #[expect(clippy::expect_used, reason = "scores are finite")]
     ranked.sort_by(|a, b| {
         score(&a.vector)
             .partial_cmp(&score(&b.vector))
-            .expect("scores are finite") // tao-lint: allow(no-unwrap-in-lib, reason = "scores are finite")
+            .expect("scores are finite")
             .then(a.underlay.cmp(&b.underlay))
     });
     ranked

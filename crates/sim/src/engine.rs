@@ -323,7 +323,8 @@ impl<M: Clone, L: LatencyModel> Simulator<M, L> {
             if self.queue.next_time()? > deadline {
                 return None;
             }
-            let ev = self.queue.pop().expect("peeked event must pop"); // tao-lint: allow(no-unwrap-in-lib, reason = "peeked event must pop")
+            #[expect(clippy::expect_used, reason = "peeked event must pop")]
+            let ev = self.queue.pop().expect("peeked event must pop");
             self.note_popped(ev.at, ev.seq);
             let (owner, msg) = match ev.event {
                 Pending::Deliver(msg) => {

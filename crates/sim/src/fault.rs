@@ -64,7 +64,13 @@ struct Partition {
 /// queries go through the per-node `crash_index`, and the test oracle
 /// (`is_down_scan`) replays this list — outside tests only the index reads.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(
+    not(test),
+    allow(
+        dead_code,
+        reason = "outside tests only the per-node crash index is read"
+    )
+)]
 struct CrashWindow {
     node: NodeId,
     down_from: SimTime,

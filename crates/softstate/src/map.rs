@@ -490,6 +490,7 @@ pub(crate) fn unit_position_into(
 /// The sub-box of `region` holding its map: per-axis extents scaled by
 /// `rate^(1/d)` so the volume ratio equals the condense rate, anchored at
 /// the region's lower corner (the grid "owned by a" in the paper's fig. 9).
+#[expect(clippy::expect_used, reason = "condensed box is valid")]
 fn condensed_box(region: &Zone, rate: f64) -> Zone {
     debug_assert!(rate > 0.0 && rate <= 1.0);
     if rate == 1.0 {
@@ -501,7 +502,7 @@ fn condensed_box(region: &Zone, rate: f64) -> Zone {
     let hi: Vec<f64> = (0..d)
         .map(|a| region.lo(a) + region.extent(a) * scale)
         .collect();
-    Zone::from_bounds(lo, hi).expect("condensed box is valid") // tao-lint: allow(no-unwrap-in-lib, reason = "condensed box is valid")
+    Zone::from_bounds(lo, hi).expect("condensed box is valid")
 }
 
 #[cfg(test)]

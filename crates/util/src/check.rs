@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn cases_see_distinct_seeded_streams() {
-        let firsts = std::cell::RefCell::new(std::collections::HashSet::new());
+        let firsts = std::cell::RefCell::new(crate::det::DetSet::new());
         let all_distinct = std::cell::Cell::new(true);
         for_all("distinct", 32, |rng| {
             let x: u64 = rng.gen();

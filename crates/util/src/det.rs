@@ -16,9 +16,9 @@
 //! hash-collection surface this workspace uses (`insert` / `get` /
 //! `remove` / `iter` / `len` / `contains_key` / `entry` / …), so migrating
 //! a call site is a type change, not a rewrite, and the names exist to say
-//! *why* a B-tree sits there. The `tao-lint` rule `det-collections` enforces
-//! the migration statically: non-test code must not name the std hash
-//! collections at all.
+//! *why* a B-tree sits there. The `disallowed-types` list of the root
+//! `clippy.toml` enforces the migration statically: no code, tests
+//! included, may name the std hash collections at all.
 //!
 //! ```
 //! use tao_util::det::DetMap;
@@ -39,8 +39,8 @@
 pub use std::collections::btree_map::Entry;
 
 /// A map with deterministic, insertion-independent iteration order
-/// (ascending key order): `std`'s B-tree map under the name the
-/// `det-collections` rule points to. Requires `K: Ord` instead of
+/// (ascending key order): `std`'s B-tree map under the name clippy's
+/// `disallowed-types` reason points to. Requires `K: Ord` instead of
 /// `K: Hash + Eq`.
 pub type DetMap<K, V> = std::collections::BTreeMap<K, V>;
 

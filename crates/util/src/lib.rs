@@ -21,7 +21,12 @@
 //! bit-reproducible forever.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod check;
 pub mod det;

@@ -43,6 +43,7 @@ pub fn workers() -> usize {
 /// # Panics
 ///
 /// Panics if `workers` is zero or a worker thread panics.
+#[expect(clippy::expect_used, reason = "every slot is filled")]
 pub fn par_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -107,7 +108,7 @@ where
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every slot is filled")) // tao-lint: allow(no-unwrap-in-lib, reason = "every slot is filled")
+        .map(|s| s.expect("every slot is filled"))
         .collect()
 }
 

@@ -303,7 +303,7 @@ pub mod rngs {
 
 /// Distributions (`rand::distributions` work-alikes).
 pub mod distributions {
-    use super::{Rng, RngCore, SampleUniform};
+    use super::{RngCore, SampleUniform};
 
     /// A sampleable distribution over `T`.
     pub trait Distribution<T> {
@@ -401,11 +401,6 @@ pub mod distributions {
             T::sample_uniform(rng, self.low, self.high, self.inclusive)
         }
     }
-
-    // Keep `Rng` in scope so downstream `use …::distributions::*` call
-    // sites that sample through the trait keep compiling.
-    #[allow(unused_imports)]
-    use Rng as _;
 }
 
 /// Slice helpers (`rand::seq` work-alikes).

@@ -66,11 +66,15 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`earlier` must not be later than `self`"
+    )]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
-                .expect("`earlier` must not be later than `self`"), // tao-lint: allow(no-unwrap-in-lib, reason = "`earlier` must not be later than `self`")
+                .expect("`earlier` must not be later than `self`"),
         )
     }
 
@@ -200,11 +204,12 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "duration subtraction underflow")]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                .expect("duration subtraction underflow"), // tao-lint: allow(no-unwrap-in-lib, reason = "duration subtraction underflow")
+                .expect("duration subtraction underflow"),
         )
     }
 }

@@ -40,15 +40,19 @@ cargo test -q --offline
 
 # ---- Lint stage: structural + taint + hot-path analysis, baseline-gated. ---
 # The whole workspace is held to rustfmt and clippy. benchmark/ is its own
-# cargo workspace, so neither command reaches it.
+# cargo workspace, so neither command reaches it. clippy also carries the
+# three token-level determinism guards: clippy.toml's disallowed-types
+# (std HashMap/HashSet) and disallowed-methods (Instant/SystemTime::now),
+# and the crate roots' unwrap_used/expect_used, each waived only by an
+# `#[expect(…, reason = "…")]` that rustc fails once it goes stale.
 cargo fmt --all --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "workspace fmt + clippy: OK"
 # tao-lint derives the file set from the workspace manifests (its own crate
-# included), enforces the four token rules, the four structural rules
-# (panic-reachability, crate-layering, seed-discipline, unused-waiver),
-# determinism-taint, and the two hot-path rules scoped to
-# `// tao-lint: hot` closures (alloc-reachability, arith-safety), writes
+# included), enforces bad-pragma, the three structural source rules
+# (panic-reachability, seed-discipline, unused-waiver), crate-layering over
+# the member manifests, determinism-taint, and the two hot-path rules
+# scoped to `// tao-lint: hot` closures (alloc-reachability, arith-safety), writes
 # the stable JSON report to target/tao-lint.json (not committed: its
 # messages carry line numbers, so it moved with every PR while the gate is
 # the line-free baseline), and diffs it against the committed baseline:
@@ -66,19 +70,18 @@ if [ "$lint_elapsed_ms" -ge 10000 ]; then
 fi
 echo "lint stage: OK (matches lint-baseline.txt, ${lint_elapsed_ms}ms < 10s budget)"
 
-# Negative smokes: the gate must reject an injected violation of each
-# analysis family. The lint run never compiles the workspace, so injected
-# code only has to lex; its JSON goes to a scratch path so
-# target/tao-lint.json stays the report of the honest run above.
-#   lint_smoke WHAT FILE [ANCHOR] <<'EOF' … EOF
+# Negative smokes: the gates must reject an injected violation of each
+# analysis family.
+#   smoke CHECK WHAT FILE [ANCHOR] <<'EOF' … EOF
 # Without ANCHOR, stdin becomes the new file FILE; with it, stdin is
-# inserted after the one line of FILE that equals ANCHOR. Either way FILE
-# is back as it was on every exit path.
-lint_smoke() {
-    local what=$1 file=$2 anchor=${3-} restore="rm -f $2" caught=1
+# inserted after the one line of FILE that equals ANCHOR. CHECK must then
+# succeed. Either way FILE is back as it was on every exit path, with a
+# fresh mtime so no build keeps what was compiled from the injection.
+smoke() {
+    local check=$1 what=$2 file=$3 anchor=${4-} restore="rm -f $3" caught=0
     if [ -n "$anchor" ]; then
         cp "$file" "$file.ci_bak"
-        restore="mv -f $file.ci_bak $file"
+        restore="mv -f $file.ci_bak $file && touch $file"
     fi
     trap "$restore" EXIT
     python3 -c '
@@ -86,15 +89,14 @@ import sys
 path, anchor, text = sys.argv[1], sys.argv[2], sys.stdin.read()
 if anchor:
     src = open(path).read()
-    assert src.count(anchor + "\n") == 1, f"lint smoke: anchor not found once in {path}"
+    assert src.count(anchor + "\n") == 1, f"smoke: anchor not found once in {path}"
     text = src.replace(anchor + "\n", anchor + "\n" + text)
 open(path, "w").write(text)
 ' "$file" "$anchor"
-    if cargo run --release --offline -p tao-lint -- --workspace \
-        --json target/tao-lint-smoke.json --baseline lint-baseline.txt >/dev/null 2>&1; then
-        caught=0
+    if $check; then
+        caught=1
     fi
-    $restore
+    eval "$restore"
     trap - EXIT
     if [ "$caught" -eq 0 ]; then
         echo "FAIL: injected $what was not caught by the lint stage." >&2
@@ -103,16 +105,54 @@ open(path, "w").write(text)
     echo "lint negative smoke: OK (injected $what fails the gate)"
 }
 
-# crate-layering: overlay reaching up into the engine.
-lint_smoke "layering violation" crates/overlay/src/ci_layering_smoke.rs <<'EOF'
-use tao_sim::SimTime;
-pub fn smoke(t: SimTime) -> u64 {
-    t.as_micros()
+# The tao-lint run never compiles the workspace, so code injected for it
+# only has to lex. It runs the binary built above: `cargo run` would
+# re-resolve a manifest the layering smoke edits and rewrite Cargo.lock.
+# Its JSON goes to a scratch path so target/tao-lint.json stays the report
+# of the honest run.
+lint_rejects() {
+    ! target/release/tao-lint --workspace --json target/tao-lint-smoke.json \
+        --baseline lint-baseline.txt >/dev/null 2>&1
+}
+# clippy must fail and name every lint the injection breaks.
+clippy_rejects() {
+    local out lint
+    if out=$(cargo clippy -q --offline -p tao-util --lib -- -D warnings 2>&1); then
+        return 1
+    fi
+    for lint in disallowed_types disallowed_methods expect_used \
+        unfulfilled_lint_expectations allow_attributes_without_reason; do
+        if ! grep -q "${lint//_/[-_]}" <<<"$out"; then
+            echo "clippy smoke: the output names no $lint" >&2
+            return 1
+        fi
+    done
+}
+
+# The three guards clippy took over from tao-lint, and rustc's check of
+# their waivers: a std HashMap, a wall-clock read, a bare `.expect(`, a
+# stale `#[expect]` and one without a reason, in one tao-util file.
+smoke clippy_rejects "HashMap + Instant::now + .expect( + stale and reasonless #[expect]" \
+    crates/util/src/det.rs "pub type DetSet<T> = std::collections::BTreeSet<T>;" <<'EOF'
+/// The clippy negative smoke's injection.
+pub fn ci_clippy_smoke(slot: Option<u64>) -> u64 {
+    let mut seen = std::collections::HashMap::new();
+    seen.insert(0u64, std::time::Instant::now());
+    #[expect(clippy::unwrap_used, reason = "stale: nothing here unwraps")]
+    let n = seen.len() as u64;
+    #[expect(clippy::expect_used)]
+    let first = slot.expect("reasonless expectation");
+    first + n + slot.expect("bare")
 }
 EOF
 
+# crate-layering: overlay's manifest reaching up into the engine.
+smoke lint_rejects "layering violation" crates/overlay/Cargo.toml "[dependencies]" <<'EOF'
+tao-sim.workspace = true
+EOF
+
 # determinism-taint: an unwaived env read flowing into a fingerprint function.
-lint_smoke "env-read→fingerprint taint" crates/core/src/ci_taint_smoke.rs <<'EOF'
+smoke lint_rejects "env-read→fingerprint taint" crates/core/src/ci_taint_smoke.rs <<'EOF'
 pub fn smoke_fingerprint(state: &[u64]) -> u64 {
     let bias = std::env::var("TAO_SMOKE").map(|v| v.len() as u64).unwrap_or(0);
     let mut acc = bias;
@@ -126,7 +166,7 @@ EOF
 # alloc-reachability: a Vec::push in the CAN routing fast path —
 # `route_append` sits inside the hot closure of the `// tao-lint: hot`
 # entry `route_into`.
-lint_smoke "hot-path Vec::push" crates/overlay/src/can.rs \
+smoke lint_rejects "hot-path Vec::push" crates/overlay/src/can.rs \
     "        scratch.mark(start.index());" <<'EOF'
         let mut ci_smoke_trace: Vec<u64> = Vec::new();
         ci_smoke_trace.push(0u64);
@@ -134,7 +174,7 @@ EOF
 
 # seed-discipline: an RNG seeded from the process id, which differs from
 # run to run; no other rule sees a seed.
-lint_smoke "process-id RNG seed" crates/core/src/ci_seed_smoke.rs <<'EOF'
+smoke lint_rejects "process-id RNG seed" crates/core/src/ci_seed_smoke.rs <<'EOF'
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
 pub fn smoke() -> StdRng {
@@ -144,7 +184,7 @@ EOF
 
 # arith-safety (time-arith): an unguarded, wrapping `+` in the timing
 # wheel's cursor math — `place` sits inside the hot closure of `pop`.
-lint_smoke "wrapping cursor add" crates/sim/src/event.rs \
+smoke lint_rejects "wrapping cursor add" crates/sim/src/event.rs \
     "        let delta = e.at - self.cursor;" <<'EOF'
         let ci_smoke_tick = self.cursor + delta;
 EOF
@@ -160,8 +200,7 @@ for field in ("version", "files_checked", "findings", "summary"):
     if field not in report:
         sys.exit(f"lint.json missing top-level field `{field}`")
 expected_rules = [
-    "det-collections", "no-wall-clock", "no-unwrap-in-lib", "bad-pragma",
-    "panic-reachability", "crate-layering", "seed-discipline",
+    "bad-pragma", "panic-reachability", "crate-layering", "seed-discipline",
     "unused-waiver", "determinism-taint",
     "alloc-reachability", "arith-safety",
 ]
@@ -337,11 +376,11 @@ done
 echo "figure drift: OK ($(echo $figures | wc -w) tables of scripts/figures.txt byte-identical to results/)"
 
 # ---- Wall clock: the library crates read none, waived or not. ---------------
-# tao-lint fails an unwaived read anywhere and a pragma without a reason
-# (bad-pragma); this gate is the stronger property: under the eight runtime
-# crates no waiver is left to audit. The one site that remains in the
-# workspace is crates/bench/src/replay.rs, which prints wall-clock columns
-# beside its simulated ones by design.
+# clippy's disallowed-methods fails an unwaived read anywhere, and an
+# `#[expect]` without a reason; this gate is the stronger property: under
+# the eight runtime crates no waiver is left to audit. The one site that
+# remains in the workspace is crates/bench/src/replay.rs, which prints
+# wall-clock columns beside its simulated ones by design.
 if grep -rnE 'Instant::now|SystemTime' \
     crates/{util,sim,topology,landmark,overlay,softstate,proximity,core}/src; then
     echo "FAIL: wall-clock read (or mention of one) in a library crate, see above." >&2

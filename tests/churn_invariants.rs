@@ -538,7 +538,7 @@ fn full_system_recovers_after_churn_with_maintenance() {
         after.mean()
     );
     // Departed nodes left no soft-state behind (proactive policy).
-    let live: std::collections::HashSet<_> = tao.ecan().can().live_nodes().collect();
+    let live: tao_util::det::DetSet<_> = tao.ecan().can().live_nodes().collect();
     for map in tao.state().maps() {
         for e in map.entries() {
             assert!(

@@ -1,7 +1,6 @@
 //! Integration of the Table-1 lookup procedure across crates: landmark
 //! machinery → soft-state maps → overlay hosting.
 
-use std::collections::HashMap;
 use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point};
@@ -9,6 +8,7 @@ use tao_sim::{SimDuration, SimTime};
 use tao_softstate::{GlobalState, NodeInfo, SoftStateConfig};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{generate_transit_stub, LatencyAssignment, RttOracle, TransitStubParams};
+use tao_util::det::DetMap;
 use tao_util::rand::rngs::StdRng;
 use tao_util::rand::SeedableRng;
 
@@ -16,7 +16,7 @@ struct World {
     oracle: RttOracle,
     ecan: EcanOverlay,
     state: GlobalState,
-    infos: HashMap<OverlayNodeId, NodeInfo>,
+    infos: DetMap<OverlayNodeId, NodeInfo>,
 }
 
 fn world(condense_rate: f64, seed: u64) -> World {
@@ -40,7 +40,7 @@ fn world(condense_rate: f64, seed: u64) -> World {
         .condense_rate(condense_rate)
         .build();
     let mut state = GlobalState::new(config);
-    let mut infos = HashMap::new();
+    let mut infos = DetMap::new();
     for id in ecan.can().live_nodes().collect::<Vec<_>>() {
         let underlay = ecan.can().underlay(id);
         let vector = LandmarkVector::measure(underlay, &landmarks, &oracle);
