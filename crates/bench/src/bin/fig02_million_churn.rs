@@ -5,8 +5,9 @@
 //! the stress companion that the timing-wheel event queue, the arena/SoA
 //! node storage, and the incremental eCAN maintenance paths exist for:
 //!
-//! * the overlay is grown to `N` nodes (10^6 at paper scale) with
-//!   enumeration-free neighbor selection ([`SampledRandomSelector`]);
+//! * the overlay is grown to `N` nodes (10^6 at paper scale) with the
+//!   32k-node sweep's [`RandomSelector`]: volume-weighted draws from the
+//!   split tree, with no member enumeration;
 //! * a churn phase runs *through the simulator* — joins, departures, and
 //!   routing probes fire as timers, with handler-armed follow-ups, so the
 //!   event queue sees the mixed-horizon schedule of a real experiment;
@@ -20,7 +21,7 @@
 //! order, overlay maintenance or routing shows up as a mismatch.
 
 use tao_bench::{f3, print_table, Scale};
-use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch};
 use tao_sim::{SimDuration, Simulator, UniformLatency};
 use tao_topology::NodeIdx;
@@ -78,7 +79,7 @@ struct SweepOutcome {
 /// returned fingerprint is a pure function of `(n, churn_ops, routes,
 /// seed)`.
 fn run_sweep(n: usize, churn_ops: usize, routes: usize, seed: u64) -> SweepOutcome {
-    let mut selector = SampledRandomSelector::new(seed ^ 0x5eed);
+    let mut selector = RandomSelector::new(seed ^ 0x5eed);
     eprintln!("fig02_million_churn: building {n}-node eCAN");
     let mut ecan = EcanOverlay::build(grown_can(n, seed), &mut selector);
     eprintln!("fig02_million_churn: tables built, starting churn phase");

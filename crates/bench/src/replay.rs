@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tao_core::{LoadAwareSelector, LoadModel};
-use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
+use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, RandomSelector};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, RouteScratch, Zone};
 use tao_topology::{
     generate_transit_stub, LatencyAssignment, NodeIdx, RttOracle, TransitStubParams,
@@ -180,7 +180,7 @@ impl ReplayWorld {
         for i in 0..spec.nodes {
             can.join(routers[i % n_routers], Point::random(DIMS, &mut join_rng));
         }
-        let mut selector = SampledRandomSelector::new(mix(spec.seed, 0xb117, 0));
+        let mut selector = RandomSelector::new(mix(spec.seed, 0xb117, 0));
         let ecan = EcanOverlay::build(can, &mut selector);
         let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
 

@@ -648,6 +648,17 @@ mod tests {
         fn store_naming_nobody(aware: &Aware<Self>, topo: &Topology) -> Self::State;
     }
 
+    /// `RandomSelector`'s draw over a listed slot, and nothing else: eCAN
+    /// lists every box for it, as for the soft-state selector's fallback,
+    /// where `RandomSelector` itself would sample the split tree.
+    struct Listed(RandomSelector);
+
+    impl<O: SlotOverlay> NeighborSelector<O> for Listed {
+        fn select(&mut self, n: O::Id, slot: &O::Slot, ids: &[O::Id], o: &O) -> O::Id {
+            self.0.select(n, slot, ids, o)
+        }
+    }
+
     impl Subject for EcanOverlay {
         const TOPOLOGY_SEED: u64 = 51;
 
@@ -928,7 +939,8 @@ mod tests {
         aware.overlay().check_invariants();
         let fallen_back = routes_of(&aware);
         let (_, fallback) = O::pass_seeds(None, SimTime::ORIGIN);
-        aware.overlay.reselect(&mut RandomSelector::new(fallback));
+        let mut listed = Listed(RandomSelector::new(fallback));
+        aware.overlay.reselect(&mut listed);
         assert_eq!(
             fallen_back,
             routes_of(&aware),

@@ -14,7 +14,9 @@
 /// How eCAN expressway representatives are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionStrategy {
-    /// Uniformly random member — the baseline in figures 14–15.
+    /// A random member (`RandomSelector`), the baseline of figures 14–15:
+    /// on eCAN volume-weighted, drawn without listing the box; on Chord and
+    /// Pastry uniform over the slot's listed members.
     Random,
     /// The paper's contribution: consult the target zone's soft-state map,
     /// RTT-probe the top-X candidates, pick the closest.

@@ -41,10 +41,11 @@ use std::error::Error;
 use std::fmt;
 
 use tao_topology::NodeIdx;
+use tao_util::rand::rngs::StdRng;
 
 use crate::point::Point;
 use crate::scratch::RouteScratch;
-use crate::select::SlotOverlay;
+use crate::select::{BoxSelection, SlotOverlay};
 use crate::zone::{box_contains, box_volume, boxes_intersect, boxes_neighbor, gap_sum, Zone};
 
 /// Identifies a node in an overlay. Dense per overlay; ids of departed
@@ -1122,6 +1123,14 @@ impl SlotOverlay for CanOverlay {
     fn underlay(&self, id: OverlayNodeId) -> Option<NodeIdx> {
         self.underlay.get(id.index()).copied()
     }
+
+    /// One split-tree descent ([`CanOverlay::sample_in`]): volume-weighted.
+    // tao-lint: hot
+    #[inline]
+    fn draw_member(&self, slot: &Zone, rng: &mut StdRng) -> BoxSelection {
+        self.sample_in(slot, rng)
+            .map_or(BoxSelection::Skip, BoxSelection::Chosen)
+    }
 }
 
 /// Inserts `id` into a sorted neighbor list if absent.
@@ -1410,36 +1419,6 @@ mod tests {
         }
         // Whole space returns everyone.
         assert_eq!(can.nodes_in(&Zone::whole(2)).len(), 32);
-    }
-
-    #[test]
-    fn sample_in_returns_members_of_the_query_box() {
-        let can = grown_overlay(64, 12);
-        let (left, _) = Zone::whole(2).split(0);
-        let members = can.nodes_in(&left);
-        let mut rng = StdRng::seed_from_u64(14);
-        for _ in 0..100 {
-            let s = can
-                .sample_in(&left, &mut rng)
-                .expect("left half is populated");
-            assert!(members.contains(&s), "{s} is not a member of the box");
-        }
-    }
-
-    #[test]
-    fn sample_in_covers_more_than_one_member() {
-        let can = grown_overlay(64, 15);
-        let (left, _) = Zone::whole(2).split(0);
-        let mut rng = StdRng::seed_from_u64(16);
-        let mut seen = tao_util::det::DetSet::new();
-        for _ in 0..200 {
-            seen.insert(can.sample_in(&left, &mut rng).expect("populated"));
-        }
-        assert!(
-            seen.len() > 3,
-            "sampling should reach many members, got {}",
-            seen.len()
-        );
     }
 
     /// The walk `sample_in` used to be: materialize the region of every
@@ -1770,7 +1749,7 @@ mod tests {
         // door only: for aligned cubes, clipped boxes, half-spaces and boxes
         // inside one zone, `nodes_in` is every live node repeated once per
         // zone it holds that meets the query, ascending — the exact list
-        // `RandomSelector` indexes into.
+        // an eCAN table pass hands `NeighborSelector::select`.
         use tao_util::check::for_all;
         use tao_util::check_eq;
         let [takers, repeats] = [(); 2].map(|()| std::cell::Cell::new(0u32));

@@ -278,7 +278,6 @@ enum Handover {
 #[test]
 fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
     use std::cell::Cell;
-    use tao_overlay::ecan::SampledRandomSelector;
     use tao_util::check::for_all_sequences;
 
     let (takers_departed, taken_over_joins) = (Cell::new(0u32), Cell::new(0u32));
@@ -298,7 +297,7 @@ fn multi_zone_handover_keeps_tree_zones_and_tables_in_step() {
         for i in 0..24u32 {
             can.join(NodeIdx(i), Point::random(2, &mut rng));
         }
-        let mut selector = SampledRandomSelector::new(42);
+        let mut selector = RandomSelector::new(42);
         let mut ecan = EcanOverlay::build(can, &mut selector);
         let mut next_underlay = 24u32;
         for step in steps {

@@ -9,7 +9,7 @@
 //! d = 2 and d = 3. The constant was taken with the per-candidate
 //! `sqrt` + best-so-far loops that the hop kernel replaced.
 
-use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::tacan::binned_join_point;
 use tao_overlay::{CanOverlay, OverlayError, OverlayNodeId, Point, RouteScratch};
 use tao_topology::NodeIdx;
@@ -149,13 +149,13 @@ fn route_fingerprint_for_ci() {
         // eCAN: join-only; churned with every table repaired as it goes;
         // churned with no repair.
         let (can, live) = grown_can(dims, seed + 7);
-        let pristine = EcanOverlay::build(can, &mut SampledRandomSelector::new(seed + 8));
+        let pristine = EcanOverlay::build(can, &mut RandomSelector::new(seed + 8));
         digest.routes(dims, &live, seed + 9, &mut scratch, |s, src, t| {
             pristine.route_express_into(s, src, t)
         });
 
         let (mut repaired, mut repaired_live) = (pristine.clone(), live.clone());
-        let selector = std::cell::RefCell::new(SampledRandomSelector::new(seed + 10));
+        let selector = std::cell::RefCell::new(RandomSelector::new(seed + 10));
         churn(
             &mut repaired,
             &mut repaired_live,

@@ -18,7 +18,7 @@
 use tao_util::det::DetSet;
 
 use tao_overlay::chord::{ChordOverlay, RingId};
-use tao_overlay::ecan::{EcanOverlay, SampledRandomSelector};
+use tao_overlay::ecan::{EcanOverlay, RandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::tacan::binned_join_point;
@@ -269,7 +269,7 @@ fn ecan_router_matches_the_reference_router() {
     // the liveness filter to skip.
     for (leaves_before, leaves_after) in [(0, 0), (96, 0), (0, 96)] {
         let (can, mut live, mut dead) = churned_can(512, leaves_before, 0x0903);
-        let mut ecan = EcanOverlay::build(can, &mut SampledRandomSelector::new(0x0904));
+        let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(0x0904));
         let mut rng = StdRng::seed_from_u64(0x090f);
         for _ in 0..leaves_after {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
@@ -305,7 +305,7 @@ fn can_route_into_matches_the_allocating_oracle() {
 #[test]
 fn ecan_route_express_into_matches_the_allocating_oracle() {
     let (can, live, dead) = churned_can(512, 96, 0x0903);
-    let ecan = EcanOverlay::build(can, &mut SampledRandomSelector::new(0x0904));
+    let ecan = EcanOverlay::build(can, &mut RandomSelector::new(0x0904));
     let calls = mixed_calls(&live, &dead, 2_500, 0x0905);
     let mut scratch = RouteScratch::new();
     assert_can_family_equivalence(
@@ -429,7 +429,7 @@ fn one_scratch_survives_interleaving_all_five_overlays() {
     // and ring-family (ring hop buffer) routes back to back; errors in
     // between must not poison later calls.
     let (can, live, dead) = churned_can(256, 32, 0x090a);
-    let ecan = EcanOverlay::build(can.clone(), &mut SampledRandomSelector::new(0x090b));
+    let ecan = EcanOverlay::build(can.clone(), &mut RandomSelector::new(0x090b));
     let mut chord = ChordOverlay::new();
     let mut rng = StdRng::seed_from_u64(0x090c);
     let mut ring_members: Vec<RingId> = Vec::new();

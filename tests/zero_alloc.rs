@@ -6,9 +6,9 @@
 //! reads takeover zones only on the latter — and the soft-state hosted
 //! lookup through its `LookupScratch`, whose remembered `(region, host)`
 //! fragments a warmed pass revisits — perform ZERO heap allocations, and
-//! so does a sampled expressway pick
-//! (`SampledRandomSelector::select_in_box`, one split-tree descent), on a
-//! pristine overlay and on a churned one.
+//! so does a sampled expressway pick (`RandomSelector::select_in_box`,
+//! which draws through `CanOverlay`'s `SlotOverlay::draw_member`: one
+//! split-tree descent), on a pristine overlay and on a churned one.
 //!
 //! The static pass (`tao-lint`'s `alloc-reachability`) proves the hot
 //! closure of every `// tao-lint: hot` entry point free of allocation
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tao_landmark::{LandmarkGrid, LandmarkVector};
 use tao_overlay::chord::{ChordOverlay, RingId};
-use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, SampledRandomSelector};
+use tao_overlay::ecan::{BoxSelection, EcanOverlay, NeighborSelector, RandomSelector};
 use tao_overlay::keyed::KeyedOverlay;
 use tao_overlay::pastry::{PastryId, PastryOverlay};
 use tao_overlay::tacan::binned_join_point;
@@ -113,13 +113,13 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     let whole_can_calls = can_family_calls(&whole_can_live, 0x0a0f);
 
     let (ecan_base, ecan_live) = churned_can(256, 24, 0x0a03);
-    let ecan = EcanOverlay::build(ecan_base, &mut SampledRandomSelector::new(0x0a04));
+    let ecan = EcanOverlay::build(ecan_base, &mut RandomSelector::new(0x0a04));
     let ecan_calls = can_family_calls(&ecan_live, 0x0a05);
 
     // Every (node, expressway target box) of the churned eCAN and of a
-    // pristine one, asked of the sampling selector as a table build asks.
+    // pristine one, asked of `RandomSelector` as a table build asks.
     let (pristine_base, pristine_live) = churned_can(256, 0, 0x0a0b);
-    let pristine = EcanOverlay::build(pristine_base, &mut SampledRandomSelector::new(0x0a0c));
+    let pristine = EcanOverlay::build(pristine_base, &mut RandomSelector::new(0x0a0c));
     let pristine_calls = can_family_calls(&pristine_live, 0x0a10);
     let box_picks = |ecan: &EcanOverlay| -> Vec<(OverlayNodeId, Zone)> {
         let ids = ecan.can().live_nodes();
@@ -131,14 +131,14 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         .collect()
     };
     let picks = [(&ecan, box_picks(&ecan)), (&pristine, box_picks(&pristine))];
-    let mut sampler = SampledRandomSelector::new(0x0a0d);
-    let sampled_picks = |sampler: &mut SampledRandomSelector| -> usize {
+    let mut sampler = RandomSelector::new(0x0a0d);
+    let sampled_picks = |sampler: &mut RandomSelector| -> usize {
         picks
             .iter()
             .flat_map(|(ecan, boxes)| boxes.iter().map(move |(id, zone)| (ecan.can(), *id, zone)))
             .filter(|(can, id, zone)| {
                 matches!(
-                    sampler.select_in_box(*id, zone, can),
+                    sampler.select_in_box(*id, *zone, *can),
                     BoxSelection::Chosen(_)
                 )
             })
@@ -202,7 +202,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     let grid = LandmarkGrid::new(3, 5, SimDuration::from_millis(320)).expect("valid grid");
     let mut state = GlobalState::new(SoftStateConfig::builder(grid).condense_rate(0.25).build());
     let (store_base, _) = churned_can(256, 0, 0x0a08);
-    let mut store_ecan = EcanOverlay::build(store_base, &mut SampledRandomSelector::new(0x0a09));
+    let mut store_ecan = EcanOverlay::build(store_base, &mut RandomSelector::new(0x0a09));
     let mut infos: Vec<NodeInfo> = Vec::new();
     for id in store_ecan.can().live_nodes().collect::<Vec<_>>() {
         let millis: Vec<f64> = (0..15).map(|_| rng.gen_range(1.0..300.0)).collect();
@@ -224,7 +224,7 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
     for victim in (0..24).map(|i| OverlayNodeId(i * 10 + 3)) {
         store_ecan.depart(victim).expect("victim is live");
     }
-    store_ecan.reselect(&mut SampledRandomSelector::new(0x0a0a));
+    store_ecan.reselect(&mut RandomSelector::new(0x0a0a));
     // Each node asks every box of its expressway table for 10 candidates,
     // then its own smallest region — whose landing host stores the node's
     // own entry, to be left out — for 1 (answered by the host alone, when
