@@ -15,15 +15,17 @@
 //!   ([`GlobalState`](tao_softstate::GlobalState)), read through
 //!   [`GlobalStateSelector`](crate::GlobalStateSelector). Only eCAN has a
 //!   clock, incremental membership (`join_node`, `depart`) and pub/sub.
-//! * **Chord** ([`ChordAware`]) — records live at their landmark number's
-//!   *successor* ([`RingState`]); a node fetches its close-peer set once
-//!   and carves every finger interval's choice out of it.
-//! * **Pastry** ([`PastryAware`]) — one map per nodeId prefix
-//!   ([`PrefixState`]); instead of expanding-ring search at join plus
-//!   gossip, a table cell's candidates come from the map of the cell's
-//!   prefix region.
+//! * **Chord** and **Pastry** ([`ChordAware`], [`PastryAware`]) — one store,
+//!   [`KeyedState`], over nodeId-prefix regions: a record sits at its
+//!   landmark number's fraction of the region and lives on the region's
+//!   *successor* of that position. Chord keeps one map, the whole ring, so
+//!   a node fetches its close-peer set once and carves every finger
+//!   interval's choice out of it; Pastry keeps one map per prefix, and
+//!   instead of expanding-ring search at join plus gossip a table cell's
+//!   candidates come from a hosted walk in the map of the cell's prefix.
 
 use std::fmt::Debug;
+use std::ops::RangeInclusive;
 
 use tao_landmark::{LandmarkGrid, LandmarkNumber, LandmarkVector, SpaceFillingCurve};
 use tao_overlay::chord::ChordOverlay;
@@ -33,10 +35,8 @@ use tao_overlay::pastry::{PastryOverlay, DIGITS, DIGIT_BITS};
 use tao_overlay::select::{ClosestSelector, NeighborSelector, RandomSelector, SlotOverlay};
 use tao_overlay::RouteScratch;
 use tao_sim::{SimDuration, SimTime};
-use tao_softstate::prefix::{PrefixKey, PrefixState};
 use tao_softstate::pubsub::PubSub;
-use tao_softstate::ring::RingState;
-use tao_softstate::{PeerRecord, SoftStateConfig};
+use tao_softstate::{KeyedState, PeerRecord, PrefixKey, SoftStateConfig};
 use tao_topology::landmarks::{select_landmarks, LandmarkStrategy};
 use tao_topology::{NodeIdx, RttOracle, Topology};
 use tao_util::det::DetMap;
@@ -379,39 +379,26 @@ impl<O: AwareOverlay> Aware<O> {
     }
 }
 
-/// What Chord and Pastry contribute to their [`AwareOverlay`] items: a
-/// store, its seeds, and how a routing slot consults it. Everything else —
-/// a member joins at a random id, publishes a [`PeerRecord`], routes to a
-/// random key — they share.
-pub trait KeyedStore: KeyedOverlay {
-    /// The store holding the members' records.
-    type State: Debug;
+/// What Chord and Pastry contribute to their [`AwareOverlay`] items: their
+/// seeds, the prefix depths that get maps, and the region a routing slot
+/// reads. Everything else — a member joins at a random id, publishes a
+/// [`PeerRecord`] into a [`KeyedState`], routes to a random key — they
+/// share.
+pub trait KeyedStore: KeyedOverlay + Default {
     /// [`AwareOverlay::pass_seeds`]: every pass's, the build's included.
     const SEEDS: (u64, u64);
-    /// `true` when the store's answer depends on the owner alone, so one
-    /// lookup serves all of its slots.
-    const PER_OWNER: bool;
 
-    /// [`AwareOverlay::empty`].
-    fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (Self, Self::State);
+    /// The prefix lengths whose regions get maps, for `nodes` members.
+    fn depths(nodes: usize) -> RangeInclusive<u32>;
 
-    /// Publishes `record` into `state` at `now`.
-    fn publish(state: &mut Self::State, record: PeerRecord, now: SimTime);
-
-    /// The store's view of `query`'s physically close peers for `slot`,
-    /// nearest first.
-    fn lookup(
-        &self,
-        state: &Self::State,
-        query: &PeerRecord,
-        slot: &Self::Slot,
-        rtt_budget: usize,
-    ) -> Vec<PeerRecord>;
+    /// The region whose map `owner`'s `slot` reads, in a store whose
+    /// deepest maps have `deepest` digits.
+    fn region(owner: PeerId, slot: &Self::Slot, deepest: u32) -> PrefixKey;
 }
 
 impl<K: KeyedStore> AwareOverlay for K {
     type Slots = K;
-    type State = K::State;
+    type State = KeyedState;
     type Record = PeerRecord;
     type Scratch = ();
     type Key = PeerId;
@@ -421,8 +408,9 @@ impl<K: KeyedStore> AwareOverlay for K {
         K::SEEDS
     }
 
-    fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (K, K::State) {
-        KeyedStore::empty(config, params)
+    fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (K, KeyedState) {
+        let depths = K::depths(params.overlay_nodes);
+        (K::default(), KeyedState::new(config, depths))
     }
 
     fn slots(&self) -> &K {
@@ -451,8 +439,8 @@ impl<K: KeyedStore> AwareOverlay for K {
         }
     }
 
-    fn publish(&self, state: &mut K::State, record: PeerRecord, now: SimTime) {
-        K::publish(state, record, now);
+    fn publish(&self, state: &mut KeyedState, record: PeerRecord, now: SimTime) {
+        state.publish(record, now);
     }
 
     fn reselect(&mut self, selector: &mut dyn NeighborSelector<K>) {
@@ -520,19 +508,19 @@ fn probe_closest(
 /// The [`NeighborSelector`] backed by an id-keyed overlay's store. When the
 /// store names no candidate the choice is a draw from the fallback stream —
 /// a fresh deployment.
-struct StoreSelector<'a, K: KeyedStore> {
-    state: &'a K::State,
+struct StoreSelector<'a> {
+    state: &'a KeyedState,
     oracle: &'a RttOracle,
     records: &'a DetMap<PeerId, PeerRecord>,
     rtt_budget: usize,
     fallback: StdRng,
-    /// The store's last answer, and the owner it was for.
+    /// The store's last answer, and the `(owner, region)` it was for.
     found: Vec<PeerRecord>,
-    found_for: Option<PeerId>,
+    found_for: Option<(PeerId, PrefixKey)>,
     stats: SelectorStats,
 }
 
-impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_, K> {
+impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_> {
     fn select(
         &mut self,
         owner: PeerId,
@@ -546,10 +534,16 @@ impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_, K> {
             .get(&owner)
             .expect("every member published at build");
         self.stats.selections += 1;
-        if !(K::PER_OWNER && self.found_for == Some(owner)) {
+        let region = K::region(owner, slot, *self.state.depths().end());
+        if self.found_for != Some((owner, region)) {
             self.stats.lookups += 1;
-            self.found = overlay.lookup(self.state, query, slot, self.rtt_budget);
-            self.found_for = Some(owner);
+            // 8·X records from at most 4 hosts: enough physically close
+            // peers that the slots of interest overlap the set.
+            let (max, hosts) = (8 * self.rtt_budget, 4);
+            self.found = self
+                .state
+                .lookup(region, query, max, hosts, overlay, SimTime::ORIGIN);
+            self.found_for = Some((owner, region));
         }
         let chosen = probe_closest(
             &self.found,
@@ -565,65 +559,35 @@ impl<K: KeyedStore> NeighborSelector<K> for StoreSelector<'_, K> {
     }
 }
 
+/// Chord's one map is the whole ring, so every finger of an owner reads the
+/// same close-peer set.
 impl KeyedStore for ChordOverlay {
-    type State = RingState;
     const SEEDS: (u64, u64) = (0x1234, 0x5678);
-    const PER_OWNER: bool = true;
 
-    fn empty(config: SoftStateConfig, _params: &ExperimentParams) -> (Self, RingState) {
-        (ChordOverlay::new(), RingState::new(config))
+    fn depths(_: usize) -> RangeInclusive<u32> {
+        0..=0
     }
 
-    fn publish(state: &mut RingState, record: PeerRecord, now: SimTime) {
-        state.publish(record, now);
-    }
-
-    /// Fetches wide, from up to four successor hosts: enough physically
-    /// close peers that every finger interval of interest overlaps the set.
-    fn lookup(
-        &self,
-        state: &RingState,
-        query: &PeerRecord,
-        _: &u32,
-        rtt_budget: usize,
-    ) -> Vec<PeerRecord> {
-        state.lookup_hosted(query, rtt_budget * 8, 4, self, SimTime::ORIGIN)
+    fn region(_: PeerId, _: &u32, _: u32) -> PrefixKey {
+        PrefixKey::WHOLE
     }
 }
 
-/// How far a Pastry map lookup scans along the curve per side (Table 1's
-/// TTL).
-const LOOKUP_OVERSCAN: usize = 64;
-
 impl KeyedStore for PastryOverlay {
-    type State = PrefixState;
     const SEEDS: (u64, u64) = (0x9abc, 0xdef0);
-    const PER_OWNER: bool = false;
 
-    fn empty(config: SoftStateConfig, params: &ExperimentParams) -> (Self, PrefixState) {
-        // Maps exist for prefixes up to log16(N) + 1 digits.
-        let max_len = ((params.overlay_nodes as f64).log2() / 4.0).ceil() as u32 + 1;
-        let state = PrefixState::new(config, max_len.clamp(1, DIGITS));
-        (PastryOverlay::new(8), state)
+    /// Maps exist for prefixes of 1 to log16(N) + 1 digits.
+    fn depths(nodes: usize) -> RangeInclusive<u32> {
+        let deepest = ((nodes as f64).log2() / 4.0).ceil() as u32 + 1;
+        1..=deepest.clamp(1, DIGITS)
     }
 
-    fn publish(state: &mut PrefixState, record: PeerRecord, now: SimTime) {
-        state.publish(record, now);
-    }
-
-    /// The map of cell `(row, digit)`'s region: the owner's first `row`
-    /// digits then `digit`, cut to the deepest prefix that has a map.
-    fn lookup(
-        &self,
-        state: &PrefixState,
-        query: &PeerRecord,
-        &(row, digit): &(u32, u8),
-        rtt_budget: usize,
-    ) -> Vec<PeerRecord> {
+    /// The region of cell `(row, digit)`: the owner's first `row` digits
+    /// then `digit`, cut to the deepest prefix that has a map.
+    fn region(owner: PeerId, &(row, digit): &(u32, u8), deepest: u32) -> PrefixKey {
         let shift = (DIGITS - 1 - row) * DIGIT_BITS;
-        let cell = query.id & !(0xF << shift) | u64::from(digit) << shift;
-        let region = PrefixKey::of(cell, (row + 1).min(state.max_len()));
-        state.lookup(region, query, rtt_budget, LOOKUP_OVERSCAN, SimTime::ORIGIN)
+        let cell = owner & !(0xF << shift) | u64::from(digit) << shift;
+        PrefixKey::of(cell, (row + 1).min(deepest))
     }
 }
 
@@ -706,11 +670,11 @@ mod tests {
             self.successor(*key).unwrap()
         }
 
-        fn check_published(state: &RingState, members: usize) {
+        fn check_published(state: &KeyedState, members: usize) {
             assert_eq!(state.len(), members);
         }
 
-        fn store_naming_nobody(aware: &Aware<Self>, topo: &Topology) -> RingState {
+        fn store_naming_nobody(aware: &Aware<Self>, topo: &Topology) -> KeyedState {
             strangers(aware, topo)
         }
     }
@@ -726,12 +690,12 @@ mod tests {
             self.root_of(*key).unwrap()
         }
 
-        fn check_published(state: &PrefixState, members: usize) {
+        fn check_published(state: &KeyedState, members: usize) {
             // One record per prefix length per node.
-            assert_eq!(state.total_entries(), members * state.max_len() as usize);
+            assert_eq!(state.len(), members * state.depths().count());
         }
 
-        fn store_naming_nobody(aware: &Aware<Self>, topo: &Topology) -> PrefixState {
+        fn store_naming_nobody(aware: &Aware<Self>, topo: &Topology) -> KeyedState {
             strangers(aware, topo)
         }
     }
@@ -1014,6 +978,7 @@ mod tests {
         let topo = topology::<PastryOverlay>();
         let aware = PastryAware::build(&topo, params(SelectionStrategy::GlobalState), 2);
         let (pastry, state) = (aware.overlay(), aware.state());
+        let deepest = *state.depths().end();
         let owner = pastry.node_ids().next().unwrap();
         let query = aware.info(owner).unwrap();
         for row in 0..DIGITS {
@@ -1022,14 +987,15 @@ mod tests {
                 let Some(&member) = members.iter().find(|&&m| m != owner) else {
                     continue;
                 };
-                // The region a listed member's prefix names, as the slot's own.
-                let region = PrefixKey::of(member, (row + 1).min(state.max_len()));
-                let want = state.lookup(region, query, BUDGET, LOOKUP_OVERSCAN, SimTime::ORIGIN);
-                assert_eq!(
-                    pastry.lookup(state, query, &(row, digit), BUDGET),
-                    want,
+                // The region a listed member's prefix names is the slot's own.
+                let region = PastryOverlay::region(owner, &(row, digit), deepest);
+                assert_eq!(region, PrefixKey::of(member, (row + 1).min(deepest)));
+                assert!(
+                    members.iter().all(|&m| region.covers(m)),
                     "cell ({row}, {digit})"
                 );
+                let found = state.lookup(region, query, 8 * BUDGET, 4, pastry, SimTime::ORIGIN);
+                assert!(found.iter().all(|r| region.covers(r.id) && r.id != owner));
             }
         }
         // `CanOverlay` is the default slot overlay.

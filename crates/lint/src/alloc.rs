@@ -6,7 +6,9 @@
 //! by benchmarks. This pass proves it statically, the same way
 //! panic-reachability is ratcheted: a function definition annotated with
 //! a `// tao-lint: hot` marker (trailing, or stacked on the lines above
-//! the item) seeds a forward BFS over the approximate call graph, and
+//! the item, outer attributes and doc comments on either side of it; one
+//! that binds to no fn is a `bad-pragma`) seeds a forward BFS over the
+//! approximate call graph, and
 //! every function in that *hot closure* is scanned for allocation sites —
 //! collection growth (`.push(`, `.insert(`, `.resize(`, …), fresh
 //! containers (`Vec::new`, `String::with_capacity`, `vec![…]`),

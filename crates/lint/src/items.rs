@@ -81,6 +81,8 @@ pub struct Item {
     pub is_test: bool,
     /// 1-based line of the item's first token (attributes included).
     pub line: u32,
+    /// 1-based line its declaration starts on, past the outer attributes.
+    pub decl_line: u32,
     /// Byte span `[lo, hi)` of the item, attributes included.
     pub lo: usize,
     /// End of the byte span (one past the last byte).
@@ -172,6 +174,7 @@ impl<'a> Parser<'a> {
         }
         let bare = Head {
             start,
+            decl: i,
             path,
             vis: Visibility::Private,
             is_test: in_test,
@@ -536,6 +539,7 @@ impl<'a> Parser<'a> {
             vis: h.vis,
             is_test: h.is_test,
             line: first.map_or(0, |t| t.line),
+            decl_line: self.code.get(h.decl).or(first).map_or(0, |t| t.line),
             lo: first.map_or(0, |t| t.lo),
             hi: last.map_or(0, |t| t.hi),
             tok: (h.start, after.min(self.code.len())),
@@ -555,6 +559,8 @@ impl<'a> Parser<'a> {
 #[derive(Clone, Copy)]
 struct Head<'p> {
     start: usize,
+    /// The first token past the outer attributes.
+    decl: usize,
     path: &'p str,
     vis: Visibility,
     is_test: bool,

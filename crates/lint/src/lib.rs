@@ -20,15 +20,14 @@
 //! [`arith`] prove the zero-allocation and overflow-safety disciplines
 //! of the routing/wheel kernels. Seed-discipline, crate-layering (over
 //! the member manifests), bad-pragma and unused-waiver complete the set.
-//! Findings serialize to a stable JSON report ([`report`]); CI diffs
-//! their line-free keys against the committed `lint-baseline.txt`, which
-//! may only shrink.
+//! CI diffs the findings' line-free keys against the committed
+//! `lint-baseline.txt` ([`report`]), which may only shrink.
 //!
 //! Run it over the whole workspace with:
 //!
 //! ```text
 //! cargo run --release --offline -p tao-lint -- --workspace \
-//!     --json target/tao-lint.json --baseline lint-baseline.txt
+//!     --baseline lint-baseline.txt
 //! ```
 
 #![warn(

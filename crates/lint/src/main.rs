@@ -1,17 +1,17 @@
-//! CLI driver: `tao-lint --workspace [--json <out>] [--baseline <file>]
+//! CLI driver: `tao-lint --workspace [--baseline <file>]
 //! [--write-baseline <out>]`.
 //!
 //! Runs the full analysis ([`lint_workspace`]) over the manifest-derived
 //! file set and `crate-layering` over the member manifests, prints one
 //! `path:line:col: rule: message` line per unwaived finding plus a
-//! per-rule summary, optionally writes the stable JSON report, and —
-//! when a baseline is given — exits nonzero only if the run *differs*
-//! from the committed baseline (new findings or stale entries).
+//! per-rule summary, and — when a baseline is given — exits nonzero only
+//! if the run *differs* from the committed baseline (new findings or
+//! stale entries).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tao_lint::report::{diff_baseline, parse_baseline, render_baseline, render_json};
+use tao_lint::report::{diff_baseline, parse_baseline, render_baseline};
 use tao_lint::rules::{layering_findings, lint_workspace, SourceFile, ALL_RULES};
 use tao_lint::walk::{member_manifests, workspace_sources};
 
@@ -34,20 +34,17 @@ fn write(path: &Path, text: String) -> Result<(), String> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let (mut json_out, mut baseline, mut write_baseline): (Option<PathBuf>, _, _) =
-        (None, None, None);
+    let (mut baseline, mut write_baseline): (Option<PathBuf>, _) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let slot = match arg.as_str() {
             // The workspace is the only input; the flag names it.
             "--workspace" => continue,
-            "--json" => &mut json_out,
             "--baseline" => &mut baseline,
             "--write-baseline" => &mut write_baseline,
             "--help" | "-h" => {
                 println!(
-                    "usage: tao-lint --workspace [--json <out>] [--baseline <file>] \
-                     [--write-baseline <out>]"
+                    "usage: tao-lint --workspace [--baseline <file>] [--write-baseline <out>]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -88,10 +85,6 @@ fn run() -> Result<ExitCode, String> {
         println!("  {:<20} {f:>3} finding(s) {w:>3} waiver(s)", rule.name());
     }
 
-    if let Some(out) = &json_out {
-        write(out, render_json(&findings, report.files))?;
-        println!("tao-lint: wrote {}", out.display());
-    }
     if let Some(out) = &write_baseline {
         write(out, render_baseline(&findings))?;
         println!("tao-lint: wrote baseline {}", out.display());

@@ -1,73 +1,19 @@
-//! Stable JSON findings report and the committed baseline.
+//! The committed baseline.
 //!
-//! `tao-lint --json target/tao-lint.json` serializes every finding with a
-//! *stable key* — line-number-free for the structural rules, so the
-//! baseline does not churn when unrelated edits shift code — and
-//! `--baseline lint-baseline.txt` diffs the current run against the
-//! committed baseline:
+//! Every finding carries a *stable key* — line-number-free for the
+//! structural rules, so the baseline does not churn when unrelated edits
+//! shift code — and `tao-lint --baseline lint-baseline.txt` diffs the
+//! current run's keys against the committed baseline:
 //!
 //! * a key whose count **grew** is a new finding → fix it (CI fails);
 //! * a key whose count **shrank** is a stale entry → shrink the baseline
 //!   (CI fails until the entry is removed — the baseline only ratchets
 //!   down, never up).
 //!
-//! The report is hand-rolled JSON (the workspace has no serde; see the
-//! hermetic build policy), written for CI's shape check and never read
-//! back. The baseline is plain text, one `<count> <key>` line per key.
+//! The baseline is plain text, one `<count> <key>` line per key.
 
-use crate::rules::{Finding, Rule, ALL_RULES};
+use crate::rules::{Finding, Rule};
 use std::collections::BTreeMap;
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the findings report as deterministic, diff-friendly JSON:
-/// findings sorted by (path, line, col, rule), then a per-rule summary.
-pub fn render_json(findings: &[Finding], files_checked: usize) -> String {
-    let mut sorted: Vec<&Finding> = findings.iter().collect();
-    sorted.sort_by(|a, b| a.order().cmp(&b.order()));
-    let mut out = String::from("{\n  \"version\": 1,\n");
-    out.push_str(&format!("  \"files_checked\": {files_checked},\n"));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in sorted.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \"key\": \"{}\", \"message\": \"{}\"}}{}\n",
-            f.rule.name(),
-            esc(&f.path),
-            f.line,
-            f.col,
-            esc(&f.key),
-            esc(&f.message),
-            if i + 1 == sorted.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"summary\": {\n");
-    for (i, rule) in ALL_RULES.iter().enumerate() {
-        let n = findings.iter().filter(|f| f.rule == *rule).count();
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            rule.name(),
-            n,
-            if i + 1 == ALL_RULES.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
 
 /// Renders a baseline file from findings: one `<count> <key>` line per
 /// distinct key, sorted by key.
@@ -193,47 +139,6 @@ mod tests {
             col: 1,
             key: key.to_string(),
             message: "msg with \"quotes\" and \\slash".to_string(),
-        }
-    }
-
-    #[test]
-    fn esc_escapes_quotes_backslashes_and_control_characters() {
-        assert_eq!(esc("plain → text"), "plain → text");
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("\n\t\r"), "\\n\\t\\r");
-        assert_eq!(esc("\u{1}\u{1f}"), "\\u0001\\u001f");
-    }
-
-    #[test]
-    fn json_report_is_sorted_and_summarises_every_rule() {
-        let findings = vec![
-            finding(
-                Rule::CrateLayering,
-                "b.rs",
-                2,
-                "crate-layering:b.rs:tao-overlay->tao-sim",
-            ),
-            finding(
-                Rule::PanicReachability,
-                "a.rs",
-                9,
-                "panic-reachability:tao-core:sys::step",
-            ),
-        ];
-        let text = render_json(&findings, 3);
-        assert!(text.starts_with("{\n  \"version\": 1,\n  \"files_checked\": 3,\n"));
-        let (a, b) = (
-            text.find("\"path\": \"a.rs\""),
-            text.find("\"path\": \"b.rs\""),
-        );
-        assert!(a.is_some() && a < b, "findings sorted by path:\n{text}");
-        assert!(text.contains(r#""message": "msg with \"quotes\" and \\slash""#));
-        for rule in ALL_RULES {
-            let n = findings.iter().filter(|f| f.rule == rule).count();
-            assert!(
-                text.contains(&format!("\"{}\": {n}", rule.name())),
-                "{text}"
-            );
         }
     }
 

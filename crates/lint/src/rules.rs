@@ -355,7 +355,7 @@ pub fn lint_workspace(files: &[SourceFile]) -> WorkspaceReport {
             let code = code_tokens(&p.tokens);
             let test_ranges = test_line_ranges(&code);
             let items = parse_items(&code);
-            let (pragmas, hot, bad) = collect_pragmas(&p.file.path, &p.tokens, &code);
+            let (pragmas, hot, bad) = collect_pragmas(&p.file.path, &p.tokens, &code, &items);
             Analyzed {
                 file: p.file,
                 code,
@@ -695,15 +695,25 @@ fn test_line_ranges(code: &[&Token]) -> Vec<(u32, u32)> {
 
 /// Extracts waiver pragmas and `hot` entry markers from comment tokens.
 /// Returns the valid pragmas, the lines marked hot, plus `bad-pragma`
-/// findings for malformed pragmas.
+/// findings for malformed pragmas and for `hot` markers that mark no fn.
 fn collect_pragmas(
     path: &str,
     tokens: &[Token],
     code: &[&Token],
+    items: &[Item],
 ) -> (Vec<Pragma>, Vec<u32>, Vec<Finding>) {
     let mut pragmas = Vec::new();
     let mut hot = Vec::new();
     let mut bad = Vec::new();
+    // Every item's head: its first line (outer attributes included)
+    // through the line its declaration starts on. A directive covering a
+    // line of a head binds to the item's first line, where its findings
+    // anchor, so attributes may sit above or below the directive.
+    let mut heads: Vec<(u32, u32, ItemKind)> = Vec::new();
+    for item in items {
+        item.visit(&mut |i| heads.push((i.line, i.decl_line, i.kind)));
+    }
+    let head_of = |line: u32| heads.iter().find(|h| (h.0..=h.1).contains(&line));
     for t in tokens {
         if t.kind != TokenKind::Comment {
             continue;
@@ -725,7 +735,7 @@ fn collect_pragmas(
         // a line covers the next *code* line — so a hot marker and a
         // waiver pragma can stack above one item and both attach to it.
         let has_code_on_line = code.iter().any(|c| c.line == t.line);
-        let effective_line = if has_code_on_line {
+        let covered = if has_code_on_line {
             t.line
         } else {
             code.iter()
@@ -733,11 +743,26 @@ fn collect_pragmas(
                 .map(|c| c.line)
                 .unwrap_or(t.line + 1)
         };
-        // A bare `hot` directive marks the entry point defined on the
-        // effective line for the hot-path passes; it is a marker, not a
-        // waiver, so it bypasses `parse_pragma`.
+        let head = head_of(covered);
+        let effective_line = head.map_or(covered, |h| h.0);
+        // A bare `hot` directive marks the entry point it binds to for the
+        // hot-path passes; it is a marker, not a waiver, so it bypasses
+        // `parse_pragma`. One that binds to no fn marks nothing.
         if rest.trim_end_matches(['.', ' ']).trim() == "hot" {
-            hot.push(effective_line);
+            if head.is_some_and(|h| h.2 == ItemKind::Fn) {
+                hot.push(effective_line);
+            } else {
+                bad.push(Finding {
+                    rule: Rule::BadPragma,
+                    path: path.to_string(),
+                    line: t.line,
+                    col: t.col,
+                    key: format!("bad-pragma:{path}:{}", t.line),
+                    message: "`hot` marker binds to no fn; put it above the fn it \
+                              marks (attributes and doc comments may sit between)"
+                        .to_string(),
+                });
+            }
             continue;
         }
         match parse_pragma(rest) {

@@ -23,6 +23,12 @@ const SUITE: Suite = Suite {
             include_str!("lint_fixtures/alloc_clean.rs"),
         ),
         (
+            "crates/overlay/src/hot_binding.rs",
+            "tao-overlay",
+            FileKind::Lib,
+            include_str!("lint_fixtures/hot_binding.rs"),
+        ),
+        (
             "crates/sim/src/arith_violation.rs",
             "tao-sim",
             FileKind::Lib,
@@ -103,9 +109,11 @@ fn all_three_arith_kinds_fire_in_the_violation_fixture() {
 #[test]
 fn hot_marker_stacks_with_allow_pragmas_on_one_item() {
     // `advance_fast` carries a stacked hot marker AND a
-    // panic-reachability waiver on the lines above the `fn`; both must
-    // attach to it — the entry is hot (arith findings exist) and the
-    // indexing panic is waived (no panic-reachability finding).
+    // panic-reachability waiver on the lines above the `fn`, and
+    // `hot_binding.rs`'s two fns carry the pair with outer attributes and
+    // doc comments above or below it; each pair must attach to its fn —
+    // the entries are hot (the golden holds their findings) and the
+    // indexing panics are waived (no panic-reachability finding).
     let report = SUITE.report();
     assert!(
         report

@@ -1,4 +1,5 @@
-//! Property test: the full workspace lint report must be byte-identical
+//! Property test: the full workspace lint report — every finding as
+//! printed, then the baseline it would write — must be byte-identical
 //! across repeated runs and across `TAO_WORKERS` settings. The lint
 //! *checks* determinism, so it had better be deterministic itself — any
 //! ordering leak (hash iteration, filesystem enumeration order, worker
@@ -6,11 +7,11 @@
 
 use std::path::Path;
 
-use tao_lint::report::render_json;
+use tao_lint::report::render_baseline;
 use tao_lint::rules::{lint_workspace, SourceFile};
 use tao_lint::walk::workspace_sources;
 
-/// Walks the real workspace and renders the full JSON report.
+/// Walks the real workspace and renders its findings and baseline.
 fn run_once() -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     let walked = workspace_sources(&root).expect("workspace walk");
@@ -24,7 +25,8 @@ fn run_once() -> String {
         })
         .collect();
     let report = lint_workspace(&inputs);
-    render_json(&report.findings, report.files)
+    let findings = report.findings.iter().map(|f| f.render() + "\n");
+    findings.collect::<String>() + &render_baseline(&report.findings)
 }
 
 #[test]

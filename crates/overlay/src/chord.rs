@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeBounds;
 
 use tao_topology::NodeIdx;
 
@@ -136,14 +137,10 @@ impl ChordOverlay {
     /// All nodes whose ids lie in the wrapping interval `[from, to)`.
     pub fn members_in(&self, from: RingId, to: RingId) -> Vec<RingId> {
         if from <= to {
-            self.nodes.range(from..to).map(|(&id, _)| id).collect()
+            self.ids_in(from..to).collect()
         } else {
             // Wraps past zero.
-            self.nodes
-                .range(from..)
-                .chain(self.nodes.range(..to))
-                .map(|(&id, _)| id)
-                .collect()
+            self.ids_in(from..).chain(self.ids_in(..to)).collect()
         }
     }
 
@@ -228,8 +225,11 @@ impl SlotOverlay for ChordOverlay {
 impl KeyedOverlay for ChordOverlay {
     type Error = ChordError;
 
-    fn node_ids(&self) -> impl Iterator<Item = RingId> + '_ {
-        self.nodes.keys().copied()
+    fn ids_in(
+        &self,
+        range: impl RangeBounds<RingId>,
+    ) -> impl DoubleEndedIterator<Item = RingId> + '_ {
+        self.nodes.range(range).map(|(&id, _)| id)
     }
 
     fn join(&mut self, underlay: NodeIdx, id: RingId) {

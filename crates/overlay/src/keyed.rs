@@ -6,6 +6,8 @@
 //! slots are filled through the same
 //! [`NeighborSelector`](crate::select::NeighborSelector) as eCAN's.
 
+use std::ops::RangeBounds;
+
 use tao_topology::NodeIdx;
 
 use crate::select::{NeighborSelector, SlotOverlay};
@@ -21,8 +23,16 @@ pub trait KeyedOverlay: SlotOverlay<Id = PeerId> + Sized {
     /// Why a route could not start.
     type Error;
 
+    /// Ids of the members inside `range`, ascending.
+    fn ids_in(
+        &self,
+        range: impl RangeBounds<PeerId>,
+    ) -> impl DoubleEndedIterator<Item = PeerId> + '_;
+
     /// Ids of all members, ascending.
-    fn node_ids(&self) -> impl Iterator<Item = PeerId> + '_;
+    fn node_ids(&self) -> impl Iterator<Item = PeerId> + '_ {
+        self.ids_in(..)
+    }
 
     /// Adds a member; nobody's slots change until re-selected. Panics if
     /// `id` is taken (ids come from a seeded RNG: a 64-bit collision is a

@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeBounds;
 
 use tao_topology::NodeIdx;
 
@@ -179,13 +180,7 @@ impl PastryOverlay {
         };
         let d_shift = (DIGITS - 1 - prefix_len) * DIGIT_BITS;
         let lo = base | ((next_digit as u64) << d_shift);
-        let hi = lo.wrapping_add(1u64 << d_shift);
-        if hi == 0 {
-            // Range reaches the top of the id space.
-            self.nodes.range(lo..).map(|(&id, _)| id).collect()
-        } else {
-            self.nodes.range(lo..hi).map(|(&id, _)| id).collect()
-        }
+        self.ids_in(lo..=lo | ((1u64 << d_shift) - 1)).collect()
     }
 
     fn leaf_set_of(&self, id: PastryId) -> Vec<PastryId> {
@@ -282,6 +277,13 @@ impl PastryOverlay {
     }
 }
 
+/// An empty overlay with Pastry's typical leaf set, 8 ids a side.
+impl Default for PastryOverlay {
+    fn default() -> Self {
+        PastryOverlay::new(8)
+    }
+}
+
 /// A Pastry slot is a routing-table cell `(row, digit)`: the members
 /// sharing `row` digits with the owner and continuing with `digit`.
 impl SlotOverlay for PastryOverlay {
@@ -296,8 +298,11 @@ impl SlotOverlay for PastryOverlay {
 impl KeyedOverlay for PastryOverlay {
     type Error = PastryError;
 
-    fn node_ids(&self) -> impl Iterator<Item = PastryId> + '_ {
-        self.nodes.keys().copied()
+    fn ids_in(
+        &self,
+        range: impl RangeBounds<PastryId>,
+    ) -> impl DoubleEndedIterator<Item = PastryId> + '_ {
+        self.nodes.range(range).map(|(&id, _)| id)
     }
 
     fn join(&mut self, underlay: NodeIdx, id: PastryId) {

@@ -48,9 +48,7 @@ pub struct NodeInfo {
 
 /// What a node of an id-keyed overlay (Chord, Pastry) publishes: the
 /// [`NodeInfo`] of a node whose identity is a position in the identifier
-/// space. [`RingState`](crate::ring::RingState) and
-/// [`PrefixState`](crate::prefix::PrefixState) place the same record
-/// differently.
+/// space, stored by [`KeyedState`](crate::KeyedState).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeerRecord {
     /// The publishing node's id.

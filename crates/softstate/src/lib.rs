@@ -18,9 +18,11 @@
 //!   lookup (land on the host of the hash position, widen to its CAN
 //!   neighbors until candidates are found, rank by full landmark vector),
 //!   and report per-host entry counts (figure 16's "map entries / node"),
-//! * [`ring`] / [`prefix`] — the appendix's mappings for Chord and Pastry:
-//!   the same [`PeerRecord`] placed at its landmark number's successor, or
-//!   in one map per nodeId prefix,
+//! * [`KeyedState`] — the appendix's mappings for Chord and Pastry, as one
+//!   store over nodeId-prefix regions ([`PrefixKey`]; the empty prefix is
+//!   Chord's whole ring): a [`PeerRecord`] sits at its landmark number's
+//!   fraction of the region, hosted by the region's successor of that
+//!   position, and a lookup walks hosts from the querier's,
 //! * [`pubsub`] — subscriptions over the maps with predicate filtering and
 //!   distribution-tree dissemination,
 //! * [`MaintenancePolicy`] — reactive / periodic-poll / proactive-departure
@@ -52,16 +54,16 @@
 
 mod config;
 mod entry;
+mod keyed;
 mod maintenance;
 mod map;
-pub mod prefix;
 pub mod pubsub;
 mod region;
-pub mod ring;
 mod store;
 
 pub use config::{SoftStateConfig, SoftStateConfigBuilder};
 pub use entry::{LoadStats, NodeInfo, PeerRecord, SoftStateEntry};
+pub use keyed::{KeyedState, PrefixKey};
 pub use maintenance::{refresh_round, MaintenancePolicy, MaintenanceReport, RefreshReport};
 pub use map::ZoneMap;
 pub use region::RegionKey;

@@ -52,31 +52,43 @@ echo "workspace fmt + clippy: OK"
 # included), enforces bad-pragma, the three structural source rules
 # (panic-reachability, seed-discipline, unused-waiver), crate-layering over
 # the member manifests, determinism-taint, and the two hot-path rules
-# scoped to `// tao-lint: hot` closures (alloc-reachability, arith-safety), writes
-# the stable JSON report to target/tao-lint.json (not committed: its
-# messages carry line numbers, so it moved with every PR while the gate is
-# the line-free baseline), and diffs it against the committed baseline:
+# scoped to `// tao-lint: hot` closures (alloc-reachability, arith-safety),
+# and diffs the findings' line-free keys against the committed baseline:
 # any finding not in lint-baseline.txt fails CI, and so does a stale
 # baseline entry — the baseline only shrinks, never grows. The build stage's
 # binary is timed (`cargo run` would relink it first) against a 2s budget,
 # so the cost of the analysis itself is ratcheted along with its findings.
 lint_start_ns=$(date +%s%N)
-target/release/tao-lint --workspace \
-    --json target/tao-lint.json --baseline lint-baseline.txt
+if ! lint_out=$(target/release/tao-lint --workspace --baseline lint-baseline.txt); then
+    printf '%s\n' "$lint_out" >&2
+    echo "FAIL: the workspace lint run does not match lint-baseline.txt." >&2
+    exit 1
+fi
 lint_elapsed_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
 if [ "$lint_elapsed_ms" -ge 2000 ]; then
     echo "FAIL: workspace lint run took ${lint_elapsed_ms}ms (budget: <2000ms)." >&2
     exit 1
 fi
-echo "lint stage: OK (matches lint-baseline.txt, ${lint_elapsed_ms}ms < 2s budget)"
+# The printed per-rule summary must name all eight rules: a missing row
+# means a pass silently stopped running.
+for rule in bad-pragma panic-reachability crate-layering seed-discipline \
+    unused-waiver determinism-taint alloc-reachability arith-safety; do
+    if ! grep -qE "^  $rule +[0-9]+ finding\(s\)" <<<"$lint_out"; then
+        echo "FAIL: the lint summary has no row for rule $rule." >&2
+        exit 1
+    fi
+done
+echo "lint stage: OK (matches lint-baseline.txt, all 8 rules summarised, ${lint_elapsed_ms}ms < 2s budget)"
 
 # Negative smokes: the gates must reject an injected violation of each
 # analysis family.
 #   smoke CHECK WHAT FILE [ANCHOR] <<'EOF' … EOF
 # Without ANCHOR, stdin becomes the new file FILE; with it, stdin is
-# inserted after the one line of FILE that equals ANCHOR. CHECK must then
-# succeed. Either way FILE is back as it was on every exit path, with a
-# fresh mtime so no build keeps what was compiled from the injection.
+# inserted after the one line of FILE that equals ANCHOR, and a stdin line
+# `@@ LINE` starts a further insertion after the one line equal to LINE.
+# CHECK must then succeed. Either way FILE is back as it was on every exit
+# path, with a fresh mtime so no build keeps what was compiled from the
+# injection.
 smoke() {
     local check=$1 what=$2 file=$3 anchor=${4-} restore="rm -f $3" caught=0
     if [ -n "$anchor" ]; then
@@ -85,12 +97,15 @@ smoke() {
     fi
     trap "$restore" EXIT
     python3 -c '
-import sys
+import re, sys
 path, anchor, text = sys.argv[1], sys.argv[2], sys.stdin.read()
 if anchor:
     src = open(path).read()
-    assert src.count(anchor + "\n") == 1, f"smoke: anchor not found once in {path}"
-    text = src.replace(anchor + "\n", anchor + "\n" + text)
+    parts = re.split(r"^@@ (.*)\n", text, flags=re.M)
+    for at, insert in [(anchor, parts[0])] + list(zip(parts[1::2], parts[2::2])):
+        assert src.count(at + "\n") == 1, f"smoke: anchor not found once in {path}"
+        src = src.replace(at + "\n", at + "\n" + insert)
+    text = src
 open(path, "w").write(text)
 ' "$file" "$anchor"
     if $check; then
@@ -108,11 +123,17 @@ open(path, "w").write(text)
 # The tao-lint run never compiles the workspace, so code injected for it
 # only has to lex. It runs the binary built above: `cargo run` would
 # re-resolve a manifest the layering smoke edits and rewrite Cargo.lock.
-# Its JSON goes to a scratch path so target/tao-lint.json stays the report
-# of the honest run.
 lint_rejects() {
-    ! target/release/tao-lint --workspace --json target/tao-lint-smoke.json \
-        --baseline lint-baseline.txt >/dev/null 2>&1
+    ! target/release/tao-lint --workspace --baseline lint-baseline.txt >/dev/null 2>&1
+}
+# The lint must fail with an allocation finding in the hot closure of
+# the entry $1.
+lint_rejects_alloc_under() {
+    local out
+    if out=$(target/release/tao-lint --workspace --baseline lint-baseline.txt 2>&1); then
+        return 1
+    fi
+    grep -q ": alloc-reachability: .* inside the hot closure of \`$1\`" <<<"$out"
 }
 # clippy must fail and name every lint the injection breaks.
 clippy_rejects() {
@@ -165,9 +186,16 @@ EOF
 
 # alloc-reachability: a Vec::push in the CAN routing fast path —
 # `route_append` sits inside the hot closure of the `// tao-lint: hot`
-# entry `route_into`.
-smoke lint_rejects "hot-path Vec::push" crates/overlay/src/can.rs \
-    "        scratch.mark(start.index());" <<'EOF'
+# entry `route_into` — with an attribute injected *above* the entry's
+# marker, the order in which a marker once came loose from its fn. eCAN's
+# hot entry reaches `route_append` too, so the finding must name
+# `route_into`'s closure.
+smoke "lint_rejects_alloc_under CanOverlay::route_into" \
+    "hot-path Vec::push under an attribute-first marker" \
+    crates/overlay/src/can.rs \
+    "    /// [\`OverlayError::RoutingStuck\`] if greedy progress stalls." <<'EOF'
+    #[inline]
+@@         scratch.mark(start.index());
         let mut ci_smoke_trace: Vec<u64> = Vec::new();
         ci_smoke_trace.push(0u64);
 EOF
@@ -187,32 +215,6 @@ EOF
 smoke lint_rejects "wrapping cursor add" crates/sim/src/event.rs \
     "        let delta = e.at - self.cursor;" <<'EOF'
         let ci_smoke_tick = self.cursor + delta;
-EOF
-
-# JSON-shape check: the report from the honest run must expose all rules in
-# its per-rule summary (a missing key means a pass silently stopped running)
-# and carry the structural fields downstream tooling relies on.
-python3 - <<'EOF'
-import json, sys
-with open("target/tao-lint.json") as fh:
-    report = json.load(fh)
-for field in ("version", "files_checked", "findings", "summary"):
-    if field not in report:
-        sys.exit(f"lint.json missing top-level field `{field}`")
-expected_rules = [
-    "bad-pragma", "panic-reachability", "crate-layering", "seed-discipline",
-    "unused-waiver", "determinism-taint",
-    "alloc-reachability", "arith-safety",
-]
-missing = [r for r in expected_rules if r not in report["summary"]]
-if missing:
-    sys.exit(f"lint.json summary missing rule(s): {missing}")
-for f in report["findings"]:
-    for field in ("rule", "path", "line", "col", "key", "message"):
-        if field not in f:
-            sys.exit(f"lint.json finding missing field `{field}`: {f}")
-print(f"lint JSON shape: OK ({len(expected_rules)} rules in summary, "
-      f"{len(report['findings'])} findings)")
 EOF
 
 # ---- Determinism spot-check: same seed, byte-identical output. -------------
@@ -291,6 +293,21 @@ if [ -z "$bench_results" ] || printf '%s\n' "$bench_results" | grep -qv '"failed
     exit 1
 fi
 echo "benchmark contract: OK (4 workloads, untraced + traced, 0 failed ops)"
+# The traced copy must also reproduce the library at full scale, where the
+# benchmark compares it: churn_mix's traced pass replays the three
+# 2,048-node reference rounds from --seconds 3 on (round(3 × 3.4 / 3) = 3
+# rounds per pass), fig_build and route_replay need one second each. A
+# traced copy that no longer matches exits 3 (`refuse_trace`).
+for run in "churn_mix 3" "fig_build 1" "route_replay 1"; do
+    read -r workload seconds <<<"$run"
+    if ! traced=$(bash benchmark/run.sh --workload "$workload" --scale full --trace 1 \
+        --seconds "$seconds" --out target/bench-traced) \
+        || ! tail -n 1 <<<"$traced" | grep -q '"failed": 0'; then
+        echo "FAIL: full-scale traced $workload run failed or did not reproduce the library." >&2
+        exit 1
+    fi
+done
+echo "benchmark traced at full scale: OK (churn_mix, fig_build, route_replay)"
 
 # ---- Replay determinism: fingerprint stable across worker counts. -----------
 # The §6 replay harness must print the same report fingerprint no matter
@@ -350,7 +367,18 @@ if [[ "$tree_out" != *"test result: ok. 4 passed"* ]]; then
     echo "FAIL: a split-tree walk diverged from its oracle at TAO_PT_CASES=512." >&2
     exit 1
 fi
-echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each)"
+# The id-keyed store's hosted lookup reads each host's share as one range
+# of its position-ordered map; its property holds it to a scan of every
+# record per host over generated Chord and Pastry memberships, every
+# prefix depth. A filter that matched nothing would pass too, hence the
+# count.
+keyed_out=$(TAO_PT_CASES=512 cargo test -q --release --offline -p tao-softstate --lib \
+    the_hosted_lookup_equals_a_scan_of_every_record_per_host 2>&1 || true)
+if [[ "$keyed_out" != *"test result: ok. 1 passed"* ]]; then
+    echo "FAIL: the hosted lookup diverged from the per-host scan at TAO_PT_CASES=512." >&2
+    exit 1
+fi
+echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each; hosted lookup ≡ per-host scan over 512 memberships)"
 
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per

@@ -4,6 +4,7 @@
 
 use tao_core::{ChordAware, ExperimentParams, PastryAware, SelectionStrategy};
 use tao_overlay::keyed::KeyedOverlay;
+use tao_softstate::PrefixKey;
 use tao_topology::{generate_transit_stub, LatencyAssignment, Topology, TransitStubParams};
 
 fn params() -> ExperimentParams {
@@ -72,22 +73,20 @@ fn chord_soft_state_lands_on_successors() {
     let chord = ChordAware::build(&topo, params(), 3);
     // Every record's hosting node is the successor of its ring key, and
     // hosting burden sums to the record count.
-    let hosts = chord.state().records_per_host(chord.overlay());
+    let hosts = chord
+        .state()
+        .records_per_host(PrefixKey::WHOLE, chord.overlay());
     assert_eq!(hosts.values().sum::<usize>(), chord.state().len());
     assert_eq!(chord.state().len(), chord.overlay().len());
 }
 
 #[test]
 fn pastry_prefix_maps_respect_regions() {
-    use tao_softstate::prefix::PrefixKey;
     let topo = topology();
     let pastry = PastryAware::build(&topo, params(), 5);
     // One record per prefix length per node; all lookups stay region-pure.
-    let per_node = pastry.state().max_len() as usize;
-    assert_eq!(
-        pastry.state().total_entries(),
-        per_node * pastry.overlay().len()
-    );
+    let per_node = pastry.state().depths().count();
+    assert_eq!(pastry.state().len(), per_node * pastry.overlay().len());
     // A lookup in an id's own top-level region returns only same-digit ids.
     let ids: Vec<_> = pastry.overlay().node_ids().collect();
     let id = ids[7];
