@@ -54,6 +54,7 @@ impl Point {
                 assert!(c.is_finite(), "coordinates must be finite");
                 c.clamp(0.0, 1.0 - f64::EPSILON)
             })
+            // tao-lint: allow(alloc-reachability, reason = "collects into the argument's own buffer; the soft-state publish reaches it only where a map gains an entry")
             .collect();
         Point { coords: clamped }
     }

@@ -11,7 +11,9 @@
 //! Storage: a map's entries live in one slab, and two indexes name them by
 //! slot — by node (one entry per node) and by the Morton code of the
 //! storage position (what a host's zone holds). Each entry owns exactly one
-//! stamp on the expiry wheel.
+//! stamp on the expiry wheel. The global state keeps each entry's slot and
+//! re-stamps, upserts and removes by it; each of those first checks that
+//! the slot still holds the node it names.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -27,6 +29,7 @@ use tao_util::time::SimTime;
 use crate::config::SoftStateConfig;
 use crate::entry::{NodeInfo, SoftStateEntry};
 use crate::region::{spread, RegionKey};
+use crate::store::{Tally, COUNTS, POPPED, REARMED};
 
 /// One slab slot: an entry, or vacant and on the free list.
 #[derive(Debug, Clone)]
@@ -98,6 +101,7 @@ impl ZoneMap {
         ZoneMap {
             region,
             condensed,
+            // tao-lint: allow(alloc-reachability, reason = "a region's first publish makes its map")
             slots: Vec::new(),
             free: Vec::new(),
             by_node: DetMap::new(),
@@ -136,6 +140,7 @@ impl ZoneMap {
     /// The position within the region at which information keyed by
     /// `number` is stored — the paper's `p' = h(p, dp, dz, Z)`.
     pub fn position_for(&self, number: LandmarkNumber, config: &SoftStateConfig) -> Point {
+        // tao-lint: allow(alloc-reachability, reason = "a new entry's position: built once, when the entry is created")
         let mut coords = Vec::new();
         unit_position_into(number, config, self.region.dims(), &mut coords);
         self.scale_into_condensed(&mut coords);
@@ -149,7 +154,7 @@ impl ZoneMap {
         }
     }
 
-    fn get(&self, slot: u32) -> Option<&SoftStateEntry> {
+    pub(crate) fn get(&self, slot: u32) -> Option<&SoftStateEntry> {
         self.slots.get(slot as usize)?.entry.as_ref()
     }
 
@@ -160,26 +165,40 @@ impl ZoneMap {
 
     /// Publishes (or re-publishes) `info`, stamping a fresh TTL.
     pub fn publish(&mut self, info: NodeInfo, now: SimTime, config: &SoftStateConfig) {
-        let expires_at = now + config.ttl();
-        // Same node under the same number: the position is a function of
-        // the number, so only the payload and the TTL change.
-        if self
-            .entry_of(info.node)
-            .is_some_and(|e| e.info.number == info.number)
-        {
-            self.restamp(info.node, expires_at, Some(info));
-            return;
+        self.upsert_at(self.by_node.get(&info.node).copied(), info, now, config);
+    }
+
+    /// [`ZoneMap::publish`] of `info`, whose node's entry the caller knows
+    /// to sit at `slot`, if it has one. Returns the entry's slot and
+    /// whether the entry was created.
+    pub(crate) fn upsert_at(
+        &mut self,
+        slot: Option<u32>,
+        info: NodeInfo,
+        now: SimTime,
+        config: &SoftStateConfig,
+    ) -> (u32, bool) {
+        let expires_at = now.saturating_add(config.ttl());
+        if let Some(slot) = slot {
+            // Same node under the same number: the position is a function
+            // of the number, so only the payload and the TTL change.
+            let held = self.get(slot).filter(|e| e.info.node == info.node);
+            if held.is_some_and(|e| e.info.number == info.number) {
+                self.restamp_at(slot, info.node, expires_at, Some(info));
+                return (slot, false);
+            }
+            // A node's coordinates can change between publishes; drop the
+            // entry under its previous landmark number first.
+            self.remove_at(slot, info.node);
         }
-        // A node's coordinates can change between publishes; drop the entry
-        // under its previous landmark number first.
-        self.remove(info.node);
         let position = self.position_for(info.number, config);
         let slot = self.free.pop().unwrap_or_else(|| {
+            // tao-lint: allow(alloc-reachability, reason = "a new entry: the slab, its two indexes and the wheel grow by one")
             self.slots.push(Slot {
                 generation: 0,
                 entry: None,
             });
-            (self.slots.len() - 1) as u32
+            u32::try_from(self.slots.len() - 1).unwrap_or(u32::MAX)
         });
         self.by_node.insert(info.node, slot);
         self.by_position
@@ -192,27 +211,26 @@ impl ZoneMap {
             position,
             expires_at,
         });
+        (slot, true)
     }
 
-    /// Moves the expiry of `node`'s entry to `expires_at`, replacing its
-    /// payload when `info` is given; returns whether the entry existed. The
-    /// stamp stays where it is — the sweep re-arms one that pops early —
-    /// unless the expiry moved *earlier* (a caller's clock ran backwards),
-    /// where waiting for the old stamp would keep the entry past its time:
-    /// a new one replaces it.
-    fn restamp(
+    /// Moves the expiry of `node`'s entry at `slot` to `expires_at`,
+    /// replacing its payload when `info` is given; returns whether the slot
+    /// holds `node`. The stamp stays where it is — the sweep re-arms one
+    /// that pops early — unless the expiry moved *earlier* (a caller's
+    /// clock ran backwards), where waiting for the old stamp would keep the
+    /// entry past its time: a new one replaces it.
+    pub(crate) fn restamp_at(
         &mut self,
+        slot: u32,
         node: OverlayNodeId,
         expires_at: SimTime,
         info: Option<NodeInfo>,
     ) -> bool {
-        let Some(&slot) = self.by_node.get(&node) else {
-            return false;
-        };
         let Some(home) = self.slots.get_mut(slot as usize) else {
             return false;
         };
-        let Some(e) = home.entry.as_mut() else {
+        let Some(e) = home.entry.as_mut().filter(|e| e.info.node == node) else {
             return false;
         };
         if let Some(info) = info {
@@ -220,8 +238,9 @@ impl ZoneMap {
         }
         if expires_at < e.expires_at {
             home.generation = home.generation.wrapping_add(1);
-            self.wheel
-                .push(Reverse((expires_at, slot, home.generation)));
+            let stamp = Reverse((expires_at, slot, home.generation));
+            // tao-lint: allow(alloc-reachability, reason = "only where a caller's clock ran backwards: a forward re-stamp keeps the entry's one stamp")
+            self.wheel.push(stamp);
         }
         e.expires_at = expires_at;
         true
@@ -229,14 +248,21 @@ impl ZoneMap {
 
     /// Removes the entry of `node`, returning whether one existed.
     pub fn remove(&mut self, node: OverlayNodeId) -> bool {
-        let Some(slot) = self.by_node.remove(&node) else {
+        let slot = self.by_node.get(&node).copied();
+        slot.is_some_and(|slot| self.remove_at(slot, node))
+    }
+
+    /// Removes `node`'s entry at `slot`; returns whether the slot held it.
+    pub(crate) fn remove_at(&mut self, slot: u32, node: OverlayNodeId) -> bool {
+        let Some(home) = self.slots.get_mut(slot as usize) else {
             return false;
         };
-        let home = &mut self.slots[slot as usize];
-        let Some(e) = home.entry.take() else {
+        let Some(e) = home.entry.take_if(|e| e.info.node == node) else {
             return false;
         };
         home.generation = home.generation.wrapping_add(1);
+        self.by_node.remove(&node);
+        // tao-lint: allow(alloc-reachability, reason = "a vacated slot goes on the free list, which never holds more slots than the slab")
         self.free.push(slot);
         let code = self.position_code(&e.position);
         self.by_position.remove(&(code, slot));
@@ -249,14 +275,16 @@ impl ZoneMap {
     /// popped, so a sweep over a map where nothing has lapsed is O(1)
     /// instead of a full scan.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        self.expire_each(now, |_| {})
+        self.expire_each(now, &mut Tally::new(&COUNTS), |_, _| {})
     }
 
-    /// [`ZoneMap::expire`], naming each dropped node to `dropped`.
+    /// [`ZoneMap::expire`], naming each dropped node and its slot to
+    /// `dropped` and counting stamps popped and re-armed in `tally`.
     pub(crate) fn expire_each(
         &mut self,
         now: SimTime,
-        mut dropped: impl FnMut(OverlayNodeId),
+        tally: &mut Tally,
+        mut dropped: impl FnMut(OverlayNodeId, u32),
     ) -> usize {
         let mut count = 0;
         loop {
@@ -271,23 +299,31 @@ impl ZoneMap {
                 .filter(|_| home.generation == generation)
             {
                 // Refreshed since the stamp was set: re-arm it in place.
-                Some(e) if e.is_live(now) => *top = Reverse((e.expires_at, slot, generation)),
+                Some(e) if e.is_live(now) => {
+                    *top = Reverse((e.expires_at, slot, generation));
+                    tally.add(REARMED, 1);
+                }
                 Some(e) => {
                     let node = e.info.node;
                     PeekMut::pop(top);
-                    self.remove(node);
-                    dropped(node);
+                    self.remove_at(slot, node);
+                    dropped(node, slot);
                     count += 1;
+                    tally.add(POPPED, 1);
                 }
                 // A stamp of another generation outlived what it stood for.
-                None => drop(PeekMut::pop(top)),
+                None => {
+                    PeekMut::pop(top);
+                    tally.add(POPPED, 1);
+                }
             }
         }
     }
 
     /// Re-stamps the TTL of `node`'s entry; returns whether it existed.
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime, config: &SoftStateConfig) -> bool {
-        self.restamp(node, now + config.ttl(), None)
+        let slot = self.by_node.get(&node).copied();
+        slot.is_some_and(|slot| self.restamp_at(slot, node, now + config.ttl(), None))
     }
 
     /// The `max` entries among `slots` nearest to `query` by landmark-vector
@@ -371,8 +407,8 @@ impl ZoneMap {
         let scale = (1u64 << self.pos_bits) as f64;
         let cells = 1u64 << self.pos_bits;
         let mut code = 0u128;
-        for a in 0..d {
-            let q = ((p.coord(a) * scale) as u64).min(cells - 1);
+        for (a, x) in p.coords().iter().enumerate().take(d) {
+            let q = ((x * scale) as u64).min(cells - 1);
             code |= spread(q, d) << (d - 1 - a);
         }
         code
@@ -494,10 +530,12 @@ pub(crate) fn unit_position_into(
 fn condensed_box(region: &Zone, rate: f64) -> Zone {
     debug_assert!(rate > 0.0 && rate <= 1.0);
     if rate == 1.0 {
+        // tao-lint: allow(alloc-reachability, reason = "a region's first publish makes its map")
         return region.clone();
     }
     let d = region.dims();
     let scale = rate.powf(1.0 / d as f64);
+    // tao-lint: allow(alloc-reachability, reason = "a region's first publish makes its map")
     let lo: Vec<f64> = (0..d).map(|a| region.lo(a)).collect();
     let hi: Vec<f64> = (0..d)
         .map(|a| region.lo(a) + region.extent(a) * scale)

@@ -67,6 +67,43 @@ impl RegionKey {
     pub(crate) fn path(self) -> u128 {
         self.0 & (u128::MAX >> (128 - PREFIX_BITS))
     }
+
+    /// `(level, key)` of each high-order region enclosing the box `[lo, hi)`,
+    /// deepest first, as `EcanOverlay::enclosing_high_order_zones` of a zone
+    /// and [`RegionKey::from_zone`] give them, but allocating nothing: the
+    /// deepest cube is keyed from its bounds, the others cut its path short.
+    pub(crate) fn enclosing_cubes(lo: &[f64], hi: &[f64]) -> impl Iterator<Item = (u32, Self)> {
+        let dims = u32::try_from(lo.len()).unwrap_or(u32::MAX).max(1);
+        let level = |(l, h): (&f64, &f64)| (-(h - l).log2()).floor().min(64.0) as u32;
+        let base = lo.iter().zip(hi).map(level).min().unwrap_or(0);
+        let top = base.saturating_sub(1).min(32).min(PREFIX_BITS / dims);
+        let deepest = Self::from_axes(lo.len(), |a| cube_axis(lo, hi, top, a));
+        let deepest = deepest.filter(|_| top > 0);
+        deepest.into_iter().flat_map(move |key| {
+            (1..=top).rev().map(move |level| {
+                let depth = level * dims;
+                let path = key.path() >> (key.depth() - depth);
+                (level, RegionKey(u128::from(depth) << PREFIX_BITS | path))
+            })
+        })
+    }
+}
+
+/// Axis `a` of the aligned cube of side `2^-level` holding the centre of the
+/// box `[lo, hi)`, placed as `Zone::enclosing_aligned_box` places it.
+fn cube_axis(lo: &[f64], hi: &[f64], level: u32, a: usize) -> (f64, f64) {
+    let side = 0.5f64.powi(i32::try_from(level).unwrap_or(i32::MAX));
+    let bound = |s: &[f64]| s.get(a).copied().unwrap_or(0.0);
+    let c = ((bound(lo) + bound(hi)) / 2.0).clamp(0.0, 1.0 - f64::EPSILON);
+    let corner = (c / side).floor() * side;
+    (corner, corner + side)
+}
+
+/// The aligned cube of side `2^-level` holding the centre of `[lo, hi)`.
+#[expect(clippy::expect_used, reason = "a cube of the unit space")]
+pub(crate) fn aligned_cube(lo: &[f64], hi: &[f64], level: u32) -> Zone {
+    let (lo, hi) = (0..lo.len()).map(|a| cube_axis(lo, hi, level, a)).unzip();
+    Zone::from_bounds(lo, hi).expect("a cube of the unit space")
 }
 
 /// Spreads the bits of `v` so bit `j` lands at position `j * dims` — one

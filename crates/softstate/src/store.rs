@@ -4,9 +4,18 @@
 //! high-order zone that encloses its CAN zone (§5.1: "each node will appear
 //! in a maximum of log(N) such maps"). Lookups name a target region and run
 //! the Table-1 procedure against that region's map.
+//!
+//! The maps sit in an arena, in order of creation; the region index (key →
+//! arena slot) is searched only where a map is created or a lookup names a
+//! region. Each node keeps the `(map, slot)` handles of its entries, so a
+//! refresh, a removal and the expiry sweep address entries directly, and a
+//! publish cuts each region's key from the Morton path of the node's zone
+//! key, matches it against the node's handles, and searches the index only
+//! for a region the node has no entry in yet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tao_util::count::Counters;
 use tao_util::det::{DetMap, DetSet};
 
 use tao_landmark::LandmarkNumber;
@@ -17,7 +26,7 @@ use tao_util::time::SimTime;
 use crate::config::SoftStateConfig;
 use crate::entry::NodeInfo;
 use crate::map::{unit_position_into, ZoneMap};
-use crate::region::RegionKey;
+use crate::region::{aligned_cube, RegionKey};
 
 /// The next [`GlobalState`] version. Process-wide, so no two states ever
 /// share one: a [`LookupScratch`] carried from one state to another (or to
@@ -34,14 +43,28 @@ static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone)]
 pub struct GlobalState {
     config: SoftStateConfig,
-    maps: DetMap<RegionKey, ZoneMap>,
-    /// Per node, the keys of exactly the maps that list it: what `refresh`
-    /// and `remove` visit, instead of every map.
-    listed: DetMap<OverlayNodeId, Vec<RegionKey>>,
+    /// The maps with their regions' keys, in order of creation (a map's
+    /// handle), and their handles by region.
+    maps: Vec<(RegionKey, ZoneMap)>,
+    index: DetMap<RegionKey, u32>,
+    /// Per node id, the `(map, slot)` of each of its entries, in the order
+    /// the maps first listed it: how the writes address them.
+    handles: Vec<Vec<(u32, u32)>>,
+    tally: Tally,
     /// Renewed by every write: what a [`LookupScratch`] stamps its
     /// remembered fragments with.
     version: u64,
 }
+
+// The names of `GlobalState::counts`, and the indexes into them.
+tao_util::counters! { pub(crate) COUNTS:
+    PUBLISHES = "publish_calls", REFRESHES = "refresh_calls", REMOVES = "remove_calls",
+    EXPIRES = "expire_calls", CREATED = "entries_created", RESTAMPED = "entries_restamped",
+    POPPED = "stamps_popped", REARMED = "stamps_rearmed", SEARCHES = "index_searches",
+    OUTSIDE = "restamped_outside",
+}
+/// The store's counter block.
+pub(crate) type Tally = Counters<{ COUNTS.len() }>;
 
 /// The buffers of a hosted lookup ([`GlobalState::lookup_in_hosted_into`]):
 /// a caller that keeps one across lookups pays for them once.
@@ -88,8 +111,10 @@ impl GlobalState {
     pub fn new(config: SoftStateConfig) -> Self {
         GlobalState {
             config,
-            maps: DetMap::new(),
-            listed: DetMap::new(),
+            maps: Vec::new(),
+            index: DetMap::new(),
+            handles: Vec::new(),
+            tally: Tally::new(&COUNTS),
             version: NEXT_VERSION.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -99,6 +124,13 @@ impl GlobalState {
         &self.config
     }
 
+    /// What the writes have done so far, by name. `restamped_outside`
+    /// counts, per publish, the node's entries in maps that no longer
+    /// enclose its zone, which its refreshes keep re-stamping.
+    pub fn counts(&self) -> &Tally {
+        &self.tally
+    }
+
     /// Number of region maps that exist so far.
     pub fn map_count(&self) -> usize {
         self.maps.len()
@@ -106,41 +138,76 @@ impl GlobalState {
 
     /// Total entries across all maps (live or stale).
     pub fn total_entries(&self) -> usize {
-        self.maps.values().map(ZoneMap::len).sum()
+        self.maps.iter().map(|(_, m)| m.len()).sum()
     }
 
     /// Expiry stamps pending across all maps: one per entry, plus those of
     /// entries removed and not yet swept — however often entries refresh.
     pub fn pending_stamps(&self) -> usize {
-        self.maps.values().map(ZoneMap::pending_stamps).sum()
+        self.maps.iter().map(|(_, m)| m.pending_stamps()).sum()
     }
 
     /// The map for `region`, if any node has published into it.
     pub fn map(&self, region: &Zone) -> Option<&ZoneMap> {
-        self.maps.get(&RegionKey::from_zone(region)?)
+        self.keyed(RegionKey::from_zone(region)?)
+    }
+
+    fn keyed(&self, key: RegionKey) -> Option<&ZoneMap> {
+        Some(&self.maps.get(*self.index.get(&key)? as usize)?.1)
     }
 
     /// Publishes `info` into the map of every high-order zone enclosing its
     /// node's CAN zone in `ecan`. Returns how many maps were written — the
-    /// message cost of one publish round.
+    /// message cost of one publish round. Only a region without the node's
+    /// entry is looked up in the index, or gets a map.
+    // tao-lint: hot
     pub fn publish(&mut self, info: NodeInfo, ecan: &EcanOverlay, now: SimTime) -> usize {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
+        self.tally.add(PUBLISHES, 1);
+        let zones = ecan.can().zone_bounds(info.node).ok();
+        let (Some((lo, hi)), node) = (zones.and_then(|mut z| z.next()), info.node.0 as usize)
+        else {
+            return 0;
+        };
+        if self.handles.len() <= node {
+            // tao-lint: allow(alloc-reachability, reason = "a first publish: the handle lists grow to a new node id, a node's list by a map it joins, the arena by a new map")
+            self.handles.resize_with(node + 1, Vec::new);
+        }
+        let (maps, index, tally) = (&mut self.maps, &mut self.index, &mut self.tally);
+        let Some(listed) = self.handles.get_mut(node) else {
+            return 0;
+        };
         let mut written = 0;
-        for region in ecan.enclosing_high_order_zones(info.node) {
-            let Some(key) = RegionKey::from_zone(&region) else {
+        for (level, key) in RegionKey::enclosing_cubes(lo, hi) {
+            let at = listed
+                .iter()
+                .position(|h| maps.get(h.0 as usize).is_some_and(|m| m.0 == key));
+            let (m, slot) = match at.and_then(|i| listed.get(i)) {
+                Some(&(m, slot)) => (m, Some(slot)),
+                None => {
+                    let fresh = u32::try_from(maps.len()).unwrap_or(u32::MAX);
+                    let m = *index.entry(key).or_insert(fresh);
+                    if m == fresh {
+                        let region = aligned_cube(lo, hi, level);
+                        maps.push((key, ZoneMap::new(region, &self.config)));
+                    }
+                    (m, None)
+                }
+            };
+            let Some((_, map)) = maps.get_mut(m as usize) else {
                 continue;
             };
-            let map = self
-                .maps
-                .entry(key)
-                .or_insert_with(|| ZoneMap::new(region, &self.config));
-            map.publish(info.clone(), now, &self.config);
-            let keys = self.listed.entry(info.node).or_default();
-            if !keys.contains(&key) {
-                keys.push(key);
+            // tao-lint: allow(alloc-reachability, reason = "a NodeInfo's landmark vector is shared behind Arcs: a clone copies pointers")
+            let (slot, created) = map.upsert_at(slot, info.clone(), now, &self.config);
+            tally.add(if created { CREATED } else { RESTAMPED }, 1);
+            tally.add(SEARCHES, u64::from(at.is_none()));
+            match at.and_then(|i| listed.get_mut(i)) {
+                Some(held) => held.1 = slot,
+                None => listed.push((m, slot)),
             }
             written += 1;
         }
+        tally.add(OUTSIDE, listed.len().saturating_sub(written) as u64);
         written
     }
 
@@ -148,40 +215,48 @@ impl GlobalState {
     /// the number of maps touched.
     pub fn remove(&mut self, node: OverlayNodeId) -> usize {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
-        let keys = self.listed.remove(&node).unwrap_or_default();
-        keys.iter()
-            .filter(|key| self.maps.get_mut(key).is_some_and(|m| m.remove(node)))
-            .count()
+        self.tally.add(REMOVES, 1);
+        let listed = self.handles.get_mut(node.0 as usize).map(std::mem::take);
+        let maps = &mut self.maps;
+        let removed = |&(m, slot): &(u32, u32)| {
+            let map = maps.get_mut(m as usize);
+            map.is_some_and(|(_, map)| map.remove_at(slot, node))
+        };
+        listed.into_iter().flatten().filter(removed).count()
     }
 
     /// Refreshes `node`'s TTLs in every map that lists it. Returns the
     /// number of maps touched.
+    // tao-lint: hot
     pub fn refresh(&mut self, node: OverlayNodeId, now: SimTime) -> usize {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
-        let (maps, config) = (&mut self.maps, &self.config);
-        let Some(keys) = self.listed.get(&node) else {
+        self.tally.add(REFRESHES, 1);
+        let expires_at = now.saturating_add(self.config.ttl());
+        let Some(listed) = self.handles.get(node.0 as usize) else {
             return 0;
         };
-        keys.iter()
-            .filter(|key| {
-                maps.get_mut(key)
-                    .is_some_and(|m| m.refresh(node, now, config))
+        let maps = &mut self.maps;
+        let touched = listed
+            .iter()
+            .filter(|&&(m, slot)| {
+                maps.get_mut(m as usize)
+                    .is_some_and(|(_, map)| map.restamp_at(slot, node, expires_at, None))
             })
-            .count()
+            .count();
+        self.tally.add(RESTAMPED, touched as u64);
+        touched
     }
 
     /// Expires lapsed entries everywhere; returns how many were dropped.
     pub fn expire(&mut self, now: SimTime) -> usize {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
-        let listed = &mut self.listed;
+        self.tally.add(EXPIRES, 1);
+        let (handles, tally) = (&mut self.handles, &mut self.tally);
         let mut dropped = 0;
-        for (key, map) in self.maps.iter_mut() {
-            dropped += map.expire_each(now, |node| {
-                if let Some(keys) = listed.get_mut(&node) {
-                    keys.retain(|k| k != key);
-                    if keys.is_empty() {
-                        listed.remove(&node);
-                    }
+        for (m, (_, map)) in (0u32..).zip(self.maps.iter_mut()) {
+            dropped += map.expire_each(now, tally, |node, slot| {
+                if let Some(listed) = handles.get_mut(node.0 as usize) {
+                    listed.retain(|&h| h != (m, slot));
                 }
             });
         }
@@ -232,7 +307,7 @@ impl GlobalState {
         can: &CanOverlay,
         now: SimTime,
     ) -> impl Iterator<Item = &'a NodeInfo> {
-        let keyed = RegionKey::from_zone(region).and_then(|key| Some((key, self.maps.get(&key)?)));
+        let keyed = RegionKey::from_zone(region).and_then(|key| Some((key, self.keyed(key)?)));
         let hits = keyed.map(|(key, map)| {
             let LookupScratch {
                 stamp,
@@ -309,7 +384,7 @@ impl GlobalState {
     /// with zero so averages are honest.
     pub fn entries_per_host(&self, can: &CanOverlay) -> DetMap<OverlayNodeId, usize> {
         let mut totals: DetMap<OverlayNodeId, usize> = can.live_nodes().map(|id| (id, 0)).collect();
-        for map in self.maps.values() {
+        for map in self.maps() {
             for (host, count) in map.entries_per_host(can) {
                 *totals.entry(host).or_insert(0) += count;
             }
@@ -317,9 +392,10 @@ impl GlobalState {
         totals
     }
 
-    /// Iterates over `(region, map)` pairs.
+    /// Iterates over the maps, in region-key order.
     pub fn maps(&self) -> impl Iterator<Item = &ZoneMap> {
-        self.maps.values()
+        let maps = self.index.values().map(|&m| self.maps.get(m as usize));
+        maps.flatten().map(|(_, map)| map)
     }
 
     /// Compares the region maps against ground truth: `members` is the true
@@ -348,8 +424,7 @@ impl GlobalState {
             }
         }
         let stale = self
-            .maps
-            .values()
+            .maps()
             .flat_map(|m| m.live_entries(now))
             .filter(|e| !live.contains(&e.info.node))
             .count();
@@ -357,36 +432,30 @@ impl GlobalState {
     }
 
     /// Asserts every map's storage invariants ([`ZoneMap::check_invariants`])
-    /// and that each node's region list names exactly the maps listing it.
+    /// and that the index and the node handles name exactly the maps and
+    /// the slots that hold each entry.
     ///
     /// # Panics
     ///
     /// Panics, naming the violation, if an invariant does not hold.
     // tao-lint: allow(panic-reachability, reason = "an invariant checker: panicking on a violation is its contract")
     pub fn check_invariants(&self) {
-        for (key, map) in self.maps.iter() {
+        for (m, (key, map)) in (0u32..).zip(&self.maps) {
             map.check_invariants();
-            for e in map.entries() {
-                let keys = self.listed.get(&e.info.node);
-                assert!(
-                    keys.is_some_and(|k| k.contains(key)),
-                    "{} unlisted",
-                    e.info.node
-                );
+            assert_eq!(self.index.get(key), Some(&m), "the index misses a map");
+        }
+        assert_eq!(self.index.len(), self.maps.len(), "a stale index key");
+        // Every handle names a slot holding its node, no map twice, so
+        // handles as many as the entries name every entry once.
+        for (node, listed) in (0u32..).zip(&self.handles) {
+            for (i, &(m, slot)) in listed.iter().enumerate() {
+                let held = self.maps.get(m as usize).and_then(|(_, map)| map.get(slot));
+                assert_eq!(held.map(|e| e.info.node.0), Some(node), "a stale handle");
+                assert!(listed[..i].iter().all(|h| h.0 != m), "a map listed twice");
             }
         }
-        // Every entry is listed, so lists as long in total as the entries
-        // are many name nothing else and nothing twice.
-        let listings: usize = self.listed.values().map(Vec::len).sum();
-        assert_eq!(
-            listings,
-            self.total_entries(),
-            "a region list names a map without its node"
-        );
-        assert!(
-            self.listed.values().all(|k| !k.is_empty()),
-            "an empty region list is kept"
-        );
+        let handles: usize = self.handles.iter().map(Vec::len).sum();
+        assert_eq!(handles, self.total_entries(), "an entry without a handle");
     }
 }
 
@@ -433,13 +502,18 @@ mod tests {
     use tao_overlay::ecan::RandomSelector;
     use tao_overlay::Point;
     use tao_topology::NodeIdx;
+    use tao_util::check::for_all;
     use tao_util::rand::rngs::StdRng;
-    use tao_util::rand::SeedableRng;
+    use tao_util::rand::{Rng, SeedableRng};
     use tao_util::time::SimDuration;
 
     fn setup(n: u32) -> (EcanOverlay, GlobalState) {
+        setup_seeded(n, 31)
+    }
+
+    fn setup_seeded(n: u32, seed: u64) -> (EcanOverlay, GlobalState) {
         let mut can = CanOverlay::new(2).unwrap();
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..n {
             can.join(NodeIdx(i), Point::random(2, &mut rng));
         }
@@ -632,5 +706,260 @@ mod tests {
         assert!(state
             .lookup_in_hosted(&Zone::whole(2), &q, 5, ecan.can(), SimTime::ORIGIN)
             .is_empty());
+    }
+
+    /// The store's bookkeeping before handles, kept as the reference: every
+    /// map found by its region's key, and per node the keys of exactly the
+    /// maps that list it, in the order they first did.
+    #[derive(Default)]
+    struct KeyLists {
+        maps: DetMap<RegionKey, ZoneMap>,
+        listed: DetMap<OverlayNodeId, Vec<RegionKey>>,
+    }
+
+    impl KeyLists {
+        fn publish(&mut self, info: &NodeInfo, ecan: &EcanOverlay, now: SimTime) -> usize {
+            let config = config();
+            let mut written = 0;
+            for region in ecan.enclosing_high_order_zones(info.node) {
+                let Some(key) = RegionKey::from_zone(&region) else {
+                    continue;
+                };
+                let map = self.maps.entry(key);
+                let map = map.or_insert_with(|| ZoneMap::new(region, &config));
+                map.publish(info.clone(), now, &config);
+                let keys = self.listed.entry(info.node).or_default();
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+                written += 1;
+            }
+            written
+        }
+
+        fn remove(&mut self, node: OverlayNodeId) -> usize {
+            let keys = self.listed.remove(&node).unwrap_or_default();
+            keys.iter()
+                .filter(|key| self.maps.get_mut(key).is_some_and(|m| m.remove(node)))
+                .count()
+        }
+
+        fn refresh(&mut self, node: OverlayNodeId, now: SimTime) -> usize {
+            let Some(keys) = self.listed.get(&node) else {
+                return 0;
+            };
+            let config = config();
+            keys.iter()
+                .filter(|key| {
+                    let map = self.maps.get_mut(key);
+                    map.is_some_and(|m| m.refresh(node, now, &config))
+                })
+                .count()
+        }
+
+        fn expire(&mut self, now: SimTime) -> usize {
+            let listed = &mut self.listed;
+            let mut dropped = 0;
+            for (key, map) in self.maps.iter_mut() {
+                dropped += map.expire_each(now, &mut Tally::new(&COUNTS), |node, _| {
+                    if let Some(keys) = listed.get_mut(&node) {
+                        keys.retain(|k| k != key);
+                        if keys.is_empty() {
+                            listed.remove(&node);
+                        }
+                    }
+                });
+            }
+            dropped
+        }
+    }
+
+    fn config() -> SoftStateConfig {
+        let grid = LandmarkGrid::new(3, 5, SimDuration::from_millis(320)).unwrap();
+        SoftStateConfig::builder(grid)
+            .ttl(SimDuration::from_secs(60))
+            .build()
+    }
+
+    /// Holds `state` to `reference`: its invariants, the same maps under
+    /// the same keys, each byte for byte (slab, free list, indexes, wheel),
+    /// and every node's handles naming its maps in the reference's order.
+    fn assert_keeps(state: &GlobalState, reference: &KeyLists) {
+        state.check_invariants();
+        assert!(state.index.keys().eq(reference.maps.keys()), "map keys");
+        for (key, map) in &reference.maps {
+            let same = format!("{:?}", state.keyed(*key)) == format!("{:?}", Some(map));
+            assert!(same, "map {key:?} differs from the key-listed one");
+        }
+        let keys = |h: &Vec<(u32, u32)>| -> Vec<RegionKey> {
+            h.iter().map(|&(m, _)| state.maps[m as usize].0).collect()
+        };
+        let listed = (0u32..).zip(&state.handles).filter(|(_, h)| !h.is_empty());
+        let handles_name: Vec<_> = listed.map(|(n, h)| (OverlayNodeId(n), keys(h))).collect();
+        let lists: Vec<_> = reference.listed.clone().into_iter().collect();
+        assert_eq!(handles_name, lists, "handles vs key lists");
+    }
+
+    #[test]
+    fn handles_keep_the_key_list_bookkeeping() {
+        for_all("handles_keep_the_key_list_bookkeeping", 64, |rng| {
+            let dims = rng.gen_range(1..=3usize);
+            let mut can = CanOverlay::new(dims).unwrap();
+            for i in 0..rng.gen_range(2..32u32) {
+                can.join(NodeIdx(i), Point::random(dims, rng));
+            }
+            let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(rng.gen()));
+            let mut state = GlobalState::new(config());
+            let mut reference = KeyLists::default();
+            let mut nodes: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
+            let mut now = SimTime::ORIGIN;
+            for step in 0..rng.gen_range(10..60u32) {
+                let node = nodes[rng.gen_range(0..nodes.len())];
+                match rng.gen_range(0..100) {
+                    // Three vectors a node: a re-publish under the same
+                    // number as often as under a changed one.
+                    0..=39 => {
+                        let base = f64::from(node.0 % 50) * 5.0 + f64::from(rng.gen_range(0..3u32));
+                        let info = info_for(&state, node.0, [base, 300.0 - base, 40.0]);
+                        let written = state.publish(info.clone(), &ecan, now);
+                        assert_eq!(written, reference.publish(&info, &ecan, now));
+                    }
+                    40..=59 => {
+                        let touched = state.refresh(node, now);
+                        assert_eq!(touched, reference.refresh(node, now));
+                    }
+                    60..=67 => assert_eq!(state.remove(node), reference.remove(node)),
+                    68..=81 => {
+                        now += SimDuration::from_millis(rng.gen_range(0..45_000));
+                        assert_eq!(state.expire(now), reference.expire(now));
+                    }
+                    82..=91 => {
+                        let point = Point::random(dims, rng);
+                        nodes.push(ecan.join_unselected(NodeIdx(1_000 + step), point));
+                    }
+                    _ => {
+                        if ecan.can().len() > 1 {
+                            // Err: it left earlier; its entries stay.
+                            let _ = ecan.depart(node);
+                        }
+                    }
+                }
+                assert_keeps(&state, &reference);
+            }
+        });
+    }
+
+    /// Splits `zone` along the tree's next axis `splits` times, keeping a
+    /// random half each time: a box of the split tree `splits` deep.
+    fn tree_box(dims: usize, splits: u32, rng: &mut StdRng) -> Zone {
+        let mut zone = Zone::whole(dims);
+        for depth in 0..splits as usize {
+            let (lower, upper) = zone.split(depth % dims);
+            zone = if rng.gen() { lower } else { upper };
+        }
+        zone
+    }
+
+    #[test]
+    fn cut_keys_are_the_keys_of_the_enclosing_zones() {
+        for_all("cut_keys_are_the_keys_of_the_enclosing_zones", 256, |rng| {
+            let dims = rng.gen_range(1..=5usize);
+            let mut can = CanOverlay::new(dims).unwrap();
+            for i in 0..rng.gen_range(1..48u32) {
+                can.join(NodeIdx(i), Point::random(dims, rng));
+            }
+            let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(rng.gen()));
+            let live: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
+            for &gone in live.iter().take(rng.gen_range(0..live.len())) {
+                let _ = ecan.depart(gone);
+            }
+            for id in ecan.can().live_nodes() {
+                let (lo, hi) = ecan.can().zone_bounds(id).unwrap().next().unwrap();
+                let cut: Vec<_> = RegionKey::enclosing_cubes(lo, hi).collect();
+                let zones = ecan.enclosing_high_order_zones(id);
+                let keyed: Vec<_> = zones.iter().filter_map(RegionKey::from_zone).collect();
+                assert_eq!(cut.iter().map(|c| c.1).collect::<Vec<_>>(), keyed, "{id}");
+                for ((level, _), zone) in cut.iter().zip(&zones) {
+                    assert_eq!(&aligned_cube(lo, hi, *level), zone);
+                }
+            }
+            // Boxes deeper than a key can name (32 splits an axis, 120 in
+            // all; f64 bounds stay exact to ~50) against the enclosing cubes
+            // `EcanOverlay` would list.
+            let zone = tree_box(dims, rng.gen_range(0..=50 * dims as u32), rng);
+            let lo: Vec<f64> = (0..dims).map(|a| zone.lo(a)).collect();
+            let hi: Vec<f64> = (0..dims).map(|a| zone.hi(a)).collect();
+            let finest = (0..dims)
+                .map(|a| (-zone.extent(a).log2()).floor() as u32)
+                .min()
+                .unwrap();
+            let cubes = (1..finest)
+                .rev()
+                .map(|level| zone.enclosing_aligned_box(level));
+            let keyed: Vec<_> = cubes.filter_map(|c| RegionKey::from_zone(&c)).collect();
+            let cut: Vec<_> = RegionKey::enclosing_cubes(&lo, &hi).map(|c| c.1).collect();
+            assert_eq!(cut, keyed, "{zone}");
+        });
+    }
+
+    #[test]
+    fn counts_follow_a_scripted_history() {
+        let (ecan, mut state) = setup(128);
+        let count = |state: &GlobalState, name| state.counts().get(name).unwrap();
+        let node = OverlayNodeId(3);
+        let info = info_for(&state, node.0, [30.0, 60.0, 120.0]);
+        let k = state.publish(info.clone(), &ecan, SimTime::ORIGIN) as u64;
+        assert!(k >= 1);
+        assert_eq!(count(&state, "entries_created"), k);
+        assert_eq!(count(&state, "index_searches"), k);
+        // A refresh of a node listed in k maps: k re-stamps, no search.
+        assert_eq!(state.refresh(node, SimTime::ORIGIN) as u64, k);
+        state.publish(info.clone(), &ecan, SimTime::ORIGIN);
+        assert_eq!(count(&state, "entries_restamped"), 2 * k);
+        assert_eq!(count(&state, "index_searches"), k);
+        // A changed number recreates each entry in place of the old.
+        let moved = info_for(&state, node.0, [200.0, 20.0, 90.0]);
+        assert_ne!(moved.number, info.number);
+        state.publish(moved.clone(), &ecan, SimTime::ORIGIN);
+        assert_eq!(count(&state, "entries_created"), 2 * k);
+        assert_eq!(count(&state, "index_searches"), k);
+        assert_eq!(count(&state, "restamped_outside"), 0);
+        // The same id in another overlay lies in other regions: it is
+        // searched for and filed in the new ones, and the entries it keeps
+        // in the maps that no longer enclose it are counted.
+        let (other, _) = setup_seeded(128, 32);
+        let keys = |e: &EcanOverlay| -> DetSet<RegionKey> {
+            let zones = e.enclosing_high_order_zones(node);
+            zones.iter().filter_map(RegionKey::from_zone).collect()
+        };
+        let (here, there) = (keys(&ecan), keys(&other));
+        let outside = here.difference(&there).count() as u64;
+        let new = there.difference(&here).count() as u64;
+        assert!(outside > 0 && new > 0, "seeds that move the node");
+        let written = state.publish(moved, &other, SimTime::ORIGIN);
+        assert_eq!(written, there.len());
+        assert_eq!(count(&state, "index_searches"), k + new);
+        assert_eq!(count(&state, "entries_created"), 2 * k + new);
+        assert_eq!(count(&state, "restamped_outside"), outside);
+        // Stamps: k first, k for the recreated entries and `new` for the
+        // new regions' — all due at one TTL, of which k are stale. After a
+        // refresh at half a TTL the k + new live ones re-arm.
+        let ttl = state.config().ttl();
+        let half = SimTime::ORIGIN + ttl / 2;
+        assert_eq!(state.refresh(node, half) as u64, k + new);
+        assert_eq!(state.expire(SimTime::ORIGIN + ttl), 0);
+        assert_eq!(count(&state, "stamps_popped"), k);
+        assert_eq!(count(&state, "stamps_rearmed"), k + new);
+        assert_eq!(state.expire(half + ttl) as u64, k + new);
+        assert_eq!(count(&state, "stamps_popped"), 2 * k + new);
+        assert_eq!(state.remove(node), 0);
+        let calls = [
+            "publish_calls",
+            "refresh_calls",
+            "remove_calls",
+            "expire_calls",
+        ];
+        assert_eq!(calls.map(|c| count(&state, c)), [4, 2, 1, 2]);
+        state.check_invariants();
     }
 }

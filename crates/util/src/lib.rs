@@ -10,6 +10,7 @@
 //! |---|---|---|
 //! | [`rand`] | `rand` 0.8 | seedable SplitMix64 `StdRng`, `gen`/`gen_range`/`gen_bool`, `shuffle`, `Uniform` |
 //! | [`check`] | `proptest` | `for_all` seeded property harness + `check!` macros |
+//! | [`count`] | — | static-name `u64` event counters owned by the layer that counts |
 //! | [`det`] | `std::collections::Hash{Map,Set}` | `DetMap`/`DetSet` with deterministic iteration order |
 //! | [`par`] | `rayon` | order-preserving `par_map` over scoped threads, `TAO_WORKERS` knob |
 //! | [`time`] | `std::time` | virtual-time `SimTime`/`SimDuration` newtypes (re-exported by `tao-sim`) |
@@ -29,6 +30,7 @@
 )]
 
 pub mod check;
+pub mod count;
 pub mod det;
 pub mod par;
 pub mod rand;

@@ -6,7 +6,8 @@
 //! reads takeover zones only on the latter — and the soft-state hosted
 //! lookup through its `LookupScratch`, whose remembered `(region, host)`
 //! fragments a warmed pass revisits — perform ZERO heap allocations, and
-//! so does a sampled expressway pick (`RandomSelector::select_in_box`,
+//! so do a warmed soft-state refresh and same-number re-publish, which
+//! address every entry by its handle, and a sampled expressway pick (`RandomSelector::select_in_box`,
 //! which draws through `CanOverlay`'s `SlotOverlay::draw_member`: one
 //! split-tree descent), on a pristine overlay and on a churned one.
 //!
@@ -395,6 +396,24 @@ fn warmed_route_into_makes_zero_heap_allocations_on_all_five_overlays() {
         walked,
         "the warmed pass found every fragment"
     );
+
+    // A refresh round's two store calls: once every node is listed in each
+    // map it lies in (the first round files the takers' new regions), a
+    // refresh and a same-number re-publish re-stamp by handle.
+    let later = SimTime::ORIGIN + SimDuration::from_secs(1);
+    let refresh_round = |state: &mut GlobalState| -> usize {
+        let refreshed: usize = infos.iter().map(|i| state.refresh(i.node, later)).sum();
+        let published: usize = infos
+            .iter()
+            .map(|i| state.publish(i.clone(), &store_ecan, later))
+            .sum();
+        refreshed + published
+    };
+    let touched = refresh_round(&mut state);
+    per_overlay.push((
+        "softstate refresh and same-number re-publish",
+        allocations(|| assert_eq!(refresh_round(&mut state), touched)),
+    ));
 
     for (overlay, count) in per_overlay {
         assert_eq!(
