@@ -61,4 +61,4 @@ pub mod zorder;
 
 pub use grid::{GridError, LandmarkGrid};
 pub use number::{region_position, region_position_into, LandmarkNumber, SpaceFillingCurve};
-pub use vector::LandmarkVector;
+pub use vector::{LandmarkVector, Rank};

@@ -1,5 +1,6 @@
 //! Landmark vectors: a node's RTTs to the landmark set.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,9 +143,9 @@ impl LandmarkVector {
 
     /// Ranks `candidates` — each a `(vector, tie-break id, handle)` triple —
     /// by [`euclidean_ms`](Self::euclidean_ms) distance from `self` and
-    /// leaves the `max` nearest in `ranked`, nearest first, as
-    /// `(distance, id, handle)`. `ranked` is cleared first; callers on a
-    /// request path keep it between calls so ranking allocates nothing.
+    /// leaves the `max` nearest in `ranked`, nearest first, each as one
+    /// [`Rank`]. `ranked` is cleared first; callers on a request path keep
+    /// it between calls so ranking allocates nothing.
     ///
     /// This is the one ranking rule behind every "closest in landmark
     /// space" query. Each distance is computed once; ties break by id, then
@@ -153,35 +154,51 @@ impl LandmarkVector {
     /// by `(distance, id)` followed by `take(max)` returns, without sorting
     /// the candidates that do not make the cut.
     ///
+    /// Candidates are scored four at a time, so four vectors' loads and sums
+    /// overlap; each sum runs in component order from `0.0`, which is
+    /// `euclidean_ms`'s sum bit for bit, since every term is `≥ +0`.
+    ///
     /// # Panics
     ///
     /// Panics if a candidate's vector has a different length from `self`.
-    pub fn nearest<'v, K: Ord, H: Ord>(
+    // tao-lint: hot
+    pub fn nearest<'v, K, H, R: Rank<K, H>>(
         &self,
         candidates: impl IntoIterator<Item = (&'v LandmarkVector, K, H)>,
         max: usize,
-        ranked: &mut Vec<(f64, K, H)>,
+        ranked: &mut Vec<R>,
     ) {
         ranked.clear();
-        let rank =
-            |(vector, id, handle): (&LandmarkVector, K, H)| (self.euclidean_ms(vector), id, handle);
-        // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
-        ranked.extend(candidates.into_iter().map(rank));
-        // Distances are finite and never -0.0 (a square root of a sum of
-        // squares over at least one component), so `total_cmp` is the
-        // numeric order.
-        let by_rank = |a: &(f64, K, H), b: &(f64, K, H)| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        };
-        if max == 0 {
-            ranked.clear();
-        } else if ranked.len() > max {
-            ranked.select_nth_unstable_by(max - 1, by_rank);
+        let (query, mut candidates) = (&*self.millis, candidates.into_iter().fuse());
+        let mut full = max > 0;
+        while full {
+            let block = [(); 4].map(|_| candidates.next());
+            full = block.iter().all(Option::is_some);
+            // An empty place scores the query against itself, unread.
+            let millis = block
+                .each_ref()
+                .map(|c| c.as_ref().map_or(query, |c| &*c.0.millis));
+            let equal = millis.iter().all(|m| m.len() == query.len());
+            assert!(equal, "landmark vectors must have equal dimensionality");
+            let ([m0, m1, m2, m3], mut sums) = (millis, [0.0f64; 4]);
+            let columns = query.iter().zip(m0).zip(m1).zip(m2).zip(m3);
+            for ((((q, a), b), c), d) in columns {
+                for (sum, m) in sums.iter_mut().zip([a, b, c, d]) {
+                    let gap = q - m;
+                    *sum += gap * gap;
+                }
+            }
+            let scored = sums.into_iter().zip(block);
+            for (sum, (_, id, handle)) in scored.filter_map(|(s, c)| Some((s, c?))) {
+                // tao-lint: allow(alloc-reachability, reason = "caller-held ranking buffer: grows to the largest candidate set seen, then is reused; tests/zero_alloc.rs asserts a warmed lookup never allocates")
+                ranked.push(R::rank(sum.sqrt(), id, handle));
+            }
+        }
+        if ranked.len() > max {
+            ranked.select_nth_unstable_by(max - 1, R::order);
             ranked.truncate(max);
         }
-        ranked.sort_unstable_by(by_rank);
+        ranked.sort_unstable_by(R::order);
     }
 
     /// Projects the vector onto a subset of components — the paper's
@@ -207,6 +224,40 @@ impl LandmarkVector {
     pub fn prefix(&self, k: usize) -> LandmarkVector {
         assert!(k > 0 && k <= self.rtts.len(), "prefix length out of range");
         Self::shared(self.rtts[..k].into())
+    }
+}
+
+/// One candidate as [`LandmarkVector::nearest`] ranks it: built from its
+/// distance — finite and never `-0.0`, a square root of a sum of squares —
+/// and its tie-breaks, and ordered by distance, then id, then handle.
+pub trait Rank<K, H> {
+    /// The rank of the candidate `(id, handle)` at `distance`.
+    fn rank(distance: f64, id: K, handle: H) -> Self;
+    /// The rank order: nearest first.
+    fn order(&self, other: &Self) -> Ordering;
+}
+
+/// `(distance, id, handle)`, for tie-breaks of any order.
+impl<K: Ord, H: Ord> Rank<K, H> for (f64, K, H) {
+    fn rank(distance: f64, id: K, handle: H) -> Self {
+        (distance, id, handle)
+    }
+
+    fn order(&self, other: &Self) -> Ordering {
+        // Non-negative distances: bit order is numeric order.
+        (self.0.to_bits(), &self.1, &self.2).cmp(&(other.0.to_bits(), &other.1, &other.2))
+    }
+}
+
+/// The distance's bits, the id and the handle, high to low: one integer
+/// comparison orders two candidates.
+impl Rank<u32, u32> for u128 {
+    fn rank(distance: f64, id: u32, handle: u32) -> Self {
+        (u128::from(distance.to_bits()) << 64) | (u128::from(id) << 32) | u128::from(handle)
+    }
+
+    fn order(&self, other: &Self) -> Ordering {
+        self.cmp(other)
     }
 }
 

@@ -22,7 +22,7 @@ use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use tao_util::det::DetMap;
 
-use tao_landmark::{region_position_into, LandmarkNumber, LandmarkVector};
+use tao_landmark::{region_position_into, LandmarkNumber};
 use tao_overlay::{CanOverlay, OverlayNodeId, Point, Zone};
 use tao_util::time::SimTime;
 
@@ -326,27 +326,6 @@ impl ZoneMap {
         slot.is_some_and(|slot| self.restamp_at(slot, node, now + config.ttl(), None))
     }
 
-    /// The `max` entries among `slots` nearest to `query` by landmark-vector
-    /// distance, nearest first, ranked in the caller's buffer (see
-    /// [`LandmarkVector::nearest`]; nodes are unique within a map, so the
-    /// slot handle never breaks a tie).
-    pub(crate) fn nearest<'a>(
-        &'a self,
-        query: &LandmarkVector,
-        slots: impl IntoIterator<Item = u32>,
-        max: usize,
-        ranked: &'a mut Vec<(f64, OverlayNodeId, u32)>,
-    ) -> impl Iterator<Item = &'a NodeInfo> {
-        let candidates = slots.into_iter().filter_map(|slot| {
-            let e = self.get(slot)?;
-            Some((&e.info.vector, e.info.node, slot))
-        });
-        query.nearest(candidates, max, ranked);
-        ranked
-            .iter()
-            .filter_map(|&(_, _, slot)| Some(&self.get(slot)?.info))
-    }
-
     /// Iterates over live entries.
     // tao-lint: allow(panic-reachability, reason = "entry liveness is pure TTL arithmetic; the panic edge is the approximate name-match against the overlay's is_live")
     pub fn live_entries(&self, now: SimTime) -> impl Iterator<Item = &SoftStateEntry> {
@@ -546,7 +525,7 @@ fn condensed_box(region: &Zone, rate: f64) -> Zone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tao_landmark::LandmarkGrid;
+    use tao_landmark::{LandmarkGrid, LandmarkVector};
     use tao_topology::NodeIdx;
     use tao_util::time::SimDuration;
 
@@ -616,11 +595,14 @@ mod tests {
             map.publish(i.clone(), SimTime::ORIGIN, &cfg);
         }
         let query = LandmarkVector::from_millis(&[12.0, 41.0, 88.0]);
-        let slots = map.by_node.values().copied();
-        let found: Vec<OverlayNodeId> = map
-            .nearest(&query, slots, 2, &mut Vec::new())
-            .map(|i| i.node)
-            .collect();
+        let entries = map.live_entries(SimTime::ORIGIN);
+        let mut ranked = Vec::new();
+        query.nearest(
+            entries.map(|e| (&e.info.vector, e.info.node, ())),
+            2,
+            &mut ranked,
+        );
+        let found: Vec<OverlayNodeId> = ranked.iter().map(|&(_, node, ())| node).collect();
         assert_eq!(found, [OverlayNodeId(1), OverlayNodeId(2)]);
     }
 

@@ -66,10 +66,16 @@ tao_util::counters! { pub(crate) COUNTS:
 /// The store's counter block.
 pub(crate) type Tally = Counters<{ COUNTS.len() }>;
 
+// The names of `LookupScratch::counts`, and the indexes into them.
+tao_util::counters! { pub(crate) READS:
+    LOOKUPS = "lookups", UNMAPPED = "lookups_unmapped", CANDIDATES = "candidates_ranked",
+    WALKS = "fragment_walks", REUSES = "fragment_reuses", WIDENINGS = "ring_widenings",
+}
+
 /// The buffers of a hosted lookup ([`GlobalState::lookup_in_hosted_into`]):
 /// a caller that keeps one across lookups pays for them once.
 ///
-/// It also remembers, per `(region, host)`, the live slots the host (and,
+/// It also remembers, per `(map, host)`, the live slots the host (and,
 /// once a query needed them, its widening ring) stores, so queriers that
 /// land on the same host share one walk of the position index. What is
 /// remembered is valid for exactly as long as nothing it was read from has
@@ -79,16 +85,28 @@ pub(crate) type Tally = Counters<{ COUNTS.len() }>;
 #[derive(Debug, Clone, Default)]
 pub struct LookupScratch {
     stamp: Option<(u64, usize, usize, SimTime)>,
-    fragments: DetMap<(RegionKey, OverlayNodeId), Fragment>,
+    /// Keyed by the map's arena handle over the host's id.
+    fragments: DetMap<u64, Fragment>,
     /// The fragments' `(slot, node)` pairs, end to end.
     slots: Vec<(u32, OverlayNodeId)>,
-    walks: u64,
     /// The number whose normalised curve position `unit` holds: decoded
     /// once per querier, not once per box it asks about.
     decoded: Option<LandmarkNumber>,
     unit: Vec<f64>,
     landing: Vec<f64>,
-    ranked: Vec<(f64, OverlayNodeId, u32)>,
+    /// The ranked candidates, as packed `(distance, node, slot)` keys.
+    ranked: Vec<u128>,
+    tally: Reads,
+}
+
+/// The lookups' counter block ([`LookupScratch::counts`]).
+#[derive(Debug, Clone, Copy)]
+struct Reads(Counters<{ READS.len() }>);
+
+impl Default for Reads {
+    fn default() -> Self {
+        Reads(Counters::new(&READS))
+    }
 }
 
 /// Where in [`LookupScratch::slots`] one host's live slots for one region
@@ -102,7 +120,12 @@ struct Fragment {
 impl LookupScratch {
     /// How many host fragments have been walked through this scratch.
     pub fn fragment_walks(&self) -> u64 {
-        self.walks
+        self.tally.0.get("fragment_walks").unwrap_or(0)
+    }
+
+    /// What the lookups through this scratch have done so far, by name.
+    pub fn counts(&self) -> &Counters<{ READS.len() }> {
+        &self.tally.0
     }
 }
 
@@ -307,18 +330,21 @@ impl GlobalState {
         can: &CanOverlay,
         now: SimTime,
     ) -> impl Iterator<Item = &'a NodeInfo> {
-        let keyed = RegionKey::from_zone(region).and_then(|key| Some((key, self.keyed(key)?)));
-        let hits = keyed.map(|(key, map)| {
-            let LookupScratch {
-                stamp,
-                fragments,
-                slots,
-                walks,
-                decoded,
-                unit,
-                landing,
-                ranked,
-            } = scratch;
+        let handle = RegionKey::from_zone(region).and_then(|key| self.index.get(&key));
+        let mapped = handle.and_then(|&m| Some((m, &self.maps.get(m as usize)?.1)));
+        let LookupScratch {
+            stamp,
+            fragments,
+            slots,
+            decoded,
+            unit,
+            landing,
+            ranked,
+            tally: Reads(tally),
+        } = scratch;
+        tally.add(LOOKUPS, 1);
+        tally.add(UNMAPPED, u64::from(mapped.is_none()));
+        let hits = mapped.map(|(m, map)| {
             let read_from = Some((self.version, can.id_bound(), can.len(), now));
             if *stamp != read_from {
                 *stamp = read_from;
@@ -336,10 +362,12 @@ impl GlobalState {
             landing.extend_from_slice(unit);
             map.scale_into_condensed(landing);
             let found = can.owner_at(landing).map(|host| {
-                // A key per (region, host) pair a stamp sees: a warmed pass
+                // A key per (map, host) pair a stamp sees: a warmed pass
                 // finds every key present and inserts nothing.
-                let fragment = fragments.entry((key, host)).or_insert_with(|| {
-                    *walks += 1;
+                let memo = u64::from(m) << 32 | u64::from(host.0);
+                let mut fresh = false;
+                let fragment = fragments.entry(memo).or_insert_with(|| {
+                    fresh = true;
                     let from = slots.len();
                     walk(map, can, host, now, slots);
                     Fragment {
@@ -347,12 +375,14 @@ impl GlobalState {
                         ring: None,
                     }
                 });
+                tally.add(if fresh { WALKS } else { REUSES }, 1);
                 // Never hand a node back itself as a candidate. TTL
                 // widening: the ring of CAN neighbors around the host is
                 // asked only if the host itself holds fewer than `max`.
                 let (from, to) = fragment.host;
                 let own = slots[from..to].iter().filter(|s| s.1 != me).count();
                 if own < max && fragment.ring.is_none() {
+                    tally.add(WIDENINGS, 1);
                     let ring_from = slots.len();
                     let ring = can.neighbor_ids(host).ok().into_iter().flatten();
                     ring.filter(|&&n| n != host)
@@ -361,9 +391,17 @@ impl GlobalState {
                 }
                 let (ring_from, ring_to) = fragment.ring.filter(|_| own < max).unwrap_or((to, to));
                 let found = slots[from..to].iter().chain(&slots[ring_from..ring_to]);
-                found.filter(move |s| s.1 != me).map(|s| s.0)
+                found.filter(move |s| s.1 != me)
             });
-            map.nearest(&query.vector, found.into_iter().flatten(), max, ranked)
+            // Each candidate's vector is read where its entry keeps it.
+            let candidates = found.into_iter().flatten().filter_map(|&(slot, node)| {
+                tally.add(CANDIDATES, 1);
+                Some((&map.get(slot)?.info.vector, node.0, slot))
+            });
+            query.vector.nearest(candidates, max, ranked);
+            ranked
+                .iter()
+                .filter_map(|&key| Some(&map.get(key as u32)?.info))
         });
         hits.into_iter().flatten()
     }
@@ -503,7 +541,9 @@ mod tests {
     use tao_overlay::Point;
     use tao_topology::NodeIdx;
     use tao_util::check::for_all;
+    use tao_util::check_eq;
     use tao_util::rand::rngs::StdRng;
+    use tao_util::rand::seq::SliceRandom;
     use tao_util::rand::{Rng, SeedableRng};
     use tao_util::time::SimDuration;
 
@@ -666,37 +706,151 @@ mod tests {
 
     #[test]
     fn hosted_lookup_matches_the_owner_walk_oracle() {
-        let (ecan, mut state) = setup(96);
-        for i in 0..96u32 {
-            let base = 5.0 + (i as f64 * 3.1) % 280.0;
-            let info = info_for(&state, i, [base, base + 4.0, base + 11.0]);
-            state.publish(info, &ecan, SimTime::ORIGIN);
-        }
-        let later = SimTime::ORIGIN + state.config().ttl() / 2;
-        for id in [4u32, 19, 55] {
-            state.refresh(OverlayNodeId(id), later);
-        }
-        for id in [8u32, 30] {
-            state.remove(OverlayNodeId(id));
-        }
-        state.check_invariants();
-        // Probe every region map, several query vectors, both while all
-        // entries are live and after the un-refreshed ones lapse.
-        let lapsed = SimTime::ORIGIN + state.config().ttl() + SimDuration::from_micros(1);
-        let regions: Vec<Zone> = state.maps().map(|m| m.region().clone()).collect();
-        for now in [later, lapsed] {
-            for region in &regions {
-                for q in [0u32, 7, 50, 91] {
-                    let query = info_for(&state, q, [15.0 + q as f64, 60.0, 140.0]);
-                    for max in [1usize, 4, 16] {
-                        let fast = state.lookup_in_hosted(region, &query, max, ecan.can(), now);
-                        let slow =
-                            lookup_in_hosted_scan(&state, region, &query, max, ecan.can(), now);
-                        assert_eq!(fast, slow, "region {region:?} q={q} max={max}");
+        for_all("hosted_lookup_matches_the_owner_walk_oracle", 64, |rng| {
+            let mut can = CanOverlay::new(2).unwrap();
+            for i in 0..rng.gen_range(2..80u32) {
+                can.join(NodeIdx(i), Point::random(2, rng));
+            }
+            let mut ecan = EcanOverlay::build(can, &mut RandomSelector::new(rng.gen()));
+            let grid = LandmarkGrid::new(15, 4, SimDuration::from_millis(320)).unwrap();
+            let config = SoftStateConfig::builder(grid).build();
+            let mut state = GlobalState::new(config);
+            // A few 15-landmark vectors shared by many nodes: equal
+            // distances are common and must break by node id.
+            let pool: Vec<LandmarkVector> = (0..rng.gen_range(1..6))
+                .map(|_| {
+                    let millis = [(); 15].map(|_| f64::from(rng.gen_range(0..320u32)));
+                    LandmarkVector::from_millis(&millis)
+                })
+                .collect();
+            let info = |rng: &mut StdRng, id: u32| {
+                let vector = pool[rng.gen_range(0..pool.len())].clone();
+                let number = config.grid().landmark_number(&vector, config.curve());
+                NodeInfo {
+                    node: OverlayNodeId(id),
+                    underlay: NodeIdx(id),
+                    vector,
+                    number,
+                    load: None,
+                }
+            };
+            let ttl = config.ttl();
+            let members: Vec<OverlayNodeId> = ecan.can().live_nodes().collect();
+            // Published in a shuffled order, so slot order is not id order.
+            let mut order = members.clone();
+            order.shuffle(rng);
+            for &node in &order {
+                let published = info(rng, node.0);
+                state.publish(published, &ecan, SimTime::ORIGIN);
+            }
+            // Churn: departures leave takeover zones and stale entries.
+            for &node in &members {
+                if ecan.can().len() > 1 && rng.gen_bool(0.3) {
+                    let _ = ecan.depart(node);
+                }
+            }
+            let half = SimTime::ORIGIN + ttl / 2;
+            for &node in &members {
+                match rng.gen_range(0..4) {
+                    0 => {
+                        state.refresh(node, half);
+                    }
+                    1 => {
+                        state.remove(node);
+                    }
+                    _ => {}
+                }
+            }
+            state.check_invariants();
+            let regions: Vec<Zone> = state.maps().map(|m| m.region().clone()).collect();
+            let lapsed = SimTime::ORIGIN + ttl + SimDuration::from_micros(1);
+            // One scratch across queriers, regions and clock readings.
+            let mut scratch = LookupScratch::default();
+            for now in [half, lapsed, half] {
+                for _ in 0..rng.gen_range(1..12) {
+                    // A member, which never answers itself, or an outsider.
+                    let querier = members[rng.gen_range(0..members.len())].0;
+                    let outsider = rng.gen_range(0..2) * 1_000;
+                    let query = info(rng, querier + outsider);
+                    let region = if regions.is_empty() || rng.gen_bool(0.1) {
+                        Zone::whole(2)
+                    } else {
+                        regions[rng.gen_range(0..regions.len())].clone()
+                    };
+                    for max in [0, 1, 10, usize::MAX] {
+                        let can = ecan.can();
+                        let fast = state.lookup_in_hosted_into(
+                            &mut scratch,
+                            &region,
+                            &query,
+                            max,
+                            can,
+                            now,
+                        );
+                        let fast: Vec<NodeInfo> = fast.cloned().collect();
+                        let slow = lookup_in_hosted_scan(&state, &region, &query, max, can, now);
+                        check_eq!(fast, slow, "region {region:?} q={} max={max}", query.node);
                     }
                 }
             }
+        });
+    }
+
+    #[test]
+    fn lookup_counts_follow_a_scripted_sequence() {
+        let (ecan, mut state) = setup(128);
+        for i in 0..128u32 {
+            let info = info_for(&state, i, [5.0 + f64::from(i % 16) * 7.0, 60.0, 140.0]);
+            state.publish(info, &ecan, SimTime::ORIGIN);
         }
+        let mut scratch = LookupScratch::default();
+        let count = |s: &LookupScratch, name| s.counts().get(name).unwrap();
+        let region = ecan.enclosing_high_order_zones(OverlayNodeId(0))[0].clone();
+        let lookup = |scratch: &mut LookupScratch, id, max, state: &GlobalState| {
+            let query = info_for(state, id, [40.0, 60.0, 140.0]);
+            let found = state.lookup_in_hosted_into(
+                scratch,
+                &region,
+                &query,
+                max,
+                ecan.can(),
+                SimTime::ORIGIN,
+            );
+            found.count() as u64
+        };
+        // Two queriers with one number land on one host: one walk, one
+        // reuse. Asking for everything widens to the host's ring once.
+        let first = lookup(&mut scratch, 1_000, usize::MAX, &state);
+        let second = lookup(&mut scratch, 1_001, usize::MAX, &state);
+        assert!(first > 0 && first == second);
+        let names = [
+            "lookups",
+            "fragment_walks",
+            "fragment_reuses",
+            "ring_widenings",
+        ];
+        assert_eq!(names.map(|n| count(&scratch, n)), [2, 1, 1, 1]);
+        assert_eq!(count(&scratch, "candidates_ranked"), first + second);
+        // No map, no walk; nothing asked for, nothing ranked.
+        let q = info_for(&state, 1_002, [40.0, 60.0, 140.0]);
+        let none = state.lookup_in_hosted_into(
+            &mut scratch,
+            &Zone::whole(2),
+            &q,
+            5,
+            ecan.can(),
+            SimTime::ORIGIN,
+        );
+        assert_eq!(none.count(), 0);
+        assert_eq!(lookup(&mut scratch, 1_003, 0, &state), 0);
+        assert_eq!(count(&scratch, "lookups_unmapped"), 1);
+        assert_eq!(names.map(|n| count(&scratch, n)), [4, 1, 2, 1]);
+        assert_eq!(count(&scratch, "candidates_ranked"), first + second);
+        // A write renews the state's version: the fragment is walked again.
+        state.refresh(OverlayNodeId(3), SimTime::ORIGIN);
+        assert_eq!(lookup(&mut scratch, 1_004, usize::MAX, &state), first);
+        assert_eq!(names.map(|n| count(&scratch, n)), [5, 2, 2, 2]);
+        assert_eq!(scratch.fragment_walks(), 2);
     }
 
     #[test]

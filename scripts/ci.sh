@@ -378,6 +378,20 @@ if [[ "$keyed_out" != *"test result: ok. 1 passed"* ]]; then
     echo "FAIL: the hosted lookup diverged from the per-host scan at TAO_PT_CASES=512." >&2
     exit 1
 fi
+# The eCAN store's hosted lookup ranks the live entries of the landing
+# host's fragment (and its ring's) with the packed-key kernel; its property
+# holds it to an owner() walk of every entry and a full stable sort, over
+# churned CANs with takeover zones, 15-landmark vectors with exact
+# duplicates (ties break by node id), refreshed, lapsed and removed
+# entries, one scratch carried across queriers, regions and clock readings,
+# and max in {0, 1, 10, usize::MAX}. A filter that matched nothing would
+# pass too, hence the count.
+hosted_out=$(TAO_PT_CASES=512 cargo test -q --release --offline -p tao-softstate --lib \
+    hosted_lookup_matches_the_owner_walk_oracle 2>&1 || true)
+if [[ "$hosted_out" != *"test result: ok. 1 passed"* ]]; then
+    echo "FAIL: the eCAN hosted lookup diverged from the owner-walk oracle at TAO_PT_CASES=512." >&2
+    exit 1
+fi
 # The eCAN store addresses each node's entries by (map, slot) handles; its
 # property holds every map, byte for byte, and every handle list to the
 # key-list bookkeeping it replaced, over generated histories of publish
@@ -389,7 +403,7 @@ if [[ "$store_out" != *"test result: ok. 1 passed"* ]]; then
     echo "FAIL: the store's handles diverged from the key-list bookkeeping at TAO_PT_CASES=512." >&2
     exit 1
 fi
-echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each; hosted lookup ≡ per-host scan over 512 memberships; store handles ≡ key lists over 512 histories)"
+echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each; hosted lookup ≡ per-host scan over 512 memberships; eCAN hosted lookup ≡ owner walk over 512 histories; store handles ≡ key lists over 512 histories)"
 
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
