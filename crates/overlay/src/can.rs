@@ -1005,6 +1005,11 @@ impl CanOverlay {
     /// by 5e-10, seven orders above the 2^-53 either rounding moves it. A
     /// least sum of zero cuts at zero, where only other zeros tie.
     ///
+    /// The cut does not change the answer — the least (root, id) over all
+    /// candidates is the same node — and the form is kept for speed: a
+    /// one-pass argmin with the tie test inside the loop measured 0.91× on
+    /// `route_replay` `primary_per_s`, 4 of 4 pairs (PERF_LOG.md "PR 54").
+    ///
     /// Callers pass `pristine` = [`CanOverlay::is_pristine`], read once per
     /// route, which skips the per-node extra-zone lists.
     pub(crate) fn next_hop(

@@ -124,8 +124,9 @@ impl Csr {
 }
 
 /// What is computed from a graph on first use and dropped by every
-/// mutation. Clones share it: the figure cells that each clone one
-/// topology build its CSR view and distance index once between them.
+/// mutation. Clones share it, as they share the graph itself: the figure
+/// cells that each clone one topology build its CSR view and distance
+/// index once between them.
 #[derive(Debug, Default)]
 struct Derived {
     csr: OnceLock<Csr>,
@@ -150,8 +151,10 @@ struct Derived {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    kinds: Vec<NodeKind>,
-    adj: Vec<Vec<Edge>>,
+    /// Shared by clones; a mutator copies what it writes when it is
+    /// shared (`Arc::make_mut`), so the graph written detaches.
+    kinds: Arc<Vec<NodeKind>>,
+    adj: Arc<Vec<Vec<Edge>>>,
     edge_count: usize,
     /// Lazily-built CSR mirror of `adj` and distance index; replaced by
     /// every mutation.
@@ -167,8 +170,8 @@ impl Graph {
     /// Adds a router of the given kind; returns its index.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeIdx {
         let idx = NodeIdx(self.kinds.len() as u32);
-        self.kinds.push(kind);
-        self.adj.push(Vec::new());
+        Arc::make_mut(&mut self.kinds).push(kind);
+        Arc::make_mut(&mut self.adj).push(Vec::new());
         self.derived = Arc::default();
         idx
     }
@@ -183,12 +186,13 @@ impl Graph {
         assert!(a.index() < self.adj.len(), "node {a} out of range");
         assert!(b.index() < self.adj.len(), "node {b} out of range");
         assert_ne!(a, b, "self-loops are not allowed");
-        self.adj[a.index()].push(Edge {
+        let adj = Arc::make_mut(&mut self.adj);
+        adj[a.index()].push(Edge {
             to: b,
             latency,
             class,
         });
-        self.adj[b.index()].push(Edge {
+        adj[b.index()].push(Edge {
             to: a,
             latency,
             class,
@@ -269,6 +273,13 @@ impl Graph {
             .as_ref()
     }
 
+    /// `true` when `self` and `other` read one adjacency: neither has been
+    /// written since one was cloned from the other.
+    #[cfg(test)]
+    pub(crate) fn shares_adjacency(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.kinds, &other.kinds) && Arc::ptr_eq(&self.adj, &other.adj)
+    }
+
     /// `true` if every router can reach every other (BFS from node 0).
     /// An empty graph counts as connected.
     pub fn is_connected(&self) -> bool {
@@ -297,20 +308,21 @@ impl Graph {
     /// an already-built graph.
     pub fn reassign_latencies(&mut self, mut f: impl FnMut(EdgeClass, SimDuration) -> SimDuration) {
         self.derived = Arc::default();
+        let adj = Arc::make_mut(&mut self.adj);
         // Visit each undirected edge once (from the lower endpoint), then
         // mirror the new weight onto the reverse half-edge.
-        for a in 0..self.adj.len() {
+        for a in 0..adj.len() {
             // Split borrows: collect updates for edges whose reverse lives in
             // a later (or same) adjacency list.
-            let updates: Vec<(usize, NodeIdx, SimDuration)> = self.adj[a]
+            let updates: Vec<(usize, NodeIdx, SimDuration)> = adj[a]
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.to.index() >= a)
                 .map(|(i, e)| (i, e.to, f(e.class, e.latency)))
                 .collect();
             for (i, to, lat) in updates {
-                self.adj[a][i].latency = lat;
-                for rev in &mut self.adj[to.index()] {
+                adj[a][i].latency = lat;
+                for rev in &mut adj[to.index()] {
                     if rev.to.index() == a {
                         rev.latency = lat;
                     }
@@ -426,6 +438,64 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0]
         );
+    }
+
+    /// Everything a reader of `g` can see: edges, CSR rows and every
+    /// indexed distance.
+    type Snapshot = (
+        Vec<Vec<(NodeIdx, SimDuration, EdgeClass)>>,
+        Vec<Vec<(u32, SimDuration)>>,
+        Option<Vec<SimDuration>>,
+    );
+
+    fn snapshot(g: &Graph) -> Snapshot {
+        let edges = g.nodes().map(|n| g.neighbors(n).collect()).collect();
+        let csr = (0..g.node_count())
+            .map(|n| g.csr().row(n).iter().map(|e| (e.to, e.weight)).collect())
+            .collect();
+        let distances = g.distance_index().map(|index| {
+            g.nodes()
+                .flat_map(|a| g.nodes().map(move |b| index.distance(a, b)))
+                .collect()
+        });
+        (edges, csr, distances)
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_untouched() {
+        let params = crate::TransitStubParams::builder()
+            .transit_domains(2)
+            .transit_nodes_per_domain(2)
+            .stub_domains_per_transit_node(2)
+            .nodes_per_stub_domain(4)
+            .build()
+            .unwrap();
+        let g = crate::generate_transit_stub(&params, crate::LatencyAssignment::gt_itm(), 3)
+            .graph()
+            .clone();
+        let before = snapshot(&g);
+        assert!(before.2.is_some());
+        let index = Arc::clone(g.distance_index().unwrap());
+        let (stub, transit) = (g.stub_nodes()[0], g.transit_nodes()[1]);
+        let mutators: [fn(&mut Graph, NodeIdx, NodeIdx); 3] = [
+            |c, _, _| {
+                c.add_node(NodeKind::Stub { domain: 0 });
+            },
+            |c, a, b| c.add_edge(a, b, SimDuration::from_micros(1), EdgeClass::TransitStub),
+            |c, _, _| c.reassign_latencies(|_, latency| latency * 2),
+        ];
+        for (m, mutate) in mutators.iter().enumerate() {
+            let mut clone = g.clone();
+            assert!(clone.shares_adjacency(&g));
+            mutate(&mut clone, stub, transit);
+            assert!(
+                !clone.shares_adjacency(&g),
+                "mutator {m} wrote the shared graph"
+            );
+            assert_ne!(snapshot(&clone).0, before.0, "mutator {m} changed nothing");
+            assert_eq!(snapshot(&g), before, "mutator {m} reached the original");
+            assert!(Arc::ptr_eq(g.distance_index().unwrap(), &index));
+        }
     }
 
     #[test]

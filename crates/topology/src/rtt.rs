@@ -174,6 +174,33 @@ mod tests {
         assert_eq!(oracle.measure(NodeIdx(1), NodeIdx(1)), SimDuration::ZERO);
     }
 
+    /// tsk-large, as `build_on` meets it: the caller clones the topology,
+    /// then the system's oracle clones its graph. Neither copies the
+    /// adjacency, and the index holds 4-byte entries.
+    #[test]
+    fn a_build_shares_one_adjacency_and_a_four_byte_index() {
+        use crate::{generate_transit_stub, LatencyAssignment, TransitStubParams};
+        let generated = generate_transit_stub(
+            &TransitStubParams::tsk_large(),
+            LatencyAssignment::gt_itm(),
+            1,
+        );
+        let handed = generated.clone();
+        let oracle = RttOracle::new(handed.graph().clone());
+        let copies = [handed.graph(), oracle.graph()]
+            .iter()
+            .filter(|g| !g.shares_adjacency(generated.graph()))
+            .count();
+        assert_eq!(copies, 0);
+
+        let Distances::Factored(index) = &oracle.distances else {
+            panic!("tsk-large factors");
+        };
+        let tables = index.tables();
+        assert_eq!(tables.len(), 779_776, "128 stubs × 78² + the 32² core");
+        assert_eq!(std::mem::size_of_val(tables), 3_119_104);
+    }
+
     #[test]
     fn ground_truth_all_matches_pairwise() {
         let oracle = RttOracle::new(small_graph());

@@ -405,6 +405,22 @@ if [[ "$store_out" != *"test result: ok. 1 passed"* ]]; then
 fi
 echo "incremental membership: OK (mini fig02_million_churn at $churn_fp; repair ≡ full re-check over 512 histories; split-tree walks ≡ oracles over 512 overlays each; hosted lookup ≡ per-host scan over 512 memberships; eCAN hosted lookup ≡ owner walk over 512 histories; store handles ≡ key lists over 512 histories)"
 
+# ---- RTT oracle: the factored index against Dijkstra. -----------------------
+# The index keeps each block's all-pairs table as 4-byte microseconds and
+# hands any graph it cannot hold (multi-homed stubs, islands, a block
+# distance of 2^32 - 1 us or more) to Dijkstra rows. Its three properties
+# hold both paths to shortest_paths on every pair of generated graphs; all
+# three must run, hence the count.
+rtt_out=$(TAO_PT_CASES=512 cargo test -q --release --offline -p tao-topology --test rtt_oracle -- \
+    factored_distances_equal_dijkstra_on_generated_graphs \
+    graphs_the_index_does_not_cover_fall_back_to_dijkstra_rows \
+    the_index_is_a_metric 2>&1 || true)
+if [[ "$rtt_out" != *"test result: ok. 3 passed"* ]]; then
+    echo "FAIL: the RTT oracle diverged from Dijkstra at TAO_PT_CASES=512." >&2
+    exit 1
+fi
+echo "RTT oracle: OK (index and row fallback ≡ shortest_paths over 512 graphs per property)"
+
 # ---- Figure drift: every committed table, byte for byte. --------------------
 # "Every results/*.txt byte-identical" used to be checked by hand once per
 # PR, then here for four tables; all fifteen take ~25 s together, so the

@@ -1,12 +1,12 @@
 //! The factored RTT oracle against its reference: on every generated
 //! transit-stub graph `RttOracle` must read the distance index and return
 //! exactly what `shortest_paths` returns, and on every graph the index does
-//! not cover it must fall back to Dijkstra rows — same answers, `MAX`
-//! included.
+//! not cover — a block distance too long for its 4-byte tables among them —
+//! it must fall back to Dijkstra rows: same answers, `MAX` included.
 
 use tao_topology::{
     generate_transit_stub, shortest_paths, EdgeClass, Graph, LatencyAssignment, NodeIdx, NodeKind,
-    RttOracle, TransitStubParams,
+    RttOracle, TransitStubParams, TransitStubParamsBuilder,
 };
 use tao_util::check::for_all;
 use tao_util::rand::rngs::StdRng;
@@ -17,38 +17,58 @@ use tao_util::{check, check_eq};
 const LATENCIES: [fn() -> LatencyAssignment; 2] =
     [LatencyAssignment::manual, LatencyAssignment::gt_itm];
 
-/// A small random transit-stub graph (≤ 153 routers), the 1×1×1×1
-/// degenerate included.
-fn random_graph(rng: &mut StdRng) -> Graph {
-    let params = TransitStubParams::builder()
+/// The parameters of a small random transit-stub graph (≤ 153 routers),
+/// the 1×1×1×1 degenerate included.
+fn random_params(rng: &mut StdRng) -> TransitStubParamsBuilder {
+    let mut params = TransitStubParams::builder();
+    params
         .transit_domains(rng.gen_range(1..=3))
         .transit_nodes_per_domain(rng.gen_range(1..=3))
         .stub_domains_per_transit_node(rng.gen_range(1..=2))
         .nodes_per_stub_domain(rng.gen_range(1..=8))
         .intra_domain_extra_edge_prob(rng.gen_range(0.0..0.4))
-        .extra_cross_transit_edges(rng.gen_range(0..3))
-        .build()
-        .expect("valid parameters");
+        .extra_cross_transit_edges(rng.gen_range(0..3));
+    params
+}
+
+/// The graph `params` generates under a random latency assignment.
+fn generated(params: &TransitStubParamsBuilder, rng: &mut StdRng) -> Graph {
+    let params = params.build().expect("valid parameters");
     let latency = LATENCIES[rng.gen_range(0..2)]();
     generate_transit_stub(&params, latency, rng.gen())
         .graph()
         .clone()
 }
 
-/// `graph` with every router's kind replaced by `kind(router)`.
-fn relabelled(graph: &Graph, kind: impl Fn(NodeIdx) -> NodeKind) -> Graph {
+fn random_graph(rng: &mut StdRng) -> Graph {
+    let params = random_params(rng);
+    generated(&params, rng)
+}
+
+/// `graph` rebuilt with every router's kind replaced by `kind(router)` and
+/// every link's latency by `latency(a, b, current)`.
+fn rebuilt(
+    graph: &Graph,
+    kind: impl Fn(NodeIdx) -> NodeKind,
+    latency: impl Fn(NodeIdx, NodeIdx, SimDuration) -> SimDuration,
+) -> Graph {
     let mut g = Graph::new();
     for v in graph.nodes() {
         g.add_node(kind(v));
     }
     for v in graph.nodes() {
-        for (to, latency, class) in graph.neighbors(v) {
+        for (to, current, class) in graph.neighbors(v) {
             if v < to {
-                g.add_edge(v, to, latency, class);
+                g.add_edge(v, to, latency(v, to, current), class);
             }
         }
     }
     g
+}
+
+/// `graph` with every router's kind replaced by `kind(router)`.
+fn relabelled(graph: &Graph, kind: impl Fn(NodeIdx) -> NodeKind) -> Graph {
+    rebuilt(graph, kind, |_, _, current| current)
 }
 
 /// Every pair, both entry points, against one Dijkstra per source.
@@ -106,6 +126,38 @@ fn graphs_the_index_does_not_cover_fall_back_to_dijkstra_rows() {
         let oracle = RttOracle::new(island);
         check_eq!(oracle.ground_truth(lost, NodeIdx(0)), SimDuration::MAX);
         check_eq!(oracle.ground_truth(lost, lost), SimDuration::ZERO);
+
+        // Tree stubs: every intra-stub link is the one path between its
+        // endpoints, so one re-weighted to ≥ 2³² − 1 µs puts a distance
+        // past the index's 4-byte entries.
+        let mut tree_stubs = random_params(rng);
+        tree_stubs
+            .nodes_per_stub_domain(rng.gen_range(2..=8))
+            .intra_domain_extra_edge_prob(0.0);
+        let g = generated(&tree_stubs, rng);
+        let stubs = g.stub_nodes();
+        let u = stubs[rng.gen_range(0..stubs.len())];
+        let (v, _, _) = g
+            .neighbors(u)
+            .find(|&(_, _, class)| class == EdgeClass::IntraStub)
+            .expect("a stub of two or more routers is connected");
+        let long = SimDuration::from_micros(
+            u64::from(u32::MAX) + [0, 1, rng.gen_range(2..1 << 40)][rng.gen_range(0..3)],
+        );
+        let link = |a, b| (a, b) == (u.min(v), u.max(v));
+        let mut overlong = rebuilt(
+            &g,
+            |r| g.kind(r),
+            |a, b, d| if link(a, b) { long } else { d },
+        );
+        check!(shortest_paths(&overlong, u)[v.index()] == long);
+        check_agrees_with_dijkstra(&overlong, false);
+        // An unreachable router of the same stub still reads `MAX`.
+        let lost = overlong.add_node(overlong.kind(u));
+        check_agrees_with_dijkstra(&overlong, false);
+        let oracle = RttOracle::new(overlong);
+        check_eq!(oracle.ground_truth(u, lost), SimDuration::MAX);
+        check_eq!(oracle.ground_truth(lost, v), SimDuration::MAX);
     });
 }
 
